@@ -13,87 +13,32 @@ Mittag-Leffler decay envelopes for the squared L2 norm.
 
 from .kernels import (
     CompressedHistory,
-    CompressionError,
-    ConvexityReport,
+    DirectHistory,
     L1Weights,
     TimeGrid,
-    apply_l1,
     check_discrete_convexity,
     compress_history,
-    default_grading,
-    l1_weights,
-    memory_benchmark,
-    rl_kernel,
 )
-from .mittag_leffler import MLEval, TailReport, mittag_leffler, ml_tail_bound, ml_values
-from .relaxation import (
-    DecayCertificate,
-    comparison_check,
-    random_subsolution,
-    relaxation_solution,
-    solve_relaxation_l1,
-)
-from .spatial import (
-    DiffusionLaw,
-    EllipticityReport,
-    Field,
-    PoincareResult,
-    SpatialGrid,
-    assemble_quasilinear_operator,
-    build_grid,
-    constant_law,
-    ellipticity_check,
-    newton_jacobian,
-    poincare_lambda1,
-    porous_law,
-)
-from .solver import ProblemSpec, SolverOptions, StepFailure, Trajectory, nonlinear_step, run_trajectory
-from .diagnostics import (
-    HoelderEstimate,
-    MaxPrincipleReport,
-    NormSeries,
-    WeakformReport,
-    boundedness_report,
-    convexity_report,
-    decay_report,
-    hoelder_field,
-    hoelder_seminorm,
-    l2_norm,
-    norm_series,
-    weakform_residual,
-)
-from .presets import PRESETS, build_preset, eigenmode_exact, first_eigenvalue
-from .config import ConfigError, RunConfig, parse_config, render_config
+from .mittag_leffler import mittag_leffler
+from .relaxation import comparison_check, relaxation_solution, solve_relaxation_l1
+from .spatial import build_grid, constant_law, porous_law
+from .solver import ProblemSpec, SolverOptions, StepFailure, Trajectory, run_trajectory
+from .diagnostics import boundedness_report, convexity_report, decay_report, norm_series, weakform_residual
+from .presets import build_preset, eigenmode_exact
+from .config import ConfigError, parse_config
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CompressedHistory",
-    "CompressionError",
     "ConfigError",
-    "ConvexityReport",
-    "DecayCertificate",
-    "DiffusionLaw",
-    "EllipticityReport",
-    "Field",
-    "HoelderEstimate",
+    "DirectHistory",
     "L1Weights",
-    "MLEval",
-    "MaxPrincipleReport",
-    "NormSeries",
-    "PRESETS",
-    "PoincareResult",
     "ProblemSpec",
-    "RunConfig",
     "SolverOptions",
-    "SpatialGrid",
     "StepFailure",
-    "TailReport",
     "TimeGrid",
     "Trajectory",
-    "WeakformReport",
-    "apply_l1",
-    "assemble_quasilinear_operator",
     "boundedness_report",
     "build_grid",
     "build_preset",
@@ -103,28 +48,12 @@ __all__ = [
     "constant_law",
     "convexity_report",
     "decay_report",
-    "default_grading",
     "eigenmode_exact",
-    "ellipticity_check",
-    "first_eigenvalue",
-    "hoelder_field",
-    "hoelder_seminorm",
-    "l1_weights",
-    "l2_norm",
-    "memory_benchmark",
     "mittag_leffler",
-    "ml_tail_bound",
-    "ml_values",
-    "newton_jacobian",
-    "nonlinear_step",
     "norm_series",
     "parse_config",
-    "poincare_lambda1",
     "porous_law",
-    "random_subsolution",
     "relaxation_solution",
-    "render_config",
-    "rl_kernel",
     "run_trajectory",
     "solve_relaxation_l1",
     "weakform_residual",

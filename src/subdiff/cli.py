@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfcx
 
-from .config import ConfigError, RunConfig, parse_config, render_config
+from .config import ConfigError, RunConfig, check_config, parse_config, render_config
 from .diagnostics import (
     boundedness_report,
     convexity_report,
@@ -146,6 +146,7 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
         cfg.solver.history = args.history
     if getattr(args, "levels", None):
         cfg.study.levels = args.levels
+    check_config(cfg)
 
 
 def cmd_run(args) -> int:
@@ -299,24 +300,26 @@ def cmd_study(args) -> int:
     return 0
 
 
+def _sweep_grids(horizon: float):
+    """(alpha, grid) pairs of the property sweeps: three orders, uniform and graded 48-step grids."""
+    for alpha in (0.3, 0.5, 0.8):
+        yield alpha, TimeGrid.uniform(horizon, 48)
+        yield alpha, TimeGrid.graded(horizon, 48, default_grading(alpha))
+
+
 def _props_convexity(rng, count: int):
     worst = np.inf
     violations = 0
     total = 0
-    for alpha in (0.3, 0.5, 0.8):
-        for kind in ("uniform", "graded"):
-            if kind == "uniform":
-                grid = TimeGrid.uniform(2.0, 48)
-            else:
-                grid = TimeGrid.graded(2.0, 48, default_grading(alpha))
-            for _ in range(count):
-                scale = 10.0 ** rng.uniform(-2.0, 2.0)
-                hist = scale * np.cumsum(rng.standard_normal(grid.steps + 1))
-                rep = check_discrete_convexity(alpha, grid, hist)
-                total += 1
-                worst = min(worst, float(np.min(rep.margins + rep.roundoff)))
-                if not rep.passed:
-                    violations += 1
+    for alpha, grid in _sweep_grids(2.0):
+        for _ in range(count):
+            scale = 10.0 ** rng.uniform(-2.0, 2.0)
+            hist = scale * np.cumsum(rng.standard_normal(grid.steps + 1))
+            rep = check_discrete_convexity(alpha, grid, hist)
+            total += 1
+            worst = min(worst, float(np.min(rep.margins + rep.roundoff)))
+            if not rep.passed:
+                violations += 1
     return {
         "passed": violations == 0,
         "histories": total,
@@ -330,23 +333,18 @@ def _props_comparison(rng, count: int):
     violations = 0
     total = 0
     worst = np.inf
-    for alpha in (0.3, 0.5, 0.8):
-        for kind in ("uniform", "graded"):
-            if kind == "uniform":
-                grid = TimeGrid.uniform(3.0, 48)
-            else:
-                grid = TimeGrid.graded(3.0, 48, default_grading(alpha))
-            for _ in range(count):
-                mu = 10.0 ** rng.uniform(-1.0, 1.5)
-                w0 = 10.0 ** rng.uniform(-1.0, 1.0)
-                W = random_subsolution(alpha, mu, grid, rng, w0=w0)
-                V = solve_relaxation_l1(alpha, mu, w0, grid)
-                tol = 64.0 * (grid.steps + 4.0) * eps * max(float(np.max(np.abs(V))), float(np.max(np.abs(W))))
-                gap = float(np.min(V - W))
-                total += 1
-                worst = min(worst, gap + tol)
-                if gap < -tol:
-                    violations += 1
+    for alpha, grid in _sweep_grids(3.0):
+        for _ in range(count):
+            mu = 10.0 ** rng.uniform(-1.0, 1.5)
+            w0 = 10.0 ** rng.uniform(-1.0, 1.0)
+            W = random_subsolution(alpha, mu, grid, rng, w0=w0)
+            V = solve_relaxation_l1(alpha, mu, w0, grid)
+            tol = 64.0 * (grid.steps + 4.0) * eps * max(float(np.max(np.abs(V))), float(np.max(np.abs(W))))
+            gap = float(np.min(V - W))
+            total += 1
+            worst = min(worst, gap + tol)
+            if gap < -tol:
+                violations += 1
     return {"passed": violations == 0, "subsolutions": total, "violations": violations, "worst_gap": worst}
 
 
@@ -421,7 +419,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
+        print("invalid configuration: " + "; ".join(exc.problems), file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)

@@ -17,7 +17,9 @@ bracketed lists do not split).  Keys live in the section opened by the last
 accepted as shorthand for ``problem.preset`` and ``problem.alpha``, and any
 dotted path works anywhere.  Unknown sections or keys are rejected with the
 offending path named, and parsing reports every violation at once rather
-than stopping at the first.
+than stopping at the first.  Settings that are valid one by one but cannot
+run together (compressed history on a graded time grid) are rejected too;
+:func:`check_config` repeats that check after command-line overrides.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "OutputConfig",
     "RunConfig",
     "parse_config",
+    "check_config",
     "render_config",
 ]
 
@@ -247,7 +250,15 @@ def parse_config(text: str) -> RunConfig:
     for path, val in assigned.items():
         sect, key = path.split(".", 1)
         setattr(getattr(cfg, sect), key, val)
+    check_config(cfg)
     return cfg
+
+
+def check_config(cfg: RunConfig) -> None:
+    """Reject settings that are valid one by one but cannot run together."""
+    # an unset grading means the graded default min((2 - alpha)/alpha, 4) > 1
+    if cfg.solver.history == "compressed" and cfg.time.grading != 1.0:
+        raise ConfigError(["solver.history=compressed needs a uniform time grid (set time.grading=1)"])
 
 
 def _format_value(kind: str, val) -> str:

@@ -26,10 +26,10 @@ from math import gamma
 
 import numpy as np
 
-from .kernels import ConvexityReport, L1Weights, rl_kernel
+from .kernels import ConvexityReport, L1Weights, tested_convexity
 from .relaxation import DecayCertificate, comparison_check
 from .solver import Trajectory
-from .spatial import SpatialGrid, assemble_quasilinear_operator, poincare_lambda1
+from .spatial import SpatialGrid, assemble_quasilinear_operator, first_eigenvalue
 
 __all__ = [
     "NormSeries",
@@ -129,8 +129,7 @@ def decay_report(traj: Trajectory, slack: float = 1.05) -> DecayCertificate:
         raise ValueError("the decay envelope applies to zero forcing and zero boundary data only")
     series = norm_series(traj)
     w = series.energy
-    lam1 = poincare_lambda1(spec.grid).continuous
-    mu = 2.0 * spec.law.nu * lam1
+    mu = 2.0 * spec.law.nu * first_eigenvalue(spec.grid)
     return comparison_check(w, spec.time_grid, spec.alpha, mu, w0=float(w[0]), slack=slack)
 
 
@@ -148,40 +147,8 @@ def convexity_report(traj: Trajectory) -> ConvexityReport:
     term) are measured and reported but never asserted.
     """
     spec = traj.spec
-    tg = spec.time_grid
-    alpha = spec.alpha
-    q = spec.grid.quadrature_weights()
-    U = traj.fields
-    M = tg.steps
-    weights = L1Weights(alpha=alpha, grid=tg)
-    dU = np.diff(U, axis=0)
-    absdU = np.abs(dU)
-    W = np.einsum("ni,i,ni->n", U, q, U)
-    dW = np.diff(W)
-    eps = np.finfo(float).eps
-    margins = np.empty(M)
-    strong = np.empty(M)
-    roundoff = np.empty(M)
-    for n in range(1, M + 1):
-        w = weights.row(n)
-        dalpha_u = w @ dU[:n]
-        inner = float(q @ (U[n] * dalpha_u))
-        dalpha_w = float(w @ dW[:n])
-        margins[n - 1] = inner - 0.5 * dalpha_w
-        strong[n - 1] = margins[n - 1] - 0.5 * rl_kernel(1.0 - alpha, tg.nodes[n]) * W[n]
-        gross = float(q @ (np.abs(U[n]) * (w @ absdU[:n]))) + 0.5 * float(
-            w @ (W[1 : n + 1] + W[:n])
-        )
-        roundoff[n - 1] = 4.0 * (n + 4.0) * eps * gross
-    passed = bool(np.all(margins >= -roundoff))
-    return ConvexityReport(
-        alpha=alpha,
-        times=tg.nodes[1:].copy(),
-        margins=margins,
-        roundoff=roundoff,
-        strong_margins=strong,
-        passed=passed,
-    )
+    weights = L1Weights(alpha=spec.alpha, grid=spec.time_grid)
+    return tested_convexity(weights, traj.fields, spec.grid.quadrature_weights(), charge_levels=True)
 
 
 # ---------------------------------------------------------------------------

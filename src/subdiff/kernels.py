@@ -11,13 +11,14 @@ step ``[t_{k-1}, t_k]``.  This quadrature is exact for piecewise-linear
 functions, its weights are positive, and within each row they increase toward
 the diagonal on any admissible mesh.  Those three facts carry all the
 structure the rest of the package relies on (convexity inequality, comparison
-principle, maximum principle).
+principle, maximum principle).  Every O(M^2) consumer reads the weights
+through :meth:`L1Weights.block`; the solver's memory term comes from a
+memory provider (:class:`DirectHistory` or :class:`CompressedHistory`).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,17 +29,18 @@ __all__ = [
     "default_grading",
     "TimeGrid",
     "L1Weights",
-    "l1_weights",
-    "apply_l1",
     "ConvexityReport",
     "check_discrete_convexity",
+    "tested_convexity",
+    "DirectHistory",
     "CompressedHistory",
     "CompressionError",
     "compress_history",
-    "memory_benchmark",
 ]
 
 _EPS = float(np.finfo(float).eps)
+# entries per weight block of a blocked product (256 KiB of float64)
+_BLOCK_ENTRIES = 1 << 15
 
 
 def rl_kernel(beta: float, t):
@@ -129,76 +131,96 @@ class TimeGrid:
 class L1Weights:
     """L1 quadrature weights for the fractional derivative of order ``alpha``.
 
-    Rows are generated on demand: ``row(n)`` returns ``w_{n,1..n}``.  On
-    uniform grids the rows share one sequence ``b_j = w_{n,n-j}`` which is
-    precomputed once; on graded grids each row costs O(n).
+    This is the one history operator of the package: every O(M^2) consumer
+    (the solver's direct memory, the convexity certificates, the relaxation
+    marchers) reads the lower-triangular matrix ``W[n-1, k-1] = w_{n,k}``
+    through :meth:`block`, a dense slab of consecutive rows.  On uniform grids
+    the off-diagonal entries are gathered from one precomputed sequence
+    ``b_j = w_{n,n-j}``; on graded grids they come from the closed form.  The
+    diagonal ``w_{n,n}`` comes from one table shared with :meth:`diag`, so
+    :meth:`row`, :meth:`diag` and :meth:`apply` agree with :meth:`block`
+    bitwise.
     """
 
     alpha: float
     grid: TimeGrid
     _uniform_b: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _diag: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        c = gamma(2.0 - self.alpha)
+        # scalar powers: numpy's vectorized pow may round differently
+        diag = np.array([tk ** (-self.alpha) for tk in self.grid.tau.tolist()]) / c
+        object.__setattr__(self, "_diag", diag)
         if self.grid.is_uniform():
             M = self.grid.steps
             tau = self.grid.tau[0]
             j = np.arange(M + 1, dtype=float)
-            b = np.diff(j ** (1.0 - self.alpha)) * tau ** (-self.alpha) / gamma(2.0 - self.alpha)
+            b = np.diff(j ** (1.0 - self.alpha)) * tau ** (-self.alpha) / c
             object.__setattr__(self, "_uniform_b", b)
+
+    def block(self, n0: int, n1: int) -> np.ndarray:
+        """Rows ``n = n0..n1-1`` of the weight matrix, shape ``(n1 - n0, n1 - 1)``.
+
+        Entry ``[n - n0, k - 1]`` is ``w_{n,k}`` for ``k <= n`` and zero above
+        the diagonal.
+        """
+        if not 1 <= n0 < n1 <= self.grid.steps + 1:
+            raise ValueError(f"row range {n0}..{n1 - 1} outside 1..{self.grid.steps}")
+        if self._uniform_b is not None:
+            lag = np.arange(n0, n1)[:, None] - np.arange(1, n1)
+            out = np.where(lag > 0, self._uniform_b[np.maximum(lag, 0)], 0.0)
+        else:
+            t = self.grid.nodes
+            t_n = t[n0:n1, None]
+            p = 1.0 - self.alpha
+            # bases clipped at zero: entries with k >= n get equal lags and vanish
+            lag_hi = np.maximum(t_n - t[: n1 - 1], 0.0) ** p
+            lag_lo = np.maximum(t_n - t[1:n1], 0.0) ** p
+            out = (lag_hi - lag_lo) / (gamma(2.0 - self.alpha) * self.grid.tau[: n1 - 1])
+        # entry (n - n0, n - 1) sits at flat index n0 - 1 + (n - n0) * n1
+        out.reshape(-1)[n0 - 1 :: n1] = self._diag[n0 - 1 : n1 - 1]
+        return out
+
+    def blocks(self, steps: int):
+        """Yield ``(n0, n1, block(n0, n1))`` covering rows ``1..steps`` in order.
+
+        Each block holds about ``_BLOCK_ENTRIES`` entries, so a blocked product
+        needs the same working memory at any step count.
+        """
+        height = max(1, _BLOCK_ENTRIES // steps)
+        for n0 in range(1, steps + 1, height):
+            n1 = min(n0 + height, steps + 1)
+            yield n0, n1, self.block(n0, n1)
 
     def row(self, n: int) -> np.ndarray:
         """Weights ``w_{n,k}`` for ``k = 1..n`` as an array of length n."""
-        if not 1 <= n <= self.grid.steps:
-            raise ValueError(f"step index n={n} outside 1..{self.grid.steps}")
-        if self._uniform_b is not None:
-            return self._uniform_b[n - 1 :: -1].copy()
-        t = self.grid.nodes
-        lag_hi = (t[n] - t[:n]) ** (1.0 - self.alpha)
-        lag_lo = np.empty(n)
-        lag_lo[: n - 1] = (t[n] - t[1:n]) ** (1.0 - self.alpha)
-        lag_lo[n - 1] = 0.0
-        return (lag_hi - lag_lo) / (gamma(2.0 - self.alpha) * self.grid.tau[:n])
+        return self.block(n, n + 1)[0]
 
     def diag(self, n: int) -> float:
         """The local weight ``w_{n,n} = tau_n^(-alpha) / Gamma(2 - alpha)``."""
         if not 1 <= n <= self.grid.steps:
             raise ValueError(f"step index n={n} outside 1..{self.grid.steps}")
-        return float(self.grid.tau[n - 1] ** (-self.alpha) / gamma(2.0 - self.alpha))
+        return float(self._diag[n - 1])
 
-    def apply(self, history: np.ndarray, n: int | None = None):
-        """Evaluate ``(D^a v)_n`` for the sampled history ``v_0..v_n``.
+    def apply(self, history: np.ndarray) -> np.ndarray:
+        """``(D^a v)_n`` for every ``n = 1..N`` of the sampled history ``v_0..v_N``.
 
-        ``history`` has shape (n+1,) for scalar sequences or (n+1, ...) for
-        field-valued ones; the contraction runs over the leading axis.
+        ``history`` has shape (N+1,) for scalar sequences or (N+1, ...) for
+        field-valued ones; the contraction runs over the leading axis and the
+        result has shape (N, ...).
         """
         history = np.asarray(history, dtype=float)
-        if n is None:
-            n = history.shape[0] - 1
-        if history.shape[0] < n + 1:
-            raise ValueError("history is shorter than the requested step")
-        if n < 1:
-            raise ValueError("the discrete derivative needs at least one step")
-        diffs = np.diff(history[: n + 1], axis=0)
-        w = self.row(n)
-        out = np.tensordot(w, diffs, axes=(0, 0))
-        return float(out) if out.ndim == 0 else out
-
-    def apply_all(self, history: np.ndarray) -> np.ndarray:
-        """``(D^a v)_n`` for every n = 1..len(history)-1 (test convenience)."""
-        history = np.asarray(history, dtype=float)
-        return np.array([self.apply(history, n) for n in range(1, history.shape[0])])
-
-
-def l1_weights(alpha: float, grid: TimeGrid) -> L1Weights:
-    """Build :class:`L1Weights` for order ``alpha`` on ``grid``."""
-    return L1Weights(alpha=alpha, grid=grid)
-
-
-def apply_l1(weights: L1Weights, history: np.ndarray, n: int | None = None):
-    """Functional form of :meth:`L1Weights.apply`."""
-    return weights.apply(history, n)
+        N = history.shape[0] - 1
+        if not 1 <= N <= self.grid.steps:
+            raise ValueError(f"history needs 2..{self.grid.steps + 1} samples, got {N + 1}")
+        diffs = np.diff(history, axis=0)
+        out = np.empty((N,) + history.shape[1:])
+        for n0, n1, w in self.blocks(N):
+            out[n0 - 1 : n1 - 1] = np.tensordot(w, diffs[: n1 - 1], axes=1)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,32 +273,95 @@ def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) 
         raise ValueError("history must contain at least one step")
     if v.shape[0] > grid.steps + 1:
         raise ValueError("history is longer than the grid")
-    weights = L1Weights(alpha=alpha, grid=grid)
-    N = v.shape[0] - 1
-    dv = np.diff(v)
-    dv2 = np.diff(v**2)
+    return tested_convexity(L1Weights(alpha=alpha, grid=grid), v[:, None], np.ones(1))
+
+
+def tested_convexity(
+    weights: L1Weights, fields: np.ndarray, q: np.ndarray, charge_levels: bool = False
+) -> ConvexityReport:
+    """Margins of ``(u_n, D^a u_n)_q - 1/2 (D^a W)_n`` with ``W_n = (u_n, u_n)_q``.
+
+    ``fields`` has shape (N+1, nodes) and ``q`` holds the quadrature weights
+    of the inner product.  The roundoff allowance charges every contraction
+    with its gross sum; for the ``W`` increments that is ``|W_k - W_{k-1}|``,
+    or ``W_k + W_{k-1}`` with ``charge_levels`` (quadrature sums carry
+    rounding proportional to the levels they difference).
+    """
+    U = fields
+    N = U.shape[0] - 1
+    dU = np.diff(U, axis=0)
+    absdU = np.abs(dU)
+    W = np.einsum("ni,i,ni->n", U, q, U)
+    dW = np.diff(W)
+    w_incs = np.stack([dW, W[1:] + W[:-1] if charge_levels else np.abs(dW)], axis=1)
     margins = np.empty(N)
-    rounding = np.empty(N)
-    strong = np.empty(N)
-    t = grid.nodes
-    for n in range(1, N + 1):
-        w = weights.row(n)
-        lhs = v[n] * float(w @ dv[:n])
-        rhs = 0.5 * float(w @ dv2[:n])
-        margins[n - 1] = lhs - rhs
-        gross = abs(v[n]) * float(w @ np.abs(dv[:n])) + 0.5 * float(w @ np.abs(dv2[:n]))
-        rounding[n - 1] = 4.0 * (n + 4) * _EPS * (gross + 1e-300)
-        kernel_term = 0.5 * float(rl_kernel(1.0 - alpha, t[n])) * v[n] ** 2
-        strong[n - 1] = margins[n - 1] - kernel_term
-    passed = bool(np.all(margins >= -rounding))
+    gross = np.empty(N)
+    for n0, n1, w in weights.blocks(N):
+        k = n1 - 1
+        rows = slice(n0 - 1, n1 - 1)
+        dw = w @ w_incs[:k]
+        margins[rows] = np.einsum("ri,i,ri->r", U[n0:n1], q, w @ dU[:k]) - 0.5 * dw[:, 0]
+        gross[rows] = np.einsum("ri,i,ri->r", np.abs(U[n0:n1]), q, w @ absdU[:k]) + 0.5 * dw[:, 1]
+    roundoff = 4.0 * (np.arange(1, N + 1) + 4.0) * _EPS * (gross + 1e-300)
+    t = weights.grid.nodes[1 : N + 1]
     return ConvexityReport(
-        alpha=alpha,
-        times=t[1 : N + 1].copy(),
+        alpha=weights.alpha,
+        times=t.copy(),
         margins=margins,
-        roundoff=rounding,
-        strong_margins=strong,
-        passed=passed,
+        roundoff=roundoff,
+        strong_margins=margins - 0.5 * rl_kernel(1.0 - weights.alpha, t) * W[1:],
+        passed=bool(np.all(margins >= -roundoff)),
     )
+
+
+# ---------------------------------------------------------------------------
+# memory providers
+#
+# A memory provider serves the lagged part of the L1 derivative while a
+# trajectory is marched: ``reset(shape)`` starts a history of fields of one
+# shape, ``push(delta_n)`` absorbs the increment ``v_n - v_{n-1}`` after step
+# n, and ``memory_term()`` then returns ``H_{n+1} = sum_{k<=n} w_{n+1,k}
+# delta_k``, the sum without the local term.  ``DirectHistory`` is exact;
+# ``CompressedHistory`` approximates it with a sum of exponentials.
+
+
+class DirectHistory:
+    """Exact memory provider: keeps every increment, O(n) work per query.
+
+    On uniform grids a query is one dot with a reversed view of ``b_j``; on
+    graded grids it contracts the off-diagonal part of ``weights.row(n)``.
+    """
+
+    def __init__(self, weights: L1Weights):
+        self.weights = weights
+        self._deltas: np.ndarray | None = None
+        self._count = 0
+
+    def reset(self, shape=()) -> None:
+        """Clear the stored increments for a new trajectory of fields of ``shape``."""
+        self._deltas = np.empty((self.weights.grid.steps,) + tuple(shape))
+        self._count = 0
+
+    def push(self, delta) -> None:
+        """Store the increment ``delta_n = v_n - v_{n-1}`` after step n."""
+        if self._deltas is None:
+            self.reset(np.shape(delta))
+        self._deltas[self._count] = delta
+        self._count += 1
+
+    def memory_term(self):
+        """The lagged sum for the step after the last push."""
+        if self._deltas is None:
+            raise RuntimeError("reset or push before querying the memory term")
+        m = self._count
+        b = self.weights._uniform_b
+        if m == 0:
+            out = np.zeros(self._deltas.shape[1:])
+        elif b is not None:
+            out = np.dot(b[m:0:-1], self._deltas[:m])
+        else:
+            out = np.dot(self.weights.row(m + 1)[:m], self._deltas[:m])
+        return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +378,12 @@ class CompressionError(RuntimeError):
 
 @dataclass
 class CompressedHistory:
-    """Sum-of-exponentials surrogate for the L1 history sum on a uniform grid.
+    """Sum-of-exponentials memory provider for the L1 history on a uniform grid.
 
-    The history weights ``b_j = w_{n,n-j}`` (lags ``j >= 1``) are approximated
-    by ``sum_m omega_m exp(-lambda_m j tau)`` with positive rates and weights.
+    It serves the same ``reset``/``push``/``memory_term`` interface as
+    :class:`DirectHistory`, at O(modes) work per step.  The history weights
+    ``b_j = w_{n,n-j}`` (lags ``j >= 1``) are approximated by
+    ``sum_m omega_m exp(-lambda_m j tau)`` with positive rates and weights.
     The local weight ``b_0`` is never compressed.  Conceptually each step
     applies the state update
 
@@ -394,11 +481,6 @@ class CompressedHistory:
         return np.exp(-np.outer(j * self.tau, self.rates)) @ self.weights
 
 
-def _exact_history_weights(alpha: float, tau: float, lags: int) -> np.ndarray:
-    j = np.arange(1, lags + 2, dtype=float)
-    return np.diff(j ** (1.0 - alpha)) * tau ** (-alpha) / gamma(2.0 - alpha)
-
-
 def compress_history(weights: L1Weights, eps: float, max_refine: int = 10) -> CompressedHistory:
     """Build a :class:`CompressedHistory` for ``weights`` with tolerance ``eps``.
 
@@ -424,7 +506,7 @@ def compress_history(weights: L1Weights, eps: float, max_refine: int = 10) -> Co
     if lags < 1:
         raise ValueError("the grid has no history to compress")
     target = eps / 100.0
-    b = _exact_history_weights(alpha, tau, lags)
+    b = weights._uniform_b[1:]  # b_j for the lags j = 1..M-1
     horizon = weights.grid.steps * tau
     h = 2.0 * math.pi / (math.log(1.0 / target) + 4.0)
     achieved = math.inf
@@ -462,53 +544,3 @@ def compress_history(weights: L1Weights, eps: float, max_refine: int = 10) -> Co
         f"{max_refine} refinements; achieved {achieved:g}",
         achieved=achieved,
     )
-
-
-def memory_benchmark(
-    alpha: float,
-    steps: int,
-    width: int = 48,
-    eps: float = 1e-8,
-    seed: int = 0,
-) -> dict:
-    """Time the direct O(M^2) history sum against the compressed path.
-
-    A random field-valued history of ``steps`` increments and ``width``
-    components is pushed through both accumulators.  Returns wall-clock
-    seconds per path, the speedup, and the sup-relative deviation between the
-    two results.
-    """
-    rng = np.random.default_rng(seed)
-    grid = TimeGrid.uniform(1.0, steps)
-    weights = L1Weights(alpha=alpha, grid=grid)
-    comp = compress_history(weights, eps)
-    tau = float(grid.tau[0])
-    b = np.concatenate([[weights.diag(1)], _exact_history_weights(alpha, tau, steps)])
-    dU = rng.standard_normal((steps + 1, width))
-    dU[0] = 0.0
-
-    t0 = time.perf_counter()
-    direct = np.zeros((steps + 1, width))
-    for n in range(2, steps + 1):
-        direct[n] = b[1:n][::-1] @ dU[1:n]
-    t_direct = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    approx = np.zeros((steps + 1, width))
-    comp.reset((width,))
-    for n in range(1, steps + 1):
-        if n >= 2:
-            approx[n] = comp.memory_term()
-        comp.push(dU[n])
-    t_comp = time.perf_counter() - t0
-
-    dev = float(np.max(np.abs(approx[2:] - direct[2:])))
-    scale = float(np.max(np.abs(direct[2:])))
-    return {
-        "steps": steps,
-        "modes": comp.n_modes,
-        "direct_seconds": t_direct,
-        "compressed_seconds": t_comp,
-        "speedup": t_direct / t_comp,
-        "sup_relative_deviation": dev / scale,
-    }

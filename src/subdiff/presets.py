@@ -7,7 +7,7 @@ import numpy as np
 from .kernels import TimeGrid, default_grading
 from .mittag_leffler import mittag_leffler
 from .solver import ProblemSpec
-from .spatial import SpatialGrid, build_grid, constant_law, porous_law
+from .spatial import SpatialGrid, build_grid, constant_law, first_eigenvalue, porous_law
 
 __all__ = ["PRESETS", "build_preset", "eigenmode_exact", "first_eigenvalue"]
 
@@ -38,11 +38,6 @@ def _product_sine(grid: SpatialGrid) -> np.ndarray:
     return vals
 
 
-def first_eigenvalue(grid: SpatialGrid) -> float:
-    """Principal Dirichlet eigenvalue sum((pi / L_d)^2) of the box."""
-    return float(sum((np.pi / (b - a)) ** 2 for a, b in grid.extents))
-
-
 def _time_grid(alpha: float, horizon: float, steps: int, grading) -> TimeGrid:
     r = default_grading(alpha) if grading is None else float(grading)
     if r == 1.0:
@@ -50,91 +45,51 @@ def _time_grid(alpha: float, horizon: float, steps: int, grading) -> TimeGrid:
     return TimeGrid.graded(horizon, steps, r)
 
 
-def eigenmode(
-    alpha: float = 0.5,
-    dimension: int = 1,
-    extents=None,
-    resolution: int = 128,
-    horizon: float = 1.0,
-    steps: int = 256,
-    grading=None,
-) -> ProblemSpec:
-    """Constant-coefficient decay of the first box eigenfunction.
-
-    The exact solution is separable, so this is the workhorse accuracy
-    benchmark: see :func:`eigenmode_exact`.
-    """
-    grid = _box(dimension, extents, resolution)
-    return ProblemSpec(
-        alpha=alpha,
-        time_grid=_time_grid(alpha, horizon, steps, grading),
-        grid=grid,
-        law=constant_law(1.0),
-        u0=_product_sine(grid),
-        label="eigenmode",
-    )
+def _zeros(grid: SpatialGrid) -> np.ndarray:
+    return np.zeros(grid.n_nodes)
 
 
-def porous(
-    alpha: float = 0.5,
-    dimension: int = 1,
-    extents=None,
-    resolution: int = 65,
-    horizon: float = 50.0,
-    steps: int = 512,
-    grading=None,
-) -> ProblemSpec:
-    """Quasilinear run with the porous-type law a(u) = 1 + u^2 / (2 (1 + u^2)).
-
-    Same sine initial data, zero forcing and boundary values; exercises the
-    solution-dependent coefficient path and the long-horizon decay
-    certificates (the law has nu = 1).
-    """
-    grid = _box(dimension, extents, resolution)
-    return ProblemSpec(
-        alpha=alpha,
-        time_grid=_time_grid(alpha, horizon, steps, grading),
-        grid=grid,
-        law=porous_law(),
-        u0=_product_sine(grid),
-        label="porous",
-    )
-
-
-def zero(
-    alpha: float = 0.5,
-    dimension: int = 1,
-    extents=None,
-    resolution: int = 33,
-    horizon: float = 1.0,
-    steps: int = 64,
-    grading=None,
-) -> ProblemSpec:
-    """All-zero data; the trajectory must stay identically zero."""
-    grid = _box(dimension, extents, resolution)
-    return ProblemSpec(
-        alpha=alpha,
-        time_grid=_time_grid(alpha, horizon, steps, grading),
-        grid=grid,
-        law=porous_law(),
-        u0=np.zeros(grid.n_nodes),
-        label="zero",
-    )
-
-
+# Every preset has zero forcing and zero Dirichlet data on a box, [0, pi] per
+# axis unless ``extents`` says otherwise.  Each entry is (diffusion law,
+# initial datum, default sizes):
+#
+# * eigenmode: constant-coefficient decay of the first box eigenfunction.  The
+#   exact solution is separable (see :func:`eigenmode_exact`), so this is the
+#   workhorse accuracy benchmark.
+# * porous: the same initial datum with the porous-type law
+#   a(u) = 1 + u^2 / (2 (1 + u^2)) (nu = 1); exercises the solution-dependent
+#   coefficient path and the long-horizon decay certificates.
+# * zero: all-zero data; the trajectory must stay identically zero.
 PRESETS = {
-    "eigenmode": eigenmode,
-    "porous": porous,
-    "zero": zero,
+    "eigenmode": (constant_law, _product_sine, dict(resolution=128, horizon=1.0, steps=256)),
+    "porous": (porous_law, _product_sine, dict(resolution=65, horizon=50.0, steps=512)),
+    "zero": (porous_law, _zeros, dict(resolution=33, horizon=1.0, steps=64)),
 }
+_COMMON = dict(alpha=0.5, dimension=1, extents=None, grading=None)
 
 
 def build_preset(name: str, **overrides) -> ProblemSpec:
-    """Build a preset, applying only the overrides that are not None."""
+    """Build a preset, applying only the overrides that are not None.
+
+    Overrides are ``alpha``, ``dimension``, ``extents``, ``resolution``,
+    ``horizon``, ``steps`` and ``grading`` (None keeps the graded default).
+    """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    kwargs = {k: v for k, v in overrides.items() if v is not None}
-    return PRESETS[name](**kwargs)
+    law, initial, sizes = PRESETS[name]
+    unknown = set(overrides) - set(_COMMON) - set(sizes)
+    if unknown:
+        raise TypeError(f"unknown preset arguments {sorted(unknown)}")
+    p = {**_COMMON, **sizes, **{k: v for k, v in overrides.items() if v is not None}}
+    grid = _box(p["dimension"], p["extents"], p["resolution"])
+    return ProblemSpec(
+        alpha=p["alpha"],
+        time_grid=_time_grid(p["alpha"], p["horizon"], p["steps"], p["grading"]),
+        grid=grid,
+        law=law(),
+        u0=initial(grid),
+        label=name,
+    )
 
 
 def eigenmode_exact(spec: ProblemSpec):

@@ -54,16 +54,25 @@ def solve_relaxation_l1(alpha: float, mu: float, v0: float, grid: TimeGrid) -> n
     """
     if mu < 0.0:
         raise ValueError(f"decay rate mu must be nonnegative, got {mu}")
-    weights = L1Weights(alpha=alpha, grid=grid)
-    M = grid.steps
+    return _march(L1Weights(alpha=alpha, grid=grid), mu, v0, np.zeros(grid.steps))
+
+
+def _march(weights: L1Weights, mu: float, v0: float, slack: np.ndarray) -> np.ndarray:
+    """Solve ``(D^a V)_n + mu V_n = -slack_{n-1}`` for n = 1..M from ``V_0 = v0``.
+
+    Reads the weights a block of rows at a time; each step still needs the
+    increments of all earlier steps, so the rows are used one by one.
+    """
+    M = weights.grid.steps
     V = np.empty(M + 1)
     V[0] = v0
-    dV = np.empty(M + 1)
-    for n in range(1, M + 1):
-        w = weights.row(n)
-        lagged = float(w[: n - 1] @ dV[1:n]) if n > 1 else 0.0
-        V[n] = (w[n - 1] * V[n - 1] - lagged) / (w[n - 1] + mu)
-        dV[n] = V[n] - V[n - 1]
+    dV = np.empty(M)
+    for n0, n1, block in weights.blocks(M):
+        for n in range(n0, n1):
+            w = block[n - n0]
+            lagged = float(w[: n - 1] @ dV[: n - 1]) if n > 1 else 0.0
+            V[n] = (w[n - 1] * V[n - 1] - lagged - slack[n - 1]) / (w[n - 1] + mu)
+            dV[n - 1] = V[n] - V[n - 1]
     return V
 
 
@@ -153,16 +162,8 @@ def random_subsolution(
     ``s_n`` and ``W_0 <= w0`` — exactly the hypotheses of the comparison
     principle.  Used by property tests and the CLI property sweeps.
     """
-    weights = L1Weights(alpha=alpha, grid=grid)
-    M = grid.steps
-    W = np.empty(M + 1)
-    W[0] = w0 - abs(rng.normal(scale=0.1 * abs(w0) + 0.01))
-    dW = np.empty(M + 1)
+    start = w0 - abs(rng.normal(scale=0.1 * abs(w0) + 0.01))
     scale = abs(w0) + 1.0
-    for n in range(1, M + 1):
-        w = weights.row(n)
-        lagged = float(w[: n - 1] @ dW[1:n]) if n > 1 else 0.0
-        s_n = abs(rng.normal(scale=0.3 * scale)) * rng.random()
-        W[n] = (w[n - 1] * W[n - 1] - lagged - s_n) / (w[n - 1] + mu)
-        dW[n] = W[n] - W[n - 1]
-    return W
+    # drawn in the same order as the values they feed: normal, then uniform
+    slack = np.array([abs(rng.normal(scale=0.3 * scale)) * rng.random() for _ in range(grid.steps)])
+    return _march(L1Weights(alpha=alpha, grid=grid), mu, start, slack)

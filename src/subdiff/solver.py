@@ -12,8 +12,11 @@ the analytic Jacobian including the a'(u) terms.  Both start from the
 previous time level, run undamped, and halve the damping factor on divergence
 up to three times before giving up.
 
-Trajectories are bitwise deterministic: no randomness, ordered reductions,
-direct sparse factorizations.
+Trajectories involve no randomness and use direct sparse factorizations, so
+a rerun on the same machine with the same BLAS thread count reproduces them
+bitwise.  They are not bitwise identical across BLAS thread counts: the
+history sums use BLAS dot products, whose reduction order follows the
+thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .kernels import CompressedHistory, L1Weights, TimeGrid, compress_history
+from .kernels import DirectHistory, L1Weights, TimeGrid, compress_history
 from .spatial import DiffusionLaw, SpatialGrid, assemble_quasilinear_operator, ellipticity_check, newton_jacobian
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "SolverOptions",
     "Trajectory",
     "StepFailure",
-    "nonlinear_step",
     "run_trajectory",
 ]
 
@@ -267,43 +269,15 @@ def _solve_step(spec, grid, law, w_nn, memory, u_prev, f_n, options, timers, n):
     )
 
 
-def nonlinear_step(
-    spec: ProblemSpec,
-    weights: L1Weights,
-    history: np.ndarray,
-    n: int,
-    options: SolverOptions | None = None,
-) -> tuple[np.ndarray, int, float]:
-    """Solve time step ``n`` given the fields ``history[0..n-1]``.
-
-    Standalone entry point (the trajectory driver inlines the same logic so
-    it can swap in the compressed memory term).  Returns the new field, the
-    iteration count, and the final residual.
-    """
-    options = options or SolverOptions()
-    history = np.asarray(history, dtype=float)
-    if history.shape[0] < n:
-        raise ValueError(f"need fields 0..{n - 1} to take step {n}")
-    w_row = weights.row(n)
-    if n > 1:
-        memory = np.tensordot(w_row[: n - 1], np.diff(history[:n], axis=0), axes=(0, 0))
-    else:
-        memory = np.zeros(spec.grid.n_nodes)
-    timers = {"assembly": 0.0, "linear_solve": 0.0}
-    points = spec.grid.points()
-    f_n = spec.source_at(n, points)
-    return _solve_step(
-        spec, spec.grid, spec.law, float(w_row[n - 1]), memory, history[n - 1], f_n, options, timers, n
-    )
-
-
 def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> Trajectory:
     """March the full trajectory.
 
-    The memory term is accumulated either directly (O(M^2) total, any grid)
-    or through the sum-of-exponentials state (uniform grids only).  Timings
-    for assembly, memory accumulation, and linear solves are recorded
-    separately so the two history paths can be compared honestly.
+    The memory term comes from one memory provider, chosen before the loop:
+    :class:`~subdiff.kernels.DirectHistory` (exact, O(M^2) total, any grid)
+    or the sum-of-exponentials :class:`~subdiff.kernels.CompressedHistory`
+    (uniform grids only).  Timings for assembly, memory accumulation, and
+    linear solves are recorded separately so the two providers can be
+    compared honestly.
     """
     options = options or SolverOptions()
     spec.validate()
@@ -314,14 +288,15 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     weights = L1Weights(alpha=spec.alpha, grid=tg)
 
     timers = {"assembly": 0.0, "memory": 0.0, "linear_solve": 0.0, "compression_build": 0.0, "total": 0.0}
-    compressed: CompressedHistory | None = None
     if options.history == "compressed":
-        if not tg.is_uniform():
-            raise ValueError("compressed history requires a uniform time grid")
         t0 = time.perf_counter()
-        compressed = compress_history(weights, options.eps_compress)
-        compressed.reset((n_nodes,))
+        history = compress_history(weights, options.eps_compress)
+        history.reset((n_nodes,))
         timers["compression_build"] = time.perf_counter() - t0
+        timers["compression_modes"] = history.n_modes
+    else:
+        history = DirectHistory(weights)
+        history.reset((n_nodes,))
 
     t_start = time.perf_counter()
     points = grid.points()
@@ -329,22 +304,12 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     U = np.empty((M + 1, n_nodes))
     U[0] = spec.u0
     U[0][grid.boundary_mask] = g_vals
-    dU = np.empty((M + 1, n_nodes)) if compressed is None else None
     iterations = np.zeros(M + 1, dtype=int)
     residuals = np.zeros(M + 1)
-    uniform_b = weights._uniform_b
 
     for n in range(1, M + 1):
         t0 = time.perf_counter()
-        if compressed is not None:
-            memory = compressed.memory_term() if n > 1 else np.zeros(n_nodes)
-        elif n > 1:
-            if uniform_b is not None:
-                memory = np.dot(uniform_b[n - 1 : 0 : -1], dU[1:n])
-            else:
-                memory = np.dot(weights.row(n)[: n - 1], dU[1:n])
-        else:
-            memory = np.zeros(n_nodes)
+        memory = history.memory_term()
         timers["memory"] += time.perf_counter() - t0
 
         f_n = spec.source_at(n, points)
@@ -354,15 +319,10 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
         U[n] = u_n
 
         t0 = time.perf_counter()
-        if compressed is not None:
-            compressed.push(U[n] - U[n - 1])
-        else:
-            dU[n] = U[n] - U[n - 1]
+        history.push(U[n] - U[n - 1])
         timers["memory"] += time.perf_counter() - t0
 
     timers["total"] = time.perf_counter() - t_start + timers["compression_build"]
-    if compressed is not None:
-        timers["compression_modes"] = compressed.n_modes
     return Trajectory(
         spec=spec,
         options=options,

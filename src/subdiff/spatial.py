@@ -24,9 +24,9 @@ __all__ = [
     "porous_law",
     "EllipticityReport",
     "ellipticity_check",
-    "Field",
     "assemble_quasilinear_operator",
     "newton_jacobian",
+    "first_eigenvalue",
     "PoincareResult",
     "poincare_lambda1",
 ]
@@ -185,25 +185,6 @@ def ellipticity_check(law: DiffusionLaw, y_range: tuple[float, float], samples: 
     return EllipticityReport(law.tag, (lo, hi), min_a, max_a, passed)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Node values attached to a grid."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float).ravel()
-        if values.size != self.grid.n_nodes:
-            raise ValueError(
-                f"field has {values.size} values for a grid of {self.grid.n_nodes} nodes"
-            )
-        object.__setattr__(self, "values", values)
-
-    def boundary_values(self) -> np.ndarray:
-        return self.values[self.grid.boundary_mask]
-
-
 def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool) -> sp.csr_matrix:
     n = grid.n_nodes
     shape = grid.shape
@@ -283,11 +264,16 @@ def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u) -> sp.csr_matrix:
     return _assemble(grid, law, u, with_deriv=True)
 
 
+def first_eigenvalue(grid: SpatialGrid) -> float:
+    """Principal Dirichlet eigenvalue sum((pi / L_d)^2) of the box."""
+    return float(sum((np.pi / L) ** 2 for L in grid.lengths))
+
+
 @dataclass(frozen=True)
 class PoincareResult:
     """Sharp continuous constant plus the discrete cross-check.
 
-    ``continuous`` is ``sum_axes (pi / L_axis)^2``, the smallest Dirichlet
+    ``continuous`` is :func:`first_eigenvalue`, the smallest Dirichlet
     eigenvalue of the Laplacian on the box; ``discrete`` is the smallest
     eigenvalue of the assembled (a == 1) operator restricted to interior
     nodes.  The discrete value sits slightly below the continuous one and
@@ -299,7 +285,6 @@ class PoincareResult:
 
 
 def poincare_lambda1(grid: SpatialGrid) -> PoincareResult:
-    lam_cont = sum((np.pi / L) ** 2 for L in grid.lengths)
     A = assemble_quasilinear_operator(grid, constant_law(1.0), np.zeros(grid.n_nodes))
     interior = grid.interior_indices()
     A_int = A[np.ix_(interior, interior)].tocsc()
@@ -308,4 +293,4 @@ def poincare_lambda1(grid: SpatialGrid) -> PoincareResult:
     else:
         vals = eigsh(A_int, k=1, sigma=0.0, which="LM", return_eigenvectors=False)
         lam_disc = float(vals[0])
-    return PoincareResult(continuous=float(lam_cont), discrete=lam_disc)
+    return PoincareResult(continuous=first_eigenvalue(grid), discrete=lam_disc)

@@ -138,6 +138,34 @@ class TestRunCommand:
         assert report["failure"]["step"] >= 1
 
 
+class TestCompressedHistoryOnGradedGrid:
+    """Compressed history needs a uniform grid: a config error (exit 2), caught before any solve."""
+
+    GRADED = "problem = porous\n[problem]\nresolution = 17\n[time]\nsteps = 16\n"
+
+    def _assert_rejected(self, code, capsys, out):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "compressed" in err and "grading" in err
+        assert not out.exists()
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.GRADED + "[solver]\nhistory = compressed\n")
+        out = tmp_path / "o"
+        self._assert_rejected(main(["run", cfg, "--out", str(out)]), capsys, out)
+
+    def test_history_override(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.GRADED)
+        out = tmp_path / "o"
+        self._assert_rejected(main(["run", cfg, "--out", str(out), "--history", "compressed"]), capsys, out)
+
+    def test_explicit_grading_in_study(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.GRADED + "grading = 2.0\n[solver]\nhistory = compressed\n")
+        out = tmp_path / "s"
+        self._assert_rejected(main(["study", cfg, "--out", str(out), "--levels", "2"]), capsys, out)
+
+
 class TestStudyCommand:
     def test_space_study_on_eigenmode(self, tmp_path, capsys):
         # time over-resolved so the spatial error dominates on every level

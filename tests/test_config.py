@@ -111,6 +111,13 @@ class TestErrorAggregation:
         assert any("levels" in p for p in probs)
         assert any("mode" in p for p in probs)
 
+    def test_compressed_history_needs_uniform_grid(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[solver]\nhistory = compressed\n")
+        assert "time.grading" in exc.value.problems[0]
+        cfg = parse_config("[solver]\nhistory = compressed\n[time]\ngrading = 1\n")
+        assert cfg.solver.history == "compressed"
+
     def test_mode_choices_listed(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("[solver]\nmode = banana\n")

@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subdiff.kernels import (
+    DirectHistory,
     L1Weights,
     TimeGrid,
-    apply_l1,
     check_discrete_convexity,
     compress_history,
     default_grading,
-    l1_weights,
-    memory_benchmark,
     rl_kernel,
 )
 
@@ -80,7 +78,7 @@ class TestTimeGrid:
 class TestL1Weights:
     def test_single_step_weight(self):
         # one step of size 1 at alpha = 1/2: w_11 = 1 / Gamma(3/2) = 2/sqrt(pi)
-        w = l1_weights(0.5, TimeGrid.uniform(1.0, 1))
+        w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 1))
         np.testing.assert_allclose(w.row(1), [2.0 / GAMMA_HALF], rtol=1e-15)
         np.testing.assert_allclose(w.diag(1), 1.1283791670955126, rtol=1e-15)
 
@@ -90,7 +88,7 @@ class TestL1Weights:
         # is smooth there), independent of the closed form
         alpha = 0.7
         tg = TimeGrid.graded(2.0, 6, 2.5)
-        w = l1_weights(alpha, tg)
+        w = L1Weights(alpha=alpha, grid=tg)
         n = 5
         t = tg.nodes
         for k in range(1, n):
@@ -109,7 +107,7 @@ class TestL1Weights:
     @pytest.mark.parametrize("make", [lambda: TimeGrid.uniform(2.0, 12), lambda: TimeGrid.graded(2.0, 12, 3.0)])
     def test_rows_positive_and_increasing(self, alpha, make):
         # monotone rows are what the convexity and comparison arguments use
-        w = l1_weights(alpha, make())
+        w = L1Weights(alpha=alpha, grid=make())
         for n in range(1, 13):
             row = w.row(n)
             assert np.all(row > 0.0)
@@ -120,23 +118,51 @@ class TestL1Weights:
         # the scheme integrates piecewise-linear histories exactly, so for
         # v(t) = t it reproduces the Caputo derivative t^(1-a)/Gamma(2-a)
         for tg in (TimeGrid.uniform(2.0, 9), TimeGrid.graded(2.0, 9, 3.0)):
-            w = l1_weights(alpha, tg)
-            got = w.apply_all(tg.nodes.copy())
+            w = L1Weights(alpha=alpha, grid=tg)
+            got = w.apply(tg.nodes.copy())
             want = tg.nodes[1:] ** (1.0 - alpha) / math.gamma(2.0 - alpha)
             np.testing.assert_allclose(got, want, rtol=5e-14)
 
     def test_apply_matches_row_contraction(self):
         rng = np.random.default_rng(3)
         tg = TimeGrid.graded(1.0, 7, 2.0)
-        w = l1_weights(0.4, tg)
+        w = L1Weights(alpha=0.4, grid=tg)
         hist = rng.normal(size=(8, 3))
-        for n in (1, 4, 7):
+        got = w.apply(hist)
+        assert got.shape == (7, 3)
+        for n in range(1, 8):
             manual = w.row(n) @ np.diff(hist[: n + 1], axis=0)
-            np.testing.assert_allclose(apply_l1(w, hist, n), manual, rtol=1e-14)
+            np.testing.assert_allclose(got[n - 1], manual, rtol=1e-14)
+        # a shorter history gives the leading rows
+        np.testing.assert_allclose(w.apply(hist[:5]), got[:4], rtol=1e-14)
+
+    @pytest.mark.parametrize("make", [lambda: TimeGrid.uniform(2.0, 300), lambda: TimeGrid.graded(2.0, 300, 3.0)])
+    def test_block_rows_equal_rows_bitwise(self, make, monkeypatch):
+        tg = make()
+        w = L1Weights(alpha=0.45, grid=tg)
+        # small blocks, so that blocks() spans several of them
+        monkeypatch.setattr("subdiff.kernels._BLOCK_ENTRIES", 1000)
+        seen = []
+        for n0, n1, block in w.blocks(tg.steps):
+            assert block.shape == (n1 - n0, n1 - 1)
+            for n in range(n0, n1):
+                row = block[n - n0]
+                assert np.array_equal(row[:n], w.row(n))
+                assert np.all(row[n:] == 0.0)
+                assert row[n - 1] == w.diag(n)
+                seen.append(n)
+        assert seen == list(range(1, tg.steps + 1))
+        assert np.array_equal(w.block(40, 41)[0], w.row(40))
+
+    def test_block_range_checked(self):
+        w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 4))
+        for n0, n1 in ((0, 2), (3, 3), (2, 6)):
+            with pytest.raises(ValueError):
+                w.block(n0, n1)
 
     def test_uniform_and_graded_routes_agree(self):
         tg_u = TimeGrid.uniform(1.5, 10)
-        w_u = l1_weights(0.6, tg_u)
+        w_u = L1Weights(alpha=0.6, grid=tg_u)
         # same nodes, but forced through the graded (generic) code path
         w_g = L1Weights(alpha=0.6, grid=TimeGrid(horizon=1.5, nodes=tg_u.nodes, r=1.0, kind="graded"))
         object.__setattr__(w_g, "_uniform_b", None)
@@ -144,7 +170,7 @@ class TestL1Weights:
             np.testing.assert_allclose(w_u.row(n), w_g.row(n), rtol=1e-13)
 
     def test_row_bounds_checked(self):
-        w = l1_weights(0.5, TimeGrid.uniform(1.0, 4))
+        w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 4))
         with pytest.raises(ValueError):
             w.row(0)
         with pytest.raises(ValueError):
@@ -157,7 +183,7 @@ def _margin_by_abel_summation(alpha, grid, v):
     For monotone rows, LHS - RHS at step n equals
     (w_{n,1} (v_n - v_0)^2 + sum_{k<n} (w_{n,k+1} - w_{n,k}) (v_n - v_k)^2)/2.
     """
-    w = l1_weights(alpha, grid)
+    w = L1Weights(alpha=alpha, grid=grid)
     out = np.empty(grid.steps)
     for n in range(1, grid.steps + 1):
         row = w.row(n)
@@ -226,7 +252,7 @@ class TestCompression:
     def test_reconstructed_weights_hit_target(self):
         tg = TimeGrid.uniform(1.0, 2048)
         for alpha in (0.3, 0.5, 0.8):
-            w = l1_weights(alpha, tg)
+            w = L1Weights(alpha=alpha, grid=tg)
             comp = compress_history(w, 1e-8)
             assert comp.achieved <= 1e-10  # eps / 100 safety target
             exact = w.row(tg.steps)[:-1][::-1]  # b_j for j = 1..M-1
@@ -234,36 +260,36 @@ class TestCompression:
             assert float(rel.max()) <= 1e-10
 
     def test_memory_term_tracks_direct_sum(self):
-        rng = np.random.default_rng(5)
-        tg = TimeGrid.uniform(2.0, 256)
-        w = l1_weights(0.5, tg)
-        comp = compress_history(w, 1e-8)
-        deltas = rng.normal(size=(tg.steps, 4))
-        comp.reset((4,))
-        scale = np.abs(deltas).sum()
-        for n in range(2, tg.steps + 1):
-            comp.push(deltas[n - 2])
-            direct = w.row(n)[: n - 1] @ deltas[: n - 1]
-            np.testing.assert_allclose(comp.memory_term(), direct, atol=1e-9 * scale)
+        # every memory provider serves the same reset / push / memory_term cycle
+        uniform, graded = TimeGrid.uniform(2.0, 256), TimeGrid.graded(2.0, 256, 3.0)
+        for grid, provider in [
+            (uniform, lambda w: compress_history(w, 1e-8)),
+            (uniform, DirectHistory),
+            (graded, DirectHistory),
+        ]:
+            rng = np.random.default_rng(5)
+            w = L1Weights(alpha=0.5, grid=grid)
+            mem = provider(w)
+            deltas = rng.normal(size=(grid.steps, 4))
+            mem.reset((4,))
+            np.testing.assert_array_equal(mem.memory_term(), np.zeros(4))
+            scale = np.abs(deltas).sum()
+            for n in range(2, grid.steps + 1):
+                mem.push(deltas[n - 2])
+                direct = w.row(n)[: n - 1] @ deltas[: n - 1]
+                np.testing.assert_allclose(mem.memory_term(), direct, atol=1e-9 * scale)
 
     def test_rejects_graded_grid(self):
-        w = l1_weights(0.5, TimeGrid.graded(1.0, 64, 2.0))
+        w = L1Weights(alpha=0.5, grid=TimeGrid.graded(1.0, 64, 2.0))
         with pytest.raises(ValueError, match="uniform"):
             compress_history(w, 1e-8)
 
     def test_rejects_bad_eps(self):
-        w = l1_weights(0.5, TimeGrid.uniform(1.0, 64))
+        w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 64))
         with pytest.raises(ValueError):
             compress_history(w, -1.0)
 
     def test_mode_count_is_modest(self):
-        w = l1_weights(0.5, TimeGrid.uniform(1.0, 4096))
+        w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 4096))
         comp = compress_history(w, 1e-8)
         assert comp.n_modes < 900  # direct storage would be 4095 lags
-
-    def test_benchmark_smoke(self):
-        out = memory_benchmark(0.5, steps=512, width=8, eps=1e-8, seed=1)
-        assert out["sup_relative_deviation"] <= 1e-8
-        assert out["direct_seconds"] > 0.0
-        assert out["compressed_seconds"] > 0.0
-        assert out["modes"] > 0

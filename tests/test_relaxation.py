@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from subdiff.kernels import TimeGrid, default_grading, l1_weights
+from subdiff.kernels import L1Weights, TimeGrid, default_grading
 from subdiff.relaxation import (
     comparison_check,
     random_subsolution,
@@ -67,8 +67,8 @@ class TestL1Marcher:
         alpha, mu = 0.6, 2.0
         tg = TimeGrid.graded(1.0, 24, 2.0)
         V = solve_relaxation_l1(alpha, mu, 1.0, tg)
-        w = l1_weights(alpha, tg)
-        resid = w.apply_all(V) + mu * V[1:]
+        w = L1Weights(alpha=alpha, grid=tg)
+        resid = w.apply(V) + mu * V[1:]
         np.testing.assert_allclose(resid, 0.0, atol=200.0 * EPS * np.max(np.abs(w.row(tg.steps))))
 
     def test_mu_zero_stays_constant(self):

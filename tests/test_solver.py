@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from subdiff.kernels import TimeGrid, default_grading, l1_weights
+from subdiff.kernels import TimeGrid, default_grading
 from subdiff.presets import build_preset, eigenmode_exact, first_eigenvalue
 from subdiff.relaxation import relaxation_solution
-from subdiff.solver import ProblemSpec, SolverOptions, StepFailure, nonlinear_step, run_trajectory
+from subdiff.solver import ProblemSpec, SolverOptions, StepFailure, run_trajectory
 from subdiff.spatial import build_grid, constant_law, porous_law
 
 
@@ -180,18 +180,6 @@ class TestSpecValidation:
         a = run_trajectory(ProblemSpec(source=f, **base))
         b = run_trajectory(ProblemSpec(source=table, **base))
         np.testing.assert_allclose(a.fields, b.fields, rtol=0, atol=1e-13)
-
-
-class TestNonlinearStepStandalone:
-    def test_agrees_with_marcher(self):
-        spec = _sine_problem(law=porous_law(), steps=8)
-        traj = run_trajectory(spec, SolverOptions(tol=1e-12))
-        weights = l1_weights(spec.alpha, spec.time_grid)
-        # replay step 3 from the recorded history
-        v, iters, resid = nonlinear_step(spec, weights, traj.fields[:3], 3, SolverOptions(tol=1e-12))
-        np.testing.assert_allclose(v, traj.fields[3], rtol=0, atol=1e-12)
-        assert iters >= 1
-        assert resid <= 1e-12
 
 
 class TestTwoDimensions:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from subdiff.spatial import (
-    Field,
     assemble_quasilinear_operator,
     build_grid,
     constant_law,
@@ -184,19 +183,6 @@ class TestOperator:
             assemble_quasilinear_operator(g, constant_law(), np.zeros(7))
         with pytest.raises(ValueError):
             newton_jacobian(g, constant_law(), np.zeros(9))
-
-
-class TestField:
-    def test_accepts_matching_shape(self):
-        g = build_grid(2, (0.0, 1.0), 5)
-        f = Field(g, np.ones((5, 5)))
-        assert f.values.shape == (25,)
-        assert f.boundary_values().shape == (16,)
-
-    def test_rejects_wrong_size(self):
-        g = build_grid(1, (0.0, 1.0), 8)
-        with pytest.raises(ValueError):
-            Field(g, np.ones(9))
 
 
 class TestPoincare:
