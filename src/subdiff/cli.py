@@ -29,7 +29,7 @@ from .diagnostics import (
     norm_series,
     weakform_residual,
 )
-from .kernels import TimeGrid, check_discrete_convexity, default_grading
+from .kernels import CompressionError, TimeGrid, check_discrete_convexity, default_grading
 from .mittag_leffler import ml_tail_bound, ml_values
 from .presets import build_preset, eigenmode_exact
 from .relaxation import random_subsolution, solve_relaxation_l1
@@ -194,6 +194,7 @@ def cmd_run(args) -> int:
             "history": options.history,
             "max_iterations": int(traj.iterations[1:].max()),
             "mean_iterations": float(traj.iterations[1:].mean()),
+            "max_halvings": int(traj.halvings[1:].max()),
             "max_residual": float(traj.residuals[1:].max()),
             "seed": cfg.output.seed,
         },
@@ -423,6 +424,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
+        return 2
+    except CompressionError as exc:
+        print(f"history compression failed: {exc}", file=sys.stderr)
         return 2
 
 

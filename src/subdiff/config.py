@@ -18,7 +18,8 @@ accepted as shorthand for ``problem.preset`` and ``problem.alpha``, and any
 dotted path works anywhere.  Unknown sections or keys are rejected with the
 offending path named, and parsing reports every violation at once rather
 than stopping at the first.  Settings that are valid one by one but cannot
-run together (compressed history on a graded time grid) are rejected too;
+run together (compressed history on a graded or one-step time grid,
+extents that do not fit the dimension) are rejected too;
 :func:`check_config` repeats that check after command-line overrides.
 """
 
@@ -256,9 +257,18 @@ def parse_config(text: str) -> RunConfig:
 
 def check_config(cfg: RunConfig) -> None:
     """Reject settings that are valid one by one but cannot run together."""
-    # an unset grading means the graded default min((2 - alpha)/alpha, 4) > 1
-    if cfg.solver.history == "compressed" and cfg.time.grading != 1.0:
-        raise ConfigError(["solver.history=compressed needs a uniform time grid (set time.grading=1)"])
+    problems = []
+    if cfg.solver.history == "compressed":
+        # an unset grading means the graded default min((2 - alpha)/alpha, 4) > 1
+        if cfg.time.grading != 1.0:
+            problems.append("solver.history=compressed needs a uniform time grid (set time.grading=1)")
+        if cfg.time.steps == 1:
+            problems.append("solver.history=compressed needs time.steps >= 2 (one step has no history)")
+    ext, dim = cfg.problem.extents, cfg.problem.dimension or 1  # every preset defaults to dimension 1
+    if ext is not None and (len(ext) not in (2, 2 * dim) or any(b <= a for a, b in zip(ext[::2], ext[1::2]))):
+        problems.append(f"problem.extents={list(ext)} does not fit problem.dimension={dim} (pairs a < b, one or per axis)")
+    if problems:
+        raise ConfigError(problems)
 
 
 def _format_value(kind: str, val) -> str:

@@ -344,6 +344,7 @@ def weakform_residual(
             options=traj.options,
             fields=fields,
             iterations=traj.iterations,
+            halvings=traj.halvings,
             residuals=traj.residuals,
             timings=traj.timings,
         )

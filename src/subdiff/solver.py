@@ -5,12 +5,17 @@ Each time step solves the nonlinear system
     w_nn (u_n - u_{n-1}) + H_n - div_h(a(u_n) grad_h u_n) = f(t_n)
 
 on interior nodes, with ``H_n`` the lagged part of the L1 derivative and
-Dirichlet data held on boundary rows.  Two inner iterations are available:
-Picard (coefficient frozen at the previous iterate, the discrete analogue of
-the linearized fixed-point map behind the existence theory) and Newton with
-the analytic Jacobian including the a'(u) terms.  Both start from the
-previous time level, run undamped, and halve the damping factor on divergence
-up to three times before giving up.
+Dirichlet data held on boundary rows.  With ``K(v) = w_nn I_int + A(v)``, the
+step matrix that :func:`~subdiff.spatial.assemble_quasilinear_operator`
+returns for ``shift=w_nn``, the system reads ``K(u_n) u_n = rhs``.  One
+correction loop serves both inner iterations: from ``v = u_{n-1}`` it solves
+``M delta = rhs - K(v) v`` and sets ``v <- v + theta delta``.  Picard takes
+``M = K(v)`` (coefficient frozen at the current iterate, the discrete analogue
+of the linearized fixed-point map behind the existence theory); Newton takes
+the analytic Jacobian including the a'(u) terms.  The loop runs undamped and,
+when the residual stops decreasing, returns to the best iterate and halves
+``theta``, up to three times before giving up.  ``Trajectory.halvings``
+records the halvings of every step.
 
 Trajectories involve no randomness and use direct sparse factorizations, so
 a rerun on the same machine with the same BLAS thread count reproduces them
@@ -25,7 +30,6 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .kernels import DirectHistory, L1Weights, TimeGrid, compress_history
@@ -166,6 +170,7 @@ class Trajectory:
     options: SolverOptions
     fields: np.ndarray  # (steps + 1, n_nodes)
     iterations: np.ndarray  # (steps + 1,), [0] == 0
+    halvings: np.ndarray  # (steps + 1,), damping halvings per step, [0] == 0
     residuals: np.ndarray  # (steps + 1,), [0] == 0
     timings: dict
     attachments: dict = dc_field(default_factory=dict)
@@ -175,97 +180,54 @@ class Trajectory:
         return self.spec.time_grid.nodes
 
 
-def _interior_diag(grid: SpatialGrid, value: float) -> sp.csr_matrix:
-    d = np.where(grid.boundary_mask, 0.0, value)
-    return sp.diags(d).tocsr()
-
-
-def _step_system(spec, w_nn, memory, u_prev, f_n, interior, g_vals):
-    """Right-hand side shared by both inner iterations."""
-    rhs = np.empty_like(u_prev)
-    rhs[interior] = w_nn * u_prev[interior] - memory[interior]
-    if f_n is not None:
-        rhs[interior] += f_n[interior]
-    rhs[~interior] = g_vals
-    return rhs
-
-
-def _residual(A, v, w_nn, memory, u_prev, f_n, interior):
-    r = w_nn * (v - u_prev) + memory + A @ v
-    if f_n is not None:
-        r = r - f_n
-    return float(np.max(np.abs(r[interior])))
-
-
-def _solve_step(spec, grid, law, w_nn, memory, u_prev, f_n, options, timers, n):
+def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n):
+    """One step of the correction loop; returns ``(field, iterations, residual, halvings)``."""
+    grid, law = spec.grid, spec.law
     interior = ~grid.boundary_mask
-    g_vals = spec.boundary_values()
-    rhs = _step_system(spec, w_nn, memory, u_prev, f_n, interior, g_vals)
-    mass = _interior_diag(grid, w_nn)
+    rhs = w_nn * u_prev - memory + (0.0 if f_n is None else f_n)
+    rhs[~interior] = g_vals
+
+    def state(v):
+        t0 = time.perf_counter()
+        K = assemble_quasilinear_operator(grid, law, v, shift=w_nn)
+        timers["assembly"] += time.perf_counter() - t0
+        r = K @ v - rhs
+        return v, K, r, float(np.max(np.abs(r[interior])))
+
     theta = 1.0
     halvings = 0
-    v = u_prev.copy()
-    t0 = time.perf_counter()
-    A_v = assemble_quasilinear_operator(grid, law, v)
-    timers["assembly"] += time.perf_counter() - t0
+    current = best = state(u_prev)
     best_res = np.inf
-    best_v = v
-    last_res = np.inf
     for it in range(1, options.max_iter + 1):
-        if options.mode == "picard":
+        v, M, r, _ = current
+        if options.mode == "newton":
             t0 = time.perf_counter()
-            v_new = spsolve((A_v + mass).tocsc(), rhs)
-            timers["linear_solve"] += time.perf_counter() - t0
-        else:
-            t0 = time.perf_counter()
-            J = newton_jacobian(grid, law, v)
+            M = newton_jacobian(grid, law, v, shift=w_nn)
             timers["assembly"] += time.perf_counter() - t0
-            r_vec = w_nn * (v - u_prev) + memory + A_v @ v
-            if f_n is not None:
-                r_vec = r_vec - f_n
-            r_vec[~interior] = 0.0
-            t0 = time.perf_counter()
-            delta = spsolve((J + mass).tocsc(), -r_vec)
-            timers["linear_solve"] += time.perf_counter() - t0
-            v_new = v + delta
-        if theta < 1.0:
-            v_new = (1.0 - theta) * v + theta * v_new
         t0 = time.perf_counter()
-        A_new = assemble_quasilinear_operator(grid, law, v_new)
-        timers["assembly"] += time.perf_counter() - t0
-        res = _residual(A_new, v_new, w_nn, memory, u_prev, f_n, interior)
-        last_res = res
+        delta = spsolve(M, -r)
+        timers["linear_solve"] += time.perf_counter() - t0
+        current = state(v + theta * delta)
+        res = current[3]
         if res <= options.tol:
-            # pin the Dirichlet data on the accepted field; the factorization
-            # returns it only up to solver roundoff
-            v_new[~interior] = g_vals
-            return v_new, it, res
-        if res >= best_res:
-            halvings += 1
-            if halvings > 3:
-                raise StepFailure(
-                    step=n,
-                    t=float(spec.time_grid.nodes[n]),
-                    residual=res,
-                    iterations=it,
-                    last_iterate=best_v,
-                    message=(
-                        f"step {n}: inner iteration diverged after {halvings - 1} "
-                        f"damping reductions (residual {res:.3e} > tol {options.tol:g})"
-                    ),
-                )
-            theta *= 0.5
-            v, A_v = best_v, assemble_quasilinear_operator(grid, law, best_v)
-        else:
-            best_res, best_v = res, v_new
-            v, A_v = v_new, A_new
+            # pin the Dirichlet data; the solves return it only up to roundoff
+            current[0][~interior] = g_vals
+            return current[0], it, res, halvings
+        if res < best_res:
+            best, best_res = current, res
+            continue
+        if halvings == 3:
+            break
+        halvings += 1
+        theta *= 0.5
+        current = best
     raise StepFailure(
         step=n,
         t=float(spec.time_grid.nodes[n]),
-        residual=last_res,
-        iterations=options.max_iter,
-        last_iterate=best_v if np.isfinite(best_res) else v,
-        message=f"step {n}: no convergence in {options.max_iter} iterations (residual {last_res:.3e})",
+        residual=res,
+        iterations=it,
+        last_iterate=best[0],
+        message=f"step {n}: no convergence in {it} iterations, {halvings} halvings (residual {res:.3e} > tol {options.tol:g})",
     )
 
 
@@ -305,6 +267,7 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     U[0] = spec.u0
     U[0][grid.boundary_mask] = g_vals
     iterations = np.zeros(M + 1, dtype=int)
+    halvings = np.zeros(M + 1, dtype=int)
     residuals = np.zeros(M + 1)
 
     for n in range(1, M + 1):
@@ -313,10 +276,9 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
         timers["memory"] += time.perf_counter() - t0
 
         f_n = spec.source_at(n, points)
-        u_n, iterations[n], residuals[n] = _solve_step(
-            spec, grid, spec.law, weights.diag(n), memory, U[n - 1], f_n, options, timers, n
+        U[n], iterations[n], residuals[n], halvings[n] = _solve_step(
+            spec, weights.diag(n), memory, U[n - 1], f_n, g_vals, options, timers, n
         )
-        U[n] = u_n
 
         t0 = time.perf_counter()
         history.push(U[n] - U[n - 1])
@@ -328,6 +290,7 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
         options=options,
         fields=U,
         iterations=iterations,
+        halvings=halvings,
         residuals=residuals,
         timings=timers,
     )

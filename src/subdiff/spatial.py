@@ -5,11 +5,16 @@ coefficient evaluated at the arithmetic mean of the two adjacent nodes, which
 keeps the assembled interior block symmetric for frozen u and second-order
 accurate.  Dirichlet rows are identity rows so that one matrix serves both the
 implicit solve and residual evaluation.
+The Picard operator and the Newton Jacobian fill values on one CSC pattern
+built once per grid (:attr:`SpatialGrid.operator_pattern`); their ``shift``
+adds to the interior diagonal, so the step matrix ``w I_int + A(u)`` is one
+assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -71,6 +76,46 @@ class SpatialGrid:
             w1[0] = w1[-1] = 0.5 * h
             w = np.multiply.outer(w, w1)
         return np.asarray(w).ravel()
+
+    @cached_property
+    def operator_pattern(self) -> tuple:
+        """CSC structure shared by every operator on this grid: ``(indptr, indices, diag_slots, faces)``.
+
+        Interior rows couple a node to its axis neighbours, boundary rows hold
+        only the diagonal.  ``diag_slots`` locates entry ``(i, i)`` in the data
+        vector; per axis, ``faces`` holds the node slices ``lo, hi`` of every
+        face, the faces whose lower (upper) node is interior and the slots of
+        their entries ``(lower, upper)`` (``(upper, lower)``).  The index arrays
+        are read-only because every assembled matrix shares them.
+        """
+        n = self.n_nodes
+        idx = np.arange(n).reshape(self.shape)
+        interior = ~self.boundary_mask.reshape(self.shape)
+        rows, cols, axes = [np.arange(n)], [np.arange(n)], []
+        for d in range(self.dim):
+            lo = tuple(slice(None, -1) if k == d else slice(None) for k in range(self.dim))
+            hi = tuple(slice(1, None) if k == d else slice(None) for k in range(self.dim))
+            lo_faces = np.flatnonzero(interior[lo])
+            hi_faces = np.flatnonzero(interior[hi])
+            lo_nodes, hi_nodes = idx[lo].ravel(), idx[hi].ravel()
+            rows += [lo_nodes[lo_faces], hi_nodes[hi_faces]]
+            cols += [hi_nodes[lo_faces], lo_nodes[hi_faces]]
+            axes.append((lo, hi, lo_faces, hi_faces))
+        sizes = [r.size for r in rows]
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        order = np.lexsort((rows, cols))  # column-major: the order spsolve factors in
+        slots = np.empty_like(order)
+        slots[order] = np.arange(order.size)
+        diag_slots, *face_slots = np.split(slots, np.cumsum(sizes)[:-1])
+        faces = tuple(
+            (lo, hi, lo_faces, face_slots[2 * d], hi_faces, face_slots[2 * d + 1])
+            for d, (lo, hi, lo_faces, hi_faces) in enumerate(axes)
+        )
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n)))).astype(np.int32)
+        indices = rows[order].astype(np.int32)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices, diag_slots, faces
 
 
 def build_grid(dimension: int, extents, resolution) -> SpatialGrid:
@@ -185,83 +230,52 @@ def ellipticity_check(law: DiffusionLaw, y_range: tuple[float, float], samples: 
     return EllipticityReport(law.tag, (lo, hi), min_a, max_a, passed)
 
 
-def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool) -> sp.csr_matrix:
-    n = grid.n_nodes
-    shape = grid.shape
-    u_nd = np.asarray(u, dtype=float).reshape(shape)
-    idx = np.arange(n).reshape(shape)
-    interior = ~grid.boundary_mask.reshape(shape)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    diag = np.zeros(shape)
-    for d in range(grid.dim):
-        h2 = grid.spacing[d] ** 2
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[d] = slice(None, -1)
-        hi[d] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
+def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool, shift: float) -> sp.csc_matrix:
+    indptr, indices, diag_slots, faces = grid.operator_pattern
+    u_nd = u.reshape(grid.shape)
+    data = np.empty(indices.size)
+    diag = np.zeros(grid.shape)
+    for h, (lo, hi, lo_faces, lo_slots, hi_faces, hi_slots) in zip(grid.spacing, faces):
+        h2 = h**2
         face_u = 0.5 * (u_nd[lo] + u_nd[hi])
         coeff = np.asarray(law.a(face_u), dtype=float) / h2
+        dterm = 0.0
         if with_deriv:
-            jump = u_nd[hi] - u_nd[lo]
-            dterm = 0.5 * np.asarray(law.deriv(face_u), dtype=float) * jump / h2
-        else:
-            dterm = np.zeros_like(coeff)
-
-        # lower node of each face: face is its "plus" face
-        m = interior[lo]
-        rows.append(idx[lo][m])
-        cols.append(idx[hi][m])
-        vals.append((-coeff - dterm)[m])
-        # upper node of each face: face is its "minus" face
-        m2 = interior[hi]
-        rows.append(idx[hi][m2])
-        cols.append(idx[lo][m2])
-        vals.append((-coeff + dterm)[m2])
-
-        # diagonal contributions
-        dlo = np.zeros(shape)
-        dlo[lo] = coeff - dterm
-        dhi = np.zeros(shape)
-        dhi[hi] = coeff + dterm
-        diag += dlo + dhi
-
-    diag_flat = np.where(grid.boundary_mask, 1.0, diag.ravel())
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag_flat)
-
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    A.sum_duplicates()
-    return A
+            dterm = 0.5 * np.asarray(law.deriv(face_u), dtype=float) * (u_nd[hi] - u_nd[lo]) / h2
+        # the face is the "plus" face of its lower node and the "minus" face of its upper node
+        data[lo_slots] = (-coeff - dterm).ravel()[lo_faces]
+        data[hi_slots] = (-coeff + dterm).ravel()[hi_faces]
+        diag[lo] += coeff - dterm
+        diag[hi] += coeff + dterm
+    data[diag_slots] = np.where(grid.boundary_mask, 1.0, diag.ravel() + shift)
+    return sp.csc_matrix((data, indices, indptr), shape=(grid.n_nodes, grid.n_nodes))
 
 
-def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u) -> sp.csr_matrix:
-    """Assemble ``-div_h(a(u) grad_h .)`` with the coefficient frozen at ``u``.
+def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.csc_matrix:
+    """Assemble ``shift I_int - div_h(a(u) grad_h .)`` with the coefficient frozen at ``u``.
 
     Interior rows hold the divergence stencil with face coefficients
-    ``a((u_left + u_right)/2)``; boundary rows are identity.  For a constant
-    law this is exactly ``const`` times the negative discrete Laplacian.
+    ``a((u_left + u_right)/2)`` plus ``shift`` on the diagonal; boundary rows
+    are identity.  For a constant law and ``shift = 0`` this is exactly
+    ``const`` times the negative discrete Laplacian.  The result is CSC on
+    the grid's :attr:`~SpatialGrid.operator_pattern`.
     """
     u = np.asarray(u, dtype=float).ravel()
     if u.size != grid.n_nodes:
         raise ValueError("coefficient state does not match the grid")
-    return _assemble(grid, law, u, with_deriv=False)
+    return _assemble(grid, law, u, with_deriv=False, shift=shift)
 
 
-def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u) -> sp.csr_matrix:
-    """Jacobian of ``u -> -div_h(a(u) grad_h u)``, including the a'(u) terms."""
+def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.csc_matrix:
+    """Jacobian of ``u -> -div_h(a(u) grad_h u)``, including the a'(u) terms, plus ``shift I_int``.
+
+    Same sparsity pattern, boundary rows and ``shift`` as
+    :func:`assemble_quasilinear_operator`.
+    """
     u = np.asarray(u, dtype=float).ravel()
     if u.size != grid.n_nodes:
         raise ValueError("state does not match the grid")
-    return _assemble(grid, law, u, with_deriv=True)
+    return _assemble(grid, law, u, with_deriv=True, shift=shift)
 
 
 def first_eigenvalue(grid: SpatialGrid) -> float:
@@ -287,7 +301,7 @@ class PoincareResult:
 def poincare_lambda1(grid: SpatialGrid) -> PoincareResult:
     A = assemble_quasilinear_operator(grid, constant_law(1.0), np.zeros(grid.n_nodes))
     interior = grid.interior_indices()
-    A_int = A[np.ix_(interior, interior)].tocsc()
+    A_int = A[np.ix_(interior, interior)]
     if A_int.shape[0] <= 2:
         lam_disc = float(np.linalg.eigvalsh(A_int.toarray())[0])
     else:

@@ -53,6 +53,7 @@ class TestRunCommand:
         assert report["label"] == "eigenmode"
         assert report["solver"]["seed"] == 11
         assert report["solver"]["mode"] == "picard"
+        assert report["solver"]["max_halvings"] == 0
         assert report["certificates"]["decay"]["passed"] is True
         assert report["certificates"]["decay"]["min_margin"] > 0.0
         assert "config_text" in report
@@ -164,6 +165,34 @@ class TestCompressedHistoryOnGradedGrid:
         cfg = _write(tmp_path, self.GRADED + "grading = 2.0\n[solver]\nhistory = compressed\n")
         out = tmp_path / "s"
         self._assert_rejected(main(["study", cfg, "--out", str(out), "--levels", "2"]), capsys, out)
+
+
+class TestOtherErrorsExitTwo:
+    """Errors that are not certificate verdicts exit 2 with one stderr line, not a traceback."""
+
+    BASE = "problem = eigenmode\n[problem]\nresolution = 17\n[time]\nsteps = 8\ngrading = 1\n"
+
+    def _assert_exit_two(self, code, capsys, *words):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        for word in words:
+            assert word in err
+
+    def test_extents_that_do_not_fit_the_dimension(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.BASE + "problem.extents = [0, 1, 0, 2]\n")
+        self._assert_exit_two(main(["run", cfg, "--out", str(tmp_path / "o")]), capsys, "extents", "dimension")
+
+    def test_compressed_history_of_one_step(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.BASE.replace("steps = 8", "steps = 1"))
+        code = main(["run", cfg, "--out", str(tmp_path / "o"), "--history", "compressed"])
+        self._assert_exit_two(code, capsys, "compressed", "steps")
+
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_unreachable_compression_tolerance(self, tmp_path, capsys, command):
+        cfg = _write(tmp_path, self.BASE + "[solver]\nhistory = compressed\neps_compress = 1e-30\n")
+        code = main([command, cfg, "--out", str(tmp_path / "o")])
+        self._assert_exit_two(code, capsys, "compression", "eps=1e-30")
 
 
 class TestStudyCommand:

@@ -9,7 +9,7 @@ from subdiff.kernels import TimeGrid, default_grading
 from subdiff.presets import build_preset, eigenmode_exact, first_eigenvalue
 from subdiff.relaxation import relaxation_solution
 from subdiff.solver import ProblemSpec, SolverOptions, StepFailure, run_trajectory
-from subdiff.spatial import build_grid, constant_law, porous_law
+from subdiff.spatial import DiffusionLaw, build_grid, constant_law, porous_law
 
 
 def _sine_problem(alpha=0.5, resolution=65, steps=64, horizon=1.0, law=None, grading=None):
@@ -84,6 +84,31 @@ class TestIterationBehavior:
         assert err.iterations == 1
         assert err.last_iterate.shape == (spec.grid.n_nodes,)
         assert "tol" in str(err) or "iterations" in str(err)
+
+
+    def test_stiff_law_records_damping_halvings(self):
+        # a(y) = 1 + 50 sin^2(3y) (nu = 1, lam = 51): undamped Picard overshoots on step 1
+        law = DiffusionLaw(
+            a=lambda y: 1.0 + 50.0 * np.sin(3.0 * np.asarray(y)) ** 2,
+            deriv=lambda y: 150.0 * np.sin(6.0 * np.asarray(y)),
+            nu=1.0,
+            lam=51.0,
+            tag="stiff",
+        )
+        grid = build_grid(1, (0.0, math.pi), 33)
+        spec = ProblemSpec(
+            alpha=0.5,
+            time_grid=TimeGrid.uniform(10.0, 4),
+            grid=grid,
+            law=law,
+            u0=np.sin(grid.points()[:, 0]),
+        )
+        options = SolverOptions(mode="picard", max_iter=100)
+        traj = run_trajectory(spec, options)
+        assert traj.halvings.shape == (5,)
+        assert traj.halvings[0] == 0
+        assert traj.halvings[1] >= 1
+        assert traj.residuals.max() <= options.tol
 
 
 class TestAgainstRelaxationOracle:

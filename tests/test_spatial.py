@@ -177,6 +177,26 @@ class TestOperator:
         ii = g.interior_indices()
         np.testing.assert_allclose(J[np.ix_(ii, ii)], fd[np.ix_(ii, ii)], atol=5e-7)
 
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    @pytest.mark.parametrize("dim, res", [(1, 9), (2, (5, 7))])
+    def test_shift_adds_to_interior_diagonal_only(self, build, dim, res):
+        g = build_grid(dim, (0.0, 1.0), res)
+        u = np.random.default_rng(1).normal(size=g.n_nodes)
+        plain = build(g, porous_law(), u).toarray()
+        shifted = build(g, porous_law(), u, shift=2.5).toarray()
+        expected = plain + np.diag(np.where(g.boundary_mask, 0.0, 2.5))
+        np.testing.assert_array_equal(shifted, expected)
+
+    def test_assemblies_share_one_csc_pattern(self):
+        g = build_grid(2, (0.0, 1.0), 6)
+        rng = np.random.default_rng(2)
+        A = assemble_quasilinear_operator(g, porous_law(), rng.normal(size=g.n_nodes))
+        J = newton_jacobian(g, porous_law(), rng.normal(size=g.n_nodes), shift=1.0)
+        assert A.format == J.format == "csc"
+        assert np.shares_memory(A.indptr, J.indptr)
+        assert np.shares_memory(A.indices, J.indices)
+        assert A.has_canonical_format
+
     def test_size_mismatch_rejected(self):
         g = build_grid(1, (0.0, 1.0), 8)
         with pytest.raises(ValueError):
