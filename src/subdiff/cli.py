@@ -154,7 +154,6 @@ def cmd_run(args) -> int:
     _apply_overrides(cfg, args)
     spec, options = build_problem(cfg)
     out = Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         traj = run_trajectory(spec, options)
     except StepFailure as exc:
@@ -174,12 +173,14 @@ def cmd_run(args) -> int:
                 "last_iterate": exc.last_iterate,
             },
         )
+        out.mkdir(parents=True, exist_ok=True)
         write_report(out / "report.json", report)
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
 
     series = norm_series(traj)
     certs, envelope = _collect_certificates(traj, cfg.certificates)
+    out.mkdir(parents=True, exist_ok=True)
     write_norms_tsv(out / "norms.tsv", series, envelope)
     for i, t_req in enumerate(cfg.output.snapshot_times):
         n = int(np.argmin(np.abs(traj.times - t_req)))

@@ -17,11 +17,26 @@ when the residual stops decreasing, returns to the best iterate and halves
 ``theta``, up to three times before giving up.  ``Trajectory.halvings``
 records the halvings of every step.
 
-Trajectories involve no randomness and use direct sparse factorizations, so
-a rerun on the same machine with the same BLAS thread count reproduces them
-bitwise.  They are not bitwise identical across BLAS thread counts: the
-history sums use BLAS dot products, whose reduction order follows the
-thread count.
+Boundary rows are identity rows and the iterate holds the Dirichlet data
+exactly, so the boundary residual is exactly zero and every correction solves
+for the interior unknowns only (:func:`spsolve`); the boundary values stay
+bitwise equal to the data.  In 1D the interior block is tridiagonal and goes
+to LAPACK's banded LU, for Picard and Newton alike.  In 2D the interior
+Picard block is symmetric positive definite and spectrally equivalent to
+``w_nn I + nu (-Delta_h)`` within the factor ``lam / nu`` of the law's
+bounds, so conjugate gradients preconditioned by that constant-coefficient
+operator, which a type-1 sine transform diagonalises, converge in a few
+iterations on any mesh (Concus & Golub 1973).  Newton's Jacobian is not
+symmetric and uses GMRES with the same preconditioner.  Both stop when the
+2-norm of the linear residual is at most ``0.1 * tol``, which bounds the
+max-norm the correction loop tests; a solve that reaches the iteration cap
+fails the step.
+
+Trajectories involve no randomness, so a rerun on the same machine with the
+same BLAS thread count reproduces them bitwise.  They are not bitwise
+identical across BLAS thread counts: the history sums and the Krylov inner
+products use BLAS dot products, whose reduction order follows the thread
+count.
 """
 
 from __future__ import annotations
@@ -30,7 +45,9 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
+from scipy.fft import dstn, idstn
+from scipy.linalg import solve_banded
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .kernels import DirectHistory, L1Weights, TimeGrid, compress_history
 from .spatial import DiffusionLaw, SpatialGrid, assemble_quasilinear_operator, ellipticity_check, newton_jacobian
@@ -180,38 +197,135 @@ class Trajectory:
         return self.spec.time_grid.nodes
 
 
+# Iteration cap of the 2D Krylov solves; reaching it fails the step.  With the
+# sine-transform preconditioner the count grows like sqrt(lam / nu) and not
+# with the mesh: 1 for a constant law, at most 10 per solve for the porous law
+# (lam / nu = 1.5) and up to 108 for lam / nu = 51, measured on 65^2 and 33^2
+# nodes.
+_KRYLOV_MAXITER = 500
+_GMRES_RESTART = 20
+
+
+def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, symmetric: bool) -> np.ndarray:
+    """Solve ``M x = b`` for the interior unknowns of ``grid``; ``x`` is zero on the boundary.
+
+    ``M`` is a step matrix or Jacobian on the grid's operator pattern, with
+    ``shift`` on its interior diagonal and coefficients at least ``nu``; the
+    boundary entries of ``b`` are ignored.  In 1D the tridiagonal interior
+    block, read from ``M.data`` through :attr:`~subdiff.spatial.SpatialGrid.band_slots`,
+    goes to ``solve_banded``, which is exact.  In 2D ``symmetric`` selects
+    preconditioned CG (Picard) or GMRES (Newton), both preconditioned by the
+    sine-transform solve of ``shift I + nu (-Delta_h)`` and stopped once the
+    2-norm of ``b - M x`` is at most ``atol`` (GMRES restarts every
+    ``_GMRES_RESTART`` iterations); their vectors keep the full length with
+    zero boundary entries, so ``M @ p`` is the interior-block product.  Raises ``numpy.linalg.LinAlgError`` for a singular banded
+    matrix or when a Krylov solve reaches ``_KRYLOV_MAXITER`` iterations.
+
+    This is the package's one linear-solve call, and its name marks the
+    boundary of the linear-solve layer: ``bench/tracing.py`` times the
+    layer by wrapping ``subdiff.solver.spsolve``.
+    """
+    if grid.dim == 1:
+        x = np.zeros(grid.n_nodes)
+        x[1:-1] = solve_banded((1, 1), M.data[grid.band_slots], b[1:-1], overwrite_ab=True, check_finite=False)
+        return x
+    b = np.where(grid.boundary_mask, 0.0, b)
+    precond = _sine_preconditioner(grid, shift, nu)
+    if symmetric:
+        return _pcg(M, b, precond, atol, _KRYLOV_MAXITER)[0]
+    restart = min(_GMRES_RESTART, _KRYLOV_MAXITER)
+    x, info = gmres(
+        M, b, rtol=0.0, atol=atol, restart=restart, maxiter=-(-_KRYLOV_MAXITER // restart),
+        M=LinearOperator(M.shape, matvec=precond, dtype=float),
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"GMRES reached {_KRYLOV_MAXITER} iterations above residual {atol:.3e}")
+    return x
+
+
+def _sine_preconditioner(grid: SpatialGrid, shift: float, nu: float):
+    """``r -> (shift I + nu (-Delta_h))^{-1} r`` on the interior nodes, zero on the boundary."""
+    inner = (slice(1, -1),) * grid.dim
+    inverse = 1.0 / (shift + nu * grid.dirichlet_eigenvalues)
+
+    def apply(r):
+        z = np.zeros(grid.shape)
+        z[inner] = idstn(dstn(r.reshape(grid.shape)[inner], type=1) * inverse, type=1, overwrite_x=True)
+        return z.ravel()
+
+    return apply
+
+
+def _pcg(M, b, precond, atol: float, maxiter: int):
+    """Preconditioned conjugate gradients from ``x = 0``; returns ``(x, iterations)``.
+
+    Stops once the (recursively updated) residual's 2-norm is at most
+    ``atol``; raises ``numpy.linalg.LinAlgError`` after ``maxiter`` iterations.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    if np.sqrt(r @ r) <= atol:
+        return x, 0
+    p = z = precond(r)
+    rz = r @ z
+    for it in range(1, maxiter + 1):
+        q = M @ p
+        step = rz / (p @ q)
+        x += step * p
+        r -= step * q
+        res = np.sqrt(r @ r)
+        if res <= atol:
+            return x, it
+        z = precond(r)
+        rz, rz_prev = r @ z, rz
+        p = z + (rz / rz_prev) * p
+    raise np.linalg.LinAlgError(f"CG reached {maxiter} iterations at residual {res:.3e} > {atol:.3e}")
+
+
 def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n):
     """One step of the correction loop; returns ``(field, iterations, residual, halvings)``."""
     grid, law = spec.grid, spec.law
-    interior = ~grid.boundary_mask
     rhs = w_nn * u_prev - memory + (0.0 if f_n is None else f_n)
-    rhs[~interior] = g_vals
+    rhs[grid.boundary_mask] = g_vals
 
     def state(v):
         t0 = time.perf_counter()
         K = assemble_quasilinear_operator(grid, law, v, shift=w_nn)
         timers["assembly"] += time.perf_counter() - t0
-        r = K @ v - rhs
-        return v, K, r, float(np.max(np.abs(r[interior])))
+        r = K @ v - rhs  # exactly 0 on the boundary, where v holds the data
+        return v, K, r, float(np.max(np.abs(r)))
+
+    def failure(res, it, message):
+        return StepFailure(
+            step=n,
+            t=float(spec.time_grid.nodes[n]),
+            residual=res,
+            iterations=it,
+            last_iterate=best[0],
+            message=f"step {n}: {message}",
+        )
 
     theta = 1.0
     halvings = 0
     current = best = state(u_prev)
     best_res = np.inf
     for it in range(1, options.max_iter + 1):
-        v, M, r, _ = current
+        v, M, r, res = current
         if options.mode == "newton":
             t0 = time.perf_counter()
             M = newton_jacobian(grid, law, v, shift=w_nn)
             timers["assembly"] += time.perf_counter() - t0
         t0 = time.perf_counter()
-        delta = spsolve(M, -r)
+        try:
+            delta = spsolve(
+                M, -r, grid=grid, shift=w_nn, nu=law.nu, atol=0.1 * options.tol, symmetric=options.mode == "picard"
+            )
+        except np.linalg.LinAlgError as exc:
+            raise failure(res, it, f"linear solve failed: {exc}") from exc
         timers["linear_solve"] += time.perf_counter() - t0
         current = state(v + theta * delta)
         res = current[3]
         if res <= options.tol:
-            # pin the Dirichlet data; the solves return it only up to roundoff
-            current[0][~interior] = g_vals
             return current[0], it, res, halvings
         if res < best_res:
             best, best_res = current, res
@@ -221,13 +335,8 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n):
         halvings += 1
         theta *= 0.5
         current = best
-    raise StepFailure(
-        step=n,
-        t=float(spec.time_grid.nodes[n]),
-        residual=res,
-        iterations=it,
-        last_iterate=best[0],
-        message=f"step {n}: no convergence in {it} iterations, {halvings} halvings (residual {res:.3e} > tol {options.tol:g})",
+    raise failure(
+        res, it, f"no convergence in {it} iterations, {halvings} halvings (residual {res:.3e} > tol {options.tol:g})"
     )
 
 

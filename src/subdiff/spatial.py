@@ -8,7 +8,10 @@ implicit solve and residual evaluation.
 The Picard operator and the Newton Jacobian fill values on one CSC pattern
 built once per grid (:attr:`SpatialGrid.operator_pattern`); their ``shift``
 adds to the interior diagonal, so the step matrix ``w I_int + A(u)`` is one
-assembly.
+assembly.  Each grid also caches what the interior solves need: the slots of
+the tridiagonal interior block in 1D (:attr:`SpatialGrid.band_slots`) and the
+eigenvalues of the sine modes that diagonalise the discrete Dirichlet
+Laplacian (:attr:`SpatialGrid.dirichlet_eigenvalues`).
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ class SpatialGrid:
             axes.append((lo, hi, lo_faces, hi_faces))
         sizes = [r.size for r in rows]
         rows, cols = np.concatenate(rows), np.concatenate(cols)
-        order = np.lexsort((rows, cols))  # column-major: the order spsolve factors in
+        order = np.lexsort((rows, cols))  # column-major, the CSC storage order
         slots = np.empty_like(order)
         slots[order] = np.arange(order.size)
         diag_slots, *face_slots = np.split(slots, np.cumsum(sizes)[:-1])
@@ -116,6 +119,38 @@ class SpatialGrid:
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return indptr, indices, diag_slots, faces
+
+    @cached_property
+    def band_slots(self) -> np.ndarray:
+        """1D only: slots of the tridiagonal interior block in the operator's data, shape (3, n - 2).
+
+        Rows hold the super-, main and subdiagonal in the layout of
+        ``scipy.linalg.solve_banded((1, 1), ...)``, so ``data[band_slots]``
+        is its banded matrix.  The two corners it never reads point at the
+        diagonal.  Read-only; a 2D grid raises ``ValueError``.
+        """
+        _, _, diag_slots, ((_, _, _, lo_slots, _, hi_slots),) = self.operator_pattern
+        diag = diag_slots[1:-1]
+        slots = np.stack([np.r_[diag[0], lo_slots[:-1]], diag, np.r_[hi_slots[1:], diag[-1]]])
+        slots.setflags(write=False)
+        return slots
+
+    @cached_property
+    def dirichlet_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the discrete Dirichlet Laplacian ``-Delta_h``, shaped like the interior nodes.
+
+        With ``n_d`` interior nodes on axis ``d``, entry ``k`` is the sum over
+        axes of ``(4 / h_d^2) sin^2(k_d pi / (2 (n_d + 1)))`` (``k_d`` from 1),
+        the eigenvalue of the sine mode that the type-1 discrete sine
+        transform ``scipy.fft.dstn(type=1)`` picks out.  Entry 0 is the
+        smallest.  Read-only.
+        """
+        lam = 0.0
+        for n, h in zip(self.shape, self.spacing):
+            k = np.arange(1, n - 1)
+            lam = np.add.outer(lam, 4.0 / h**2 * np.sin(k * np.pi / (2.0 * (n - 1))) ** 2)
+        lam.setflags(write=False)
+        return lam
 
 
 def build_grid(dimension: int, extents, resolution) -> SpatialGrid:

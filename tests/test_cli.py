@@ -139,6 +139,20 @@ class TestRunCommand:
         assert report["failure"]["step"] >= 1
 
 
+    def test_krylov_iteration_cap_exits_two_with_failure_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("subdiff.solver._KRYLOV_MAXITER", 1)
+        cfg = _write(tmp_path, "problem = porous\n[problem]\ndimension = 2\nresolution = 17\n[time]\nsteps = 4\n")
+        out = tmp_path / "o"
+        code = main(["run", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "run failed" in err and "linear solve" in err
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["failure"]["step"] == 1
+
+
 class TestCompressedHistoryOnGradedGrid:
     """Compressed history needs a uniform grid: a config error (exit 2), caught before any solve."""
 
@@ -193,6 +207,13 @@ class TestOtherErrorsExitTwo:
         cfg = _write(tmp_path, self.BASE + "[solver]\nhistory = compressed\neps_compress = 1e-30\n")
         code = main([command, cfg, "--out", str(tmp_path / "o")])
         self._assert_exit_two(code, capsys, "compression", "eps=1e-30")
+
+
+    def test_compression_error_leaves_no_output_directory(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.BASE + "[solver]\nhistory = compressed\neps_compress = 1e-30\n")
+        out = tmp_path / "o"
+        self._assert_exit_two(main(["run", cfg, "--out", str(out)]), capsys, "compression")
+        assert not out.exists()
 
 
 class TestStudyCommand:

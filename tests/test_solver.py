@@ -1,15 +1,27 @@
 """Implicit L1 time-marcher: accuracy, iteration modes, history compression."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subdiff import solver
 from subdiff.kernels import TimeGrid, default_grading
 from subdiff.presets import build_preset, eigenmode_exact, first_eigenvalue
 from subdiff.relaxation import relaxation_solution
 from subdiff.solver import ProblemSpec, SolverOptions, StepFailure, run_trajectory
-from subdiff.spatial import DiffusionLaw, build_grid, constant_law, porous_law
+from subdiff.spatial import (
+    DiffusionLaw,
+    assemble_quasilinear_operator,
+    build_grid,
+    constant_law,
+    newton_jacobian,
+    porous_law,
+)
 
 
 def _sine_problem(alpha=0.5, resolution=65, steps=64, horizon=1.0, law=None, grading=None):
@@ -225,6 +237,93 @@ class TestTwoDimensions:
         ref = exact(traj.times[-1])
         rel = math.sqrt(q @ diff**2 / (q @ ref**2))
         assert rel < 5e-3
+
+
+class TestInteriorSolve:
+    """``solver.spsolve`` solves the interior block: exactly in 1D, to its residual bound in 2D."""
+
+    @pytest.mark.parametrize("build, symmetric", [(assemble_quasilinear_operator, True), (newton_jacobian, False)])
+    @pytest.mark.parametrize(
+        "dim, extents, res", [(1, (0.0, 1.0), 65), (2, (0.0, 1.0), 17), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
+    )
+    def test_matches_dense_interior_solve(self, build, symmetric, dim, extents, res):
+        grid = build_grid(dim, extents, res)
+        u = 1.5 * np.prod(np.sin(2.0 * np.pi * grid.points() / grid.lengths), axis=1)
+        M = build(grid, porous_law(), u, shift=3.0)
+        b = np.random.default_rng(4).normal(size=grid.n_nodes)  # boundary entries are ignored
+        ii = grid.interior_indices()
+        want = np.linalg.solve(M.toarray()[np.ix_(ii, ii)], b[ii])
+        atol = 1e-15 * np.linalg.norm(b[ii])
+        x = solver.spsolve(M, b, grid=grid, shift=3.0, nu=1.0, atol=atol, symmetric=symmetric)
+        assert np.all(x[grid.boundary_mask] == 0.0)
+        assert np.linalg.norm(x[ii] - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("extents, res", [((0.0, 1.0), 33), ([(0.0, 1.0), (0.0, 2.0)], (17, 33))])
+    def test_constant_law_converges_in_one_pcg_iteration(self, extents, res):
+        # the preconditioner is then the step matrix's own interior block
+        grid = build_grid(2, extents, res)
+        M = assemble_quasilinear_operator(grid, constant_law(2.0), np.zeros(grid.n_nodes), shift=3.0)
+        b = np.where(grid.boundary_mask, 0.0, np.random.default_rng(5).normal(size=grid.n_nodes))
+        precond = solver._sine_preconditioner(grid, 3.0, 2.0)
+        _, iterations = solver._pcg(M, b, precond, 1e-10 * np.linalg.norm(b), 10)
+        assert iterations == 1
+
+    @pytest.mark.parametrize("mode", ["picard", "newton"])
+    def test_krylov_iteration_cap_fails_the_step(self, mode, monkeypatch):
+        monkeypatch.setattr(solver, "_KRYLOV_MAXITER", 1)
+        spec = build_preset("porous", dimension=2, resolution=17, steps=4, horizon=1.0)
+        with pytest.raises(StepFailure, match="linear solve") as exc:
+            run_trajectory(spec, SolverOptions(mode=mode))
+        assert exc.value.step == 1
+        assert exc.value.iterations == 1
+        assert exc.value.last_iterate.shape == (spec.grid.n_nodes,)
+
+    @pytest.mark.parametrize("mode", ["picard", "newton"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constant_dirichlet_data_stays_bitwise_on_every_step(self, dim, mode):
+        g = 0.3  # not a dyadic number, so any roundoff on the boundary would show
+        grid = build_grid(dim, (0.0, 1.0), 17)
+        bump = np.prod(np.sin(np.pi * grid.points()), axis=1)
+        spec = ProblemSpec(
+            alpha=0.5,
+            time_grid=TimeGrid.graded(1.0, 12, 2.0),
+            grid=grid,
+            law=porous_law(),
+            u0=g + bump,
+            boundary=g,
+        )
+        traj = run_trajectory(spec, SolverOptions(mode=mode))
+        assert np.all(traj.fields[:, grid.boundary_mask] == g)
+        assert np.max(np.abs(traj.fields[1] - g)) > 0.1  # the interior is away from the data
+
+
+class TestDeterminism:
+    SCRIPT = (
+        "import hashlib\n"
+        "from subdiff.presets import build_preset\n"
+        "from subdiff.solver import run_trajectory\n"
+        "spec = build_preset('porous', dimension=2, resolution=33, steps=8, horizon=1.0)\n"
+        "print(hashlib.sha256(run_trajectory(spec).fields.tobytes()).hexdigest())\n"
+    )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_2d_picard_rerun_at_fixed_blas_threads_is_bitwise(self, threads):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        hashes = [
+            subprocess.run(
+                [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True, check=True
+            ).stdout.strip()
+            for _ in range(2)
+        ]
+        assert len(hashes[0]) == 64
+        assert hashes[0] == hashes[1]
 
 
 class TestTrajectoryBookkeeping:

@@ -197,6 +197,17 @@ class TestOperator:
         assert np.shares_memory(A.indices, J.indices)
         assert A.has_canonical_format
 
+    def test_band_slots_read_the_interior_tridiagonal(self):
+        g = build_grid(1, (0.0, 1.0), 9)
+        J = newton_jacobian(g, porous_law(), np.random.default_rng(3).normal(size=g.n_nodes), shift=1.5)
+        block = J.toarray()[1:-1, 1:-1]
+        ab = J.data[g.band_slots]
+        np.testing.assert_array_equal(ab[0, 1:], np.diag(block, 1))
+        np.testing.assert_array_equal(ab[1], np.diag(block))
+        np.testing.assert_array_equal(ab[2, :-1], np.diag(block, -1))
+        with pytest.raises(ValueError):
+            build_grid(2, (0.0, 1.0), 5).band_slots
+
     def test_size_mismatch_rejected(self):
         g = build_grid(1, (0.0, 1.0), 8)
         with pytest.raises(ValueError):
@@ -233,6 +244,23 @@ class TestPoincare:
         h = g.spacing[0]
         want = (2.0 / h) ** 2 * math.sin(math.pi * h / 4.0) ** 2
         np.testing.assert_allclose(poincare_lambda1(g).discrete, want, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "dim, extents, res", [(1, (0.0, 2.0), 41), (2, (0.0, 1.0), 21), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
+    )
+    def test_sine_eigenvalue_table_starts_at_discrete_constant(self, dim, extents, res):
+        g = build_grid(dim, extents, res)
+        np.testing.assert_allclose(g.dirichlet_eigenvalues.flat[0], poincare_lambda1(g).discrete, rtol=1e-10)
+        assert g.dirichlet_eigenvalues.shape == tuple(n - 2 for n in g.shape)
+        assert g.dirichlet_eigenvalues.flat[0] == g.dirichlet_eigenvalues.min()
+
+    def test_sine_eigenvalue_table_is_the_interior_spectrum(self):
+        g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (7, 9))
+        ii = g.interior_indices()
+        A = assemble_quasilinear_operator(g, constant_law(1.0), np.zeros(g.n_nodes)).toarray()[np.ix_(ii, ii)]
+        np.testing.assert_allclose(
+            np.sort(g.dirichlet_eigenvalues.ravel()), np.linalg.eigvalsh(A), rtol=1e-12
+        )
 
     def test_2d_discrete_below_continuous(self):
         g = build_grid(2, (0.0, 1.0), 21)
