@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -61,58 +63,73 @@ def build_problem(cfg: RunConfig):
     return spec, options
 
 
+@contextmanager
+def _timed(seconds: dict, name: str):
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[name] = time.perf_counter() - t0
+
+
 def _collect_certificates(traj, cc):
-    """Run the enabled certificates; returns (dict, envelope-or-None)."""
+    """Run the enabled certificates; returns (dict, envelope-or-None, wall seconds per certificate)."""
     certs = {}
+    seconds = {}
     envelope = None
     if cc.convexity:
-        rep = convexity_report(traj)
-        certs["convexity"] = {
-            "passed": rep.passed,
-            "min_margin": rep.min_margin,
-            "min_strong_margin": rep.min_strong_margin,
-        }
+        with _timed(seconds, "convexity"):
+            rep = convexity_report(traj)
+            certs["convexity"] = {
+                "passed": rep.passed,
+                "min_margin": rep.min_margin,
+                "min_strong_margin": rep.min_strong_margin,
+            }
     if cc.boundedness:
-        try:
-            rep = boundedness_report(traj)
-            certs["boundedness"] = {
-                "passed": rep.passed,
-                "bound": rep.bound,
-                "max_sup": rep.max_sup,
-                "arg_step": rep.arg_step,
-            }
-        except ValueError as exc:
-            certs["boundedness"] = {"passed": None, "skipped": str(exc)}
+        with _timed(seconds, "boundedness"):
+            try:
+                rep = boundedness_report(traj)
+                certs["boundedness"] = {
+                    "passed": rep.passed,
+                    "bound": rep.bound,
+                    "max_sup": rep.max_sup,
+                    "arg_step": rep.arg_step,
+                }
+            except ValueError as exc:
+                certs["boundedness"] = {"passed": None, "skipped": str(exc)}
     if cc.decay:
-        try:
-            rep = decay_report(traj, slack=cc.slack)
-            envelope = rep.envelope
-            certs["decay"] = {
-                "passed": rep.passed,
-                "mu": rep.mu,
-                "slack": rep.slack,
-                "min_margin": float(rep.margins.min()),
-                "tail_exponent": rep.tail_exponent,
-            }
-        except ValueError as exc:
-            certs["decay"] = {"passed": None, "skipped": str(exc)}
+        with _timed(seconds, "decay"):
+            try:
+                rep = decay_report(traj, slack=cc.slack)
+                envelope = rep.envelope
+                certs["decay"] = {
+                    "passed": rep.passed,
+                    "mu": rep.mu,
+                    "slack": rep.slack,
+                    "min_margin": float(rep.margins.min()),
+                    "tail_exponent": rep.tail_exponent,
+                }
+            except ValueError as exc:
+                certs["decay"] = {"passed": None, "skipped": str(exc)}
     if cc.weakform:
-        rep = weakform_residual(traj, threshold=cc.weakform_threshold)
-        certs["weakform"] = {
-            "passed": rep.passed,
-            "max_scaled_residual": rep.max_scaled_residual,
-            "threshold": rep.threshold,
-        }
+        with _timed(seconds, "weakform"):
+            rep = weakform_residual(traj, threshold=cc.weakform_threshold)
+            certs["weakform"] = {
+                "passed": rep.passed,
+                "max_scaled_residual": rep.max_scaled_residual,
+                "threshold": rep.threshold,
+            }
     if cc.hoelder:
-        est = hoelder_seminorm(traj, cc.hoelder_beta_time, cc.hoelder_beta_space)
-        certs["hoelder"] = {
-            "passed": None,
-            "value": est.value,
-            "beta_time": est.beta_time,
-            "beta_space": est.beta_space,
-            "note": "observable, no acceptance threshold",
-        }
-    return certs, envelope
+        with _timed(seconds, "hoelder"):
+            est = hoelder_seminorm(traj, cc.hoelder_beta_time, cc.hoelder_beta_space)
+            certs["hoelder"] = {
+                "passed": None,
+                "value": est.value,
+                "beta_time": est.beta_time,
+                "beta_space": est.beta_space,
+                "note": "observable, no acceptance threshold",
+            }
+    return certs, envelope, seconds
 
 
 def _print_certificates(certs) -> bool:
@@ -179,7 +196,7 @@ def cmd_run(args) -> int:
         return 2
 
     series = norm_series(traj)
-    certs, envelope = _collect_certificates(traj, cfg.certificates)
+    certs, envelope, cert_seconds = _collect_certificates(traj, cfg.certificates)
     out.mkdir(parents=True, exist_ok=True)
     write_norms_tsv(out / "norms.tsv", series, envelope)
     for i, t_req in enumerate(cfg.output.snapshot_times):
@@ -199,7 +216,7 @@ def cmd_run(args) -> int:
             "max_residual": float(traj.residuals[1:].max()),
             "seed": cfg.output.seed,
         },
-        timings=traj.timings,
+        timings={**traj.timings, "certificates": cert_seconds},
         config_text=render_config(cfg),
     )
     write_report(out / "report.json", report)

@@ -11,8 +11,11 @@ returns for ``shift=w_nn``, the system reads ``K(u_n) u_n = rhs``.  One
 correction loop serves both inner iterations: from ``v = u_{n-1}`` it solves
 ``M delta = rhs - K(v) v`` and sets ``v <- v + theta delta``.  Picard takes
 ``M = K(v)`` (coefficient frozen at the current iterate, the discrete analogue
-of the linearized fixed-point map behind the existence theory); Newton takes
-the analytic Jacobian including the a'(u) terms.  The loop runs undamped and,
+of the linearized fixed-point map behind the existence theory) and reads its
+residual off the same assembled ``K(v)``.  Newton takes the analytic Jacobian
+including the a'(u) terms, the only matrix it assembles: its residual comes
+from :func:`~subdiff.spatial.apply_quasilinear_operator`, which evaluates
+``K(v) v`` without a matrix.  The loop runs undamped and,
 when the residual stops decreasing, returns to the best iterate and halves
 ``theta``, up to three times before giving up.  ``Trajectory.halvings``
 records the halvings of every step.
@@ -21,12 +24,12 @@ Boundary rows are identity rows and the iterate holds the Dirichlet data
 exactly, so the boundary residual is exactly zero and every correction solves
 for the interior unknowns only (:func:`spsolve`); the boundary values stay
 bitwise equal to the data.  In 1D the interior block is tridiagonal and goes
-to LAPACK's banded LU, for Picard and Newton alike.  In 2D the interior
-Picard block is symmetric positive definite and spectrally equivalent to
-``w_nn I + nu (-Delta_h)`` within the factor ``lam / nu`` of the law's
-bounds, so conjugate gradients preconditioned by that constant-coefficient
-operator, which a type-1 sine transform diagonalises, converge in a few
-iterations on any mesh (Concus & Golub 1973).  Newton's Jacobian is not
+to LAPACK's tridiagonal solver ``dgtsv``, for Picard and Newton alike.  In 2D
+the interior Picard block is symmetric positive definite and spectrally
+equivalent to ``w_nn I + nu (-Delta_h)`` within the factor ``lam / nu`` of
+the law's bounds, so conjugate gradients preconditioned by that
+constant-coefficient operator, which a type-1 sine transform diagonalises,
+converge in a few iterations on any mesh (Concus & Golub 1973).  Newton's Jacobian is not
 symmetric and uses GMRES with the same preconditioner.  Both stop when the
 2-norm of the linear residual is at most ``0.1 * tol``, which bounds the
 max-norm the correction loop tests; a solve that reaches the iteration cap
@@ -46,11 +49,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .kernels import DirectHistory, L1Weights, TimeGrid, compress_history
-from .spatial import DiffusionLaw, SpatialGrid, assemble_quasilinear_operator, ellipticity_check, newton_jacobian
+from .spatial import (
+    DiffusionLaw,
+    SpatialGrid,
+    apply_quasilinear_operator,
+    assemble_quasilinear_operator,
+    ellipticity_check,
+    newton_jacobian,
+)
 
 __all__ = [
     "ProblemSpec",
@@ -213,21 +223,26 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
     ``shift`` on its interior diagonal and coefficients at least ``nu``; the
     boundary entries of ``b`` are ignored.  In 1D the tridiagonal interior
     block, read from ``M.data`` through :attr:`~subdiff.spatial.SpatialGrid.band_slots`,
-    goes to ``solve_banded``, which is exact.  In 2D ``symmetric`` selects
-    preconditioned CG (Picard) or GMRES (Newton), both preconditioned by the
-    sine-transform solve of ``shift I + nu (-Delta_h)`` and stopped once the
-    2-norm of ``b - M x`` is at most ``atol`` (GMRES restarts every
-    ``_GMRES_RESTART`` iterations); their vectors keep the full length with
-    zero boundary entries, so ``M @ p`` is the interior-block product.  Raises ``numpy.linalg.LinAlgError`` for a singular banded
-    matrix or when a Krylov solve reaches ``_KRYLOV_MAXITER`` iterations.
+    goes to LAPACK ``dgtsv`` (Gaussian elimination with partial pivoting),
+    which is exact.  In 2D ``symmetric`` selects preconditioned CG (Picard)
+    or GMRES (Newton), both preconditioned by the sine-transform solve of
+    ``shift I + nu (-Delta_h)`` and stopped once the 2-norm of ``b - M x`` is
+    at most ``atol`` (GMRES restarts every ``_GMRES_RESTART`` iterations);
+    their vectors keep the full length with zero boundary entries, so
+    ``M @ p`` is the interior-block product.  Raises
+    ``numpy.linalg.LinAlgError`` for an exactly singular tridiagonal block or
+    when a Krylov solve reaches ``_KRYLOV_MAXITER`` iterations.
 
     This is the package's one linear-solve call, and its name marks the
     boundary of the linear-solve layer: ``bench/tracing.py`` times the
     layer by wrapping ``subdiff.solver.spsolve``.
     """
     if grid.dim == 1:
+        super_, diag, sub = M.data[grid.band_slots]
         x = np.zeros(grid.n_nodes)
-        x[1:-1] = solve_banded((1, 1), M.data[grid.band_slots], b[1:-1], overwrite_ab=True, check_finite=False)
+        *_, x[1:-1], info = dgtsv(sub[:-1], diag, super_[1:], b[1:-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
         return x
     b = np.where(grid.boundary_mask, 0.0, b)
     precond = _sine_preconditioner(grid, shift, nu)
@@ -285,14 +300,20 @@ def _pcg(M, b, precond, atol: float, maxiter: int):
 def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n):
     """One step of the correction loop; returns ``(field, iterations, residual, halvings)``."""
     grid, law = spec.grid, spec.law
+    newton = options.mode == "newton"
     rhs = w_nn * u_prev - memory + (0.0 if f_n is None else f_n)
     rhs[grid.boundary_mask] = g_vals
 
     def state(v):
+        # Picard solves with the K(v) it assembles here; Newton only needs K(v) v
         t0 = time.perf_counter()
-        K = assemble_quasilinear_operator(grid, law, v, shift=w_nn)
+        if newton:
+            K, Kv = None, apply_quasilinear_operator(grid, law, v, shift=w_nn)
+        else:
+            K = assemble_quasilinear_operator(grid, law, v, shift=w_nn)
+            Kv = K @ v
         timers["assembly"] += time.perf_counter() - t0
-        r = K @ v - rhs  # exactly 0 on the boundary, where v holds the data
+        r = Kv - rhs  # exactly 0 on the boundary, where v holds the data
         return v, K, r, float(np.max(np.abs(r)))
 
     def failure(res, it, message):
@@ -311,15 +332,13 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n):
     best_res = np.inf
     for it in range(1, options.max_iter + 1):
         v, M, r, res = current
-        if options.mode == "newton":
+        if newton:
             t0 = time.perf_counter()
             M = newton_jacobian(grid, law, v, shift=w_nn)
             timers["assembly"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
-            delta = spsolve(
-                M, -r, grid=grid, shift=w_nn, nu=law.nu, atol=0.1 * options.tol, symmetric=options.mode == "picard"
-            )
+            delta = spsolve(M, -r, grid=grid, shift=w_nn, nu=law.nu, atol=0.1 * options.tol, symmetric=not newton)
         except np.linalg.LinAlgError as exc:
             raise failure(res, it, f"linear solve failed: {exc}") from exc
         timers["linear_solve"] += time.perf_counter() - t0

@@ -3,15 +3,19 @@
 Scalar isotropic laws only: the flux is ``a(u) grad u`` with a face
 coefficient evaluated at the arithmetic mean of the two adjacent nodes, which
 keeps the assembled interior block symmetric for frozen u and second-order
-accurate.  Dirichlet rows are identity rows so that one matrix serves both the
-implicit solve and residual evaluation.
+accurate.  Dirichlet rows are identity rows, so a step matrix leaves the
+Dirichlet data unchanged.
 The Picard operator and the Newton Jacobian fill values on one CSC pattern
 built once per grid (:attr:`SpatialGrid.operator_pattern`); their ``shift``
 adds to the interior diagonal, so the step matrix ``w I_int + A(u)`` is one
-assembly.  Each grid also caches what the interior solves need: the slots of
-the tridiagonal interior block in 1D (:attr:`SpatialGrid.band_slots`) and the
-eigenvalues of the sine modes that diagonalise the discrete Dirichlet
-Laplacian (:attr:`SpatialGrid.dirichlet_eigenvalues`).
+assembly.  :func:`apply_quasilinear_operator` evaluates the product of the
+same operator with ``u`` without building a matrix, for residuals that no
+solve needs the matrix of; it takes its face coefficients from the same
+helper as the assembly.  Each grid also caches what the interior solves
+need: the slots of the tridiagonal interior block in 1D
+(:attr:`SpatialGrid.band_slots`) and the eigenvalues of the sine modes that
+diagonalise the discrete Dirichlet Laplacian
+(:attr:`SpatialGrid.dirichlet_eigenvalues`).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "EllipticityReport",
     "ellipticity_check",
     "assemble_quasilinear_operator",
+    "apply_quasilinear_operator",
     "newton_jacobian",
     "first_eigenvalue",
     "PoincareResult",
@@ -55,7 +60,7 @@ class SpatialGrid:
     spacing: tuple[float, ...]
     boundary_mask: np.ndarray
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
         return int(np.prod(self.shape))
 
@@ -124,9 +129,10 @@ class SpatialGrid:
     def band_slots(self) -> np.ndarray:
         """1D only: slots of the tridiagonal interior block in the operator's data, shape (3, n - 2).
 
-        Rows hold the super-, main and subdiagonal in the layout of
-        ``scipy.linalg.solve_banded((1, 1), ...)``, so ``data[band_slots]``
-        is its banded matrix.  The two corners it never reads point at the
+        Rows hold the super-, main and subdiagonal in LAPACK's banded layout
+        (that of ``scipy.linalg.solve_banded((1, 1), ...)``): with
+        ``sup, main, sub = data[band_slots]`` the three diagonals are
+        ``sup[1:]``, ``main`` and ``sub[:-1]``.  The two corners point at the
         diagonal.  Read-only; a 2D grid raises ``ValueError``.
         """
         _, _, diag_slots, ((_, _, _, lo_slots, _, hi_slots),) = self.operator_pattern
@@ -265,15 +271,25 @@ def ellipticity_check(law: DiffusionLaw, y_range: tuple[float, float], samples: 
     return EllipticityReport(law.tag, (lo, hi), min_a, max_a, passed)
 
 
+def _face_coefficients(grid: SpatialGrid, law: DiffusionLaw, u_nd: np.ndarray):
+    """Per axis: ``(h^2, faces, face_u, a(face_u) / h^2)``.
+
+    ``faces`` is the axis entry of :attr:`SpatialGrid.operator_pattern` and
+    ``face_u`` the face means ``(u_lo + u_hi) / 2``.
+    """
+    for h, faces in zip(grid.spacing, grid.operator_pattern[3]):
+        lo, hi = faces[0], faces[1]
+        h2 = h**2
+        face_u = 0.5 * (u_nd[lo] + u_nd[hi])
+        yield h2, faces, face_u, np.asarray(law.a(face_u), dtype=float) / h2
+
+
 def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool, shift: float) -> sp.csc_matrix:
-    indptr, indices, diag_slots, faces = grid.operator_pattern
+    indptr, indices, diag_slots, _ = grid.operator_pattern
     u_nd = u.reshape(grid.shape)
     data = np.empty(indices.size)
     diag = np.zeros(grid.shape)
-    for h, (lo, hi, lo_faces, lo_slots, hi_faces, hi_slots) in zip(grid.spacing, faces):
-        h2 = h**2
-        face_u = 0.5 * (u_nd[lo] + u_nd[hi])
-        coeff = np.asarray(law.a(face_u), dtype=float) / h2
+    for h2, (lo, hi, lo_faces, lo_slots, hi_faces, hi_slots), face_u, coeff in _face_coefficients(grid, law, u_nd):
         dterm = 0.0
         if with_deriv:
             dterm = 0.5 * np.asarray(law.deriv(face_u), dtype=float) * (u_nd[hi] - u_nd[lo]) / h2
@@ -286,6 +302,13 @@ def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: b
     return sp.csc_matrix((data, indices, indptr), shape=(grid.n_nodes, grid.n_nodes))
 
 
+def _checked_state(grid: SpatialGrid, u, what: str) -> np.ndarray:
+    u = np.asarray(u, dtype=float).ravel()
+    if u.size != grid.n_nodes:
+        raise ValueError(f"{what} does not match the grid")
+    return u
+
+
 def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.csc_matrix:
     """Assemble ``shift I_int - div_h(a(u) grad_h .)`` with the coefficient frozen at ``u``.
 
@@ -295,10 +318,27 @@ def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift
     ``const`` times the negative discrete Laplacian.  The result is CSC on
     the grid's :attr:`~SpatialGrid.operator_pattern`.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != grid.n_nodes:
-        raise ValueError("coefficient state does not match the grid")
-    return _assemble(grid, law, u, with_deriv=False, shift=shift)
+    return _assemble(grid, law, _checked_state(grid, u, "coefficient state"), with_deriv=False, shift=shift)
+
+
+def apply_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> np.ndarray:
+    """``assemble_quasilinear_operator(grid, law, u, shift) @ u`` without building the matrix.
+
+    Each face flux ``a(face mean) (u_hi - u_lo) / h^2`` leaves its lower node
+    and enters its upper one; interior entries add ``shift * u``, and the
+    boundary entries equal ``u`` bitwise, as the identity rows give.  Agrees
+    with the matrix product to rounding (the sums run in another order).
+    """
+    u = _checked_state(grid, u, "state")
+    u_nd = u.reshape(grid.shape)
+    out = shift * u_nd
+    for _, (lo, hi, *_), _, coeff in _face_coefficients(grid, law, u_nd):
+        flux = coeff * (u_nd[hi] - u_nd[lo])
+        out[lo] -= flux
+        out[hi] += flux
+    out = out.ravel()
+    out[grid.boundary_mask] = u[grid.boundary_mask]
+    return out
 
 
 def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.csc_matrix:
@@ -307,10 +347,7 @@ def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0)
     Same sparsity pattern, boundary rows and ``shift`` as
     :func:`assemble_quasilinear_operator`.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != grid.n_nodes:
-        raise ValueError("state does not match the grid")
-    return _assemble(grid, law, u, with_deriv=True, shift=shift)
+    return _assemble(grid, law, _checked_state(grid, u, "state"), with_deriv=True, shift=shift)
 
 
 def first_eigenvalue(grid: SpatialGrid) -> float:

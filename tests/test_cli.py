@@ -57,6 +57,9 @@ class TestRunCommand:
         assert report["certificates"]["decay"]["passed"] is True
         assert report["certificates"]["decay"]["min_margin"] > 0.0
         assert "config_text" in report
+        seconds = report["timings"]["certificates"]
+        assert set(seconds) == set(report["certificates"])
+        assert all(s >= 0.0 for s in seconds.values())
 
     def test_norms_tsv_format(self, tmp_path):
         cfg = _write(tmp_path, FAST_RUN)

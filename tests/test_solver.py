@@ -39,6 +39,21 @@ def _sine_problem(alpha=0.5, resolution=65, steps=64, horizon=1.0, law=None, gra
     )
 
 
+def _stiff_problem():
+    """a(y) = 1 + 50 sin^2(3y) (nu = 1, lam = 51), on which undamped Picard overshoots on step 1."""
+    law = DiffusionLaw(
+        a=lambda y: 1.0 + 50.0 * np.sin(3.0 * np.asarray(y)) ** 2,
+        deriv=lambda y: 150.0 * np.sin(6.0 * np.asarray(y)),
+        nu=1.0,
+        lam=51.0,
+        tag="stiff",
+    )
+    grid = build_grid(1, (0.0, math.pi), 33)
+    return ProblemSpec(
+        alpha=0.5, time_grid=TimeGrid.uniform(10.0, 4), grid=grid, law=law, u0=np.sin(grid.points()[:, 0])
+    )
+
+
 class TestEigenmodeAccuracy:
     def test_linear_problem_tracks_separated_solution(self):
         # constant coefficient, sine initial data: u = E_a(-t^a) sin(x)
@@ -278,6 +293,30 @@ class TestInteriorSolve:
         assert exc.value.iterations == 1
         assert exc.value.last_iterate.shape == (spec.grid.n_nodes,)
 
+    def test_singular_tridiagonal_block_raises(self):
+        # a zero diagonal makes the 7 x 7 interior block singular (odd order)
+        grid = build_grid(1, (0.0, 1.0), 9)
+        M = assemble_quasilinear_operator(grid, porous_law(), np.linspace(0.0, 1.0, 9), shift=3.0)
+        M.data[grid.operator_pattern[2][1:-1]] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solver.spsolve(M, np.ones(9), grid=grid, shift=3.0, nu=1.0, atol=1e-12, symmetric=True)
+
+    @pytest.mark.parametrize("mode, builder", [("picard", "assemble_quasilinear_operator"), ("newton", "newton_jacobian")])
+    def test_singular_tridiagonal_block_fails_the_step(self, mode, builder, monkeypatch):
+        build = getattr(solver, builder)
+
+        def singular(grid, law, u, shift=0.0):
+            M = build(grid, law, u, shift=shift)
+            M.data[grid.operator_pattern[2][1:-1]] = 0.0
+            return M
+
+        monkeypatch.setattr(solver, builder, singular)
+        spec = _sine_problem(law=porous_law(), resolution=9, steps=4)
+        with pytest.raises(StepFailure, match="linear solve failed: .*singular") as exc:
+            run_trajectory(spec, SolverOptions(mode=mode))
+        assert exc.value.step == 1
+        assert exc.value.iterations == 1
+
     @pytest.mark.parametrize("mode", ["picard", "newton"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_constant_dirichlet_data_stays_bitwise_on_every_step(self, dim, mode):
@@ -295,6 +334,55 @@ class TestInteriorSolve:
         traj = run_trajectory(spec, SolverOptions(mode=mode))
         assert np.all(traj.fields[:, grid.boundary_mask] == g)
         assert np.max(np.abs(traj.fields[1] - g)) > 0.1  # the interior is away from the data
+
+
+class TestAssemblyContract:
+    """Each correction assembles only the matrix it solves with."""
+
+    @pytest.mark.parametrize(
+        "case, mode",
+        [
+            ("1d", "picard"),
+            ("1d", "newton"),
+            ("2d", "picard"),
+            ("2d", "newton"),
+            ("stiff-1d", "picard"),  # steps with damping halvings
+        ],
+    )
+    def test_matrices_built_per_step(self, case, mode, monkeypatch):
+        spec = {
+            "1d": lambda: _sine_problem(law=porous_law(), steps=16),
+            "2d": lambda: build_preset("porous", dimension=2, resolution=17, steps=4, horizon=1.0),
+            "stiff-1d": _stiff_problem,
+        }[case]()
+        counts = []  # per step: [step matrices, Jacobians]
+
+        def counting(k, fn):
+            def wrapper(*args, **kwargs):
+                counts[-1][k] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        solve_step = solver._solve_step
+
+        def step(*args):
+            counts.append([0, 0])
+            return solve_step(*args)
+
+        monkeypatch.setattr(solver, "_solve_step", step)
+        monkeypatch.setattr(solver, "assemble_quasilinear_operator", counting(0, solver.assemble_quasilinear_operator))
+        monkeypatch.setattr(solver, "newton_jacobian", counting(1, solver.newton_jacobian))
+        traj = run_trajectory(spec, SolverOptions(mode=mode, max_iter=100))
+        counts = np.array(counts)
+        if case == "stiff-1d":
+            assert traj.halvings.max() >= 1
+        if mode == "picard":
+            np.testing.assert_array_equal(counts[:, 0], traj.iterations[1:] + 1)
+            np.testing.assert_array_equal(counts[:, 1], 0)
+        else:
+            np.testing.assert_array_equal(counts[:, 0], 0)
+            np.testing.assert_array_equal(counts[:, 1], traj.iterations[1:])
 
 
 class TestDeterminism:

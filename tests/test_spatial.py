@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subdiff.spatial import (
+    apply_quasilinear_operator,
     assemble_quasilinear_operator,
     build_grid,
     constant_law,
@@ -25,6 +26,11 @@ class TestBuildGrid:
         np.testing.assert_allclose(g.spacing[0], math.pi / 80.0, rtol=1e-15)
         assert g.boundary_mask.sum() == 2
         assert g.interior_indices().size == 79
+
+    def test_node_count_is_a_cached_int(self):
+        g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))
+        assert type(g.n_nodes) is int and g.n_nodes == 17 * 33
+        assert g.__dict__["n_nodes"] is g.n_nodes
 
     def test_2d_boundary_count(self):
         g = build_grid(2, (0.0, 1.0), 9)
@@ -208,12 +214,27 @@ class TestOperator:
         with pytest.raises(ValueError):
             build_grid(2, (0.0, 1.0), 5).band_slots
 
+    @pytest.mark.parametrize("shift", [0.0, 2.5])
+    @pytest.mark.parametrize("law", [constant_law(2.0), porous_law()], ids=["constant", "porous"])
+    @pytest.mark.parametrize(
+        "dim, extents, res", [(1, (0.0, 1.0), 33), (2, (0.0, 1.0), 17), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
+    )
+    def test_matrix_free_apply_matches_assembled_product(self, dim, extents, res, law, shift):
+        g = build_grid(dim, extents, res)
+        u = np.random.default_rng(6).normal(size=g.n_nodes)
+        want = assemble_quasilinear_operator(g, law, u, shift=shift) @ u
+        got = apply_quasilinear_operator(g, law, u, shift=shift)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(got[g.boundary_mask], u[g.boundary_mask])
+
     def test_size_mismatch_rejected(self):
         g = build_grid(1, (0.0, 1.0), 8)
         with pytest.raises(ValueError):
             assemble_quasilinear_operator(g, constant_law(), np.zeros(7))
         with pytest.raises(ValueError):
             newton_jacobian(g, constant_law(), np.zeros(9))
+        with pytest.raises(ValueError):
+            apply_quasilinear_operator(g, constant_law(), np.zeros(9))
 
 
 class TestPoincare:
