@@ -108,6 +108,8 @@ def _collect_certificates(traj, cc):
                     "slack": rep.slack,
                     "min_margin": float(rep.margins.min()),
                     "tail_exponent": rep.tail_exponent,
+                    "ml_max_error_estimate": rep.ml_max_error_estimate,
+                    "ml_inaccurate": rep.ml_inaccurate,
                 }
             except ValueError as exc:
                 certs["decay"] = {"passed": None, "skipped": str(exc)}
@@ -118,6 +120,8 @@ def _collect_certificates(traj, cc):
                 "passed": rep.passed,
                 "max_scaled_residual": rep.max_scaled_residual,
                 "threshold": rep.threshold,
+                "worst_time": rep.worst_time,
+                "worst_node": rep.worst_node,
             }
     if cc.hoelder:
         with _timed(seconds, "hoelder"):

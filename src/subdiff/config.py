@@ -19,7 +19,8 @@ dotted path works anywhere.  Unknown sections or keys are rejected with the
 offending path named, and parsing reports every violation at once rather
 than stopping at the first.  Settings that are valid one by one but cannot
 run together (compressed history on a graded or one-step time grid,
-extents that do not fit the dimension) are rejected too;
+extents that do not fit the dimension) are rejected too, and so is an
+``eps_compress`` below 1e-13, which no compression can reach;
 :func:`check_config` repeats that check after command-line overrides.
 """
 
@@ -152,6 +153,10 @@ _SCHEMA = {
     "output.snapshot_times": ("floats", lambda v: all(t >= 0.0 for t in v), "nonnegative times"),
 }
 
+# smallest solver.eps_compress accepted: compress_history fits its weights to
+# eps / 100, and that fit bottoms out near 1.6e-15
+_EPS_COMPRESS_FLOOR = 1e-13
+
 _TOPLEVEL_ALIASES = {"problem": "problem.preset", "alpha": "problem.alpha"}
 
 
@@ -264,6 +269,11 @@ def check_config(cfg: RunConfig) -> None:
             problems.append("solver.history=compressed needs a uniform time grid (set time.grading=1)")
         if cfg.time.steps == 1:
             problems.append("solver.history=compressed needs time.steps >= 2 (one step has no history)")
+    eps = cfg.solver.eps_compress
+    if eps < _EPS_COMPRESS_FLOOR:
+        problems.append(
+            f"history compression cannot reach eps={eps:g}: solver.eps_compress must be >= {_EPS_COMPRESS_FLOOR:g}"
+        )
     ext, dim = cfg.problem.extents, cfg.problem.dimension or 1  # every preset defaults to dimension 1
     if ext is not None and (len(ext) not in (2, 2 * dim) or any(b <= a for a, b in zip(ext[::2], ext[1::2]))):
         problems.append(f"problem.extents={list(ext)} does not fit problem.dimension={dim} (pairs a < b, one or per axis)")

@@ -36,14 +36,26 @@ def relaxation_solution(alpha: float, mu: float, v0: float, t):
 
     ``t`` may be a scalar or an array; ``mu`` must be nonnegative.
     """
+    out, _, _ = _envelope(alpha, mu, v0, t)
+    return float(out) if out.ndim == 0 else out
+
+
+def _envelope(alpha: float, mu: float, v0: float, t):
+    """``V0 E_a(-mu t^a)`` shaped like ``t``, with the largest error estimate
+    and the inaccurate count of the Mittag-Leffler evaluations behind it."""
     if mu < 0.0:
         raise ValueError(f"decay rate mu must be nonnegative, got {mu}")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("relaxation_solution requires t >= 0")
-    out = np.array([v0 * mittag_leffler(alpha, -mu * ti**alpha).value for ti in t.ravel()])
-    out = out.reshape(t.shape)
-    return float(out) if out.ndim == 0 else out
+    out = np.empty(t.size)
+    max_error, inaccurate = 0.0, 0
+    for i, ti in enumerate(t.ravel()):
+        e = mittag_leffler(alpha, -mu * ti**alpha)
+        out[i] = v0 * e.value
+        max_error = max(max_error, e.error_estimate)
+        inaccurate += not e.accurate
+    return out.reshape(t.shape), max_error, inaccurate
 
 
 def solve_relaxation_l1(alpha: float, mu: float, v0: float, grid: TimeGrid) -> np.ndarray:
@@ -89,6 +101,11 @@ class DecayCertificate:
     it approaches ``-alpha``.  The window deliberately avoids the crossover
     zone where the stretched-exponential regime still bends the slope.  NaN
     when the window has fewer than five usable nodes.
+
+    ``ml_max_error_estimate`` is the largest error estimate of the
+    Mittag-Leffler evaluations behind the envelope (for ``E_a`` itself, before
+    the factor ``w0``), and ``ml_inaccurate`` counts the evaluations flagged
+    inaccurate (estimate above the module's advertised tolerance).
     """
 
     alpha: float
@@ -101,6 +118,8 @@ class DecayCertificate:
     margins: np.ndarray
     passed: bool
     tail_exponent: float
+    ml_max_error_estimate: float
+    ml_inaccurate: int
 
 
 def _fit_tail_exponent(times: np.ndarray, w: np.ndarray) -> float:
@@ -132,7 +151,7 @@ def comparison_check(
     if observed.shape != (grid.steps + 1,):
         raise ValueError("observed history must have one value per grid node")
     times = grid.nodes
-    envelope = relaxation_solution(alpha, mu, w0, times)
+    envelope, ml_max_error, ml_inaccurate = _envelope(alpha, mu, w0, times)
     margins = slack * envelope[1:] - observed[1:]
     passed = bool(np.all(margins >= 0.0))
     return DecayCertificate(
@@ -146,6 +165,8 @@ def comparison_check(
         margins=margins,
         passed=passed,
         tail_exponent=_fit_tail_exponent(times[1:], observed[1:]),
+        ml_max_error_estimate=ml_max_error,
+        ml_inaccurate=ml_inaccurate,
     )
 
 

@@ -10,8 +10,8 @@ built once per grid (:attr:`SpatialGrid.operator_pattern`); their ``shift``
 adds to the interior diagonal, so the step matrix ``w I_int + A(u)`` is one
 assembly.  :func:`apply_quasilinear_operator` evaluates the product of the
 same operator with ``u`` without building a matrix, for residuals that no
-solve needs the matrix of; it takes its face coefficients from the same
-helper as the assembly.  Each grid also caches what the interior solves
+solve needs the matrix of, on one state or on a stack of states in one
+pass; it takes its face coefficients from the same helper as the assembly.  Each grid also caches what the interior solves
 need: the slots of the tridiagonal interior block in 1D
 (:attr:`SpatialGrid.band_slots`) and the eigenvalues of the sine modes that
 diagonalise the discrete Dirichlet Laplacian
@@ -92,17 +92,18 @@ class SpatialGrid:
         Interior rows couple a node to its axis neighbours, boundary rows hold
         only the diagonal.  ``diag_slots`` locates entry ``(i, i)`` in the data
         vector; per axis, ``faces`` holds the node slices ``lo, hi`` of every
-        face, the faces whose lower (upper) node is interior and the slots of
-        their entries ``(lower, upper)`` (``(upper, lower)``).  The index arrays
-        are read-only because every assembled matrix shares them.
+        face (led by an ``Ellipsis``, so they also index stacked fields), the
+        faces whose lower (upper) node is interior and the slots of their
+        entries ``(lower, upper)`` (``(upper, lower)``).  The index arrays are
+        read-only because every assembled matrix shares them.
         """
         n = self.n_nodes
         idx = np.arange(n).reshape(self.shape)
         interior = ~self.boundary_mask.reshape(self.shape)
         rows, cols, axes = [np.arange(n)], [np.arange(n)], []
         for d in range(self.dim):
-            lo = tuple(slice(None, -1) if k == d else slice(None) for k in range(self.dim))
-            hi = tuple(slice(1, None) if k == d else slice(None) for k in range(self.dim))
+            lo = (Ellipsis,) + tuple(slice(None, -1) if k == d else slice(None) for k in range(self.dim))
+            hi = (Ellipsis,) + tuple(slice(1, None) if k == d else slice(None) for k in range(self.dim))
             lo_faces = np.flatnonzero(interior[lo])
             hi_faces = np.flatnonzero(interior[hi])
             lo_nodes, hi_nodes = idx[lo].ravel(), idx[hi].ravel()
@@ -275,7 +276,9 @@ def _face_coefficients(grid: SpatialGrid, law: DiffusionLaw, u_nd: np.ndarray):
     """Per axis: ``(h^2, faces, face_u, a(face_u) / h^2)``.
 
     ``faces`` is the axis entry of :attr:`SpatialGrid.operator_pattern` and
-    ``face_u`` the face means ``(u_lo + u_hi) / 2``.
+    ``face_u`` the face means ``(u_lo + u_hi) / 2``.  ``u_nd`` is shaped like
+    the grid, or carries leading stack axes before the grid axes; the node
+    slices ``lo, hi`` of ``faces`` index the trailing axes either way.
     """
     for h, faces in zip(grid.spacing, grid.operator_pattern[3]):
         lo, hi = faces[0], faces[1]
@@ -302,8 +305,12 @@ def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: b
     return sp.csc_matrix((data, indices, indptr), shape=(grid.n_nodes, grid.n_nodes))
 
 
-def _checked_state(grid: SpatialGrid, u, what: str) -> np.ndarray:
-    u = np.asarray(u, dtype=float).ravel()
+def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np.ndarray:
+    """``u`` as a flat state, or, with ``stacked``, a 2-D ``(S, n_nodes)`` array kept as a stack of states."""
+    u = np.asarray(u, dtype=float)
+    if stacked and u.ndim == 2 and u.shape[1] == grid.n_nodes:
+        return u
+    u = u.ravel()
     if u.size != grid.n_nodes:
         raise ValueError(f"{what} does not match the grid")
     return u
@@ -328,16 +335,21 @@ def apply_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: f
     and enters its upper one; interior entries add ``shift * u``, and the
     boundary entries equal ``u`` bitwise, as the identity rows give.  Agrees
     with the matrix product to rounding (the sums run in another order).
+
+    ``u`` is one state (``n_nodes`` values, flat or shaped like the grid;
+    returns ``(n_nodes,)``) or a stack of states ``(S, n_nodes)``, each with
+    its own frozen coefficient (returns ``(S, n_nodes)``, row ``s`` equal to
+    the call on ``u[s]``): one vectorised pass over every row's faces.
     """
-    u = _checked_state(grid, u, "state")
-    u_nd = u.reshape(grid.shape)
+    u = _checked_state(grid, u, "state", stacked=True)
+    u_nd = u.reshape(u.shape[:-1] + grid.shape)
     out = shift * u_nd
     for _, (lo, hi, *_), _, coeff in _face_coefficients(grid, law, u_nd):
         flux = coeff * (u_nd[hi] - u_nd[lo])
         out[lo] -= flux
         out[hi] += flux
-    out = out.ravel()
-    out[grid.boundary_mask] = u[grid.boundary_mask]
+    out = out.ravel() if u.ndim == 1 else out.reshape(u.shape)  # ravel: the cheaper view on the per-step path
+    np.copyto(out, u, where=grid.boundary_mask)
     return out
 
 

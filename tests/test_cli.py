@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subdiff.cli import main
+from subdiff.kernels import CompressionError
 from subdiff.reporting import NORMS_HEADER
 
 FAST_RUN = """
@@ -56,6 +57,11 @@ class TestRunCommand:
         assert report["solver"]["max_halvings"] == 0
         assert report["certificates"]["decay"]["passed"] is True
         assert report["certificates"]["decay"]["min_margin"] > 0.0
+        assert 0.0 <= report["certificates"]["decay"]["ml_max_error_estimate"] <= 1e-10
+        assert report["certificates"]["decay"]["ml_inaccurate"] == 0
+        weak = report["certificates"]["weakform"]
+        assert 0.0 < weak["worst_time"] < 1.0  # the peak of an interior time hat, horizon 1
+        assert isinstance(weak["worst_node"], int) and 0 < weak["worst_node"] < 32  # interior of 33 nodes
         assert "config_text" in report
         seconds = report["timings"]["certificates"]
         assert set(seconds) == set(report["certificates"])
@@ -216,6 +222,18 @@ class TestOtherErrorsExitTwo:
         cfg = _write(tmp_path, self.BASE + "[solver]\nhistory = compressed\neps_compress = 1e-30\n")
         out = tmp_path / "o"
         self._assert_exit_two(main(["run", cfg, "--out", str(out)]), capsys, "compression")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_compression_failure_during_the_run(self, tmp_path, capsys, monkeypatch, command):
+        # a tolerance the config accepts but the fit misses still exits 2, with no output directory
+        def failing(*args, **kwargs):
+            raise CompressionError("could not reach eps=1e-08 within the mode budget", achieved=1e-6)
+
+        monkeypatch.setattr("subdiff.solver.compress_history", failing)
+        cfg = _write(tmp_path, self.BASE + "[solver]\nhistory = compressed\n")
+        out = tmp_path / "o"
+        self._assert_exit_two(main([command, cfg, "--out", str(out)]), capsys, "compression", "eps=1e-08")
         assert not out.exists()
 
 

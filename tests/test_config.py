@@ -118,6 +118,14 @@ class TestErrorAggregation:
         cfg = parse_config("[solver]\nhistory = compressed\n[time]\ngrading = 1\n")
         assert cfg.solver.history == "compressed"
 
+    def test_compression_tolerance_floor(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[solver]\neps_compress = 1e-14\n")
+        assert exc.value.problems == [
+            "history compression cannot reach eps=1e-14: solver.eps_compress must be >= 1e-13"
+        ]
+        assert parse_config("[solver]\neps_compress = 1e-13\n").solver.eps_compress == 1e-13
+
     def test_mode_choices_listed(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("[solver]\nmode = banana\n")

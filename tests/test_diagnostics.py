@@ -2,10 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import subdiff.diagnostics as diagnostics
+import subdiff.spatial as spatial
 from subdiff.diagnostics import (
+    _knot_weights,
     boundedness_report,
     convexity_report,
     decay_report,
@@ -16,7 +20,7 @@ from subdiff.diagnostics import (
     weakform_residual,
 )
 from subdiff.kernels import TimeGrid, default_grading
-from subdiff.presets import build_preset
+from subdiff.presets import _time_grid, build_preset
 from subdiff.solver import ProblemSpec, run_trajectory
 from subdiff.spatial import build_grid, constant_law, porous_law
 
@@ -211,3 +215,111 @@ class TestWeakformResidual:
         traj = _run("zero", resolution=17, steps=8)
         with pytest.raises(ValueError):
             weakform_residual(traj, n_time_tests=1)
+
+    def test_reports_where_the_worst_residual_sits(self):
+        traj = _run("porous", resolution=33, steps=64, horizon=1.0)
+        rep = weakform_residual(traj)
+        # the worst hat peaks at an interior grid time, the worst test node is interior
+        assert 0.0 < rep.worst_time < traj.times[-1]
+        assert rep.worst_time in traj.times
+        assert 0 <= rep.worst_node < traj.spec.grid.n_nodes
+        assert not traj.spec.grid.boundary_mask[rep.worst_node]
+        # corrupting only the later half in time and the right third in space moves the worst test there
+        bad = traj.fields.copy()
+        bad[traj.times >= 0.5, 22:] *= 1.1
+        worst = weakform_residual(traj, fields=bad)
+        assert worst.worst_time >= 0.5
+        assert worst.worst_node >= 21
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_makes_no_assemblies(self, dimension, monkeypatch):
+        traj = _run("porous", dimension=dimension, resolution=17, steps=16, horizon=1.0)
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in [(diagnostics, "assemble_quasilinear_operator"), (spatial, "assemble_quasilinear_operator"),
+                             (spatial, "_assemble")]:
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        weakform_residual(traj)
+        assert calls == []
+
+
+def _naive_knot_row(alpha, nodes, K):
+    """Knot row from the closed form alone: differences of g_{3-a} and g_{4-a} values on every step."""
+    p = 2.0 - alpha
+    T = nodes[K]
+    a, b, tau = T - nodes[:K], T - nodes[1 : K + 1], np.diff(nodes[: K + 1])
+    d1 = (a**p - b**p) / math.gamma(p + 1.0)
+    d2 = p * (a ** (p + 1.0) - b ** (p + 1.0)) / math.gamma(p + 2.0)
+    row = np.zeros(nodes.size)
+    row[:K] += (d2 - b * d1) / tau
+    row[1 : K + 1] += (a * d1 - d2) / tau
+    return row
+
+
+def _mp_knot_weight(alpha, nodes, K, k):
+    """(g_{2-a} * hat_k)(t_K) by 40-digit quadrature, hat_k the nodal hat of t_k on the grid."""
+    with mp.workdps(40):
+        p = mp.mpf(2) - mp.mpf(alpha)
+        T = mp.mpf(nodes[K])
+
+        def piece(lo, hi, rising):
+            tau, b = mp.mpf(nodes[hi]) - mp.mpf(nodes[lo]), T - mp.mpf(nodes[hi])
+            shape = (lambda x: 1 - x) if rising else (lambda x: x)  # x = (T - s - b) / tau
+            return tau * mp.quad(lambda x: (b + tau * x) ** (p - 1) * shape(x), [0, 1]) / mp.gamma(p)
+
+        total = mp.mpf(0)
+        if k > 0:
+            total += piece(k - 1, k, rising=True)
+        if k < K:
+            total += piece(k, k + 1, rising=False)
+        return total
+
+
+class TestKnotWeights:
+    """Exact integrals of g_{2-a} against the piecewise-linear interpolant, at the knots of the time hats."""
+
+    W3 = (0.3, 100.0, 8192)  # alpha, horizon, steps: the long graded grid whose first step is 2.2e-14
+    SAMPLES = (0, 1, 2, 10, 100, 1000, 8192)
+
+    def test_match_mpmath_on_the_long_graded_grid(self):
+        alpha, horizon, steps = self.W3
+        nodes = _time_grid(alpha, horizon, steps, None).nodes
+        assert nodes[1] < 1e-13
+        C = _knot_weights(alpha, nodes, np.array(self.SAMPLES))
+        worst = worst_naive = 0.0
+        for row, K in zip(C, self.SAMPLES):
+            assert np.all(row[K + 1 :] == 0.0)
+            if K == 0:
+                assert np.all(row == 0.0)
+                continue
+            naive = _naive_knot_row(alpha, nodes, K)
+            for k in (k for k in self.SAMPLES if k <= K):
+                want = _mp_knot_weight(alpha, nodes, K, k)
+                worst = max(worst, float(abs((row[k] - want) / want)))
+                worst_naive = max(worst_naive, float(abs((naive[k] - want) / want)))
+        assert worst <= 1e-12
+        # the closed form alone cancels catastrophically on the tiny early steps
+        assert worst_naive > 1e-12
+
+    @pytest.mark.parametrize(
+        "grid",
+        [_time_grid(0.3, 100.0, 8192, None), TimeGrid.uniform(2.0, 64), TimeGrid.graded(1.0, 256, 3.0)],
+        ids=["w3-graded", "uniform", "graded"],
+    )
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    def test_reproduce_power_moments(self, grid, alpha):
+        # (g_b * 1)(T) = T^b / Gamma(b + 1) and (g_b * t)(T) = T^(b+1) / Gamma(b + 2), b = 2 - a
+        beta = 2.0 - alpha
+        nodes = grid.nodes
+        knots = np.array([1, 2, grid.steps // 3, grid.steps])
+        C = _knot_weights(alpha, nodes, knots)
+        T = nodes[knots]
+        np.testing.assert_allclose(C.sum(axis=1), T**beta / math.gamma(beta + 1.0), rtol=1e-13)
+        np.testing.assert_allclose(C @ nodes, T ** (beta + 1.0) / math.gamma(beta + 2.0), rtol=1e-13)

@@ -1,12 +1,16 @@
 """Fractional relaxation: exact envelope, L1 marcher, comparison principle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
+from subdiff import relaxation
 from subdiff.kernels import L1Weights, TimeGrid, default_grading
+from subdiff.mittag_leffler import mittag_leffler
 from subdiff.relaxation import (
     comparison_check,
     random_subsolution,
@@ -115,6 +119,27 @@ class TestComparisonCheck:
         cert = comparison_check(obs, tg, 0.5, 0.0, 1.0, slack=1.1)
         assert np.isnan(cert.tail_exponent)
         assert cert.passed
+
+    def test_reports_mittag_leffler_accuracy(self, monkeypatch):
+        # one evaluation per node through subdiff.relaxation.mittag_leffler; the worst
+        # estimate and the inaccurate count are carried, here with one flag forced
+        tg = TimeGrid.graded(20.0, 64, default_grading(0.4))
+        evals = []
+
+        def recording(alpha, z):
+            e = mittag_leffler(alpha, z)
+            if len(evals) == 7:
+                e = dataclasses.replace(e, error_estimate=3e-9, accurate=False)
+            evals.append(e)
+            return e
+
+        monkeypatch.setattr(relaxation, "mittag_leffler", recording)
+        obs = relaxation_solution(0.4, 2.0, 1.0, tg.nodes)
+        evals.clear()
+        cert = comparison_check(obs, tg, 0.4, 2.0, 1.0)
+        assert len(evals) == tg.steps + 1
+        assert cert.ml_max_error_estimate == max(e.error_estimate for e in evals) == 3e-9
+        assert cert.ml_inaccurate == 1
 
     def test_validation(self):
         tg = TimeGrid.uniform(1.0, 8)

@@ -227,6 +227,20 @@ class TestOperator:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(got[g.boundary_mask], u[g.boundary_mask])
 
+    @pytest.mark.parametrize("shift", [0.0, 2.5])
+    @pytest.mark.parametrize("law", [constant_law(2.0), porous_law()], ids=["constant", "porous"])
+    @pytest.mark.parametrize(
+        "dim, extents, res", [(1, (0.0, 1.0), 33), (2, (0.0, 1.0), 17), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
+    )
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_stacked_apply_equals_row_by_row(self, dim, extents, res, law, shift, rows):
+        g = build_grid(dim, extents, res)
+        U = np.random.default_rng(7).normal(size=(rows, g.n_nodes))
+        got = apply_quasilinear_operator(g, law, U, shift=shift)
+        assert got.shape == U.shape
+        for u, row in zip(U, got):
+            assert np.array_equal(row, apply_quasilinear_operator(g, law, u, shift=shift))
+
     def test_size_mismatch_rejected(self):
         g = build_grid(1, (0.0, 1.0), 8)
         with pytest.raises(ValueError):
@@ -235,6 +249,8 @@ class TestOperator:
             newton_jacobian(g, constant_law(), np.zeros(9))
         with pytest.raises(ValueError):
             apply_quasilinear_operator(g, constant_law(), np.zeros(9))
+        with pytest.raises(ValueError):
+            apply_quasilinear_operator(g, constant_law(), np.zeros((3, 9)))
 
 
 class TestPoincare:
