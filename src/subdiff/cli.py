@@ -250,29 +250,20 @@ def cmd_study(args) -> int:
         exact = eigenmode_exact(base_spec)
 
     def level_spec(l: int):
-        if axis == "space":
-            res = (base_res - 1) * 2**l + 1
-            return build_preset(
-                cfg.problem.preset,
-                alpha=cfg.problem.alpha,
-                dimension=cfg.problem.dimension,
-                extents=cfg.problem.extents,
-                resolution=res,
-                horizon=cfg.time.horizon,
-                steps=base_steps,
-                grading=cfg.time.grading,
-            ), res
-        steps = base_steps * 2**l
-        return build_preset(
+        space = axis == "space"
+        res = (base_res - 1) * 2**l + 1 if space else base_res
+        steps = base_steps if space else base_steps * 2**l
+        spec = build_preset(
             cfg.problem.preset,
             alpha=cfg.problem.alpha,
             dimension=cfg.problem.dimension,
             extents=cfg.problem.extents,
-            resolution=base_res,
+            resolution=res,
             horizon=cfg.time.horizon,
             steps=steps,
             grading=cfg.time.grading,
-        ), steps
+        )
+        return spec, res if space else steps
 
     try:
         finals = []
@@ -429,7 +420,6 @@ def main(argv=None) -> int:
     p_study.add_argument("config", help="path to a run configuration file")
     p_study.add_argument("--levels", type=int, help="number of refinement levels (overrides [study] levels)")
     p_study.add_argument("--out", help="output directory")
-    p_study.add_argument("--seed", type=int, help="unused by the deterministic study; accepted for symmetry")
     p_study.set_defaults(func=cmd_study)
 
     p_props = sub.add_parser("props", help="randomized property sweeps (no PDE run)")

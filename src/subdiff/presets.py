@@ -40,8 +40,6 @@ def _product_sine(grid: SpatialGrid) -> np.ndarray:
 
 def _time_grid(alpha: float, horizon: float, steps: int, grading) -> TimeGrid:
     r = default_grading(alpha) if grading is None else float(grading)
-    if r == 1.0:
-        return TimeGrid.uniform(horizon, steps)
     return TimeGrid.graded(horizon, steps, r)
 
 

@@ -219,12 +219,14 @@ _GMRES_RESTART = 20
 def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, symmetric: bool) -> np.ndarray:
     """Solve ``M x = b`` for the interior unknowns of ``grid``; ``x`` is zero on the boundary.
 
-    ``M`` is a step matrix or Jacobian on the grid's operator pattern, with
+    ``M`` is a step matrix or Jacobian as the :mod:`subdiff.spatial`
+    builders return it (a ``dia_matrix`` with offsets ascending), with
     ``shift`` on its interior diagonal and coefficients at least ``nu``; the
-    boundary entries of ``b`` are ignored.  In 1D the tridiagonal interior
-    block, read from ``M.data`` through :attr:`~subdiff.spatial.SpatialGrid.band_slots`,
-    goes to LAPACK ``dgtsv`` (Gaussian elimination with partial pivoting),
-    which is exact.  In 2D ``symmetric`` selects preconditioned CG (Picard)
+    boundary entries of ``b`` are ignored.  In 1D the three rows of
+    ``M.data`` are the sub-, main and superdiagonal, stored by column; their
+    interior block goes to LAPACK ``dgtsv`` (Gaussian elimination with
+    partial pivoting), which is exact.  It works on copies, so ``M`` is left
+    as it was.  In 2D ``symmetric`` selects preconditioned CG (Picard)
     or GMRES (Newton), both preconditioned by the sine-transform solve of
     ``shift I + nu (-Delta_h)`` and stopped once the 2-norm of ``b - M x`` is
     at most ``atol`` (GMRES restarts every ``_GMRES_RESTART`` iterations);
@@ -238,9 +240,9 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
     layer by wrapping ``subdiff.solver.spsolve``.
     """
     if grid.dim == 1:
-        super_, diag, sub = M.data[grid.band_slots]
+        sub, main, sup = M.data
         x = np.zeros(grid.n_nodes)
-        *_, x[1:-1], info = dgtsv(sub[:-1], diag, super_[1:], b[1:-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        *_, x[1:-1], info = dgtsv(sub[1:-2], main[1:-1], sup[2:-1], b[1:-1])
         if info > 0:
             raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
         return x

@@ -5,17 +5,18 @@ coefficient evaluated at the arithmetic mean of the two adjacent nodes, which
 keeps the assembled interior block symmetric for frozen u and second-order
 accurate.  Dirichlet rows are identity rows, so a step matrix leaves the
 Dirichlet data unchanged.
-The Picard operator and the Newton Jacobian fill values on one CSC pattern
-built once per grid (:attr:`SpatialGrid.operator_pattern`); their ``shift``
-adds to the interior diagonal, so the step matrix ``w I_int + A(u)`` is one
-assembly.  :func:`apply_quasilinear_operator` evaluates the product of the
-same operator with ``u`` without building a matrix, for residuals that no
-solve needs the matrix of, on one state or on a stack of states in one
-pass; it takes its face coefficients from the same helper as the assembly.  Each grid also caches what the interior solves
-need: the slots of the tridiagonal interior block in 1D
-(:attr:`SpatialGrid.band_slots`) and the eigenvalues of the sine modes that
-diagonalise the discrete Dirichlet Laplacian
-(:attr:`SpatialGrid.dirichlet_eigenvalues`).
+The Picard operator and the Newton Jacobian are ``scipy.sparse.dia_matrix``
+objects, one ``data`` row per diagonal with the offsets ascending; each grid
+builds those offsets and its face slices once
+(:attr:`SpatialGrid.operator_pattern`).  Their ``shift`` adds to the
+interior diagonal, so the step matrix ``w I_int + A(u)`` is one assembly.
+:func:`apply_quasilinear_operator` evaluates the product of the same
+operator with ``u`` without building a matrix, for residuals that no solve
+needs the matrix of, on one state or on a stack of states in one pass; it
+takes its face coefficients from the same helper as the assembly.  Each grid
+also caches the eigenvalues of the sine modes that diagonalise the discrete
+Dirichlet Laplacian (:attr:`SpatialGrid.dirichlet_eigenvalues`), which the
+2D interior solves need.
 """
 
 from __future__ import annotations
@@ -87,60 +88,28 @@ class SpatialGrid:
 
     @cached_property
     def operator_pattern(self) -> tuple:
-        """CSC structure shared by every operator on this grid: ``(indptr, indices, diag_slots, faces)``.
+        """Diagonal structure shared by every operator on this grid: ``(offsets, faces)``.
 
-        Interior rows couple a node to its axis neighbours, boundary rows hold
-        only the diagonal.  ``diag_slots`` locates entry ``(i, i)`` in the data
-        vector; per axis, ``faces`` holds the node slices ``lo, hi`` of every
-        face (led by an ``Ellipsis``, so they also index stacked fields), the
-        faces whose lower (upper) node is interior and the slots of their
-        entries ``(lower, upper)`` (``(upper, lower)``).  The index arrays are
-        read-only because every assembled matrix shares them.
+        ``offsets`` are the diagonals of the DIA storage, ascending:
+        ``-stride_0, ..., -1, 0, +1, ..., +stride_0`` with ``stride_d`` the
+        C-order stride of axis ``d``, so row ``dim`` of the data is the main
+        diagonal.  Ascending is the column order of a row, the order in which
+        a CSC product sums it.  Per axis, ``faces`` holds the node slices
+        ``lo, hi`` of every face (led by an ``Ellipsis``, so they also index
+        stacked fields) and the masks of the faces whose lower (upper) node
+        is interior.  Read-only.
         """
-        n = self.n_nodes
-        idx = np.arange(n).reshape(self.shape)
+        strides = np.array([np.prod(self.shape[d + 1 :], dtype=int) for d in range(self.dim)])
+        offsets = np.concatenate((-strides, [0], strides[::-1])).astype(np.int32)
+        offsets.setflags(write=False)
         interior = ~self.boundary_mask.reshape(self.shape)
-        rows, cols, axes = [np.arange(n)], [np.arange(n)], []
+        interior.setflags(write=False)
+        faces = []
         for d in range(self.dim):
             lo = (Ellipsis,) + tuple(slice(None, -1) if k == d else slice(None) for k in range(self.dim))
             hi = (Ellipsis,) + tuple(slice(1, None) if k == d else slice(None) for k in range(self.dim))
-            lo_faces = np.flatnonzero(interior[lo])
-            hi_faces = np.flatnonzero(interior[hi])
-            lo_nodes, hi_nodes = idx[lo].ravel(), idx[hi].ravel()
-            rows += [lo_nodes[lo_faces], hi_nodes[hi_faces]]
-            cols += [hi_nodes[lo_faces], lo_nodes[hi_faces]]
-            axes.append((lo, hi, lo_faces, hi_faces))
-        sizes = [r.size for r in rows]
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        order = np.lexsort((rows, cols))  # column-major, the CSC storage order
-        slots = np.empty_like(order)
-        slots[order] = np.arange(order.size)
-        diag_slots, *face_slots = np.split(slots, np.cumsum(sizes)[:-1])
-        faces = tuple(
-            (lo, hi, lo_faces, face_slots[2 * d], hi_faces, face_slots[2 * d + 1])
-            for d, (lo, hi, lo_faces, hi_faces) in enumerate(axes)
-        )
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n)))).astype(np.int32)
-        indices = rows[order].astype(np.int32)
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices, diag_slots, faces
-
-    @cached_property
-    def band_slots(self) -> np.ndarray:
-        """1D only: slots of the tridiagonal interior block in the operator's data, shape (3, n - 2).
-
-        Rows hold the super-, main and subdiagonal in LAPACK's banded layout
-        (that of ``scipy.linalg.solve_banded((1, 1), ...)``): with
-        ``sup, main, sub = data[band_slots]`` the three diagonals are
-        ``sup[1:]``, ``main`` and ``sub[:-1]``.  The two corners point at the
-        diagonal.  Read-only; a 2D grid raises ``ValueError``.
-        """
-        _, _, diag_slots, ((_, _, _, lo_slots, _, hi_slots),) = self.operator_pattern
-        diag = diag_slots[1:-1]
-        slots = np.stack([np.r_[diag[0], lo_slots[:-1]], diag, np.r_[hi_slots[1:], diag[-1]]])
-        slots.setflags(write=False)
-        return slots
+            faces.append((lo, hi, interior[lo], interior[hi]))
+        return offsets, tuple(faces)
 
     @cached_property
     def dirichlet_eigenvalues(self) -> np.ndarray:
@@ -280,29 +249,32 @@ def _face_coefficients(grid: SpatialGrid, law: DiffusionLaw, u_nd: np.ndarray):
     the grid, or carries leading stack axes before the grid axes; the node
     slices ``lo, hi`` of ``faces`` index the trailing axes either way.
     """
-    for h, faces in zip(grid.spacing, grid.operator_pattern[3]):
+    for h, faces in zip(grid.spacing, grid.operator_pattern[1]):
         lo, hi = faces[0], faces[1]
         h2 = h**2
         face_u = 0.5 * (u_nd[lo] + u_nd[hi])
         yield h2, faces, face_u, np.asarray(law.a(face_u), dtype=float) / h2
 
 
-def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool, shift: float) -> sp.csc_matrix:
-    indptr, indices, diag_slots, _ = grid.operator_pattern
+def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool, shift: float) -> sp.dia_matrix:
+    offsets, _ = grid.operator_pattern
     u_nd = u.reshape(grid.shape)
-    data = np.empty(indices.size)
-    diag = np.zeros(grid.shape)
-    for h2, (lo, hi, lo_faces, lo_slots, hi_faces, hi_slots), face_u, coeff in _face_coefficients(grid, law, u_nd):
+    data = np.zeros((offsets.size,) + grid.shape)
+    diag = data[grid.dim]
+    for d, (h2, (lo, hi, lo_interior, hi_interior), face_u, coeff) in enumerate(_face_coefficients(grid, law, u_nd)):
         dterm = 0.0
         if with_deriv:
             dterm = 0.5 * np.asarray(law.deriv(face_u), dtype=float) * (u_nd[hi] - u_nd[lo]) / h2
-        # the face is the "plus" face of its lower node and the "minus" face of its upper node
-        data[lo_slots] = (-coeff - dterm).ravel()[lo_faces]
-        data[hi_slots] = (-coeff + dterm).ravel()[hi_faces]
+        # the face is the "plus" face of its lower node and the "minus" face of its upper node; entry
+        # (lo, hi) sits in column hi of the superdiagonal, (hi, lo) in column lo of the subdiagonal,
+        # and entries of boundary rows keep their 0.0
+        np.subtract(-coeff, dterm, out=data[-1 - d][hi], where=lo_interior)
+        np.add(-coeff, dterm, out=data[d][lo], where=hi_interior)
         diag[lo] += coeff - dterm
         diag[hi] += coeff + dterm
-    data[diag_slots] = np.where(grid.boundary_mask, 1.0, diag.ravel() + shift)
-    return sp.csc_matrix((data, indices, indptr), shape=(grid.n_nodes, grid.n_nodes))
+    diag += shift
+    diag[grid.boundary_mask.reshape(grid.shape)] = 1.0
+    return sp.dia_matrix((data.reshape(offsets.size, -1), offsets), shape=(grid.n_nodes, grid.n_nodes))
 
 
 def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np.ndarray:
@@ -316,14 +288,16 @@ def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np
     return u
 
 
-def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.csc_matrix:
+def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.dia_matrix:
     """Assemble ``shift I_int - div_h(a(u) grad_h .)`` with the coefficient frozen at ``u``.
 
     Interior rows hold the divergence stencil with face coefficients
     ``a((u_left + u_right)/2)`` plus ``shift`` on the diagonal; boundary rows
     are identity.  For a constant law and ``shift = 0`` this is exactly
-    ``const`` times the negative discrete Laplacian.  The result is CSC on
-    the grid's :attr:`~SpatialGrid.operator_pattern`.
+    ``const`` times the negative discrete Laplacian.  The result is a
+    ``dia_matrix`` on the grid's :attr:`~SpatialGrid.operator_pattern`, so it
+    supports products and conversions but no indexing; off-diagonal entries
+    of boundary rows are stored as exact zeros.
     """
     return _assemble(grid, law, _checked_state(grid, u, "coefficient state"), with_deriv=False, shift=shift)
 
@@ -353,10 +327,10 @@ def apply_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: f
     return out
 
 
-def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.csc_matrix:
+def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.dia_matrix:
     """Jacobian of ``u -> -div_h(a(u) grad_h u)``, including the a'(u) terms, plus ``shift I_int``.
 
-    Same sparsity pattern, boundary rows and ``shift`` as
+    Same ``dia_matrix`` layout, boundary rows and ``shift`` as
     :func:`assemble_quasilinear_operator`.
     """
     return _assemble(grid, law, _checked_state(grid, u, "state"), with_deriv=True, shift=shift)
@@ -383,7 +357,7 @@ class PoincareResult:
 
 
 def poincare_lambda1(grid: SpatialGrid) -> PoincareResult:
-    A = assemble_quasilinear_operator(grid, constant_law(1.0), np.zeros(grid.n_nodes))
+    A = assemble_quasilinear_operator(grid, constant_law(1.0), np.zeros(grid.n_nodes)).tocsr()
     interior = grid.interior_indices()
     A_int = A[np.ix_(interior, interior)]
     if A_int.shape[0] <= 2:

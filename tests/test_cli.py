@@ -316,3 +316,10 @@ class TestArgumentErrors:
         cfg = _write(tmp_path, "problem = eigenmode\n")
         with pytest.raises(SystemExit):
             main(["run", cfg, "--history", "magic"])
+
+    def test_study_takes_no_seed(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "problem = eigenmode\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["study", cfg, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err

@@ -16,6 +16,34 @@ from subdiff.spatial import (
     porous_law,
 )
 
+# 1D, the 2D square, and a 2D box whose axes differ in length and node count
+BOXES = [(1, (0.0, 1.0), 33), (2, (0.0, 1.0), 17), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
+
+
+def _dense_reference(g, law, u, shift, with_deriv):
+    """Both operators built face by face into a dense array, independent of any sparse storage."""
+    n = g.n_nodes
+    ref = np.zeros((n, n))
+    idx = np.arange(n).reshape(g.shape)
+    for d, h in enumerate(g.spacing):
+        for lo in np.ndindex(*g.shape):
+            if lo[d] == g.shape[d] - 1:
+                continue
+            i, j = idx[lo], idx[lo[:d] + (lo[d] + 1,) + lo[d + 1 :]]
+            mean = 0.5 * (u[i] + u[j])
+            c = float(law.a(mean)) / h**2
+            t = 0.5 * float(law.deriv(mean)) * (u[j] - u[i]) / h**2 if with_deriv else 0.0
+            # row i carries the flux c (u_i - u_j), row j its negative; t is its a'-term
+            ref[i, i] += c - t
+            ref[i, j] += -c - t
+            ref[j, j] += c + t
+            ref[j, i] += -c + t
+    boundary = np.flatnonzero(g.boundary_mask)
+    ref[boundary] = 0.0
+    ref[boundary, boundary] = 1.0
+    ref[g.interior_indices(), g.interior_indices()] += shift
+    return ref
+
 
 class TestBuildGrid:
     def test_1d_nodes(self):
@@ -150,7 +178,7 @@ class TestOperator:
         u = rng.normal(size=g.n_nodes)
         A = assemble_quasilinear_operator(g, porous_law(), u)
         ii = g.interior_indices()
-        B = A[np.ix_(ii, ii)]
+        B = A.tocsr()[np.ix_(ii, ii)]
         assert abs(B - B.T).max() < 1e-12
 
     def test_2d_cross_stencil(self):
@@ -193,32 +221,46 @@ class TestOperator:
         expected = plain + np.diag(np.where(g.boundary_mask, 0.0, 2.5))
         np.testing.assert_array_equal(shifted, expected)
 
-    def test_assemblies_share_one_csc_pattern(self):
-        g = build_grid(2, (0.0, 1.0), 6)
-        rng = np.random.default_rng(2)
-        A = assemble_quasilinear_operator(g, porous_law(), rng.normal(size=g.n_nodes))
-        J = newton_jacobian(g, porous_law(), rng.normal(size=g.n_nodes), shift=1.0)
-        assert A.format == J.format == "csc"
-        assert np.shares_memory(A.indptr, J.indptr)
-        assert np.shares_memory(A.indices, J.indices)
-        assert A.has_canonical_format
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    @pytest.mark.parametrize("dim, extents, res", BOXES)
+    def test_dia_layout(self, build, dim, extents, res):
+        g = build_grid(dim, extents, res)
+        M = build(g, porous_law(), np.random.default_rng(2).normal(size=g.n_nodes), shift=1.5)
+        assert M.format == "dia"
+        assert M.data.shape == (2 * dim + 1, g.n_nodes)
+        assert np.all(np.diff(M.offsets) > 0)
+        dense = M.toarray()
+        for offset, row in zip(M.offsets, M.data):
+            # data[k, j] holds entry (j - offset, j)
+            cols = np.arange(max(offset, 0), g.n_nodes + min(offset, 0))
+            np.testing.assert_array_equal(row[cols], np.diag(dense, offset))
+            if offset != 0:
+                on_boundary = row[cols][g.boundary_mask[cols - offset]]
+                assert np.all(on_boundary == 0.0) and not np.any(np.signbit(on_boundary))
 
-    def test_band_slots_read_the_interior_tridiagonal(self):
-        g = build_grid(1, (0.0, 1.0), 9)
-        J = newton_jacobian(g, porous_law(), np.random.default_rng(3).normal(size=g.n_nodes), shift=1.5)
-        block = J.toarray()[1:-1, 1:-1]
-        ab = J.data[g.band_slots]
-        np.testing.assert_array_equal(ab[0, 1:], np.diag(block, 1))
-        np.testing.assert_array_equal(ab[1], np.diag(block))
-        np.testing.assert_array_equal(ab[2, :-1], np.diag(block, -1))
-        with pytest.raises(ValueError):
-            build_grid(2, (0.0, 1.0), 5).band_slots
+    @pytest.mark.parametrize("shift", [0.0, 2.5])
+    @pytest.mark.parametrize("build, with_deriv", [(assemble_quasilinear_operator, False), (newton_jacobian, True)])
+    @pytest.mark.parametrize("dim, extents, res", BOXES)
+    def test_matches_face_by_face_dense_reference(self, dim, extents, res, build, with_deriv, shift):
+        g = build_grid(dim, extents, res)
+        law = porous_law()
+        u = np.random.default_rng(5).normal(size=g.n_nodes)
+        ref = _dense_reference(g, law, u, shift, with_deriv)
+        np.testing.assert_allclose(build(g, law, u, shift=shift).toarray(), ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    @pytest.mark.parametrize("dim, extents, res", BOXES)
+    def test_product_equals_csc_product_bitwise(self, dim, extents, res, build):
+        # DIA sums a row diagonal by diagonal in storage order; ascending offsets are CSC's column order
+        g = build_grid(dim, extents, res)
+        rng = np.random.default_rng(8)
+        M = build(g, porous_law(), rng.normal(size=g.n_nodes), shift=2.5)
+        v = rng.normal(size=g.n_nodes)
+        assert np.array_equal(M @ v, M.tocsc() @ v)
 
     @pytest.mark.parametrize("shift", [0.0, 2.5])
     @pytest.mark.parametrize("law", [constant_law(2.0), porous_law()], ids=["constant", "porous"])
-    @pytest.mark.parametrize(
-        "dim, extents, res", [(1, (0.0, 1.0), 33), (2, (0.0, 1.0), 17), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
-    )
+    @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_matrix_free_apply_matches_assembled_product(self, dim, extents, res, law, shift):
         g = build_grid(dim, extents, res)
         u = np.random.default_rng(6).normal(size=g.n_nodes)
@@ -229,9 +271,7 @@ class TestOperator:
 
     @pytest.mark.parametrize("shift", [0.0, 2.5])
     @pytest.mark.parametrize("law", [constant_law(2.0), porous_law()], ids=["constant", "porous"])
-    @pytest.mark.parametrize(
-        "dim, extents, res", [(1, (0.0, 1.0), 33), (2, (0.0, 1.0), 17), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
-    )
+    @pytest.mark.parametrize("dim, extents, res", BOXES)
     @pytest.mark.parametrize("rows", [1, 5])
     def test_stacked_apply_equals_row_by_row(self, dim, extents, res, law, shift, rows):
         g = build_grid(dim, extents, res)
