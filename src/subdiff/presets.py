@@ -9,7 +9,7 @@ from .mittag_leffler import mittag_leffler
 from .solver import ProblemSpec
 from .spatial import SpatialGrid, build_grid, constant_law, first_eigenvalue, porous_law
 
-__all__ = ["PRESETS", "build_preset", "eigenmode_exact", "first_eigenvalue"]
+__all__ = ["PRESETS", "build_preset", "eigenmode_exact"]
 
 
 def _box(dimension: int, extents, resolution: int) -> SpatialGrid:

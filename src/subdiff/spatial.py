@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 __all__ = [
     "SpatialGrid",
@@ -41,8 +40,6 @@ __all__ = [
     "apply_quasilinear_operator",
     "newton_jacobian",
     "first_eigenvalue",
-    "PoincareResult",
-    "poincare_lambda1",
 ]
 
 
@@ -339,30 +336,3 @@ def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0)
 def first_eigenvalue(grid: SpatialGrid) -> float:
     """Principal Dirichlet eigenvalue sum((pi / L_d)^2) of the box."""
     return float(sum((np.pi / L) ** 2 for L in grid.lengths))
-
-
-@dataclass(frozen=True)
-class PoincareResult:
-    """Sharp continuous constant plus the discrete cross-check.
-
-    ``continuous`` is :func:`first_eigenvalue`, the smallest Dirichlet
-    eigenvalue of the Laplacian on the box; ``discrete`` is the smallest
-    eigenvalue of the assembled (a == 1) operator restricted to interior
-    nodes.  The discrete value sits slightly below the continuous one and
-    converges to it at second order.
-    """
-
-    continuous: float
-    discrete: float
-
-
-def poincare_lambda1(grid: SpatialGrid) -> PoincareResult:
-    A = assemble_quasilinear_operator(grid, constant_law(1.0), np.zeros(grid.n_nodes)).tocsr()
-    interior = grid.interior_indices()
-    A_int = A[np.ix_(interior, interior)]
-    if A_int.shape[0] <= 2:
-        lam_disc = float(np.linalg.eigvalsh(A_int.toarray())[0])
-    else:
-        vals = eigsh(A_int, k=1, sigma=0.0, which="LM", return_eigenvectors=False)
-        lam_disc = float(vals[0])
-    return PoincareResult(continuous=first_eigenvalue(grid), discrete=lam_disc)

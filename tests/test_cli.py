@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, artifacts, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +327,13 @@ class TestArgumentErrors:
             main(["study", cfg, "--seed", "3"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+def test_import_loads_neither_integrate_nor_optimize():
+    # scipy.integrate pulls in scipy.optimize, together a large share of the
+    # package's import time and memory; nothing in the package needs them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys, subdiff.cli; print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -78,13 +78,10 @@ class TestHalfOrder:
             np.testing.assert_allclose(mittag_leffler(0.5, z).value, want, rtol=1e-12)
 
     def test_switchover_band_is_seamless(self):
-        # the band [4, 6] cross-checks two methods; the result must still
-        # track the closed form without a visible seam
+        # a dense sweep of moderate x against the closed form
         xs = np.linspace(3.5, 6.5, 301)
         vals = ml_values(0.5, -xs)
         np.testing.assert_allclose(vals, erfcx(xs), rtol=0, atol=1e-11)
-        probed = {mittag_leffler(0.5, -x).method for x in xs}
-        assert len(probed) > 1
 
 
 class TestSeriesReference:
@@ -128,6 +125,41 @@ class TestLaplaceTransform:
         val, quad_err = quad(f, 0.0, 200.0, limit=300)
         # the truncated tail is below e^-200; quad's own estimate dominates
         np.testing.assert_allclose(val, 1.0 / (1.0 + lam), rtol=0, atol=1e-9 + 10 * quad_err)
+
+
+def spectral_reference(alpha, x, dps=30):
+    """30-digit ``mpmath.quad`` of the real spectral integral for E_a(-x),
+
+    sin(a pi)/(a pi) int_0^inf exp(-(u x)^(1/a)) / (u^2 + 2 u cos(a pi) + 1) du,
+
+    split at the exponential cut-off near u = 1/x (sharp for small a) and at
+    the Lorentzian peak u = -cos(a pi) (sharp as a -> 1)."""
+    with mp.workdps(dps):
+        a, xx = mp.mpf(alpha), mp.mpf(x)
+        c = mp.cos(mp.pi * a)
+        edges = {mp.mpf(0), 1 / (2 * xx), 1 / xx, 2 / xx}
+        if c < 0:
+            edges.add(-c)
+
+        def integrand(u):
+            return mp.exp(-((u * xx) ** (1 / a))) / (u * u + 2 * u * c + 1)
+
+        return float(mp.sin(mp.pi * a) / (mp.pi * a) * mp.quad(integrand, sorted(edges) + [mp.inf]))
+
+
+class TestSpectralReference:
+    """The whole promised negative axis against an independent 30-digit reference."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.3, 0.5, 0.8, 0.9, 0.99, 0.999])
+    def test_error_within_estimate_and_target(self, alpha):
+        for x in np.geomspace(1e-8, 1e6, 8):
+            got = mittag_leffler(alpha, -x)
+            err = abs(got.value - spectral_reference(alpha, x))
+            assert err <= got.error_estimate <= TARGET_ABS, (
+                f"alpha={alpha} x={x:.3g}: err={err:.3e} estimate={got.error_estimate:.3e}"
+            )
+            assert err <= 1e-13
+            assert got.accurate
 
 
 class TestVectorized:

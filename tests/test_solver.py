@@ -11,7 +11,7 @@ import pytest
 
 from subdiff import solver
 from subdiff.kernels import TimeGrid, default_grading
-from subdiff.presets import build_preset, eigenmode_exact, first_eigenvalue
+from subdiff.presets import build_preset, eigenmode_exact
 from subdiff.relaxation import relaxation_solution
 from subdiff.solver import ProblemSpec, SolverOptions, StepFailure, run_trajectory
 from subdiff.spatial import (
@@ -19,6 +19,7 @@ from subdiff.spatial import (
     assemble_quasilinear_operator,
     build_grid,
     constant_law,
+    first_eigenvalue,
     newton_jacobian,
     porous_law,
 )
@@ -114,22 +115,7 @@ class TestIterationBehavior:
 
 
     def test_stiff_law_records_damping_halvings(self):
-        # a(y) = 1 + 50 sin^2(3y) (nu = 1, lam = 51): undamped Picard overshoots on step 1
-        law = DiffusionLaw(
-            a=lambda y: 1.0 + 50.0 * np.sin(3.0 * np.asarray(y)) ** 2,
-            deriv=lambda y: 150.0 * np.sin(6.0 * np.asarray(y)),
-            nu=1.0,
-            lam=51.0,
-            tag="stiff",
-        )
-        grid = build_grid(1, (0.0, math.pi), 33)
-        spec = ProblemSpec(
-            alpha=0.5,
-            time_grid=TimeGrid.uniform(10.0, 4),
-            grid=grid,
-            law=law,
-            u0=np.sin(grid.points()[:, 0]),
-        )
+        spec = _stiff_problem()
         options = SolverOptions(mode="picard", max_iter=100)
         traj = run_trajectory(spec, options)
         assert traj.halvings.shape == (5,)

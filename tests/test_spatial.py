@@ -11,8 +11,8 @@ from subdiff.spatial import (
     build_grid,
     constant_law,
     ellipticity_check,
+    first_eigenvalue,
     newton_jacobian,
-    poincare_lambda1,
     porous_law,
 )
 
@@ -294,25 +294,30 @@ class TestOperator:
 
 
 class TestPoincare:
+    """``first_eigenvalue`` is the continuous constant of the box and
+    ``dirichlet_eigenvalues.flat[0]`` the discrete one, checked against a dense
+    eigensolve of the assembled (a == 1) interior block."""
+
+    @staticmethod
+    def _interior_spectrum(g):
+        ii = g.interior_indices()
+        A = assemble_quasilinear_operator(g, constant_law(1.0), np.zeros(g.n_nodes)).toarray()[np.ix_(ii, ii)]
+        return np.linalg.eigvalsh(A)
+
     def test_unit_interval(self):
         g = build_grid(1, (0.0, 1.0), 161)
-        res = poincare_lambda1(g)
-        np.testing.assert_allclose(res.continuous, math.pi**2, rtol=1e-14)
+        continuous = first_eigenvalue(g)
+        np.testing.assert_allclose(continuous, math.pi**2, rtol=1e-14)
         # discrete eigenvalue (2/h)^2 sin^2(pi h / 2) sits just below pi^2
-        assert res.discrete < res.continuous
-        np.testing.assert_allclose(res.discrete, res.continuous, rtol=1e-3)
+        for discrete in (self._interior_spectrum(g)[0], g.dirichlet_eigenvalues.flat[0]):
+            assert discrete < continuous
+            np.testing.assert_allclose(discrete, continuous, rtol=1e-3)
 
     def test_frozen_values(self):
+        np.testing.assert_allclose(first_eigenvalue(build_grid(1, (0.0, math.pi), 101)), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(first_eigenvalue(build_grid(2, (0.0, math.pi), 17)), 2.0, rtol=1e-14)
         np.testing.assert_allclose(
-            poincare_lambda1(build_grid(1, (0.0, math.pi), 101)).continuous, 1.0, rtol=1e-14
-        )
-        np.testing.assert_allclose(
-            poincare_lambda1(build_grid(2, (0.0, math.pi), 17)).continuous, 2.0, rtol=1e-14
-        )
-        np.testing.assert_allclose(
-            poincare_lambda1(build_grid(2, [(0.0, math.pi), (0.0, 2.0 * math.pi)], 17)).continuous,
-            1.25,
-            rtol=1e-14,
+            first_eigenvalue(build_grid(2, [(0.0, math.pi), (0.0, 2.0 * math.pi)], 17)), 1.25, rtol=1e-14
         )
 
     def test_discrete_value_closed_form_1d(self):
@@ -320,27 +325,27 @@ class TestPoincare:
         g = build_grid(1, (0.0, 2.0), 41)
         h = g.spacing[0]
         want = (2.0 / h) ** 2 * math.sin(math.pi * h / 4.0) ** 2
-        np.testing.assert_allclose(poincare_lambda1(g).discrete, want, rtol=1e-9)
+        np.testing.assert_allclose(self._interior_spectrum(g)[0], want, rtol=1e-9)
+        np.testing.assert_allclose(g.dirichlet_eigenvalues.flat[0], want, rtol=1e-9)
 
     @pytest.mark.parametrize(
         "dim, extents, res", [(1, (0.0, 2.0), 41), (2, (0.0, 1.0), 21), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
     )
     def test_sine_eigenvalue_table_starts_at_discrete_constant(self, dim, extents, res):
         g = build_grid(dim, extents, res)
-        np.testing.assert_allclose(g.dirichlet_eigenvalues.flat[0], poincare_lambda1(g).discrete, rtol=1e-10)
+        np.testing.assert_allclose(g.dirichlet_eigenvalues.flat[0], self._interior_spectrum(g)[0], rtol=1e-10)
         assert g.dirichlet_eigenvalues.shape == tuple(n - 2 for n in g.shape)
         assert g.dirichlet_eigenvalues.flat[0] == g.dirichlet_eigenvalues.min()
 
     def test_sine_eigenvalue_table_is_the_interior_spectrum(self):
         g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (7, 9))
-        ii = g.interior_indices()
-        A = assemble_quasilinear_operator(g, constant_law(1.0), np.zeros(g.n_nodes)).toarray()[np.ix_(ii, ii)]
         np.testing.assert_allclose(
-            np.sort(g.dirichlet_eigenvalues.ravel()), np.linalg.eigvalsh(A), rtol=1e-12
+            np.sort(g.dirichlet_eigenvalues.ravel()), self._interior_spectrum(g), rtol=1e-12
         )
 
     def test_2d_discrete_below_continuous(self):
         g = build_grid(2, (0.0, 1.0), 21)
-        res = poincare_lambda1(g)
-        assert res.discrete < res.continuous
-        np.testing.assert_allclose(res.discrete, res.continuous, rtol=5e-3)
+        continuous = first_eigenvalue(g)
+        for discrete in (self._interior_spectrum(g)[0], g.dirichlet_eigenvalues.flat[0]):
+            assert discrete < continuous
+            np.testing.assert_allclose(discrete, continuous, rtol=5e-3)
