@@ -402,7 +402,7 @@ def weakform_residual(
     t = tg.nodes
     tau = tg.tau
     q_lump = float(np.prod(grid.spacing))
-    interior = np.flatnonzero(~grid.boundary_mask)
+    interior = grid.interior_indices()
 
     # macro knots at (nearly) equispaced physical times, snapped to grid nodes
     targets = np.linspace(0.0, t[-1], n_time_tests + 1)

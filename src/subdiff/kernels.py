@@ -41,6 +41,8 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 # entries per weight block of a blocked product (256 KiB of float64)
 _BLOCK_ENTRIES = 1 << 15
+# node-spacing refinements compress_history tries before it gives up
+_MAX_REFINE = 10
 
 
 def rl_kernel(beta: float, t):
@@ -481,7 +483,7 @@ class CompressedHistory:
         return np.exp(-np.outer(j * self.tau, self.rates)) @ self.weights
 
 
-def compress_history(weights: L1Weights, eps: float, max_refine: int = 10) -> CompressedHistory:
+def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
     """Build a :class:`CompressedHistory` for ``weights`` with tolerance ``eps``.
 
     Only uniform grids are supported: the convolution structure the
@@ -510,7 +512,7 @@ def compress_history(weights: L1Weights, eps: float, max_refine: int = 10) -> Co
     horizon = weights.grid.steps * tau
     h = 2.0 * math.pi / (math.log(1.0 / target) + 4.0)
     achieved = math.inf
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         eta = math.log(1.0 / target) + 12.0
         s_max = math.log(eta / tau)
         s_min = (math.log(target * alpha * gamma(alpha)) - alpha * math.log(horizon)) / alpha - 2.0
@@ -541,6 +543,6 @@ def compress_history(weights: L1Weights, eps: float, max_refine: int = 10) -> Co
         h *= 0.7
     raise CompressionError(
         f"could not reach eps={eps:g} (weight-level target {target:g}) within "
-        f"{max_refine} refinements; achieved {achieved:g}",
+        f"{_MAX_REFINE} refinements; achieved {achieved:g}",
         achieved=achieved,
     )

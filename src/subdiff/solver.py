@@ -45,7 +45,7 @@ count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn, idstn
@@ -200,7 +200,6 @@ class Trajectory:
     halvings: np.ndarray  # (steps + 1,), damping halvings per step, [0] == 0
     residuals: np.ndarray  # (steps + 1,), [0] == 0
     timings: dict
-    attachments: dict = dc_field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:

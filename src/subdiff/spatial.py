@@ -8,15 +8,18 @@ Dirichlet data unchanged.
 The Picard operator and the Newton Jacobian are ``scipy.sparse.dia_matrix``
 objects, one ``data`` row per diagonal with the offsets ascending; each grid
 builds those offsets and its face slices once
-(:attr:`SpatialGrid.operator_pattern`).  Their ``shift`` adds to the
-interior diagonal, so the step matrix ``w I_int + A(u)`` is one assembly.
-:func:`apply_quasilinear_operator` evaluates the product of the same
-operator with ``u`` without building a matrix, for residuals that no solve
-needs the matrix of, on one state or on a stack of states in one pass; it
-takes its face coefficients from the same helper as the assembly.  Each grid
-also caches the eigenvalues of the sine modes that diagonalise the discrete
-Dirichlet Laplacian (:attr:`SpatialGrid.dirichlet_eigenvalues`), which the
-2D interior solves need.
+(:attr:`SpatialGrid.operator_pattern`), and an all-zero matrix on them
+(:attr:`SpatialGrid.operator_template`) that each assembly copies with its
+own data, so scipy's full ``(data, offsets)`` constructor runs once per
+grid.  Their ``shift`` adds to the interior diagonal, so the step matrix
+``w I_int + A(u)`` is one assembly.  :func:`apply_quasilinear_operator`
+evaluates the product of the same operator with ``u`` without building a
+matrix, for residuals that no solve needs the matrix of, on one state or on
+a stack of states in one pass; it takes its face coefficients from the same
+helper as the assembly.  Each grid also caches the eigenvalues of the sine
+modes that diagonalise the discrete Dirichlet Laplacian
+(:attr:`SpatialGrid.dirichlet_eigenvalues`), which the 2D interior solves
+need.
 """
 
 from __future__ import annotations
@@ -107,6 +110,12 @@ class SpatialGrid:
             hi = (Ellipsis,) + tuple(slice(1, None) if k == d else slice(None) for k in range(self.dim))
             faces.append((lo, hi, interior[lo], interior[hi]))
         return offsets, tuple(faces)
+
+    @cached_property
+    def operator_template(self) -> sp.dia_matrix:
+        """All-zero ``dia_matrix`` on the offsets of :attr:`operator_pattern`, for assemblies to copy."""
+        offsets = self.operator_pattern[0]
+        return sp.dia_matrix((np.zeros((offsets.size, self.n_nodes)), offsets), shape=(self.n_nodes, self.n_nodes))
 
     @cached_property
     def dirichlet_eigenvalues(self) -> np.ndarray:
@@ -254,9 +263,9 @@ def _face_coefficients(grid: SpatialGrid, law: DiffusionLaw, u_nd: np.ndarray):
 
 
 def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool, shift: float) -> sp.dia_matrix:
-    offsets, _ = grid.operator_pattern
+    out = sp.dia_matrix(grid.operator_template)  # shares the template's read-only offsets
     u_nd = u.reshape(grid.shape)
-    data = np.zeros((offsets.size,) + grid.shape)
+    data = np.zeros((out.offsets.size,) + grid.shape)
     diag = data[grid.dim]
     for d, (h2, (lo, hi, lo_interior, hi_interior), face_u, coeff) in enumerate(_face_coefficients(grid, law, u_nd)):
         dterm = 0.0
@@ -271,7 +280,8 @@ def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: b
         diag[hi] += coeff + dterm
     diag += shift
     diag[grid.boundary_mask.reshape(grid.shape)] = 1.0
-    return sp.dia_matrix((data.reshape(offsets.size, -1), offsets), shape=(grid.n_nodes, grid.n_nodes))
+    out.data = data.reshape(out.offsets.size, -1)
+    return out
 
 
 def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfcx
 
-from subdiff.mittag_leffler import TARGET_ABS, ml_tail_bound, ml_values, mittag_leffler
+from subdiff.mittag_leffler import TARGET_ABS, _evaluate, ml_tail_bound, ml_values, mittag_leffler
 
 
 def ml_reference(alpha, z, dps=150):
@@ -169,6 +169,26 @@ class TestVectorized:
         assert vals.shape == zs.shape
         for idx in np.ndindex(zs.shape):
             assert vals[idx] == mittag_leffler(0.4, zs[idx]).value
+
+    @pytest.mark.parametrize("alpha", [0.4, 1.0])
+    def test_mixed_signs_match_scalar_bitwise(self, alpha):
+        zs = np.concatenate([-np.geomspace(1e-8, 1e6, 40), [0.0, -0.0], np.linspace(0.05, 6.0, 12)])
+        zs = np.random.default_rng(0).permutation(zs).reshape(6, 9)
+        vals, ests = _evaluate(alpha, zs)
+        assert vals.shape == ests.shape == zs.shape
+        for idx in np.ndindex(zs.shape):
+            e = mittag_leffler(alpha, zs[idx])
+            assert (vals[idx], ests[idx], bool(ests[idx] <= TARGET_ABS)) == (e.value, e.error_estimate, e.accurate)
+
+    @pytest.mark.parametrize(
+        "bad, error", [(float("nan"), ValueError), (float("inf"), ValueError), (-float("inf"), ValueError), (27.0, OverflowError)]
+    )
+    def test_bad_element_raises_like_scalar(self, bad, error):
+        with pytest.raises(error) as scalar:
+            mittag_leffler(0.5, bad)
+        with pytest.raises(error) as array:
+            _evaluate(0.5, np.array([-1.0, 0.0, bad, 2.0]))
+        assert str(array.value) == str(scalar.value)
 
 
 class TestTailBound:

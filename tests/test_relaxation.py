@@ -1,7 +1,5 @@
 """Fractional relaxation: exact envelope, L1 marcher, comparison principle."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,25 +119,33 @@ class TestComparisonCheck:
         assert cert.passed
 
     def test_reports_mittag_leffler_accuracy(self, monkeypatch):
-        # one evaluation per node through subdiff.relaxation.mittag_leffler; the worst
-        # estimate and the inaccurate count are carried, here with one flag forced
+        # one array evaluation for all nodes through subdiff.relaxation._evaluate; the
+        # worst estimate and the inaccurate count are carried, here with one flag forced
         tg = TimeGrid.graded(20.0, 64, default_grading(0.4))
-        evals = []
+        calls = []
 
         def recording(alpha, z):
-            e = mittag_leffler(alpha, z)
-            if len(evals) == 7:
-                e = dataclasses.replace(e, error_estimate=3e-9, accurate=False)
-            evals.append(e)
-            return e
+            values, estimates = evaluate(alpha, z)
+            estimates[7] = 3e-9
+            calls.append(z)
+            return values, estimates
 
-        monkeypatch.setattr(relaxation, "mittag_leffler", recording)
-        obs = relaxation_solution(0.4, 2.0, 1.0, tg.nodes)
-        evals.clear()
-        cert = comparison_check(obs, tg, 0.4, 2.0, 1.0)
-        assert len(evals) == tg.steps + 1
-        assert cert.ml_max_error_estimate == max(e.error_estimate for e in evals) == 3e-9
+        evaluate = relaxation._evaluate
+        monkeypatch.setattr(relaxation, "_evaluate", recording)
+        cert = comparison_check(relaxation_solution(0.4, 2.0, 1.0, tg.nodes), tg, 0.4, 2.0, 1.0)
+        assert [z.shape for z in calls] == [(tg.steps + 1,)] * 2
+        assert cert.ml_max_error_estimate == 3e-9
         assert cert.ml_inaccurate == 1
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_envelope_matches_per_node_evaluations(self, alpha):
+        tg = TimeGrid.graded(20.0, 128, 2.0)
+        obs = 0.5 * relaxation_solution(alpha, 2.0, 1.0, tg.nodes)
+        cert = comparison_check(obs, tg, alpha, 2.0, 1.5)
+        evals = [mittag_leffler(alpha, -2.0 * t**alpha) for t in tg.nodes]
+        np.testing.assert_array_equal(cert.envelope, [1.5 * e.value for e in evals])
+        assert cert.ml_max_error_estimate == max(e.error_estimate for e in evals)
+        assert cert.ml_inaccurate == sum(not e.accurate for e in evals)
 
     def test_validation(self):
         tg = TimeGrid.uniform(1.0, 8)
