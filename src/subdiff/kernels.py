@@ -320,11 +320,22 @@ def tested_convexity(
 # memory providers
 #
 # A memory provider serves the lagged part of the L1 derivative while a
-# trajectory is marched: ``reset(shape)`` starts a history of fields of one
-# shape, ``push(delta_n)`` absorbs the increment ``v_n - v_{n-1}`` after step
-# n, and ``memory_term()`` then returns ``H_{n+1} = sum_{k<=n} w_{n+1,k}
-# delta_k``, the sum without the local term.  ``DirectHistory`` is exact;
+# trajectory is marched: ``reset(shape)`` starts a history of scalars
+# (``shape == ()``) or flat fields (``shape == (n,)``), the shapes whose
+# leading-axis contractions are plain ``np.dot`` calls; ``push(delta_n)``
+# absorbs the increment ``v_n - v_{n-1}`` after step n, and ``memory_term()``
+# then returns ``H_{n+1} = sum_{k<=n} w_{n+1,k} delta_k``, the sum without
+# the local term.  ``DirectHistory`` is exact;
 # ``CompressedHistory`` approximates it with a sum of exponentials.
+
+
+def _history_shape(shape) -> tuple:
+    """``shape`` as a tuple; raises ``ValueError`` unless it has at most one axis."""
+    shape = tuple(shape)
+    if len(shape) > 1:
+        # np.dot would contract a field axis instead of the history axis
+        raise ValueError(f"memory providers take scalars or flat fields, got field shape {shape}")
+    return shape
 
 
 class DirectHistory:
@@ -341,7 +352,7 @@ class DirectHistory:
 
     def reset(self, shape=()) -> None:
         """Clear the stored increments for a new trajectory of fields of ``shape``."""
-        self._deltas = np.empty((self.weights.grid.steps,) + tuple(shape))
+        self._deltas = np.empty((self.weights.grid.steps,) + _history_shape(shape))
         self._count = 0
 
     def push(self, delta) -> None:
@@ -441,7 +452,7 @@ class CompressedHistory:
 
     def reset(self, shape=()) -> None:
         """Clear the running state for a new trajectory of fields of ``shape``."""
-        shape = tuple(shape)
+        shape = _history_shape(shape)
         self._state = np.zeros((self.n_modes,) + shape)
         self._buffer = np.zeros((self._BLOCK,) + shape)
         self._proj = np.zeros((self._BLOCK,) + shape)
@@ -459,8 +470,8 @@ class CompressedHistory:
     def _fold_block(self) -> None:
         s = self._state
         s *= self._powers[self._BLOCK].reshape((-1,) + (1,) * (s.ndim - 1))
-        s += np.tensordot(self._fold_w, self._buffer, axes=(1, 0))
-        self._proj = np.tensordot(self._proj_w, s, axes=(1, 0))
+        s += np.dot(self._fold_w, self._buffer)
+        np.dot(self._proj_w, s, out=self._proj)
         self._fill = 0
 
     def memory_term(self):
@@ -470,10 +481,10 @@ class CompressedHistory:
         j = self._fill
         if j:
             coeffs = self._csum[j:0:-1]
-            out = np.tensordot(coeffs, self._buffer[:j], axes=(0, 0))
+            out = np.dot(coeffs, self._buffer[:j])
             out += self._proj[j]
         else:
-            # fresh array: callers must not alias the projection cache
+            # fresh array: the next fold overwrites the projection table in place
             out = np.array(self._proj[0], copy=True)
         return float(out) if np.ndim(out) == 0 else out
 

@@ -15,7 +15,11 @@ of the linearized fixed-point map behind the existence theory) and reads its
 residual off the same assembled ``K(v)``.  Newton takes the analytic Jacobian
 including the a'(u) terms, the only matrix it assembles: its residual comes
 from :func:`~subdiff.spatial.apply_quasilinear_operator`, which evaluates
-``K(v) v`` without a matrix.  The loop runs undamped and,
+``K(v) v`` without a matrix.  A constant law (``nu == lam``, so
+``a(u) = nu``) has one ``K`` for every iterate, bitwise equal to its
+Newton Jacobian: the driver assembles it once per distinct ``w_nn`` (once per
+run on a uniform time grid, once per step on a graded one), makes its data
+read-only, and both iterations solve with it.  The loop runs undamped and,
 when the residual stops decreasing, returns to the best iterate and halves
 ``theta``, up to three times before giving up.  ``Trajectory.halvings``
 records the halvings of every step.
@@ -298,20 +302,24 @@ def _pcg(M, b, precond, atol: float, maxiter: int):
     raise np.linalg.LinAlgError(f"CG reached {maxiter} iterations at residual {res:.3e} > {atol:.3e}")
 
 
-def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n):
-    """One step of the correction loop; returns ``(field, iterations, residual, halvings)``."""
+def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, step_matrix):
+    """One step of the correction loop; returns ``(field, iterations, residual, halvings)``.
+
+    ``step_matrix`` is the iterate-independent ``K`` of a constant law, which
+    every correction then uses as its matrix, or None to assemble per iterate.
+    """
     grid, law = spec.grid, spec.law
     newton = options.mode == "newton"
     rhs = w_nn * u_prev - memory + (0.0 if f_n is None else f_n)
     rhs[grid.boundary_mask] = g_vals
 
     def state(v):
-        # Picard solves with the K(v) it assembles here; Newton only needs K(v) v
+        # Picard solves with K(v), assembled here unless the law is constant; Newton only needs K(v) v
         t0 = time.perf_counter()
         if newton:
-            K, Kv = None, apply_quasilinear_operator(grid, law, v, shift=w_nn)
+            K, Kv = step_matrix, apply_quasilinear_operator(grid, law, v, shift=w_nn)
         else:
-            K = assemble_quasilinear_operator(grid, law, v, shift=w_nn)
+            K = assemble_quasilinear_operator(grid, law, v, shift=w_nn) if step_matrix is None else step_matrix
             Kv = K @ v
         timers["assembly"] += time.perf_counter() - t0
         r = Kv - rhs  # exactly 0 on the boundary, where v holds the data
@@ -333,7 +341,7 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n):
     best_res = np.inf
     for it in range(1, options.max_iter + 1):
         v, M, r, res = current
-        if newton:
+        if M is None:  # Newton on a non-constant law
             t0 = time.perf_counter()
             M = newton_jacobian(grid, law, v, shift=w_nn)
             timers["assembly"] += time.perf_counter() - t0
@@ -399,14 +407,26 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     halvings = np.zeros(M + 1, dtype=int)
     residuals = np.zeros(M + 1)
 
+    # a(u) == nu: the step matrix w_nn I_int + A is the same for every iterate
+    constant = spec.law.nu == spec.law.lam
+    w_last, K = None, None  # w_nn of the last step matrix of a constant law, and that matrix
+
     for n in range(1, M + 1):
         t0 = time.perf_counter()
         memory = history.memory_term()
         timers["memory"] += time.perf_counter() - t0
 
+        w_nn = weights.diag(n)
+        if constant and w_nn != w_last:
+            t0 = time.perf_counter()
+            K = assemble_quasilinear_operator(grid, spec.law, U[n - 1], shift=w_nn)
+            K.data.setflags(write=False)  # later steps reuse it
+            timers["assembly"] += time.perf_counter() - t0
+            w_last = w_nn
+
         f_n = spec.source_at(n, points)
         U[n], iterations[n], residuals[n], halvings[n] = _solve_step(
-            spec, weights.diag(n), memory, U[n - 1], f_n, g_vals, options, timers, n
+            spec, w_nn, memory, U[n - 1], f_n, g_vals, options, timers, n, K
         )
 
         t0 = time.perf_counter()

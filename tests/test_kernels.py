@@ -279,6 +279,29 @@ class TestCompression:
                 direct = w.row(n)[: n - 1] @ deltas[: n - 1]
                 np.testing.assert_allclose(mem.memory_term(), direct, atol=1e-9 * scale)
 
+    def test_block_boundary_memory_term_survives_the_next_fold(self):
+        # at a block boundary memory_term reads the projection table, which the next fold overwrites in place
+        mem = compress_history(L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 64)), 1e-8)
+        rng = np.random.default_rng(3)
+        mem.reset((4,))
+        for _ in range(mem._BLOCK):
+            mem.push(rng.normal(size=4))
+        at_boundary = mem.memory_term()
+        kept = at_boundary.copy()
+        for _ in range(mem._BLOCK):
+            mem.push(rng.normal(size=4))
+        assert at_boundary.tobytes() == kept.tobytes()
+        assert mem.memory_term().tobytes() != kept.tobytes()
+
+    @pytest.mark.parametrize("provider", [DirectHistory, lambda w: compress_history(w, 1e-8)])
+    def test_providers_reject_fields_with_two_axes(self, provider):
+        # with 3 increments of 3 x 5 fields, np.dot would sum over the first field axis instead
+        mem = provider(L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 64)))
+        with pytest.raises(ValueError, match="flat fields"):
+            mem.reset((3, 5))
+        with pytest.raises(ValueError, match="flat fields"):
+            mem.push(np.ones((3, 5)))
+
     def test_rejects_graded_grid(self):
         w = L1Weights(alpha=0.5, grid=TimeGrid.graded(1.0, 64, 2.0))
         with pytest.raises(ValueError, match="uniform"):

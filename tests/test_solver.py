@@ -1,5 +1,6 @@
 """Implicit L1 time-marcher: accuracy, iteration modes, history compression."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -335,6 +336,12 @@ class TestAssemblyContract:
             ("2d", "picard"),
             ("2d", "newton"),
             ("stiff-1d", "picard"),  # steps with damping halvings
+            ("const-1d", "picard"),
+            ("const-1d", "newton"),
+            ("const-graded-1d", "picard"),
+            ("const-graded-1d", "newton"),
+            ("const-2d", "picard"),
+            ("const-2d", "newton"),
         ],
     )
     def test_matrices_built_per_step(self, case, mode, monkeypatch):
@@ -342,8 +349,13 @@ class TestAssemblyContract:
             "1d": lambda: _sine_problem(law=porous_law(), steps=16),
             "2d": lambda: build_preset("porous", dimension=2, resolution=17, steps=4, horizon=1.0),
             "stiff-1d": _stiff_problem,
+            "const-1d": lambda: _sine_problem(steps=16, grading=1.0),
+            "const-graded-1d": lambda: _sine_problem(steps=16),
+            "const-2d": lambda: build_preset("eigenmode", dimension=2, resolution=17, steps=4, grading=1.0),
         }[case]()
-        counts = []  # per step: [step matrices, Jacobians]
+        # per step: [step matrices, Jacobians], counted from the end of the previous step, so a
+        # matrix the driver builds before calling _solve_step counts towards that step
+        counts = [[0, 0]]
 
         def counting(k, fn):
             def wrapper(*args, **kwargs):
@@ -355,22 +367,71 @@ class TestAssemblyContract:
         solve_step = solver._solve_step
 
         def step(*args):
+            out = solve_step(*args)
             counts.append([0, 0])
-            return solve_step(*args)
+            return out
 
         monkeypatch.setattr(solver, "_solve_step", step)
         monkeypatch.setattr(solver, "assemble_quasilinear_operator", counting(0, solver.assemble_quasilinear_operator))
         monkeypatch.setattr(solver, "newton_jacobian", counting(1, solver.newton_jacobian))
         traj = run_trajectory(spec, SolverOptions(mode=mode, max_iter=100))
+        np.testing.assert_array_equal(counts.pop(), 0)  # nothing is built after the last step
         counts = np.array(counts)
         if case == "stiff-1d":
             assert traj.halvings.max() >= 1
-        if mode == "picard":
+        if case.startswith("const"):
+            # a(u) == nu: one step matrix per distinct w_nn, also serving as Newton's Jacobian
+            per_step = np.ones(spec.time_grid.steps, dtype=int)
+            if spec.time_grid.is_uniform():
+                per_step[1:] = 0
+            np.testing.assert_array_equal(counts[:, 0], per_step)
+            np.testing.assert_array_equal(counts[:, 1], 0)
+        elif mode == "picard":
             np.testing.assert_array_equal(counts[:, 0], traj.iterations[1:] + 1)
             np.testing.assert_array_equal(counts[:, 1], 0)
         else:
             np.testing.assert_array_equal(counts[:, 0], 0)
             np.testing.assert_array_equal(counts[:, 1], traj.iterations[1:])
+
+
+class TestConstantLawStepMatrix:
+    """A constant law reuses one step matrix; that changes no bit of the trajectory."""
+
+    @staticmethod
+    def _assert_bitwise_equal(spec, options):
+        reused = run_trajectory(spec, options)
+        # lam > nu turns the reuse off; a(u) == nu still lies in [nu, lam]
+        law = dataclasses.replace(spec.law, lam=2 * spec.law.nu)
+        rebuilt = run_trajectory(dataclasses.replace(spec, law=law), options)
+        for name in ("fields", "iterations", "halvings", "residuals"):
+            assert getattr(reused, name).tobytes() == getattr(rebuilt, name).tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["picard", "newton"])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_trajectory_matches_per_iterate_assembly(self, dim, grading, mode):
+        resolution, steps = {1: (33, 24), 2: (17, 8)}[dim]
+        spec = build_preset("eigenmode", dimension=dim, resolution=resolution, steps=steps, grading=grading)
+        self._assert_bitwise_equal(spec, SolverOptions(mode=mode))
+
+    @pytest.mark.parametrize("history", ["direct", "compressed"])
+    def test_history_providers_match_per_iterate_assembly(self, history):
+        spec = build_preset("eigenmode", resolution=33, steps=64, grading=1.0)
+        self._assert_bitwise_equal(spec, SolverOptions(history=history))
+
+    def test_reused_step_matrix_is_read_only(self, monkeypatch):
+        built = []
+        assemble = solver.assemble_quasilinear_operator
+
+        def recording(*args, **kwargs):
+            built.append(assemble(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(solver, "assemble_quasilinear_operator", recording)
+        run_trajectory(build_preset("eigenmode", resolution=17, steps=8, grading=1.0))
+        assert len(built) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            built[0].data[1, 1] = 0.0
 
 
 class TestDeterminism:
