@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfcx
 
 from .config import ConfigError, RunConfig, check_config, parse_config, render_config
 from .diagnostics import (
@@ -363,6 +362,8 @@ def _props_comparison(rng, count: int):
 
 
 def _props_mittag_leffler():
+    from scipy.special import erfcx  # the independent reference for E_{1/2}(-x)
+
     xs = np.linspace(0.0, 30.0, 1000)
     half = ml_values(0.5, -xs)
     err_half = float(np.max(np.abs(half - erfcx(xs))))

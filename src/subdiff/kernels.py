@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma
 
 __all__ = [
     "rl_kernel",
@@ -61,7 +60,7 @@ def rl_kernel(beta: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("rl_kernel requires t > 0")
-    out = t ** (beta - 1.0) / gamma(beta)
+    out = t ** (beta - 1.0) / math.gamma(beta)
     return out if out.ndim else float(out)
 
 
@@ -152,7 +151,7 @@ class L1Weights:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        c = gamma(2.0 - self.alpha)
+        c = math.gamma(2.0 - self.alpha)
         # scalar powers: numpy's vectorized pow may round differently
         diag = np.array([tk ** (-self.alpha) for tk in self.grid.tau.tolist()]) / c
         object.__setattr__(self, "_diag", diag)
@@ -181,7 +180,7 @@ class L1Weights:
             # bases clipped at zero: entries with k >= n get equal lags and vanish
             lag_hi = np.maximum(t_n - t[: n1 - 1], 0.0) ** p
             lag_lo = np.maximum(t_n - t[1:n1], 0.0) ** p
-            out = (lag_hi - lag_lo) / (gamma(2.0 - self.alpha) * self.grid.tau[: n1 - 1])
+            out = (lag_hi - lag_lo) / (math.gamma(2.0 - self.alpha) * self.grid.tau[: n1 - 1])
         # entry (n - n0, n - 1) sits at flat index n0 - 1 + (n - n0) * n1
         out.reshape(-1)[n0 - 1 :: n1] = self._diag[n0 - 1 : n1 - 1]
         return out
@@ -526,7 +525,7 @@ def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
     for _ in range(_MAX_REFINE):
         eta = math.log(1.0 / target) + 12.0
         s_max = math.log(eta / tau)
-        s_min = (math.log(target * alpha * gamma(alpha)) - alpha * math.log(horizon)) / alpha - 2.0
+        s_min = (math.log(target * alpha * math.gamma(alpha)) - alpha * math.log(horizon)) / alpha - 2.0
         n = int(math.ceil((s_max - s_min) / h)) + 1
         s = s_min + h * np.arange(n)
         lam = np.exp(s)

@@ -28,16 +28,18 @@ Boundary rows are identity rows and the iterate holds the Dirichlet data
 exactly, so the boundary residual is exactly zero and every correction solves
 for the interior unknowns only (:func:`spsolve`); the boundary values stay
 bitwise equal to the data.  In 1D the interior block is tridiagonal and goes
-to LAPACK's tridiagonal solver ``dgtsv``, for Picard and Newton alike.  In 2D
-the interior Picard block is symmetric positive definite and spectrally
-equivalent to ``w_nn I + nu (-Delta_h)`` within the factor ``lam / nu`` of
-the law's bounds, so conjugate gradients preconditioned by that
-constant-coefficient operator, which a type-1 sine transform diagonalises,
-converge in a few iterations on any mesh (Concus & Golub 1973).  Newton's Jacobian is not
-symmetric and uses GMRES with the same preconditioner.  Both stop when the
-2-norm of the linear residual is at most ``0.1 * tol``, which bounds the
-max-norm the correction loop tests; a solve that reaches the iteration cap
-fails the step.
+to LAPACK's tridiagonal solver ``dgtsv``, for Picard and Newton alike; it is
+imported from ``scipy.linalg.lapack`` on the first 1D solve, so a 2D run
+loads no scipy module.  In 2D the interior Picard block is symmetric positive
+definite and spectrally equivalent to ``w_nn I + nu (-Delta_h)`` within the
+factor ``lam / nu`` of the law's bounds, so conjugate gradients
+preconditioned by that constant-coefficient operator converge in a few
+iterations on any mesh (Concus & Golub 1973).  The preconditioner is a fast
+diagonalisation by the dense sine matrices of the two axes.  Newton's
+Jacobian is not symmetric and uses the package's restarted GMRES with the
+same preconditioner.  Both stop when the 2-norm of the linear residual is at
+most ``0.1 * tol``, which bounds the max-norm the correction loop tests; a
+solve that reaches the iteration cap fails the step.
 
 Trajectories involve no randomness, so a rerun on the same machine with the
 same BLAS thread count reproduces them bitwise.  They are not bitwise
@@ -50,11 +52,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.fft import dstn, idstn
-from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .kernels import DirectHistory, L1Weights, TimeGrid, compress_history
 from .spatial import (
@@ -214,7 +214,7 @@ class Trajectory:
 # sine-transform preconditioner the count grows like sqrt(lam / nu) and not
 # with the mesh: 1 for a constant law, at most 10 per solve for the porous law
 # (lam / nu = 1.5) and up to 108 for lam / nu = 51, measured on 65^2 and 33^2
-# nodes.
+# nodes.  GMRES counts every inner iteration towards the cap.
 _KRYLOV_MAXITER = 500
 _GMRES_RESTART = 20
 
@@ -223,14 +223,14 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
     """Solve ``M x = b`` for the interior unknowns of ``grid``; ``x`` is zero on the boundary.
 
     ``M`` is a step matrix or Jacobian as the :mod:`subdiff.spatial`
-    builders return it (a ``dia_matrix`` with offsets ascending), with
-    ``shift`` on its interior diagonal and coefficients at least ``nu``; the
-    boundary entries of ``b`` are ignored.  In 1D the three rows of
-    ``M.data`` are the sub-, main and superdiagonal, stored by column; their
-    interior block goes to LAPACK ``dgtsv`` (Gaussian elimination with
+    builders return it (a :class:`~subdiff.spatial.DiaOperator` with offsets
+    ascending), with ``shift`` on its interior diagonal and coefficients at
+    least ``nu``; the boundary entries of ``b`` are ignored.  In 1D the three
+    rows of ``M.data`` are the sub-, main and superdiagonal, stored by column;
+    their interior block goes to LAPACK ``dgtsv`` (Gaussian elimination with
     partial pivoting), which is exact.  It works on copies, so ``M`` is left
-    as it was.  In 2D ``symmetric`` selects preconditioned CG (Picard)
-    or GMRES (Newton), both preconditioned by the sine-transform solve of
+    as it was.  In 2D ``symmetric`` selects preconditioned CG (Picard) or
+    GMRES (Newton), both preconditioned by the sine-transform solve of
     ``shift I + nu (-Delta_h)`` and stopped once the 2-norm of ``b - M x`` is
     at most ``atol`` (GMRES restarts every ``_GMRES_RESTART`` iterations);
     their vectors keep the full length with zero boundary entries, so
@@ -245,7 +245,7 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
     if grid.dim == 1:
         sub, main, sup = M.data
         x = np.zeros(grid.n_nodes)
-        *_, x[1:-1], info = dgtsv(sub[1:-2], main[1:-1], sup[2:-1], b[1:-1])
+        *_, x[1:-1], info = _dgtsv()(sub[1:-2], main[1:-1], sup[2:-1], b[1:-1])
         if info > 0:
             raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
         return x
@@ -253,24 +253,49 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
     precond = _sine_preconditioner(grid, shift, nu)
     if symmetric:
         return _pcg(M, b, precond, atol, _KRYLOV_MAXITER)[0]
-    restart = min(_GMRES_RESTART, _KRYLOV_MAXITER)
-    x, info = gmres(
-        M, b, rtol=0.0, atol=atol, restart=restart, maxiter=-(-_KRYLOV_MAXITER // restart),
-        M=LinearOperator(M.shape, matvec=precond, dtype=float),
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"GMRES reached {_KRYLOV_MAXITER} iterations above residual {atol:.3e}")
-    return x
+    return _gmres(M, b, precond, atol, _KRYLOV_MAXITER)[0]
+
+
+@cache
+def _dgtsv():
+    """LAPACK's tridiagonal solver, imported on the first 1D solve: the 2D path loads no scipy."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
+@cache
+def _sine_matrix(n: int) -> np.ndarray:
+    """``S[j, k] = sin(pi (j + 1) (k + 1) / (n + 1))``, symmetric with ``S @ S = (n + 1) / 2 I``.  Read-only.
+
+    The product ``(j + 1) (k + 1)`` is reduced modulo ``2 (n + 1)`` (the
+    period) before the sine, so every entry is within about an ulp of 1 of the exact value.
+    """
+    jk = np.multiply.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
+    S = np.sin(jk * (np.pi / (n + 1)))
+    S.setflags(write=False)
+    return S
 
 
 def _sine_preconditioner(grid: SpatialGrid, shift: float, nu: float):
-    """``r -> (shift I + nu (-Delta_h))^{-1} r`` on the interior nodes, zero on the boundary."""
-    inner = (slice(1, -1),) * grid.dim
-    inverse = 1.0 / (shift + nu * grid.dirichlet_eigenvalues)
+    """``r -> (shift I + nu (-Delta_h))^{-1} r`` on the interior nodes of a 2D grid, zero on the boundary.
+
+    Fast diagonalisation (Lynch, Rice & Thomas 1964): the sine matrices
+    ``S_0, S_1`` of the two axes (:func:`_sine_matrix`) hold the
+    eigenvectors of the interior Laplacian, so with ``R`` the interior of
+    ``r`` the solve is ``c S_0 ((S_0 R S_1) / (shift + nu lambda)) S_1``, with
+    ``lambda`` the grid's :attr:`~subdiff.spatial.SpatialGrid.dirichlet_eigenvalues`
+    and ``c = 4 / ((n_0 + 1) (n_1 + 1))``.  That is four dense matmuls, with
+    no FFT.  Their O(n^3) cost beats a fast sine transform up to about 257
+    nodes per axis and loses beyond.
+    """
+    n0, n1 = grid.dirichlet_eigenvalues.shape
+    S0, S1 = _sine_matrix(n0), _sine_matrix(n1)
+    scaled_inverse = (4.0 / ((n0 + 1) * (n1 + 1))) / (shift + nu * grid.dirichlet_eigenvalues)
 
     def apply(r):
         z = np.zeros(grid.shape)
-        z[inner] = idstn(dstn(r.reshape(grid.shape)[inner], type=1) * inverse, type=1, overwrite_x=True)
+        z[1:-1, 1:-1] = S0 @ ((S0 @ r.reshape(grid.shape)[1:-1, 1:-1] @ S1) * scaled_inverse) @ S1
         return z.ravel()
 
     return apply
@@ -300,6 +325,59 @@ def _pcg(M, b, precond, atol: float, maxiter: int):
         rz, rz_prev = r @ z, rz
         p = z + (rz / rz_prev) * p
     raise np.linalg.LinAlgError(f"CG reached {maxiter} iterations at residual {res:.3e} > {atol:.3e}")
+
+
+def _gmres(M, b, precond, atol: float, maxiter: int):
+    """Right-preconditioned restarted GMRES from ``x = 0``; returns ``(x, iterations)``.
+
+    A cycle of at most ``_GMRES_RESTART`` iterations builds an orthonormal
+    basis of the Krylov space of ``M P`` (``P`` the preconditioner) by
+    classical Gram-Schmidt, applied twice, and tracks the least-squares
+    residual by Givens rotations.  A cycle ends once that estimate is at most
+    ``atol``; the solve stops once the 2-norm of the true residual ``b - M x``
+    is, and raises ``numpy.linalg.LinAlgError`` after ``maxiter`` iterations
+    in all.
+    """
+    x = np.zeros_like(b)
+    iterations = 0
+    while True:
+        r = b - M @ x
+        beta = np.sqrt(r @ r)
+        if beta <= atol:
+            return x, iterations
+        if iterations == maxiter:
+            raise np.linalg.LinAlgError(f"GMRES reached {maxiter} iterations at residual {beta:.3e} > {atol:.3e}")
+        m = min(_GMRES_RESTART, maxiter - iterations)
+        V = np.empty((m + 1, b.size))  # the Krylov basis
+        Z = np.empty((m, b.size))  # its preconditioned vectors, which x is combined from
+        H = np.zeros((m + 1, m))  # the Hessenberg matrix, rotated into a triangle column by column
+        g = np.zeros(m + 1)  # the rotated right-hand side beta e_1
+        g[0] = beta
+        V[0] = r / beta
+        rotations = []
+        for j in range(m):
+            iterations += 1
+            Z[j] = precond(V[j])
+            w = M @ Z[j]
+            for _ in range(2):
+                h = V[: j + 1] @ w
+                w -= h @ V[: j + 1]
+                H[: j + 1, j] += h
+            H[j + 1, j] = np.sqrt(w @ w)
+            if H[j + 1, j] > 0.0:
+                V[j + 1] = w / H[j + 1, j]
+            col = H[:, j]
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            d = np.hypot(col[j], col[j + 1])
+            c, s = col[j] / d, col[j + 1] / d
+            rotations.append((c, s))
+            col[j], col[j + 1] = d, 0.0
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            if abs(g[j + 1]) <= atol:
+                break
+        k = len(rotations)
+        x += np.linalg.solve(H[:k, :k], g[:k]) @ Z[:k]
 
 
 def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, step_matrix):

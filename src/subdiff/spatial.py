@@ -5,21 +5,22 @@ coefficient evaluated at the arithmetic mean of the two adjacent nodes, which
 keeps the assembled interior block symmetric for frozen u and second-order
 accurate.  Dirichlet rows are identity rows, so a step matrix leaves the
 Dirichlet data unchanged.
-The Picard operator and the Newton Jacobian are ``scipy.sparse.dia_matrix``
-objects, one ``data`` row per diagonal with the offsets ascending; each grid
-builds those offsets and its face slices once
-(:attr:`SpatialGrid.operator_pattern`), and an all-zero matrix on them
-(:attr:`SpatialGrid.operator_template`) that each assembly copies with its
-own data, so scipy's full ``(data, offsets)`` constructor runs once per
-grid.  Their ``shift`` adds to the interior diagonal, so the step matrix
-``w I_int + A(u)`` is one assembly.  :func:`apply_quasilinear_operator`
-evaluates the product of the same operator with ``u`` without building a
-matrix, for residuals that no solve needs the matrix of, on one state or on
-a stack of states in one pass; it takes its face coefficients from the same
-helper as the assembly.  Each grid also caches the eigenvalues of the sine
-modes that diagonalise the discrete Dirichlet Laplacian
-(:attr:`SpatialGrid.dirichlet_eigenvalues`), which the 2D interior solves
-need.
+The Picard operator and the Newton Jacobian are :class:`DiaOperator`
+objects: square matrices in diagonal (DIA) storage, one ``data`` row per
+diagonal with the offsets ascending, in the layout of
+``scipy.sparse.dia_matrix``.  Each grid builds those offsets and its face
+slices once (:attr:`SpatialGrid.operator_pattern`), and every assembly only
+fills a new ``data`` array.  The operator's product needs numpy alone;
+``tocsr()`` imports ``scipy.sparse`` when called, for callers that want a
+scipy matrix.  The builders' ``shift`` adds to the interior diagonal, so the
+step matrix ``w I_int + A(u)`` is one assembly.
+:func:`apply_quasilinear_operator` evaluates the product of the same
+operator with ``u`` without building a matrix, for residuals that no solve
+needs the matrix of, on one state or on a stack of states in one pass; it
+takes its face coefficients from the same helper as the assembly.  Each grid
+also caches the eigenvalues of the sine modes that diagonalise the discrete
+Dirichlet Laplacian (:attr:`SpatialGrid.dirichlet_eigenvalues`), which the 2D
+interior solves need.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "SpatialGrid",
     "build_grid",
+    "DiaOperator",
     "DiffusionLaw",
     "constant_law",
     "porous_law",
@@ -94,10 +95,10 @@ class SpatialGrid:
         ``-stride_0, ..., -1, 0, +1, ..., +stride_0`` with ``stride_d`` the
         C-order stride of axis ``d``, so row ``dim`` of the data is the main
         diagonal.  Ascending is the column order of a row, the order in which
-        a CSC product sums it.  Per axis, ``faces`` holds the node slices
-        ``lo, hi`` of every face (led by an ``Ellipsis``, so they also index
-        stacked fields) and the masks of the faces whose lower (upper) node
-        is interior.  Read-only.
+        :class:`DiaOperator` and scipy's sparse products sum it.  Per axis,
+        ``faces`` holds the node slices ``lo, hi`` of every face (led by an
+        ``Ellipsis``, so they also index stacked fields) and the masks of the
+        faces whose lower (upper) node is interior.  Read-only.
         """
         strides = np.array([np.prod(self.shape[d + 1 :], dtype=int) for d in range(self.dim)])
         offsets = np.concatenate((-strides, [0], strides[::-1])).astype(np.int32)
@@ -112,20 +113,14 @@ class SpatialGrid:
         return offsets, tuple(faces)
 
     @cached_property
-    def operator_template(self) -> sp.dia_matrix:
-        """All-zero ``dia_matrix`` on the offsets of :attr:`operator_pattern`, for assemblies to copy."""
-        offsets = self.operator_pattern[0]
-        return sp.dia_matrix((np.zeros((offsets.size, self.n_nodes)), offsets), shape=(self.n_nodes, self.n_nodes))
-
-    @cached_property
     def dirichlet_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the discrete Dirichlet Laplacian ``-Delta_h``, shaped like the interior nodes.
 
         With ``n_d`` interior nodes on axis ``d``, entry ``k`` is the sum over
         axes of ``(4 / h_d^2) sin^2(k_d pi / (2 (n_d + 1)))`` (``k_d`` from 1),
-        the eigenvalue of the sine mode that the type-1 discrete sine
-        transform ``scipy.fft.dstn(type=1)`` picks out.  Entry 0 is the
-        smallest.  Read-only.
+        the eigenvalue of the sine mode ``sin(pi j k_d / (n_d + 1))`` (over the
+        interior nodes ``j = 1..n_d``), the mode that a type-1 discrete sine
+        transform picks out.  Entry 0 is the smallest.  Read-only.
         """
         lam = 0.0
         for n, h in zip(self.shape, self.spacing):
@@ -247,6 +242,47 @@ def ellipticity_check(law: DiffusionLaw, y_range: tuple[float, float], samples: 
     return EllipticityReport(law.tag, (lo, hi), min_a, max_a, passed)
 
 
+class DiaOperator:
+    """Square matrix in diagonal (DIA) storage: ``data[k, j]`` is entry ``(j - offsets[k], j)``.
+
+    The layout of ``scipy.sparse.dia_matrix``, with the offsets ascending.
+    ``@`` takes a vector and sums each row over the diagonals in storage
+    order, which is the row's column order, starting from zero: the order of
+    scipy's DIA and CSR products, so it equals them bitwise.  ``data`` may be
+    changed in place; ``offsets`` belongs to the grid and is read-only.
+    """
+
+    __slots__ = ("data", "offsets", "shape", "_bands")
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+        self.data = data
+        self.offsets = offsets
+        n = data.shape[1]
+        self.shape = (n, n)
+        # per diagonal: its row of `data` and the slices of the rows and columns it covers
+        self._bands = [
+            (k, slice(max(-offset, 0), n - max(offset, 0)), slice(max(offset, 0), n + min(offset, 0)))
+            for k, offset in enumerate(offsets.tolist())
+        ]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        products = self.data * x  # products[k, j] = entry (j - offsets[k], j) times x[j]
+        y = np.zeros(self.shape[0])
+        for k, rows, cols in self._bands:
+            y[rows] += products[k, cols]
+        return y
+
+    def tocsr(self):
+        """The same matrix as a ``scipy.sparse`` CSR matrix; imports ``scipy.sparse``."""
+        import scipy.sparse as sp
+
+        return sp.dia_matrix((self.data, self.offsets), shape=self.shape).tocsr()
+
+    def toarray(self) -> np.ndarray:
+        """The same matrix as a dense array, through :meth:`tocsr`."""
+        return self.tocsr().toarray()
+
+
 def _face_coefficients(grid: SpatialGrid, law: DiffusionLaw, u_nd: np.ndarray):
     """Per axis: ``(h^2, faces, face_u, a(face_u) / h^2)``.
 
@@ -262,10 +298,10 @@ def _face_coefficients(grid: SpatialGrid, law: DiffusionLaw, u_nd: np.ndarray):
         yield h2, faces, face_u, np.asarray(law.a(face_u), dtype=float) / h2
 
 
-def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool, shift: float) -> sp.dia_matrix:
-    out = sp.dia_matrix(grid.operator_template)  # shares the template's read-only offsets
+def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool, shift: float) -> DiaOperator:
+    offsets = grid.operator_pattern[0]
     u_nd = u.reshape(grid.shape)
-    data = np.zeros((out.offsets.size,) + grid.shape)
+    data = np.zeros((offsets.size,) + grid.shape)
     diag = data[grid.dim]
     for d, (h2, (lo, hi, lo_interior, hi_interior), face_u, coeff) in enumerate(_face_coefficients(grid, law, u_nd)):
         dterm = 0.0
@@ -280,8 +316,7 @@ def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: b
         diag[hi] += coeff + dterm
     diag += shift
     diag[grid.boundary_mask.reshape(grid.shape)] = 1.0
-    out.data = data.reshape(out.offsets.size, -1)
-    return out
+    return DiaOperator(data.reshape(offsets.size, -1), offsets)
 
 
 def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np.ndarray:
@@ -295,16 +330,16 @@ def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np
     return u
 
 
-def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.dia_matrix:
+def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> DiaOperator:
     """Assemble ``shift I_int - div_h(a(u) grad_h .)`` with the coefficient frozen at ``u``.
 
     Interior rows hold the divergence stencil with face coefficients
     ``a((u_left + u_right)/2)`` plus ``shift`` on the diagonal; boundary rows
     are identity.  For a constant law and ``shift = 0`` this is exactly
     ``const`` times the negative discrete Laplacian.  The result is a
-    ``dia_matrix`` on the grid's :attr:`~SpatialGrid.operator_pattern`, so it
-    supports products and conversions but no indexing; off-diagonal entries
-    of boundary rows are stored as exact zeros.
+    :class:`DiaOperator` on the grid's :attr:`~SpatialGrid.operator_pattern`,
+    so it supports products and conversions but no indexing; off-diagonal
+    entries of boundary rows are stored as exact zeros.
     """
     return _assemble(grid, law, _checked_state(grid, u, "coefficient state"), with_deriv=False, shift=shift)
 
@@ -334,10 +369,10 @@ def apply_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: f
     return out
 
 
-def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> sp.dia_matrix:
+def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> DiaOperator:
     """Jacobian of ``u -> -div_h(a(u) grad_h u)``, including the a'(u) terms, plus ``shift I_int``.
 
-    Same ``dia_matrix`` layout, boundary rows and ``shift`` as
+    Same :class:`DiaOperator` layout, boundary rows and ``shift`` as
     :func:`assemble_quasilinear_operator`.
     """
     return _assemble(grid, law, _checked_state(grid, u, "state"), with_deriv=True, shift=shift)

@@ -329,11 +329,29 @@ class TestArgumentErrors:
         assert "--seed" in capsys.readouterr().err
 
 
-def test_import_loads_neither_integrate_nor_optimize():
-    # scipy.integrate pulls in scipy.optimize, together a large share of the
-    # package's import time and memory; nothing in the package needs them
+def _scipy_modules_after(tmp_path, script):
+    """The ``scipy`` modules loaded in a fresh interpreter that ran ``script`` (from ``tmp_path``)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = "import sys, subdiff.cli; print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    script += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # any scipy submodule costs a large share of the package's import time and memory
+    assert _scipy_modules_after(tmp_path, "import sys, subdiff.cli") == "[]"
+
+
+@pytest.mark.parametrize("mode", ["picard", "newton"])
+def test_2d_run_loads_no_scipy(tmp_path, mode):
+    # the 2D step operator, preconditioner and Krylov solves are numpy only, also on their first call
+    _write(
+        tmp_path,
+        "problem = porous\n[problem]\ndimension = 2\nresolution = 17\n[time]\nsteps = 4\ngrading = 1\n"
+        f"[solver]\nmode = {mode}\n",
+    )
+    script = "import sys\nfrom subdiff.cli import main\nassert main(['run', 'run.cfg', '--out', 'out']) == 0"
+    assert _scipy_modules_after(tmp_path, script) == "[]"

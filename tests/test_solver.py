@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import dstn, idstn
 
 from subdiff import solver
 from subdiff.kernels import TimeGrid, default_grading
@@ -271,6 +272,36 @@ class TestInteriorSolve:
         precond = solver._sine_preconditioner(grid, 3.0, 2.0)
         _, iterations = solver._pcg(M, b, precond, 1e-10 * np.linalg.norm(b), 10)
         assert iterations == 1
+
+    def test_gmres_restarts_until_the_true_residual_meets_atol(self):
+        # lam / nu = 51 takes GMRES through many restart cycles; x must keep every cycle's correction
+        grid = build_grid(2, (0.0, 1.0), 17)
+        u = 1.5 * np.prod(np.sin(2.0 * np.pi * grid.points() / grid.lengths), axis=1)
+        M = newton_jacobian(grid, _stiff_problem().law, u, shift=1.0)
+        b = np.where(grid.boundary_mask, 0.0, np.random.default_rng(3).normal(size=grid.n_nodes))
+        atol = 1e-12 * np.linalg.norm(b)
+        x, iterations = solver._gmres(M, b, solver._sine_preconditioner(grid, 1.0, 1.0), atol, 500)
+        assert iterations > 5 * solver._GMRES_RESTART
+        assert np.linalg.norm(b - M @ x) <= atol
+        ii = grid.interior_indices()
+        want = np.linalg.solve(M.toarray()[np.ix_(ii, ii)], b[ii])
+        assert np.linalg.norm(x[ii] - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shift, nu", [(3.0, 1.0), (250.0, 0.5)])
+    @pytest.mark.parametrize(
+        "extents, res", [((0.0, 1.0), 17), ([(0.0, 1.0), (0.0, 2.0)], (17, 33)), ((0.0, 1.0), 128)]
+    )
+    def test_sine_preconditioner_matches_fft_sine_transform(self, extents, res, shift, nu):
+        grid = build_grid(2, extents, res)
+        r = np.random.default_rng(6).normal(size=grid.n_nodes)
+        inner = (slice(1, -1),) * 2
+        want = np.zeros(grid.shape)
+        rhat = dstn(r.reshape(grid.shape)[inner], type=1) / (shift + nu * grid.dirichlet_eigenvalues)
+        want[inner] = idstn(rhat, type=1)
+        got = solver._sine_preconditioner(grid, shift, nu)(r)
+        assert got.shape == (grid.n_nodes,)
+        assert np.all(got[grid.boundary_mask] == 0.0)
+        assert np.max(np.abs(got - want.ravel())) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("mode", ["picard", "newton"])
     def test_krylov_iteration_cap_fails_the_step(self, mode, monkeypatch):

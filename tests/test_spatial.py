@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from subdiff.spatial import (
+    DiaOperator,
     apply_quasilinear_operator,
     assemble_quasilinear_operator,
     build_grid,
@@ -226,7 +228,7 @@ class TestOperator:
     def test_dia_layout(self, build, dim, extents, res):
         g = build_grid(dim, extents, res)
         M = build(g, porous_law(), np.random.default_rng(2).normal(size=g.n_nodes), shift=1.5)
-        assert M.format == "dia"
+        assert isinstance(M, DiaOperator)
         assert M.data.shape == (2 * dim + 1, g.n_nodes)
         assert np.all(np.diff(M.offsets) > 0)
         dense = M.toarray()
@@ -251,12 +253,19 @@ class TestOperator:
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_product_equals_csc_product_bitwise(self, dim, extents, res, build):
-        # DIA sums a row diagonal by diagonal in storage order; ascending offsets are CSC's column order
+        # the operator sums a row diagonal by diagonal in storage order, from zero; ascending offsets
+        # are the column order in which scipy's DIA, CSR and CSC products sum it
         g = build_grid(dim, extents, res)
         rng = np.random.default_rng(8)
         M = build(g, porous_law(), rng.normal(size=g.n_nodes), shift=2.5)
+        csr = M.tocsr()
+        # the operator stores the boundary rows' exact-zero off-diagonals; the CSR copy drops them
+        assert csr.nnz < sum(g.n_nodes - abs(offset) for offset in M.offsets)
         v = rng.normal(size=g.n_nodes)
-        assert np.array_equal(M @ v, M.tocsc() @ v)
+        got = M @ v
+        assert np.array_equal(got, csr @ v)
+        assert np.array_equal(got, csr.tocsc() @ v)
+        assert np.array_equal(got, sp.dia_matrix((M.data, M.offsets), shape=M.shape) @ v)
 
     @pytest.mark.parametrize("shift", [0.0, 2.5])
     @pytest.mark.parametrize("law", [constant_law(2.0), porous_law()], ids=["constant", "porous"])
