@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +80,7 @@ def _collect_certificates(traj, cc):
     if cc.convexity:
         with _timed(seconds, "convexity"):
             rep = convexity_report(traj)
-            certs["convexity"] = {
-                "passed": rep.passed,
-                "min_margin": rep.min_margin,
-                "min_strong_margin": rep.min_strong_margin,
-            }
+            certs["convexity"] = {"passed": rep.passed, "min_margin": rep.min_margin, "worst_step": rep.worst_step}
     if cc.boundedness:
         with _timed(seconds, "boundedness"):
             try:
@@ -249,20 +246,13 @@ def cmd_study(args) -> int:
         exact = eigenmode_exact(base_spec)
 
     def level_spec(l: int):
-        space = axis == "space"
-        res = (base_res - 1) * 2**l + 1 if space else base_res
-        steps = base_steps if space else base_steps * 2**l
-        spec = build_preset(
-            cfg.problem.preset,
-            alpha=cfg.problem.alpha,
-            dimension=cfg.problem.dimension,
-            extents=cfg.problem.extents,
-            resolution=res,
-            horizon=cfg.time.horizon,
-            steps=steps,
-            grading=cfg.time.grading,
-        )
-        return spec, res if space else steps
+        if axis == "space":
+            size = (base_res - 1) * 2**l + 1
+            level = replace(cfg, problem=replace(cfg.problem, resolution=size))
+        else:
+            size = base_steps * 2**l
+            level = replace(cfg, time=replace(cfg.time, steps=size))
+        return build_problem(level)[0], size
 
     try:
         finals = []

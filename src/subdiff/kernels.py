@@ -11,8 +11,9 @@ step ``[t_{k-1}, t_k]``.  This quadrature is exact for piecewise-linear
 functions, its weights are positive, and within each row they increase toward
 the diagonal on any admissible mesh.  Those three facts carry all the
 structure the rest of the package relies on (convexity inequality, comparison
-principle, maximum principle).  Every O(M^2) consumer reads the weights
-through :meth:`L1Weights.block`; the solver's memory term comes from a
+principle, maximum principle); a run's convexity certificate checks the last
+two.  Every O(M^2) consumer reads the weights through
+:meth:`L1Weights.block`; the solver's memory term comes from a
 memory provider (:class:`DirectHistory` or :class:`CompressedHistory`).
 """
 
@@ -30,7 +31,6 @@ __all__ = [
     "L1Weights",
     "ConvexityReport",
     "check_discrete_convexity",
-    "tested_convexity",
     "DirectHistory",
     "CompressedHistory",
     "CompressionError",
@@ -133,12 +133,13 @@ class L1Weights:
     """L1 quadrature weights for the fractional derivative of order ``alpha``.
 
     This is the one history operator of the package: every O(M^2) consumer
-    (the solver's direct memory, the convexity certificates, the relaxation
-    marchers) reads the lower-triangular matrix ``W[n-1, k-1] = w_{n,k}``
-    through :meth:`block`, a dense slab of consecutive rows.  On uniform grids
-    the off-diagonal entries are gathered from one precomputed sequence
-    ``b_j = w_{n,n-j}``; on graded grids they come from the closed form.  The
-    diagonal ``w_{n,n}`` comes from one table shared with :meth:`diag`, so
+    (the solver's direct memory, the convexity check and certificate, the
+    relaxation marchers) reads the lower-triangular matrix
+    ``W[n-1, k-1] = w_{n,k}`` through :meth:`block`, a dense slab of
+    consecutive rows.  On uniform grids the off-diagonal entries are gathered
+    from one precomputed sequence ``b_j = w_{n,n-j}``; on graded grids they
+    come from the closed form in ``expm1``/``log1p``, accurate even when
+    ``tau_k << t_n - t_k``.  The diagonal ``w_{n,n}`` comes from one table shared with :meth:`diag`, so
     :meth:`row`, :meth:`diag` and :meth:`apply` agree with :meth:`block`
     bitwise.
     """
@@ -175,12 +176,13 @@ class L1Weights:
             out = np.where(lag > 0, self._uniform_b[np.maximum(lag, 0)], 0.0)
         else:
             t = self.grid.nodes
-            t_n = t[n0:n1, None]
+            tau = self.grid.tau[: n1 - 1]
             p = 1.0 - self.alpha
-            # bases clipped at zero: entries with k >= n get equal lags and vanish
-            lag_hi = np.maximum(t_n - t[: n1 - 1], 0.0) ** p
-            lag_lo = np.maximum(t_n - t[1:n1], 0.0) ** p
-            out = (lag_hi - lag_lo) / (math.gamma(2.0 - self.alpha) * self.grid.tau[: n1 - 1])
+            # (lag_lo + tau)^p - lag_lo^p without the cancellation when tau << lag_lo;
+            # entries with k >= n have lag_lo = 0 and a zero ratio, so they vanish
+            lag_lo = np.maximum(t[n0:n1, None] - t[1:n1], 0.0)
+            ratio = np.divide(tau, lag_lo, out=np.zeros_like(lag_lo), where=lag_lo > 0.0)
+            out = lag_lo**p * np.expm1(p * np.log1p(ratio)) / (math.gamma(2.0 - self.alpha) * tau)
         # entry (n - n0, n - 1) sits at flat index n0 - 1 + (n - n0) * n1
         out.reshape(-1)[n0 - 1 :: n1] = self._diag[n0 - 1 : n1 - 1]
         return out
@@ -230,42 +232,34 @@ class L1Weights:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Margins of the discrete convexity inequality along one history.
+    """Margins of the discrete convexity inequality along one scalar history.
 
-    For each step n the weak margin is
+    For each step n the margin is
 
         margin_n = v_n (D^a v)_n - 1/2 (D^a v^2)_n ,
 
     which is nonnegative for the L1 scheme (Abel summation plus monotone
     weights).  ``roundoff`` holds a per-step bound on the floating-point noise
-    of the two bilinear forms; the verdict tolerates exactly that much.
-    ``strong_margins`` additionally subtracts the kernel term
-    ``1/2 g_{1-a}(t_n) v_n^2`` from the continuous inequality; whether that
-    term survives discretization is an open question, so it is measured and
-    reported but never asserted.
+    of the two sums; the verdict tolerates exactly that much.
     """
 
     alpha: float
     times: np.ndarray
     margins: np.ndarray
     roundoff: np.ndarray
-    strong_margins: np.ndarray
     passed: bool
 
     @property
     def min_margin(self) -> float:
         return float(self.margins.min())
 
-    @property
-    def min_strong_margin(self) -> float:
-        return float(self.strong_margins.min())
-
 
 def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) -> ConvexityReport:
     """Check ``v_n (D^a v)_n >= 1/2 (D^a v^2)_n`` along a scalar history.
 
     Both sides use identical weights; the squared history keeps the squared
-    initial value, exactly as the solver's energy argument uses it.
+    initial value, exactly as the solver's energy argument uses it.  The
+    roundoff allowance ``4 (n + 4) eps`` charges each sum with its gross value.
     """
     v = np.asarray(history, dtype=float)
     if v.ndim != 1:
@@ -274,43 +268,24 @@ def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) 
         raise ValueError("history must contain at least one step")
     if v.shape[0] > grid.steps + 1:
         raise ValueError("history is longer than the grid")
-    return tested_convexity(L1Weights(alpha=alpha, grid=grid), v[:, None], np.ones(1))
-
-
-def tested_convexity(
-    weights: L1Weights, fields: np.ndarray, q: np.ndarray, charge_levels: bool = False
-) -> ConvexityReport:
-    """Margins of ``(u_n, D^a u_n)_q - 1/2 (D^a W)_n`` with ``W_n = (u_n, u_n)_q``.
-
-    ``fields`` has shape (N+1, nodes) and ``q`` holds the quadrature weights
-    of the inner product.  The roundoff allowance charges every contraction
-    with its gross sum; for the ``W`` increments that is ``|W_k - W_{k-1}|``,
-    or ``W_k + W_{k-1}`` with ``charge_levels`` (quadrature sums carry
-    rounding proportional to the levels they difference).
-    """
-    U = fields
-    N = U.shape[0] - 1
-    dU = np.diff(U, axis=0)
-    absdU = np.abs(dU)
-    W = np.einsum("ni,i,ni->n", U, q, U)
-    dW = np.diff(W)
-    w_incs = np.stack([dW, W[1:] + W[:-1] if charge_levels else np.abs(dW)], axis=1)
+    N = v.shape[0] - 1
+    dv = np.diff(v)
+    dV = np.diff(v * v)
+    dV_incs = np.stack([dV, np.abs(dV)], axis=1)
     margins = np.empty(N)
     gross = np.empty(N)
-    for n0, n1, w in weights.blocks(N):
+    for n0, n1, w in L1Weights(alpha=alpha, grid=grid).blocks(N):
         k = n1 - 1
-        rows = slice(n0 - 1, n1 - 1)
-        dw = w @ w_incs[:k]
-        margins[rows] = np.einsum("ri,i,ri->r", U[n0:n1], q, w @ dU[:k]) - 0.5 * dw[:, 0]
-        gross[rows] = np.einsum("ri,i,ri->r", np.abs(U[n0:n1]), q, w @ absdU[:k]) + 0.5 * dw[:, 1]
+        rows = slice(n0 - 1, k)
+        dw = w @ dV_incs[:k]
+        margins[rows] = v[n0:n1] * (w @ dv[:k]) - 0.5 * dw[:, 0]
+        gross[rows] = np.abs(v[n0:n1]) * (w @ np.abs(dv[:k])) + 0.5 * dw[:, 1]
     roundoff = 4.0 * (np.arange(1, N + 1) + 4.0) * _EPS * (gross + 1e-300)
-    t = weights.grid.nodes[1 : N + 1]
     return ConvexityReport(
-        alpha=weights.alpha,
-        times=t.copy(),
+        alpha=alpha,
+        times=grid.nodes[1 : N + 1].copy(),
         margins=margins,
         roundoff=roundoff,
-        strong_margins=margins - 0.5 * rl_kernel(1.0 - weights.alpha, t) * W[1:],
         passed=bool(np.all(margins >= -roundoff)),
     )
 

@@ -7,6 +7,7 @@ unpatched and the benchmark reporting zeros for that layer.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,6 @@ def test_run_calls_go_through_traced_names(tmp_path):
         assert rec.calls[key] >= 1, key
     # one step mark per time step, taken inside run_trajectory
     assert len(rec.step_marks) == 64
+    # the per-layer figures read report attributes and timing keys; a dropped one fails here
+    metrics = tracing.layer_metrics(rec, 1.0)
+    assert all(math.isfinite(v) for v in metrics.values()), metrics

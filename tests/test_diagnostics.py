@@ -1,5 +1,6 @@
 """Certificates: norms, boundedness, decay, convexity, Hoelder, weak residual."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -19,7 +20,7 @@ from subdiff.diagnostics import (
     norm_series,
     weakform_residual,
 )
-from subdiff.kernels import TimeGrid, default_grading
+from subdiff.kernels import L1Weights, TimeGrid, default_grading
 from subdiff.presets import _time_grid, build_preset
 from subdiff.solver import ProblemSpec, run_trajectory
 from subdiff.spatial import build_grid, constant_law, porous_law
@@ -130,17 +131,39 @@ class TestDecay:
 
 class TestConvexity:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
-    def test_energy_margins_nonnegative(self, alpha):
+    def test_porous_runs_pass(self, alpha):
         traj = _run("porous", alpha=alpha, resolution=33, steps=48, horizon=3.0)
         rep = convexity_report(traj)
         assert rep.passed
-        assert rep.margins.shape == (48,)
-        assert np.all(rep.margins >= -rep.roundoff)
+        assert rep.min_margin >= 0.0
+        assert 1 <= rep.worst_step <= 48
 
-    def test_margins_positive_for_genuinely_decaying_run(self):
+    def test_verdict_reads_the_weights_not_the_fields(self):
+        # by the Abel identity the margins are nonnegative for every history,
+        # so a corrupted trajectory gets the same report
         traj = _run("eigenmode", resolution=33, steps=32)
+        fields = traj.fields.copy()
+        fields[20:] *= 1.01
+        assert convexity_report(dataclasses.replace(traj, fields=fields)) == convexity_report(traj)
+
+    @pytest.mark.parametrize("factor, passed", [(0.5, False), (1.0, True)])
+    def test_one_decreasing_row_fails_and_ties_pass(self, monkeypatch, factor, passed):
+        traj = _run("porous", resolution=17, steps=48, horizon=3.0)
+        bad = 30
+
+        def corrupted(alpha, grid):
+            # the diagonal w_{n,n} enters row n only; set it to factor * w_{n,n-1}
+            w = L1Weights(alpha=alpha, grid=grid)
+            diag = w._diag.copy()
+            diag[bad - 1] = factor * w.row(bad)[bad - 2]
+            object.__setattr__(w, "_diag", diag)
+            return w
+
+        monkeypatch.setattr(diagnostics, "L1Weights", corrupted)
         rep = convexity_report(traj)
-        assert rep.min_margin > 0.0
+        assert rep.passed is passed
+        assert rep.worst_step == bad
+        assert rep.min_margin == (factor - 1.0) / factor
 
 
 class TestHoelder:
