@@ -31,10 +31,11 @@ from .diagnostics import (
     norm_series,
     weakform_residual,
 )
-from .kernels import CompressionError, TimeGrid, check_discrete_convexity, default_grading
+from .kernels import CompressionError, L1Weights, TimeGrid, check_discrete_convexity, default_grading
 from .mittag_leffler import ml_tail_bound, ml_values
 from .presets import build_preset, eigenmode_exact
-from .relaxation import random_subsolution, solve_relaxation_l1
+from .relaxation import _march, _subsolution_draws
+from .relaxation import random_subsolution, solve_relaxation_l1  # noqa: F401  (bench/tracing.py wraps these names)
 from .reporting import RunReport, jsonable, snapshot_path, write_norms_tsv, write_report, write_snapshot
 from .solver import SolverOptions, StepFailure, run_trajectory
 
@@ -303,6 +304,9 @@ def cmd_study(args) -> int:
     return 0
 
 
+_SWEEP_PAIRS = 6  # the (alpha, grid) pairs _sweep_grids yields
+
+
 def _sweep_grids(horizon: float):
     """(alpha, grid) pairs of the property sweeps: three orders, uniform and graded 48-step grids."""
     for alpha in (0.3, 0.5, 0.8):
@@ -311,18 +315,19 @@ def _sweep_grids(horizon: float):
 
 
 def _props_convexity(rng, count: int):
+    """``count`` random histories per (alpha, grid) pair, checked as one stack per pair."""
     worst = np.inf
     violations = 0
     total = 0
     for alpha, grid in _sweep_grids(2.0):
-        for _ in range(count):
+        hists = np.empty((count, grid.steps + 1))
+        for hist in hists:
             scale = 10.0 ** rng.uniform(-2.0, 2.0)
-            hist = scale * np.cumsum(rng.standard_normal(grid.steps + 1))
-            rep = check_discrete_convexity(alpha, grid, hist)
-            total += 1
-            worst = min(worst, float(np.min(rep.margins + rep.roundoff)))
-            if not rep.passed:
-                violations += 1
+            hist[:] = scale * np.cumsum(rng.standard_normal(grid.steps + 1))
+        rep = check_discrete_convexity(alpha, grid, hists)
+        total += count
+        worst = min(worst, float(np.min(rep.margins + rep.roundoff)))
+        violations += rep.violations
     return {
         "passed": violations == 0,
         "histories": total,
@@ -332,22 +337,31 @@ def _props_convexity(rng, count: int):
 
 
 def _props_comparison(rng, count: int):
+    """``count`` random sub-solutions per (alpha, grid) pair against the discrete relaxation solution.
+
+    The sub-solutions and the relaxation solutions of one pair share the
+    grid and the rates ``mu``, so they are marched together as one batch.
+    """
     eps = np.finfo(float).eps
     violations = 0
     total = 0
     worst = np.inf
     for alpha, grid in _sweep_grids(3.0):
-        for _ in range(count):
-            mu = 10.0 ** rng.uniform(-1.0, 1.5)
-            w0 = 10.0 ** rng.uniform(-1.0, 1.0)
-            W = random_subsolution(alpha, mu, grid, rng, w0=w0)
-            V = solve_relaxation_l1(alpha, mu, w0, grid)
-            tol = 64.0 * (grid.steps + 4.0) * eps * max(float(np.max(np.abs(V))), float(np.max(np.abs(W))))
-            gap = float(np.min(V - W))
-            total += 1
-            worst = min(worst, gap + tol)
-            if gap < -tol:
-                violations += 1
+        mu = np.empty(count)
+        w0 = np.empty(count)
+        start = np.empty(count)
+        slack = np.zeros((2 * count, grid.steps))
+        for i in range(count):
+            mu[i] = 10.0 ** rng.uniform(-1.0, 1.5)
+            w0[i] = 10.0 ** rng.uniform(-1.0, 1.0)
+            start[i], slack[i] = _subsolution_draws(rng, w0[i], grid.steps)
+        marched = _march(L1Weights(alpha=alpha, grid=grid), np.tile(mu, 2), np.concatenate([start, w0]), slack)
+        W, V = marched[:count], marched[count:]
+        tol = 64.0 * (grid.steps + 4.0) * eps * np.maximum(np.max(np.abs(V), axis=1), np.max(np.abs(W), axis=1))
+        gap = np.min(V - W, axis=1)
+        total += count
+        worst = min(worst, float(np.min(gap + tol)))
+        violations += int(np.count_nonzero(gap < -tol))
     return {"passed": violations == 0, "subsolutions": total, "violations": violations, "worst_gap": worst}
 
 
@@ -372,8 +386,12 @@ def _props_mittag_leffler():
 
 
 def cmd_props(args) -> int:
+    if args.count < _SWEEP_PAIRS:
+        print(f"props needs --count >= {_SWEEP_PAIRS}, one history per (alpha, grid) pair; got {args.count}",
+              file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    per_combo = max(1, args.count // 6)
+    per_combo = args.count // _SWEEP_PAIRS
     results = {
         "convexity": _props_convexity(rng, per_combo),
         "comparison": _props_comparison(rng, per_combo),
@@ -414,7 +432,13 @@ def main(argv=None) -> int:
     p_study.set_defaults(func=cmd_study)
 
     p_props = sub.add_parser("props", help="randomized property sweeps (no PDE run)")
-    p_props.add_argument("--count", type=int, default=1002, help="total histories per property family")
+    p_props.add_argument(
+        "--count",
+        type=int,
+        default=1002,
+        help="histories per property family, at least 6; rounded down to a multiple of 6, "
+        "the number of (alpha, grid) pairs",
+    )
     p_props.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p_props.add_argument("--out", help="directory for props.json")
     p_props.set_defaults(func=cmd_props)

@@ -232,7 +232,7 @@ class L1Weights:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Margins of the discrete convexity inequality along one scalar history.
+    """Margins of the discrete convexity inequality along scalar histories.
 
     For each step n the margin is
 
@@ -240,7 +240,10 @@ class ConvexityReport:
 
     which is nonnegative for the L1 scheme (Abel summation plus monotone
     weights).  ``roundoff`` holds a per-step bound on the floating-point noise
-    of the two sums; the verdict tolerates exactly that much.
+    of the two sums; the verdict tolerates exactly that much.  For a batch of
+    histories ``margins`` and ``roundoff`` carry a leading history axis,
+    ``passed`` holds when every history passed, and :attr:`violations` counts
+    the histories that did not.
     """
 
     alpha: float
@@ -253,33 +256,43 @@ class ConvexityReport:
     def min_margin(self) -> float:
         return float(self.margins.min())
 
+    @property
+    def violations(self) -> int:
+        """Number of histories with a margin below ``-roundoff`` at some step."""
+        ok = np.all(self.margins >= -self.roundoff, axis=-1)
+        return int(np.size(ok) - np.count_nonzero(ok))
+
 
 def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) -> ConvexityReport:
-    """Check ``v_n (D^a v)_n >= 1/2 (D^a v^2)_n`` along a scalar history.
+    """Check ``v_n (D^a v)_n >= 1/2 (D^a v^2)_n`` along one or many scalar histories.
 
+    ``history`` is one history of shape (N+1,) or a stack of B histories of
+    shape (B, N+1) on the same grid; a stack is checked with one product per
+    block of weight rows, and its margins and roundoff have shape (B, N).
     Both sides use identical weights; the squared history keeps the squared
     initial value, exactly as the solver's energy argument uses it.  The
     roundoff allowance ``4 (n + 4) eps`` charges each sum with its gross value.
     """
     v = np.asarray(history, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("check_discrete_convexity expects a scalar history")
-    if v.shape[0] < 2:
+    if v.ndim not in (1, 2):
+        raise ValueError(f"check_discrete_convexity expects one history or a (B, N+1) stack, got shape {v.shape}")
+    if v.shape[-1] < 2:
         raise ValueError("history must contain at least one step")
-    if v.shape[0] > grid.steps + 1:
+    if v.shape[-1] > grid.steps + 1:
         raise ValueError("history is longer than the grid")
-    N = v.shape[0] - 1
-    dv = np.diff(v)
-    dV = np.diff(v * v)
-    dV_incs = np.stack([dV, np.abs(dV)], axis=1)
-    margins = np.empty(N)
-    gross = np.empty(N)
+    N = v.shape[-1] - 1
+    dv = np.diff(v, axis=-1)
+    dV = np.diff(v * v, axis=-1)
+    # the four increment sequences every history needs, stacked so one product serves them all
+    incs = np.stack([dv, np.abs(dv), dV, np.abs(dV)])
+    margins = np.empty(v.shape[:-1] + (N,))
+    gross = np.empty(v.shape[:-1] + (N,))
     for n0, n1, w in L1Weights(alpha=alpha, grid=grid).blocks(N):
         k = n1 - 1
         rows = slice(n0 - 1, k)
-        dw = w @ dV_incs[:k]
-        margins[rows] = v[n0:n1] * (w @ dv[:k]) - 0.5 * dw[:, 0]
-        gross[rows] = np.abs(v[n0:n1]) * (w @ np.abs(dv[:k])) + 0.5 * dw[:, 1]
+        d, d_abs, dw, dw_abs = incs[..., :k] @ w.T
+        margins[..., rows] = v[..., n0:n1] * d - 0.5 * dw
+        gross[..., rows] = np.abs(v[..., n0:n1]) * d_abs + 0.5 * dw_abs
     roundoff = 4.0 * (np.arange(1, N + 1) + 4.0) * _EPS * (gross + 1e-300)
     return ConvexityReport(
         alpha=alpha,

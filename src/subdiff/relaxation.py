@@ -62,25 +62,36 @@ def solve_relaxation_l1(alpha: float, mu: float, v0: float, grid: TimeGrid) -> n
     """
     if mu < 0.0:
         raise ValueError(f"decay rate mu must be nonnegative, got {mu}")
-    return _march(L1Weights(alpha=alpha, grid=grid), mu, v0, np.zeros(grid.steps))
+    return _march(L1Weights(alpha=alpha, grid=grid), np.array([mu]), np.array([v0]), np.zeros((1, grid.steps)))[0]
 
 
-def _march(weights: L1Weights, mu: float, v0: float, slack: np.ndarray) -> np.ndarray:
-    """Solve ``(D^a V)_n + mu V_n = -slack_{n-1}`` for n = 1..M from ``V_0 = v0``.
+def _march(weights: L1Weights, mu: np.ndarray, v0: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Solve ``(D^a V_b)_n + mu_b V_{b,n} = -slack_{b,n-1}`` for n = 1..M from ``V_{b,0} = v0_b``.
 
-    Reads the weights a block of rows at a time; each step still needs the
-    increments of all earlier steps, so the rows are used one by one.
+    Marches a batch of B histories on one grid: ``mu`` and ``v0`` have shape
+    (B,), ``slack`` has shape (B, M), and the result has shape (B, M+1).  Each
+    step needs the increments of all earlier steps, so the steps run one after
+    another, but every step treats the whole batch as one matrix-vector
+    product with the weight row.  Reads the weights a block of rows at a time.
     """
+    mu = np.asarray(mu, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    slack = np.asarray(slack, dtype=float)
     M = weights.grid.steps
-    V = np.empty(M + 1)
-    V[0] = v0
-    dV = np.empty(M)
+    if slack.ndim != 2 or slack.shape[1] != M:
+        raise ValueError(f"slack must have shape (B, {M}), got {slack.shape}")
+    B = slack.shape[0]
+    if mu.shape != (B,) or v0.shape != (B,):
+        raise ValueError(f"mu and v0 must have shape ({B},), got {mu.shape} and {v0.shape}")
+    V = np.empty((B, M + 1))
+    V[:, 0] = v0
+    dV = np.empty((B, M))
     for n0, n1, block in weights.blocks(M):
         for n in range(n0, n1):
             w = block[n - n0]
-            lagged = float(w[: n - 1] @ dV[: n - 1]) if n > 1 else 0.0
-            V[n] = (w[n - 1] * V[n - 1] - lagged - slack[n - 1]) / (w[n - 1] + mu)
-            dV[n - 1] = V[n] - V[n - 1]
+            lagged = dV[:, : n - 1] @ w[: n - 1] if n > 1 else 0.0
+            V[:, n] = (w[n - 1] * V[:, n - 1] - lagged - slack[:, n - 1]) / (w[n - 1] + mu)
+            dV[:, n - 1] = V[:, n] - V[:, n - 1]
     return V
 
 
@@ -178,10 +189,21 @@ def random_subsolution(
 
     Builds W with ``(D^a W)_n + mu W_n = -s_n`` for nonnegative random slacks
     ``s_n`` and ``W_0 <= w0`` — exactly the hypotheses of the comparison
-    principle.  Used by property tests and the CLI property sweeps.
+    principle.  Used by property tests; the CLI property sweeps take the same
+    draws from :func:`_subsolution_draws` and march whole batches at once.
+    """
+    start, slack = _subsolution_draws(rng, w0, grid.steps)
+    return _march(L1Weights(alpha=alpha, grid=grid), np.array([mu]), np.array([start]), slack[None])[0]
+
+
+def _subsolution_draws(rng: np.random.Generator, w0: float, steps: int) -> tuple[float, np.ndarray]:
+    """The random start ``W_0 <= w0`` and the ``steps`` nonnegative slacks of one sub-solution.
+
+    Batched sweeps call this once per history, in order, so they consume the
+    generator exactly as one :func:`random_subsolution` call per history does.
     """
     start = w0 - abs(rng.normal(scale=0.1 * abs(w0) + 0.01))
     scale = abs(w0) + 1.0
     # drawn in the same order as the values they feed: normal, then uniform
-    slack = np.array([abs(rng.normal(scale=0.3 * scale)) * rng.random() for _ in range(grid.steps)])
-    return _march(L1Weights(alpha=alpha, grid=grid), mu, start, slack)
+    slack = np.array([abs(rng.normal(scale=0.3 * scale)) * rng.random() for _ in range(steps)])
+    return start, slack

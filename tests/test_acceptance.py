@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 from scipy.special import erfcx
 
+from subdiff.cli import _props_comparison, _props_convexity
 from subdiff.diagnostics import (
     boundedness_report,
     convexity_report,
@@ -21,10 +22,8 @@ from subdiff.diagnostics import (
     l2_norm,
     weakform_residual,
 )
-from subdiff.kernels import TimeGrid, check_discrete_convexity, default_grading
 from subdiff.mittag_leffler import ml_tail_bound, ml_values
 from subdiff.presets import build_preset, eigenmode_exact
-from subdiff.relaxation import random_subsolution, solve_relaxation_l1
 from subdiff.solver import SolverOptions, run_trajectory
 from subdiff.spatial import assemble_quasilinear_operator, constant_law
 
@@ -103,25 +102,11 @@ def test_decay_envelope(porous_runs):
 
 def test_convexity_sweep():
     """Weak discrete convexity holds for random histories on both grid kinds."""
-    rng = np.random.default_rng(1137)
-    per_combo = 1000
-    total = 0
-    violations = 0
-    worst = np.inf
-    for alpha in (0.3, 0.5, 0.8):
-        for kind in ("uniform", "graded"):
-            if kind == "uniform":
-                grid = TimeGrid.uniform(2.0, 48)
-            else:
-                grid = TimeGrid.graded(2.0, 48, default_grading(alpha))
-            for _ in range(per_combo):
-                scale = 10.0 ** rng.uniform(-2.0, 2.0)
-                hist = scale * np.cumsum(rng.standard_normal(grid.steps + 1))
-                rep = check_discrete_convexity(alpha, grid, hist)
-                total += 1
-                worst = min(worst, float(np.min(rep.margins + rep.roundoff)))
-                if not rep.passed:
-                    violations += 1
+    # 1000 histories for each of the six (alpha, grid) pairs: uniform and graded, T = 2
+    result = _props_convexity(np.random.default_rng(1137), 1000)
+    total = result["histories"]
+    violations = result["violations"]
+    worst = result["worst_allowed_margin"]
     ok = violations == 0 and total >= 6000
     _verdict(
         "convexity_sweep",
@@ -144,30 +129,12 @@ def test_sup_norm_bound(eigenmode_run, porous_runs, horizon_run, classical_run, 
 
 def test_comparison_sweep():
     """Random discrete sub-solutions stay below the relaxation solution."""
-    rng = np.random.default_rng(2026)
-    eps = np.finfo(float).eps
-    per_combo = 167
-    total = 0
-    violations = 0
-    worst = np.inf
-    for alpha in (0.3, 0.5, 0.8):
-        for kind in ("uniform", "graded"):
-            if kind == "uniform":
-                grid = TimeGrid.uniform(3.0, 48)
-            else:
-                grid = TimeGrid.graded(3.0, 48, default_grading(alpha))
-            for _ in range(per_combo):
-                mu = 10.0 ** rng.uniform(-1.0, 1.5)
-                w0 = 10.0 ** rng.uniform(-1.0, 1.0)
-                W = random_subsolution(alpha, mu, grid, rng, w0=w0)
-                V = solve_relaxation_l1(alpha, mu, w0, grid)
-                scale = max(float(np.max(np.abs(V))), float(np.max(np.abs(W))))
-                tol = 64.0 * (grid.steps + 4.0) * eps * scale
-                gap = float(np.min(V - W))
-                total += 1
-                worst = min(worst, gap + tol)
-                if gap < -tol:
-                    violations += 1
+    # 167 sub-solutions for each of the six (alpha, grid) pairs: uniform and graded, T = 3,
+    # each allowed a roundoff gap of 64 (M + 4) eps max(|V|, |W|)
+    result = _props_comparison(np.random.default_rng(2026), 167)
+    total = result["subsolutions"]
+    violations = result["violations"]
+    worst = result["worst_gap"]
     ok = violations == 0 and total >= 1000
     _verdict(
         "comparison_sweep",

@@ -311,6 +311,27 @@ class TestPropsCommand:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("count", ["0", "5", "-6"])
+    def test_count_below_one_per_pair_is_rejected(self, count, capsys):
+        assert main(["props", "--count", count]) == 2
+        assert "--count" in capsys.readouterr().err
+
+    def test_count_rounds_down_to_whole_pairs(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert main(["props", "--count", "65", "--seed", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        data = json.loads((out / "props.json").read_text())
+        assert data["convexity"]["histories"] == 60
+        assert data["comparison"]["subsolutions"] == 60
+
+    def test_props_json_is_reproducible(self, tmp_path, capsys):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["props", "--count", "60", "--seed", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (outs[0] / "props.json").read_bytes() == (outs[1] / "props.json").read_bytes()
+
+
 class TestArgumentErrors:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit):

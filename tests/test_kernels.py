@@ -248,6 +248,33 @@ class TestDiscreteConvexity:
         assert rep.roundoff.shape == (5,)
         assert np.all(rep.roundoff >= 0.0)
         assert rep.min_margin == rep.margins.min()
+        assert rep.violations == 0
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_stack_matches_row_by_row(self, alpha):
+        rng = np.random.default_rng(17)
+        for tg in (TimeGrid.uniform(2.0, 48), TimeGrid.graded(2.0, 48, default_grading(alpha))):
+            hists = 10.0 ** rng.uniform(-2.0, 2.0, (200, 1)) * np.cumsum(rng.standard_normal((200, 49)), axis=1)
+            hists[0] = 3.0  # zero margins
+            hists[1, 20] = np.nan  # the one failing verdict
+            rep = check_discrete_convexity(alpha, tg, hists)
+            rows = [check_discrete_convexity(alpha, tg, h) for h in hists]
+            assert rep.times.shape == (48,)
+            assert rep.margins.shape == rep.roundoff.shape == (200, 48)
+            assert [r.passed for r in rows] == [i != 1 for i in range(200)]
+            assert not rep.passed
+            assert rep.violations == 1
+            for i in (0, *range(2, 200)):
+                assert np.all(np.abs(rep.margins[i] - rows[i].margins) <= rep.roundoff[i])
+                np.testing.assert_allclose(rep.roundoff[i], rows[i].roundoff, rtol=1e-12)
+            clean = check_discrete_convexity(alpha, tg, np.delete(hists, 1, axis=0))
+            assert clean.passed and clean.violations == 0
+
+    def test_rejects_bad_shapes(self):
+        tg = TimeGrid.uniform(1.0, 6)
+        for bad in (np.ones((2, 3, 7)), np.float64(1.0), np.ones(1), np.ones((4, 8))):
+            with pytest.raises(ValueError):
+                check_discrete_convexity(0.5, tg, bad)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -78,6 +78,69 @@ class TestL1Marcher:
         np.testing.assert_allclose(solve_relaxation_l1(0.5, 0.0, 4.0, tg), 4.0, rtol=1e-14)
 
 
+def _march_one_by_one(weights, mu, v0, slack):
+    """The scalar L1 recurrence, one history at a time: the reference for the batched marcher."""
+    M = weights.grid.steps
+    rows = weights.block(1, M + 1)
+    V = np.empty(M + 1)
+    V[0] = v0
+    dV = np.empty(M)
+    for n in range(1, M + 1):
+        w = rows[n - 1]
+        lagged = float(w[: n - 1] @ dV[: n - 1]) if n > 1 else 0.0
+        V[n] = (w[n - 1] * V[n - 1] - lagged - slack[n - 1]) / (w[n - 1] + mu)
+        dV[n - 1] = V[n] - V[n - 1]
+    return V
+
+
+class TestBatchedMarch:
+    @pytest.mark.parametrize("batch", [1, 334])
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_matches_scalar_recurrence(self, alpha, kind, batch):
+        grid = TimeGrid.uniform(3.0, 48) if kind == "uniform" else TimeGrid.graded(3.0, 48, default_grading(alpha))
+        weights = L1Weights(alpha=alpha, grid=grid)
+        rng = np.random.default_rng(batch)
+        mu = 10.0 ** rng.uniform(-1.0, 1.5, batch)
+        v0 = 10.0 ** rng.uniform(-1.0, 1.0, batch)
+        slack = np.abs(rng.normal(size=(batch, grid.steps))) * rng.random((batch, grid.steps))
+        slack[::2] = 0.0  # relaxation solutions and sub-solutions share the sweeps' batches
+        got = relaxation._march(weights, mu, v0, slack)
+        want = np.array([_march_one_by_one(weights, *args) for args in zip(mu, v0, slack)])
+        assert got.shape == (batch, grid.steps + 1)
+        # relative to each history's largest value: sub-solutions may pass through zero
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    def test_scalar_entry_points_march_a_batch_of_one(self):
+        tg = TimeGrid.graded(2.0, 24, 2.0)
+        weights = L1Weights(alpha=0.4, grid=tg)
+        V = solve_relaxation_l1(0.4, 1.5, 2.0, tg)
+        assert V.shape == (tg.steps + 1,)
+        np.testing.assert_allclose(V, _march_one_by_one(weights, 1.5, 2.0, np.zeros(tg.steps)), rtol=1e-14)
+        W = random_subsolution(0.4, 1.5, tg, np.random.default_rng(3), w0=2.0)
+        start, slack = relaxation._subsolution_draws(np.random.default_rng(3), 2.0, tg.steps)
+        assert W.shape == (tg.steps + 1,)
+        assert W[0] == start
+        scale = np.max(np.abs(W))
+        assert np.all(np.abs(W - _march_one_by_one(weights, 1.5, start, slack)) <= 1e-14 * scale)
+
+    def test_rejects_bad_shapes(self):
+        weights = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 8))
+        ones = np.ones(3)
+        bad = [
+            (ones, ones, np.zeros((3, 8, 1))),  # three axes
+            (ones, ones, np.zeros(8)),  # no batch axis
+            (ones, ones, np.zeros((3, 7))),  # wrong step count
+            (np.ones(2), ones, np.zeros((3, 8))),  # mu length
+            (ones, np.ones(4), np.zeros((3, 8))),  # v0 length
+            (np.ones((3, 1)), ones, np.zeros((3, 8))),  # mu with two axes
+        ]
+        for mu, v0, slack in bad:
+            with pytest.raises(ValueError):
+                relaxation._march(weights, mu, v0, slack)
+
+
 class TestComparisonCheck:
     def test_exact_envelope_passes_with_unit_slack_and_margin_zero(self):
         tg = TimeGrid.uniform(5.0, 50)
