@@ -2,11 +2,14 @@
 
 ``run`` solves one configured problem, writes norms.tsv / snapshots /
 report.json into the output directory, prints one line per certificate, and
-exits 0 exactly when every enabled certificate passed.  ``study`` performs a
-mesh-refinement study along the axis chosen in the [study] section and
-reports observed convergence orders.  ``props`` sweeps randomized property
-checks (discrete convexity, comparison with relaxation supersolutions,
-Mittag-Leffler bounds) that need no PDE run at all.
+exits 0 when no enabled certificate failed.  A certificate that refuses the
+run (boundedness with forcing, decay with forcing or boundary data, the weak
+form on a time grid too coarse for its test hats) is reported as skipped and
+does not count; neither does the Hoelder observable, which has no threshold.
+``study`` performs a mesh-refinement study along the axis chosen in the
+[study] section and reports observed convergence orders.  ``props`` sweeps
+randomized property checks (discrete convexity, comparison with relaxation
+supersolutions, Mittag-Leffler bounds) that need no PDE run at all.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from .presets import build_preset, eigenmode_exact
 from .relaxation import _march, _subsolution_draws
 from .relaxation import random_subsolution, solve_relaxation_l1  # noqa: F401  (bench/tracing.py wraps these names)
 from .reporting import RunReport, jsonable, snapshot_path, write_norms_tsv, write_report, write_snapshot
-from .solver import SolverOptions, StepFailure, run_trajectory
+from .solver import StepFailure, run_trajectory
 
 __all__ = ["main", "build_problem"]
 
@@ -54,91 +56,63 @@ def build_problem(cfg: RunConfig):
         steps=cfg.time.steps,
         grading=cfg.time.grading,
     )
-    options = SolverOptions(
-        mode=cfg.solver.mode,
-        tol=cfg.solver.tol,
-        max_iter=cfg.solver.max_iter,
-        history=cfg.solver.history,
-        eps_compress=cfg.solver.eps_compress,
-    )
-    return spec, options
+    return spec, cfg.solver
 
 
-@contextmanager
-def _timed(seconds: dict, name: str):
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        seconds[name] = time.perf_counter() - t0
+# name -> (fields report.json reads off the record beside ``passed``, call on the trajectory and the
+# [certificates] section), in run order.  Each call looks its certificate up in this module when it runs,
+# so the benchmark's spans, which replace these names, see every call.
+_CERTIFICATES = {
+    "convexity": (("min_margin", "worst_step"), lambda traj, cc: convexity_report(traj)),
+    "boundedness": (("bound", "max_sup", "arg_step"), lambda traj, cc: boundedness_report(traj)),
+    "decay": (
+        ("mu", "slack", "min_margin", "tail_exponent", "ml_max_error_estimate", "ml_inaccurate"),
+        lambda traj, cc: decay_report(traj, slack=cc.slack),
+    ),
+    "weakform": (
+        ("max_scaled_residual", "threshold", "worst_time", "worst_node"),
+        lambda traj, cc: weakform_residual(traj, threshold=cc.weakform_threshold),
+    ),
+    "hoelder": (
+        ("value", "beta_time", "beta_space", "note"),
+        lambda traj, cc: hoelder_seminorm(traj, cc.hoelder_beta_time, cc.hoelder_beta_space),
+    ),
+}
 
 
 def _collect_certificates(traj, cc):
-    """Run the enabled certificates; returns (dict, envelope-or-None, wall seconds per certificate)."""
+    """Run the enabled certificates; returns (verdicts, records, wall seconds), each keyed by certificate.
+
+    A certificate that refuses the run (a ``ValueError``) is reported as
+    ``{"passed": None, "skipped": <reason>}`` and leaves no record.
+    """
     certs = {}
+    records = {}
     seconds = {}
-    envelope = None
-    if cc.convexity:
-        with _timed(seconds, "convexity"):
-            rep = convexity_report(traj)
-            certs["convexity"] = {"passed": rep.passed, "min_margin": rep.min_margin, "worst_step": rep.worst_step}
-    if cc.boundedness:
-        with _timed(seconds, "boundedness"):
-            try:
-                rep = boundedness_report(traj)
-                certs["boundedness"] = {
-                    "passed": rep.passed,
-                    "bound": rep.bound,
-                    "max_sup": rep.max_sup,
-                    "arg_step": rep.arg_step,
-                }
-            except ValueError as exc:
-                certs["boundedness"] = {"passed": None, "skipped": str(exc)}
-    if cc.decay:
-        with _timed(seconds, "decay"):
-            try:
-                rep = decay_report(traj, slack=cc.slack)
-                envelope = rep.envelope
-                certs["decay"] = {
-                    "passed": rep.passed,
-                    "mu": rep.mu,
-                    "slack": rep.slack,
-                    "min_margin": float(rep.margins.min()),
-                    "tail_exponent": rep.tail_exponent,
-                    "ml_max_error_estimate": rep.ml_max_error_estimate,
-                    "ml_inaccurate": rep.ml_inaccurate,
-                }
-            except ValueError as exc:
-                certs["decay"] = {"passed": None, "skipped": str(exc)}
-    if cc.weakform:
-        with _timed(seconds, "weakform"):
-            rep = weakform_residual(traj, threshold=cc.weakform_threshold)
-            certs["weakform"] = {
-                "passed": rep.passed,
-                "max_scaled_residual": rep.max_scaled_residual,
-                "threshold": rep.threshold,
-                "worst_time": rep.worst_time,
-                "worst_node": rep.worst_node,
-            }
-    if cc.hoelder:
-        with _timed(seconds, "hoelder"):
-            est = hoelder_seminorm(traj, cc.hoelder_beta_time, cc.hoelder_beta_space)
-            certs["hoelder"] = {
-                "passed": None,
-                "value": est.value,
-                "beta_time": est.beta_time,
-                "beta_space": est.beta_space,
-                "note": "observable, no acceptance threshold",
-            }
-    return certs, envelope, seconds
+    for name, (reported, certify) in _CERTIFICATES.items():
+        if not getattr(cc, name):
+            continue
+        t0 = time.perf_counter()
+        try:
+            rep = records[name] = certify(traj, cc)
+        except ValueError as exc:
+            certs[name] = {"passed": None, "skipped": str(exc)}
+        else:
+            certs[name] = {"passed": rep.passed, **{key: getattr(rep, key) for key in reported}}
+        seconds[name] = time.perf_counter() - t0
+    return certs, records, seconds
 
 
-def _print_certificates(certs) -> bool:
+def _print_verdicts(kind: str, verdicts: dict) -> bool:
+    """One ``<kind> <name>: PASS|FAIL|SKIPPED (...)`` line per verdict; True unless one failed.
+
+    A verdict with ``passed`` None (a refusal or an observable) prints as
+    SKIPPED and does not count.
+    """
     all_passed = True
-    for name, info in certs.items():
-        if info.get("passed") is None:
-            detail = info.get("skipped", "no threshold")
-            print(f"certificate {name}: SKIPPED ({detail})")
+    for name, info in verdicts.items():
+        if info["passed"] is None:
+            print(f"{kind} {name}: SKIPPED ({info.get('skipped', 'no threshold')})")
             continue
         verdict = "PASS" if info["passed"] else "FAIL"
         detail = ", ".join(
@@ -146,7 +120,7 @@ def _print_certificates(certs) -> bool:
             for k, v in info.items()
             if k != "passed" and not isinstance(v, str)
         )
-        print(f"certificate {name}: {verdict} ({detail})")
+        print(f"{kind} {name}: {verdict} ({detail})")
         all_passed = all_passed and info["passed"]
     return all_passed
 
@@ -161,8 +135,8 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
     if getattr(args, "seed", None) is not None:
         cfg.output.seed = args.seed
     if getattr(args, "history", None):
-        cfg.solver.history = args.history
-    if getattr(args, "levels", None):
+        cfg.solver = replace(cfg.solver, history=args.history)
+    if getattr(args, "levels", None) is not None:
         cfg.study.levels = args.levels
     check_config(cfg)
 
@@ -197,13 +171,14 @@ def cmd_run(args) -> int:
         return 2
 
     series = norm_series(traj)
-    certs, envelope, cert_seconds = _collect_certificates(traj, cfg.certificates)
+    certs, records, cert_seconds = _collect_certificates(traj, cfg.certificates)
+    decay = records.get("decay")
     out.mkdir(parents=True, exist_ok=True)
-    write_norms_tsv(out / "norms.tsv", series, envelope)
+    write_norms_tsv(out / "norms.tsv", series, None if decay is None else decay.envelope)
     for i, t_req in enumerate(cfg.output.snapshot_times):
         n = int(np.argmin(np.abs(traj.times - t_req)))
         write_snapshot(snapshot_path(out, i), spec.grid, float(traj.times[n]), traj.fields[n])
-    passed = _print_certificates(certs)
+    passed = _print_verdicts("certificate", certs)
     report = RunReport(
         label=spec.label,
         passed=passed,
@@ -235,9 +210,6 @@ def cmd_study(args) -> int:
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
     levels = cfg.study.levels
-    if levels < 2:
-        print("a study needs at least 2 levels", file=sys.stderr)
-        return 2
     axis = cfg.study.axis
     base_spec, options = build_problem(cfg)
     base_res = base_spec.grid.shape[0]
@@ -397,12 +369,7 @@ def cmd_props(args) -> int:
         "comparison": _props_comparison(rng, per_combo),
         "mittag_leffler": _props_mittag_leffler(),
     }
-    all_passed = True
-    for name, info in results.items():
-        verdict = "PASS" if info["passed"] else "FAIL"
-        detail = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in info.items() if k != "passed")
-        print(f"property {name}: {verdict} ({detail})")
-        all_passed = all_passed and info["passed"]
+    all_passed = _print_verdicts("property", results)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,9 @@ than stopping at the first.  Settings that are valid one by one but cannot
 run together (compressed history on a graded or one-step time grid,
 extents that do not fit the dimension) are rejected too, and so is an
 ``eps_compress`` below 1e-13, which no compression can reach;
-:func:`check_config` repeats that check after command-line overrides.
+:func:`check_config` repeats that check, and the range of ``study.levels``,
+after command-line overrides.  The ``[solver]`` section is a
+:class:`~subdiff.solver.SolverOptions` itself.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from .solver import SolverOptions
+
 __all__ = [
     "ConfigError",
     "ProblemConfig",
     "TimeConfig",
-    "SolverConfig",
     "CertificatesConfig",
     "StudyConfig",
     "OutputConfig",
@@ -69,15 +72,6 @@ class TimeConfig:
 
 
 @dataclass
-class SolverConfig:
-    mode: str = "picard"
-    tol: float = 1e-10
-    max_iter: int = 50
-    history: str = "direct"
-    eps_compress: float = 1e-8
-
-
-@dataclass
 class CertificatesConfig:
     decay: bool = True
     boundedness: bool = True
@@ -107,7 +101,7 @@ class OutputConfig:
 class RunConfig:
     problem: ProblemConfig = field(default_factory=ProblemConfig)
     time: TimeConfig = field(default_factory=TimeConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: SolverOptions = field(default_factory=SolverOptions)
     certificates: CertificatesConfig = field(default_factory=CertificatesConfig)
     study: StudyConfig = field(default_factory=StudyConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -116,7 +110,7 @@ class RunConfig:
 _SECTIONS = {
     "problem": ProblemConfig,
     "time": TimeConfig,
-    "solver": SolverConfig,
+    "solver": SolverOptions,
     "certificates": CertificatesConfig,
     "study": StudyConfig,
     "output": OutputConfig,
@@ -252,10 +246,11 @@ def parse_config(text: str) -> RunConfig:
                 assigned[path] = val
     if errors:
         raise ConfigError(errors)
-    cfg = RunConfig()
+    values = {sect: {} for sect in _SECTIONS}
     for path, val in assigned.items():
         sect, key = path.split(".", 1)
-        setattr(getattr(cfg, sect), key, val)
+        values[sect][key] = val
+    cfg = RunConfig(**{sect: cls(**values[sect]) for sect, cls in _SECTIONS.items()})
     check_config(cfg)
     return cfg
 
@@ -269,6 +264,8 @@ def check_config(cfg: RunConfig) -> None:
             problems.append("solver.history=compressed needs a uniform time grid (set time.grading=1)")
         if cfg.time.steps == 1:
             problems.append("solver.history=compressed needs time.steps >= 2 (one step has no history)")
+    if cfg.study.levels < 2:
+        problems.append(f"study.levels={cfg.study.levels} is out of range (must be >= 2)")
     eps = cfg.solver.eps_compress
     if eps < _EPS_COMPRESS_FLOOR:
         problems.append(

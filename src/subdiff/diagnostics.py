@@ -202,6 +202,10 @@ class HoelderEstimate:
     n_samples: int
     region: str
 
+    # an observable: reported, never accepted or refused
+    passed = None
+    note = "observable, no acceptance threshold"
+
 
 def _pair_seminorm(times, points, values, beta_time, beta_space):
     """Max of |v(p) - v(p')| / (|t - t'|^b1 + |x - x'|^b2) over sample pairs."""

@@ -128,6 +128,10 @@ class DecayCertificate:
     ml_max_error_estimate: float
     ml_inaccurate: int
 
+    @property
+    def min_margin(self) -> float:
+        return float(self.margins.min())
+
 
 def _fit_tail_exponent(times: np.ndarray, w: np.ndarray) -> float:
     sel = (times >= times[-1] / 3.0) & (w > 1e-290)

@@ -37,9 +37,10 @@ preconditioned by that constant-coefficient operator converge in a few
 iterations on any mesh (Concus & Golub 1973).  The preconditioner is a fast
 diagonalisation by the dense sine matrices of the two axes.  Newton's
 Jacobian is not symmetric and uses the package's restarted GMRES with the
-same preconditioner.  Both stop when the 2-norm of the linear residual is at
-most ``0.1 * tol``, which bounds the max-norm the correction loop tests; a
-solve that reaches the iteration cap fails the step.
+same preconditioner.  Both stop when their tracked estimate of the linear
+residual's 2-norm is at most ``0.1 * tol``, which bounds the max-norm the
+correction loop tests; that test, on the nonlinear residual, is the
+acceptance.  A solve that reaches the iteration cap fails the step.
 
 Trajectories involve no randomness, so a rerun on the same machine with the
 same BLAS thread count reproduces them bitwise.  They are not bitwise
@@ -212,9 +213,10 @@ class Trajectory:
 
 # Iteration cap of the 2D Krylov solves; reaching it fails the step.  With the
 # sine-transform preconditioner the count grows like sqrt(lam / nu) and not
-# with the mesh: 1 for a constant law, at most 10 per solve for the porous law
-# (lam / nu = 1.5) and up to 108 for lam / nu = 51, measured on 65^2 and 33^2
-# nodes.  GMRES counts every inner iteration towards the cap.
+# with the mesh: 1 for a constant law; for the porous law (lam / nu = 1.5) at
+# most 10 per solve on 65^2 nodes (32 steps, T = 10) and 11 (CG) or 12 (GMRES)
+# on 129^2 nodes at alpha = 0.8; up to 108 for lam / nu = 51 on 33^2 nodes.
+# GMRES counts every inner iteration towards the cap.
 _KRYLOV_MAXITER = 500
 _GMRES_RESTART = 20
 
@@ -231,8 +233,10 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
     partial pivoting), which is exact.  It works on copies, so ``M`` is left
     as it was.  In 2D ``symmetric`` selects preconditioned CG (Picard) or
     GMRES (Newton), both preconditioned by the sine-transform solve of
-    ``shift I + nu (-Delta_h)`` and stopped once the 2-norm of ``b - M x`` is
-    at most ``atol`` (GMRES restarts every ``_GMRES_RESTART`` iterations);
+    ``shift I + nu (-Delta_h)`` and stopped once their tracked estimate of the
+    2-norm of ``b - M x`` is at most ``atol`` (CG's recursively updated
+    residual, GMRES's least-squares residual; GMRES restarts every
+    ``_GMRES_RESTART`` iterations);
     their vectors keep the full length with zero boundary entries, so
     ``M @ p`` is the interior-block product.  Raises
     ``numpy.linalg.LinAlgError`` for an exactly singular tridiagonal block or
@@ -333,10 +337,13 @@ def _gmres(M, b, precond, atol: float, maxiter: int):
     A cycle of at most ``_GMRES_RESTART`` iterations builds an orthonormal
     basis of the Krylov space of ``M P`` (``P`` the preconditioner) by
     classical Gram-Schmidt, applied twice, and tracks the least-squares
-    residual by Givens rotations.  A cycle ends once that estimate is at most
-    ``atol``; the solve stops once the 2-norm of the true residual ``b - M x``
-    is, and raises ``numpy.linalg.LinAlgError`` after ``maxiter`` iterations
-    in all.
+    residual by Givens rotations.  The solve returns after the cycle whose
+    estimate is at most ``atol``; a cycle that reaches ``_GMRES_RESTART``
+    iterations first restarts from the true residual ``b - M x``.  Like
+    :func:`_pcg`, it stops on the tracked residual and not the true one: at
+    roundoff level the true residual of a large ``x`` can stall just above
+    ``atol``, and the correction loop's max-norm test is the acceptance.
+    Raises ``numpy.linalg.LinAlgError`` after ``maxiter`` iterations in all.
     """
     x = np.zeros_like(b)
     iterations = 0
@@ -378,6 +385,8 @@ def _gmres(M, b, precond, atol: float, maxiter: int):
                 break
         k = len(rotations)
         x += np.linalg.solve(H[:k, :k], g[:k]) @ Z[:k]
+        if abs(g[k]) <= atol:
+            return x, iterations
 
 
 def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, step_matrix):

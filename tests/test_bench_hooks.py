@@ -53,3 +53,13 @@ def test_run_calls_go_through_traced_names(tmp_path):
     # the per-layer figures read report attributes and timing keys; a dropped one fails here
     metrics = tracing.layer_metrics(rec, 1.0)
     assert all(math.isfinite(v) for v in metrics.values()), metrics
+
+
+def test_props_calls_go_through_traced_names(capsys):
+    # props' solve_s and certify_s are read off these spans; a verdict printer that bypassed them would read 0
+    rec = tracing.Recorder()
+    with tracing.patched(rec, SPANS):
+        assert main(["props", "--count", "12"]) == 0
+    capsys.readouterr()
+    for key in ("props.convexity", "props.comparison", "props.mittag_leffler", "kernels.convexity_check"):
+        assert rec.calls[key] >= 1, key

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, output formats."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subdiff.cli import main
+from subdiff.cli import _CERTIFICATES, main
+from subdiff.config import CertificatesConfig
 from subdiff.kernels import CompressionError
 from subdiff.reporting import NORMS_HEADER
 
@@ -103,6 +105,23 @@ class TestRunCommand:
         code = main(["run", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "certificate weakform: FAIL" in capsys.readouterr().out
+
+    def test_refused_certificate_is_skipped_not_failed(self, tmp_path, capsys):
+        # one time step leaves the weak form too few macro test cells: a refusal, which does not count
+        text = (
+            "problem = eigenmode\n[problem]\nresolution = 17\n[time]\nsteps = 1\n"
+            "[certificates]\nweakform = true\ndecay = false\n"
+        )
+        out = tmp_path / "o"
+        code = main(["run", _write(tmp_path, text), "--out", str(out)])
+        assert code == 0
+        assert "certificate weakform: SKIPPED (the time grid is too coarse" in capsys.readouterr().out
+        weak = json.loads((out / "report.json").read_text())["certificates"]["weakform"]
+        assert weak == {"passed": None, "skipped": "the time grid is too coarse for the requested macro test grid"}
+
+    def test_every_certificate_flag_has_a_table_entry(self):
+        flags = [f.name for f in dataclasses.fields(CertificatesConfig) if isinstance(f.default, bool)]
+        assert flags and sorted(flags) == sorted(_CERTIFICATES)
 
     def test_compressed_history_run(self, tmp_path, capsys):
         text = """
@@ -286,11 +305,15 @@ class TestStudyCommand:
         assert lines[0].startswith("level\tsteps")
         assert len(lines) == 3
 
-    def test_too_few_levels(self, tmp_path, capsys):
+    @pytest.mark.parametrize("levels", ["0", "1"])
+    def test_too_few_levels(self, tmp_path, capsys, levels):
         cfg = _write(tmp_path, "problem = eigenmode\n")
-        code = main(["study", cfg, "--levels", "1"])
+        code = main(["study", cfg, "--levels", levels, "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "levels" in capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"study.levels={levels}" in err
+        assert not (tmp_path / "s").exists()
 
 
 class TestPropsCommand:

@@ -241,6 +241,15 @@ class TestTwoDimensions:
         rel = math.sqrt(q @ diff**2 / (q @ ref**2))
         assert rel < 5e-3
 
+    def test_2d_newton_converges_where_the_true_linear_residual_stalls(self):
+        # on 129^2 nodes the true GMRES residual b - M x sits at roundoff, just above atol = 0.1 tol;
+        # a solve that waited for it ran into the iteration cap at step 1
+        spec = build_preset("porous", alpha=0.8, dimension=2, resolution=129, steps=16, horizon=10.0)
+        newton = run_trajectory(spec, SolverOptions(mode="newton"))
+        assert newton.residuals.max() <= newton.options.tol
+        picard = run_trajectory(spec, SolverOptions(mode="picard"))
+        assert np.max(np.abs(newton.fields - picard.fields)) <= 1e-10
+
 
 class TestInteriorSolve:
     """``solver.spsolve`` solves the interior block: exactly in 1D, to its residual bound in 2D."""
