@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, check_config, parse_config, render_config
+from .config import ConfigError, RunConfig, parse_config, render_config
 from .diagnostics import (
     boundedness_report,
     convexity_report,
@@ -125,25 +125,19 @@ def _print_verdicts(kind: str, verdicts: dict) -> bool:
     return all_passed
 
 
-def _load_config(path: str) -> RunConfig:
-    return parse_config(Path(path).read_text())
+# flag -> the config path it overrides; argparse keeps each value as text, which the schema reads
+_OVERRIDES = {"--out": "output.dir", "--seed": "output.seed", "--history": "solver.history", "--levels": "study.levels"}
 
 
-def _apply_overrides(cfg: RunConfig, args) -> None:
-    if getattr(args, "out", None):
-        cfg.output.dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.output.seed = args.seed
-    if getattr(args, "history", None):
-        cfg.solver = replace(cfg.solver, history=args.history)
-    if getattr(args, "levels", None) is not None:
-        cfg.study.levels = args.levels
-    check_config(cfg)
+def _load_config(args) -> RunConfig:
+    """The config file with the command-line overrides that ``args`` carries."""
+    given = {flag: getattr(args, flag[2:], None) for flag in _OVERRIDES}
+    overrides = {flag: (_OVERRIDES[flag], raw) for flag, raw in given.items() if raw is not None}
+    return parse_config(Path(args.config).read_text(), overrides)
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     spec, options = build_problem(cfg)
     out = Path(cfg.output.dir)
     try:
@@ -207,8 +201,7 @@ def _restrict(values: np.ndarray, shape, stride: int) -> np.ndarray:
 
 
 def cmd_study(args) -> int:
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     levels = cfg.study.levels
     axis = cfg.study.axis
     base_spec, options = build_problem(cfg)
@@ -362,7 +355,10 @@ def cmd_props(args) -> int:
         print(f"props needs --count >= {_SWEEP_PAIRS}, one history per (alpha, grid) pair; got {args.count}",
               file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    if args.seed < 0:
+        print(f"props needs --seed >= 0; got {args.seed}", file=sys.stderr)
+        return 2
+    rng = np.random.default_rng(args.seed)
     per_combo = args.count // _SWEEP_PAIRS
     results = {
         "convexity": _props_convexity(rng, per_combo),
@@ -388,13 +384,13 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="solve one configured problem and certify it")
     p_run.add_argument("config", help="path to a run configuration file")
     p_run.add_argument("--out", help="output directory (overrides [output] dir)")
-    p_run.add_argument("--seed", type=int, help="seed recorded in the report")
+    p_run.add_argument("--seed", help="seed recorded in the report")
     p_run.add_argument("--history", choices=("direct", "compressed"), help="memory accumulation mode")
     p_run.set_defaults(func=cmd_run)
 
     p_study = sub.add_parser("study", help="mesh refinement study along the [study] axis")
     p_study.add_argument("config", help="path to a run configuration file")
-    p_study.add_argument("--levels", type=int, help="number of refinement levels (overrides [study] levels)")
+    p_study.add_argument("--levels", help="number of refinement levels (overrides [study] levels)")
     p_study.add_argument("--out", help="output directory")
     p_study.set_defaults(func=cmd_study)
 
@@ -406,7 +402,7 @@ def main(argv=None) -> int:
         help="histories per property family, at least 6; rounded down to a multiple of 6, "
         "the number of (alpha, grid) pairs",
     )
-    p_props.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p_props.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_props.add_argument("--out", help="directory for props.json")
     p_props.set_defaults(func=cmd_props)
 
@@ -416,8 +412,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("invalid configuration: " + "; ".join(exc.problems), file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except UnicodeDecodeError as exc:  # the config file is the one file decoded
+        print(f"cannot read {args.config}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # the config file is the one file read; every other file operation writes an artifact
+        config = getattr(args, "config", None)
+        operation = "read" if config is not None and exc.filename == str(Path(config)) else "write"
+        print(f"cannot {operation} {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except CompressionError as exc:
         print(f"history compression failed: {exc}", file=sys.stderr)

@@ -20,9 +20,9 @@ offending path named, and parsing reports every violation at once rather
 than stopping at the first.  Settings that are valid one by one but cannot
 run together (compressed history on a graded or one-step time grid,
 extents that do not fit the dimension) are rejected too, and so is an
-``eps_compress`` below 1e-13, which no compression can reach;
-:func:`check_config` repeats that check, and the range of ``study.levels``,
-after command-line overrides.  The ``[solver]`` section is a
+``eps_compress`` below 1e-13, which no compression can reach.
+Command-line overrides go through the same schema and checks.  The
+``[solver]`` section is a
 :class:`~subdiff.solver.SolverOptions` itself.
 """
 
@@ -171,7 +171,8 @@ def _split_assignments(line: str):
     return [p.strip() for p in parts if p.strip()]
 
 
-def _parse_value(path: str, raw: str, errors, lineno: int):
+def _parse_value(path: str, raw: str):
+    """``raw`` read and range-checked as the value of ``path``; a ``ValueError`` names what is wrong."""
     kind, check, req = _SCHEMA[path]
     try:
         if kind == "str":
@@ -194,15 +195,18 @@ def _parse_value(path: str, raw: str, errors, lineno: int):
         else:  # pragma: no cover - schema kinds are fixed above
             raise AssertionError(kind)
     except ValueError:
-        errors.append(f"line {lineno}: {path} expects {kind}, got {raw!r}")
-        return None
+        raise ValueError(f"{path} expects {kind}, got {raw!r}") from None
     if check is not None and not check(val):
-        errors.append(f"line {lineno}: {path}={raw} is out of range (must be {req})")
-        return None
+        raise ValueError(f"{path}={raw} is out of range (must be {req})")
     return val
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
+    """Read ``text``, then ``overrides``, ``{flag: (path, raw text)}`` from the command line.
+
+    An override replaces the file's value and is read against the same
+    schema entry; its problems name the flag.
+    """
     errors: list[str] = []
     assigned: dict[str, object] = {}
     section: Optional[str] = None
@@ -241,9 +245,15 @@ def parse_config(text: str) -> RunConfig:
             if path in assigned:
                 errors.append(f"line {lineno}: duplicate assignment of {path}")
                 continue
-            val = _parse_value(path, rawval, errors, lineno)
-            if val is not None:
-                assigned[path] = val
+            try:
+                assigned[path] = _parse_value(path, rawval)
+            except ValueError as exc:
+                errors.append(f"line {lineno}: {exc}")
+    for flag, (path, raw) in (overrides or {}).items():
+        try:
+            assigned[path] = _parse_value(path, raw)
+        except ValueError as exc:
+            errors.append(f"{flag}: {exc}")
     if errors:
         raise ConfigError(errors)
     values = {sect: {} for sect in _SECTIONS}
@@ -264,8 +274,6 @@ def check_config(cfg: RunConfig) -> None:
             problems.append("solver.history=compressed needs a uniform time grid (set time.grading=1)")
         if cfg.time.steps == 1:
             problems.append("solver.history=compressed needs time.steps >= 2 (one step has no history)")
-    if cfg.study.levels < 2:
-        problems.append(f"study.levels={cfg.study.levels} is out of range (must be >= 2)")
     eps = cfg.solver.eps_compress
     if eps < _EPS_COMPRESS_FLOOR:
         problems.append(

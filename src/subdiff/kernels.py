@@ -202,6 +202,12 @@ class L1Weights:
         """Weights ``w_{n,k}`` for ``k = 1..n`` as an array of length n."""
         return self.block(n, n + 1)[0]
 
+    def lagged(self, n: int) -> np.ndarray:
+        """``w_{n,k}`` for ``k = 1..n-1``: a reversed view of ``b_j`` on uniform grids, else ``row(n)[:-1]``."""
+        if self._uniform_b is not None:
+            return self._uniform_b[n - 1 : 0 : -1]
+        return self.row(n)[:-1]
+
     def diag(self, n: int) -> float:
         """The local weight ``w_{n,n} = tau_n^(-alpha) / Gamma(2 - alpha)``."""
         if not 1 <= n <= self.grid.steps:
@@ -328,8 +334,7 @@ def _history_shape(shape) -> tuple:
 class DirectHistory:
     """Exact memory provider: keeps every increment, O(n) work per query.
 
-    On uniform grids a query is one dot with a reversed view of ``b_j``; on
-    graded grids it contracts the off-diagonal part of ``weights.row(n)``.
+    A query is one dot of the stored increments with ``weights.lagged(n)``.
     """
 
     def __init__(self, weights: L1Weights):
@@ -354,13 +359,7 @@ class DirectHistory:
         if self._deltas is None:
             raise RuntimeError("reset or push before querying the memory term")
         m = self._count
-        b = self.weights._uniform_b
-        if m == 0:
-            out = np.zeros(self._deltas.shape[1:])
-        elif b is not None:
-            out = np.dot(b[m:0:-1], self._deltas[:m])
-        else:
-            out = np.dot(self.weights.row(m + 1)[:m], self._deltas[:m])
+        out = np.dot(self.weights.lagged(m + 1), self._deltas[:m])
         return float(out) if np.ndim(out) == 0 else out
 
 
@@ -506,7 +505,7 @@ def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
     if lags < 1:
         raise ValueError("the grid has no history to compress")
     target = eps / 100.0
-    b = weights._uniform_b[1:]  # b_j for the lags j = 1..M-1
+    b = weights.lagged(weights.grid.steps)[::-1]  # b_j for the lags j = 1..M-1
     horizon = weights.grid.steps * tau
     h = 2.0 * math.pi / (math.log(1.0 / target) + 4.0)
     achieved = math.inf

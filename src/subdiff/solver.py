@@ -12,16 +12,17 @@ correction loop serves both inner iterations: from ``v = u_{n-1}`` it solves
 ``M delta = rhs - K(v) v`` and sets ``v <- v + theta delta``.  Picard takes
 ``M = K(v)`` (coefficient frozen at the current iterate, the discrete analogue
 of the linearized fixed-point map behind the existence theory) and reads its
-residual off the same assembled ``K(v)``.  Newton takes the analytic Jacobian
-including the a'(u) terms, the only matrix it assembles: its residual comes
-from :func:`~subdiff.spatial.apply_quasilinear_operator`, which evaluates
-``K(v) v`` without a matrix.  A constant law (``nu == lam``, so
-``a(u) = nu``) has one ``K`` for every iterate, bitwise equal to its
+residual off the same ``K(v)``.  Newton takes the analytic Jacobian
+including the a'(u) terms, the only operator it assembles: its residual comes
+from :func:`~subdiff.spatial.apply_quasilinear_operator`, ``K(v)`` frozen at
+``v`` and applied to ``v``.  Every one of these products is the face-flux sum
+of :class:`~subdiff.spatial.StencilOperator`.  A constant law (``nu == lam``,
+so ``a(u) = nu``) has one ``K`` for every iterate, bitwise equal to its
 Newton Jacobian: the driver assembles it once per distinct ``w_nn`` (once per
-run on a uniform time grid, once per step on a graded one), makes its data
-read-only, and both iterations solve with it.  The loop runs undamped and,
-when the residual stops decreasing, returns to the best iterate and halves
-``theta``, up to three times before giving up.  ``Trajectory.halvings``
+run on a uniform time grid, once per step on a graded one), and both
+iterations solve with it; its arrays are read-only.  The loop runs undamped
+and, when the residual stops decreasing, returns to the best iterate and
+halves ``theta``, up to three times before giving up.  ``Trajectory.halvings``
 records the halvings of every step.
 
 Boundary rows are identity rows and the iterate holds the Dirichlet data
@@ -215,7 +216,10 @@ class Trajectory:
 # sine-transform preconditioner the count grows like sqrt(lam / nu) and not
 # with the mesh: 1 for a constant law; for the porous law (lam / nu = 1.5) at
 # most 10 per solve on 65^2 nodes (32 steps, T = 10) and 11 (CG) or 12 (GMRES)
-# on 129^2 nodes at alpha = 0.8; up to 108 for lam / nu = 51 on 33^2 nodes.
+# on 129^2 nodes at alpha = 0.8.  For a = 1 + 50 sin^2(3y) (lam / nu = 51) on
+# [0, pi]^2 with 33^2 nodes, data sin x sin y and 4 steps to T = 10, CG takes
+# up to 97 per solve until Picard gives up at step 1, and GMRES 146 on the
+# first Newton correction and then stalls at the cap.
 # GMRES counts every inner iteration towards the cap.
 _KRYLOV_MAXITER = 500
 _GMRES_RESTART = 20
@@ -225,19 +229,18 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
     """Solve ``M x = b`` for the interior unknowns of ``grid``; ``x`` is zero on the boundary.
 
     ``M`` is a step matrix or Jacobian as the :mod:`subdiff.spatial`
-    builders return it (a :class:`~subdiff.spatial.DiaOperator` with offsets
-    ascending), with ``shift`` on its interior diagonal and coefficients at
-    least ``nu``; the boundary entries of ``b`` are ignored.  In 1D the three
-    rows of ``M.data`` are the sub-, main and superdiagonal, stored by column;
-    their interior block goes to LAPACK ``dgtsv`` (Gaussian elimination with
-    partial pivoting), which is exact.  It works on copies, so ``M`` is left
-    as it was.  In 2D ``symmetric`` selects preconditioned CG (Picard) or
-    GMRES (Newton), both preconditioned by the sine-transform solve of
-    ``shift I + nu (-Delta_h)`` and stopped once their tracked estimate of the
-    2-norm of ``b - M x`` is at most ``atol`` (CG's recursively updated
-    residual, GMRES's least-squares residual; GMRES restarts every
-    ``_GMRES_RESTART`` iterations);
-    their vectors keep the full length with zero boundary entries, so
+    builders return it (a :class:`~subdiff.spatial.StencilOperator`), with
+    ``shift`` on its interior diagonal and coefficients at least ``nu``; the
+    boundary entries of ``b`` are ignored.  In 1D the interior block's three
+    diagonals (``M.tridiagonal()``) go to LAPACK ``dgtsv`` (Gaussian
+    elimination with partial pivoting), which is exact.  It works on copies,
+    so ``M`` is left as it was.  In 2D ``symmetric`` selects preconditioned
+    CG (Picard) or GMRES (Newton), both preconditioned by the sine-transform
+    solve of ``shift I + nu (-Delta_h)`` and stopped once their tracked
+    estimate of the 2-norm of ``b - M x`` is at most ``atol`` (CG's
+    recursively updated residual, GMRES's least-squares residual; GMRES
+    restarts every ``_GMRES_RESTART`` iterations); their vectors keep the
+    full length with zero boundary entries, so the face-flux product
     ``M @ p`` is the interior-block product.  Raises
     ``numpy.linalg.LinAlgError`` for an exactly singular tridiagonal block or
     when a Krylov solve reaches ``_KRYLOV_MAXITER`` iterations.
@@ -247,9 +250,8 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
     layer by wrapping ``subdiff.solver.spsolve``.
     """
     if grid.dim == 1:
-        sub, main, sup = M.data
         x = np.zeros(grid.n_nodes)
-        *_, x[1:-1], info = _dgtsv()(sub[1:-2], main[1:-1], sup[2:-1], b[1:-1])
+        *_, x[1:-1], info = _dgtsv()(*M.tridiagonal(), b[1:-1])
         if info > 0:
             raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
         return x
@@ -507,7 +509,6 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
         if constant and w_nn != w_last:
             t0 = time.perf_counter()
             K = assemble_quasilinear_operator(grid, spec.law, U[n - 1], shift=w_nn)
-            K.data.setflags(write=False)  # later steps reuse it
             timers["assembly"] += time.perf_counter() - t0
             w_last = w_nn
 

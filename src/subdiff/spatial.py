@@ -2,25 +2,22 @@
 
 Scalar isotropic laws only: the flux is ``a(u) grad u`` with a face
 coefficient evaluated at the arithmetic mean of the two adjacent nodes, which
-keeps the assembled interior block symmetric for frozen u and second-order
-accurate.  Dirichlet rows are identity rows, so a step matrix leaves the
-Dirichlet data unchanged.
-The Picard operator and the Newton Jacobian are :class:`DiaOperator`
-objects: square matrices in diagonal (DIA) storage, one ``data`` row per
-diagonal with the offsets ascending, in the layout of
-``scipy.sparse.dia_matrix``.  Each grid builds those offsets and its face
-slices once (:attr:`SpatialGrid.operator_pattern`), and every assembly only
-fills a new ``data`` array.  The operator's product needs numpy alone;
-``tocsr()`` imports ``scipy.sparse`` when called, for callers that want a
-scipy matrix.  The builders' ``shift`` adds to the interior diagonal, so the
-step matrix ``w I_int + A(u)`` is one assembly.
-:func:`apply_quasilinear_operator` evaluates the product of the same
-operator with ``u`` without building a matrix, for residuals that no solve
-needs the matrix of, on one state or on a stack of states in one pass; it
-takes its face coefficients from the same helper as the assembly.  Each grid
-also caches the eigenvalues of the sine modes that diagonalise the discrete
-Dirichlet Laplacian (:attr:`SpatialGrid.dirichlet_eigenvalues`), which the 2D
-interior solves need.
+keeps the interior block symmetric for frozen u and second-order accurate.
+Dirichlet rows are identity rows, so a step matrix leaves the Dirichlet data
+unchanged.
+The Picard operator and the Newton Jacobian are :class:`StencilOperator`
+objects, stored as what their assembly computes: per axis, the face
+coefficients ``a(face mean) / h^2`` and, for the Jacobian, the face terms of
+``a'``.  Their product is the face-flux sum over the grid's face slices
+(:attr:`SpatialGrid.faces`), on one field or on a stack of fields, and it is
+the package's one product with such an operator: residuals, Krylov solves
+and the weak form all go through it.  The builders' ``shift`` adds to the
+interior diagonal, so the step matrix ``w I_int + A(u)`` is one assembly.
+:func:`apply_quasilinear_operator` is the operator frozen at ``u`` applied
+to ``u``, on one state or on a stack of states.  Each grid also caches the
+eigenvalues of the sine modes that diagonalise the discrete Dirichlet
+Laplacian (:attr:`SpatialGrid.dirichlet_eigenvalues`), which the 2D interior
+solves need.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import numpy as np
 __all__ = [
     "SpatialGrid",
     "build_grid",
-    "DiaOperator",
+    "StencilOperator",
     "DiffusionLaw",
     "constant_law",
     "porous_law",
@@ -88,29 +85,18 @@ class SpatialGrid:
         return np.asarray(w).ravel()
 
     @cached_property
-    def operator_pattern(self) -> tuple:
-        """Diagonal structure shared by every operator on this grid: ``(offsets, faces)``.
+    def faces(self) -> tuple:
+        """Per axis, the slices ``(lo, hi)`` of the faces' two nodes in a field shaped like the grid.
 
-        ``offsets`` are the diagonals of the DIA storage, ascending:
-        ``-stride_0, ..., -1, 0, +1, ..., +stride_0`` with ``stride_d`` the
-        C-order stride of axis ``d``, so row ``dim`` of the data is the main
-        diagonal.  Ascending is the column order of a row, the order in which
-        :class:`DiaOperator` and scipy's sparse products sum it.  Per axis,
-        ``faces`` holds the node slices ``lo, hi`` of every face (led by an
-        ``Ellipsis``, so they also index stacked fields) and the masks of the
-        faces whose lower (upper) node is interior.  Read-only.
+        Each slice is led by an ``Ellipsis``, so it also indexes a stack of
+        fields shaped ``(S,) + shape``.
         """
-        strides = np.array([np.prod(self.shape[d + 1 :], dtype=int) for d in range(self.dim)])
-        offsets = np.concatenate((-strides, [0], strides[::-1])).astype(np.int32)
-        offsets.setflags(write=False)
-        interior = ~self.boundary_mask.reshape(self.shape)
-        interior.setflags(write=False)
         faces = []
         for d in range(self.dim):
             lo = (Ellipsis,) + tuple(slice(None, -1) if k == d else slice(None) for k in range(self.dim))
             hi = (Ellipsis,) + tuple(slice(1, None) if k == d else slice(None) for k in range(self.dim))
-            faces.append((lo, hi, interior[lo], interior[hi]))
-        return offsets, tuple(faces)
+            faces.append((lo, hi))
+        return tuple(faces)
 
     @cached_property
     def dirichlet_eigenvalues(self) -> np.ndarray:
@@ -242,81 +228,86 @@ def ellipticity_check(law: DiffusionLaw, y_range: tuple[float, float], samples: 
     return EllipticityReport(law.tag, (lo, hi), min_a, max_a, passed)
 
 
-class DiaOperator:
-    """Square matrix in diagonal (DIA) storage: ``data[k, j]`` is entry ``(j - offsets[k], j)``.
+class StencilOperator:
+    """``shift I_int - div_h(c grad_h .)`` on ``grid``, with identity boundary rows, stored by its faces.
 
-    The layout of ``scipy.sparse.dia_matrix``, with the offsets ascending.
-    ``@`` takes a vector and sums each row over the diagonals in storage
-    order, which is the row's column order, starting from zero: the order of
-    scipy's DIA and CSR products, so it equals them bitwise.  ``data`` may be
-    changed in place; ``offsets`` belongs to the grid and is read-only.
+    Per axis ``d``, ``coeffs[d]`` holds the face coefficients
+    ``c = a(face mean) / h_d^2``, indexed like the faces of
+    :attr:`SpatialGrid.faces`.  A Newton Jacobian also holds ``derivs[d]``,
+    the face terms ``a'(face mean) (u_hi - u_lo) / (2 h_d^2)``; a frozen
+    coefficient has ``derivs`` None.  ``@`` is the face-flux sum: the flux
+    ``c (x_hi - x_lo) + d (x_hi + x_lo)`` of each face leaves its lower node
+    and enters its upper one, interior entries add ``shift * x``, and boundary
+    entries equal ``x`` bitwise.  It takes one field ``(n_nodes,)`` or a stack
+    ``(S, n_nodes)``; the coefficients may carry the same leading stack axis,
+    one operator per field.  The arrays are read-only.
     """
 
-    __slots__ = ("data", "offsets", "shape", "_bands")
+    __slots__ = ("grid", "coeffs", "derivs", "shift", "_tridiagonal")
 
-    def __init__(self, data: np.ndarray, offsets: np.ndarray):
-        self.data = data
-        self.offsets = offsets
-        n = data.shape[1]
-        self.shape = (n, n)
-        # per diagonal: its row of `data` and the slices of the rows and columns it covers
-        self._bands = [
-            (k, slice(max(-offset, 0), n - max(offset, 0)), slice(max(offset, 0), n + min(offset, 0)))
-            for k, offset in enumerate(offsets.tolist())
-        ]
+    def __init__(self, grid: SpatialGrid, coeffs, shift: float = 0.0, derivs=None):
+        self.grid = grid
+        self.coeffs = tuple(_read_only(c) for c in coeffs)
+        self.derivs = None if derivs is None else tuple(_read_only(d) for d in derivs)
+        self.shift = shift
+        self._tridiagonal = None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        products = self.data * x  # products[k, j] = entry (j - offsets[k], j) times x[j]
-        y = np.zeros(self.shape[0])
-        for k, rows, cols in self._bands:
-            y[rows] += products[k, cols]
-        return y
+        x_nd = x.reshape(x.shape[:-1] + self.grid.shape)
+        out = self.shift * x_nd
+        for d, (lo, hi) in enumerate(self.grid.faces):
+            flux = self.coeffs[d] * (x_nd[hi] - x_nd[lo])
+            if self.derivs is not None:
+                flux += self.derivs[d] * (x_nd[hi] + x_nd[lo])
+            out[lo] -= flux
+            out[hi] += flux
+        out = out.ravel() if x.ndim == 1 else out.reshape(x.shape)  # ravel: the cheaper view on the per-step path
+        np.copyto(out, x, where=self.grid.boundary_mask)
+        return out
 
-    def tocsr(self):
-        """The same matrix as a ``scipy.sparse`` CSR matrix; imports ``scipy.sparse``."""
-        import scipy.sparse as sp
+    def tridiagonal(self) -> tuple:
+        """The sub-, main and superdiagonal of a 1D operator's interior block, the inputs of ``dgtsv``.
 
-        return sp.dia_matrix((self.data, self.offsets), shape=self.shape).tocsr()
+        Row ``j`` reads ``(-c_{j-1} + d_{j-1}, (c_j - d_j) + (c_{j-1} + d_{j-1}) + shift, -c_j - d_j)``
+        with ``c, d`` the face arrays (``d = 0`` without ``derivs``).  Computed
+        on the first call and kept, read-only, so an operator reused across
+        steps computes them once.
+        """
+        if self._tridiagonal is None:
+            (c,) = self.coeffs
+            d = 0.0 if self.derivs is None else self.derivs[0]
+            main = (c - d)[1:] + (c + d)[:-1] + self.shift
+            self._tridiagonal = tuple(_read_only(v) for v in ((-c + d)[1:-1], main, (-c - d)[1:-1]))
+        return self._tridiagonal
 
     def toarray(self) -> np.ndarray:
-        """The same matrix as a dense array, through :meth:`tocsr`."""
-        return self.tocsr().toarray()
+        """The dense matrix, column by column through the product: ``n_nodes^2`` entries, for small grids."""
+        return (self @ np.eye(self.grid.n_nodes)).T
+
+    def tocsr(self):
+        """The matrix in ``scipy.sparse`` CSR form via :meth:`toarray`, for small grids; imports ``scipy.sparse``."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(self.toarray())
 
 
-def _face_coefficients(grid: SpatialGrid, law: DiffusionLaw, u_nd: np.ndarray):
-    """Per axis: ``(h^2, faces, face_u, a(face_u) / h^2)``.
+def _read_only(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
-    ``faces`` is the axis entry of :attr:`SpatialGrid.operator_pattern` and
-    ``face_u`` the face means ``(u_lo + u_hi) / 2``.  ``u_nd`` is shaped like
-    the grid, or carries leading stack axes before the grid axes; the node
-    slices ``lo, hi`` of ``faces`` index the trailing axes either way.
-    """
-    for h, faces in zip(grid.spacing, grid.operator_pattern[1]):
-        lo, hi = faces[0], faces[1]
+
+def _stencil(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, shift: float, with_deriv: bool) -> StencilOperator:
+    """The operator with its coefficient frozen at ``u``: one state, or a stack of states giving stacked faces."""
+    u_nd = u.reshape(u.shape[:-1] + grid.shape)
+    coeffs, derivs = [], []
+    for h, (lo, hi) in zip(grid.spacing, grid.faces):
         h2 = h**2
         face_u = 0.5 * (u_nd[lo] + u_nd[hi])
-        yield h2, faces, face_u, np.asarray(law.a(face_u), dtype=float) / h2
-
-
-def _assemble(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, with_deriv: bool, shift: float) -> DiaOperator:
-    offsets = grid.operator_pattern[0]
-    u_nd = u.reshape(grid.shape)
-    data = np.zeros((offsets.size,) + grid.shape)
-    diag = data[grid.dim]
-    for d, (h2, (lo, hi, lo_interior, hi_interior), face_u, coeff) in enumerate(_face_coefficients(grid, law, u_nd)):
-        dterm = 0.0
+        coeffs.append(np.asarray(law.a(face_u), dtype=float) / h2)
         if with_deriv:
-            dterm = 0.5 * np.asarray(law.deriv(face_u), dtype=float) * (u_nd[hi] - u_nd[lo]) / h2
-        # the face is the "plus" face of its lower node and the "minus" face of its upper node; entry
-        # (lo, hi) sits in column hi of the superdiagonal, (hi, lo) in column lo of the subdiagonal,
-        # and entries of boundary rows keep their 0.0
-        np.subtract(-coeff, dterm, out=data[-1 - d][hi], where=lo_interior)
-        np.add(-coeff, dterm, out=data[d][lo], where=hi_interior)
-        diag[lo] += coeff - dterm
-        diag[hi] += coeff + dterm
-    diag += shift
-    diag[grid.boundary_mask.reshape(grid.shape)] = 1.0
-    return DiaOperator(data.reshape(offsets.size, -1), offsets)
+            derivs.append(0.5 * np.asarray(law.deriv(face_u), dtype=float) * (u_nd[hi] - u_nd[lo]) / h2)
+    return StencilOperator(grid, coeffs, shift, derivs if with_deriv else None)
 
 
 def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np.ndarray:
@@ -330,27 +321,21 @@ def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np
     return u
 
 
-def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> DiaOperator:
+def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> StencilOperator:
     """Assemble ``shift I_int - div_h(a(u) grad_h .)`` with the coefficient frozen at ``u``.
 
     Interior rows hold the divergence stencil with face coefficients
     ``a((u_left + u_right)/2)`` plus ``shift`` on the diagonal; boundary rows
     are identity.  For a constant law and ``shift = 0`` this is exactly
     ``const`` times the negative discrete Laplacian.  The result is a
-    :class:`DiaOperator` on the grid's :attr:`~SpatialGrid.operator_pattern`,
-    so it supports products and conversions but no indexing; off-diagonal
-    entries of boundary rows are stored as exact zeros.
+    :class:`StencilOperator`: it supports products and conversions, but no
+    indexing.
     """
-    return _assemble(grid, law, _checked_state(grid, u, "coefficient state"), with_deriv=False, shift=shift)
+    return _stencil(grid, law, _checked_state(grid, u, "coefficient state"), shift, with_deriv=False)
 
 
 def apply_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> np.ndarray:
-    """``assemble_quasilinear_operator(grid, law, u, shift) @ u`` without building the matrix.
-
-    Each face flux ``a(face mean) (u_hi - u_lo) / h^2`` leaves its lower node
-    and enters its upper one; interior entries add ``shift * u``, and the
-    boundary entries equal ``u`` bitwise, as the identity rows give.  Agrees
-    with the matrix product to rounding (the sums run in another order).
+    """The operator frozen at ``u`` applied to ``u``: ``assemble_quasilinear_operator(grid, law, u, shift) @ u``.
 
     ``u`` is one state (``n_nodes`` values, flat or shaped like the grid;
     returns ``(n_nodes,)``) or a stack of states ``(S, n_nodes)``, each with
@@ -358,24 +343,15 @@ def apply_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: f
     the call on ``u[s]``): one vectorised pass over every row's faces.
     """
     u = _checked_state(grid, u, "state", stacked=True)
-    u_nd = u.reshape(u.shape[:-1] + grid.shape)
-    out = shift * u_nd
-    for _, (lo, hi, *_), _, coeff in _face_coefficients(grid, law, u_nd):
-        flux = coeff * (u_nd[hi] - u_nd[lo])
-        out[lo] -= flux
-        out[hi] += flux
-    out = out.ravel() if u.ndim == 1 else out.reshape(u.shape)  # ravel: the cheaper view on the per-step path
-    np.copyto(out, u, where=grid.boundary_mask)
-    return out
+    return _stencil(grid, law, u, shift, with_deriv=False) @ u
 
 
-def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> DiaOperator:
+def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> StencilOperator:
     """Jacobian of ``u -> -div_h(a(u) grad_h u)``, including the a'(u) terms, plus ``shift I_int``.
 
-    Same :class:`DiaOperator` layout, boundary rows and ``shift`` as
-    :func:`assemble_quasilinear_operator`.
+    Same boundary rows and ``shift`` as :func:`assemble_quasilinear_operator`.
     """
-    return _assemble(grid, law, _checked_state(grid, u, "state"), with_deriv=True, shift=shift)
+    return _stencil(grid, law, _checked_state(grid, u, "state"), shift, with_deriv=True)
 
 
 def first_eigenvalue(grid: SpatialGrid) -> float:

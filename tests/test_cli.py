@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from subdiff.cli import _CERTIFICATES, main
-from subdiff.config import CertificatesConfig
+from subdiff.config import CertificatesConfig, parse_config
 from subdiff.kernels import CompressionError
 from subdiff.reporting import NORMS_HEADER
 
@@ -145,6 +145,19 @@ class TestRunCommand:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_overridden_config_text_parses_back(self, tmp_path, capsys):
+        # every run override goes into config_text, which must parse back to the config the run used
+        text = "problem = porous\n[problem]\nresolution = 17\n[time]\nhorizon = 1.0\nsteps = 64\ngrading = 1\n"
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out), "--seed", "7", "--history", "compressed"]) == 0
+        capsys.readouterr()
+        written = json.loads((out / "report.json").read_text())["config_text"]
+        want = parse_config(text)
+        want.output = dataclasses.replace(want.output, dir=str(out), seed=7)
+        want.solver = dataclasses.replace(want.solver, history="compressed")
+        assert parse_config(written) == want
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.cfg")])
         assert code == 2
@@ -222,8 +235,33 @@ class TestOtherErrorsExitTwo:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
         for word in words:
             assert word in err
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (["props", "--count", "6", "--seed", "-1"], ["--seed"]),
+            (["run", "{dir}"], ["cannot read {dir}"]),
+            (["run", "{latin1}"], ["cannot read {latin1}", "UTF-8"]),
+            (["run", "{cfg}", "--out", "{file}/sub"], ["cannot write {file}/sub"]),
+            (["run", "{cfg}", "--seed", "-3", "--out", "{out}"], ["--seed", "output.seed=-3"]),
+            (["run", "{cfg}", "--seed", "x", "--out", "{out}"], ["--seed", "output.seed"]),
+        ],
+        ids=["negative-props-seed", "config-is-a-directory", "config-not-utf8", "unwritable-out",
+             "negative-run-seed", "non-integer-run-seed"],
+    )
+    def test_input_error(self, tmp_path, capsys, argv, words):
+        paths = {"dir": tmp_path / "d", "latin1": tmp_path / "latin1.cfg", "cfg": tmp_path / "run.cfg",
+                 "file": tmp_path / "file", "out": tmp_path / "o"}
+        paths["dir"].mkdir()
+        paths["latin1"].write_bytes(self.BASE.replace("eigenmode", "eigenmode  # \xe9t\xe9").encode("latin-1"))
+        paths["cfg"].write_text(self.BASE)
+        paths["file"].write_text("")
+        code = main([arg.format(**paths) for arg in argv])
+        self._assert_exit_two(code, capsys, *(word.format(**paths) for word in words))
+        assert not paths["out"].exists()
 
     def test_extents_that_do_not_fit_the_dimension(self, tmp_path, capsys):
         cfg = _write(tmp_path, self.BASE + "problem.extents = [0, 1, 0, 2]\n")

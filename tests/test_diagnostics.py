@@ -266,9 +266,11 @@ class TestWeakformResidual:
 
             return wrapper
 
-        for module, name in [(diagnostics, "assemble_quasilinear_operator"), (spatial, "assemble_quasilinear_operator"),
-                             (spatial, "_assemble")]:
-            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        # neither public builder, and no conversion of an operator to a matrix
+        for owner, name in [(diagnostics, "assemble_quasilinear_operator"), (spatial, "assemble_quasilinear_operator"),
+                            (spatial, "newton_jacobian"), (spatial.StencilOperator, "toarray"),
+                            (spatial.StencilOperator, "tocsr")]:
+            monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
         weakform_residual(traj)
         assert calls == []
 

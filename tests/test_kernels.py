@@ -180,6 +180,12 @@ class TestL1Weights:
         assert seen == list(range(1, tg.steps + 1))
         assert np.array_equal(w.block(40, 41)[0], w.row(40))
 
+    @pytest.mark.parametrize("make", [lambda: TimeGrid.uniform(2.0, 40), lambda: TimeGrid.graded(2.0, 40, 3.0)])
+    def test_lagged_is_the_row_without_its_diagonal(self, make):
+        w = L1Weights(alpha=0.45, grid=make())
+        for n in (1, 2, 17, 40):
+            assert np.array_equal(w.lagged(n), w.row(n)[:-1])
+
     def test_block_range_checked(self):
         w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 4))
         for n0, n1 in ((0, 2), (3, 3), (2, 6)):

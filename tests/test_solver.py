@@ -18,6 +18,7 @@ from subdiff.relaxation import relaxation_solution
 from subdiff.solver import ProblemSpec, SolverOptions, StepFailure, run_trajectory
 from subdiff.spatial import (
     DiffusionLaw,
+    StencilOperator,
     assemble_quasilinear_operator,
     build_grid,
     constant_law,
@@ -266,9 +267,9 @@ class TestInteriorSolve:
         ii = grid.interior_indices()
         want = np.linalg.solve(M.toarray()[np.ix_(ii, ii)], b[ii])
         atol = 1e-15 * np.linalg.norm(b[ii])
-        data = M.data.copy()
+        before = M.toarray()
         x = solver.spsolve(M, b, grid=grid, shift=3.0, nu=1.0, atol=atol, symmetric=symmetric)
-        assert np.array_equal(M.data, data)  # Picard's damping solves again with the same matrix
+        assert np.array_equal(M.toarray(), before)  # Picard's damping solves again with the same matrix
         assert np.all(x[grid.boundary_mask] == 0.0)
         assert np.linalg.norm(x[ii] - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -323,21 +324,16 @@ class TestInteriorSolve:
         assert exc.value.last_iterate.shape == (spec.grid.n_nodes,)
 
     def test_singular_tridiagonal_block_raises(self):
-        # a zero diagonal makes the 7 x 7 interior block singular (odd order)
+        # zero coefficients and zero shift make the 7 x 7 interior block zero
         grid = build_grid(1, (0.0, 1.0), 9)
-        M = assemble_quasilinear_operator(grid, porous_law(), np.linspace(0.0, 1.0, 9), shift=3.0)
-        M.data[grid.dim, 1:-1] = 0.0
+        M = StencilOperator(grid, [np.zeros(8)])
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             solver.spsolve(M, np.ones(9), grid=grid, shift=3.0, nu=1.0, atol=1e-12, symmetric=True)
 
     @pytest.mark.parametrize("mode, builder", [("picard", "assemble_quasilinear_operator"), ("newton", "newton_jacobian")])
     def test_singular_tridiagonal_block_fails_the_step(self, mode, builder, monkeypatch):
-        build = getattr(solver, builder)
-
         def singular(grid, law, u, shift=0.0):
-            M = build(grid, law, u, shift=shift)
-            M.data[grid.dim, 1:-1] = 0.0
-            return M
+            return StencilOperator(grid, [np.zeros(grid.n_nodes - 1)])
 
         monkeypatch.setattr(solver, builder, singular)
         spec = _sine_problem(law=porous_law(), resolution=9, steps=4)
@@ -471,7 +467,9 @@ class TestConstantLawStepMatrix:
         run_trajectory(build_preset("eigenmode", resolution=17, steps=8, grading=1.0))
         assert len(built) == 1
         with pytest.raises(ValueError, match="read-only"):
-            built[0].data[1, 1] = 0.0
+            built[0].coeffs[0][1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            built[0].tridiagonal()[1][0] = 0.0  # the diagonals dgtsv reads at every step
 
 
 class TestDeterminism:

@@ -4,10 +4,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from subdiff.spatial import (
-    DiaOperator,
     apply_quasilinear_operator,
     assemble_quasilinear_operator,
     build_grid,
@@ -223,23 +221,6 @@ class TestOperator:
         expected = plain + np.diag(np.where(g.boundary_mask, 0.0, 2.5))
         np.testing.assert_array_equal(shifted, expected)
 
-    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
-    @pytest.mark.parametrize("dim, extents, res", BOXES)
-    def test_dia_layout(self, build, dim, extents, res):
-        g = build_grid(dim, extents, res)
-        M = build(g, porous_law(), np.random.default_rng(2).normal(size=g.n_nodes), shift=1.5)
-        assert isinstance(M, DiaOperator)
-        assert M.data.shape == (2 * dim + 1, g.n_nodes)
-        assert np.all(np.diff(M.offsets) > 0)
-        dense = M.toarray()
-        for offset, row in zip(M.offsets, M.data):
-            # data[k, j] holds entry (j - offset, j)
-            cols = np.arange(max(offset, 0), g.n_nodes + min(offset, 0))
-            np.testing.assert_array_equal(row[cols], np.diag(dense, offset))
-            if offset != 0:
-                on_boundary = row[cols][g.boundary_mask[cols - offset]]
-                assert np.all(on_boundary == 0.0) and not np.any(np.signbit(on_boundary))
-
     @pytest.mark.parametrize("shift", [0.0, 2.5])
     @pytest.mark.parametrize("build, with_deriv", [(assemble_quasilinear_operator, False), (newton_jacobian, True)])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
@@ -251,21 +232,44 @@ class TestOperator:
         np.testing.assert_allclose(build(g, law, u, shift=shift).toarray(), ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    def test_tridiagonal_is_the_interior_band(self, build):
+        g = build_grid(1, (0.0, 1.0), 12)
+        M = build(g, porous_law(), np.random.default_rng(3).normal(size=12), shift=2.5)
+        dense = M.toarray()[1:-1, 1:-1]
+        sub, main, sup = M.tridiagonal()
+        assert np.array_equal(sub, np.diag(dense, -1))
+        assert np.array_equal(sup, np.diag(dense, 1))
+        # the product sums a diagonal entry in another order than dgtsv's input
+        np.testing.assert_allclose(main, np.diag(dense), rtol=1e-15)
+        assert M.tridiagonal() is M.tridiagonal()  # computed once per operator
+
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
-    def test_product_equals_csc_product_bitwise(self, dim, extents, res, build):
-        # the operator sums a row diagonal by diagonal in storage order, from zero; ascending offsets
-        # are the column order in which scipy's DIA, CSR and CSC products sum it
+    def test_boundary_rows_are_identity(self, dim, extents, res, build):
+        g = build_grid(dim, extents, res)
+        rng = np.random.default_rng(2)
+        M = build(g, porous_law(), rng.normal(size=g.n_nodes), shift=1.5)
+        b = g.boundary_mask
+        dense = M.toarray()
+        assert np.array_equal(dense[b], np.eye(g.n_nodes)[b])
+        assert not np.any(np.signbit(dense[b]))  # +0.0 off the diagonal
+        v = rng.normal(size=g.n_nodes)
+        v[~b] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = M @ v
+        assert np.array_equal(got[b], v[b])  # no interior value reaches a boundary entry, not even as 0 * inf
+
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    @pytest.mark.parametrize("dim, extents, res", BOXES)
+    def test_stacked_product_equals_field_by_field(self, dim, extents, res, build):
         g = build_grid(dim, extents, res)
         rng = np.random.default_rng(8)
         M = build(g, porous_law(), rng.normal(size=g.n_nodes), shift=2.5)
-        csr = M.tocsr()
-        # the operator stores the boundary rows' exact-zero off-diagonals; the CSR copy drops them
-        assert csr.nnz < sum(g.n_nodes - abs(offset) for offset in M.offsets)
-        v = rng.normal(size=g.n_nodes)
-        got = M @ v
-        assert np.array_equal(got, csr @ v)
-        assert np.array_equal(got, csr.tocsc() @ v)
-        assert np.array_equal(got, sp.dia_matrix((M.data, M.offsets), shape=M.shape) @ v)
+        V = rng.normal(size=(3, g.n_nodes))
+        got = M @ V
+        assert got.shape == V.shape
+        for v, row in zip(V, got):
+            assert np.array_equal(row, M @ v)
 
     @pytest.mark.parametrize("shift", [0.0, 2.5])
     @pytest.mark.parametrize("law", [constant_law(2.0), porous_law()], ids=["constant", "porous"])
@@ -275,7 +279,7 @@ class TestOperator:
         u = np.random.default_rng(6).normal(size=g.n_nodes)
         want = assemble_quasilinear_operator(g, law, u, shift=shift) @ u
         got = apply_quasilinear_operator(g, law, u, shift=shift)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(got, want)
         assert np.array_equal(got[g.boundary_mask], u[g.boundary_mask])
 
     @pytest.mark.parametrize("shift", [0.0, 2.5])
