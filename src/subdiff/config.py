@@ -20,7 +20,9 @@ offending path named, and parsing reports every violation at once rather
 than stopping at the first.  Settings that are valid one by one but cannot
 run together (compressed history on a graded or one-step time grid,
 extents that do not fit the dimension) are rejected too, and so is an
-``eps_compress`` below 1e-13, which no compression can reach.
+``eps_compress`` below 1e-13, which no compression can reach.  An
+``output.dir`` must read back unchanged from :func:`render_config`'s text, so
+a path with ``#``, ``,``, a line break or surrounding spaces is rejected.
 Command-line overrides go through the same schema and checks.  The
 ``[solver]`` section is a
 :class:`~subdiff.solver.SolverOptions` itself.
@@ -116,6 +118,12 @@ _SECTIONS = {
     "output": OutputConfig,
 }
 
+
+def _reads_back(text: str) -> bool:
+    """True when ``key=text`` parses back to ``text``: parsing cuts comments, splits lines and commas, and strips."""
+    return "#" not in text and "," not in text and len(text.splitlines()) <= 1 and text == text.strip()
+
+
 # key -> (kind, checker, requirement text); kinds: str, int, float, bool, floats
 _SCHEMA = {
     "problem.preset": ("str", lambda v: v in ("eigenmode", "porous", "zero"), "one of eigenmode, porous, zero"),
@@ -142,7 +150,7 @@ _SCHEMA = {
     "certificates.hoelder_beta_space": ("float", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "study.axis": ("str", lambda v: v in ("space", "time"), "space or time"),
     "study.levels": ("int", lambda v: v >= 2, ">= 2"),
-    "output.dir": ("str", None, ""),
+    "output.dir": ("str", _reads_back, "a path without '#', ',', line breaks or surrounding spaces"),
     "output.seed": ("int", lambda v: v >= 0, ">= 0"),
     "output.snapshot_times": ("floats", lambda v: all(t >= 0.0 for t in v), "nonnegative times"),
 }

@@ -172,13 +172,6 @@ class DiffusionLaw:
         if not 0.0 < self.nu <= self.lam:
             raise ValueError(f"need 0 < nu <= lam, got nu={self.nu}, lam={self.lam}")
 
-    def probe_derivative(self, y_range: tuple[float, float], samples: int = 257) -> float:
-        """Max mismatch between ``deriv`` and a central difference (smoke probe)."""
-        y = np.linspace(y_range[0], y_range[1], samples)
-        h = 1e-6 * max(1.0, float(np.max(np.abs(y))))
-        fd = (self.a(y + h) - self.a(y - h)) / (2.0 * h)
-        return float(np.max(np.abs(fd - self.deriv(y))))
-
 
 def constant_law(value: float = 1.0) -> DiffusionLaw:
     return DiffusionLaw(

@@ -248,9 +248,11 @@ class TestOtherErrorsExitTwo:
             (["run", "{cfg}", "--out", "{file}/sub"], ["cannot write {file}/sub"]),
             (["run", "{cfg}", "--seed", "-3", "--out", "{out}"], ["--seed", "output.seed=-3"]),
             (["run", "{cfg}", "--seed", "x", "--out", "{out}"], ["--seed", "output.seed"]),
+            (["run", "{cfg}", "--out", "{out}#1"], ["--out", "output.dir", "'#'"]),
+            (["run", "{cfg}", "--out", "{out},a"], ["--out", "output.dir", "','"]),
         ],
         ids=["negative-props-seed", "config-is-a-directory", "config-not-utf8", "unwritable-out",
-             "negative-run-seed", "non-integer-run-seed"],
+             "negative-run-seed", "non-integer-run-seed", "out-with-comment-sign", "out-with-comma"],
     )
     def test_input_error(self, tmp_path, capsys, argv, words):
         paths = {"dir": tmp_path / "d", "latin1": tmp_path / "latin1.cfg", "cfg": tmp_path / "run.cfg",

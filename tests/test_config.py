@@ -151,6 +151,15 @@ class TestRoundTrip:
         again = parse_config(render_config(cfg))
         assert again == cfg
 
+    def test_accepted_output_dir_round_trips(self):
+        cfg = parse_config("", {"--out": ("output.dir", "runs/a b=[1]/\u00e9t\u00e9")})
+        assert parse_config(render_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("path", ["res#1,a", "res#1", "res,a", "res\na", " res", "res "])
+    def test_output_dir_that_would_not_read_back_is_rejected(self, path):
+        with pytest.raises(ConfigError, match="output.dir"):
+            parse_config("", {"--out": ("output.dir", path)})
+
     def test_default_config_round_trips(self):
         cfg = RunConfig()
         assert parse_config(render_config(cfg)) == cfg

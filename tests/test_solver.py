@@ -1,6 +1,7 @@
 """Implicit L1 time-marcher: accuracy, iteration modes, history compression."""
 
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -470,6 +471,63 @@ class TestConstantLawStepMatrix:
             built[0].coeffs[0][1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             built[0].tridiagonal()[1][0] = 0.0  # the diagonals dgtsv reads at every step
+
+
+class TestExtrapolatedStart:
+    """Once a step needs more than one correction, each step starts from the extrapolated field."""
+
+    def test_bench_newton_problem_takes_under_1400_corrections(self):
+        # the porous1d-newton bench problem at seed 0; starting every step from u_{n-1} takes 2048
+        spec = build_preset("porous", alpha=0.50071, dimension=1, resolution=65, horizon=100.0, steps=1024)
+        traj = run_trajectory(spec, SolverOptions(mode="newton"))
+        assert traj.iterations.sum() <= 1400
+        assert traj.halvings.sum() == 0
+
+    @pytest.mark.parametrize("mode", ["picard", "newton"])
+    def test_boundary_entries_stay_bitwise_on_a_graded_run(self, mode):
+        grid = build_grid(2, (0.0, 1.0), 13)
+        x, y = grid.points()[grid.boundary_mask].T
+        g = 0.3 + 0.1 * x - 0.7 * y * y  # non-dyadic data, different on every boundary node
+        u0 = np.full(grid.n_nodes, 0.3) + np.prod(np.sin(np.pi * grid.points()), axis=1)
+        u0[grid.boundary_mask] = g
+        spec = ProblemSpec(
+            alpha=0.5, time_grid=TimeGrid.graded(1.0, 12, 2.0), grid=grid, law=porous_law(), u0=u0, boundary=g
+        )
+        traj = run_trajectory(spec, SolverOptions(mode=mode))
+        assert traj.iterations[1:-1].max() > 1  # so the later steps started from an extrapolation
+        assert np.all(traj.fields[:, grid.boundary_mask] == spec.boundary_values())
+
+    def test_failed_predicted_start_falls_back_to_the_previous_field(self, monkeypatch):
+        spec = _sine_problem(law=porous_law(), steps=16)
+        solve = solver._solve_step
+
+        def arguments(args):
+            return inspect.signature(solve).bind(*args).arguments
+
+        def unpredicted(*args):
+            a = arguments(args)
+            return solve(*args[:-1], a["u_prev"])
+
+        monkeypatch.setattr(solver, "_solve_step", unpredicted)
+        plain = run_trajectory(spec)
+
+        predicted = []
+
+        def failing_when_predicted(*args):
+            a = arguments(args)
+            if a["start"] is a["u_prev"]:
+                return solve(*args)
+            predicted.append(a["n"])
+            raise StepFailure(a["n"], 0.0, 1.0, iterations=3, last_iterate=a["start"], message="forced", halvings=2)
+
+        monkeypatch.setattr(solver, "_solve_step", failing_when_predicted)
+        traj = run_trajectory(spec)
+        assert predicted
+        assert traj.fields.tobytes() == plain.fields.tobytes()
+        np.testing.assert_array_equal(traj.iterations[predicted], plain.iterations[predicted] + 3)
+        np.testing.assert_array_equal(traj.halvings[predicted], plain.halvings[predicted] + 2)
+        unpredicted_steps = np.setdiff1d(np.arange(len(traj.iterations)), predicted)
+        np.testing.assert_array_equal(traj.iterations[unpredicted_steps], plain.iterations[unpredicted_steps])
 
 
 class TestDeterminism:
