@@ -70,7 +70,7 @@ _CERTIFICATES = {
         lambda traj, cc: decay_report(traj, slack=cc.slack),
     ),
     "weakform": (
-        ("max_scaled_residual", "threshold", "worst_time", "worst_node"),
+        ("max_scaled_residual", "threshold", "worst_time", "worst_node", "near_worst_nodes"),
         lambda traj, cc: weakform_residual(traj, threshold=cc.weakform_threshold),
     ),
     "hoelder": (

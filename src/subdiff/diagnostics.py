@@ -299,6 +299,10 @@ class WeakformReport:
 
     ``worst_time`` is the peak knot ``t`` of the time hat and ``worst_node``
     the flattened grid index of the space hat where the worst residual sits.
+    ``near_worst_nodes`` lists, in ascending order, every tested node whose
+    worst residual over the time hats is within ``1e-6`` relative of
+    ``max_scaled_residual``: ``worst_node`` and any node tied with it up to
+    roundoff, between which the argmax may pick on a roundoff-level change.
     """
 
     max_scaled_residual: float
@@ -309,6 +313,7 @@ class WeakformReport:
     passed: bool
     worst_time: float
     worst_node: int
+    near_worst_nodes: tuple[int, ...]
 
 
 # 8-point Gauss-Legendre rule on [0, 1]
@@ -316,6 +321,8 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 # the closed form serves steps with tau >= _CLOSED_FORM_RATIO * b (b: distance of the step from the knot)
 _CLOSED_FORM_RATIO = 0.1
+# a tested node whose worst residual is within this relative distance of the maximum is reported as near-worst
+_NEAR_WORST_RTOL = 1e-6
 # rows of stacked fields per vectorised flux pass: about 2^16 values, so temporaries stay small
 _BLOCK_VALUES = 2**16
 
@@ -472,6 +479,7 @@ def weakform_residual(
         resid[j - 1] = np.abs(memory + body) / (q_lump * 0.5 * (tc - ta) * scale)
     hat, node = np.unravel_index(np.argmax(resid), resid.shape)
     worst = float(resid[hat, node])
+    near = sel[resid.max(axis=0) >= (1.0 - _NEAR_WORST_RTOL) * worst]
     return WeakformReport(
         max_scaled_residual=worst,
         threshold=threshold,
@@ -481,4 +489,5 @@ def weakform_residual(
         passed=bool(worst <= threshold),
         worst_time=float(t[knots[hat + 1]]),
         worst_node=int(sel[node]),
+        near_worst_nodes=tuple(int(i) for i in near),
     )

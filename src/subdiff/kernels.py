@@ -193,7 +193,7 @@ class L1Weights:
         Each block holds about ``_BLOCK_ENTRIES`` entries, so a blocked product
         needs the same working memory at any step count.
         """
-        height = max(1, _BLOCK_ENTRIES // steps)
+        height = _block_height(steps)
         for n0 in range(1, steps + 1, height):
             n1 = min(n0 + height, steps + 1)
             yield n0, n1, self.block(n0, n1)
@@ -230,6 +230,11 @@ class L1Weights:
         for n0, n1, w in self.blocks(N):
             out[n0 - 1 : n1 - 1] = np.tensordot(w, diffs[: n1 - 1], axes=1)
         return out
+
+
+def _block_height(steps: int) -> int:
+    """Rows per weight block for histories of ``steps`` steps: about ``_BLOCK_ENTRIES`` entries a block."""
+    return max(1, _BLOCK_ENTRIES // steps)
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +339,40 @@ def _history_shape(shape) -> tuple:
 class DirectHistory:
     """Exact memory provider: keeps every increment, O(n) work per query.
 
-    A query is one dot of the stored increments with ``weights.lagged(n)``.
+    A query at step ``n`` is one dot of the stored increments with the
+    lagged weights ``w_{n,k}``, ``k < n``.  On uniform grids these are the
+    zero-copy view ``weights.lagged(n)``.  On graded grids each row costs a
+    transcendental per entry, so the provider keeps a slab of consecutive rows
+    from one :meth:`L1Weights.block` call, as many as
+    :meth:`L1Weights.blocks` puts in a block (32 at 1024 steps), and slices
+    row ``n`` out of it: a trajectory of ``M`` steps builds ``ceil(M /
+    height)`` slabs instead of ``M`` rows.  Block rows equal the rows of
+    :meth:`L1Weights.lagged` bitwise, so both routes give the same sums.
     """
 
     def __init__(self, weights: L1Weights):
         self.weights = weights
         self._deltas: np.ndarray | None = None
         self._count = 0
+        self._graded = weights._uniform_b is None
+        self._slab = None  # consecutive rows of the graded weight matrix, the first of them row _slab_start
+        self._slab_start = 0
 
     def reset(self, shape=()) -> None:
         """Clear the stored increments for a new trajectory of fields of ``shape``."""
         self._deltas = np.empty((self.weights.grid.steps,) + _history_shape(shape))
         self._count = 0
+        self._slab = None
+
+    def _lagged(self, n: int) -> np.ndarray:
+        """``w_{n,k}`` for ``k = 1..n-1``, from the current slab on graded grids."""
+        if not self._graded:
+            return self.weights.lagged(n)
+        if self._slab is None or not 0 <= n - self._slab_start < len(self._slab):
+            steps = self.weights.grid.steps
+            self._slab = self.weights.block(n, min(n + _block_height(steps), steps + 1))
+            self._slab_start = n
+        return self._slab[n - self._slab_start, : n - 1]
 
     def push(self, delta) -> None:
         """Store the increment ``delta_n = v_n - v_{n-1}`` after step n."""
@@ -359,7 +386,7 @@ class DirectHistory:
         if self._deltas is None:
             raise RuntimeError("reset or push before querying the memory term")
         m = self._count
-        out = np.dot(self.weights.lagged(m + 1), self._deltas[:m])
+        out = np.dot(self._lagged(m + 1), self._deltas[:m])
         return float(out) if np.ndim(out) == 0 else out
 
 

@@ -9,21 +9,22 @@ Dirichlet data held on boundary rows.  With ``K(v) = w_nn I_int + A(v)``, the
 step matrix that :func:`~subdiff.spatial.assemble_quasilinear_operator`
 returns for ``shift=w_nn``, the system reads ``K(u_n) u_n = rhs``.  One
 correction loop serves both inner iterations: from a start ``v`` it solves
-``M delta = rhs - K(v) v`` and sets ``v <- v + theta delta``.  Picard takes
-``M = K(v)`` (coefficient frozen at the current iterate, the discrete analogue
-of the linearized fixed-point map behind the existence theory) and reads its
-residual off the same ``K(v)``.  Newton takes the analytic Jacobian
-including the a'(u) terms, the only operator it assembles: its residual comes
-from :func:`~subdiff.spatial.apply_quasilinear_operator`, ``K(v)`` frozen at
-``v`` and applied to ``v``.  Every one of these products is the face-flux sum
-of :class:`~subdiff.spatial.StencilOperator`.  A constant law (``nu == lam``,
-so ``a(u) = nu``) has one ``K`` for every iterate, bitwise equal to its
-Newton Jacobian: the driver assembles it once per distinct ``w_nn`` (once per
-run on a uniform time grid, once per step on a graded one), and both
-iterations solve with it; its arrays are read-only.  The loop runs undamped
-and, when the residual stops decreasing, returns to the best iterate and
-halves ``theta``, up to three times before giving up.  ``Trajectory.halvings``
-records the halvings of every step.
+``M delta = rhs - K(v) v`` and sets ``v <- v + theta delta``.  Each iterate
+evaluates its face coefficients once, in ``K(v)`` (coefficient frozen at the
+iterate, the discrete analogue of the linearized fixed-point map behind the
+existence theory), and both modes read their residual off it.  Picard takes
+``M = K(v)``.  Newton takes the analytic Jacobian including the a'(u) terms:
+:func:`~subdiff.spatial.newton_jacobian` shares the face coefficients of
+``K(v)`` and evaluates only the ``a'`` face terms, and only when a correction
+follows, never at the accepted iterate.  Every one of these products is the
+face-flux sum of :class:`~subdiff.spatial.StencilOperator`.  A constant law
+(``nu == lam``, so ``a(u) = nu``) has one ``K`` for every iterate, bitwise
+equal to its Newton Jacobian: the driver assembles it once per distinct
+``w_nn`` (once per run on a uniform time grid, once per step on a graded
+one), and both iterations solve with it; its arrays are read-only.  The loop
+runs undamped and, when the residual stops decreasing, returns to the best
+iterate and halves ``theta``, up to three times before giving up.
+``Trajectory.halvings`` records the halvings of every step.
 
 The start is ``u_{n-1}`` until a step has needed more than one correction;
 from the next step on it is the linear extrapolation ``u_{n-1} + (tau_n /
@@ -74,7 +75,6 @@ from .kernels import DirectHistory, L1Weights, TimeGrid, compress_history
 from .spatial import (
     DiffusionLaw,
     SpatialGrid,
-    apply_quasilinear_operator,
     assemble_quasilinear_operator,
     ellipticity_check,
     newton_jacobian,
@@ -427,16 +427,13 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, ste
     rhs[grid.boundary_mask] = g_vals
 
     def state(v):
-        # Picard solves with K(v), assembled here unless the law is constant; Newton only needs K(v) v
+        # K(v), assembled here unless the law is constant: the residual's operator, Picard's matrix
+        # and the face coefficients of Newton's Jacobian
         t0 = time.perf_counter()
-        if newton:
-            K, Kv = step_matrix, apply_quasilinear_operator(grid, law, v, shift=w_nn)
-        else:
-            K = assemble_quasilinear_operator(grid, law, v, shift=w_nn) if step_matrix is None else step_matrix
-            Kv = K @ v
+        K = assemble_quasilinear_operator(grid, law, v, shift=w_nn) if step_matrix is None else step_matrix
+        r = K @ v - rhs  # exactly 0 on the boundary, where v holds the data
         timers["assembly"] += time.perf_counter() - t0
-        r = Kv - rhs  # exactly 0 on the boundary, where v holds the data
-        return v, K, r, float(np.max(np.abs(r)))
+        return v, K, r, float(np.abs(r).max())
 
     def failure(res, it, message):
         return StepFailure(
@@ -455,9 +452,9 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, ste
     best_res = np.inf
     for it in range(1, options.max_iter + 1):
         v, M, r, res = current
-        if M is None:  # Newton on a non-constant law
+        if newton and step_matrix is None:  # only the a' terms are new; a constant law's K is its Jacobian
             t0 = time.perf_counter()
-            M = newton_jacobian(grid, law, v, shift=w_nn)
+            M = newton_jacobian(grid, law, v, shift=w_nn, frozen=M)
             timers["assembly"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         try:

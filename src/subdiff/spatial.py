@@ -8,7 +8,9 @@ unchanged.
 The Picard operator and the Newton Jacobian are :class:`StencilOperator`
 objects, stored as what their assembly computes: per axis, the face
 coefficients ``a(face mean) / h^2`` and, for the Jacobian, the face terms of
-``a'``.  Their product is the face-flux sum over the grid's face slices
+``a'``; given the operator frozen at the same state, :func:`newton_jacobian`
+shares its face coefficients and evaluates only the ``a'`` terms.  Their
+product is the face-flux sum over the grid's face slices
 (:attr:`SpatialGrid.faces`), on one field or on a stack of fields, and it is
 the package's one product with such an operator: residuals, Krylov solves
 and the weak form all go through it.  The builders' ``shift`` adds to the
@@ -290,17 +292,14 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def _stencil(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, shift: float, with_deriv: bool) -> StencilOperator:
+def _stencil(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, shift: float) -> StencilOperator:
     """The operator with its coefficient frozen at ``u``: one state, or a stack of states giving stacked faces."""
     u_nd = u.reshape(u.shape[:-1] + grid.shape)
-    coeffs, derivs = [], []
-    for h, (lo, hi) in zip(grid.spacing, grid.faces):
-        h2 = h**2
-        face_u = 0.5 * (u_nd[lo] + u_nd[hi])
-        coeffs.append(np.asarray(law.a(face_u), dtype=float) / h2)
-        if with_deriv:
-            derivs.append(0.5 * np.asarray(law.deriv(face_u), dtype=float) * (u_nd[hi] - u_nd[lo]) / h2)
-    return StencilOperator(grid, coeffs, shift, derivs if with_deriv else None)
+    coeffs = [
+        np.asarray(law.a(0.5 * (u_nd[lo] + u_nd[hi])), dtype=float) / h**2
+        for h, (lo, hi) in zip(grid.spacing, grid.faces)
+    ]
+    return StencilOperator(grid, coeffs, shift)
 
 
 def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np.ndarray:
@@ -324,7 +323,7 @@ def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift
     :class:`StencilOperator`: it supports products and conversions, but no
     indexing.
     """
-    return _stencil(grid, law, _checked_state(grid, u, "coefficient state"), shift, with_deriv=False)
+    return _stencil(grid, law, _checked_state(grid, u, "coefficient state"), shift)
 
 
 def apply_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> np.ndarray:
@@ -336,15 +335,27 @@ def apply_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: f
     the call on ``u[s]``): one vectorised pass over every row's faces.
     """
     u = _checked_state(grid, u, "state", stacked=True)
-    return _stencil(grid, law, u, shift, with_deriv=False) @ u
+    return _stencil(grid, law, u, shift) @ u
 
 
-def newton_jacobian(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> StencilOperator:
+def newton_jacobian(
+    grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0, frozen: StencilOperator | None = None
+) -> StencilOperator:
     """Jacobian of ``u -> -div_h(a(u) grad_h u)``, including the a'(u) terms, plus ``shift I_int``.
 
     Same boundary rows and ``shift`` as :func:`assemble_quasilinear_operator`.
+    ``frozen`` is that operator, already assembled at ``u``: the Jacobian
+    shares its face coefficients and evaluates only the ``a'`` face terms.
     """
-    return _stencil(grid, law, _checked_state(grid, u, "state"), shift, with_deriv=True)
+    u = _checked_state(grid, u, "state")
+    if frozen is None:
+        frozen = _stencil(grid, law, u, shift)
+    u_nd = u.reshape(grid.shape)
+    derivs = [
+        0.5 * np.asarray(law.deriv(0.5 * (u_nd[lo] + u_nd[hi])), dtype=float) * (u_nd[hi] - u_nd[lo]) / h**2
+        for h, (lo, hi) in zip(grid.spacing, grid.faces)
+    ]
+    return StencilOperator(grid, frozen.coeffs, shift, derivs)
 
 
 def first_eigenvalue(grid: SpatialGrid) -> float:

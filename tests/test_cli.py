@@ -68,6 +68,7 @@ class TestRunCommand:
         weak = report["certificates"]["weakform"]
         assert 0.0 < weak["worst_time"] < 1.0  # the peak of an interior time hat, horizon 1
         assert isinstance(weak["worst_node"], int) and 0 < weak["worst_node"] < 32  # interior of 33 nodes
+        assert weak["worst_node"] in weak["near_worst_nodes"]
         assert "config_text" in report
         seconds = report["timings"]["certificates"]
         assert set(seconds) == set(report["certificates"])

@@ -253,6 +253,17 @@ class TestWeakformResidual:
         worst = weakform_residual(traj, fields=bad)
         assert worst.worst_time >= 0.5
         assert worst.worst_node >= 21
+        assert worst.near_worst_nodes == (worst.worst_node,)
+
+    def test_reports_every_node_tied_with_the_worst(self):
+        # the run is mirror-symmetric in space to roundoff and so is the test-node sample (31 interior
+        # nodes, 12 tested): corrupting nodes 9 and 23 alike puts two maxima within roundoff of each other
+        traj = _run("porous", resolution=33, steps=64, horizon=1.0)
+        bad = traj.fields.copy()
+        bad[np.ix_(traj.times >= 0.5, [9, 23])] *= 1.1
+        rep = weakform_residual(traj, fields=bad)
+        assert rep.near_worst_nodes == (9, 23)
+        assert rep.worst_node in rep.near_worst_nodes
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_makes_no_assemblies(self, dimension, monkeypatch):

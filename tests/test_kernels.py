@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from subdiff.kernels import (
     DirectHistory,
+    _block_height,
     L1Weights,
     TimeGrid,
     check_discrete_convexity,
@@ -342,6 +343,44 @@ class TestCompression:
             mem.push(rng.normal(size=4))
         assert at_boundary.tobytes() == kept.tobytes()
         assert mem.memory_term().tobytes() != kept.tobytes()
+
+    # 400 graded steps: slabs of 81 rows, so the step counts below straddle one, two and four slabs
+    _SLAB_GRID = TimeGrid.graded(3.0, 400, 2.5)
+    _SLAB = _block_height(400)
+
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    @pytest.mark.parametrize("steps", [1, 2, _SLAB - 1, _SLAB, _SLAB + 1, 3 * _SLAB + 5])
+    def test_graded_direct_history_reads_slabs_bitwise(self, steps, shape, monkeypatch):
+        w = L1Weights(alpha=0.4, grid=self._SLAB_GRID)
+        lagged = [w.lagged(n) for n in range(1, steps + 1)]  # the per-row reference, before counting
+        blocks = []
+        block = L1Weights.block
+
+        def counting(self, n0, n1):
+            blocks.append((n0, n1))
+            return block(self, n0, n1)
+
+        monkeypatch.setattr(L1Weights, "block", counting)
+        mem = DirectHistory(w)
+        rng = np.random.default_rng(steps)
+        for trajectory in range(2):
+            mem.reset(shape)
+            deltas = rng.normal(size=(steps,) + shape)
+            blocks.clear()
+            for n in range(1, steps + 1):
+                expected = np.dot(lagged[n - 1], deltas[: n - 1])
+                assert np.asarray(mem.memory_term()).tobytes() == np.asarray(expected).tobytes(), (trajectory, n)
+                mem.push(deltas[n - 1])
+            assert len(blocks) <= -(-steps // self._SLAB), blocks
+
+    def test_uniform_direct_history_builds_no_block(self, monkeypatch):
+        w = L1Weights(alpha=0.4, grid=TimeGrid.uniform(3.0, 200))
+        monkeypatch.setattr(L1Weights, "block", lambda *args: pytest.fail("uniform grids read the lagged view"))
+        mem = DirectHistory(w)
+        mem.reset((3,))
+        for n in range(1, 201):
+            mem.memory_term()
+            mem.push(np.ones(3))
 
     @pytest.mark.parametrize("provider", [DirectHistory, lambda w: compress_history(w, 1e-8)])
     def test_providers_reject_fields_with_two_axes(self, provider):

@@ -333,7 +333,8 @@ class TestInteriorSolve:
 
     @pytest.mark.parametrize("mode, builder", [("picard", "assemble_quasilinear_operator"), ("newton", "newton_jacobian")])
     def test_singular_tridiagonal_block_fails_the_step(self, mode, builder, monkeypatch):
-        def singular(grid, law, u, shift=0.0):
+        # the stub takes every builder's parameters: Newton passes its Jacobian the frozen step matrix
+        def singular(grid, law, u, shift=0.0, frozen=None):
             return StencilOperator(grid, [np.zeros(grid.n_nodes - 1)])
 
         monkeypatch.setattr(solver, builder, singular)
@@ -363,7 +364,7 @@ class TestInteriorSolve:
 
 
 class TestAssemblyContract:
-    """Each correction assembles only the matrix it solves with."""
+    """Each iterate assembles its step matrix once; Newton adds a Jacobian only before a correction."""
 
     @pytest.mark.parametrize(
         "case, mode",
@@ -423,12 +424,50 @@ class TestAssemblyContract:
                 per_step[1:] = 0
             np.testing.assert_array_equal(counts[:, 0], per_step)
             np.testing.assert_array_equal(counts[:, 1], 0)
-        elif mode == "picard":
-            np.testing.assert_array_equal(counts[:, 0], traj.iterations[1:] + 1)
-            np.testing.assert_array_equal(counts[:, 1], 0)
         else:
-            np.testing.assert_array_equal(counts[:, 0], 0)
-            np.testing.assert_array_equal(counts[:, 1], traj.iterations[1:])
+            # one K(v) per iterate, the start and the accepted one included: the residual's operator
+            # and Picard's matrix; Newton builds its Jacobian from it before each correction
+            np.testing.assert_array_equal(counts[:, 0], traj.iterations[1:] + 1)
+            np.testing.assert_array_equal(counts[:, 1], traj.iterations[1:] if mode == "newton" else 0)
+
+
+class TestFaceEvaluationsPerIterate:
+    """Each Newton iterate evaluates ``a`` on its faces once, and ``a'`` only before a correction."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_law_calls_per_step(self, dim, monkeypatch):
+        spec = {
+            1: lambda: _sine_problem(law=porous_law(), steps=16),
+            2: lambda: build_preset("porous", dimension=2, resolution=17, steps=4, horizon=1.0),
+        }[dim]()
+        calls = {"a": 0, "deriv": 0}
+
+        def counting(name):
+            fn = getattr(spec.law, name)
+
+            def wrapper(y):
+                calls[name] += 1
+                return fn(y)
+
+            return wrapper
+
+        spec = dataclasses.replace(spec, law=dataclasses.replace(spec.law, a=counting("a"), deriv=counting("deriv")))
+        per_step = []  # (a calls, a' calls) inside each step's solve
+        solve_step = solver._solve_step
+
+        def step(*args):
+            before = dict(calls)
+            out = solve_step(*args)
+            per_step.append((calls["a"] - before["a"], calls["deriv"] - before["deriv"]))
+            return out
+
+        monkeypatch.setattr(solver, "_solve_step", step)
+        traj = run_trajectory(spec, SolverOptions(mode="newton"))
+        per_step = np.array(per_step)
+        assert traj.iterations[1:].max() > 1
+        # a face evaluation calls the law once per axis: the start, every corrected iterate, and nothing more
+        np.testing.assert_array_equal(per_step[:, 0], dim * (traj.iterations[1:] + 1))
+        np.testing.assert_array_equal(per_step[:, 1], dim * traj.iterations[1:])
 
 
 class TestConstantLawStepMatrix:
