@@ -176,6 +176,16 @@ def convexity_report(traj: Trajectory) -> MonotoneWeightsReport:
     are positive and increase along each row (Alikhanov, Diff. Eq. 46,
     2010).  The check reads those weights, one block of rows at a time, and
     not the fields.  Ties count as increasing.
+
+    In exact arithmetic the hypothesis holds on every time grid:
+    ``w_{n,k}`` is the mean of ``g_{1-a}(t_n - s)``, an increasing function
+    of ``s``, over the step ``[t_{k-1}, t_k]``, and the means of an
+    increasing function over consecutive intervals increase.  What the scan
+    can catch is therefore the rounding of the evaluated weights: a
+    cancelling closed form or a wrong slab shows up as a decrease along a
+    row, which is how a broken closed form for graded grids was once found.
+    A pass says the weights the stepper used keep the inequality, not that
+    the fields were solved accurately.
     """
     tg = traj.spec.time_grid
     scores = np.empty(tg.steps)

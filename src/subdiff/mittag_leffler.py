@@ -1,15 +1,15 @@
-"""One-parameter Mittag-Leffler function on the real line.
+"""One-parameter Mittag-Leffler function on the nonpositive real axis.
 
 ``E_a(z) = sum_k z^k / Gamma(a k + 1)`` for ``a in (0, 1]``, evaluated in
 double precision with an honest error estimate per value.  One private array
 function, ``_evaluate``, is the only code that evaluates it; the scalar
 :func:`mittag_leffler`, :func:`ml_values` and :func:`ml_tail_bound` are thin
-wrappers.  ``a = 1`` is ``exp``; ``z > 0`` sums the power series in log
-space, where its terms are all positive and no power can overflow.
+wrappers.  The domain is ``z <= 0``, the only arguments the relaxation
+envelopes and the decay certificate need: ``z = 0`` gives 1, ``a = 1`` is
+``exp``, and any ``z > 0`` raises ``ValueError``.
 
-Negative arguments are the primary use case (relaxation envelopes).  There
-one rule covers the whole axis: ``E_a(-x)`` is the inverse Laplace transform
-of ``s^(a-1) / (s^a + x)`` at ``t = 1``,
+On the negative axis one rule covers everything: ``E_a(-x)`` is the inverse
+Laplace transform of ``s^(a-1) / (s^a + x)`` at ``t = 1``,
 
     E_a(-x) = 1/(2 pi i) int_C exp(s) s^(a-1) / (s^a + x) ds,
 
@@ -25,7 +25,6 @@ weights are built once at import, and a whole array of arguments is one
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +52,14 @@ _CONTOUR_REL = 2.85**-_CONTOUR_N + 16.0 * _EPS
 class MLEval:
     """One evaluation: value, method used, and a conservative error estimate.
 
-    ``method`` is ``"exp"`` for ``alpha = 1``, ``"series"`` for ``z >= 0``
-    and ``"integral"`` (the contour rule) for ``z < 0``.
+    ``method`` is ``"exp"`` for ``alpha = 1``, ``"series"`` for ``z = 0`` (the
+    series' constant term) and ``"integral"`` (the contour rule) for ``z < 0``.
     ``error_estimate`` bounds the absolute error of ``value``: on ``z < 0``
     it is ``(2.85^-N + 16 eps)`` times the sum of the absolute values of the
     rule's terms, which covers its discretisation error and the roundoff of
-    the sum; on the series it covers the lgamma/exp roundoff of every term;
-    on ``exp`` it is four ulps of ``max(|value|, 1)``.  ``accurate`` is False
-    when the estimate exceeds ``TARGET_ABS``; callers get the value either way.
+    the sum; at ``z = 0`` it is 0; on ``exp`` it is four ulps of
+    ``max(|value|, 1)``.  ``accurate`` is False when the estimate exceeds
+    ``TARGET_ABS``; callers get the value either way.
     """
 
     alpha: float
@@ -71,39 +70,12 @@ class MLEval:
     accurate: bool
 
 
-def _series_positive(alpha: float, z: float):
-    """Log-space series for z > 0, immune to overflow of intermediate powers.
-
-    All terms are positive, so there is no cancellation; the estimate only
-    has to cover the lgamma/exp roundoff of each term, which scales with the
-    term's log magnitude.
-    """
-    log_z = math.log(z)
-    logs = [0.0]
-    biggest_log = 0.0
-    k = 1
-    while True:
-        lk = k * log_z - math.lgamma(alpha * k + 1.0)
-        logs.append(lk)
-        biggest_log = max(biggest_log, abs(k * log_z) + abs(lk - k * log_z))
-        if alpha * k > 2.0 and lk < max(logs) - 45.0:
-            break
-        k += 1
-        if k > 20000:
-            raise OverflowError(f"series for E_{alpha}({z:g}) did not converge")
-    shift = max(logs)
-    total = math.exp(shift) * math.fsum(math.exp(l - shift) for l in logs)
-    est = total * _EPS * (4.0 * len(logs) + 2.0 * biggest_log)
-    return total, est
-
-
 def _evaluate(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
     """Values of ``E_alpha`` over real ``z`` of any shape, and the error estimate of each.
 
     All ``z < 0`` are one ``(count, N/2)`` array of contour terms, ``z = 0``
-    gives 1, ``alpha = 1`` is ``np.exp`` and each ``z > 0`` sums the
-    log-space series.  Raises ``ValueError`` for alpha outside (0, 1] or any
-    non-real or non-finite z, and ``OverflowError`` for any z > 690^alpha.
+    gives 1 and ``alpha = 1`` is ``np.exp``.  Raises ``ValueError`` for alpha
+    outside (0, 1] or any non-real, non-finite or positive z.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -114,9 +86,9 @@ def _evaluate(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
     bad = flat[~np.isfinite(flat)]
     if bad.size:
         raise ValueError(f"z must be a finite real number, got {float(bad[0])!r}")
-    too_big = flat[flat > 690.0**alpha]
-    if too_big.size:
-        raise OverflowError(f"E_{alpha}({too_big[0]:g}) exceeds the double range")
+    positive = flat[flat > 0.0]
+    if positive.size:
+        raise ValueError(f"z must not be positive, got {float(positive[0])!r}")
     if alpha == 1.0:
         values = np.exp(z)
         return values, 4.0 * _EPS * np.maximum(np.abs(values), 1.0)
@@ -126,19 +98,17 @@ def _evaluate(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
     s_alpha = np.exp(alpha * _LOG_S)
     terms = _WEIGHTS * s_alpha / (_NODES * (s_alpha - flat[neg, None]))
     values[neg], estimates[neg] = terms.sum(axis=1).imag, _CONTOUR_REL * np.abs(terms).sum(axis=1)
-    for i in np.flatnonzero(flat > 0.0):
-        values[i], estimates[i] = _series_positive(alpha, float(flat[i]))
     return values.reshape(z.shape), estimates.reshape(z.shape)
 
 
 def mittag_leffler(alpha: float, z: float) -> MLEval:
-    """Evaluate ``E_alpha(z)`` for one real ``z`` and ``alpha in (0, 1]``.
+    """Evaluate ``E_alpha(z)`` for one real ``z <= 0`` and ``alpha in (0, 1]``.
 
-    Raises ``ValueError`` for alpha outside (0, 1] or non-real z, and
-    ``OverflowError`` for positive z outside the overflow-safe range.
+    Raises ``ValueError`` for alpha outside (0, 1] or a non-real, non-finite
+    or positive z.
     """
     value, estimate = map(float, _evaluate(alpha, z))
-    method = "exp" if alpha == 1.0 else "series" if float(z) >= 0.0 else "integral"
+    method = "exp" if alpha == 1.0 else "series" if float(z) == 0.0 else "integral"
     return MLEval(alpha, float(z), value, method, estimate, estimate <= TARGET_ABS)
 
 

@@ -38,7 +38,6 @@ class TestFrozenValues:
             (0.5, -1.0, 0.427583576155807),
             (0.3, -2.0, 0.29023222616787536),
             (0.7, -3.0, 0.13789710966502708),
-            (0.9, 0.5, 1.704308722099399),
         ]
         for alpha, z, want in cases:
             got = mittag_leffler(alpha, z)
@@ -52,7 +51,7 @@ class TestFrozenValues:
             assert e.error_estimate <= 4.0 * np.finfo(float).eps
 
     def test_order_one_is_exp(self):
-        for z in (-50.0, -3.0, 0.7, 5.0):
+        for z in (-50.0, -3.0, -0.7, 0.0):
             e = mittag_leffler(1.0, z)
             np.testing.assert_allclose(e.value, math.exp(z), rtol=1e-15)
             assert e.method == "exp"
@@ -72,11 +71,6 @@ class TestHalfOrder:
             np.testing.assert_allclose(e.value, erfcx(x), rtol=1e-11)
             assert abs(e.value - erfcx(x)) <= e.error_estimate + 2e-13
 
-    def test_positive_axis(self):
-        for z in (0.1, 0.5, 1.0, 2.5, 5.0):
-            want = 2.0 * math.exp(z * z) - erfcx(z)
-            np.testing.assert_allclose(mittag_leffler(0.5, z).value, want, rtol=1e-12)
-
     def test_switchover_band_is_seamless(self):
         # a dense sweep of moderate x against the closed form
         xs = np.linspace(3.5, 6.5, 301)
@@ -87,7 +81,7 @@ class TestHalfOrder:
 class TestSeriesReference:
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.8])
     def test_matches_mpmath_and_estimate_is_honest(self, alpha):
-        zs = [-5.0, -4.5, -4.0, -2.5, -1.0, -0.1, 0.5, 2.0, 4.0]
+        zs = [-5.0, -4.5, -4.0, -2.5, -1.0, -0.1]
         for z in zs:
             want = ml_reference(alpha, z)
             got = mittag_leffler(alpha, z)
@@ -96,20 +90,7 @@ class TestSeriesReference:
                 f"alpha={alpha} z={z} method={got.method}: "
                 f"err={err:.3e} > estimate={got.error_estimate:.3e}"
             )
-            # absolute on the bounded negative axis, relative for the large
-            # positive values
             np.testing.assert_allclose(got.value, want, rtol=1e-11, atol=1e-10)
-
-
-class TestDuplicationIdentity:
-    """E_2a(x^2) = (E_a(x) + E_a(-x)) / 2 ties positive and negative branches."""
-
-    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.45])
-    def test_identity(self, alpha):
-        for x in np.linspace(0.0, 3.0, 61):
-            lhs = mittag_leffler(2.0 * alpha, x * x).value
-            rhs = 0.5 * (mittag_leffler(alpha, x).value + mittag_leffler(alpha, -x).value)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-12)
 
 
 class TestLaplaceTransform:
@@ -164,7 +145,7 @@ class TestSpectralReference:
 
 class TestVectorized:
     def test_shape_and_agreement(self):
-        zs = np.array([[-3.0, -0.5], [0.0, 1.5]])
+        zs = np.array([[-3.0, -0.5], [0.0, -1.5]])
         vals = ml_values(0.4, zs)
         assert vals.shape == zs.shape
         for idx in np.ndindex(zs.shape):
@@ -172,7 +153,7 @@ class TestVectorized:
 
     @pytest.mark.parametrize("alpha", [0.4, 1.0])
     def test_mixed_signs_match_scalar_bitwise(self, alpha):
-        zs = np.concatenate([-np.geomspace(1e-8, 1e6, 40), [0.0, -0.0], np.linspace(0.05, 6.0, 12)])
+        zs = np.concatenate([-np.geomspace(1e-8, 1e6, 40), [0.0, -0.0], -np.linspace(0.05, 6.0, 12)])
         zs = np.random.default_rng(0).permutation(zs).reshape(6, 9)
         vals, ests = _evaluate(alpha, zs)
         assert vals.shape == ests.shape == zs.shape
@@ -181,13 +162,13 @@ class TestVectorized:
             assert (vals[idx], ests[idx], bool(ests[idx] <= TARGET_ABS)) == (e.value, e.error_estimate, e.accurate)
 
     @pytest.mark.parametrize(
-        "bad, error", [(float("nan"), ValueError), (float("inf"), ValueError), (-float("inf"), ValueError), (27.0, OverflowError)]
+        "bad, error", [(float("nan"), ValueError), (float("inf"), ValueError), (-float("inf"), ValueError), (27.0, ValueError)]
     )
     def test_bad_element_raises_like_scalar(self, bad, error):
         with pytest.raises(error) as scalar:
             mittag_leffler(0.5, bad)
         with pytest.raises(error) as array:
-            _evaluate(0.5, np.array([-1.0, 0.0, bad, 2.0]))
+            _evaluate(0.5, np.array([-1.0, 0.0, bad, -2.0]))
         assert str(array.value) == str(scalar.value)
 
 
@@ -231,9 +212,13 @@ class TestDomainErrors:
         with pytest.raises(ValueError):
             mittag_leffler(0.5, float("inf"))
 
-    def test_positive_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            mittag_leffler(0.5, 27.0)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_positive_argument_is_outside_the_domain(self, alpha):
+        for z in (1e-300, 0.5, 27.0):
+            with pytest.raises(ValueError, match="must not be positive"):
+                mittag_leffler(alpha, z)
+        with pytest.raises(ValueError, match="must not be positive"):
+            ml_values(alpha, np.array([-1.0, 0.0, 2.0]))
 
 
 class TestAccuracyContract:

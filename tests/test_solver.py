@@ -569,6 +569,53 @@ class TestExtrapolatedStart:
         np.testing.assert_array_equal(traj.iterations[unpredicted_steps], plain.iterations[unpredicted_steps])
 
 
+class TestForcingTerm:
+    """Each 2D correction's Krylov solve stops at ``_FORCING`` times the step residual's 2-norm."""
+
+    @staticmethod
+    def _krylov_counting(monkeypatch):
+        counts = []
+
+        def counting(solve):
+            def wrapped(*args):
+                x, iterations = solve(*args)
+                counts.append(iterations)
+                return x, iterations
+
+            return wrapped
+
+        monkeypatch.setattr(solver, "_pcg", counting(solver._pcg))
+        monkeypatch.setattr(solver, "_gmres", counting(solver._gmres))
+        return counts
+
+    @pytest.mark.parametrize("mode", ["picard", "newton"])
+    def test_2d_porous_run_needs_fewer_krylov_iterations_for_the_same_fields(self, mode, monkeypatch):
+        # the porous2d bench problem at seed 0
+        spec = build_preset("porous", alpha=0.50071, dimension=2, resolution=65, steps=32, horizon=10.0)
+        options = SolverOptions(mode=mode)
+        counts = self._krylov_counting(monkeypatch)
+        inexact = run_trajectory(spec, options)
+        inexact_iterations = sum(counts)
+        counts.clear()
+        monkeypatch.setattr(solver, "_FORCING", 0.0)
+        tight = run_trajectory(spec, options)
+        assert inexact_iterations <= 0.6 * sum(counts)
+        assert inexact.residuals.max() <= options.tol
+        assert inexact.halvings.sum() == 0
+        scale = np.max(np.abs(tight.fields))
+        assert np.max(np.abs(inexact.fields - tight.fields)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("mode", ["picard", "newton"])
+    def test_1d_runs_do_not_depend_on_the_forcing_term(self, mode, monkeypatch):
+        # the tridiagonal solve is exact, so the forcing term is never computed there
+        spec = _sine_problem(law=porous_law(), steps=32)
+        fields = []
+        for forcing in (0.0, 0.5):
+            monkeypatch.setattr(solver, "_FORCING", forcing)
+            fields.append(run_trajectory(spec, SolverOptions(mode=mode)).fields.tobytes())
+        assert fields[0] == fields[1]
+
+
 class TestDeterminism:
     SCRIPT = (
         "import hashlib\n"
