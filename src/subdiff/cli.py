@@ -33,11 +33,11 @@ from .diagnostics import (
     norm_series,
     weakform_residual,
 )
-from .kernels import CompressionError, L1Weights, TimeGrid, check_discrete_convexity, default_grading
+from .kernels import CompressionError, TimeGrid, check_discrete_convexity, default_grading
 from .mittag_leffler import ml_tail_bound, ml_values
 from .presets import build_preset, eigenmode_exact
-from .relaxation import _march, _subsolution_draws
-from .relaxation import random_subsolution, solve_relaxation_l1  # noqa: F401  (bench/tracing.py wraps these names)
+from .relaxation import _subsolution_draws, solve_relaxation_l1
+from .relaxation import random_subsolution  # noqa: F401  (bench/tracing.py wraps this name)
 from .reporting import RunReport, jsonable, snapshot_path, write_norms_tsv, write_report, write_snapshot
 from .solver import StepFailure, run_trajectory
 
@@ -155,6 +155,7 @@ def cmd_run(args) -> int:
                 "t": exc.t,
                 "residual": exc.residual,
                 "iterations": exc.iterations,
+                "halvings": exc.halvings,
                 "message": str(exc),
                 "last_iterate": exc.last_iterate,
             },
@@ -305,7 +306,7 @@ def _props_comparison(rng, count: int):
     """``count`` random sub-solutions per (alpha, grid) pair against the discrete relaxation solution.
 
     The sub-solutions and the relaxation solutions of one pair share the
-    grid and the rates ``mu``, so they are marched together as one batch.
+    grid and the rates ``mu``, so one :func:`solve_relaxation_l1` call marches them.
     """
     eps = np.finfo(float).eps
     violations = 0
@@ -320,7 +321,7 @@ def _props_comparison(rng, count: int):
             mu[i] = 10.0 ** rng.uniform(-1.0, 1.5)
             w0[i] = 10.0 ** rng.uniform(-1.0, 1.0)
             start[i], slack[i] = _subsolution_draws(rng, w0[i], grid.steps)
-        marched = _march(L1Weights(alpha=alpha, grid=grid), np.tile(mu, 2), np.concatenate([start, w0]), slack)
+        marched = solve_relaxation_l1(alpha, np.tile(mu, 2), np.concatenate([start, w0]), grid, slack)
         W, V = marched[:count], marched[count:]
         tol = 64.0 * (grid.steps + 4.0) * eps * np.maximum(np.max(np.abs(V), axis=1), np.max(np.abs(W), axis=1))
         gap = np.min(V - W, axis=1)

@@ -17,8 +17,8 @@ qualitative theory:
   formulation.  The time derivative of the memory term moves onto the test
   hat, so the kernel is integrated exactly (``g_{2-a}`` against the
   interpolant, O(M) per macro knot, no reuse of the stepping weights), and
-  the flux term comes from face fluxes of all time rows at once; it reports
-  where its worst residual sits.
+  the flux term is the operator frozen at a stack of time rows applied to
+  them; it reports where its worst residual sits.
 
 The decay certificate also carries the accuracy of its Mittag-Leffler
 reference values: the largest error estimate and the number of evaluations
@@ -38,8 +38,7 @@ import numpy as np
 from .kernels import L1Weights
 from .relaxation import DecayCertificate, comparison_check
 from .solver import Trajectory
-from .spatial import SpatialGrid, apply_quasilinear_operator, first_eigenvalue
-from .spatial import assemble_quasilinear_operator  # noqa: F401  (bench/tracing.py wraps this name)
+from .spatial import SpatialGrid, assemble_quasilinear_operator, first_eigenvalue
 
 __all__ = [
     "NormSeries",
@@ -427,14 +426,14 @@ def weakform_residual(
     elsewhere, where the closed form would cancel; the mass ``(., phi_i)``
     is exact for tensor hats.  No L1 weight is used, so the certificate
     audits the stepper independently.  The flux and load terms come from
-    face fluxes of all time rows at once
-    (:func:`~subdiff.spatial.apply_quasilinear_operator` on the stacked
-    fields) and are integrated against ``theta`` by the rule exact for
-    products of linears on each step.  Residuals are scaled by test mass,
-    test duration, and the solution scale.  Keeping the test width fixed
-    matters: the L1 kink defect near t = 0 is self-similar and O(1)
-    pointwise on any mesh, but its integral against a fixed test function
-    vanishes under refinement, which is exactly the convergence the
+    face fluxes of a block of time rows at a time, the operator of
+    :func:`~subdiff.spatial.assemble_quasilinear_operator` frozen at the
+    stacked rows applied to them, and are integrated against ``theta`` by
+    the rule exact for products of linears on each step.  Residuals are scaled
+    by test mass, test duration, and the solution scale.  Keeping the test
+    width fixed matters: the L1 kink defect near t = 0 is self-similar and
+    O(1) pointwise on any mesh, but its integral against a fixed test
+    function vanishes under refinement, which is exactly the convergence the
     associated tests pin down.
 
     ``fields`` substitutes an alternative field history of the same shape
@@ -468,9 +467,8 @@ def weakform_residual(
     H = _hat_mass(grid, _knot_weights(spec.alpha, t, knots) @ (U - U[0]))[:, sel]
     # (a(u) grad u, grad phi_i) - (f, phi_i) at every time node, lumped
     rows = max(1, _BLOCK_VALUES // grid.n_nodes)
-    flux = np.concatenate(
-        [apply_quasilinear_operator(grid, spec.law, U[n : n + rows])[:, sel] for n in range(0, M + 1, rows)]
-    )
+    blocks = [U[n : n + rows] for n in range(0, M + 1, rows)]
+    flux = np.concatenate([(assemble_quasilinear_operator(grid, spec.law, B) @ B)[:, sel] for B in blocks])
     if spec.source is not None:
         points = grid.points()
         flux -= np.stack([spec.source_at(n, points)[sel] for n in range(M + 1)])

@@ -12,9 +12,9 @@ functions, its weights are positive, and within each row they increase toward
 the diagonal on any admissible mesh.  Those three facts carry all the
 structure the rest of the package relies on (convexity inequality, comparison
 principle, maximum principle); a run's convexity certificate checks the last
-two.  Every O(M^2) consumer reads the weights through
-:meth:`L1Weights.block`; the solver's memory term comes from a
-memory provider (:class:`DirectHistory` or :class:`CompressedHistory`).
+two.  The O(M^2) consumers read the weights a slab of rows at a time
+(:meth:`L1Weights.blocks`); the solver's memory term comes from a memory
+provider (:class:`DirectHistory` or :class:`CompressedHistory`).
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class L1Weights:
 
     This is the one history operator of the package: every O(M^2) consumer
     (the solver's direct memory, the convexity check and certificate, the
-    relaxation marchers) reads the lower-triangular matrix
+    relaxation marcher) reads the lower-triangular matrix
     ``W[n-1, k-1] = w_{n,k}`` through :meth:`block`, a dense slab of
     consecutive rows.  On uniform grids the off-diagonal entries are gathered
     from one precomputed sequence ``b_j = w_{n,n-j}``; on graded grids they
@@ -193,7 +193,7 @@ class L1Weights:
         Each block holds about ``_BLOCK_ENTRIES`` entries, so a blocked product
         needs the same working memory at any step count.
         """
-        height = _block_height(steps)
+        height = max(1, _BLOCK_ENTRIES // steps)
         for n0 in range(1, steps + 1, height):
             n1 = min(n0 + height, steps + 1)
             yield n0, n1, self.block(n0, n1)
@@ -230,11 +230,6 @@ class L1Weights:
         for n0, n1, w in self.blocks(N):
             out[n0 - 1 : n1 - 1] = np.tensordot(w, diffs[: n1 - 1], axes=1)
         return out
-
-
-def _block_height(steps: int) -> int:
-    """Rows per weight block for histories of ``steps`` steps: about ``_BLOCK_ENTRIES`` entries a block."""
-    return max(1, _BLOCK_ENTRIES // steps)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +337,10 @@ class DirectHistory:
     A query at step ``n`` is one dot of the stored increments with the
     lagged weights ``w_{n,k}``, ``k < n``.  On uniform grids these are the
     zero-copy view ``weights.lagged(n)``.  On graded grids each row costs a
-    transcendental per entry, so the provider keeps a slab of consecutive rows
-    from one :meth:`L1Weights.block` call, as many as
-    :meth:`L1Weights.blocks` puts in a block (32 at 1024 steps), and slices
-    row ``n`` out of it: a trajectory of ``M`` steps builds ``ceil(M /
-    height)`` slabs instead of ``M`` rows.  Block rows equal the rows of
+    transcendental per entry, so the provider walks the slabs of consecutive
+    rows that :meth:`L1Weights.blocks` yields (32 rows at 1024 steps; queries
+    arrive in push order, and :meth:`reset` restarts the walk) and slices row
+    ``n`` out of the current one.  Block rows equal the rows of
     :meth:`L1Weights.lagged` bitwise, so both routes give the same sums.
     """
 
@@ -354,25 +348,23 @@ class DirectHistory:
         self.weights = weights
         self._deltas: np.ndarray | None = None
         self._count = 0
-        self._graded = weights._uniform_b is None
-        self._slab = None  # consecutive rows of the graded weight matrix, the first of them row _slab_start
-        self._slab_start = 0
+        self._graded = not weights.grid.is_uniform()
 
     def reset(self, shape=()) -> None:
         """Clear the stored increments for a new trajectory of fields of ``shape``."""
         self._deltas = np.empty((self.weights.grid.steps,) + _history_shape(shape))
         self._count = 0
-        self._slab = None
+        self._slabs = self.weights.blocks(self.weights.grid.steps)
+        self._slab = (1, 1, None)  # (n0, n1, rows n0..n1-1 of the graded weight matrix)
 
     def _lagged(self, n: int) -> np.ndarray:
         """``w_{n,k}`` for ``k = 1..n-1``, from the current slab on graded grids."""
         if not self._graded:
             return self.weights.lagged(n)
-        if self._slab is None or not 0 <= n - self._slab_start < len(self._slab):
-            steps = self.weights.grid.steps
-            self._slab = self.weights.block(n, min(n + _block_height(steps), steps + 1))
-            self._slab_start = n
-        return self._slab[n - self._slab_start, : n - 1]
+        while n >= self._slab[1]:
+            self._slab = next(self._slabs)
+        n0, _, slab = self._slab
+        return slab[n - n0, : n - 1]
 
     def push(self, delta) -> None:
         """Store the increment ``delta_n = v_n - v_{n-1}`` after step n."""

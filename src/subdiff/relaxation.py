@@ -12,7 +12,9 @@ inequality into the decay certificates in :mod:`subdiff.diagnostics`.
 
 The closed-form envelope comes from the Mittag-Leffler module, never from the
 discrete marcher: :func:`relaxation_solution` and :func:`comparison_check`
-each evaluate ``E_a`` at every node in one array call.
+each evaluate ``E_a`` at every node in one array call.  The scalar
+:func:`~subdiff.mittag_leffler.mittag_leffler` is imported only for the
+benchmark's tracing, which wraps it here; no run calls it.
 """
 
 from __future__ import annotations
@@ -54,45 +56,40 @@ def _decay_arguments(alpha: float, mu: float, t) -> np.ndarray:
     return -mu * np.array([ti**alpha for ti in t.ravel().tolist()]).reshape(t.shape)
 
 
-def solve_relaxation_l1(alpha: float, mu: float, v0: float, grid: TimeGrid) -> np.ndarray:
-    """March the L1 discretization of the relaxation equation.
+def solve_relaxation_l1(alpha: float, mu, v0, grid: TimeGrid, slack=None) -> np.ndarray:
+    """March the L1 discretization of the relaxation equation, one history or a batch.
 
-    Step n solves ``w_nn (V_n - V_{n-1}) + H_n + mu V_n = 0`` where ``H_n`` is
-    the lagged part of the derivative.  Returns all M+1 node values.
-    """
-    if mu < 0.0:
-        raise ValueError(f"decay rate mu must be nonnegative, got {mu}")
-    return _march(L1Weights(alpha=alpha, grid=grid), np.array([mu]), np.array([v0]), np.zeros((1, grid.steps)))[0]
-
-
-def _march(weights: L1Weights, mu: np.ndarray, v0: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """Solve ``(D^a V_b)_n + mu_b V_{b,n} = -slack_{b,n-1}`` for n = 1..M from ``V_{b,0} = v0_b``.
-
-    Marches a batch of B histories on one grid: ``mu`` and ``v0`` have shape
-    (B,), ``slack`` has shape (B, M), and the result has shape (B, M+1).  Each
-    step needs the increments of all earlier steps, so the steps run one after
-    another, but every step treats the whole batch as one matrix-vector
-    product with the weight row.  Reads the weights a block of rows at a time.
+    Step n solves ``w_nn (V_n - V_{n-1}) + H_n + mu V_n = -slack_{n-1}`` from
+    ``V_0 = v0``, with ``H_n`` the lagged part of the derivative and ``slack``
+    zero by default.  Scalar ``mu`` and ``v0`` march one history (``slack`` of
+    shape (M,), result (M+1,)); arrays of shape (B,) march B histories
+    (``slack`` (B, M), result (B, M+1)), each step one matrix-vector product
+    of the batch's increments with a weight row from a block of rows.
     """
     mu = np.asarray(mu, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    slack = np.asarray(slack, dtype=float)
-    M = weights.grid.steps
+    M = grid.steps
+    slack = np.zeros(mu.shape + (M,)) if slack is None else np.asarray(slack, dtype=float)
+    one = mu.ndim == 0 and v0.ndim == 0
+    if one:
+        mu, v0, slack = mu[None], v0[None], slack[None]
     if slack.ndim != 2 or slack.shape[1] != M:
         raise ValueError(f"slack must have shape (B, {M}), got {slack.shape}")
     B = slack.shape[0]
     if mu.shape != (B,) or v0.shape != (B,):
         raise ValueError(f"mu and v0 must have shape ({B},), got {mu.shape} and {v0.shape}")
+    if np.any(mu < 0.0):
+        raise ValueError(f"decay rate mu must be nonnegative, got {mu.min()}")
     V = np.empty((B, M + 1))
     V[:, 0] = v0
     dV = np.empty((B, M))
-    for n0, n1, block in weights.blocks(M):
+    for n0, n1, block in L1Weights(alpha=alpha, grid=grid).blocks(M):
         for n in range(n0, n1):
             w = block[n - n0]
             lagged = dV[:, : n - 1] @ w[: n - 1] if n > 1 else 0.0
             V[:, n] = (w[n - 1] * V[:, n - 1] - lagged - slack[:, n - 1]) / (w[n - 1] + mu)
             dV[:, n - 1] = V[:, n] - V[:, n - 1]
-    return V
+    return V[0] if one else V
 
 
 @dataclass(frozen=True)
@@ -193,11 +190,12 @@ def random_subsolution(
 
     Builds W with ``(D^a W)_n + mu W_n = -s_n`` for nonnegative random slacks
     ``s_n`` and ``W_0 <= w0`` — exactly the hypotheses of the comparison
-    principle.  Used by property tests; the CLI property sweeps take the same
-    draws from :func:`_subsolution_draws` and march whole batches at once.
+    principle.  Used by property tests; the CLI imports it only for the
+    benchmark's tracing, since one call per history would forgo the batch
+    that its property sweeps march from the same :func:`_subsolution_draws`.
     """
     start, slack = _subsolution_draws(rng, w0, grid.steps)
-    return _march(L1Weights(alpha=alpha, grid=grid), np.array([mu]), np.array([start]), slack[None])[0]
+    return solve_relaxation_l1(alpha, mu, start, grid, slack)
 
 
 def _subsolution_draws(rng: np.random.Generator, w0: float, steps: int) -> tuple[float, np.ndarray]:

@@ -257,18 +257,18 @@ _GMRES_RESTART = 20
 _FORCING = 0.01
 
 
-def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, symmetric: bool) -> np.ndarray:
-    """Solve ``M x = b`` for the interior unknowns of ``grid``; ``x`` is zero on the boundary.
+def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
+    """Solve ``M x = b`` for the interior unknowns of ``M.grid``; ``x`` is zero on the boundary.
 
     ``M`` is a step matrix or Jacobian as the :mod:`subdiff.spatial`
     builders return it (a :class:`~subdiff.spatial.StencilOperator`), with
-    ``shift`` on its interior diagonal and coefficients at least ``nu``; the
-    boundary entries of ``b`` are ignored.  In 1D the interior block's three
-    diagonals (``M.tridiagonal()``) go to LAPACK ``dgtsv`` (Gaussian
+    ``M.shift`` on its interior diagonal and coefficients at least ``nu``;
+    the boundary entries of ``b`` are ignored.  In 1D the interior block's
+    three diagonals (``M.tridiagonal()``) go to LAPACK ``dgtsv`` (Gaussian
     elimination with partial pivoting), which is exact.  It works on copies,
     so ``M`` is left as it was.  In 2D ``symmetric`` selects preconditioned
     CG (Picard) or GMRES (Newton), both preconditioned by the sine-transform
-    solve of ``shift I + nu (-Delta_h)`` and stopped once their tracked
+    solve of ``M.shift I + nu (-Delta_h)`` and stopped once their tracked
     estimate of the 2-norm of ``b - M x`` is at most ``atol`` (CG's
     recursively updated residual, GMRES's least-squares residual; GMRES
     restarts every ``_GMRES_RESTART`` iterations); their vectors keep the
@@ -281,6 +281,7 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
     boundary of the linear-solve layer: ``bench/tracing.py`` times the
     layer by wrapping ``subdiff.solver.spsolve``.
     """
+    grid = M.grid
     if grid.dim == 1:
         x = np.zeros(grid.n_nodes)
         *_, x[1:-1], info = _dgtsv()(*M.tridiagonal(), b[1:-1])
@@ -288,7 +289,7 @@ def spsolve(M, b, *, grid: SpatialGrid, shift: float, nu: float, atol: float, sy
             raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
         return x
     b = np.where(grid.boundary_mask, 0.0, b)
-    precond = _sine_preconditioner(grid, shift, nu)
+    precond = _sine_preconditioner(grid, M.shift, nu)
     if symmetric:
         return _pcg(M, b, precond, atol, _KRYLOV_MAXITER)[0]
     return _gmres(M, b, precond, atol, _KRYLOV_MAXITER)[0]
@@ -471,7 +472,7 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, ste
             atol = max(atol, _FORCING * np.sqrt(r @ r))
         t0 = time.perf_counter()
         try:
-            delta = spsolve(M, -r, grid=grid, shift=w_nn, nu=law.nu, atol=atol, symmetric=not newton)
+            delta = spsolve(M, -r, nu=law.nu, atol=atol, symmetric=not newton)
         except np.linalg.LinAlgError as exc:
             raise failure(res, it, f"linear solve failed: {exc}") from exc
         timers["linear_solve"] += time.perf_counter() - t0

@@ -15,11 +15,11 @@ product is the face-flux sum over the grid's face slices
 the package's one product with such an operator: residuals, Krylov solves
 and the weak form all go through it.  The builders' ``shift`` adds to the
 interior diagonal, so the step matrix ``w I_int + A(u)`` is one assembly.
-:func:`apply_quasilinear_operator` is the operator frozen at ``u`` applied
-to ``u``, on one state or on a stack of states.  Each grid also caches the
-eigenvalues of the sine modes that diagonalise the discrete Dirichlet
-Laplacian (:attr:`SpatialGrid.dirichlet_eigenvalues`), which the 2D interior
-solves need.
+Frozen at a stack of states, the operator is one operator per state, which
+the weak form applies to its time rows in one product.  Each grid also
+caches the eigenvalues of the sine modes that diagonalise the discrete
+Dirichlet Laplacian (:attr:`SpatialGrid.dirichlet_eigenvalues`), which the
+2D interior solves need.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "EllipticityReport",
     "ellipticity_check",
     "assemble_quasilinear_operator",
-    "apply_quasilinear_operator",
     "newton_jacobian",
     "first_eigenvalue",
 ]
@@ -235,7 +234,8 @@ class StencilOperator:
     and enters its upper one, interior entries add ``shift * x``, and boundary
     entries equal ``x`` bitwise.  It takes one field ``(n_nodes,)`` or a stack
     ``(S, n_nodes)``; the coefficients may carry the same leading stack axis,
-    one operator per field.  The arrays are read-only.
+    one operator per field, and then ``@`` is its only method.  The arrays
+    are read-only.
     """
 
     __slots__ = ("grid", "coeffs", "derivs", "shift", "_tridiagonal")
@@ -269,6 +269,8 @@ class StencilOperator:
         steps computes them once.
         """
         if self._tridiagonal is None:
+            if self.coeffs[0].ndim > 1:
+                raise ValueError("a stacked operator has no tridiagonal form")
             (c,) = self.coeffs
             d = 0.0 if self.derivs is None else self.derivs[0]
             main = (c - d)[1:] + (c + d)[:-1] + self.shift
@@ -277,6 +279,8 @@ class StencilOperator:
 
     def toarray(self) -> np.ndarray:
         """The dense matrix, column by column through the product: ``n_nodes^2`` entries, for small grids."""
+        if self.coeffs[0].ndim > self.grid.dim:
+            raise ValueError("a stacked operator has no matrix form")
         return (self @ np.eye(self.grid.n_nodes)).T
 
     def tocsr(self):
@@ -292,20 +296,10 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def _stencil(grid: SpatialGrid, law: DiffusionLaw, u: np.ndarray, shift: float) -> StencilOperator:
-    """The operator with its coefficient frozen at ``u``: one state, or a stack of states giving stacked faces."""
-    u_nd = u.reshape(u.shape[:-1] + grid.shape)
-    coeffs = [
-        np.asarray(law.a(0.5 * (u_nd[lo] + u_nd[hi])), dtype=float) / h**2
-        for h, (lo, hi) in zip(grid.spacing, grid.faces)
-    ]
-    return StencilOperator(grid, coeffs, shift)
-
-
-def _checked_state(grid: SpatialGrid, u, what: str, stacked: bool = False) -> np.ndarray:
-    """``u`` as a flat state, or, with ``stacked``, a 2-D ``(S, n_nodes)`` array kept as a stack of states."""
+def _checked_state(grid: SpatialGrid, u, what: str) -> np.ndarray:
+    """``u`` as a flat state; a 2-D ``(S, n_nodes)`` array is kept as a stack of states."""
     u = np.asarray(u, dtype=float)
-    if stacked and u.ndim == 2 and u.shape[1] == grid.n_nodes:
+    if u.ndim == 2 and u.shape[1] == grid.n_nodes:
         return u
     u = u.ravel()
     if u.size != grid.n_nodes:
@@ -321,21 +315,15 @@ def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift
     are identity.  For a constant law and ``shift = 0`` this is exactly
     ``const`` times the negative discrete Laplacian.  The result is a
     :class:`StencilOperator`: it supports products and conversions, but no
-    indexing.
+    indexing.  A stack of states ``(S, n_nodes)`` gives one operator per state.
     """
-    return _stencil(grid, law, _checked_state(grid, u, "coefficient state"), shift)
-
-
-def apply_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> np.ndarray:
-    """The operator frozen at ``u`` applied to ``u``: ``assemble_quasilinear_operator(grid, law, u, shift) @ u``.
-
-    ``u`` is one state (``n_nodes`` values, flat or shaped like the grid;
-    returns ``(n_nodes,)``) or a stack of states ``(S, n_nodes)``, each with
-    its own frozen coefficient (returns ``(S, n_nodes)``, row ``s`` equal to
-    the call on ``u[s]``): one vectorised pass over every row's faces.
-    """
-    u = _checked_state(grid, u, "state", stacked=True)
-    return _stencil(grid, law, u, shift) @ u
+    u = _checked_state(grid, u, "coefficient state")
+    u_nd = u.reshape(u.shape[:-1] + grid.shape)
+    coeffs = [
+        np.asarray(law.a(0.5 * (u_nd[lo] + u_nd[hi])), dtype=float) / h**2
+        for h, (lo, hi) in zip(grid.spacing, grid.faces)
+    ]
+    return StencilOperator(grid, coeffs, shift)
 
 
 def newton_jacobian(
@@ -347,10 +335,9 @@ def newton_jacobian(
     ``frozen`` is that operator, already assembled at ``u``: the Jacobian
     shares its face coefficients and evaluates only the ``a'`` face terms.
     """
-    u = _checked_state(grid, u, "state")
+    u_nd = _checked_state(grid, u, "state").reshape(grid.shape)  # one state: a stack does not reshape
     if frozen is None:
-        frozen = _stencil(grid, law, u, shift)
-    u_nd = u.reshape(grid.shape)
+        frozen = assemble_quasilinear_operator(grid, law, u_nd, shift)
     derivs = [
         0.5 * np.asarray(law.deriv(0.5 * (u_nd[lo] + u_nd[hi])), dtype=float) * (u_nd[hi] - u_nd[lo]) / h**2
         for h, (lo, hi) in zip(grid.spacing, grid.faces)

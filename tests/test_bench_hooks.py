@@ -46,7 +46,7 @@ def test_run_calls_go_through_traced_names(tmp_path):
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
     for key in ("config.parse", "presets.build", "kernels.compress_build", "solver.run", "spatial.assemble",
                 "solver.spsolve", "diagnostics.convexity", "diagnostics.boundedness", "diagnostics.decay",
-                "diagnostics.weakform", "diagnostics.norms", "reporting.write"):
+                "diagnostics.weakform", "diagnostics.weakform_assemble", "diagnostics.norms", "reporting.write"):
         assert rec.calls[key] >= 1, key
     # one step mark per time step, taken inside run_trajectory
     assert len(rec.step_marks) == 64
@@ -61,5 +61,6 @@ def test_props_calls_go_through_traced_names(capsys):
     with tracing.patched(rec, SPANS):
         assert main(["props", "--count", "12"]) == 0
     capsys.readouterr()
-    for key in ("props.convexity", "props.comparison", "props.mittag_leffler", "kernels.convexity_check"):
+    for key in ("props.convexity", "props.comparison", "props.mittag_leffler", "kernels.convexity_check",
+                "relaxation.l1_solve"):
         assert rec.calls[key] >= 1, key

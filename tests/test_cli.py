@@ -14,6 +14,7 @@ from subdiff.cli import _CERTIFICATES, main
 from subdiff.config import CertificatesConfig, parse_config
 from subdiff.kernels import CompressionError
 from subdiff.reporting import NORMS_HEADER
+from subdiff.solver import StepFailure
 
 FAST_RUN = """
 problem = eigenmode, alpha = 0.5
@@ -197,6 +198,18 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
         assert report["failure"]["step"] == 1
+
+    def test_failure_report_records_halvings(self, tmp_path, capsys, monkeypatch):
+        def failing(spec, options):
+            raise StepFailure(step=3, t=0.5, residual=1.0, iterations=7, last_iterate=np.zeros(spec.grid.n_nodes),
+                              message="step 3: stalled", halvings=2)
+
+        monkeypatch.setattr("subdiff.cli.run_trajectory", failing)
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, FAST_RUN), "--out", str(out)]) == 2
+        assert "stalled" in capsys.readouterr().err
+        failure = json.loads((out / "report.json").read_text())["failure"]
+        assert (failure["step"], failure["iterations"], failure["halvings"]) == (3, 7, 2)
 
 
 class TestCompressedHistoryOnGradedGrid:

@@ -266,24 +266,26 @@ class TestWeakformResidual:
         assert rep.worst_node in rep.near_worst_nodes
 
     @pytest.mark.parametrize("dimension", [1, 2])
-    def test_makes_no_assemblies(self, dimension, monkeypatch):
+    def test_assembles_one_stacked_operator_per_block(self, dimension, monkeypatch):
         traj = _run("porous", dimension=dimension, resolution=17, steps=16, horizon=1.0)
         calls = []
 
         def counting(fn):
             def wrapper(*args, **kwargs):
-                calls.append(fn)
+                calls.append((fn.__name__, np.shape(args[2]) if len(args) > 2 else None))
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        # neither public builder, and no conversion of an operator to a matrix
+        # the Picard operator frozen at stacks of time rows, no Jacobian, and no conversion to a matrix
         for owner, name in [(diagnostics, "assemble_quasilinear_operator"), (spatial, "assemble_quasilinear_operator"),
                             (spatial, "newton_jacobian"), (spatial.StencilOperator, "toarray"),
                             (spatial.StencilOperator, "tocsr")]:
             monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
         weakform_residual(traj)
-        assert calls == []
+        rows = max(1, diagnostics._BLOCK_VALUES // traj.spec.grid.n_nodes)
+        blocks = [traj.fields[n : n + rows].shape for n in range(0, traj.fields.shape[0], rows)]
+        assert calls == [("assemble_quasilinear_operator", shape) for shape in blocks]
 
 
 def _naive_knot_row(alpha, nodes, K):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from subdiff.kernels import (
     DirectHistory,
-    _block_height,
     L1Weights,
     TimeGrid,
     check_discrete_convexity,
@@ -346,7 +345,7 @@ class TestCompression:
 
     # 400 graded steps: slabs of 81 rows, so the step counts below straddle one, two and four slabs
     _SLAB_GRID = TimeGrid.graded(3.0, 400, 2.5)
-    _SLAB = _block_height(400)
+    _SLAB = next(L1Weights(alpha=0.4, grid=_SLAB_GRID).blocks(400))[1] - 1  # rows 1.._SLAB form the first block
 
     @pytest.mark.parametrize("shape", [(), (5,)])
     @pytest.mark.parametrize("steps", [1, 2, _SLAB - 1, _SLAB, _SLAB + 1, 3 * _SLAB + 5])

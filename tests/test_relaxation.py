@@ -105,7 +105,7 @@ class TestBatchedMarch:
         v0 = 10.0 ** rng.uniform(-1.0, 1.0, batch)
         slack = np.abs(rng.normal(size=(batch, grid.steps))) * rng.random((batch, grid.steps))
         slack[::2] = 0.0  # relaxation solutions and sub-solutions share the sweeps' batches
-        got = relaxation._march(weights, mu, v0, slack)
+        got = solve_relaxation_l1(alpha, mu, v0, grid, slack)
         want = np.array([_march_one_by_one(weights, *args) for args in zip(mu, v0, slack)])
         assert got.shape == (batch, grid.steps + 1)
         # relative to each history's largest value: sub-solutions may pass through zero
@@ -126,7 +126,7 @@ class TestBatchedMarch:
         assert np.all(np.abs(W - _march_one_by_one(weights, 1.5, start, slack)) <= 1e-14 * scale)
 
     def test_rejects_bad_shapes(self):
-        weights = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 8))
+        grid = TimeGrid.uniform(1.0, 8)
         ones = np.ones(3)
         bad = [
             (ones, ones, np.zeros((3, 8, 1))),  # three axes
@@ -135,10 +135,13 @@ class TestBatchedMarch:
             (np.ones(2), ones, np.zeros((3, 8))),  # mu length
             (ones, np.ones(4), np.zeros((3, 8))),  # v0 length
             (np.ones((3, 1)), ones, np.zeros((3, 8))),  # mu with two axes
+            (1.0, 1.0, np.zeros((1, 8))),  # a scalar history with a batch of slacks
+            (1.0, ones, None),  # scalar mu, batched v0
+            (-ones, ones, None),  # negative decay rate
         ]
         for mu, v0, slack in bad:
             with pytest.raises(ValueError):
-                relaxation._march(weights, mu, v0, slack)
+                solve_relaxation_l1(0.5, mu, v0, grid, slack)
 
 
 class TestComparisonCheck:

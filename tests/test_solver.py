@@ -269,7 +269,7 @@ class TestInteriorSolve:
         want = np.linalg.solve(M.toarray()[np.ix_(ii, ii)], b[ii])
         atol = 1e-15 * np.linalg.norm(b[ii])
         before = M.toarray()
-        x = solver.spsolve(M, b, grid=grid, shift=3.0, nu=1.0, atol=atol, symmetric=symmetric)
+        x = solver.spsolve(M, b, nu=1.0, atol=atol, symmetric=symmetric)
         assert np.array_equal(M.toarray(), before)  # Picard's damping solves again with the same matrix
         assert np.all(x[grid.boundary_mask] == 0.0)
         assert np.linalg.norm(x[ii] - want) <= 1e-12 * np.linalg.norm(want)
@@ -329,7 +329,7 @@ class TestInteriorSolve:
         grid = build_grid(1, (0.0, 1.0), 9)
         M = StencilOperator(grid, [np.zeros(8)])
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solver.spsolve(M, np.ones(9), grid=grid, shift=3.0, nu=1.0, atol=1e-12, symmetric=True)
+            solver.spsolve(M, np.ones(9), nu=1.0, atol=1e-12, symmetric=True)
 
     @pytest.mark.parametrize("mode, builder", [("picard", "assemble_quasilinear_operator"), ("newton", "newton_jacobian")])
     def test_singular_tridiagonal_block_fails_the_step(self, mode, builder, monkeypatch):

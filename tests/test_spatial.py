@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from subdiff.spatial import (
-    apply_quasilinear_operator,
     assemble_quasilinear_operator,
     build_grid,
     constant_law,
@@ -278,11 +277,12 @@ class TestOperator:
     @pytest.mark.parametrize("law", [constant_law(2.0), porous_law()], ids=["constant", "porous"])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_matrix_free_apply_matches_assembled_product(self, dim, extents, res, law, shift):
+        # the operator frozen at u, applied to u by its face fluxes and by the face-by-face dense reference
         g = build_grid(dim, extents, res)
         u = np.random.default_rng(6).normal(size=g.n_nodes)
-        want = assemble_quasilinear_operator(g, law, u, shift=shift) @ u
-        got = apply_quasilinear_operator(g, law, u, shift=shift)
-        assert np.array_equal(got, want)
+        got = assemble_quasilinear_operator(g, law, u, shift=shift) @ u
+        want = _dense_reference(g, law, u, shift, with_deriv=False) @ u
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
         assert np.array_equal(got[g.boundary_mask], u[g.boundary_mask])
 
     @pytest.mark.parametrize("shift", [0.0, 2.5])
@@ -290,12 +290,20 @@ class TestOperator:
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     @pytest.mark.parametrize("rows", [1, 5])
     def test_stacked_apply_equals_row_by_row(self, dim, extents, res, law, shift, rows):
+        # frozen at a stack of states, the operator is one operator per state, each applied to its own state
         g = build_grid(dim, extents, res)
         U = np.random.default_rng(7).normal(size=(rows, g.n_nodes))
-        got = apply_quasilinear_operator(g, law, U, shift=shift)
+        got = assemble_quasilinear_operator(g, law, U, shift=shift) @ U
         assert got.shape == U.shape
         for u, row in zip(U, got):
-            assert np.array_equal(row, apply_quasilinear_operator(g, law, u, shift=shift))
+            assert np.array_equal(row, assemble_quasilinear_operator(g, law, u, shift=shift) @ u)
+
+    def test_stacked_operator_supports_only_the_product(self):
+        g = build_grid(1, (0.0, 1.0), 9)
+        A = assemble_quasilinear_operator(g, porous_law(), np.random.default_rng(9).normal(size=(9, 9)))
+        for convert in (A.tridiagonal, A.toarray, A.tocsr):
+            with pytest.raises(ValueError, match="stacked"):
+                convert()
 
     def test_size_mismatch_rejected(self):
         g = build_grid(1, (0.0, 1.0), 8)
@@ -304,9 +312,7 @@ class TestOperator:
         with pytest.raises(ValueError):
             newton_jacobian(g, constant_law(), np.zeros(9))
         with pytest.raises(ValueError):
-            apply_quasilinear_operator(g, constant_law(), np.zeros(9))
-        with pytest.raises(ValueError):
-            apply_quasilinear_operator(g, constant_law(), np.zeros((3, 9)))
+            assemble_quasilinear_operator(g, constant_law(), np.zeros((3, 9)))
 
 
 class TestPoincare:
