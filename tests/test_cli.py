@@ -294,6 +294,33 @@ class TestOtherErrorsExitTwo:
         code = main([command, cfg, "--out", str(tmp_path / "o")])
         self._assert_exit_two(code, capsys, "compression", "eps=1e-30")
 
+    def test_unreachable_compression_of_a_long_slow_history_fits_in_memory(self, tmp_path):
+        # at alpha = 0.05 every refinement misses and the ladder grows to tens of thousands of modes;
+        # checking it 8192 lags at a time took gigabytes, so the run died of memory instead of exiting 2
+        cfg = _write(
+            tmp_path,
+            "problem = eigenmode, alpha = 0.05\n[problem]\nresolution = 17\n[time]\nsteps = 16384\n"
+            "grading = 1\n[solver]\nhistory = compressed\neps_compress = 1e-12\n",
+        )
+        out = tmp_path / "o"
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+            "from subdiff.cli import main\n"
+            f"sys.exit(main(['run', {cfg!r}, '--out', {str(out)!r}]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            OPENBLAS_NUM_THREADS="1",
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "history compression failed" in proc.stderr
+        assert "MemoryError" not in proc.stderr
+        assert not out.exists()
+
 
     def test_compression_error_leaves_no_output_directory(self, tmp_path, capsys):
         cfg = _write(tmp_path, self.BASE + "[solver]\nhistory = compressed\neps_compress = 1e-30\n")

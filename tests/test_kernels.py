@@ -12,6 +12,7 @@ from subdiff.kernels import (
     DirectHistory,
     L1Weights,
     TimeGrid,
+    _gauss_rule,
     check_discrete_convexity,
     compress_history,
     default_grading,
@@ -400,7 +401,36 @@ class TestCompression:
         with pytest.raises(ValueError):
             compress_history(w, -1.0)
 
-    def test_mode_count_is_modest(self):
-        w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 4096))
-        comp = compress_history(w, 1e-8)
-        assert comp.n_modes < 900  # direct storage would be 4095 lags
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_mode_budget_over_16384_steps(self, alpha):
+        comp = compress_history(L1Weights(alpha=alpha, grid=TimeGrid.uniform(1.0, 16384)), 1e-8)
+        assert comp.n_modes <= 100  # the trapezoid ladder alone needs 191 to 397
+        assert np.all(comp.rates > 0.0) and np.all(comp.weights > 0.0)
+        assert comp.achieved <= 1e-10
+
+    def test_fewer_modes_than_lags_on_a_short_slow_history(self):
+        # at alpha = 0.05 the ladder reaches far below 1/T: 2024 modes for 63 lags before the slow band collapses
+        comp = compress_history(L1Weights(alpha=0.05, grid=TimeGrid.uniform(1.0, 64)), 1e-8)
+        assert comp.n_modes < comp.lags == 63
+        assert comp.achieved <= 1e-10
+
+    @pytest.mark.parametrize("alpha, steps", [(0.05, 64), (0.3, 16384), (0.5, 2048), (0.8, 16384)])
+    def test_gauss_rule_reproduces_the_slow_band(self, alpha, steps, monkeypatch):
+        calls = []
+
+        def recording(rates, weights, n):
+            nodes, node_weights = _gauss_rule(rates, weights, n)
+            calls.append((rates, weights, nodes, node_weights))
+            return nodes, node_weights
+
+        monkeypatch.setattr("subdiff.kernels._gauss_rule", recording)
+        comp = compress_history(L1Weights(alpha=alpha, grid=TimeGrid.uniform(1.0, steps)), 1e-8)
+        assert calls
+        lag_times = np.arange(1, comp.lags + 1)[:, None] * comp.tau
+        for rates, weights, nodes, node_weights in calls:
+            assert rates.max() * steps * comp.tau < 1.0  # only the slow band is reduced
+            assert rates.min() <= nodes.min() and nodes.max() <= rates.max()
+            assert np.all(node_weights > 0.0)
+            exact = np.exp(-lag_times * rates) @ weights
+            rule = np.exp(-lag_times * nodes) @ node_weights
+            assert float(np.max(np.abs(rule - exact) / exact)) <= 1e-10 / 10  # target / 10
