@@ -183,8 +183,10 @@ def convexity_report(traj: Trajectory) -> MonotoneWeightsReport:
     can catch is therefore the rounding of the evaluated weights: a
     cancelling closed form or a wrong slab shows up as a decrease along a
     row, which is how a broken closed form for graded grids was once found.
-    A pass says the weights the stepper used keep the inequality, not that
-    the fields were solved accurately.
+    The scan reads the exact L1 weights; a compressed run steps with the step
+    means of a positive sum of decaying exponentials, which, like the step
+    means of any decreasing kernel, increase along every row on any grid.  A
+    pass says the weights keep the inequality, not that the fields are accurate.
     """
     tg = traj.spec.time_grid
     scores = np.empty(tg.steps)

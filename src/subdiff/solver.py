@@ -497,10 +497,10 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     """March the full trajectory.
 
     The memory term comes from one memory provider, chosen before the loop:
-    :class:`~subdiff.kernels.DirectHistory` (exact, O(M^2) total, any grid)
-    or the sum-of-exponentials :class:`~subdiff.kernels.CompressedHistory`
-    (uniform grids only).  Timings for assembly, memory accumulation, and
-    linear solves are recorded separately so the two providers can be
+    :class:`~subdiff.kernels.DirectHistory` (exact, O(M^2) total) or the
+    sum-of-exponentials :class:`~subdiff.kernels.CompressedHistory` (O(modes)
+    per step), both on any grid.  Timings for assembly, memory accumulation,
+    and linear solves are recorded separately so the two providers can be
     compared honestly.
     """
     options = options or SolverOptions()

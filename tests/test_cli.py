@@ -213,31 +213,42 @@ class TestRunCommand:
 
 
 class TestCompressedHistoryOnGradedGrid:
-    """Compressed history needs a uniform grid: a config error (exit 2), caught before any solve."""
+    """Compressed history runs on the presets' default graded grids and matches the direct run."""
 
-    GRADED = "problem = porous\n[problem]\nresolution = 17\n[time]\nsteps = 16\n"
+    GRADED = "problem = porous\n[problem]\nresolution = 17\n[time]\nsteps = 64\n[output]\nsnapshot_times = [0.5, 5, 50]\n"
 
-    def _assert_rejected(self, code, capsys, out):
-        err = capsys.readouterr().err
-        assert code == 2
-        assert len(err.strip().splitlines()) == 1
-        assert "compressed" in err and "grading" in err
-        assert not out.exists()
+    def _run(self, tmp_path, capsys, argv, name):
+        out = tmp_path / name
+        code = main(argv + ["--out", str(out)])
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        verdicts = {k: v["passed"] for k, v in report["certificates"].items()}
+        snaps = [np.loadtxt(out / f"snapshot_{i:03d}.txt") for i in range(3)]
+        return code, report["solver"]["history"], verdicts, np.array(snaps)
+
+    def _assert_matches_direct(self, tmp_path, capsys, compressed_argv):
+        direct = self._run(tmp_path, capsys, ["run", _write(tmp_path, self.GRADED)], "direct")
+        comp = self._run(tmp_path, capsys, compressed_argv, "comp")
+        assert direct[0] == comp[0] == 0
+        assert (direct[1], comp[1]) == ("direct", "compressed")
+        assert comp[2] == direct[2]
+        assert np.max(np.abs(comp[3] - direct[3])) <= 1e-7 * np.max(np.abs(direct[3]))
 
     def test_config_file(self, tmp_path, capsys):
-        cfg = _write(tmp_path, self.GRADED + "[solver]\nhistory = compressed\n")
-        out = tmp_path / "o"
-        self._assert_rejected(main(["run", cfg, "--out", str(out)]), capsys, out)
+        cfg = _write(tmp_path, self.GRADED + "[solver]\nhistory = compressed\n", name="comp.cfg")
+        self._assert_matches_direct(tmp_path, capsys, ["run", cfg])
 
     def test_history_override(self, tmp_path, capsys):
-        cfg = _write(tmp_path, self.GRADED)
-        out = tmp_path / "o"
-        self._assert_rejected(main(["run", cfg, "--out", str(out), "--history", "compressed"]), capsys, out)
+        cfg = _write(tmp_path, self.GRADED, name="comp.cfg")
+        self._assert_matches_direct(tmp_path, capsys, ["run", cfg, "--history", "compressed"])
 
     def test_explicit_grading_in_study(self, tmp_path, capsys):
-        cfg = _write(tmp_path, self.GRADED + "grading = 2.0\n[solver]\nhistory = compressed\n")
-        out = tmp_path / "s"
-        self._assert_rejected(main(["study", cfg, "--out", str(out), "--levels", "2"]), capsys, out)
+        text = "problem = porous\n[problem]\nresolution = 17\n[time]\nsteps = 16\ngrading = 2.0\n"
+        codes = []
+        for history in ("direct", "compressed"):
+            cfg = _write(tmp_path, text + f"[solver]\nhistory = {history}\n", name=f"{history}.cfg")
+            codes.append(main(["study", cfg, "--out", str(tmp_path / history), "--levels", "2"]))
+        assert codes == [0, 0]
 
 
 class TestOtherErrorsExitTwo:
@@ -295,17 +306,20 @@ class TestOtherErrorsExitTwo:
         self._assert_exit_two(code, capsys, "compression", "eps=1e-30")
 
     def test_unreachable_compression_of_a_long_slow_history_fits_in_memory(self, tmp_path):
-        # at alpha = 0.05 every refinement misses and the ladder grows to tens of thousands of modes;
-        # checking it 8192 lags at a time took gigabytes, so the run died of memory instead of exiting 2
+        # at alpha = 0.05 and eps = 1e-30 every refinement misses and the ladder grows to hundreds of
+        # thousands of modes; checking them must still fit in memory, so the run exits 2.  No tolerance
+        # the config accepts misses, so the script lowers the floor.
         cfg = _write(
             tmp_path,
             "problem = eigenmode, alpha = 0.05\n[problem]\nresolution = 17\n[time]\nsteps = 16384\n"
-            "grading = 1\n[solver]\nhistory = compressed\neps_compress = 1e-12\n",
+            "grading = 1\n[solver]\nhistory = compressed\neps_compress = 1e-30\n",
         )
         out = tmp_path / "o"
         script = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+            "import subdiff.config\n"
+            "subdiff.config._EPS_COMPRESS_FLOOR = 0.0\n"
             "from subdiff.cli import main\n"
             f"sys.exit(main(['run', {cfg!r}, '--out', {str(out)!r}]))\n"
         )

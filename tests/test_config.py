@@ -111,12 +111,10 @@ class TestErrorAggregation:
         assert any("levels" in p for p in probs)
         assert any("mode" in p for p in probs)
 
-    def test_compressed_history_needs_uniform_grid(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config("[solver]\nhistory = compressed\n")
-        assert "time.grading" in exc.value.problems[0]
-        cfg = parse_config("[solver]\nhistory = compressed\n[time]\ngrading = 1\n")
-        assert cfg.solver.history == "compressed"
+    def test_compressed_history_on_any_grid(self):
+        for grading in ("", "[time]\ngrading = 1\n", "[time]\ngrading = 2.5\n"):
+            cfg = parse_config("[solver]\nhistory = compressed\n" + grading)
+            assert cfg.solver.history == "compressed"
 
     def test_compression_tolerance_floor(self):
         with pytest.raises(ConfigError) as exc:

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subdiff.config import _EPS_COMPRESS_FLOOR
 from subdiff.kernels import (
     DirectHistory,
     L1Weights,
     TimeGrid,
     _gauss_rule,
+    _step_mean,
     check_discrete_convexity,
     compress_history,
     default_grading,
@@ -300,15 +302,23 @@ class TestDiscreteConvexity:
 
 
 class TestCompression:
-    def test_reconstructed_weights_hit_target(self):
-        tg = TimeGrid.uniform(1.0, 2048)
+    @pytest.mark.parametrize("grid", [TimeGrid.uniform(1.0, 2048), TimeGrid.graded(100.0, 1024, 3.0)], ids=["uniform", "graded"])
+    def test_served_weights_match_l1_rows(self, grid):
+        # pushing the unit increments e_1, e_2, ... makes memory_term() after n - 1 pushes the row w_{n,1..n-1}
         for alpha in (0.3, 0.5, 0.8):
-            w = L1Weights(alpha=alpha, grid=tg)
+            w = L1Weights(alpha=alpha, grid=grid)
             comp = compress_history(w, 1e-8)
             assert comp.achieved <= 1e-10  # eps / 100 safety target
-            exact = w.row(tg.steps)[:-1][::-1]  # b_j for j = 1..M-1
-            rel = np.abs(comp.reconstructed() - exact) / exact
-            assert float(rel.max()) <= 1e-10
+            comp.reset((grid.steps,))
+            unit = np.eye(grid.steps)
+            worst = 0.0
+            for n in range(2, grid.steps + 1):
+                comp.push(unit[n - 2])
+                served = comp.memory_term()
+                exact = w.row(n)[:-1]
+                assert not served[n - 1 :].any()
+                worst = max(worst, float(np.max(np.abs(served[: n - 1] - exact) / exact)))
+            assert worst <= 1e-10, (alpha, worst)
 
     def test_memory_term_tracks_direct_sum(self):
         # every memory provider serves the same reset / push / memory_term cycle
@@ -316,6 +326,7 @@ class TestCompression:
         for grid, provider in [
             (uniform, lambda w: compress_history(w, 1e-8)),
             (uniform, DirectHistory),
+            (graded, lambda w: compress_history(w, 1e-8)),
             (graded, DirectHistory),
         ]:
             rng = np.random.default_rng(5)
@@ -391,11 +402,6 @@ class TestCompression:
         with pytest.raises(ValueError, match="flat fields"):
             mem.push(np.ones((3, 5)))
 
-    def test_rejects_graded_grid(self):
-        w = L1Weights(alpha=0.5, grid=TimeGrid.graded(1.0, 64, 2.0))
-        with pytest.raises(ValueError, match="uniform"):
-            compress_history(w, 1e-8)
-
     def test_rejects_bad_eps(self):
         w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 64))
         with pytest.raises(ValueError):
@@ -411,7 +417,7 @@ class TestCompression:
     def test_fewer_modes_than_lags_on_a_short_slow_history(self):
         # at alpha = 0.05 the ladder reaches far below 1/T: 2024 modes for 63 lags before the slow band collapses
         comp = compress_history(L1Weights(alpha=0.05, grid=TimeGrid.uniform(1.0, 64)), 1e-8)
-        assert comp.n_modes < comp.lags == 63
+        assert comp.n_modes < 63  # the lags
         assert comp.achieved <= 1e-10
 
     @pytest.mark.parametrize("alpha, steps", [(0.05, 64), (0.3, 16384), (0.5, 2048), (0.8, 16384)])
@@ -424,13 +430,34 @@ class TestCompression:
             return nodes, node_weights
 
         monkeypatch.setattr("subdiff.kernels._gauss_rule", recording)
-        comp = compress_history(L1Weights(alpha=alpha, grid=TimeGrid.uniform(1.0, steps)), 1e-8)
+        grid = TimeGrid.uniform(1.0, steps)
+        compress_history(L1Weights(alpha=alpha, grid=grid), 1e-8)
         assert calls
-        lag_times = np.arange(1, comp.lags + 1)[:, None] * comp.tau
+        lag_times = grid.nodes[1:, None]
         for rates, weights, nodes, node_weights in calls:
-            assert rates.max() * steps * comp.tau < 1.0  # only the slow band is reduced
+            assert rates.max() * grid.horizon < 1.0  # only the slow band is reduced
             assert rates.min() <= nodes.min() and nodes.max() <= rates.max()
             assert np.all(node_weights > 0.0)
             exact = np.exp(-lag_times * rates) @ weights
             rule = np.exp(-lag_times * nodes) @ node_weights
             assert float(np.max(np.abs(rule - exact) / exact)) <= 1e-10 / 10  # target / 10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", [TimeGrid.uniform(1.0, 4096), TimeGrid.graded(100.0, 1024, 4.0)], ids=["uniform", "graded"])
+    def test_slow_history_builds_and_marches_without_warnings(self, grid):
+        # at alpha = 0.01 the ladder's slowest rates underflow to 0, where an unguarded step mean divides 0 by 0
+        assert _step_mean(np.zeros(1)) == 1.0
+        comp = compress_history(L1Weights(alpha=0.01, grid=grid), 1e-8)
+        comp.reset((2,))
+        for _ in range(3 * comp._BLOCK):
+            comp.push(np.ones(2))
+            assert np.all(np.isfinite(comp.memory_term()))
+
+    @pytest.mark.parametrize("eps", [_EPS_COMPRESS_FLOOR, 1e-12, 1e-10, 1e-8])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.95])
+    def test_every_accepted_tolerance_is_reached(self, alpha, eps):
+        grids = [TimeGrid.uniform(1.0, 64), TimeGrid.uniform(1.0, 256), TimeGrid.uniform(1.0, 2048)]
+        for grid in grids + [TimeGrid.graded(100.0, 1024, default_grading(alpha))]:
+            comp = compress_history(L1Weights(alpha=alpha, grid=grid), eps)
+            assert comp.achieved <= eps / 100.0
+            assert np.all(comp.rates >= 0.0) and np.all(comp.weights > 0.0)

@@ -144,19 +144,24 @@ class TestAgainstRelaxationOracle:
 
 
 class TestHistoryCompression:
-    def test_compressed_matches_direct(self):
-        spec = _sine_problem(law=porous_law(), steps=512, grading=1.0)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _sine_problem(law=porous_law(), steps=512, grading=1.0),
+            lambda: build_preset("porous", resolution=17, steps=64),  # the default graded grid
+            lambda: build_preset("porous", dimension=2, resolution=17, steps=64),
+        ],
+        ids=["uniform", "graded-1d", "graded-2d"],
+    )
+    def test_compressed_matches_direct(self, make):
+        spec = make()
         direct = run_trajectory(spec, SolverOptions(history="direct"))
         comp = run_trajectory(spec, SolverOptions(history="compressed", eps_compress=1e-8))
         scale = np.max(np.abs(direct.fields))
         dev = np.max(np.abs(direct.fields - comp.fields)) / scale
         assert dev < 1e-8
         assert comp.timings["compression_modes"] > 0
-
-    def test_compressed_rejects_graded_grid(self):
-        spec = _sine_problem(steps=32)  # graded by default
-        with pytest.raises(ValueError, match="uniform"):
-            run_trajectory(spec, SolverOptions(history="compressed"))
+        np.testing.assert_array_equal(comp.iterations, direct.iterations)
 
 
 class TestSpecValidation:
