@@ -403,7 +403,6 @@ def weakform_residual(
     threshold: float = 1e-2,
     n_time_tests: int = 12,
     n_space_tests: int = 12,
-    fields: np.ndarray | None = None,
 ) -> WeakformReport:
     """Test the trajectory against interior space-time test functions.
 
@@ -437,9 +436,6 @@ def weakform_residual(
     O(1) pointwise on any mesh, but its integral against a fixed test
     function vanishes under refinement, which is exactly the convergence the
     associated tests pin down.
-
-    ``fields`` substitutes an alternative field history of the same shape
-    (the corruption-sensitivity hook); everything else comes from ``traj``.
     """
     spec = traj.spec
     tg = spec.time_grid
@@ -448,10 +444,6 @@ def weakform_residual(
     if n_time_tests < 2:
         raise ValueError("need at least 2 macro time cells")
     U = traj.fields
-    if fields is not None:
-        U = np.asarray(fields, dtype=float)
-        if U.shape != traj.fields.shape:
-            raise ValueError("substitute fields must match the trajectory shape")
     t = tg.nodes
     tau = tg.tau
     q_lump = float(np.prod(grid.spacing))

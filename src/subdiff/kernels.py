@@ -13,8 +13,9 @@ the diagonal on any admissible mesh.  Those three facts carry all the
 structure the rest of the package relies on (convexity inequality, comparison
 principle, maximum principle); a run's convexity certificate checks the last
 two.  The O(M^2) consumers read the weights a slab of rows at a time
-(:meth:`L1Weights.blocks`); the solver's memory term comes from a memory
-provider on any grid, exact (:class:`DirectHistory`) or compressed (:class:`CompressedHistory`).
+(:meth:`L1Weights.blocks`) or row by row (:meth:`L1Weights.rows`); the
+memory term of a marcher comes from a memory provider on any grid, exact
+(:class:`DirectHistory`) or compressed (:class:`CompressedHistory`).
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ class TimeGrid:
     horizon: float
     nodes: np.ndarray
     r: float
-    kind: str  # "uniform" | "graded"
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -106,13 +106,12 @@ class TimeGrid:
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
         nodes = horizon * (np.arange(steps + 1) / steps)
-        return cls(horizon=horizon, nodes=nodes, r=1.0, kind="uniform")
+        return cls(horizon=horizon, nodes=nodes, r=1.0)
 
     @classmethod
     def graded(cls, horizon: float, steps: int, r: float) -> "TimeGrid":
         nodes = horizon * (np.arange(steps + 1) / steps) ** r
-        kind = "uniform" if r == 1.0 else "graded"
-        return cls(horizon=horizon, nodes=nodes, r=float(r), kind=kind)
+        return cls(horizon=horizon, nodes=nodes, r=float(r))
 
     @property
     def steps(self) -> int:
@@ -133,15 +132,17 @@ class L1Weights:
     """L1 quadrature weights for the fractional derivative of order ``alpha``.
 
     This is the one history operator of the package: every O(M^2) consumer
-    (the solver's direct memory, the convexity check and certificate, the
-    relaxation marcher) reads the lower-triangular matrix
-    ``W[n-1, k-1] = w_{n,k}`` through :meth:`block`, a dense slab of
-    consecutive rows.  On uniform grids the off-diagonal entries are gathered
-    from one precomputed sequence ``b_j = w_{n,n-j}``; on graded grids they
-    come from the closed form in ``expm1``/``log1p``, accurate even when
-    ``tau_k << t_n - t_k``.  The diagonal ``w_{n,n}`` comes from one table shared with :meth:`diag`, so
-    :meth:`row`, :meth:`diag` and :meth:`apply` agree with :meth:`block`
-    bitwise.
+    reads the lower-triangular matrix ``W[n-1, k-1] = w_{n,k}``, either a
+    dense slab of consecutive rows at a time (:meth:`block`, :meth:`blocks`;
+    the blocked product behind :meth:`apply` and the convexity check) or one
+    row after the other (:meth:`rows`, the exact memory provider).  Every
+    off-diagonal entry is the mean of the kernel over one step, in one closed
+    form in ``expm1``/``log1p`` that stays accurate when ``tau_k << t_n - t_k``.
+    On uniform grids it runs once, at construction, for the sequence
+    ``b_j = w_{n,n-j}`` that the rows are gathered from; on graded grids it
+    runs per block.  The diagonal ``w_{n,n}`` comes from one table shared
+    with :meth:`diag`, so :meth:`row`, :meth:`rows`, :meth:`diag` and
+    :meth:`apply` agree with :meth:`block` bitwise.
     """
 
     alpha: float
@@ -157,11 +158,19 @@ class L1Weights:
         diag = np.array([tk ** (-self.alpha) for tk in self.grid.tau.tolist()]) / c
         object.__setattr__(self, "_diag", diag)
         if self.grid.is_uniform():
-            M = self.grid.steps
             tau = self.grid.tau[0]
-            j = np.arange(M + 1, dtype=float)
-            b = np.diff(j ** (1.0 - self.alpha)) * tau ** (-self.alpha) / c
-            object.__setattr__(self, "_uniform_b", b)
+            # b_0 = 0 serves every entry on or above the diagonal; block() writes the diagonal over it
+            object.__setattr__(self, "_uniform_b", self._step_means(tau * np.arange(self.grid.steps), tau))
+
+    def _step_means(self, lag: np.ndarray, tau) -> np.ndarray:
+        """Mean of ``g_{1-a}`` over ``[lag, lag + tau]``, zero where ``lag = 0``.
+
+        ``((lag + tau)^p - lag^p) / (Gamma(2-a) tau)`` with ``p = 1 - a``,
+        without the cancellation when ``tau << lag``.
+        """
+        p = 1.0 - self.alpha
+        ratio = np.divide(tau, lag, out=np.zeros_like(lag), where=lag > 0.0)
+        return lag**p * np.expm1(p * np.log1p(ratio)) / (math.gamma(2.0 - self.alpha) * tau)
 
     def block(self, n0: int, n1: int) -> np.ndarray:
         """Rows ``n = n0..n1-1`` of the weight matrix, shape ``(n1 - n0, n1 - 1)``.
@@ -172,17 +181,10 @@ class L1Weights:
         if not 1 <= n0 < n1 <= self.grid.steps + 1:
             raise ValueError(f"row range {n0}..{n1 - 1} outside 1..{self.grid.steps}")
         if self._uniform_b is not None:
-            lag = np.arange(n0, n1)[:, None] - np.arange(1, n1)
-            out = np.where(lag > 0, self._uniform_b[np.maximum(lag, 0)], 0.0)
+            out = self._uniform_b[np.maximum(np.arange(n0, n1)[:, None] - np.arange(1, n1), 0)]
         else:
             t = self.grid.nodes
-            tau = self.grid.tau[: n1 - 1]
-            p = 1.0 - self.alpha
-            # (lag_lo + tau)^p - lag_lo^p without the cancellation when tau << lag_lo;
-            # entries with k >= n have lag_lo = 0 and a zero ratio, so they vanish
-            lag_lo = np.maximum(t[n0:n1, None] - t[1:n1], 0.0)
-            ratio = np.divide(tau, lag_lo, out=np.zeros_like(lag_lo), where=lag_lo > 0.0)
-            out = lag_lo**p * np.expm1(p * np.log1p(ratio)) / (math.gamma(2.0 - self.alpha) * tau)
+            out = self._step_means(np.maximum(t[n0:n1, None] - t[1:n1], 0.0), self.grid.tau[: n1 - 1])
         # entry (n - n0, n - 1) sits at flat index n0 - 1 + (n - n0) * n1
         out.reshape(-1)[n0 - 1 :: n1] = self._diag[n0 - 1 : n1 - 1]
         return out
@@ -198,21 +200,44 @@ class L1Weights:
             n1 = min(n0 + height, steps + 1)
             yield n0, n1, self.block(n0, n1)
 
+    def rows(self):
+        """Yield the lagged weights ``w_{n,k}``, ``k = 1..n-1``, for ``n = 1..M`` in order.
+
+        On uniform grids each is a reversed view of ``b_j``; on graded grids a
+        slice of the current slab of :meth:`blocks`, so a walk over all rows
+        evaluates each weight once and holds one slab at a time.
+        """
+        if self._uniform_b is not None:
+            for n in range(1, self.grid.steps + 1):
+                yield self._uniform_b[n - 1 : 0 : -1]
+            return
+        for n0, n1, w in self.blocks(self.grid.steps):
+            for n in range(n0, n1):
+                yield w[n - n0, : n - 1]
+
     def row(self, n: int) -> np.ndarray:
         """Weights ``w_{n,k}`` for ``k = 1..n`` as an array of length n."""
         return self.block(n, n + 1)[0]
-
-    def lagged(self, n: int) -> np.ndarray:
-        """``w_{n,k}`` for ``k = 1..n-1``: a reversed view of ``b_j`` on uniform grids, else ``row(n)[:-1]``."""
-        if self._uniform_b is not None:
-            return self._uniform_b[n - 1 : 0 : -1]
-        return self.row(n)[:-1]
 
     def diag(self, n: int) -> float:
         """The local weight ``w_{n,n} = tau_n^(-alpha) / Gamma(2 - alpha)``."""
         if not 1 <= n <= self.grid.steps:
             raise ValueError(f"step index n={n} outside 1..{self.grid.steps}")
         return float(self._diag[n - 1])
+
+    def _product(self, incs: np.ndarray) -> np.ndarray:
+        """``sum_{k<=n} w_{n,k} incs[..., k-1]`` for ``n = 1..N``, steps on the last axis of both.
+
+        The one blocked weight product: all sequences in ``incs`` go through
+        one matrix product per block of weight rows.
+        """
+        N = incs.shape[-1]
+        flat = incs.reshape(-1, N)
+        out = np.empty(flat.shape)
+        for n0, n1, w in self.blocks(N):
+            # in place: copying each product out made the 48-step checks of `subdiff props` about 10% slower
+            np.matmul(flat[:, : n1 - 1], w.T, out=out[:, n0 - 1 : n1 - 1])
+        return out.reshape(incs.shape)
 
     def apply(self, history: np.ndarray) -> np.ndarray:
         """``(D^a v)_n`` for every ``n = 1..N`` of the sampled history ``v_0..v_N``.
@@ -225,11 +250,7 @@ class L1Weights:
         N = history.shape[0] - 1
         if not 1 <= N <= self.grid.steps:
             raise ValueError(f"history needs 2..{self.grid.steps + 1} samples, got {N + 1}")
-        diffs = np.diff(history, axis=0)
-        out = np.empty((N,) + history.shape[1:])
-        for n0, n1, w in self.blocks(N):
-            out[n0 - 1 : n1 - 1] = np.tensordot(w, diffs[: n1 - 1], axes=1)
-        return out
+        return np.moveaxis(self._product(np.moveaxis(np.diff(history, axis=0), 0, -1)), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +311,9 @@ def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) 
     dv = np.diff(v, axis=-1)
     dV = np.diff(v * v, axis=-1)
     # the four increment sequences every history needs, stacked so one product serves them all
-    incs = np.stack([dv, np.abs(dv), dV, np.abs(dV)])
-    margins = np.empty(v.shape[:-1] + (N,))
-    gross = np.empty(v.shape[:-1] + (N,))
-    for n0, n1, w in L1Weights(alpha=alpha, grid=grid).blocks(N):
-        k = n1 - 1
-        rows = slice(n0 - 1, k)
-        d, d_abs, dw, dw_abs = incs[..., :k] @ w.T
-        margins[..., rows] = v[..., n0:n1] * d - 0.5 * dw
-        gross[..., rows] = np.abs(v[..., n0:n1]) * d_abs + 0.5 * dw_abs
+    d, d_abs, dw, dw_abs = L1Weights(alpha=alpha, grid=grid)._product(np.stack([dv, np.abs(dv), dV, np.abs(dV)]))
+    margins = v[..., 1:] * d - 0.5 * dw
+    gross = np.abs(v[..., 1:]) * d_abs + 0.5 * dw_abs
     roundoff = 4.0 * (np.arange(1, N + 1) + 4.0) * _EPS * (gross + 1e-300)
     return ConvexityReport(
         alpha=alpha,
@@ -313,13 +328,16 @@ def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) 
 # memory providers
 #
 # A memory provider serves the lagged part of the L1 derivative while a
-# trajectory is marched: ``reset(shape)`` starts a history of scalars
-# (``shape == ()``) or flat fields (``shape == (n,)``), the shapes whose
-# leading-axis contractions are plain ``np.dot`` calls; ``push(delta_n)``
-# absorbs the increment ``v_n - v_{n-1}`` after step n, and ``memory_term()``
-# then returns ``H_{n+1} = sum_{k<=n} w_{n+1,k} delta_k``, the sum without
-# the local term.  ``DirectHistory`` is exact;
-# ``CompressedHistory`` approximates it with a sum of exponentials.
+# trajectory is marched, by the PDE driver (one flat field per step) or by
+# the scalar relaxation marcher (a batch of histories per step):
+# ``reset(shape)`` starts a history of scalars (``shape == ()``) or flat
+# fields (``shape == (n,)``), the shapes whose leading-axis contractions are
+# plain ``np.dot`` calls; ``push(delta_n)`` absorbs the increment
+# ``v_n - v_{n-1}`` after step n, and ``memory_term()`` then returns
+# ``H_{n+1} = sum_{k<=n} w_{n+1,k} delta_k``, the sum without the local
+# term, as often as it is asked.  ``DirectHistory`` is exact, reading the
+# rows of :meth:`L1Weights.rows`; ``CompressedHistory`` approximates it with
+# a sum of exponentials.
 
 
 def _history_shape(shape) -> tuple:
@@ -335,36 +353,23 @@ class DirectHistory:
     """Exact memory provider: keeps every increment, O(n) work per query.
 
     A query at step ``n`` is one dot of the stored increments with the
-    lagged weights ``w_{n,k}``, ``k < n``.  On uniform grids these are the
-    zero-copy view ``weights.lagged(n)``.  On graded grids each row costs a
-    transcendental per entry, so the provider walks the slabs of consecutive
-    rows that :meth:`L1Weights.blocks` yields (32 rows at 1024 steps; queries
-    arrive in push order, and :meth:`reset` restarts the walk) and slices row
-    ``n`` out of the current one.  Block rows equal the rows of
-    :meth:`L1Weights.lagged` bitwise, so both routes give the same sums.
+    lagged weights ``w_{n,k}``, ``k < n``, the current row of
+    :meth:`L1Weights.rows`: a zero-copy view on uniform grids, a slice of
+    the current slab of rows on graded ones.  :meth:`reset` restarts the
+    walk over the rows and :meth:`push` moves it on by one row.
     """
 
     def __init__(self, weights: L1Weights):
         self.weights = weights
         self._deltas: np.ndarray | None = None
         self._count = 0
-        self._graded = not weights.grid.is_uniform()
 
     def reset(self, shape=()) -> None:
         """Clear the stored increments for a new trajectory of fields of ``shape``."""
         self._deltas = np.empty((self.weights.grid.steps,) + _history_shape(shape))
         self._count = 0
-        self._slabs = self.weights.blocks(self.weights.grid.steps)
-        self._slab = (1, 1, None)  # (n0, n1, rows n0..n1-1 of the graded weight matrix)
-
-    def _lagged(self, n: int) -> np.ndarray:
-        """``w_{n,k}`` for ``k = 1..n-1``, from the current slab on graded grids."""
-        if not self._graded:
-            return self.weights.lagged(n)
-        while n >= self._slab[1]:
-            self._slab = next(self._slabs)
-        n0, _, slab = self._slab
-        return slab[n - n0, : n - 1]
+        self._rows = self.weights.rows()
+        self._row = next(self._rows)
 
     def push(self, delta) -> None:
         """Store the increment ``delta_n = v_n - v_{n-1}`` after step n."""
@@ -372,13 +377,13 @@ class DirectHistory:
             self.reset(np.shape(delta))
         self._deltas[self._count] = delta
         self._count += 1
+        self._row = next(self._rows, None)  # None after the last step: no further query is defined
 
     def memory_term(self):
         """The lagged sum for the step after the last push."""
         if self._deltas is None:
             raise RuntimeError("reset or push before querying the memory term")
-        m = self._count
-        out = np.dot(self._lagged(m + 1), self._deltas[:m])
+        out = np.dot(self._row, self._deltas[: self._count])
         return float(out) if np.ndim(out) == 0 else out
 
 

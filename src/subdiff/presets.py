@@ -12,22 +12,6 @@ from .spatial import SpatialGrid, build_grid, constant_law, first_eigenvalue, po
 __all__ = ["PRESETS", "build_preset", "eigenmode_exact"]
 
 
-def _box(dimension: int, extents, resolution: int) -> SpatialGrid:
-    if extents is None:
-        extents = tuple((0.0, float(np.pi)) for _ in range(dimension))
-    else:
-        flat = np.asarray(extents, dtype=float).ravel()
-        if flat.size == 2:
-            extents = tuple((flat[0], flat[1]) for _ in range(dimension))
-        elif flat.size == 2 * dimension:
-            extents = tuple((flat[2 * d], flat[2 * d + 1]) for d in range(dimension))
-        else:
-            raise ValueError(
-                f"extents needs 2 or {2 * dimension} numbers for dimension {dimension}, got {flat.size}"
-            )
-    return build_grid(dimension, extents, resolution)
-
-
 def _product_sine(grid: SpatialGrid) -> np.ndarray:
     """First Dirichlet eigenfunction of the box, nodal values."""
     pts = grid.points()
@@ -63,7 +47,7 @@ PRESETS = {
     "porous": (porous_law, _product_sine, dict(resolution=65, horizon=50.0, steps=512)),
     "zero": (porous_law, _zeros, dict(resolution=33, horizon=1.0, steps=64)),
 }
-_COMMON = dict(alpha=0.5, dimension=1, extents=None, grading=None)
+_COMMON = dict(alpha=0.5, dimension=1, extents=(0.0, float(np.pi)), grading=None)
 
 
 def build_preset(name: str, **overrides) -> ProblemSpec:
@@ -79,7 +63,7 @@ def build_preset(name: str, **overrides) -> ProblemSpec:
     if unknown:
         raise TypeError(f"unknown preset arguments {sorted(unknown)}")
     p = {**_COMMON, **sizes, **{k: v for k, v in overrides.items() if v is not None}}
-    grid = _box(p["dimension"], p["extents"], p["resolution"])
+    grid = build_grid(p["dimension"], p["extents"], p["resolution"])
     return ProblemSpec(
         alpha=p["alpha"],
         time_grid=_time_grid(p["alpha"], p["horizon"], p["steps"], p["grading"]),

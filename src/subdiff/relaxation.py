@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import L1Weights, TimeGrid
+from .kernels import DirectHistory, L1Weights, TimeGrid
 from .mittag_leffler import TARGET_ABS, _evaluate
 from .mittag_leffler import mittag_leffler  # noqa: F401  (bench/tracing.py wraps this name)
 
@@ -63,8 +63,9 @@ def solve_relaxation_l1(alpha: float, mu, v0, grid: TimeGrid, slack=None) -> np.
     ``V_0 = v0``, with ``H_n`` the lagged part of the derivative and ``slack``
     zero by default.  Scalar ``mu`` and ``v0`` march one history (``slack`` of
     shape (M,), result (M+1,)); arrays of shape (B,) march B histories
-    (``slack`` (B, M), result (B, M+1)), each step one matrix-vector product
-    of the batch's increments with a weight row from a block of rows.
+    (``slack`` (B, M), result (B, M+1)).  ``H_n`` comes from the exact memory
+    provider :class:`~subdiff.kernels.DirectHistory`, the one the PDE driver
+    marches with, fed the batch's increments as one flat field per step.
     """
     mu = np.asarray(mu, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -80,15 +81,15 @@ def solve_relaxation_l1(alpha: float, mu, v0, grid: TimeGrid, slack=None) -> np.
         raise ValueError(f"mu and v0 must have shape ({B},), got {mu.shape} and {v0.shape}")
     if np.any(mu < 0.0):
         raise ValueError(f"decay rate mu must be nonnegative, got {mu.min()}")
+    weights = L1Weights(alpha=alpha, grid=grid)
+    history = DirectHistory(weights)
+    history.reset((B,))
     V = np.empty((B, M + 1))
     V[:, 0] = v0
-    dV = np.empty((B, M))
-    for n0, n1, block in L1Weights(alpha=alpha, grid=grid).blocks(M):
-        for n in range(n0, n1):
-            w = block[n - n0]
-            lagged = dV[:, : n - 1] @ w[: n - 1] if n > 1 else 0.0
-            V[:, n] = (w[n - 1] * V[:, n - 1] - lagged - slack[:, n - 1]) / (w[n - 1] + mu)
-            dV[:, n - 1] = V[:, n] - V[:, n - 1]
+    for n in range(1, M + 1):
+        w = weights.diag(n)
+        V[:, n] = (w * V[:, n - 1] - history.memory_term() - slack[:, n - 1]) / (w + mu)
+        history.push(V[:, n] - V[:, n - 1])
     return V[0] if one else V
 
 

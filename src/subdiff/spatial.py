@@ -123,16 +123,18 @@ def build_grid(dimension: int, extents, resolution) -> SpatialGrid:
     Parameters
     ----------
     dimension : 1 or 2
-    extents : (a, b) or sequence of per-axis (a, b) pairs with a < b
+    extents : 2 or ``2 * dimension`` numbers, flat or in pairs: one interval
+        ``(a, b)`` for every axis, or ``a_1, b_1, a_2, b_2``; each a < b
     resolution : int or per-axis ints, nodes per axis including boundaries;
         at least 4 per axis.
     """
     if dimension not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dimension}")
-    ext = np.asarray(extents, dtype=float)
-    if ext.ndim == 1:
-        ext = np.tile(ext, (dimension, 1))
-    if ext.shape != (dimension, 2) or np.any(ext[:, 1] <= ext[:, 0]):
+    flat = np.asarray(extents, dtype=float).ravel()
+    if flat.size not in (2, 2 * dimension):
+        raise ValueError(f"extents needs 2 or {2 * dimension} numbers for dimension {dimension}, got {flat.size}")
+    ext = (np.tile(flat, dimension) if flat.size == 2 else flat).reshape(dimension, 2)
+    if np.any(ext[:, 1] <= ext[:, 0]):
         raise ValueError(f"extents must be {dimension} pairs (a, b) with a < b")
     res = np.broadcast_to(np.asarray(resolution, dtype=int), (dimension,))
     if np.any(res < 4):

@@ -194,4 +194,4 @@ class TestBuildProblem:
     def test_uniform_grading_override(self):
         cfg = parse_config("problem = porous\n[time]\ngrading = 1.0\nsteps = 16\n")
         spec, _ = build_problem(cfg)
-        assert spec.time_grid.kind == "uniform"
+        assert spec.time_grid.r == 1.0 and spec.time_grid.is_uniform()

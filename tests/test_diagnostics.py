@@ -227,7 +227,7 @@ class TestWeakformResidual:
         honest = weakform_residual(traj).max_scaled_residual
         bad = traj.fields.copy()
         bad[traj.times >= 0.5] *= 1.1
-        corrupted = weakform_residual(traj, fields=bad).max_scaled_residual
+        corrupted = weakform_residual(dataclasses.replace(traj, fields=bad)).max_scaled_residual
         assert corrupted > 10.0 * honest
 
     def test_eigenmode_also_passes(self):
@@ -250,7 +250,7 @@ class TestWeakformResidual:
         # corrupting only the later half in time and the right third in space moves the worst test there
         bad = traj.fields.copy()
         bad[traj.times >= 0.5, 22:] *= 1.1
-        worst = weakform_residual(traj, fields=bad)
+        worst = weakform_residual(dataclasses.replace(traj, fields=bad))
         assert worst.worst_time >= 0.5
         assert worst.worst_node >= 21
         assert worst.near_worst_nodes == (worst.worst_node,)
@@ -261,7 +261,7 @@ class TestWeakformResidual:
         traj = _run("porous", resolution=33, steps=64, horizon=1.0)
         bad = traj.fields.copy()
         bad[np.ix_(traj.times >= 0.5, [9, 23])] *= 1.1
-        rep = weakform_residual(traj, fields=bad)
+        rep = weakform_residual(dataclasses.replace(traj, fields=bad))
         assert rep.near_worst_nodes == (9, 23)
         assert rep.worst_node in rep.near_worst_nodes
 

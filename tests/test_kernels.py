@@ -57,7 +57,7 @@ class TestTimeGrid:
         a = TimeGrid.uniform(3.0, 16)
         b = TimeGrid.graded(3.0, 16, 1.0)
         assert np.array_equal(a.nodes, b.nodes)
-        assert b.kind == "uniform"
+        assert b.r == 1.0 and b.is_uniform()
 
     def test_graded_concentrates_near_origin(self):
         tg = TimeGrid.graded(1.0, 8, 3.0)
@@ -76,7 +76,7 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid.graded(1.0, 4, 0.5)
         with pytest.raises(ValueError):
-            TimeGrid(horizon=1.0, nodes=np.array([0.0, 0.5, 0.25, 1.0]), r=1.0, kind="uniform")
+            TimeGrid(horizon=1.0, nodes=np.array([0.0, 0.5, 0.25, 1.0]), r=1.0)
 
 
 class TestL1Weights:
@@ -184,10 +184,30 @@ class TestL1Weights:
         assert np.array_equal(w.block(40, 41)[0], w.row(40))
 
     @pytest.mark.parametrize("make", [lambda: TimeGrid.uniform(2.0, 40), lambda: TimeGrid.graded(2.0, 40, 3.0)])
-    def test_lagged_is_the_row_without_its_diagonal(self, make):
+    def test_rows_are_the_rows_without_their_diagonal(self, make, monkeypatch):
         w = L1Weights(alpha=0.45, grid=make())
-        for n in (1, 2, 17, 40):
-            assert np.array_equal(w.lagged(n), w.row(n)[:-1])
+        monkeypatch.setattr("subdiff.kernels._BLOCK_ENTRIES", 300)  # slabs of 7 rows on the graded grid
+        rows = list(w.rows())
+        assert len(rows) == 40
+        for n, lagged in enumerate(rows, start=1):
+            assert np.array_equal(lagged, w.row(n)[:-1])
+
+    @pytest.mark.parametrize("steps, alpha", [(s, a) for s in (2048, 16384) for a in (0.05, 0.5, 0.95)])
+    def test_uniform_rows_match_extended_precision(self, steps, alpha):
+        # w_{n,k} = ((n-k+1)^p - (n-k)^p) tau^-alpha / Gamma(2 - alpha), p = 1 - alpha, in 40 digits;
+        # differencing j^p in floating point loses up to 4e-11 of this at 16384 steps and alpha = 0.95
+        tg = TimeGrid.uniform(1.0, steps)
+        w = L1Weights(alpha=alpha, grid=tg)
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            p = 1 - a
+            scale = mp.mpf(float(tg.tau[0])) ** (-a) / mp.gamma(2 - a)
+            j = np.unique(np.geomspace(1, steps - 1, 200).astype(int))  # lags n - k, log-spaced
+            want = np.array([float(((mp.mpf(int(i)) + 1) ** p - mp.mpf(int(i)) ** p) * scale) for i in j])
+            diag = float(scale)
+        row = w.row(steps)
+        np.testing.assert_allclose(row[steps - 1 - j], want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(row[-1], diag, rtol=1e-14, atol=0)
 
     def test_block_range_checked(self):
         w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 4))
@@ -198,8 +218,8 @@ class TestL1Weights:
     def test_uniform_and_graded_routes_agree(self):
         tg_u = TimeGrid.uniform(1.5, 10)
         w_u = L1Weights(alpha=0.6, grid=tg_u)
-        # same nodes, but forced through the graded (generic) code path
-        w_g = L1Weights(alpha=0.6, grid=TimeGrid(horizon=1.5, nodes=tg_u.nodes, r=1.0, kind="graded"))
+        # the same grid, but forced through the graded (generic) code path
+        w_g = L1Weights(alpha=0.6, grid=tg_u)
         object.__setattr__(w_g, "_uniform_b", None)
         for n in (1, 5, 10):
             np.testing.assert_allclose(w_u.row(n), w_g.row(n), rtol=1e-13)
@@ -363,7 +383,9 @@ class TestCompression:
     @pytest.mark.parametrize("steps", [1, 2, _SLAB - 1, _SLAB, _SLAB + 1, 3 * _SLAB + 5])
     def test_graded_direct_history_reads_slabs_bitwise(self, steps, shape, monkeypatch):
         w = L1Weights(alpha=0.4, grid=self._SLAB_GRID)
-        lagged = [w.lagged(n) for n in range(1, steps + 1)]  # the per-row reference, before counting
+        lagged = [w.row(n)[:-1] for n in range(1, steps + 1)]  # the per-row reference, before counting
+        # each push fetches the next row, so a walk of `steps` steps reads rows 1..steps + 1
+        slabs = [(n0, n1) for n0, n1, _ in w.blocks(400) if n0 <= steps + 1]
         blocks = []
         block = L1Weights.block
 
@@ -375,18 +397,20 @@ class TestCompression:
         mem = DirectHistory(w)
         rng = np.random.default_rng(steps)
         for trajectory in range(2):
+            blocks.clear()
             mem.reset(shape)
             deltas = rng.normal(size=(steps,) + shape)
-            blocks.clear()
             for n in range(1, steps + 1):
-                expected = np.dot(lagged[n - 1], deltas[: n - 1])
-                assert np.asarray(mem.memory_term()).tobytes() == np.asarray(expected).tobytes(), (trajectory, n)
+                expected = np.asarray(np.dot(lagged[n - 1], deltas[: n - 1])).tobytes()
+                # a query reads the stored row and moves nothing, so asking twice gives the same sum
+                assert np.asarray(mem.memory_term()).tobytes() == expected, (trajectory, n)
+                assert np.asarray(mem.memory_term()).tobytes() == expected, (trajectory, n)
                 mem.push(deltas[n - 1])
-            assert len(blocks) <= -(-steps // self._SLAB), blocks
+            assert blocks == slabs  # every slab once, in order
 
     def test_uniform_direct_history_builds_no_block(self, monkeypatch):
         w = L1Weights(alpha=0.4, grid=TimeGrid.uniform(3.0, 200))
-        monkeypatch.setattr(L1Weights, "block", lambda *args: pytest.fail("uniform grids read the lagged view"))
+        monkeypatch.setattr(L1Weights, "block", lambda *args: pytest.fail("uniform grids read views of b_j"))
         mem = DirectHistory(w)
         mem.reset((3,))
         for n in range(1, 201):

@@ -100,6 +100,14 @@ class TestBuildGrid:
             build_grid(1, (1.0, 0.0), 8)
         with pytest.raises(ValueError):
             build_grid(1, (0.0, 1.0), 3)
+        with pytest.raises(ValueError, match="extents needs 2 or 4 numbers for dimension 2, got 3"):
+            build_grid(2, (0.0, 1.0, 2.0), 8)
+
+    def test_flat_and_paired_extents_agree(self):
+        flat = build_grid(2, [0.0, 1.0, -1.0, 2.0], (5, 9))
+        paired = build_grid(2, [(0.0, 1.0), (-1.0, 2.0)], (5, 9))
+        assert flat.extents == paired.extents == ((0.0, 1.0), (-1.0, 2.0))
+        assert build_grid(2, (0.0, 1.0), 5).extents == ((0.0, 1.0), (0.0, 1.0))
 
 
 class TestLaws:
