@@ -281,15 +281,13 @@ def _sweep_grids(horizon: float):
 
 
 def _props_convexity(rng, count: int):
-    """``count`` random histories per (alpha, grid) pair, checked as one stack per pair."""
+    """``count`` random histories per (alpha, grid) pair, drawn as arrays and checked as one stack per pair."""
     worst = np.inf
     violations = 0
     total = 0
     for alpha, grid in _sweep_grids(2.0):
-        hists = np.empty((count, grid.steps + 1))
-        for hist in hists:
-            scale = 10.0 ** rng.uniform(-2.0, 2.0)
-            hist[:] = scale * np.cumsum(rng.standard_normal(grid.steps + 1))
+        scale = 10.0 ** rng.uniform(-2.0, 2.0, (count, 1))
+        hists = scale * np.cumsum(rng.standard_normal((count, grid.steps + 1)), axis=1)
         rep = check_discrete_convexity(alpha, grid, hists)
         total += count
         worst = min(worst, float(np.min(rep.margins + rep.roundoff)))
@@ -305,22 +303,21 @@ def _props_convexity(rng, count: int):
 def _props_comparison(rng, count: int):
     """``count`` random sub-solutions per (alpha, grid) pair against the discrete relaxation solution.
 
-    The sub-solutions and the relaxation solutions of one pair share the
-    grid and the rates ``mu``, so one :func:`solve_relaxation_l1` call marches them.
+    Each pair draws its rates ``mu``, its starts ``w0`` and, in one
+    :func:`_subsolution_draws` call, every sub-solution's start and slacks, as
+    arrays in that order.  The sub-solutions and the relaxation solutions of
+    one pair share the grid and the rates, so one :func:`solve_relaxation_l1`
+    call marches them.
     """
     eps = np.finfo(float).eps
     violations = 0
     total = 0
     worst = np.inf
     for alpha, grid in _sweep_grids(3.0):
-        mu = np.empty(count)
-        w0 = np.empty(count)
-        start = np.empty(count)
-        slack = np.zeros((2 * count, grid.steps))
-        for i in range(count):
-            mu[i] = 10.0 ** rng.uniform(-1.0, 1.5)
-            w0[i] = 10.0 ** rng.uniform(-1.0, 1.0)
-            start[i], slack[i] = _subsolution_draws(rng, w0[i], grid.steps)
+        mu = 10.0 ** rng.uniform(-1.0, 1.5, count)
+        w0 = 10.0 ** rng.uniform(-1.0, 1.0, count)
+        start, slack = _subsolution_draws(rng, w0, grid.steps)
+        slack = np.concatenate([slack, np.zeros_like(slack)])
         marched = solve_relaxation_l1(alpha, np.tile(mu, 2), np.concatenate([start, w0]), grid, slack)
         W, V = marched[:count], marched[count:]
         tol = 64.0 * (grid.steps + 4.0) * eps * np.maximum(np.max(np.abs(V), axis=1), np.max(np.abs(W), axis=1))
@@ -424,6 +421,9 @@ def main(argv=None) -> int:
         return 2
     except CompressionError as exc:
         print(f"history compression failed: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

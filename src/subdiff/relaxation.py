@@ -192,21 +192,24 @@ def random_subsolution(
     Builds W with ``(D^a W)_n + mu W_n = -s_n`` for nonnegative random slacks
     ``s_n`` and ``W_0 <= w0`` — exactly the hypotheses of the comparison
     principle.  Used by property tests; the CLI imports it only for the
-    benchmark's tracing, since one call per history would forgo the batch
-    that its property sweeps march from the same :func:`_subsolution_draws`.
+    benchmark's tracing, since its property sweeps draw every history of a
+    pair in one :func:`_subsolution_draws` call and march them as one batch.
     """
     start, slack = _subsolution_draws(rng, w0, grid.steps)
     return solve_relaxation_l1(alpha, mu, start, grid, slack)
 
 
-def _subsolution_draws(rng: np.random.Generator, w0: float, steps: int) -> tuple[float, np.ndarray]:
-    """The random start ``W_0 <= w0`` and the ``steps`` nonnegative slacks of one sub-solution.
+def _subsolution_draws(rng: np.random.Generator, w0, steps: int):
+    """The random starts ``W_0 <= w0`` and the ``steps`` nonnegative slacks of sub-solutions.
 
-    Batched sweeps call this once per history, in order, so they consume the
-    generator exactly as one :func:`random_subsolution` call per history does.
+    A scalar ``w0`` gives ``(float, (steps,))``; ``w0`` of shape (B,) gives
+    starts (B,) and slacks (B, steps).  Each start is ``w0 - |N(0, 0.1|w0| + 0.01)|``
+    and each slack ``|N(0, 0.3(|w0| + 1))| U(0, 1)``, drawn as whole arrays in
+    three generator calls: the starts' normals, the slacks' normals, then
+    their uniforms.
     """
-    start = w0 - abs(rng.normal(scale=0.1 * abs(w0) + 0.01))
-    scale = abs(w0) + 1.0
-    # drawn in the same order as the values they feed: normal, then uniform
-    slack = np.array([abs(rng.normal(scale=0.3 * scale)) * rng.random() for _ in range(steps)])
-    return start, slack
+    w0 = np.asarray(w0, dtype=float)
+    start = w0 - np.abs(rng.normal(scale=0.1 * np.abs(w0) + 0.01))
+    shape = w0.shape + (steps,)
+    slack = np.abs(rng.normal(scale=0.3 * (np.abs(w0[..., None]) + 1.0), size=shape)) * rng.random(shape)
+    return (float(start), slack) if w0.ndim == 0 else (start, slack)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subdiff.cli import _CERTIFICATES, main
+from subdiff.cli import _CERTIFICATES, _SWEEP_PAIRS, _props_comparison, _props_convexity, main
 from subdiff.config import CertificatesConfig, parse_config
 from subdiff.kernels import CompressionError
 from subdiff.reporting import NORMS_HEADER
@@ -335,6 +335,29 @@ class TestOtherErrorsExitTwo:
         assert "MemoryError" not in proc.stderr
         assert not out.exists()
 
+    def test_props_sweep_too_large_for_memory(self, tmp_path):
+        # 10**9 histories per pair: the sweep's first array (8 GB) cannot be allocated under the limit,
+        # which is an error of the run, not a failed check, so it exits 2 with one line on stderr
+        out = tmp_path / "p"
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+            "from subdiff.cli import main\n"
+            f"sys.exit(main(['props', '--count', '6000000000', '--out', {str(out)!r}]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            OPENBLAS_NUM_THREADS="1",
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("out of memory")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
     def test_compression_error_leaves_no_output_directory(self, tmp_path, capsys):
         cfg = _write(tmp_path, self.BASE + "[solver]\nhistory = compressed\neps_compress = 1e-30\n")
@@ -424,9 +447,24 @@ class TestPropsCommand:
         assert data["convexity"]["violations"] == 0
         assert data["comparison"]["violations"] == 0
 
-    def test_seed_changes_draws_not_verdict(self, capsys):
-        assert main(["props", "--count", "18", "--seed", "5"]) == 0
+    def test_seed_changes_draws_not_verdict(self, tmp_path, capsys):
+        outs = {seed: tmp_path / f"s{seed}" for seed in (5, 6)}
+        for seed, out in outs.items():
+            assert main(["props", "--count", "18", "--seed", str(seed), "--out", str(out)]) == 0
         capsys.readouterr()
+        data = {seed: json.loads((out / "props.json").read_text()) for seed, out in outs.items()}
+        assert all(family["passed"] for d in data.values() for family in d.values())
+        assert (outs[5] / "props.json").read_bytes() != (outs[6] / "props.json").read_bytes()
+
+    @pytest.mark.parametrize("sweep", [_props_convexity, _props_comparison])
+    def test_sweeps_draw_a_fixed_number_of_arrays_per_pair(self, sweep):
+        # the random numbers of a pair come from a few array calls, however many histories it holds
+        calls = []
+        for count in (60, 600):
+            rng = _CountingGenerator(np.random.default_rng(4))
+            assert sweep(rng, count)["passed"]
+            calls.append(rng.calls)
+        assert calls[0] == calls[1] <= 8 * _SWEEP_PAIRS
 
 
     @pytest.mark.parametrize("count", ["0", "5", "-6"])
@@ -448,6 +486,23 @@ class TestPropsCommand:
             assert main(["props", "--count", "60", "--seed", "1", "--out", str(out)]) == 0
         capsys.readouterr()
         assert (outs[0] / "props.json").read_bytes() == (outs[1] / "props.json").read_bytes()
+
+
+class _CountingGenerator:
+    """A ``numpy.random.Generator`` that counts the calls made to its methods."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 class TestArgumentErrors:

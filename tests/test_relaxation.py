@@ -249,6 +249,31 @@ class TestRandomSubsolutions:
         tol = 64.0 * (tg.steps + 4) * EPS * max(np.max(np.abs(V)), np.max(np.abs(W)), 1.0)
         assert np.min(V - W) >= -tol
 
+    def test_batched_draws_shapes_and_signs(self):
+        w0 = 10.0 ** np.random.default_rng(0).uniform(-1.0, 1.0, 7)
+        start, slack = relaxation._subsolution_draws(np.random.default_rng(1), w0, 12)
+        assert start.shape == (7,)
+        assert slack.shape == (7, 12)
+        assert np.all(start <= w0)
+        assert np.all(slack >= 0.0)
+
+    def test_scalar_draws_shapes(self):
+        start, slack = relaxation._subsolution_draws(np.random.default_rng(1), 2.0, 12)
+        assert isinstance(start, float)
+        assert start <= 2.0
+        assert slack.shape == (12,)
+
+    def test_each_row_draws_slacks_at_its_own_scale(self):
+        # |N(0, s)| U(0, 1) with s = 0.3 (|w0| + 1) has mean s sqrt(2/pi) / 2 and variance
+        # s^2 (1/3 - 1/(2 pi)); a square batch also catches a scale broadcast along the step axis
+        n = 400
+        w0 = np.tile([0.1, 10.0], n // 2)
+        _, slack = relaxation._subsolution_draws(np.random.default_rng(11), w0, n)
+        s = 0.3 * (np.abs(w0) + 1.0)
+        mean = s * np.sqrt(2.0 / np.pi) / 2.0
+        stderr = s * np.sqrt((1.0 / 3.0 - 1.0 / (2.0 * np.pi)) / n)
+        assert np.all(np.abs(slack.mean(axis=1) - mean) <= 5.0 * stderr)
+
     def test_starts_at_or_below_w0(self):
         rng = np.random.default_rng(1)
         tg = TimeGrid.uniform(1.0, 8)
