@@ -21,7 +21,12 @@ face-flux sum of :class:`~subdiff.spatial.StencilOperator`.  A constant law
 (``nu == lam``, so ``a(u) = nu``) has one ``K`` for every iterate, bitwise
 equal to its Newton Jacobian: the driver assembles it once per distinct
 ``w_nn`` (once per run on a uniform time grid, once per step on a graded
-one), and both iterations solve with it; its arrays are read-only.  The loop
+one), and both iterations solve with it; its arrays are read-only.  Such a
+step also keeps the product ``K v`` of its accepted iterate: the next step
+starts from ``u_{n-1}``, that same iterate, and while its step matrix is the
+same ``K`` it takes that product for its start's residual instead of
+forming it again.  A linear step that converges in one correction thus costs
+one product and one solve.  The loop
 runs undamped and, when the residual stops decreasing, returns to the best
 iterate and halves ``theta``, up to three times before giving up.
 ``Trajectory.halvings`` records the halvings of every step.
@@ -41,12 +46,15 @@ Boundary rows are identity rows and every iterate holds the Dirichlet data
 exactly (the extrapolated start too: ``u_{n-1} - u_{n-2}`` is exactly zero
 there), so the boundary residual is exactly zero and every correction solves
 for the interior unknowns only (:func:`spsolve`); the boundary values stay
-bitwise equal to the data.  In 1D the interior block is tridiagonal and goes
-to LAPACK's tridiagonal solver ``dgtsv``, for Picard and Newton alike; it is
-imported from ``scipy.linalg.lapack`` on the first 1D solve, so a 2D run
-loads no scipy module.  In 2D the interior Picard block is symmetric positive
-definite and spectrally equivalent to ``w_nn I + nu (-Delta_h)`` within the
-factor ``lam / nu`` of the law's bounds, so conjugate gradients
+bitwise equal to the data.  In 1D the interior block is tridiagonal, for
+Picard and Newton alike: LAPACK's ``dgttrf`` factors it on the operator's
+first solve, the operator keeps the factors, and every solve is one
+``dgttrs`` back-substitution, so a constant law's step matrix is factored
+once per distinct ``w_nn``.  Both are imported from ``scipy.linalg.lapack``
+on the first 1D solve, so a 2D run loads no scipy module.  In 2D the
+interior Picard block is symmetric positive definite and spectrally
+equivalent to ``w_nn I + nu (-Delta_h)`` within the factor ``lam / nu`` of
+the law's bounds, so conjugate gradients
 preconditioned by that constant-coefficient operator converge in a few
 iterations on any mesh (Concus & Golub 1973).  The preconditioner is a fast
 diagonalisation by the dense sine matrices of the two axes.  Newton's
@@ -264,11 +272,16 @@ def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
     builders return it (a :class:`~subdiff.spatial.StencilOperator`), with
     ``M.shift`` on its interior diagonal and coefficients at least ``nu``;
     the boundary entries of ``b`` are ignored.  In 1D the interior block's
-    three diagonals (``M.tridiagonal()``) go to LAPACK ``dgtsv`` (Gaussian
-    elimination with partial pivoting), which is exact.  It works on copies,
-    so ``M`` is left as it was.  In 2D ``symmetric`` selects preconditioned
-    CG (Picard) or GMRES (Newton), both preconditioned by the sine-transform
-    solve of ``M.shift I + nu (-Delta_h)`` and stopped once their tracked
+    three diagonals (``M.tridiagonal()``) go to LAPACK ``dgttrf`` (LU with
+    partial pivoting) on ``M``'s first solve, and ``M`` keeps the read-only
+    factors; every solve, the first included, is one ``dgttrs``
+    back-substitution with them, which is exact.  Without row interchanges,
+    as on the diagonally dominant step matrices, that is the arithmetic of
+    the one-call solver ``dgtsv``, operation for operation.  A singular
+    block is not kept, so each solve with it raises.  In 2D ``symmetric``
+    selects preconditioned CG (Picard) or GMRES (Newton), both
+    preconditioned by the sine-transform solve of
+    ``M.shift I + nu (-Delta_h)`` and stopped once their tracked
     estimate of the 2-norm of ``b - M x`` is at most ``atol`` (CG's
     recursively updated residual, GMRES's least-squares residual; GMRES
     restarts every ``_GMRES_RESTART`` iterations); their vectors keep the
@@ -283,10 +296,16 @@ def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
     """
     grid = M.grid
     if grid.dim == 1:
+        dgttrf, dgttrs = _tridiagonal_lapack()
+        if M._factors is None:
+            *factors, info = dgttrf(*M.tridiagonal())
+            if info > 0:
+                raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
+            for f in factors:
+                f.setflags(write=False)
+            M._factors = tuple(factors)
         x = np.zeros(grid.n_nodes)
-        *_, x[1:-1], info = _dgtsv()(*M.tridiagonal(), b[1:-1])
-        if info > 0:
-            raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
+        x[1:-1], _ = dgttrs(*M._factors, b[1:-1])
         return x
     b = np.where(grid.boundary_mask, 0.0, b)
     precond = _sine_preconditioner(grid, M.shift, nu)
@@ -296,11 +315,11 @@ def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
 
 
 @cache
-def _dgtsv():
-    """LAPACK's tridiagonal solver, imported on the first 1D solve: the 2D path loads no scipy."""
-    from scipy.linalg.lapack import dgtsv
+def _tridiagonal_lapack():
+    """LAPACK's tridiagonal factorisation and solve, imported on the first 1D solve: the 2D path loads no scipy."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
-    return dgtsv
+    return dgttrf, dgttrs
 
 
 @cache
@@ -424,27 +443,34 @@ def _gmres(M, b, precond, atol: float, maxiter: int):
             return x, iterations
 
 
-def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, step_matrix, start):
-    """One step of the correction loop; returns ``(field, iterations, residual, halvings)``.
+def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, step_matrix, product, start):
+    """One step of the correction loop; returns ``(field, iterations, residual, halvings, product)``.
 
     The loop starts from the iterate ``start``, which holds the boundary data
     exactly (``u_prev`` or its extrapolation).  ``step_matrix`` is the
     iterate-independent ``K`` of a constant law, which every correction then
-    uses as its matrix, or None to assemble per iterate.
+    uses as its matrix, or None to assemble per iterate.  ``product`` is
+    ``K @ start`` when the caller already has it (None to compute it); the
+    returned ``product`` is ``K @ field``, the accepted iterate's product.
     """
     grid, law = spec.grid, spec.law
     newton = options.mode == "newton"
-    rhs = w_nn * u_prev - memory + (0.0 if f_n is None else f_n)
+    rhs = w_nn * u_prev
+    rhs -= memory
+    if f_n is not None:
+        rhs += f_n
     rhs[grid.boundary_mask] = g_vals
 
-    def state(v):
+    def state(v, Kv=None):
         # K(v), assembled here unless the law is constant: the residual's operator, Picard's matrix
         # and the face coefficients of Newton's Jacobian
         t0 = time.perf_counter()
         K = assemble_quasilinear_operator(grid, law, v, shift=w_nn) if step_matrix is None else step_matrix
-        r = K @ v - rhs  # exactly 0 on the boundary, where v holds the data
+        if Kv is None:
+            Kv = K @ v
+        r = Kv - rhs  # exactly 0 on the boundary, where v holds the data
         timers["assembly"] += time.perf_counter() - t0
-        return v, K, r, float(np.abs(r).max())
+        return v, K, Kv, r
 
     def failure(res, it, message):
         return StepFailure(
@@ -459,10 +485,10 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, ste
 
     theta = 1.0
     halvings = 0
-    current = best = state(start)
+    current = best = state(start, product)
     best_res = np.inf
     for it in range(1, options.max_iter + 1):
-        v, M, r, res = current
+        v, M, _, r = current
         if newton and step_matrix is None:  # only the a' terms are new; a constant law's K is its Jacobian
             t0 = time.perf_counter()
             M = newton_jacobian(grid, law, v, shift=w_nn, frozen=M)
@@ -474,12 +500,12 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, ste
         try:
             delta = spsolve(M, -r, nu=law.nu, atol=atol, symmetric=not newton)
         except np.linalg.LinAlgError as exc:
-            raise failure(res, it, f"linear solve failed: {exc}") from exc
+            raise failure(float(np.abs(r).max()), it, f"linear solve failed: {exc}") from exc
         timers["linear_solve"] += time.perf_counter() - t0
-        current = state(v + theta * delta)
-        res = current[3]
+        current = state(v + delta if theta == 1.0 else v + theta * delta)
+        res = float(np.abs(current[3]).max())
         if res <= options.tol:
-            return current[0], it, res, halvings
+            return current[0], it, res, halvings, current[2]
         if res < best_res:
             best, best_res = current, res
             continue
@@ -501,7 +527,9 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     sum-of-exponentials :class:`~subdiff.kernels.CompressedHistory` (O(modes)
     per step), both on any grid.  Timings for assembly, memory accumulation,
     and linear solves are recorded separately so the two providers can be
-    compared honestly.
+    compared honestly.  ``assembly`` covers the step matrices and Jacobians
+    and also the residual products ``K(v) v``, which are most of it for a
+    constant law.
     """
     options = options or SolverOptions()
     spec.validate()
@@ -535,6 +563,7 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     # a(u) == nu: the step matrix w_nn I_int + A is the same for every iterate
     constant = spec.law.nu == spec.law.lam
     w_last, K = None, None  # w_nn of the last step matrix of a constant law, and that matrix
+    product = None  # K @ U[n - 1], the accepted product of the last step, while K stays the step matrix
     # Extrapolate the start only once a step has needed more than one correction:
     # a linear step converges in one from any start, so a predictor there changes rounding only.
     predict = False
@@ -550,7 +579,7 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
             t0 = time.perf_counter()
             K = assemble_quasilinear_operator(grid, spec.law, U[n - 1], shift=w_nn)
             timers["assembly"] += time.perf_counter() - t0
-            w_last = w_nn
+            w_last, product = w_nn, None
 
         f_n = spec.source_at(n, points)
         u_prev = U[n - 1]
@@ -559,13 +588,16 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
         # u_{n-1} - u_{n-2} is exactly 0 on the boundary, so the extrapolation holds the data bitwise
         start = u_prev + (tau[n - 1] / tau[n - 2]) * (u_prev - U[n - 2]) if predict else u_prev
         try:
-            U[n], iterations[n], residuals[n], halvings[n] = _solve_step(*args, start)
+            U[n], iterations[n], residuals[n], halvings[n], accepted = _solve_step(
+                *args, product if start is u_prev else None, start
+            )
         except StepFailure as exc:
             if start is u_prev:
                 raise
             # the unpredicted start is the fallback; the step's counts cover both attempts
-            U[n], its, residuals[n], halves = _solve_step(*args, u_prev)
+            U[n], its, residuals[n], halves, accepted = _solve_step(*args, product, u_prev)
             iterations[n], halvings[n] = exc.iterations + its, exc.halvings + halves
+        product = accepted if constant else None
 
         t0 = time.perf_counter()
         history.push(U[n] - U[n - 1])

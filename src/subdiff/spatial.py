@@ -237,10 +237,12 @@ class StencilOperator:
     entries equal ``x`` bitwise.  It takes one field ``(n_nodes,)`` or a stack
     ``(S, n_nodes)``; the coefficients may carry the same leading stack axis,
     one operator per field, and then ``@`` is its only method.  The arrays
-    are read-only.
+    are read-only.  A 1D operator also keeps, once :func:`subdiff.solver.spsolve`
+    has factored it, the read-only LU factors of its interior block (LAPACK
+    ``dgttrf``), so an operator reused across steps is factored once.
     """
 
-    __slots__ = ("grid", "coeffs", "derivs", "shift", "_tridiagonal")
+    __slots__ = ("grid", "coeffs", "derivs", "shift", "_tridiagonal", "_factors")
 
     def __init__(self, grid: SpatialGrid, coeffs, shift: float = 0.0, derivs=None):
         self.grid = grid
@@ -248,6 +250,7 @@ class StencilOperator:
         self.derivs = None if derivs is None else tuple(_read_only(d) for d in derivs)
         self.shift = shift
         self._tridiagonal = None
+        self._factors = None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x_nd = x.reshape(x.shape[:-1] + self.grid.shape)
@@ -263,12 +266,12 @@ class StencilOperator:
         return out
 
     def tridiagonal(self) -> tuple:
-        """The sub-, main and superdiagonal of a 1D operator's interior block, the inputs of ``dgtsv``.
+        """The sub-, main and superdiagonal of a 1D operator's interior block, the inputs of ``dgttrf``.
 
         Row ``j`` reads ``(-c_{j-1} + d_{j-1}, (c_j - d_j) + (c_{j-1} + d_{j-1}) + shift, -c_j - d_j)``
         with ``c, d`` the face arrays (``d = 0`` without ``derivs``).  Computed
-        on the first call and kept, read-only, so an operator reused across
-        steps computes them once.
+        on the first call and kept, read-only; the solver factors them once
+        per operator and solves every step with those factors.
         """
         if self._tridiagonal is None:
             if self.coeffs[0].ndim > 1:

@@ -35,10 +35,12 @@ def test_traced_name_resolves(module, path):
     assert callable(owner)
 
 
-def test_run_calls_go_through_traced_names(tmp_path):
+# a nonlinear law, assembled per iterate, and a constant one, whose linear steps reuse one step matrix
+@pytest.mark.parametrize("problem", ["porous", "eigenmode, alpha = 0.8"])
+def test_run_calls_go_through_traced_names(tmp_path, problem):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "problem = porous\n[problem]\nresolution = 17\n[time]\nhorizon = 1.0\nsteps = 64\ngrading = 1\n"
+        f"problem = {problem}\n[problem]\nresolution = 17\n[time]\nhorizon = 1.0\nsteps = 64\ngrading = 1\n"
         "[solver]\nhistory = compressed\n[certificates]\nweakform = true\nweakform_threshold = 0.1\n"
     )
     rec = tracing.Recorder()

@@ -13,7 +13,7 @@ import pytest
 from scipy.fft import dstn, idstn
 
 from subdiff import solver
-from subdiff.kernels import TimeGrid, default_grading
+from subdiff.kernels import L1Weights, TimeGrid, default_grading
 from subdiff.presets import build_preset, eigenmode_exact
 from subdiff.relaxation import relaxation_solution
 from subdiff.solver import ProblemSpec, SolverOptions, StepFailure, run_trajectory
@@ -333,8 +333,10 @@ class TestInteriorSolve:
         # zero coefficients and zero shift make the 7 x 7 interior block zero
         grid = build_grid(1, (0.0, 1.0), 9)
         M = StencilOperator(grid, [np.zeros(8)])
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solver.spsolve(M, np.ones(9), nu=1.0, atol=1e-12, symmetric=True)
+        for _ in range(2):  # a failed factorisation is not kept: the next solve fails the same way
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                solver.spsolve(M, np.ones(9), nu=1.0, atol=1e-12, symmetric=True)
+            assert M._factors is None
 
     @pytest.mark.parametrize("mode, builder", [("picard", "assemble_quasilinear_operator"), ("newton", "newton_jacobian")])
     def test_singular_tridiagonal_block_fails_the_step(self, mode, builder, monkeypatch):
@@ -342,12 +344,23 @@ class TestInteriorSolve:
         def singular(grid, law, u, shift=0.0, frozen=None):
             return StencilOperator(grid, [np.zeros(grid.n_nodes - 1)])
 
+        # the residual operator: the stub for Picard, the real step matrix for Newton
+        operator = singular if mode == "picard" else solver.assemble_quasilinear_operator
         monkeypatch.setattr(solver, builder, singular)
         spec = _sine_problem(law=porous_law(), resolution=9, steps=4)
         with pytest.raises(StepFailure, match="linear solve failed: .*singular") as exc:
             run_trajectory(spec, SolverOptions(mode=mode))
         assert exc.value.step == 1
         assert exc.value.iterations == 1
+        # the report carries the start's residual; step 1 has no memory and no source
+        mask = spec.grid.boundary_mask
+        u0 = spec.u0.copy()
+        u0[mask] = spec.boundary_values()
+        w_11 = L1Weights(alpha=spec.alpha, grid=spec.time_grid).diag(1)
+        rhs = w_11 * u0
+        rhs[mask] = spec.boundary_values()
+        K = operator(spec.grid, spec.law, u0, shift=w_11)
+        assert exc.value.residual == np.abs(K @ u0 - rhs).max()
 
     @pytest.mark.parametrize("mode", ["picard", "newton"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -509,12 +522,64 @@ class TestConstantLawStepMatrix:
             return built[-1]
 
         monkeypatch.setattr(solver, "assemble_quasilinear_operator", recording)
+        factorisations = _recording_dgttrf(monkeypatch)
         run_trajectory(build_preset("eigenmode", resolution=17, steps=8, grading=1.0))
         assert len(built) == 1
+        assert len(factorisations) == 1  # factored once, on its first solve
+        assert all(x is y for x, y in zip(factorisations[0], built[0].tridiagonal(), strict=True))
         with pytest.raises(ValueError, match="read-only"):
             built[0].coeffs[0][1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            built[0].tridiagonal()[1][0] = 0.0  # the diagonals dgtsv reads at every step
+            built[0].tridiagonal()[1][0] = 0.0  # the diagonals dgttrf factors once
+        for factor in built[0]._factors:  # the LU factors dgttrs reads at every step
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0] = 0
+
+    @pytest.mark.parametrize("mode", ["picard", "newton"])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    def test_linear_step_takes_one_product_and_one_back_substitution(self, grading, mode, monkeypatch):
+        # 32 uniform steps are bitwise equal, so the uniform run has one w_nn and one step matrix
+        spec = build_preset("eigenmode", resolution=33, steps=32, grading=grading)
+        options = SolverOptions(mode=mode, history="compressed")
+        steps = spec.time_grid.steps
+        calls = {"matmul": 0, "spsolve": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        factorisations = _recording_dgttrf(monkeypatch)
+        monkeypatch.setattr(StencilOperator, "__matmul__", counting("matmul", StencilOperator.__matmul__))
+        monkeypatch.setattr(solver, "spsolve", counting("spsolve", solver.spsolve))
+        traj = run_trajectory(spec, options)
+        np.testing.assert_array_equal(traj.iterations[1:], 1)
+        assert calls["spsolve"] == steps
+        if grading == 1.0:
+            # one step matrix: the start's product is the last step's accepted one, except on step 1
+            assert calls["matmul"] == steps + 1
+            assert len(factorisations) == 1
+        else:
+            # a new step matrix every step: each step forms its start's product and factors once
+            assert calls["matmul"] == 2 * steps
+            assert len(factorisations) == steps
+        # a second run in the same process starts afresh: no factor or product carries over
+        assert run_trajectory(spec, options).fields.tobytes() == traj.fields.tobytes()
+
+
+def _recording_dgttrf(monkeypatch):
+    """Records the diagonals of every ``dgttrf`` call the solver makes."""
+    dgttrf, dgttrs = solver._tridiagonal_lapack()
+    factored = []
+
+    def recording(*diagonals):
+        factored.append(diagonals)
+        return dgttrf(*diagonals)
+
+    monkeypatch.setattr(solver, "_tridiagonal_lapack", lambda: (recording, dgttrs))
+    return factored
 
 
 class TestExtrapolatedStart:

@@ -249,7 +249,7 @@ class TestOperator:
         sub, main, sup = M.tridiagonal()
         assert np.array_equal(sub, np.diag(dense, -1))
         assert np.array_equal(sup, np.diag(dense, 1))
-        # the product sums a diagonal entry in another order than dgtsv's input
+        # the product sums a diagonal entry in another order than dgttrf's input
         np.testing.assert_allclose(main, np.diag(dense), rtol=1e-15)
         assert M.tridiagonal() is M.tridiagonal()  # computed once per operator
 
