@@ -1,11 +1,13 @@
 """Command line entry points: ``subdiff run|study|props``.
 
 ``run`` solves one configured problem, writes norms.tsv / snapshots /
-report.json into the output directory, prints one line per certificate, and
-exits 0 when no enabled certificate failed.  A certificate that refuses the
-run (boundedness with forcing, decay with forcing or boundary data, the weak
-form on a time grid too coarse for its test hats) is reported as skipped and
-does not count; neither does the Hoelder observable, which has no threshold.
+report.json into the output directory, prints one line per certificate and
+per observable, and exits 0 when no enabled certificate failed, 1 when one
+failed and 2 on any other error.  A certificate passes or fails against its
+threshold; one that refuses the run (boundedness with forcing, decay with
+forcing or boundary data, the weak form on a time grid too coarse for its
+test hats) is reported as skipped and does not count.  Observables
+(``tail_exponent``, and ``hoelder`` under ``[output] hoelder``) have none.
 ``study`` performs a mesh-refinement study along the axis chosen in the
 [study] section and reports observed convergence orders.  ``props`` sweeps
 randomized property checks (discrete convexity, comparison with relaxation
@@ -18,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,16 +68,12 @@ _CERTIFICATES = {
     "convexity": (("min_margin", "worst_step"), lambda traj, cc: convexity_report(traj)),
     "boundedness": (("bound", "max_sup", "arg_step"), lambda traj, cc: boundedness_report(traj)),
     "decay": (
-        ("mu", "slack", "min_margin", "tail_exponent", "ml_max_error_estimate", "ml_inaccurate"),
+        ("mu", "slack", "min_margin", "ml_max_error_estimate", "ml_inaccurate"),
         lambda traj, cc: decay_report(traj, slack=cc.slack),
     ),
     "weakform": (
         ("max_scaled_residual", "threshold", "worst_time", "worst_node", "near_worst_nodes"),
         lambda traj, cc: weakform_residual(traj, threshold=cc.weakform_threshold),
-    ),
-    "hoelder": (
-        ("value", "beta_time", "beta_space", "note"),
-        lambda traj, cc: hoelder_seminorm(traj, cc.hoelder_beta_time, cc.hoelder_beta_space),
     ),
 }
 
@@ -103,24 +101,24 @@ def _collect_certificates(traj, cc):
     return certs, records, seconds
 
 
+def _detail(value) -> str:
+    if isinstance(value, dict):
+        return ", ".join(f"{k}={_detail(v)}" for k, v in value.items())
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
 def _print_verdicts(kind: str, verdicts: dict) -> bool:
     """One ``<kind> <name>: PASS|FAIL|SKIPPED (...)`` line per verdict; True unless one failed.
 
-    A verdict with ``passed`` None (a refusal or an observable) prints as
-    SKIPPED and does not count.
+    A refusal (``passed`` None) prints as SKIPPED with its reason and does not count.
     """
     all_passed = True
     for name, info in verdicts.items():
         if info["passed"] is None:
-            print(f"{kind} {name}: SKIPPED ({info.get('skipped', 'no threshold')})")
+            print(f"{kind} {name}: SKIPPED ({info['skipped']})")
             continue
         verdict = "PASS" if info["passed"] else "FAIL"
-        detail = ", ".join(
-            f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in info.items()
-            if k != "passed" and not isinstance(v, str)
-        )
-        print(f"{kind} {name}: {verdict} ({detail})")
+        print(f"{kind} {name}: {verdict} ({_detail({k: v for k, v in info.items() if k != 'passed'})})")
         all_passed = all_passed and info["passed"]
     return all_passed
 
@@ -147,6 +145,7 @@ def cmd_run(args) -> int:
             label=spec.label,
             passed=False,
             certificates={},
+            observables={},
             solver={"mode": options.mode, "history": options.history},
             timings={},
             config_text=render_config(cfg),
@@ -174,10 +173,16 @@ def cmd_run(args) -> int:
         n = int(np.argmin(np.abs(traj.times - t_req)))
         write_snapshot(snapshot_path(out, i), spec.grid, float(traj.times[n]), traj.fields[n])
     passed = _print_verdicts("certificate", certs)
+    observables = {} if decay is None else {"tail_exponent": decay.tail_exponent}
+    if cfg.output.hoelder:
+        observables["hoelder"] = asdict(hoelder_seminorm(traj))
+    for name, value in observables.items():
+        print(f"observable {name}: {_detail(value)}")
     report = RunReport(
         label=spec.label,
         passed=passed,
         certificates=certs,
+        observables=observables,
         solver={
             "mode": options.mode,
             "history": options.history,
@@ -424,6 +429,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means a failed certificate, so any other error exits 2
+        print(f"{args.command} failed: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
 
 

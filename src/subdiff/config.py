@@ -19,7 +19,8 @@ dotted path works anywhere.  Unknown sections or keys are rejected with the
 offending path named, and parsing reports every violation at once rather
 than stopping at the first.  Settings that are valid one by one but cannot
 run together (compressed history on a one-step time grid, extents that do
-not fit the dimension) are rejected too, and so is an ``eps_compress``
+not fit the dimension, a grading whose first steps underflow to zero) are
+rejected too, and so is an ``eps_compress``
 below 1e-13, which no compression can reach.  An
 ``output.dir`` must read back unchanged from :func:`render_config`'s text, so
 a path with ``#``, ``,``, a line break or surrounding spaces is rejected.
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from .presets import preset_time_grid
 from .solver import SolverOptions
 
 __all__ = [
@@ -79,11 +81,8 @@ class CertificatesConfig:
     boundedness: bool = True
     convexity: bool = True
     weakform: bool = False
-    hoelder: bool = False
     slack: float = 1.05
     weakform_threshold: float = 1e-2
-    hoelder_beta_time: float = 0.25
-    hoelder_beta_space: float = 0.5
 
 
 @dataclass
@@ -97,6 +96,7 @@ class OutputConfig:
     dir: str = "out"
     seed: int = 0
     snapshot_times: tuple = ()
+    hoelder: bool = False  # report the Hoelder estimate among the observables
 
 
 @dataclass
@@ -143,16 +143,14 @@ _SCHEMA = {
     "certificates.boundedness": ("bool", None, ""),
     "certificates.convexity": ("bool", None, ""),
     "certificates.weakform": ("bool", None, ""),
-    "certificates.hoelder": ("bool", None, ""),
     "certificates.slack": ("float", lambda v: v >= 1.0, ">= 1"),
     "certificates.weakform_threshold": ("float", lambda v: v > 0.0, "> 0"),
-    "certificates.hoelder_beta_time": ("float", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "certificates.hoelder_beta_space": ("float", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "study.axis": ("str", lambda v: v in ("space", "time"), "space or time"),
     "study.levels": ("int", lambda v: v >= 2, ">= 2"),
     "output.dir": ("str", _reads_back, "a path without '#', ',', line breaks or surrounding spaces"),
     "output.seed": ("int", lambda v: v >= 0, ">= 0"),
     "output.snapshot_times": ("floats", lambda v: all(t >= 0.0 for t in v), "nonnegative times"),
+    "output.hoelder": ("bool", None, ""),
 }
 
 # smallest solver.eps_compress accepted: compress_history fits the kernel to eps / 100, at worst
@@ -287,6 +285,12 @@ def check_config(cfg: RunConfig) -> None:
     ext, dim = cfg.problem.extents, cfg.problem.dimension or 1  # every preset defaults to dimension 1
     if ext is not None and (len(ext) not in (2, 2 * dim) or any(b <= a for a, b in zip(ext[::2], ext[1::2]))):
         problems.append(f"problem.extents={list(ext)} does not fit problem.dimension={dim} (pairs a < b, one or per axis)")
+    t = cfg.time
+    try:
+        preset_time_grid(cfg.problem.preset, cfg.problem.alpha, t.horizon, t.steps, t.grading)
+    except ValueError as exc:
+        given = ", ".join(f"time.{k}={'default' if v is None else v}" for k, v in vars(t).items())
+        problems.append(f"{given} give no time grid: {exc}")
     if problems:
         raise ConfigError(problems)
 

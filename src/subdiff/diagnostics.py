@@ -51,7 +51,6 @@ __all__ = [
     "MonotoneWeightsReport",
     "HoelderEstimate",
     "hoelder_seminorm",
-    "hoelder_field",
     "WeakformReport",
     "weakform_residual",
 ]
@@ -213,10 +212,6 @@ class HoelderEstimate:
     n_samples: int
     region: str
 
-    # an observable: reported, never accepted or refused
-    passed = None
-    note = "observable, no acceptance threshold"
-
 
 def _pair_seminorm(times, points, values, beta_time, beta_space):
     """Max of |v(p) - v(p')| / (|t - t'|^b1 + |x - x'|^b2) over sample pairs."""
@@ -237,31 +232,31 @@ def _pair_seminorm(times, points, values, beta_time, beta_space):
 def _subsample(n, cap):
     if n <= cap:
         return np.arange(n)
-    idx = np.unique(np.round(np.linspace(0, n - 1, cap)).astype(int))
-    return idx
+    return np.unique(np.round(np.linspace(0, n - 1, cap)).astype(int))
 
 
 def hoelder_seminorm(
     traj: Trajectory,
-    beta_time: float,
-    beta_space: float,
+    beta_time: float = 0.25,
+    beta_space: float = 0.5,
     max_samples: int = 1296,
     region: str = "full",
 ) -> HoelderEstimate:
     """Subsampled parabolic Hoelder quotient of the trajectory.
 
-    ``region`` is ``"full"`` (the whole cylinder) or ``"interior"`` (spatial
-    interior nodes and t >= horizon / 10, the zone where the interior
-    regularity statements live).  Endpoint samples are always kept, so the
-    static linear-profile oracle is reproduced exactly.  The estimate is a
-    lower bound for the true seminorm; it is reported, not asserted against.
+    The default exponents are the ones ``subdiff run`` reports under
+    ``[output] hoelder = true``; the time exponent is half the space one, the
+    parabolic pairing.  ``region`` is ``"full"`` (the whole cylinder) or
+    ``"interior"`` (spatial interior nodes and t >= horizon / 10, the zone
+    where the interior regularity statements live).  Endpoint samples are
+    always kept, so the static linear-profile oracle is reproduced exactly.
+    The estimate is a lower bound for the true seminorm; it is reported, not
+    asserted against.
     """
     if region not in ("full", "interior"):
         raise ValueError(f"unknown region {region!r}")
     if not 0.0 <= beta_time <= 1.0 or not 0.0 <= beta_space <= 1.0:
-        raise ValueError(
-            f"Hoelder exponents must lie in [0, 1], got ({beta_time}, {beta_space})"
-        )
+        raise ValueError(f"Hoelder exponents must lie in [0, 1], got ({beta_time}, {beta_space})")
     spec = traj.spec
     pts = spec.grid.points()
     times = traj.times
@@ -287,17 +282,6 @@ def hoelder_seminorm(
         n_samples=int(it.size * ix.size),
         region=region,
     )
-
-
-def hoelder_field(grid: SpatialGrid, values: np.ndarray, beta_space: float, max_samples: int = 1296) -> float:
-    """Spatial Hoelder quotient of a single field (no time axis)."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size != grid.n_nodes:
-        raise ValueError("values do not match the grid")
-    if not 0.0 <= beta_space <= 1.0:
-        raise ValueError(f"Hoelder exponent must lie in [0, 1], got {beta_space}")
-    ix = _subsample(grid.n_nodes, max_samples)
-    return _pair_seminorm(np.zeros(1), grid.points()[ix], values[ix][None, :], 1.0, beta_space)
 
 
 # ---------------------------------------------------------------------------

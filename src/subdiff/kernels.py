@@ -147,7 +147,7 @@ class L1Weights:
 
     alpha: float
     grid: TimeGrid
-    _uniform_b: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _uniform_b: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _diag: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -9,7 +9,7 @@ from .mittag_leffler import mittag_leffler
 from .solver import ProblemSpec
 from .spatial import SpatialGrid, build_grid, constant_law, first_eigenvalue, porous_law
 
-__all__ = ["PRESETS", "build_preset", "eigenmode_exact"]
+__all__ = ["PRESETS", "build_preset", "preset_time_grid", "eigenmode_exact"]
 
 
 def _product_sine(grid: SpatialGrid) -> np.ndarray:
@@ -20,11 +20,6 @@ def _product_sine(grid: SpatialGrid) -> np.ndarray:
         a, b = grid.extents[d]
         vals *= np.sin(np.pi * (pts[:, d] - a) / (b - a))
     return vals
-
-
-def _time_grid(alpha: float, horizon: float, steps: int, grading) -> TimeGrid:
-    r = default_grading(alpha) if grading is None else float(grading)
-    return TimeGrid.graded(horizon, steps, r)
 
 
 def _zeros(grid: SpatialGrid) -> np.ndarray:
@@ -50,6 +45,18 @@ PRESETS = {
 _COMMON = dict(alpha=0.5, dimension=1, extents=(0.0, float(np.pi)), grading=None)
 
 
+def preset_time_grid(name: str, alpha=None, horizon=None, steps=None, grading=None) -> TimeGrid:
+    """The time grid :func:`build_preset` builds: None keeps the preset's value, for ``grading`` the alpha default.
+
+    Raises ``ValueError`` when the nodes are not strictly increasing, as when
+    a strong grading underflows the first steps to zero.
+    """
+    given = dict(alpha=alpha, horizon=horizon, steps=steps, grading=grading)
+    p = {**_COMMON, **PRESETS[name][2], **{k: v for k, v in given.items() if v is not None}}
+    r = default_grading(p["alpha"]) if p["grading"] is None else float(p["grading"])
+    return TimeGrid.graded(p["horizon"], p["steps"], r)
+
+
 def build_preset(name: str, **overrides) -> ProblemSpec:
     """Build a preset, applying only the overrides that are not None.
 
@@ -66,7 +73,7 @@ def build_preset(name: str, **overrides) -> ProblemSpec:
     grid = build_grid(p["dimension"], p["extents"], p["resolution"])
     return ProblemSpec(
         alpha=p["alpha"],
-        time_grid=_time_grid(p["alpha"], p["horizon"], p["steps"], p["grading"]),
+        time_grid=preset_time_grid(name, p["alpha"], p["horizon"], p["steps"], p["grading"]),
         grid=grid,
         law=law(),
         u0=initial(grid),

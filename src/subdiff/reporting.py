@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import NormSeries
-from .solver import Trajectory
 from .spatial import SpatialGrid
 
 __all__ = [
@@ -28,7 +27,8 @@ NORMS_HEADER = "t\tL2\tsup\tW\tV_envelope"
 class RunReport:
     label: str
     passed: bool
-    certificates: dict
+    certificates: dict  # name -> passed, failed or skipped (with the reason); no estimate without a threshold
+    observables: dict  # the estimates: name -> value or record
     solver: dict
     timings: dict
     config_text: str

@@ -242,14 +242,13 @@ class StencilOperator:
     ``dgttrf``), so an operator reused across steps is factored once.
     """
 
-    __slots__ = ("grid", "coeffs", "derivs", "shift", "_tridiagonal", "_factors")
+    __slots__ = ("grid", "coeffs", "derivs", "shift", "_factors")
 
     def __init__(self, grid: SpatialGrid, coeffs, shift: float = 0.0, derivs=None):
         self.grid = grid
         self.coeffs = tuple(_read_only(c) for c in coeffs)
         self.derivs = None if derivs is None else tuple(_read_only(d) for d in derivs)
         self.shift = shift
-        self._tridiagonal = None
         self._factors = None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -269,18 +268,14 @@ class StencilOperator:
         """The sub-, main and superdiagonal of a 1D operator's interior block, the inputs of ``dgttrf``.
 
         Row ``j`` reads ``(-c_{j-1} + d_{j-1}, (c_j - d_j) + (c_{j-1} + d_{j-1}) + shift, -c_j - d_j)``
-        with ``c, d`` the face arrays (``d = 0`` without ``derivs``).  Computed
-        on the first call and kept, read-only; the solver factors them once
-        per operator and solves every step with those factors.
+        with ``c, d`` the face arrays (``d = 0`` without ``derivs``).  The
+        solver reads them once per operator, when it factors it.
         """
-        if self._tridiagonal is None:
-            if self.coeffs[0].ndim > 1:
-                raise ValueError("a stacked operator has no tridiagonal form")
-            (c,) = self.coeffs
-            d = 0.0 if self.derivs is None else self.derivs[0]
-            main = (c - d)[1:] + (c + d)[:-1] + self.shift
-            self._tridiagonal = tuple(_read_only(v) for v in ((-c + d)[1:-1], main, (-c - d)[1:-1]))
-        return self._tridiagonal
+        if self.coeffs[0].ndim > 1:
+            raise ValueError("a stacked operator has no tridiagonal form")
+        (c,) = self.coeffs
+        d = 0.0 if self.derivs is None else self.derivs[0]
+        return (-c + d)[1:-1], (c - d)[1:] + (c + d)[:-1] + self.shift, (-c - d)[1:-1]
 
     def toarray(self) -> np.ndarray:
         """The dense matrix, column by column through the product: ``n_nodes^2`` entries, for small grids."""

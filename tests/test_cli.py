@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subdiff.cli import _CERTIFICATES, _SWEEP_PAIRS, _props_comparison, _props_convexity, main
+from subdiff.cli import _CERTIFICATES, _SWEEP_PAIRS, _props_comparison, _props_convexity, build_problem, main
 from subdiff.config import CertificatesConfig, parse_config
+from subdiff.diagnostics import decay_report, hoelder_seminorm
 from subdiff.kernels import CompressionError
 from subdiff.reporting import NORMS_HEADER
-from subdiff.solver import StepFailure
+from subdiff.solver import StepFailure, run_trajectory
 
 FAST_RUN = """
 problem = eigenmode, alpha = 0.5
@@ -66,6 +67,9 @@ class TestRunCommand:
         assert report["certificates"]["decay"]["min_margin"] > 0.0
         assert 0.0 <= report["certificates"]["decay"]["ml_max_error_estimate"] <= 1e-10
         assert report["certificates"]["decay"]["ml_inaccurate"] == 0
+        # an estimate without a threshold is an observable, not part of the decay verdict
+        assert "tail_exponent" not in report["certificates"]["decay"]
+        assert report["observables"] == {"tail_exponent": pytest.approx(-0.5, abs=0.3)}
         weak = report["certificates"]["weakform"]
         assert 0.0 < weak["worst_time"] < 1.0  # the peak of an interior time hat, horizon 1
         assert isinstance(weak["worst_node"], int) and 0 < weak["worst_node"] < 32  # interior of 33 nodes
@@ -120,6 +124,37 @@ class TestRunCommand:
         assert "certificate weakform: SKIPPED (the time grid is too coarse" in capsys.readouterr().out
         weak = json.loads((out / "report.json").read_text())["certificates"]["weakform"]
         assert weak == {"passed": None, "skipped": "the time grid is too coarse for the requested macro test grid"}
+
+    def test_hoelder_observable(self, tmp_path, capsys):
+        text = "problem = porous\n[problem]\nresolution = 17\n[time]\nsteps = 32\n[output]\nhoelder = true\n"
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, text), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "SKIPPED" not in printed
+        assert "certificate hoelder" not in printed
+        traj = run_trajectory(build_problem(parse_config(text))[0])
+        est, tail = hoelder_seminorm(traj), decay_report(traj).tail_exponent
+        assert f"observable tail_exponent: {tail:.6g}\n" in printed
+        assert f"observable hoelder: beta_time=0.25, beta_space=0.5, value={est.value:.6g}, n_samples=" in printed
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["certificates"]) == {"convexity", "boundedness", "decay"}
+        assert all(rec["passed"] is not None for rec in report["certificates"].values())
+        assert report["observables"] == {"tail_exponent": tail, "hoelder": dataclasses.asdict(est)}
+        assert set(report["observables"]["hoelder"]) == {"value", "beta_time", "beta_space", "region", "n_samples"}
+
+    def test_no_observables_without_decay_or_hoelder(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        text = "problem = zero\n[time]\nsteps = 8\n[certificates]\ndecay = false\n"
+        assert main(["run", _write(tmp_path, text), "--out", str(out)]) == 0
+        assert "observable " not in capsys.readouterr().out
+        assert json.loads((out / "report.json").read_text())["observables"] == {}
+
+    @pytest.mark.parametrize("key", ["hoelder = true", "hoelder_beta_time = 0.25", "hoelder_beta_space = 0.5"])
+    def test_removed_certificate_keys_are_unknown(self, tmp_path, capsys, key):
+        code = main(["run", _write(tmp_path, f"[certificates]\n{key}\n"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"unknown key certificates.{key.split()[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_every_certificate_flag_has_a_table_entry(self):
         flags = [f.name for f in dataclasses.fields(CertificatesConfig) if isinstance(f.default, bool)]
@@ -293,6 +328,33 @@ class TestOtherErrorsExitTwo:
     def test_extents_that_do_not_fit_the_dimension(self, tmp_path, capsys):
         cfg = _write(tmp_path, self.BASE + "problem.extents = [0, 1, 0, 2]\n")
         self._assert_exit_two(main(["run", cfg, "--out", str(tmp_path / "o")]), capsys, "extents", "dimension")
+
+    def test_grading_that_underflows_the_first_step(self, tmp_path, capsys):
+        # 512 default steps: t_1 = 50 * 512^-150 underflows to 0, so the run's time grid cannot be built
+        cfg = _write(tmp_path, "problem = porous\n[time]\ngrading = 150\n")
+        out = tmp_path / "o"
+        self._assert_exit_two(main(["run", cfg, "--out", str(out)]), capsys, "invalid configuration", "time.grading=150")
+        assert not out.exists()
+
+    def test_overflow_in_the_run(self, tmp_path, capsys):
+        # face coefficients of a 1e300-wide box overflow while the first step matrix is assembled
+        cfg = _write(tmp_path, "problem = porous\n[problem]\nresolution = 17\nextents = [0, 1e300]\n")
+        self._assert_exit_two(main(["run", cfg, "--out", str(tmp_path / "o")]), capsys, "run failed", "OverflowError")
+
+    def test_linear_algebra_error_in_the_run(self, tmp_path):
+        # at horizon 1e-300 the compression's Gauss rule overflows and its eigenvalue solve does not converge.
+        # Run outside pytest, whose warning filter would turn the overflow warning into the error first; the
+        # numpy warnings printed before the error are silenced so the check sees the CLI's own stderr.
+        cfg = _write(tmp_path, "[problem]\nresolution = 17\n[time]\nsteps = 2\nhorizon = 1e-300\n[solver]\nhistory = compressed\n")
+        out = tmp_path / "o"
+        script = f"import sys\nfrom subdiff.cli import main\nsys.exit(main(['run', {cfg!r}, '--out', {str(out)!r}]))\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "ignore::RuntimeWarning", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == ["run failed: LinAlgError: Eigenvalues did not converge"]
+        assert not out.exists()
 
     def test_compressed_history_of_one_step(self, tmp_path, capsys):
         cfg = _write(tmp_path, self.BASE.replace("steps = 8", "steps = 1"))

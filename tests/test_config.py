@@ -63,9 +63,9 @@ class TestParsing:
         assert cfg.output.snapshot_times == (0.5, 2.0, 10.0)
 
     def test_booleans(self):
-        cfg = parse_config("problem=zero\n[certificates]\ndecay=false\nhoelder=true\n")
+        cfg = parse_config("problem=zero\n[certificates]\ndecay=false\n[output]\nhoelder=true\n")
         assert cfg.certificates.decay is False
-        assert cfg.certificates.hoelder is True
+        assert cfg.output.hoelder is True
 
     def test_empty_text_gives_defaults(self):
         cfg = parse_config("")
@@ -123,6 +123,16 @@ class TestErrorAggregation:
             "history compression cannot reach eps=1e-14: solver.eps_compress must be >= 1e-13"
         ]
         assert parse_config("[solver]\neps_compress = 1e-13\n").solver.eps_compress == 1e-13
+
+    def test_grading_that_underflows_the_first_step(self):
+        # t_1 = T M^-r: 50 * 512^-150 underflows to 0 on the porous preset's default grid, 50 * 4^-150 does not
+        with pytest.raises(ConfigError) as exc:
+            parse_config("problem = porous\n[time]\ngrading = 150\n")
+        assert exc.value.problems == [
+            "time.horizon=default, time.steps=default, time.grading=150.0 give no time grid: "
+            "time nodes must be strictly increasing"
+        ]
+        assert parse_config("problem = porous\n[time]\ngrading = 150\nsteps = 4\n").time.grading == 150.0
 
     def test_mode_choices_listed(self):
         with pytest.raises(ConfigError) as exc:

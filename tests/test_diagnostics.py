@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -14,14 +15,13 @@ from subdiff.diagnostics import (
     boundedness_report,
     convexity_report,
     decay_report,
-    hoelder_field,
     hoelder_seminorm,
     l2_norm,
     norm_series,
     weakform_residual,
 )
 from subdiff.kernels import L1Weights, TimeGrid, default_grading
-from subdiff.presets import _time_grid, build_preset
+from subdiff.presets import build_preset, preset_time_grid
 from subdiff.solver import ProblemSpec, run_trajectory
 from subdiff.spatial import build_grid, constant_law, porous_law
 
@@ -166,17 +166,23 @@ class TestConvexity:
         assert rep.min_margin == (factor - 1.0) / factor
 
 
+def _static(grid, field, steps=16):
+    """A stand-in trajectory that holds ``field`` at every node of a uniform time grid on [0, 1]."""
+    times = np.linspace(0.0, 1.0, steps + 1)
+    return SimpleNamespace(spec=SimpleNamespace(grid=grid), times=times, fields=np.tile(field, (times.size, 1)))
+
+
 class TestHoelder:
     def test_linear_profile_space_seminorm(self):
-        # |x - y|^1 / |x - y|^0.5 maximized at the domain diameter:
-        # seminorm of u(x) = x with beta = 0.5 on (0, 1) is exactly 1
+        # |x - y|^1 / |x - y|^0.5 maximized at the domain diameter, equal times:
+        # seminorm of u(t, x) = x with beta_space = 0.5 on (0, 1) is exactly 1
         g = build_grid(1, (0.0, 1.0), 65)
-        val = hoelder_field(g, g.points()[:, 0], 0.5)
-        np.testing.assert_allclose(val, 1.0, rtol=1e-12)
+        est = hoelder_seminorm(_static(g, g.points()[:, 0]), beta_time=0.25, beta_space=0.5)
+        np.testing.assert_allclose(est.value, 1.0, rtol=1e-12)
 
     def test_constant_field_has_zero_seminorm(self):
         g = build_grid(1, (0.0, 1.0), 33)
-        assert hoelder_field(g, np.full(33, 7.0), 0.5) == 0.0
+        assert hoelder_seminorm(_static(g, np.full(33, 7.0))).value == 0.0
 
     def test_trajectory_estimate_is_finite_and_stable(self):
         traj = _run("porous", resolution=33, steps=48, horizon=2.0)
@@ -328,7 +334,7 @@ class TestKnotWeights:
 
     def test_match_mpmath_on_the_long_graded_grid(self):
         alpha, horizon, steps = self.W3
-        nodes = _time_grid(alpha, horizon, steps, None).nodes
+        nodes = preset_time_grid("porous", alpha, horizon, steps).nodes
         assert nodes[1] < 1e-13
         C = _knot_weights(alpha, nodes, np.array(self.SAMPLES))
         worst = worst_naive = 0.0
@@ -348,7 +354,7 @@ class TestKnotWeights:
 
     @pytest.mark.parametrize(
         "grid",
-        [_time_grid(0.3, 100.0, 8192, None), TimeGrid.uniform(2.0, 64), TimeGrid.graded(1.0, 256, 3.0)],
+        [preset_time_grid("porous", 0.3, 100.0, 8192), TimeGrid.uniform(2.0, 64), TimeGrid.graded(1.0, 256, 3.0)],
         ids=["w3-graded", "uniform", "graded"],
     )
     @pytest.mark.parametrize("alpha", [0.3, 0.8])

@@ -86,6 +86,15 @@ class TestL1Weights:
         np.testing.assert_allclose(w.row(1), [2.0 / GAMMA_HALF], rtol=1e-15)
         np.testing.assert_allclose(w.diag(1), 1.1283791670955126, rtol=1e-15)
 
+    @pytest.mark.parametrize("field", ["_uniform_b", "_diag"])
+    def test_cached_tables_are_not_arguments(self, field):
+        # a stray third argument once became the uniform sequence, so every row read zeros off the diagonal
+        grid = TimeGrid.graded(1.0, 8, 2.0)
+        with pytest.raises(TypeError):
+            L1Weights(0.5, grid, np.zeros(8))
+        with pytest.raises(TypeError):
+            L1Weights(alpha=0.5, grid=grid, **{field: np.zeros(8)})
+
     def test_row_matches_kernel_averages(self):
         # w_{n,k} is the average of g_{1-a}(t_n - s) over step k; check the
         # off-diagonal weights by brute-force midpoint quadrature (the kernel

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from subdiff import solver
 from subdiff.spatial import (
     assemble_quasilinear_operator,
     build_grid,
@@ -242,7 +243,7 @@ class TestOperator:
         np.testing.assert_allclose(build(g, law, u, shift=shift).toarray(), ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
-    def test_tridiagonal_is_the_interior_band(self, build):
+    def test_tridiagonal_is_the_interior_band(self, build, monkeypatch):
         g = build_grid(1, (0.0, 1.0), 12)
         M = build(g, porous_law(), np.random.default_rng(3).normal(size=12), shift=2.5)
         dense = M.toarray()[1:-1, 1:-1]
@@ -251,7 +252,14 @@ class TestOperator:
         assert np.array_equal(sup, np.diag(dense, 1))
         # the product sums a diagonal entry in another order than dgttrf's input
         np.testing.assert_allclose(main, np.diag(dense), rtol=1e-15)
-        assert M.tridiagonal() is M.tridiagonal()  # computed once per operator
+        # the band is factored once per operator, on its first solve, and every later solve reuses the factors
+        dgttrf, dgttrs = solver._tridiagonal_lapack()
+        factored = []
+        monkeypatch.setattr(solver, "_tridiagonal_lapack", lambda: (lambda *d: factored.append(d) or dgttrf(*d), dgttrs))
+        b = np.random.default_rng(4).normal(size=12)
+        x = [solver.spsolve(M, b, nu=1.0, atol=0.0, symmetric=False) for _ in range(3)]
+        assert len(factored) == 1
+        assert x[0].tobytes() == x[1].tobytes() == x[2].tobytes()
 
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
