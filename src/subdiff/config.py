@@ -19,9 +19,9 @@ dotted path works anywhere.  Unknown sections or keys are rejected with the
 offending path named, and parsing reports every violation at once rather
 than stopping at the first.  Settings that are valid one by one but cannot
 run together (compressed history on a one-step time grid, extents that do
-not fit the dimension, a grading whose first steps underflow to zero) are
-rejected too, and so is an ``eps_compress``
-below 1e-13, which no compression can reach.  An
+not fit the dimension, a grading whose first steps underflow to zero, also
+on the finest level of a time study) are rejected too, and so is an
+``eps_compress`` below 1e-13, which no compression can reach.  An
 ``output.dir`` must read back unchanged from :func:`render_config`'s text, so
 a path with ``#``, ``,``, a line break or surrounding spaces is rejected.
 Command-line overrides go through the same schema and checks.  The
@@ -285,11 +285,16 @@ def check_config(cfg: RunConfig) -> None:
     ext, dim = cfg.problem.extents, cfg.problem.dimension or 1  # every preset defaults to dimension 1
     if ext is not None and (len(ext) not in (2, 2 * dim) or any(b <= a for a, b in zip(ext[::2], ext[1::2]))):
         problems.append(f"problem.extents={list(ext)} does not fit problem.dimension={dim} (pairs a < b, one or per axis)")
-    t = cfg.time
+    t, preset = cfg.time, cfg.problem.preset
+    given = ", ".join(f"time.{k}={'default' if v is None else v}" for k, v in vars(t).items())
     try:
-        preset_time_grid(cfg.problem.preset, cfg.problem.alpha, t.horizon, t.steps, t.grading)
+        steps = preset_time_grid(preset, cfg.problem.alpha, t.horizon, t.steps, t.grading).steps
+        if cfg.study.axis == "time":
+            # a time study doubles the steps per level; without an exact solution it runs one more level as reference
+            finest = steps * 2 ** (cfg.study.levels - (preset == "eigenmode"))
+            given = f"study.axis=time, study.levels={cfg.study.levels} refine to {finest} steps, where {given}"
+            preset_time_grid(preset, cfg.problem.alpha, t.horizon, finest, t.grading)
     except ValueError as exc:
-        given = ", ".join(f"time.{k}={'default' if v is None else v}" for k, v in vars(t).items())
         problems.append(f"{given} give no time grid: {exc}")
     if problems:
         raise ConfigError(problems)

@@ -141,8 +141,8 @@ class L1Weights:
     On uniform grids it runs once, at construction, for the sequence
     ``b_j = w_{n,n-j}`` that the rows are gathered from; on graded grids it
     runs per block.  The diagonal ``w_{n,n}`` comes from one table shared
-    with :meth:`diag`, so :meth:`row`, :meth:`rows`, :meth:`diag` and
-    :meth:`apply` agree with :meth:`block` bitwise.
+    with :meth:`diag`, so :meth:`rows`, :meth:`diag` and :meth:`apply`
+    agree with :meth:`block` bitwise.
     """
 
     alpha: float
@@ -214,10 +214,6 @@ class L1Weights:
         for n0, n1, w in self.blocks(self.grid.steps):
             for n in range(n0, n1):
                 yield w[n - n0, : n - 1]
-
-    def row(self, n: int) -> np.ndarray:
-        """Weights ``w_{n,k}`` for ``k = 1..n`` as an array of length n."""
-        return self.block(n, n + 1)[0]
 
     def diag(self, n: int) -> float:
         """The local weight ``w_{n,n} = tau_n^(-alpha) / Gamma(2 - alpha)``."""
@@ -609,7 +605,8 @@ def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
     error oscillates in ``log t`` far below the target; the samples see the
     smooth error of the truncated ends and of the Gauss rule.  On a miss the
     Gauss rule is first doubled, then the ladder's node spacing is refined;
-    after ``_MAX_REFINE`` spacings :class:`CompressionError` is raised.
+    after ``_MAX_REFINE`` spacings :class:`CompressionError` is raised.  It is
+    raised at once when the top rate ``eta / tau_min`` overflows when squared.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -627,6 +624,9 @@ def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
     h = 2.0 * math.pi / (math.log(1.0 / target) + 4.0)
     eta = math.log(1.0 / target) + 12.0
     s_max = math.log(eta / tau_min)
+    if eta / tau_min > math.sqrt(np.finfo(float).max):  # the Gauss rule's Lanczos step squares the rates
+        top = f"the top rate {eta / tau_min:g} overflows when squared"
+        raise CompressionError(f"the shortest step after the first, {tau_min:g}, is too short: {top}", achieved=math.inf)
     s_min = (math.log(target / 10.0 * alpha * math.gamma(alpha)) - alpha * math.log(horizon)) / alpha
     n_gauss = _gauss_size(target)
     achieved = math.inf

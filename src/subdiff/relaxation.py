@@ -11,8 +11,8 @@ induction go through).  That comparison principle is what turns an energy
 inequality into the decay certificates in :mod:`subdiff.diagnostics`.
 
 The closed-form envelope comes from the Mittag-Leffler module, never from the
-discrete marcher: :func:`relaxation_solution` and :func:`comparison_check`
-each evaluate ``E_a`` at every node in one array call.  The scalar
+discrete marcher: :func:`comparison_check`, the one place it is evaluated,
+evaluates ``E_a`` at every node in one array call.  The scalar
 :func:`~subdiff.mittag_leffler.mittag_leffler` is imported only for the
 benchmark's tracing, which wraps it here; no run calls it.
 """
@@ -28,7 +28,6 @@ from .mittag_leffler import TARGET_ABS, _evaluate
 from .mittag_leffler import mittag_leffler  # noqa: F401  (bench/tracing.py wraps this name)
 
 __all__ = [
-    "relaxation_solution",
     "solve_relaxation_l1",
     "DecayCertificate",
     "comparison_check",
@@ -36,24 +35,12 @@ __all__ = [
 ]
 
 
-def relaxation_solution(alpha: float, mu: float, v0: float, t):
-    """Exact envelope ``V(t) = V0 E_a(-mu t^a)``.
-
-    ``t`` may be a scalar or an array; ``mu`` must be nonnegative.
-    """
-    out = v0 * _evaluate(alpha, _decay_arguments(alpha, mu, t))[0]
-    return float(out) if out.ndim == 0 else out
-
-
-def _decay_arguments(alpha: float, mu: float, t) -> np.ndarray:
-    """``-mu t^a`` shaped like ``t``, with libm's ``pow`` per node: numpy's array
-    ``power`` runs SIMD code on some CPUs that differs from it in the last bit."""
+def _decay_arguments(alpha: float, mu: float, times: np.ndarray) -> np.ndarray:
+    """``-mu t^a`` at the nodes of a time grid (never negative), with libm's ``pow`` per
+    node: numpy's array ``power`` runs SIMD code on some CPUs that differs from it in the last bit."""
     if mu < 0.0:
         raise ValueError(f"decay rate mu must be nonnegative, got {mu}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("relaxation_solution requires t >= 0")
-    return -mu * np.array([ti**alpha for ti in t.ravel().tolist()]).reshape(t.shape)
+    return -mu * np.array([t**alpha for t in times.tolist()])
 
 
 def solve_relaxation_l1(alpha: float, mu, v0, grid: TimeGrid, slack=None) -> np.ndarray:

@@ -277,18 +277,6 @@ class StencilOperator:
         d = 0.0 if self.derivs is None else self.derivs[0]
         return (-c + d)[1:-1], (c - d)[1:] + (c + d)[:-1] + self.shift, (-c - d)[1:-1]
 
-    def toarray(self) -> np.ndarray:
-        """The dense matrix, column by column through the product: ``n_nodes^2`` entries, for small grids."""
-        if self.coeffs[0].ndim > self.grid.dim:
-            raise ValueError("a stacked operator has no matrix form")
-        return (self @ np.eye(self.grid.n_nodes)).T
-
-    def tocsr(self):
-        """The matrix in ``scipy.sparse`` CSR form via :meth:`toarray`, for small grids; imports ``scipy.sparse``."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(self.toarray())
-
 
 def _read_only(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -314,8 +302,7 @@ def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift
     ``a((u_left + u_right)/2)`` plus ``shift`` on the diagonal; boundary rows
     are identity.  For a constant law and ``shift = 0`` this is exactly
     ``const`` times the negative discrete Laplacian.  The result is a
-    :class:`StencilOperator`: it supports products and conversions, but no
-    indexing.  A stack of states ``(S, n_nodes)`` gives one operator per state.
+    :class:`StencilOperator`: it supports products, but no indexing.  A stack of states ``(S, n_nodes)`` gives one operator per state.
     """
     u = _checked_state(grid, u, "coefficient state")
     u_nd = u.reshape(u.shape[:-1] + grid.shape)

@@ -336,24 +336,44 @@ class TestOtherErrorsExitTwo:
         self._assert_exit_two(main(["run", cfg, "--out", str(out)]), capsys, "invalid configuration", "time.grading=150")
         assert not out.exists()
 
+    def test_compression_refuses_a_horizon_whose_rates_overflow(self, tmp_path, capsys):
+        # refused before the Gauss rule squares rates near 40 / T: no RuntimeWarning, no LinAlgError
+        cfg = _write(
+            tmp_path,
+            "problem = porous\n[problem]\nresolution = 9\n[time]\nsteps = 2\nhorizon = 1e-300\n"
+            "[solver]\nhistory = compressed\n",
+        )
+        out = tmp_path / "o"
+        self._assert_exit_two(main(["run", cfg, "--out", str(out)]), capsys, "history compression failed", "shortest step")
+        assert not out.exists()
+
+    def test_time_study_whose_finest_level_underflows_the_first_step(self, tmp_path, capsys):
+        # 4 steps give t_1 = 50 * 4^-400 > 0; the reference level of a 2-level study has 16 steps, and 50 * 16^-400 = 0
+        cfg = _write(
+            tmp_path,
+            "problem = porous\n[problem]\nresolution = 9\n[time]\nsteps = 4\ngrading = 400\n"
+            "[study]\naxis = time\nlevels = 2\n",
+        )
+        out = tmp_path / "o"
+        code = main(["study", cfg, "--out", str(out)])
+        self._assert_exit_two(code, capsys, "invalid configuration", "16 steps", "time.grading=400")
+        assert not out.exists()
+
     def test_overflow_in_the_run(self, tmp_path, capsys):
         # face coefficients of a 1e300-wide box overflow while the first step matrix is assembled
         cfg = _write(tmp_path, "problem = porous\n[problem]\nresolution = 17\nextents = [0, 1e300]\n")
         self._assert_exit_two(main(["run", cfg, "--out", str(tmp_path / "o")]), capsys, "run failed", "OverflowError")
 
-    def test_linear_algebra_error_in_the_run(self, tmp_path):
-        # at horizon 1e-300 the compression's Gauss rule overflows and its eigenvalue solve does not converge.
-        # Run outside pytest, whose warning filter would turn the overflow warning into the error first; the
-        # numpy warnings printed before the error are silenced so the check sees the CLI's own stderr.
-        cfg = _write(tmp_path, "[problem]\nresolution = 17\n[time]\nsteps = 2\nhorizon = 1e-300\n[solver]\nhistory = compressed\n")
+    def test_linear_algebra_error_in_the_run(self, tmp_path, capsys, monkeypatch):
+        # an eigenvalue solve that does not converge is an error of the run: one line naming it, exit 2
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("subdiff.solver.compress_history", failing)
+        cfg = _write(tmp_path, self.BASE + "[solver]\nhistory = compressed\n")
         out = tmp_path / "o"
-        script = f"import sys\nfrom subdiff.cli import main\nsys.exit(main(['run', {cfg!r}, '--out', {str(out)!r}]))\n"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-W", "ignore::RuntimeWarning", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.splitlines() == ["run failed: LinAlgError: Eigenvalues did not converge"]
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["run failed: LinAlgError: Eigenvalues did not converge"]
         assert not out.exists()
 
     def test_compressed_history_of_one_step(self, tmp_path, capsys):
@@ -585,20 +605,25 @@ class TestArgumentErrors:
         assert "--seed" in capsys.readouterr().err
 
 
-def _scipy_modules_after(tmp_path, script):
-    """The ``scipy`` modules loaded in a fresh interpreter that ran ``script`` (from ``tmp_path``)."""
+def _modules_after(tmp_path, script, packages=("scipy",)):
+    """The modules of ``packages`` loaded in a fresh interpreter that ran ``script`` (from ``tmp_path``)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    script += f"\nprint(sorted(m for m in sys.modules if m.split('.')[0] in {tuple(packages)!r}))"
     out = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
     )
     return out.stdout.strip().splitlines()[-1]
 
 
+def test_package_root_imports_no_module(tmp_path):
+    # every name has one import path, its module: the package root loads none of them, nor numpy
+    assert _modules_after(tmp_path, "import sys, subdiff", ("subdiff", "numpy")) == "['subdiff']"
+
+
 def test_import_loads_no_scipy(tmp_path):
     # any scipy submodule costs a large share of the package's import time and memory
-    assert _scipy_modules_after(tmp_path, "import sys, subdiff.cli") == "[]"
+    assert _modules_after(tmp_path, "import sys, subdiff.cli") == "[]"
 
 
 @pytest.mark.parametrize("mode", ["picard", "newton"])
@@ -610,4 +635,4 @@ def test_2d_run_loads_no_scipy(tmp_path, mode):
         f"[solver]\nmode = {mode}\n",
     )
     script = "import sys\nfrom subdiff.cli import main\nassert main(['run', 'run.cfg', '--out', 'out']) == 0"
-    assert _scipy_modules_after(tmp_path, script) == "[]"
+    assert _modules_after(tmp_path, script) == "[]"

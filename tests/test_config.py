@@ -134,6 +134,19 @@ class TestErrorAggregation:
         ]
         assert parse_config("problem = porous\n[time]\ngrading = 150\nsteps = 4\n").time.grading == 150.0
 
+    def test_time_study_checks_the_grid_of_its_finest_level(self):
+        # a time study doubles the steps per level, and without an exact solution it runs one more level as
+        # reference: with 4 steps at r = 300, t_1 = T 8^-300 > 0 but T 16^-300 underflows to 0
+        text = "[time]\nhorizon = 1.0\nsteps = 4\ngrading = 300\n[study]\naxis = time\nlevels = 2\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config("problem = porous\n" + text)
+        assert exc.value.problems == [
+            "study.axis=time, study.levels=2 refine to 16 steps, where time.horizon=1.0, time.steps=4, "
+            "time.grading=300.0 give no time grid: time nodes must be strictly increasing"
+        ]
+        assert parse_config("problem = eigenmode\n" + text).study.axis == "time"  # its finest level has 8 steps
+        assert parse_config("problem = porous\n" + text.replace("axis = time", "axis = space")).study.levels == 2
+
     def test_mode_choices_listed(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("[solver]\nmode = banana\n")

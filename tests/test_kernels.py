@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from subdiff.config import _EPS_COMPRESS_FLOOR
 from subdiff.kernels import (
+    CompressionError,
     DirectHistory,
     L1Weights,
     TimeGrid,
@@ -83,7 +84,7 @@ class TestL1Weights:
     def test_single_step_weight(self):
         # one step of size 1 at alpha = 1/2: w_11 = 1 / Gamma(3/2) = 2/sqrt(pi)
         w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 1))
-        np.testing.assert_allclose(w.row(1), [2.0 / GAMMA_HALF], rtol=1e-15)
+        np.testing.assert_allclose(w.block(1, 2)[0], [2.0 / GAMMA_HALF], rtol=1e-15)
         np.testing.assert_allclose(w.diag(1), 1.1283791670955126, rtol=1e-15)
 
     @pytest.mark.parametrize("field", ["_uniform_b", "_diag"])
@@ -107,14 +108,14 @@ class TestL1Weights:
         for k in range(1, n):
             s = np.linspace(t[k - 1], t[k], 20001)[:-1] + 0.5 * (t[k] - t[k - 1]) / 20000
             avg = np.mean(rl_kernel(1.0 - alpha, t[n] - s))
-            np.testing.assert_allclose(w.row(n)[k - 1], avg, rtol=5e-9)
+            np.testing.assert_allclose(w.block(n, n + 1)[0][k - 1], avg, rtol=5e-9)
         # diagonal weight: the average of the singular kernel over the last
         # step has the elementary value tau_n^(-a) / Gamma(2 - a)
         tau_n = t[n] - t[n - 1]
         np.testing.assert_allclose(
-            w.row(n)[n - 1], tau_n**-alpha / math.gamma(2.0 - alpha), rtol=1e-13
+            w.block(n, n + 1)[0][n - 1], tau_n**-alpha / math.gamma(2.0 - alpha), rtol=1e-13
         )
-        np.testing.assert_allclose(w.diag(n), w.row(n)[n - 1], rtol=1e-13)
+        np.testing.assert_allclose(w.diag(n), w.block(n, n + 1)[0][n - 1], rtol=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize(
@@ -149,7 +150,7 @@ class TestL1Weights:
             for n in (4096, 8192):
                 ks = np.unique(np.concatenate([np.arange(1, n, 29), [n - 1, n]]))
                 want = [((t[n] - t[k - 1]) ** p - (t[n] - t[k]) ** p) / (c * (t[k] - t[k - 1])) for k in ks]
-                np.testing.assert_allclose(w.row(n)[ks - 1], np.array(want, dtype=float), rtol=1e-13)
+                np.testing.assert_allclose(w.block(n, n + 1)[0][ks - 1], np.array(want, dtype=float), rtol=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_exact_on_linear_history(self, alpha):
@@ -169,7 +170,7 @@ class TestL1Weights:
         got = w.apply(hist)
         assert got.shape == (7, 3)
         for n in range(1, 8):
-            manual = w.row(n) @ np.diff(hist[: n + 1], axis=0)
+            manual = w.block(n, n + 1)[0] @ np.diff(hist[: n + 1], axis=0)
             np.testing.assert_allclose(got[n - 1], manual, rtol=1e-14)
         # a shorter history gives the leading rows
         np.testing.assert_allclose(w.apply(hist[:5]), got[:4], rtol=1e-14)
@@ -185,12 +186,11 @@ class TestL1Weights:
             assert block.shape == (n1 - n0, n1 - 1)
             for n in range(n0, n1):
                 row = block[n - n0]
-                assert np.array_equal(row[:n], w.row(n))
+                assert np.array_equal(row[:n], w.block(n, n + 1)[0])
                 assert np.all(row[n:] == 0.0)
                 assert row[n - 1] == w.diag(n)
                 seen.append(n)
         assert seen == list(range(1, tg.steps + 1))
-        assert np.array_equal(w.block(40, 41)[0], w.row(40))
 
     @pytest.mark.parametrize("make", [lambda: TimeGrid.uniform(2.0, 40), lambda: TimeGrid.graded(2.0, 40, 3.0)])
     def test_rows_are_the_rows_without_their_diagonal(self, make, monkeypatch):
@@ -199,7 +199,7 @@ class TestL1Weights:
         rows = list(w.rows())
         assert len(rows) == 40
         for n, lagged in enumerate(rows, start=1):
-            assert np.array_equal(lagged, w.row(n)[:-1])
+            assert np.array_equal(lagged, w.block(n, n + 1)[0][:-1])
 
     @pytest.mark.parametrize("steps, alpha", [(s, a) for s in (2048, 16384) for a in (0.05, 0.5, 0.95)])
     def test_uniform_rows_match_extended_precision(self, steps, alpha):
@@ -214,13 +214,13 @@ class TestL1Weights:
             j = np.unique(np.geomspace(1, steps - 1, 200).astype(int))  # lags n - k, log-spaced
             want = np.array([float(((mp.mpf(int(i)) + 1) ** p - mp.mpf(int(i)) ** p) * scale) for i in j])
             diag = float(scale)
-        row = w.row(steps)
+        row = w.block(steps, steps + 1)[0]
         np.testing.assert_allclose(row[steps - 1 - j], want, rtol=1e-14, atol=0)
         np.testing.assert_allclose(row[-1], diag, rtol=1e-14, atol=0)
 
     def test_block_range_checked(self):
         w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 4))
-        for n0, n1 in ((0, 2), (3, 3), (2, 6)):
+        for n0, n1 in ((0, 1), (0, 2), (3, 3), (2, 6), (5, 6)):
             with pytest.raises(ValueError):
                 w.block(n0, n1)
 
@@ -231,14 +231,7 @@ class TestL1Weights:
         w_g = L1Weights(alpha=0.6, grid=tg_u)
         object.__setattr__(w_g, "_uniform_b", None)
         for n in (1, 5, 10):
-            np.testing.assert_allclose(w_u.row(n), w_g.row(n), rtol=1e-13)
-
-    def test_row_bounds_checked(self):
-        w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 4))
-        with pytest.raises(ValueError):
-            w.row(0)
-        with pytest.raises(ValueError):
-            w.row(5)
+            np.testing.assert_allclose(w_u.block(n, n + 1)[0], w_g.block(n, n + 1)[0], rtol=1e-13)
 
 
 def _margin_by_abel_summation(alpha, grid, v):
@@ -250,7 +243,7 @@ def _margin_by_abel_summation(alpha, grid, v):
     w = L1Weights(alpha=alpha, grid=grid)
     out = np.empty(grid.steps)
     for n in range(1, grid.steps + 1):
-        row = w.row(n)
+        row = w.block(n, n + 1)[0]
         total = row[0] * (v[n] - v[0]) ** 2
         for k in range(1, n):
             total += (row[k] - row[k - 1]) * (v[n] - v[k]) ** 2
@@ -344,7 +337,7 @@ class TestCompression:
             for n in range(2, grid.steps + 1):
                 comp.push(unit[n - 2])
                 served = comp.memory_term()
-                exact = w.row(n)[:-1]
+                exact = w.block(n, n + 1)[0][:-1]
                 assert not served[n - 1 :].any()
                 worst = max(worst, float(np.max(np.abs(served[: n - 1] - exact) / exact)))
             assert worst <= 1e-10, (alpha, worst)
@@ -367,7 +360,7 @@ class TestCompression:
             scale = np.abs(deltas).sum()
             for n in range(2, grid.steps + 1):
                 mem.push(deltas[n - 2])
-                direct = w.row(n)[: n - 1] @ deltas[: n - 1]
+                direct = w.block(n, n + 1)[0][: n - 1] @ deltas[: n - 1]
                 np.testing.assert_allclose(mem.memory_term(), direct, atol=1e-9 * scale)
 
     def test_block_boundary_memory_term_survives_the_next_fold(self):
@@ -392,7 +385,7 @@ class TestCompression:
     @pytest.mark.parametrize("steps", [1, 2, _SLAB - 1, _SLAB, _SLAB + 1, 3 * _SLAB + 5])
     def test_graded_direct_history_reads_slabs_bitwise(self, steps, shape, monkeypatch):
         w = L1Weights(alpha=0.4, grid=self._SLAB_GRID)
-        lagged = [w.row(n)[:-1] for n in range(1, steps + 1)]  # the per-row reference, before counting
+        lagged = [w.block(n, n + 1)[0][:-1] for n in range(1, steps + 1)]  # the per-row reference, before counting
         # each push fetches the next row, so a walk of `steps` steps reads rows 1..steps + 1
         slabs = [(n0, n1) for n0, n1, _ in w.blocks(400) if n0 <= steps + 1]
         blocks = []
@@ -439,6 +432,16 @@ class TestCompression:
         w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 64))
         with pytest.raises(ValueError):
             compress_history(w, -1.0)
+
+    def test_refuses_a_step_whose_top_rate_overflows_when_squared(self):
+        # two steps on the porous preset's graded grid: the lagged step is 0.875 T, and the Lanczos step of
+        # the Gauss rule squares rates near 40 / T, which overflows below T = 1e-153
+        grading = default_grading(0.5)
+        for horizon in (1e-160, 1e-300):
+            w = L1Weights(alpha=0.5, grid=TimeGrid.graded(horizon, 2, grading))
+            with pytest.raises(CompressionError, match=f"shortest step after the first, {0.875 * horizon:g}"):
+                compress_history(w, 1e-8)
+        assert compress_history(L1Weights(alpha=0.5, grid=TimeGrid.graded(1e-150, 2, grading)), 1e-8).n_modes > 0
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_mode_budget_over_16384_steps(self, alpha):

@@ -1,4 +1,4 @@
-"""Fractional relaxation: exact envelope, L1 marcher, comparison principle."""
+"""Fractional relaxation: the decay envelope, L1 marcher, comparison principle."""
 
 import numpy as np
 import pytest
@@ -12,37 +12,37 @@ from subdiff.mittag_leffler import mittag_leffler
 from subdiff.relaxation import (
     comparison_check,
     random_subsolution,
-    relaxation_solution,
     solve_relaxation_l1,
 )
 
 EPS = float(np.finfo(float).eps)
 
 
-class TestRelaxationSolution:
+def _envelope(alpha, mu, v0, grid):
+    """``v0 E_a(-mu t^a)`` at the grid's nodes, as the decay certificate evaluates it."""
+    return comparison_check(np.zeros(grid.steps + 1), grid, alpha, mu, v0).envelope
+
+
+class TestEnvelope:
     def test_half_order_closed_form(self):
         # V(t) = V0 E_{1/2}(-mu sqrt(t)) = V0 erfcx(mu sqrt(t))
-        t = np.linspace(0.0, 20.0, 200)
-        got = relaxation_solution(0.5, 2.0, 3.0, t)
-        np.testing.assert_allclose(got, 3.0 * erfcx(2.0 * np.sqrt(t)), rtol=0, atol=1e-9)
+        tg = TimeGrid.uniform(20.0, 199)
+        got = _envelope(0.5, 2.0, 3.0, tg)
+        np.testing.assert_allclose(got, 3.0 * erfcx(2.0 * np.sqrt(tg.nodes)), rtol=0, atol=1e-9)
 
     def test_order_one_is_exponential(self):
-        t = np.array([0.0, 0.5, 2.0])
-        np.testing.assert_allclose(relaxation_solution(1.0, 1.5, 1.0, t), np.exp(-1.5 * t), rtol=1e-14)
-
-    def test_scalar_input_gives_scalar(self):
-        out = relaxation_solution(0.5, 1.0, 1.0, 2.0)
-        assert isinstance(out, float)
+        tg = TimeGrid.uniform(2.0, 4)
+        np.testing.assert_allclose(_envelope(1.0, 1.5, 1.0, tg), np.exp(-1.5 * tg.nodes), rtol=1e-14)
 
     def test_zero_rate_is_constant(self):
-        t = np.linspace(0.0, 5.0, 11)
-        np.testing.assert_allclose(relaxation_solution(0.4, 0.0, 2.5, t), 2.5, rtol=0)
+        np.testing.assert_allclose(_envelope(0.4, 0.0, 2.5, TimeGrid.uniform(5.0, 10)), 2.5, rtol=0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            relaxation_solution(0.5, -1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            relaxation_solution(0.5, 1.0, 1.0, -0.5)
+        with pytest.raises(ValueError, match="mu"):
+            _envelope(0.5, -1.0, 1.0, TimeGrid.uniform(1.0, 4))
+        # the envelope is evaluated at a grid's nodes, and no grid has a node before t = 0
+        with pytest.raises(ValueError, match="start at t = 0"):
+            TimeGrid(horizon=1.0, nodes=np.array([-0.5, 0.0, 1.0]), r=1.0)
 
 
 class TestL1Marcher:
@@ -53,7 +53,7 @@ class TestL1Marcher:
         for M in (64, 256):
             tg = TimeGrid.graded(T, M, (2.0 - alpha) / alpha)
             V = solve_relaxation_l1(alpha, mu, v0, tg)
-            exact = relaxation_solution(alpha, mu, v0, tg.nodes)
+            exact = _envelope(alpha, mu, v0, tg)
             errs.append(np.max(np.abs(V - exact)))
         assert errs[0] < 6e-3
         # graded-mesh rate is M^-(2-a), so halving twice gains at least 4x
@@ -71,7 +71,7 @@ class TestL1Marcher:
         V = solve_relaxation_l1(alpha, mu, 1.0, tg)
         w = L1Weights(alpha=alpha, grid=tg)
         resid = w.apply(V) + mu * V[1:]
-        np.testing.assert_allclose(resid, 0.0, atol=200.0 * EPS * np.max(np.abs(w.row(tg.steps))))
+        np.testing.assert_allclose(resid, 0.0, atol=200.0 * EPS * np.max(np.abs(w.block(tg.steps, tg.steps + 1)[0])))
 
     def test_mu_zero_stays_constant(self):
         tg = TimeGrid.uniform(1.0, 16)
@@ -147,14 +147,14 @@ class TestBatchedMarch:
 class TestComparisonCheck:
     def test_exact_envelope_passes_with_unit_slack_and_margin_zero(self):
         tg = TimeGrid.uniform(5.0, 50)
-        obs = relaxation_solution(0.5, 1.0, 2.0, tg.nodes)
+        obs = _envelope(0.5, 1.0, 2.0, tg)
         cert = comparison_check(obs, tg, 0.5, 1.0, 2.0, slack=1.0)
         assert cert.passed
         np.testing.assert_allclose(cert.margins, 0.0, atol=1e-12)
 
     def test_inflated_observation_fails(self):
         tg = TimeGrid.uniform(5.0, 50)
-        obs = 1.2 * relaxation_solution(0.5, 1.0, 1.0, tg.nodes)
+        obs = 1.2 * _envelope(0.5, 1.0, 1.0, tg)
         cert = comparison_check(obs, tg, 0.5, 1.0, 1.0, slack=1.05)
         assert not cert.passed
         assert cert.margins.min() < 0.0
@@ -173,7 +173,7 @@ class TestComparisonCheck:
         # mu and T are chosen deep inside the algebraic regime
         for alpha in (0.3, 0.5, 0.8):
             tg = TimeGrid.uniform(1e4, 800)
-            W = relaxation_solution(alpha, 10.0, 1.0, tg.nodes) ** 2
+            W = _envelope(alpha, 10.0, 1.0, tg) ** 2
             cert = comparison_check(W, tg, alpha, 10.0, 1.0, slack=3.0)
             np.testing.assert_allclose(cert.tail_exponent, -alpha, atol=0.02)
 
@@ -188,6 +188,7 @@ class TestComparisonCheck:
         # one array evaluation for all nodes through subdiff.relaxation._evaluate; the
         # worst estimate and the inaccurate count are carried, here with one flag forced
         tg = TimeGrid.graded(20.0, 64, default_grading(0.4))
+        obs = _envelope(0.4, 2.0, 1.0, tg)
         calls = []
 
         def recording(alpha, z):
@@ -198,15 +199,15 @@ class TestComparisonCheck:
 
         evaluate = relaxation._evaluate
         monkeypatch.setattr(relaxation, "_evaluate", recording)
-        cert = comparison_check(relaxation_solution(0.4, 2.0, 1.0, tg.nodes), tg, 0.4, 2.0, 1.0)
-        assert [z.shape for z in calls] == [(tg.steps + 1,)] * 2
+        cert = comparison_check(obs, tg, 0.4, 2.0, 1.0)
+        assert [z.shape for z in calls] == [(tg.steps + 1,)]
         assert cert.ml_max_error_estimate == 3e-9
         assert cert.ml_inaccurate == 1
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
     def test_envelope_matches_per_node_evaluations(self, alpha):
         tg = TimeGrid.graded(20.0, 128, 2.0)
-        obs = 0.5 * relaxation_solution(alpha, 2.0, 1.0, tg.nodes)
+        obs = 0.5 * _envelope(alpha, 2.0, 1.0, tg)
         cert = comparison_check(obs, tg, alpha, 2.0, 1.5)
         evals = [mittag_leffler(alpha, -2.0 * t**alpha) for t in tg.nodes]
         np.testing.assert_array_equal(cert.envelope, [1.5 * e.value for e in evals])
