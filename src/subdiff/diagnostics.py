@@ -172,8 +172,10 @@ def convexity_report(traj: Trajectory) -> MonotoneWeightsReport:
     Every ``e_k`` is nonnegative, so the margin is nonnegative at every step
     of every trajectory exactly when the L1 weights of the run's time grid
     are positive and increase along each row (Alikhanov, Diff. Eq. 46,
-    2010).  The check reads those weights, one block of rows at a time, and
-    not the fields.  Ties count as increasing.
+    2010).  The check reads those weights (:meth:`L1Weights.row_margins`),
+    not the fields: on uniform grids the sequence ``b_j`` and the diagonal
+    table once each, O(M), and on graded grids one slab of rows at a time.
+    Ties count as increasing.
 
     In exact arithmetic the hypothesis holds on every time grid:
     ``w_{n,k}`` is the mean of ``g_{1-a}(t_n - s)``, an increasing function
@@ -187,17 +189,9 @@ def convexity_report(traj: Trajectory) -> MonotoneWeightsReport:
     means of any decreasing kernel, increase along every row on any grid.  A
     pass says the weights keep the inequality, not that the fields are accurate.
     """
-    tg = traj.spec.time_grid
-    scores = np.empty(tg.steps)
-    positive = True
-    for n0, n1, w in L1Weights(alpha=traj.spec.alpha, grid=tg).blocks(tg.steps):
-        n = np.arange(n0, n1)
-        # increments w_{n,k+1} - w_{n,k} for k < n; the zeros above the diagonal are masked
-        inc = np.where(np.arange(n1 - 2) < n[:, None] - 1, np.diff(w, axis=1), np.inf)
-        positive &= bool(np.all(w[:, 0] > 0.0))
-        scores[n0 - 1 : n1 - 1] = np.minimum(w[:, 0], inc.min(axis=1, initial=np.inf)) / w[n - n0, n - 1]
-    worst = int(np.argmin(scores))
-    return MonotoneWeightsReport(positive and bool(scores[worst] >= 0.0), float(scores[worst]), worst + 1)
+    margins, positive = L1Weights(alpha=traj.spec.alpha, grid=traj.spec.time_grid).row_margins()
+    worst = int(np.argmin(margins))
+    return MonotoneWeightsReport(positive and bool(margins[worst] >= 0.0), float(margins[worst]), worst + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ functions, its weights are positive, and within each row they increase toward
 the diagonal on any admissible mesh.  Those three facts carry all the
 structure the rest of the package relies on (convexity inequality, comparison
 principle, maximum principle); a run's convexity certificate checks the last
-two.  The O(M^2) consumers read the weights a slab of rows at a time
+two (:meth:`L1Weights.row_margins`, O(M) on uniform grids).  The O(M^2)
+consumers read the weights a slab of rows at a time
 (:meth:`L1Weights.blocks`) or row by row (:meth:`L1Weights.rows`); the
 memory term of a marcher comes from a memory provider on any grid, exact
 (:class:`DirectHistory`) or compressed (:class:`CompressedHistory`).
@@ -135,7 +136,8 @@ class L1Weights:
     reads the lower-triangular matrix ``W[n-1, k-1] = w_{n,k}``, either a
     dense slab of consecutive rows at a time (:meth:`block`, :meth:`blocks`;
     the blocked product behind :meth:`apply` and the convexity check) or one
-    row after the other (:meth:`rows`, the exact memory provider).  Every
+    row after the other (:meth:`rows`, the exact memory provider);
+    :meth:`row_margins` scans them for the convexity certificate.  Every
     off-diagonal entry is the mean of the kernel over one step, in one closed
     form in ``expm1``/``log1p`` that stays accurate when ``tau_k << t_n - t_k``.
     On uniform grids it runs once, at construction, for the sequence
@@ -214,6 +216,37 @@ class L1Weights:
         for n0, n1, w in self.blocks(self.grid.steps):
             for n in range(n0, n1):
                 yield w[n - n0, : n - 1]
+
+    def row_margins(self) -> tuple[np.ndarray, bool]:
+        """The margins of the rows ``n = 1..M``, and whether every ``w_{n,1}`` is positive.
+
+        Row ``n``'s margin is ``min(w_{n,1}, min_{k<n} (w_{n,k+1} - w_{n,k})) / w_{n,n}``.
+        On uniform grids row ``n`` holds no weight of its own but the
+        diagonal: its increments are ``b_j - b_{j+1}`` for ``j = 1..n-2`` and
+        ``w_{n,n} - b_1``, so one running minimum over ``b`` and the diagonal
+        table serve every row, O(M).  On graded grids the slabs of
+        :meth:`blocks` are read; in a slab of rows ``n0..n1-1`` every
+        increment left of column ``n0 - 1`` lies below the diagonal, so only
+        the triangle at its right edge is masked.  Both make the float
+        subtractions of a scan over whole rows, so the margins equal its bitwise.
+        """
+        M = self.grid.steps
+        if self._uniform_b is not None:
+            b = self._uniform_b
+            first = np.concatenate([self._diag[:1], b[1:]])  # w_{n,1}: the diagonal in row 1, b_{n-1} after it
+            inc = np.full(M, np.inf)
+            inc[1:] = self._diag[1:] - b[1:2]
+            inc[2:] = np.minimum(inc[2:], np.minimum.accumulate(b[1:-1] - b[2:]))
+        else:
+            first, inc = np.empty(M), np.empty(M)
+            for n0, n1, w in self.blocks(M):
+                h = n1 - n0
+                # column k - 1 of a diff is w_{n,k+1} - w_{n,k}, an increment of row n while k < n
+                left = np.diff(w[:, :n0], axis=1).min(axis=1, initial=np.inf)
+                edge = np.diff(w[:, n0 - 1 :], axis=1).min(axis=1, initial=np.inf, where=np.tri(h, h - 1, -1, dtype=bool))
+                first[n0 - 1 : n1 - 1] = w[:, 0]
+                inc[n0 - 1 : n1 - 1] = np.minimum(left, edge)
+        return np.minimum(first, inc) / self._diag, bool(np.all(first > 0.0))
 
     def diag(self, n: int) -> float:
         """The local weight ``w_{n,n} = tau_n^(-alpha) / Gamma(2 - alpha)``."""

@@ -47,12 +47,13 @@ exactly (the extrapolated start too: ``u_{n-1} - u_{n-2}`` is exactly zero
 there), so the boundary residual is exactly zero and every correction solves
 for the interior unknowns only (:func:`spsolve`); the boundary values stay
 bitwise equal to the data.  In 1D the interior block is tridiagonal, for
-Picard and Newton alike: LAPACK's ``dgttrf`` factors it on the operator's
-first solve, the operator keeps the factors, and every solve is one
-``dgttrs`` back-substitution, so a constant law's step matrix is factored
-once per distinct ``w_nn``.  Both are imported from ``scipy.linalg.lapack``
-on the first 1D solve, so a 2D run loads no scipy module.  In 2D the
-interior Picard block is symmetric positive definite and spectrally
+Picard and Newton alike: an operator's first solve is one LAPACK ``dgtsv``
+call, its second factors it with ``dgttrf``, the operator keeps the factors,
+and every later solve is one ``dgttrs`` back-substitution, so a constant
+law's step matrix is factored once per distinct ``w_nn`` and an operator
+solved once is never factored.  All three are imported from
+``scipy.linalg.lapack`` on the first 1D solve, so a 2D run loads no scipy
+module.  In 2D the interior Picard block is symmetric positive definite and spectrally
 equivalent to ``w_nn I + nu (-Delta_h)`` within the factor ``lam / nu`` of
 the law's bounds, so conjugate gradients
 preconditioned by that constant-coefficient operator converge in a few
@@ -272,14 +273,16 @@ def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
     builders return it (a :class:`~subdiff.spatial.StencilOperator`), with
     ``M.shift`` on its interior diagonal and coefficients at least ``nu``;
     the boundary entries of ``b`` are ignored.  In 1D the interior block's
-    three diagonals (``M.tridiagonal()``) go to LAPACK ``dgttrf`` (LU with
-    partial pivoting) on ``M``'s first solve, and ``M`` keeps the read-only
-    factors; every solve, the first included, is one ``dgttrs``
-    back-substitution with them, which is exact.  Without row interchanges,
-    as on the diagonally dominant step matrices, that is the arithmetic of
-    the one-call solver ``dgtsv``, operation for operation.  A singular
-    block is not kept, so each solve with it raises.  In 2D ``symmetric``
-    selects preconditioned CG (Picard) or GMRES (Newton), both
+    three diagonals (``M.tridiagonal()``) go to LAPACK: ``M``'s first solve
+    is one ``dgtsv`` call (Gaussian elimination with partial pivoting) that
+    keeps nothing, so an operator solved once pays for one call.  Its second
+    solve factors it with ``dgttrf`` and ``M`` keeps the read-only factors;
+    that solve and every later one is one exact ``dgttrs``
+    back-substitution with them.  ``dgttrf`` pivots as ``dgtsv`` does, and
+    without row interchanges, as on the diagonally dominant step matrices,
+    the two paths make the same operations, so every solve gives the bits
+    of ``dgtsv``.  A singular block is not kept, so each solve with it
+    raises.  In 2D ``symmetric`` selects preconditioned CG (Picard) or GMRES (Newton), both
     preconditioned by the sine-transform solve of
     ``M.shift I + nu (-Delta_h)`` and stopped once their tracked
     estimate of the 2-norm of ``b - M x`` is at most ``atol`` (CG's
@@ -296,16 +299,22 @@ def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
     """
     grid = M.grid
     if grid.dim == 1:
-        dgttrf, dgttrs = _tridiagonal_lapack()
-        if M._factors is None:
+        dgtsv, dgttrf, dgttrs = _tridiagonal_lapack()
+        x = np.zeros(grid.n_nodes)
+        factors, info = M._factors, 0
+        if factors is None:  # the first solve: one call, and () marks the operator as solved once
+            *_, x[1:-1], info = dgtsv(*M.tridiagonal(), b[1:-1])
+            factors = ()
+        elif not factors:  # the second solve factors it, for this solve and every later one
             *factors, info = dgttrf(*M.tridiagonal())
-            if info > 0:
-                raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
             for f in factors:
                 f.setflags(write=False)
-            M._factors = tuple(factors)
-        x = np.zeros(grid.n_nodes)
-        x[1:-1], _ = dgttrs(*M._factors, b[1:-1])
+            factors = tuple(factors)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
+        if factors:
+            x[1:-1], _ = dgttrs(*factors, b[1:-1])
+        M._factors = factors
         return x
     b = np.where(grid.boundary_mask, 0.0, b)
     precond = _sine_preconditioner(grid, M.shift, nu)
@@ -316,10 +325,13 @@ def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
 
 @cache
 def _tridiagonal_lapack():
-    """LAPACK's tridiagonal factorisation and solve, imported on the first 1D solve: the 2D path loads no scipy."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    """LAPACK's tridiagonal solve, factorisation and back-substitution, imported on the first 1D solve.
 
-    return dgttrf, dgttrs
+    The 2D path loads no scipy.
+    """
+    from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+
+    return dgtsv, dgttrf, dgttrs
 
 
 @cache

@@ -237,9 +237,10 @@ class StencilOperator:
     entries equal ``x`` bitwise.  It takes one field ``(n_nodes,)`` or a stack
     ``(S, n_nodes)``; the coefficients may carry the same leading stack axis,
     one operator per field, and then ``@`` is its only method.  The arrays
-    are read-only.  A 1D operator also keeps, once :func:`subdiff.solver.spsolve`
-    has factored it, the read-only LU factors of its interior block (LAPACK
-    ``dgttrf``), so an operator reused across steps is factored once.
+    are read-only.  A 1D operator also keeps what :func:`subdiff.solver.spsolve`
+    needs to know of its earlier solves: ``()`` after the first, then the
+    read-only LU factors of its interior block (LAPACK ``dgttrf``), so an
+    operator reused across steps is factored once and one solved once never.
     """
 
     __slots__ = ("grid", "coeffs", "derivs", "shift", "_factors")
@@ -265,11 +266,12 @@ class StencilOperator:
         return out
 
     def tridiagonal(self) -> tuple:
-        """The sub-, main and superdiagonal of a 1D operator's interior block, the inputs of ``dgttrf``.
+        """The sub-, main and superdiagonal of a 1D operator's interior block, the input of ``dgtsv``/``dgttrf``.
 
         Row ``j`` reads ``(-c_{j-1} + d_{j-1}, (c_j - d_j) + (c_{j-1} + d_{j-1}) + shift, -c_j - d_j)``
         with ``c, d`` the face arrays (``d = 0`` without ``derivs``).  The
-        solver reads them once per operator, when it factors it.
+        solver reads them on an operator's first solve and again on its
+        second, when it factors it.
         """
         if self.coeffs[0].ndim > 1:
             raise ValueError("a stacked operator has no tridiagonal form")

@@ -146,9 +146,32 @@ class TestConvexity:
         fields[20:] *= 1.01
         assert convexity_report(dataclasses.replace(traj, fields=fields)) == convexity_report(traj)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [TimeGrid.uniform(3.0, M) for M in (1, 2, 3, 48, 2048)]
+        + [TimeGrid.graded(3.0, M, default_grading(0.5)) for M in (48, 1024)],
+        ids=lambda g: f"{'uniform' if g.r == 1.0 else 'graded'}-{g.steps}",
+    )
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_matches_the_masked_slab_scan_bitwise(self, grid, alpha):
+        # the reference reads every row of every slab and masks the entries on and above the diagonal
+        scores = np.empty(grid.steps)
+        positive = True
+        for n0, n1, w in L1Weights(alpha=alpha, grid=grid).blocks(grid.steps):
+            n = np.arange(n0, n1)
+            inc = np.where(np.arange(n1 - 2) < n[:, None] - 1, np.diff(w, axis=1), np.inf)
+            positive &= bool(np.all(w[:, 0] > 0.0))
+            scores[n0 - 1 : n1 - 1] = np.minimum(w[:, 0], inc.min(axis=1, initial=np.inf)) / w[n - n0, n - 1]
+        worst = int(np.argmin(scores))
+        rep = convexity_report(SimpleNamespace(spec=SimpleNamespace(alpha=alpha, time_grid=grid)))
+        assert rep.passed is (positive and bool(scores[worst] >= 0.0))
+        assert rep.worst_step == worst + 1
+        assert np.float64(rep.min_margin).tobytes() == scores[worst].tobytes()
+
+    @pytest.mark.parametrize("grading", [1.0, None], ids=["uniform", "graded"])
     @pytest.mark.parametrize("factor, passed", [(0.5, False), (1.0, True)])
-    def test_one_decreasing_row_fails_and_ties_pass(self, monkeypatch, factor, passed):
-        traj = _run("porous", resolution=17, steps=48, horizon=3.0)
+    def test_one_decreasing_row_fails_and_ties_pass(self, monkeypatch, factor, passed, grading):
+        traj = _run("porous", resolution=17, steps=48, horizon=3.0, grading=grading)
         bad = 30
 
         def corrupted(alpha, grid):
@@ -164,6 +187,39 @@ class TestConvexity:
         assert rep.passed is passed
         assert rep.worst_step == bad
         assert rep.min_margin == (factor - 1.0) / factor
+
+    @pytest.mark.parametrize("j", [2, 17, 63])
+    def test_a_raised_lagged_weight_fails_at_its_first_row(self, monkeypatch, j):
+        # b_j > b_{j-1} makes w_{n,n-j+1} < w_{n,n-j}, a decrease in every row n >= j + 1;
+        # 64 steps on [0, 1] are exact binary fractions, so every row has the same diagonal and the first row is worst
+        traj = _run("eigenmode", resolution=17, steps=64, horizon=1.0, grading=1.0)
+
+        def corrupted(alpha, grid):
+            w = L1Weights(alpha=alpha, grid=grid)
+            b = w._uniform_b.copy()
+            b[j] = 1.5 * b[j - 1]
+            object.__setattr__(w, "_uniform_b", b)
+            return w
+
+        margins, positive = corrupted(traj.spec.alpha, traj.spec.time_grid).row_margins()
+        assert positive
+        np.testing.assert_array_equal(margins < 0.0, np.arange(1, 65) >= j + 1)
+        monkeypatch.setattr(diagnostics, "L1Weights", corrupted)
+        rep = convexity_report(traj)
+        assert not rep.passed
+        assert rep.worst_step == j + 1
+        assert rep.min_margin < 0.0
+
+    def test_uniform_grids_read_no_slab(self, monkeypatch):
+        traj = _run("porous", resolution=17, steps=256, horizon=3.0, grading=1.0)
+        want = convexity_report(traj)
+
+        def refuse(self, n0, n1):
+            raise AssertionError("the uniform scan built a slab")
+
+        monkeypatch.setattr(L1Weights, "block", refuse)
+        assert convexity_report(traj) == want
+        assert want.passed
 
 
 def _static(grid, field, steps=16):

@@ -334,14 +334,38 @@ class TestInteriorSolve:
         assert exc.value.iterations == 1
         assert exc.value.last_iterate.shape == (spec.grid.n_nodes,)
 
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    def test_first_solve_is_one_dgtsv_call_and_the_second_factors(self, build, monkeypatch):
+        grid = build_grid(1, (0.0, 1.0), 65)
+        M = build(grid, porous_law(), np.sin(np.pi * grid.points()[:, 0]), shift=3.0)
+        b = np.random.default_rng(7).normal(size=(3, grid.n_nodes))
+        dgtsv = solver._tridiagonal_lapack()[0]
+        want = [dgtsv(*M.tridiagonal(), bi[1:-1])[3] for bi in b]
+        lapack = _recording_lapack(monkeypatch)
+        counts = []
+        for bi, wi in zip(b, want, strict=True):
+            x = solver.spsolve(M, bi, nu=1.0, atol=0.0, symmetric=False)
+            assert x[1:-1].tobytes() == wi.tobytes()  # every solve gives the bits of dgtsv
+            assert x[0] == x[-1] == 0.0
+            counts.append(tuple(len(lapack[name]) for name in ("dgtsv", "dgttrf", "dgttrs")))
+            if len(counts) == 1:
+                assert M._factors == ()  # solved once: no factors kept
+        assert counts == [(1, 0, 0), (1, 1, 1), (1, 1, 2)]  # factored once, on the second solve
+        assert len(M._factors) == 5
+
     def test_singular_tridiagonal_block_raises(self):
         # zero coefficients and zero shift make the 7 x 7 interior block zero
         grid = build_grid(1, (0.0, 1.0), 9)
         M = StencilOperator(grid, [np.zeros(8)])
-        for _ in range(2):  # a failed factorisation is not kept: the next solve fails the same way
+        for _ in range(2):  # a failed first solve is not marked: the next solve fails the same way
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 solver.spsolve(M, np.ones(9), nu=1.0, atol=1e-12, symmetric=True)
             assert M._factors is None
+        M._factors = ()  # as after one successful solve: a failed factorisation is not kept either
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                solver.spsolve(M, np.ones(9), nu=1.0, atol=1e-12, symmetric=True)
+            assert M._factors == ()
 
     @pytest.mark.parametrize("mode, builder", [("picard", "assemble_quasilinear_operator"), ("newton", "newton_jacobian")])
     def test_singular_tridiagonal_block_fails_the_step(self, mode, builder, monkeypatch):
@@ -527,11 +551,13 @@ class TestConstantLawStepMatrix:
             return built[-1]
 
         monkeypatch.setattr(solver, "assemble_quasilinear_operator", recording)
-        factorisations = _recording_dgttrf(monkeypatch)
+        lapack = _recording_lapack(monkeypatch)
         run_trajectory(build_preset("eigenmode", resolution=17, steps=8, grading=1.0))
         assert len(built) == 1
-        assert len(factorisations) == 1  # factored once, on its first solve
-        assert all(np.array_equal(x, y) for x, y in zip(factorisations[0], built[0].tridiagonal(), strict=True))
+        assert len(lapack["dgtsv"]) == 1  # the first solve
+        assert len(lapack["dgttrf"]) == 1  # factored once, on its second solve
+        assert len(lapack["dgttrs"]) == 7
+        assert all(np.array_equal(x, y) for x, y in zip(lapack["dgttrf"][0], built[0].tridiagonal(), strict=True))
         with pytest.raises(ValueError, match="read-only"):
             built[0].coeffs[0][1] = 0.0
         for factor in built[0]._factors:  # the LU factors dgttrs reads at every step
@@ -554,7 +580,7 @@ class TestConstantLawStepMatrix:
 
             return wrapper
 
-        factorisations = _recording_dgttrf(monkeypatch)
+        lapack = _recording_lapack(monkeypatch)
         monkeypatch.setattr(StencilOperator, "__matmul__", counting("matmul", StencilOperator.__matmul__))
         monkeypatch.setattr(solver, "spsolve", counting("spsolve", solver.spsolve))
         traj = run_trajectory(spec, options)
@@ -563,26 +589,29 @@ class TestConstantLawStepMatrix:
         if grading == 1.0:
             # one step matrix: the start's product is the last step's accepted one, except on step 1
             assert calls["matmul"] == steps + 1
-            assert len(factorisations) == 1
+            assert (len(lapack["dgtsv"]), len(lapack["dgttrf"]), len(lapack["dgttrs"])) == (1, 1, steps - 1)
         else:
-            # a new step matrix every step: each step forms its start's product and factors once
+            # a new step matrix every step: each step forms its start's product and solves it once, unfactored
             assert calls["matmul"] == 2 * steps
-            assert len(factorisations) == steps
+            assert (len(lapack["dgtsv"]), len(lapack["dgttrf"]), len(lapack["dgttrs"])) == (steps, 0, 0)
         # a second run in the same process starts afresh: no factor or product carries over
         assert run_trajectory(spec, options).fields.tobytes() == traj.fields.tobytes()
 
 
-def _recording_dgttrf(monkeypatch):
-    """Records the diagonals of every ``dgttrf`` call the solver makes."""
-    dgttrf, dgttrs = solver._tridiagonal_lapack()
-    factored = []
+def _recording_lapack(monkeypatch):
+    """Records the arguments of every ``dgtsv``, ``dgttrf`` and ``dgttrs`` call the solver makes, by name."""
+    calls = {name: [] for name in ("dgtsv", "dgttrf", "dgttrs")}
 
-    def recording(*diagonals):
-        factored.append(diagonals)
-        return dgttrf(*diagonals)
+    def recording(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
 
-    monkeypatch.setattr(solver, "_tridiagonal_lapack", lambda: (recording, dgttrs))
-    return factored
+        return wrapper
+
+    routines = tuple(recording(name, fn) for name, fn in zip(calls, solver._tridiagonal_lapack(), strict=True))
+    monkeypatch.setattr(solver, "_tridiagonal_lapack", lambda: routines)
+    return calls
 
 
 class TestExtrapolatedStart:

@@ -257,10 +257,12 @@ class TestOperator:
         assert np.array_equal(sup, np.diag(dense, 1))
         # the product sums a diagonal entry in another order than dgttrf's input
         np.testing.assert_allclose(main, np.diag(dense), rtol=1e-15)
-        # the band is factored once per operator, on its first solve, and every later solve reuses the factors
-        dgttrf, dgttrs = solver._tridiagonal_lapack()
+        # the band is factored once per operator, on its second solve, and every later solve reuses the factors
+        dgtsv, dgttrf, dgttrs = solver._tridiagonal_lapack()
         factored = []
-        monkeypatch.setattr(solver, "_tridiagonal_lapack", lambda: (lambda *d: factored.append(d) or dgttrf(*d), dgttrs))
+        monkeypatch.setattr(
+            solver, "_tridiagonal_lapack", lambda: (dgtsv, lambda *d: factored.append(d) or dgttrf(*d), dgttrs)
+        )
         b = np.random.default_rng(4).normal(size=12)
         x = [solver.spsolve(M, b, nu=1.0, atol=0.0, symmetric=False) for _ in range(3)]
         assert len(factored) == 1
