@@ -20,12 +20,12 @@ offending path named, and parsing reports every violation at once rather
 than stopping at the first.  Settings that are valid one by one but cannot
 run together (compressed history on a one-step time grid, extents that do
 not fit the dimension, a grading whose first steps underflow to zero, also
-on the finest level of a time study) are rejected too, and so is an
-``eps_compress`` below 1e-13, which no compression can reach.  An
-``output.dir`` must read back unchanged from :func:`render_config`'s text, so
-a path with ``#``, ``,``, a line break or surrounding spaces is rejected.
-Command-line overrides go through the same schema and checks.  The
-``[solver]`` section is a
+on the finest level of a time study, a snapshot time past the horizon) are
+rejected too, and so is an ``eps_compress`` below 1e-13, which no
+compression can reach.  An ``output.dir`` must read back unchanged from
+:func:`render_config`'s text, so a path with ``#``, ``,``, a line break or
+surrounding spaces is rejected.  Command-line overrides go through the same
+schema and checks.  The ``[solver]`` section is a
 :class:`~subdiff.solver.SolverOptions` itself.
 """
 
@@ -288,10 +288,13 @@ def check_config(cfg: RunConfig) -> None:
     t, preset = cfg.time, cfg.problem.preset
     given = ", ".join(f"time.{k}={'default' if v is None else v}" for k, v in vars(t).items())
     try:
-        steps = preset_time_grid(preset, cfg.problem.alpha, t.horizon, t.steps, t.grading).steps
+        grid = preset_time_grid(preset, cfg.problem.alpha, t.horizon, t.steps, t.grading)
+        late = [s for s in cfg.output.snapshot_times if s > grid.horizon]
+        if late:
+            problems.append(f"output.snapshot_times has {late} past the time horizon {grid.horizon!r}")
         if cfg.study.axis == "time":
             # a time study doubles the steps per level; without an exact solution it runs one more level as reference
-            finest = steps * 2 ** (cfg.study.levels - (preset == "eigenmode"))
+            finest = grid.steps * 2 ** (cfg.study.levels - (preset == "eigenmode"))
             given = f"study.axis=time, study.levels={cfg.study.levels} refine to {finest} steps, where {given}"
             preset_time_grid(preset, cfg.problem.alpha, t.horizon, finest, t.grading)
     except ValueError as exc:

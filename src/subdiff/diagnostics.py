@@ -257,9 +257,7 @@ def hoelder_seminorm(
     vals = traj.fields
     if region == "interior":
         keep_x = ~spec.grid.boundary_mask
-        keep_t = times >= times[-1] / 10.0
-        if not np.any(keep_t):
-            keep_t = np.ones_like(keep_t, dtype=bool)
+        keep_t = times >= spec.time_grid.horizon / 10.0  # never empty: the last node is the horizon, T > 0
         pts = pts[keep_x]
         vals = vals[np.ix_(keep_t, keep_x)]
         times = times[keep_t]

@@ -44,6 +44,7 @@ _EPS = float(np.finfo(float).eps)
 _BLOCK_ENTRIES = 1 << 15
 # node-spacing refinements compress_history tries before it gives up
 _MAX_REFINE = 10
+_UNIFORM_RTOL = 1e-12  # relative spread of the steps of a uniform TimeGrid
 
 
 def rl_kernel(beta: float, t):
@@ -80,52 +81,54 @@ def default_grading(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Nodes ``t_n = T (n/M)^r`` on ``[0, T]``.
+    """Time nodes ``0 = t_0 < ... < t_M`` and their steps ``tau``, both read-only.
 
-    ``r = 1`` reproduces the uniform grid exactly.  Nodes are strictly
-    increasing and start at zero.
+    The grid decides once, here, whether it is uniform: every step within ``_UNIFORM_RTOL``
+    relative of the first.  A uniform grid has one step, ``t_1 - t_0``, in every entry of
+    ``tau``, and every consumer reads it; on other grids ``tau`` holds the node differences.
     """
 
-    horizon: float
     nodes: np.ndarray
-    r: float
+    tau: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.r < 1.0:
-            raise ValueError(f"grading exponent must be >= 1, got r={self.r}")
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("a time grid needs at least two nodes")
-        if nodes[0] != 0.0:
-            raise ValueError("time grids start at t = 0")
-        if np.any(np.diff(nodes) <= 0.0):
+        nodes = np.array(self.nodes, dtype=float)
+        if nodes.ndim != 1 or nodes.size < 2 or nodes[0] != 0.0 or not np.all(np.isfinite(nodes)):
+            raise ValueError("time grids have two or more finite nodes and start at t = 0")
+        tau = np.diff(nodes)
+        if not np.all(tau > 0.0):
             raise ValueError("time nodes must be strictly increasing")
+        if np.all(np.abs(tau - tau[0]) <= _UNIFORM_RTOL * tau[0]):
+            tau = np.full(tau.size, tau[0])
+        nodes.flags.writeable = tau.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
-        nodes = horizon * (np.arange(steps + 1) / steps)
-        return cls(horizon=horizon, nodes=nodes, r=1.0)
+        return cls.graded(horizon, steps, 1.0)
 
     @classmethod
     def graded(cls, horizon: float, steps: int, r: float) -> "TimeGrid":
-        nodes = horizon * (np.arange(steps + 1) / steps) ** r
-        return cls(horizon=horizon, nodes=nodes, r=float(r))
+        """Nodes ``t_n = T (n/M)^r`` on ``[0, T]``; ``r = 1`` is the uniform grid."""
+        if not (steps >= 1 and steps % 1 == 0):
+            raise ValueError(f"steps must be a whole number >= 1, got steps={steps}")
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got horizon={horizon}")
+        if not 1.0 <= r < math.inf:
+            raise ValueError(f"r must be finite and >= 1, got r={r}")
+        return cls(horizon * (np.arange(steps + 1) / steps) ** r)
+
+    @property
+    def horizon(self) -> float:
+        return float(self.nodes[-1])
 
     @property
     def steps(self) -> int:
         return self.nodes.size - 1
 
-    @property
-    def tau(self) -> np.ndarray:
-        """Step sizes ``tau_k = t_k - t_{k-1}`` for ``k = 1..M``."""
-        return np.diff(self.nodes)
-
-    def is_uniform(self, rtol: float = 1e-12) -> bool:
-        tau = self.tau
-        return bool(np.all(np.abs(tau - tau[0]) <= rtol * tau[0]))
+    def is_uniform(self) -> bool:
+        return bool(np.all(self.tau == self.tau[0]))
 
 
 @dataclass(frozen=True)
@@ -142,9 +145,9 @@ class L1Weights:
     form in ``expm1``/``log1p`` that stays accurate when ``tau_k << t_n - t_k``.
     On uniform grids it runs once, at construction, for the sequence
     ``b_j = w_{n,n-j}`` that the rows are gathered from; on graded grids it
-    runs per block.  The diagonal ``w_{n,n}`` comes from one table shared
-    with :meth:`diag`, so :meth:`rows`, :meth:`diag` and :meth:`apply`
-    agree with :meth:`block` bitwise.
+    runs per block.  The diagonal ``w_{n,n}`` comes from the grid's steps
+    ``tau``, one power on a uniform grid, whose steps are all one, into a table
+    shared with :meth:`diag`; every reader agrees with :meth:`block` bitwise.
     """
 
     alpha: float
@@ -155,14 +158,13 @@ class L1Weights:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        c = math.gamma(2.0 - self.alpha)
-        # scalar powers: numpy's vectorized pow may round differently
-        diag = np.array([tk ** (-self.alpha) for tk in self.grid.tau.tolist()]) / c
-        object.__setattr__(self, "_diag", diag)
+        tau = self.grid.tau
+        # scalar powers: numpy's vectorized pow may round differently; a uniform grid's one step takes one
+        pows = [tk ** (-self.alpha) for tk in (tau[:1] if self.grid.is_uniform() else tau).tolist()]
+        object.__setattr__(self, "_diag", np.broadcast_to(np.array(pows) / math.gamma(2.0 - self.alpha), tau.shape))
         if self.grid.is_uniform():
-            tau = self.grid.tau[0]
             # b_0 = 0 serves every entry on or above the diagonal; block() writes the diagonal over it
-            object.__setattr__(self, "_uniform_b", self._step_means(tau * np.arange(self.grid.steps), tau))
+            object.__setattr__(self, "_uniform_b", self._step_means(tau[0] * np.arange(self.grid.steps), tau[0]))
 
     def _step_means(self, lag: np.ndarray, tau) -> np.ndarray:
         """Mean of ``g_{1-a}`` over ``[lag, lag + tau]``, zero where ``lag = 0``.
@@ -450,8 +452,8 @@ class CompressedHistory:
     projections of the table plus a short correction dot over the buffer.
     That is the same recurrence rearranged (exact up to roundoff), but the
     table is traversed O(1/_BLOCK) times per step instead of several.  The
-    block's tables come from its node differences: built once on a uniform
-    grid, where every block shares them, and once per block on a graded one.
+    block's tables come from the grid's steps ``tau``: built once on a uniform
+    grid, whose blocks share its one step, and once per block on a graded one.
 
     ``achieved`` is the measured worst relative error of the kernel on
     ``[tau_min, T]``, which bounds that of every lagged weight; construction
@@ -472,9 +474,8 @@ class CompressedHistory:
     _fill: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        t = self.grid.nodes
-        # the nodes go on past the horizon with the last step, so every block has _BLOCK + 1 of them
-        self._nodes = np.concatenate([t, t[-1] + (t[-1] - t[-2]) * np.arange(1.0, self._BLOCK + 1)])
+        # the steps go on past the horizon with the last one, so every block has _BLOCK of them
+        self._tau = np.pad(self.grid.tau, (0, self._BLOCK), mode="edge")
         self._shared = self._block_tables(0) if self.grid.is_uniform() else None
 
     @property
@@ -486,7 +487,7 @@ class CompressedHistory:
 
         Row ``j`` of ``proj`` (on the table) and of ``coef`` (on the buffer) serve the query after ``j`` pushes.
         """
-        x = np.diff(self._nodes[b0 : b0 + self._BLOCK + 1])[:, None] * self.rates  # lambda tau, a row per step
+        x = self._tau[b0 : b0 + self._BLOCK, None] * self.rates  # lambda tau, a row per step
         carry = np.ones(self.n_modes)  # exp(-lambda (t_j - t_0)) at the current node t_j
         run = _step_mean(x)  # row i: the mean over step i + 1, carried to the current node
         proj = np.empty_like(run)
@@ -651,7 +652,7 @@ def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
     alpha = 1.0 - (1.0 - weights.alpha)
     target = eps / 100.0
     tau_min = float(grid.tau[1:].min())
-    horizon = float(grid.nodes[-1])
+    horizon = grid.horizon
     t = np.geomspace(tau_min, horizon, max(2, math.ceil(16 * math.log10(horizon / tau_min)) + 1))
     kernel = rl_kernel(1.0 - alpha, t)
     h = 2.0 * math.pi / (math.log(1.0 / target) + 4.0)

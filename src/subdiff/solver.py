@@ -20,14 +20,14 @@ follows, never at the accepted iterate.  Every one of these products is the
 face-flux sum of :class:`~subdiff.spatial.StencilOperator`.  A constant law
 (``nu == lam``, so ``a(u) = nu``) has one ``K`` for every iterate, bitwise
 equal to its Newton Jacobian: the driver assembles it once per distinct
-``w_nn`` (once per run on a uniform time grid, once per step on a graded
-one), and both iterations solve with it; its arrays are read-only.  Such a
-step also keeps the product ``K v`` of its accepted iterate: the next step
-starts from ``u_{n-1}``, that same iterate, and while its step matrix is the
-same ``K`` it takes that product for its start's residual instead of
-forming it again.  A linear step that converges in one correction thus costs
-one product and one solve.  The loop
-runs undamped and, when the residual stops decreasing, returns to the best
+``w_nn`` (once per run on a uniform time grid, whose steps all equal its one
+step, once per step on a graded one), and both iterations solve with it; its
+arrays are read-only.  Such a step also keeps the product ``K v`` of its
+accepted iterate: the next step starts from ``u_{n-1}``, that same iterate,
+and while its step matrix is the same ``K`` it takes that product for its
+start's residual instead of forming it again.  A linear step that converges
+in one correction thus costs one product and one solve.  The loop runs
+undamped and, when the residual stops decreasing, returns to the best
 iterate and halves ``theta``, up to three times before giving up.
 ``Trajectory.halvings`` records the halvings of every step.
 

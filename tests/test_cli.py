@@ -336,6 +336,13 @@ class TestOtherErrorsExitTwo:
         self._assert_exit_two(main(["run", cfg, "--out", str(out)]), capsys, "invalid configuration", "time.grading=150")
         assert not out.exists()
 
+    def test_snapshot_time_past_the_horizon(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.BASE + "[output]\nsnapshot_times = [0.5, 100.0]\n")
+        out = tmp_path / "o"
+        code = main(["run", cfg, "--out", str(out)])
+        self._assert_exit_two(code, capsys, "invalid configuration", "output.snapshot_times", "horizon 1.0")
+        assert not out.exists()
+
     def test_compression_refuses_a_horizon_whose_rates_overflow(self, tmp_path, capsys):
         # refused before the Gauss rule squares rates near 40 / T: no RuntimeWarning, no LinAlgError
         cfg = _write(

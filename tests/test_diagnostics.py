@@ -150,7 +150,7 @@ class TestConvexity:
         "grid",
         [TimeGrid.uniform(3.0, M) for M in (1, 2, 3, 48, 2048)]
         + [TimeGrid.graded(3.0, M, default_grading(0.5)) for M in (48, 1024)],
-        ids=lambda g: f"{'uniform' if g.r == 1.0 else 'graded'}-{g.steps}",
+        ids=lambda g: f"{'uniform' if g.is_uniform() else 'graded'}-{g.steps}",
     )
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_matches_the_masked_slab_scan_bitwise(self, grid, alpha):
@@ -188,11 +188,11 @@ class TestConvexity:
         assert rep.worst_step == bad
         assert rep.min_margin == (factor - 1.0) / factor
 
-    @pytest.mark.parametrize("j", [2, 17, 63])
-    def test_a_raised_lagged_weight_fails_at_its_first_row(self, monkeypatch, j):
-        # b_j > b_{j-1} makes w_{n,n-j+1} < w_{n,n-j}, a decrease in every row n >= j + 1;
-        # 64 steps on [0, 1] are exact binary fractions, so every row has the same diagonal and the first row is worst
-        traj = _run("eigenmode", resolution=17, steps=64, horizon=1.0, grading=1.0)
+    @pytest.mark.parametrize("steps, j", [(64, 2), (64, 17), (64, 63), (48, 2), (48, 5)])
+    def test_a_raised_lagged_weight_fails_at_its_first_row(self, monkeypatch, steps, j):
+        # b_j > b_{j-1} makes w_{n,n-j+1} < w_{n,n-j}, a decrease in every row n >= j + 1; every row of a
+        # uniform grid has the same diagonal, also where its step is no binary fraction (1/48), so the first row is worst
+        traj = _run("eigenmode", resolution=17, steps=steps, horizon=1.0, grading=1.0)
 
         def corrupted(alpha, grid):
             w = L1Weights(alpha=alpha, grid=grid)
@@ -203,7 +203,7 @@ class TestConvexity:
 
         margins, positive = corrupted(traj.spec.alpha, traj.spec.time_grid).row_margins()
         assert positive
-        np.testing.assert_array_equal(margins < 0.0, np.arange(1, 65) >= j + 1)
+        np.testing.assert_array_equal(margins < 0.0, np.arange(1, steps + 1) >= j + 1)
         monkeypatch.setattr(diagnostics, "L1Weights", corrupted)
         rep = convexity_report(traj)
         assert not rep.passed

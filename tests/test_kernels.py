@@ -54,11 +54,20 @@ class TestTimeGrid:
         assert tg.steps == 4
         assert tg.is_uniform()
 
-    def test_graded_with_unit_exponent_is_uniform_bitwise(self):
-        a = TimeGrid.uniform(3.0, 16)
-        b = TimeGrid.graded(3.0, 16, 1.0)
-        assert np.array_equal(a.nodes, b.nodes)
-        assert b.r == 1.0 and b.is_uniform()
+    @pytest.mark.parametrize("horizon, steps", [(3.0, 16), (10.0, 1000), (3.0, 100)])
+    def test_graded_with_unit_exponent_is_uniform_bitwise(self, horizon, steps):
+        b = TimeGrid.graded(horizon, steps, 1.0)
+        assert b.nodes.tobytes() == (horizon * (np.arange(steps + 1) / steps)).tobytes()
+        assert b.is_uniform() and b.horizon == horizon
+
+    def test_a_uniform_grid_has_one_step_and_read_only_arrays(self):
+        # 10 / 1000 is no binary fraction: the node differences straddle it by an ulp
+        tg = TimeGrid.uniform(10.0, 1000)
+        assert np.unique(np.diff(tg.nodes)).size > 1
+        assert tg.tau.tobytes() == np.full(1000, tg.nodes[1] - tg.nodes[0]).tobytes()
+        for array in (tg.nodes, tg.tau):
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1] = 0.0
 
     def test_graded_concentrates_near_origin(self):
         tg = TimeGrid.graded(1.0, 8, 3.0)
@@ -77,7 +86,30 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid.graded(1.0, 4, 0.5)
         with pytest.raises(ValueError):
-            TimeGrid(horizon=1.0, nodes=np.array([0.0, 0.5, 0.25, 1.0]), r=1.0)
+            TimeGrid(np.array([0.0, 0.5, 0.25, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(np.array([0.0, 0.5, math.inf]))
+
+    @pytest.mark.parametrize(
+        "horizon, steps, r, name",
+        [
+            (1.0, 0, 1.0, "steps"),
+            (1.0, 2.5, 1.0, "steps"),  # would end at t = 1.2, past the horizon
+            (math.inf, 4, 1.0, "horizon"),
+            (math.nan, 4, 1.0, "horizon"),
+            (0.0, 4, 1.0, "horizon"),
+            (1.0, 4, math.nan, "r"),
+            (1.0, 4, math.inf, "r"),
+            (1.0, 4, 0.5, "r"),
+        ],
+    )
+    def test_grid_constructors_reject_bad_arguments_by_name(self, horizon, steps, r, name):
+        # checked before any node is built, so no numpy warning (0/0, inf * 0) comes first
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TimeGrid.graded(horizon, steps, r)
+        if r == 1.0:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                TimeGrid.uniform(horizon, steps)
 
 
 class TestL1Weights:

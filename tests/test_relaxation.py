@@ -42,7 +42,7 @@ class TestEnvelope:
             _envelope(0.5, -1.0, 1.0, TimeGrid.uniform(1.0, 4))
         # the envelope is evaluated at a grid's nodes, and no grid has a node before t = 0
         with pytest.raises(ValueError, match="start at t = 0"):
-            TimeGrid(horizon=1.0, nodes=np.array([-0.5, 0.0, 1.0]), r=1.0)
+            TimeGrid(np.array([-0.5, 0.0, 1.0]))
 
 
 class TestL1Marcher:

@@ -423,6 +423,8 @@ class TestAssemblyContract:
             ("stiff-1d", "picard"),  # steps with damping halvings
             ("const-1d", "picard"),
             ("const-1d", "newton"),
+            ("const-48-1d", "picard"),  # 1/48 is no binary fraction: the node differences vary by an ulp
+            ("const-48-1d", "newton"),
             ("const-graded-1d", "picard"),
             ("const-graded-1d", "newton"),
             ("const-2d", "picard"),
@@ -435,6 +437,7 @@ class TestAssemblyContract:
             "2d": lambda: build_preset("porous", dimension=2, resolution=17, steps=4, horizon=1.0),
             "stiff-1d": _stiff_problem,
             "const-1d": lambda: _sine_problem(steps=16, grading=1.0),
+            "const-48-1d": lambda: _sine_problem(steps=48, grading=1.0),
             "const-graded-1d": lambda: _sine_problem(steps=16),
             "const-2d": lambda: build_preset("eigenmode", dimension=2, resolution=17, steps=4, grading=1.0),
         }[case]()
