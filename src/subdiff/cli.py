@@ -131,7 +131,7 @@ def _load_config(args) -> RunConfig:
     """The config file with the command-line overrides that ``args`` carries."""
     given = {flag: getattr(args, flag[2:], None) for flag in _OVERRIDES}
     overrides = {flag: (_OVERRIDES[flag], raw) for flag, raw in given.items() if raw is not None}
-    return parse_config(Path(args.config).read_text(), overrides)
+    return parse_config(Path(args.config).read_text(encoding="utf-8"), overrides)
 
 
 def cmd_run(args) -> int:
@@ -372,7 +372,7 @@ def cmd_props(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "props.json").write_text(json.dumps(jsonable(results), indent=2, sort_keys=True) + "\n")
+        (out / "props.json").write_text(json.dumps(jsonable(results), indent=2, sort_keys=True, allow_nan=False) + "\n")
         print(f"artifacts in {out}")
     return 0 if all_passed else 1
 

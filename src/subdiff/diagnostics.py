@@ -14,18 +14,20 @@ qualitative theory:
   relaxation envelope with rate 2 nu lambda_1.
 * ``weakform_residual``: the trajectory, re-read as a piecewise-linear
   interpolant, nearly annihilates discrete test functions in the weak
-  formulation.  The time derivative of the memory term moves onto the test
-  hat, so the kernel is integrated exactly (``g_{2-a}`` against the
-  interpolant, O(M) per macro knot, no reuse of the stepping weights), and
-  the flux term is the operator frozen at a stack of time rows applied to
-  them; it reports where its worst residual sits.
+  formulation, 12 macro time hats times 12 interior space hats.  The time
+  derivative of the memory term moves onto the test hat, so the kernel is
+  integrated exactly (``g_{2-a}`` against the interpolant, O(M) per macro
+  knot, no reuse of the stepping weights), and the flux term is the
+  operator frozen at a stack of time rows applied to them; it reports
+  where its worst residual sits.
 
 The decay certificate also carries the accuracy of its Mittag-Leffler
 reference values: the largest error estimate and the number of evaluations
 flagged inaccurate.
 
-``hoelder_seminorm`` estimates parabolic Hoelder quotients by subsampled
-pair enumeration; it is an observable, not a certificate.
+``hoelder_seminorm`` estimates the parabolic Hoelder quotient with
+exponents 0.25 in time and 0.5 in space by pair enumeration over at most
+1296 space-time samples; it is an observable, not a certificate.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def boundedness_report(traj: Trajectory, tol: float = 1e-12) -> MaxPrincipleRepo
     rather than reporting a bound the theory does not claim.
     """
     spec = traj.spec
-    if spec.source is not None and (callable(spec.source) or np.any(np.asarray(spec.source) != 0.0)):
+    if spec.source is not None:
         raise ValueError("the sup-norm bound is only certified for runs without forcing")
     g = spec.boundary_values()
     bound = max(float(np.max(np.abs(spec.u0))), float(np.max(np.abs(g), initial=0.0)))
@@ -207,15 +209,20 @@ class HoelderEstimate:
     region: str
 
 
-def _pair_seminorm(times, points, values, beta_time, beta_space):
-    """Max of |v(p) - v(p')| / (|t - t'|^b1 + |x - x'|^b2) over sample pairs."""
+# the exponents of the reported quotient, the parabolic pairing (time half of space), and its sample cap
+_HOELDER_BETA_TIME, _HOELDER_BETA_SPACE = 0.25, 0.5
+_HOELDER_SAMPLES = 1296
+
+
+def _pair_seminorm(times, points, values):
+    """Max of |v(p) - v(p')| / (|t - t'|^b1 + |x - x'|^b2) over sample pairs, ``b1, b2`` the Hoelder exponents."""
     P, Q = values.shape
     t = np.repeat(times, Q)
     x = np.tile(points, (P, 1))
     v = values.ravel()
-    dt = np.abs(t[:, None] - t[None, :]) ** beta_time if beta_time > 0 else (t[:, None] != t[None, :]).astype(float)
+    dt = np.abs(t[:, None] - t[None, :]) ** _HOELDER_BETA_TIME
     dist = np.sqrt(np.maximum(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2), 0.0))
-    denom = dt + dist**beta_space
+    denom = dt + dist**_HOELDER_BETA_SPACE
     num = np.abs(v[:, None] - v[None, :])
     mask = denom > 0.0
     if not np.any(mask):
@@ -229,18 +236,12 @@ def _subsample(n, cap):
     return np.unique(np.round(np.linspace(0, n - 1, cap)).astype(int))
 
 
-def hoelder_seminorm(
-    traj: Trajectory,
-    beta_time: float = 0.25,
-    beta_space: float = 0.5,
-    max_samples: int = 1296,
-    region: str = "full",
-) -> HoelderEstimate:
+def hoelder_seminorm(traj: Trajectory, region: str = "full") -> HoelderEstimate:
     """Subsampled parabolic Hoelder quotient of the trajectory.
 
-    The default exponents are the ones ``subdiff run`` reports under
-    ``[output] hoelder = true``; the time exponent is half the space one, the
-    parabolic pairing.  ``region`` is ``"full"`` (the whole cylinder) or
+    The exponents are 0.25 in time and 0.5 in space, the parabolic pairing,
+    and at most 1296 space-time samples (36 times by 36 nodes) enter the
+    pair enumeration.  ``region`` is ``"full"`` (the whole cylinder) or
     ``"interior"`` (spatial interior nodes and t >= horizon / 10, the zone
     where the interior regularity statements live).  Endpoint samples are
     always kept, so the static linear-profile oracle is reproduced exactly.
@@ -249,8 +250,6 @@ def hoelder_seminorm(
     """
     if region not in ("full", "interior"):
         raise ValueError(f"unknown region {region!r}")
-    if not 0.0 <= beta_time <= 1.0 or not 0.0 <= beta_space <= 1.0:
-        raise ValueError(f"Hoelder exponents must lie in [0, 1], got ({beta_time}, {beta_space})")
     spec = traj.spec
     pts = spec.grid.points()
     times = traj.times
@@ -261,15 +260,15 @@ def hoelder_seminorm(
         pts = pts[keep_x]
         vals = vals[np.ix_(keep_t, keep_x)]
         times = times[keep_t]
-    cap_t = max(2, int(np.sqrt(max_samples)))
-    cap_x = max(2, max_samples // cap_t)
+    cap_t = int(np.sqrt(_HOELDER_SAMPLES))
+    cap_x = _HOELDER_SAMPLES // cap_t
     it = _subsample(times.size, cap_t)
     ix = _subsample(pts.shape[0], cap_x)
     sub_vals = vals[np.ix_(it, ix)]
-    value = _pair_seminorm(times[it], pts[ix], sub_vals, beta_time, beta_space)
+    value = _pair_seminorm(times[it], pts[ix], sub_vals)
     return HoelderEstimate(
-        beta_time=beta_time,
-        beta_space=beta_space,
+        beta_time=_HOELDER_BETA_TIME,
+        beta_space=_HOELDER_BETA_SPACE,
         value=value,
         n_samples=int(it.size * ix.size),
         region=region,
@@ -310,6 +309,8 @@ _GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 _CLOSED_FORM_RATIO = 0.1
 # a tested node whose worst residual is within this relative distance of the maximum is reported as near-worst
 _NEAR_WORST_RTOL = 1e-6
+# macro time cells and tested interior nodes of the weak form: 12 x 12 test hats
+_TIME_TESTS, _SPACE_TESTS = 12, 12
 # rows of stacked fields per vectorised flux pass: about 2^16 values, so temporaries stay small
 _BLOCK_VALUES = 2**16
 
@@ -374,17 +375,13 @@ def _hat_mass(grid: SpatialGrid, fields: np.ndarray) -> np.ndarray:
     return out.reshape(fields.shape)
 
 
-def weakform_residual(
-    traj: Trajectory,
-    threshold: float = 1e-2,
-    n_time_tests: int = 12,
-    n_space_tests: int = 12,
-) -> WeakformReport:
+def weakform_residual(traj: Trajectory, threshold: float = 1e-2) -> WeakformReport:
     """Test the trajectory against interior space-time test functions.
 
-    The test functions are tensor hats ``phi_i`` in space and piecewise-linear
-    hats ``theta`` on a *macroscopic* time grid of ``n_time_tests`` cells whose
-    width does not shrink with the step count.  For each pair the residual
+    The test functions are tensor hats ``phi_i`` in space, at up to 12 interior
+    nodes spread over the grid, and piecewise-linear hats ``theta`` on a
+    *macroscopic* time grid of 12 cells whose width does not shrink with the
+    step count.  For each pair the residual
 
         -int theta' (G, phi_i) + int theta (a(u) grad u, grad phi_i)
         - int theta (f, phi_i),     G = g_{1-a} * (u - u0),
@@ -417,8 +414,6 @@ def weakform_residual(
     tg = spec.time_grid
     grid = spec.grid
     M = tg.steps
-    if n_time_tests < 2:
-        raise ValueError("need at least 2 macro time cells")
     U = traj.fields
     t = tg.nodes
     tau = tg.tau
@@ -426,11 +421,11 @@ def weakform_residual(
     interior = grid.interior_indices()
 
     # macro knots at (nearly) equispaced physical times, snapped to grid nodes
-    targets = np.linspace(0.0, t[-1], n_time_tests + 1)
+    targets = np.linspace(0.0, t[-1], _TIME_TESTS + 1)
     knots = np.unique(np.searchsorted(t, targets).clip(0, M))
     if knots.size < 3:
         raise ValueError("the time grid is too coarse for the requested macro test grid")
-    sel = interior[_subsample(interior.size, n_space_tests)]
+    sel = interior[_subsample(interior.size, _SPACE_TESTS)]
     scale = max(float(np.max(np.abs(U))), 1e-300)
 
     # H[k] = (g_{2-a} * (u - u0, phi_i))(t at knot k)

@@ -361,12 +361,12 @@ def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) 
 # A memory provider serves the lagged part of the L1 derivative while a
 # trajectory is marched, by the PDE driver (one flat field per step) or by
 # the scalar relaxation marcher (a batch of histories per step):
-# ``reset(shape)`` starts a history of scalars (``shape == ()``) or flat
-# fields (``shape == (n,)``), the shapes whose leading-axis contractions are
-# plain ``np.dot`` calls; ``push(delta_n)`` absorbs the increment
-# ``v_n - v_{n-1}`` after step n, and ``memory_term()`` then returns
-# ``H_{n+1} = sum_{k<=n} w_{n+1,k} delta_k``, the sum without the local
-# term, as often as it is asked.  ``DirectHistory`` is exact, reading the
+# ``reset(shape)``, the one way to start a history, starts one of scalars
+# (``shape == ()``) or flat fields (``shape == (n,)``), the shapes whose
+# leading-axis contractions are plain ``np.dot`` calls; ``push(delta_n)``
+# absorbs the increment ``v_n - v_{n-1}`` after step n, and
+# ``memory_term()`` then returns ``H_{n+1} = sum_{k<=n} w_{n+1,k} delta_k``,
+# the sum without the local term, as often as it is asked.  ``DirectHistory`` is exact, reading the
 # rows of :meth:`L1Weights.rows`; ``CompressedHistory`` approximates it with
 # a sum of exponentials.
 
@@ -395,8 +395,8 @@ class DirectHistory:
         self._deltas: np.ndarray | None = None
         self._count = 0
 
-    def reset(self, shape=()) -> None:
-        """Clear the stored increments for a new trajectory of fields of ``shape``."""
+    def reset(self, shape) -> None:
+        """Start a new trajectory of fields of ``shape``, with no increment stored."""
         self._deltas = np.empty((self.weights.grid.steps,) + _history_shape(shape))
         self._count = 0
         self._rows = self.weights.rows()
@@ -404,8 +404,6 @@ class DirectHistory:
 
     def push(self, delta) -> None:
         """Store the increment ``delta_n = v_n - v_{n-1}`` after step n."""
-        if self._deltas is None:
-            self.reset(np.shape(delta))
         self._deltas[self._count] = delta
         self._count += 1
         self._row = next(self._rows, None)  # None after the last step: no further query is defined
@@ -413,7 +411,7 @@ class DirectHistory:
     def memory_term(self):
         """The lagged sum for the step after the last push."""
         if self._deltas is None:
-            raise RuntimeError("reset or push before querying the memory term")
+            raise RuntimeError("reset before querying the memory term")
         out = np.dot(self._row, self._deltas[: self._count])
         return float(out) if np.ndim(out) == 0 else out
 
@@ -462,9 +460,7 @@ class CompressedHistory:
 
     _BLOCK = 16
 
-    alpha: float
     grid: TimeGrid
-    eps: float
     rates: np.ndarray
     weights: np.ndarray
     achieved: float
@@ -499,8 +495,8 @@ class CompressedHistory:
             coef[j, :j] = run[:j] @ self.weights
         return carry, run.T.copy(), proj, coef
 
-    def reset(self, shape=()) -> None:
-        """Clear the running state for a new trajectory of fields of ``shape``."""
+    def reset(self, shape) -> None:
+        """Start a new trajectory of fields of ``shape``, with a zero running state."""
         shape = _history_shape(shape)
         self._state = np.zeros((self.n_modes,) + shape)
         self._buffer = np.zeros((self._BLOCK,) + shape)
@@ -510,8 +506,6 @@ class CompressedHistory:
 
     def push(self, delta: np.ndarray) -> None:
         """Absorb the increment ``delta_n = v_n - v_{n-1}`` after step n."""
-        if self._state is None:
-            self.reset(np.shape(delta))
         self._buffer[self._fill] = delta
         self._fill += 1
         if self._fill == self._BLOCK:
@@ -529,7 +523,7 @@ class CompressedHistory:
     def memory_term(self):
         """Current approximation of the lagged sum (excludes the local term)."""
         if self._state is None:
-            raise RuntimeError("push at least one increment first")
+            raise RuntimeError("reset before querying the memory term")
         j = self._fill
         # a fresh array also at j = 0: the next fold overwrites the projection table in place
         out = np.dot(self._tables[3][j, :j], self._buffer[:j]) + self._proj[j]
@@ -678,7 +672,7 @@ def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
                 rates, wts = np.concatenate([g_rates, lam[~slow]]), np.concatenate([g_wts, om[~slow]])
             achieved = _worst_relative_error(rates, wts, t, kernel)
             if achieved <= target:
-                return CompressedHistory(alpha=weights.alpha, grid=grid, eps=eps, rates=rates, weights=wts, achieved=achieved)
+                return CompressedHistory(grid=grid, rates=rates, weights=wts, achieved=achieved)
             if rates is lam:
                 break  # no slow band to reduce further
         h *= 0.7

@@ -36,7 +36,7 @@ class RunReport:
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and dataclasses for json."""
+    """Recursively convert numpy scalars/arrays and dataclasses for json; a non-finite float becomes None (null)."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return jsonable(asdict(obj))
     if isinstance(obj, dict):
@@ -49,14 +49,14 @@ def jsonable(obj):
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
 
 
 def write_report(path, report: RunReport) -> None:
-    Path(path).write_text(json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_norms_tsv(path, series: NormSeries, envelope=None) -> None:

@@ -107,11 +107,10 @@ __all__ = [
 class ProblemSpec:
     """A complete subdiffusion problem instance.
 
-    ``source`` is None (zero forcing), a callable ``f(t, points) -> values``
-    over the flattened node set, or a precomputed array of shape
-    ``(steps + 1, n_nodes)``.  ``boundary`` is the time-constant Dirichlet
-    datum: a scalar or an array over the boundary nodes (in flattened node
-    order).  The initial state must match it on the boundary; ``validate``
+    ``source`` is None (zero forcing) or a callable ``f(t, points) -> values``
+    over the flattened node set, called once per step.  ``boundary`` is the
+    time-constant Dirichlet datum: a scalar or an array over the boundary
+    nodes (in flattened node order).  The initial state must match it on the boundary; ``validate``
     checks that compatibility condition and the declared ellipticity range.
     """
 
@@ -132,6 +131,8 @@ class ProblemSpec:
             raise ValueError("u0 does not match the grid")
         if not np.all(np.isfinite(u0)):
             raise ValueError("u0 contains non-finite values")
+        if self.source is not None and not callable(self.source):
+            raise ValueError(f"source must be None or a callable f(t, points), got {type(self.source).__name__}")
         object.__setattr__(self, "u0", u0)
 
     def boundary_values(self) -> np.ndarray:
@@ -147,28 +148,14 @@ class ProblemSpec:
     def source_at(self, n: int, points: np.ndarray) -> np.ndarray | None:
         if self.source is None:
             return None
-        if callable(self.source):
-            t = float(self.time_grid.nodes[n])
-            vals = np.asarray(self.source(t, points), dtype=float).ravel()
-            if vals.size != self.grid.n_nodes:
-                raise ValueError("source callable returned the wrong number of values")
-            return vals
-        arr = np.asarray(self.source, dtype=float)
-        if arr.shape != (self.time_grid.steps + 1, self.grid.n_nodes):
-            raise ValueError(
-                "source array must have shape (steps + 1, n_nodes) = "
-                f"({self.time_grid.steps + 1}, {self.grid.n_nodes}), got {arr.shape}"
-            )
-        return arr[n]
+        vals = np.asarray(self.source(float(self.time_grid.nodes[n]), points), dtype=float).ravel()
+        if vals.size != self.grid.n_nodes:
+            raise ValueError("source callable returned the wrong number of values")
+        return vals
 
     def has_zero_data(self) -> bool:
         """True when f == 0 and g == 0 (the decay-theory setting)."""
-        g_zero = bool(np.all(self.boundary_values() == 0.0))
-        if self.source is None:
-            return g_zero
-        if callable(self.source):
-            return False
-        return g_zero and bool(np.all(np.asarray(self.source) == 0.0))
+        return self.source is None and bool(np.all(self.boundary_values() == 0.0))
 
     def validate(self) -> None:
         """Compatibility and ellipticity preconditions for a run."""
@@ -503,7 +490,7 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, g_vals, options, timers, n, ste
         v, M, _, r = current
         if newton and step_matrix is None:  # only the a' terms are new; a constant law's K is its Jacobian
             t0 = time.perf_counter()
-            M = newton_jacobian(grid, law, v, shift=w_nn, frozen=M)
+            M = newton_jacobian(law, v, M)
             timers["assembly"] += time.perf_counter() - t0
         atol = 0.1 * options.tol
         if grid.dim > 1:  # the Krylov solves stop at a forcing term relative to the step residual

@@ -8,12 +8,13 @@ unchanged.
 The Picard operator and the Newton Jacobian are :class:`StencilOperator`
 objects, stored as what their assembly computes: per axis, the face
 coefficients ``a(face mean) / h^2`` and, for the Jacobian, the face terms of
-``a'``; given the operator frozen at the same state, :func:`newton_jacobian`
-shares its face coefficients and evaluates only the ``a'`` terms.  Their
+``a'``.  ``newton_jacobian(law, u, frozen)`` extends the operator frozen at
+the same state: it takes that operator's grid and shift, shares its face
+coefficients and evaluates only the ``a'`` terms.  Their
 product is the face-flux sum over the grid's face slices
 (:attr:`SpatialGrid.faces`), on one field or on a stack of fields, and it is
 the package's one product with such an operator: residuals, Krylov solves
-and the weak form all go through it.  The builders' ``shift`` adds to the
+and the weak form all go through it.  The assembly's ``shift`` adds to the
 interior diagonal, so the step matrix ``w I_int + A(u)`` is one assembly.
 Frozen at a stack of states, the operator is one operator per state, which
 the weak form applies to its time rows in one product.  Each grid also
@@ -212,12 +213,12 @@ class EllipticityReport:
     passed: bool
 
 
-def ellipticity_check(law: DiffusionLaw, y_range: tuple[float, float], samples: int = 513) -> EllipticityReport:
-    """Sample ``a`` on ``y_range`` and test the declared bounds ``[nu, lam]``."""
+def ellipticity_check(law: DiffusionLaw, y_range: tuple[float, float]) -> EllipticityReport:
+    """Sample ``a`` at 513 equispaced points of ``y_range`` and test the declared bounds ``[nu, lam]``."""
     lo, hi = float(y_range[0]), float(y_range[1])
     if not lo < hi:
         raise ValueError(f"empty range {y_range}")
-    vals = np.asarray(law.a(np.linspace(lo, hi, samples)), dtype=float)
+    vals = np.asarray(law.a(np.linspace(lo, hi, 513)), dtype=float)
     min_a, max_a = float(vals.min()), float(vals.max())
     tol = 1e-12 * max(1.0, law.lam)
     passed = (min_a >= law.nu - tol) and (max_a <= law.lam + tol)
@@ -315,18 +316,16 @@ def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift
     return StencilOperator(grid, coeffs, shift)
 
 
-def newton_jacobian(
-    grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0, frozen: StencilOperator | None = None
-) -> StencilOperator:
+def newton_jacobian(law: DiffusionLaw, u, frozen: StencilOperator) -> StencilOperator:
     """Jacobian of ``u -> -div_h(a(u) grad_h u)``, including the a'(u) terms, plus ``shift I_int``.
 
-    Same boundary rows and ``shift`` as :func:`assemble_quasilinear_operator`.
-    ``frozen`` is that operator, already assembled at ``u``: the Jacobian
-    shares its face coefficients and evaluates only the ``a'`` face terms.
+    ``frozen`` is the step matrix of :func:`assemble_quasilinear_operator`,
+    already assembled at ``u``: the Jacobian has its grid, boundary rows and
+    ``shift``, shares its face coefficients and evaluates only the ``a'``
+    face terms.
     """
+    grid, shift = frozen.grid, frozen.shift
     u_nd = _checked_state(grid, u, "state").reshape(grid.shape)  # one state: a stack does not reshape
-    if frozen is None:
-        frozen = assemble_quasilinear_operator(grid, law, u_nd, shift)
     derivs = [
         0.5 * np.asarray(law.deriv(0.5 * (u_nd[lo] + u_nd[hi])), dtype=float) * (u_nd[hi] - u_nd[lo]) / h**2
         for h, (lo, hi) in zip(grid.spacing, grid.faces)

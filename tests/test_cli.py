@@ -14,7 +14,7 @@ from subdiff.cli import _CERTIFICATES, _SWEEP_PAIRS, _props_comparison, _props_c
 from subdiff.config import CertificatesConfig, parse_config
 from subdiff.diagnostics import decay_report, hoelder_seminorm
 from subdiff.kernels import CompressionError
-from subdiff.reporting import NORMS_HEADER
+from subdiff.reporting import NORMS_HEADER, jsonable
 from subdiff.solver import StepFailure, run_trajectory
 
 FAST_RUN = """
@@ -141,6 +141,19 @@ class TestRunCommand:
         assert all(rec["passed"] is not None for rec in report["certificates"].values())
         assert report["observables"] == {"tail_exponent": tail, "hoelder": dataclasses.asdict(est)}
         assert set(report["observables"]["hoelder"]) == {"value", "beta_time", "beta_space", "region", "n_samples"}
+
+    def test_report_is_strict_json_when_a_value_is_not_finite(self, tmp_path):
+        # the zero run has W = 0, so its tail-exponent fit has no usable node and is NaN, which RFC 8259 cannot hold
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, "problem = zero\n[problem]\nresolution = 17\n[time]\nsteps = 8\n"),
+                     "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert report["observables"]["tail_exponent"] is None
+        assert jsonable({"a": np.nan, "b": [np.inf, -np.inf], "c": np.float64(1.5)}) == {"a": None, "b": [None, None], "c": 1.5}
 
     def test_no_observables_without_decay_or_hoelder(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -324,6 +337,27 @@ class TestOtherErrorsExitTwo:
         code = main([arg.format(**paths) for arg in argv])
         self._assert_exit_two(code, capsys, *(word.format(**paths) for word in words))
         assert not paths["out"].exists()
+
+    def test_utf8_config_under_an_ascii_locale(self, tmp_path):
+        # the config is UTF-8 whatever the locale's encoding; under the C locale with neither UTF-8 mode nor
+        # locale coercion, a non-ASCII comment was once refused as "not UTF-8 text"
+        cfg = tmp_path / "utf.cfg"
+        cfg.write_bytes("# \u03b1 = 0.5\nproblem = zero\n[problem]\nresolution = 17\n[time]\nsteps = 8\n".encode("utf-8"))
+        out = tmp_path / "o"
+        script = "import sys\nfrom subdiff.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            OPENBLAS_NUM_THREADS="1",
+            LC_ALL="C",
+            PYTHONUTF8="0",
+            PYTHONCOERCECLOCALE="0",
+        )
+        argv = [sys.executable, "-c", script, "run", str(cfg), "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "report.json").read_text())["passed"] is True
 
     def test_extents_that_do_not_fit_the_dimension(self, tmp_path, capsys):
         cfg = _write(tmp_path, self.BASE + "problem.extents = [0, 1, 0, 2]\n")

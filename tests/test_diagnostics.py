@@ -116,11 +116,11 @@ class TestDecay:
             grid=spec.grid,
             law=spec.law,
             u0=spec.u0,
-            source=np.ones((9, 17)),
+            source=lambda t, pts: np.ones(pts.shape[0]),
             label="forced",
         )
         traj = run_trajectory(forced)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero forcing"):
             decay_report(traj)
 
     def test_slack_validation(self):
@@ -233,7 +233,8 @@ class TestHoelder:
         # |x - y|^1 / |x - y|^0.5 maximized at the domain diameter, equal times:
         # seminorm of u(t, x) = x with beta_space = 0.5 on (0, 1) is exactly 1
         g = build_grid(1, (0.0, 1.0), 65)
-        est = hoelder_seminorm(_static(g, g.points()[:, 0]), beta_time=0.25, beta_space=0.5)
+        est = hoelder_seminorm(_static(g, g.points()[:, 0]))
+        assert (est.beta_time, est.beta_space) == (0.25, 0.5)
         np.testing.assert_allclose(est.value, 1.0, rtol=1e-12)
 
     def test_constant_field_has_zero_seminorm(self):
@@ -242,29 +243,22 @@ class TestHoelder:
 
     def test_trajectory_estimate_is_finite_and_stable(self):
         traj = _run("porous", resolution=33, steps=48, horizon=2.0)
-        est = hoelder_seminorm(traj, beta_time=0.25, beta_space=0.5)
+        est = hoelder_seminorm(traj)
         assert est.region == "full"
-        assert est.n_samples > 0
+        assert est.n_samples == 33 * 36  # every node, 36 of the 49 times
         assert np.isfinite(est.value)
-        # denser subsampling must not shrink the estimate
-        est2 = hoelder_seminorm(traj, beta_time=0.25, beta_space=0.5, max_samples=2500)
-        assert est2.value >= est.value - 1e-12
 
     def test_interior_region_excludes_startup(self):
         traj = _run("porous", resolution=33, steps=48, horizon=2.0)
-        full = hoelder_seminorm(traj, 0.25, 0.5, region="full")
-        inner = hoelder_seminorm(traj, 0.25, 0.5, region="interior")
+        full = hoelder_seminorm(traj, region="full")
+        inner = hoelder_seminorm(traj, region="interior")
         assert inner.region == "interior"
         assert inner.value <= full.value + 1e-12
 
     def test_validation(self):
         traj = _run("zero", resolution=17, steps=8)
-        with pytest.raises(ValueError):
-            hoelder_seminorm(traj, -0.1, 0.5)
-        with pytest.raises(ValueError):
-            hoelder_seminorm(traj, 0.25, 1.5)
-        with pytest.raises(ValueError):
-            hoelder_seminorm(traj, 0.25, 0.5, region="edge")
+        with pytest.raises(ValueError, match="unknown region 'edge'"):
+            hoelder_seminorm(traj, region="edge")
 
 
 class TestWeakformResidual:
@@ -295,11 +289,6 @@ class TestWeakformResidual:
     def test_eigenmode_also_passes(self):
         traj = _run("eigenmode", resolution=65, steps=128)
         assert weakform_residual(traj).passed
-
-    def test_needs_enough_test_functions(self):
-        traj = _run("zero", resolution=17, steps=8)
-        with pytest.raises(ValueError):
-            weakform_residual(traj, n_time_tests=1)
 
     def test_reports_where_the_worst_residual_sits(self):
         traj = _run("porous", resolution=33, steps=64, horizon=1.0)

@@ -457,8 +457,17 @@ class TestCompression:
         mem = provider(L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 64)))
         with pytest.raises(ValueError, match="flat fields"):
             mem.reset((3, 5))
-        with pytest.raises(ValueError, match="flat fields"):
-            mem.push(np.ones((3, 5)))
+
+    @pytest.mark.parametrize("provider", [DirectHistory, lambda w: compress_history(w, 1e-8)])
+    def test_providers_start_only_through_reset(self, provider):
+        mem = provider(L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 64)))
+        with pytest.raises(RuntimeError, match="reset before querying"):
+            mem.memory_term()
+        with pytest.raises(TypeError):  # a push does not start a history: there is nothing to store it in
+            mem.push(np.ones(3))
+        mem.reset((3,))
+        mem.push(np.ones(3))
+        assert mem.memory_term().shape == (3,)
 
     def test_rejects_bad_eps(self):
         w = L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 64))

@@ -29,6 +29,11 @@ from subdiff.spatial import (
 )
 
 
+def _jacobian(grid, law, u, shift=0.0):
+    """The Newton Jacobian at ``u``, extending the step matrix frozen there as the solver builds it."""
+    return newton_jacobian(law, u, assemble_quasilinear_operator(grid, law, u, shift))
+
+
 def _sine_problem(alpha=0.5, resolution=65, steps=64, horizon=1.0, law=None, grading=None):
     grid = build_grid(1, (0.0, math.pi), resolution)
     r = default_grading(alpha) if grading is None else grading
@@ -204,34 +209,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="boundary"):
             spec.validate()
 
-    def test_bad_source_shape(self):
+    def test_source_must_be_callable(self):
         grid = build_grid(1, (0.0, 1.0), 9)
-        tg = TimeGrid.uniform(1.0, 4)
-        spec = ProblemSpec(
-            alpha=0.5,
-            time_grid=tg,
-            grid=grid,
-            law=constant_law(),
-            u0=np.zeros(9),
-            source=np.zeros((3, 9)),  # needs M+1 = 5 rows
-        )
-        with pytest.raises(ValueError):
-            run_trajectory(spec)
+        base = dict(alpha=0.5, time_grid=TimeGrid.uniform(1.0, 4), grid=grid, law=constant_law(), u0=np.zeros(9))
+        with pytest.raises(ValueError, match="source must be None or a callable"):
+            ProblemSpec(source=np.zeros((5, 9)), **base)
+        # a callable that returns the wrong number of values fails at its first step
+        with pytest.raises(ValueError, match="source callable returned the wrong number of values"):
+            run_trajectory(ProblemSpec(source=lambda t, pts: np.zeros(8), **base))
 
-    def test_source_callable_and_array_agree(self):
+    def test_source_is_called_at_each_step_node(self):
         grid = build_grid(1, (0.0, 1.0), 17)
         tg = TimeGrid.uniform(0.5, 8)
-        x = grid.points()[:, 0]
-        u0 = np.sin(math.pi * x)
+        u0 = np.sin(math.pi * grid.points()[:, 0])
+        calls = []
 
         def f(t, pts):
+            calls.append(t)
             return (1.0 + t) * np.sin(math.pi * pts[:, 0])
 
-        table = np.array([f(t, grid.points()) for t in tg.nodes])
         base = dict(alpha=0.5, time_grid=tg, grid=grid, law=porous_law(), u0=u0)
-        a = run_trajectory(ProblemSpec(source=f, **base))
-        b = run_trajectory(ProblemSpec(source=table, **base))
-        np.testing.assert_allclose(a.fields, b.fields, rtol=0, atol=1e-13)
+        forced = run_trajectory(ProblemSpec(source=f, **base))
+        assert calls == tg.nodes[1:].tolist()
+        free = run_trajectory(ProblemSpec(**base))
+        assert np.all(forced.fields[1:, 8] > free.fields[1:, 8])  # a positive load raises the midpoint
 
 
 class TestTwoDimensions:
@@ -266,7 +267,7 @@ class TestTwoDimensions:
 class TestInteriorSolve:
     """``solver.spsolve`` solves the interior block: exactly in 1D, to its residual bound in 2D."""
 
-    @pytest.mark.parametrize("build, symmetric", [(assemble_quasilinear_operator, True), (newton_jacobian, False)])
+    @pytest.mark.parametrize("build, symmetric", [(assemble_quasilinear_operator, True), (_jacobian, False)])
     @pytest.mark.parametrize(
         "dim, extents, res", [(1, (0.0, 1.0), 65), (2, (0.0, 1.0), 17), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
     )
@@ -298,7 +299,7 @@ class TestInteriorSolve:
         # lam / nu = 51 takes GMRES through many restart cycles; x must keep every cycle's correction
         grid = build_grid(2, (0.0, 1.0), 17)
         u = 1.5 * np.prod(np.sin(2.0 * np.pi * grid.points() / grid.lengths), axis=1)
-        M = newton_jacobian(grid, _stiff_problem().law, u, shift=1.0)
+        M = _jacobian(grid, _stiff_problem().law, u, shift=1.0)
         b = np.where(grid.boundary_mask, 0.0, np.random.default_rng(3).normal(size=grid.n_nodes))
         atol = 1e-12 * np.linalg.norm(b)
         x, iterations = solver._gmres(M, b, solver._sine_preconditioner(grid, 1.0, 1.0), atol, 500)
@@ -334,7 +335,7 @@ class TestInteriorSolve:
         assert exc.value.iterations == 1
         assert exc.value.last_iterate.shape == (spec.grid.n_nodes,)
 
-    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     def test_first_solve_is_one_dgtsv_call_and_the_second_factors(self, build, monkeypatch):
         grid = build_grid(1, (0.0, 1.0), 65)
         M = build(grid, porous_law(), np.sin(np.pi * grid.points()[:, 0]), shift=3.0)
@@ -369,13 +370,17 @@ class TestInteriorSolve:
 
     @pytest.mark.parametrize("mode, builder", [("picard", "assemble_quasilinear_operator"), ("newton", "newton_jacobian")])
     def test_singular_tridiagonal_block_fails_the_step(self, mode, builder, monkeypatch):
-        # the stub takes every builder's parameters: Newton passes its Jacobian the frozen step matrix
-        def singular(grid, law, u, shift=0.0, frozen=None):
+        def singular(grid):
             return StencilOperator(grid, [np.zeros(grid.n_nodes - 1)])
 
+        # each stub takes its builder's parameters: Newton extends the step matrix frozen at the iterate
+        stub = {
+            "picard": lambda grid, law, u, shift: singular(grid),
+            "newton": lambda law, u, frozen: singular(frozen.grid),
+        }[mode]
         # the residual operator: the stub for Picard, the real step matrix for Newton
-        operator = singular if mode == "picard" else solver.assemble_quasilinear_operator
-        monkeypatch.setattr(solver, builder, singular)
+        operator = stub if mode == "picard" else solver.assemble_quasilinear_operator
+        monkeypatch.setattr(solver, builder, stub)
         spec = _sine_problem(law=porous_law(), resolution=9, steps=4)
         with pytest.raises(StepFailure, match="linear solve failed: .*singular") as exc:
             run_trajectory(spec, SolverOptions(mode=mode))

@@ -25,6 +25,11 @@ def _dense(op):
     return (op @ np.eye(op.grid.n_nodes)).T
 
 
+def _jacobian(g, law, u, shift=0.0):
+    """The Newton Jacobian at ``u``, extending the step matrix frozen there as the solver builds it."""
+    return newton_jacobian(law, u, assemble_quasilinear_operator(g, law, u, shift))
+
+
 def _dense_reference(g, law, u, shift, with_deriv):
     """Both operators built face by face into a dense array, independent of any sparse storage."""
     n = g.n_nodes
@@ -217,7 +222,7 @@ class TestOperator:
         def F(v):
             return assemble_quasilinear_operator(g, law, v) @ v
 
-        J = _dense(newton_jacobian(g, law, u))
+        J = _dense(_jacobian(g, law, u))
         h = 1e-6
         fd = np.empty((12, 12))
         for j in range(12):
@@ -227,7 +232,19 @@ class TestOperator:
         ii = g.interior_indices()
         np.testing.assert_allclose(J[np.ix_(ii, ii)], fd[np.ix_(ii, ii)], atol=5e-7)
 
-    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    @pytest.mark.parametrize("dim, extents, res", BOXES)
+    def test_jacobian_extends_its_frozen_operator(self, dim, extents, res):
+        # the Jacobian keeps the grid and the shift of the step matrix and shares its face coefficients
+        g = build_grid(dim, extents, res)
+        u = np.random.default_rng(10).normal(size=g.n_nodes)
+        frozen = assemble_quasilinear_operator(g, porous_law(), u, shift=2.5)
+        J = newton_jacobian(porous_law(), u, frozen)
+        assert J.grid is g
+        assert J.shift == 2.5
+        assert all(c is f for c, f in zip(J.coeffs, frozen.coeffs, strict=True))
+        assert frozen.derivs is None and len(J.derivs) == g.dim
+
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     @pytest.mark.parametrize("dim, res", [(1, 9), (2, (5, 7))])
     def test_shift_adds_to_interior_diagonal_only(self, build, dim, res):
         g = build_grid(dim, (0.0, 1.0), res)
@@ -238,7 +255,7 @@ class TestOperator:
         np.testing.assert_array_equal(shifted, expected)
 
     @pytest.mark.parametrize("shift", [0.0, 2.5])
-    @pytest.mark.parametrize("build, with_deriv", [(assemble_quasilinear_operator, False), (newton_jacobian, True)])
+    @pytest.mark.parametrize("build, with_deriv", [(assemble_quasilinear_operator, False), (_jacobian, True)])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_matches_face_by_face_dense_reference(self, dim, extents, res, build, with_deriv, shift):
         g = build_grid(dim, extents, res)
@@ -247,7 +264,7 @@ class TestOperator:
         ref = _dense_reference(g, law, u, shift, with_deriv)
         np.testing.assert_allclose(_dense(build(g, law, u, shift=shift)), ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
-    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     def test_tridiagonal_is_the_interior_band(self, build, monkeypatch):
         g = build_grid(1, (0.0, 1.0), 12)
         M = build(g, porous_law(), np.random.default_rng(3).normal(size=12), shift=2.5)
@@ -268,7 +285,7 @@ class TestOperator:
         assert len(factored) == 1
         assert x[0].tobytes() == x[1].tobytes() == x[2].tobytes()
 
-    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_boundary_rows_are_identity(self, dim, extents, res, build):
         g = build_grid(dim, extents, res)
@@ -284,7 +301,7 @@ class TestOperator:
             got = M @ v
         assert np.array_equal(got[b], v[b])  # no interior value reaches a boundary entry, not even as 0 * inf
 
-    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, newton_jacobian])
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_stacked_product_equals_field_by_field(self, dim, extents, res, build):
         g = build_grid(dim, extents, res)
@@ -332,7 +349,7 @@ class TestOperator:
         with pytest.raises(ValueError):
             assemble_quasilinear_operator(g, constant_law(), np.zeros(7))
         with pytest.raises(ValueError):
-            newton_jacobian(g, constant_law(), np.zeros(9))
+            newton_jacobian(constant_law(), np.zeros(9), assemble_quasilinear_operator(g, constant_law(), np.zeros(8)))
         with pytest.raises(ValueError):
             assemble_quasilinear_operator(g, constant_law(), np.zeros((3, 9)))
 
