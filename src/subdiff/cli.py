@@ -48,17 +48,7 @@ __all__ = ["main", "build_problem"]
 
 def build_problem(cfg: RunConfig):
     """Materialize (ProblemSpec, SolverOptions) from a parsed configuration."""
-    spec = build_preset(
-        cfg.problem.preset,
-        alpha=cfg.problem.alpha,
-        dimension=cfg.problem.dimension,
-        extents=cfg.problem.extents,
-        resolution=cfg.problem.resolution,
-        horizon=cfg.time.horizon,
-        steps=cfg.time.steps,
-        grading=cfg.time.grading,
-    )
-    return spec, cfg.solver
+    return build_preset(**vars(cfg.problem), **vars(cfg.time)), cfg.solver
 
 
 # name -> (fields report.json reads off the record beside ``passed``, call on the trajectory and the
@@ -107,20 +97,19 @@ def _detail(value) -> str:
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
-def _print_verdicts(kind: str, verdicts: dict) -> bool:
-    """One ``<kind> <name>: PASS|FAIL|SKIPPED (...)`` line per verdict; True unless one failed.
-
-    A refusal (``passed`` None) prints as SKIPPED with its reason and does not count.
-    """
-    all_passed = True
+def _print_verdicts(kind: str, verdicts: dict) -> None:
+    """One ``<kind> <name>: PASS|FAIL|SKIPPED (...)`` line per verdict; a refusal (``passed`` None) is SKIPPED."""
     for name, info in verdicts.items():
         if info["passed"] is None:
             print(f"{kind} {name}: SKIPPED ({info['skipped']})")
-            continue
-        verdict = "PASS" if info["passed"] else "FAIL"
-        print(f"{kind} {name}: {verdict} ({_detail({k: v for k, v in info.items() if k != 'passed'})})")
-        all_passed = all_passed and info["passed"]
-    return all_passed
+        else:
+            verdict = "PASS" if info["passed"] else "FAIL"
+            print(f"{kind} {name}: {verdict} ({_detail({k: v for k, v in info.items() if k != 'passed'})})")
+
+
+def _passed(verdicts: dict) -> bool:
+    """True unless a verdict failed; a refusal does not count."""
+    return all(info["passed"] is not False for info in verdicts.values())
 
 
 # flag -> the config path it overrides; argparse keeps each value as text, which the schema reads
@@ -172,15 +161,12 @@ def cmd_run(args) -> int:
     for i, t_req in enumerate(cfg.output.snapshot_times):
         n = int(np.argmin(np.abs(traj.times - t_req)))
         write_snapshot(snapshot_path(out, i), spec.grid, float(traj.times[n]), traj.fields[n])
-    passed = _print_verdicts("certificate", certs)
     observables = {} if decay is None else {"tail_exponent": decay.tail_exponent}
     if cfg.output.hoelder:
         observables["hoelder"] = asdict(hoelder_seminorm(traj))
-    for name, value in observables.items():
-        print(f"observable {name}: {_detail(value)}")
     report = RunReport(
         label=spec.label,
-        passed=passed,
+        passed=_passed(certs),
         certificates=certs,
         observables=observables,
         solver={
@@ -196,8 +182,12 @@ def cmd_run(args) -> int:
         config_text=render_config(cfg),
     )
     write_report(out / "report.json", report)
+    # every artifact is written before the first line goes out, so a closed stdout loses none
+    _print_verdicts("certificate", certs)
+    for name, value in observables.items():
+        print(f"observable {name}: {_detail(value)}")
     print(f"artifacts in {out}")
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def _restrict(values: np.ndarray, shape, stride: int) -> np.ndarray:
@@ -368,13 +358,14 @@ def cmd_props(args) -> int:
         "comparison": _props_comparison(rng, per_combo),
         "mittag_leffler": _props_mittag_leffler(),
     }
-    all_passed = _print_verdicts("property", results)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "props.json").write_text(json.dumps(jsonable(results), indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _print_verdicts("property", results)
+    if args.out:
         print(f"artifacts in {out}")
-    return 0 if all_passed else 1
+    return 0 if _passed(results) else 1
 
 
 def main(argv=None) -> int:
@@ -422,7 +413,8 @@ def main(argv=None) -> int:
         # the config file is the one file read; every other file operation writes an artifact
         config = getattr(args, "config", None)
         operation = "read" if config is not None and exc.filename == str(Path(config)) else "write"
-        print(f"cannot {operation} {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        target = exc.filename or ("standard output" if isinstance(exc, BrokenPipeError) else "an artifact")
+        print(f"cannot {operation} {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except CompressionError as exc:
         print(f"history compression failed: {exc}", file=sys.stderr)

@@ -17,12 +17,14 @@ bracketed lists do not split).  Keys live in the section opened by the last
 accepted as shorthand for ``problem.preset`` and ``problem.alpha``, and any
 dotted path works anywhere.  Unknown sections or keys are rejected with the
 offending path named, and parsing reports every violation at once rather
-than stopping at the first.  Settings that are valid one by one but cannot
-run together (compressed history on a one-step time grid, extents that do
-not fit the dimension, a grading whose first steps underflow to zero, also
-on the finest level of a time study, a snapshot time past the horizon) are
-rejected too, and so is an ``eps_compress`` below 1e-13, which no
-compression can reach.  An ``output.dir`` must read back unchanged from
+than stopping at the first.  Every number must be finite, and
+``eps_compress`` is a relative tolerance in [1e-13, 1): no compression
+reaches less.  Settings that are valid one by one but cannot run together
+are rejected too: compressed history on a one-step time grid, problem and
+time settings that give no grids (extents that do not fit the dimension, a
+box whose spacing squared over- or underflows, a grading whose first steps
+underflow to zero), also on the finest level of a study, and a snapshot
+time past the horizon.  An ``output.dir`` must read back unchanged from
 :func:`render_config`'s text, so a path with ``#``, ``,``, a line break or
 surrounding spaces is rejected.  Command-line overrides go through the same
 schema and checks.  The ``[solver]`` section is a
@@ -31,10 +33,11 @@ schema and checks.  The ``[solver]`` section is a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .presets import preset_time_grid
+from .presets import preset_grids
 from .solver import SolverOptions
 
 __all__ = [
@@ -124,6 +127,11 @@ def _reads_back(text: str) -> bool:
     return "#" not in text and "," not in text and len(text.splitlines()) <= 1 and text == text.strip()
 
 
+# smallest solver.eps_compress accepted: compress_history fits the kernel to eps / 100, at worst
+# 7.7e-16 at eps = 1e-13 (alpha 0.05 to 0.95; 64, 256, 2048 uniform and 1024 graded steps), while
+# at eps = 1e-14 the rounding of the sums themselves stops it near 2.4e-15
+_EPS_COMPRESS_FLOOR = 1e-13
+
 # key -> (kind, checker, requirement text); kinds: str, int, float, bool, floats
 _SCHEMA = {
     "problem.preset": ("str", lambda v: v in ("eigenmode", "porous", "zero"), "one of eigenmode, porous, zero"),
@@ -138,7 +146,7 @@ _SCHEMA = {
     "solver.tol": ("float", lambda v: v > 0.0, "> 0"),
     "solver.max_iter": ("int", lambda v: v >= 1, ">= 1"),
     "solver.history": ("str", lambda v: v in ("direct", "compressed"), "direct or compressed"),
-    "solver.eps_compress": ("float", lambda v: v > 0.0, "> 0"),
+    "solver.eps_compress": ("float", lambda v: _EPS_COMPRESS_FLOOR <= v < 1.0, "in [1e-13, 1), what compression can reach"),
     "certificates.decay": ("bool", None, ""),
     "certificates.boundedness": ("bool", None, ""),
     "certificates.convexity": ("bool", None, ""),
@@ -152,11 +160,6 @@ _SCHEMA = {
     "output.snapshot_times": ("floats", lambda v: all(t >= 0.0 for t in v), "nonnegative times"),
     "output.hoelder": ("bool", None, ""),
 }
-
-# smallest solver.eps_compress accepted: compress_history fits the kernel to eps / 100, at worst
-# 7.7e-16 at eps = 1e-13 (alpha 0.05 to 0.95; 64, 256, 2048 uniform and 1024 graded steps), while
-# at eps = 1e-14 the rounding of the sums themselves stops it near 2.4e-15
-_EPS_COMPRESS_FLOOR = 1e-13
 
 _TOPLEVEL_ALIASES = {"problem": "problem.preset", "alpha": "problem.alpha"}
 
@@ -203,6 +206,9 @@ def _parse_value(path: str, raw: str):
             raise AssertionError(kind)
     except ValueError:
         raise ValueError(f"{path} expects {kind}, got {raw!r}") from None
+    numbers = {"float": (val,), "floats": val}.get(kind, ())
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"{path}={raw} is not finite")
     if check is not None and not check(val):
         raise ValueError(f"{path}={raw} is out of range (must be {req})")
     return val
@@ -273,32 +279,37 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
 
 
 def check_config(cfg: RunConfig) -> None:
-    """Reject settings that are valid one by one but cannot run together."""
+    """Reject settings that are valid one by one but cannot run together.
+
+    The problem and time settings must build the run's grids
+    (:func:`~subdiff.presets.preset_grids`) and those of a study's finest
+    level; a problem names the settings by their dotted paths.
+    """
     problems = []
     if cfg.solver.history == "compressed" and cfg.time.steps == 1:
         problems.append("solver.history=compressed needs time.steps >= 2 (one step has no history)")
-    eps = cfg.solver.eps_compress
-    if eps < _EPS_COMPRESS_FLOOR:
-        problems.append(
-            f"history compression cannot reach eps={eps:g}: solver.eps_compress must be >= {_EPS_COMPRESS_FLOOR:g}"
-        )
-    ext, dim = cfg.problem.extents, cfg.problem.dimension or 1  # every preset defaults to dimension 1
-    if ext is not None and (len(ext) not in (2, 2 * dim) or any(b <= a for a, b in zip(ext[::2], ext[1::2]))):
-        problems.append(f"problem.extents={list(ext)} does not fit problem.dimension={dim} (pairs a < b, one or per axis)")
-    t, preset = cfg.time, cfg.problem.preset
-    given = ", ".join(f"time.{k}={'default' if v is None else v}" for k, v in vars(t).items())
-    try:
-        grid = preset_time_grid(preset, cfg.problem.alpha, t.horizon, t.steps, t.grading)
-        late = [s for s in cfg.output.snapshot_times if s > grid.horizon]
+
+    def grids(where="", **refined):
+        try:
+            return preset_grids(**{**vars(cfg.problem), **vars(cfg.time), **refined})
+        except ValueError as exc:
+            given = (f"{sect}.{key}={text}" for sect in ("problem", "time") for key, text in _settings(cfg, sect))
+            problems.append(f"{where}{', '.join(given)} give no grids: {exc}")
+
+    built = grids()
+    if built is not None:
+        grid, time_grid = built
+        late = [s for s in cfg.output.snapshot_times if s > time_grid.horizon]
         if late:
-            problems.append(f"output.snapshot_times has {late} past the time horizon {grid.horizon!r}")
-        if cfg.study.axis == "time":
-            # a time study doubles the steps per level; without an exact solution it runs one more level as reference
-            finest = grid.steps * 2 ** (cfg.study.levels - (preset == "eigenmode"))
-            given = f"study.axis=time, study.levels={cfg.study.levels} refine to {finest} steps, where {given}"
-            preset_time_grid(preset, cfg.problem.alpha, t.horizon, finest, t.grading)
-    except ValueError as exc:
-        problems.append(f"{given} give no time grid: {exc}")
+            problems.append(f"output.snapshot_times has {late} past the time horizon {time_grid.horizon!r}")
+        # a study refines every level; without an exact solution it runs one more level as reference
+        k, study = cfg.study.levels - (cfg.problem.preset == "eigenmode"), cfg.study
+        if study.axis == "time":
+            sect, key, finest = "time", "steps", time_grid.steps * 2**k
+        else:
+            sect, key, finest = "problem", "resolution", (grid.shape[0] - 1) * 2**k + 1
+        where = f"study.axis={study.axis}, study.levels={study.levels} refine to {sect}.{key}={finest}, where "
+        grids(where, **{key: finest})
     if problems:
         raise ConfigError(problems)
 
@@ -313,21 +324,21 @@ def _format_value(kind: str, val) -> str:
     return str(val)
 
 
+def _settings(cfg: RunConfig, sect: str) -> list:
+    """``(key, text)`` of each field of section ``sect`` that is not None, the text as :func:`render_config` writes it."""
+    obj = getattr(cfg, sect)
+    values = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+    return [(key, _format_value(_SCHEMA[f"{sect}.{key}"][0], v)) for key, v in values if v is not None]
+
+
 def render_config(cfg: RunConfig) -> str:
     """Canonical text for ``cfg``; ``parse_config`` round-trips it exactly.
 
     Fields still at None (meaning "preset default") are omitted.
     """
     lines = []
-    for sect, cls in _SECTIONS.items():
-        block = []
-        obj = getattr(cfg, sect)
-        for f in fields(cls):
-            val = getattr(obj, f.name)
-            if val is None:
-                continue
-            kind = _SCHEMA[f"{sect}.{f.name}"][0]
-            block.append(f"{f.name}={_format_value(kind, val)}")
+    for sect in _SECTIONS:
+        block = [f"{key}={text}" for key, text in _settings(cfg, sect)]
         if block:
             lines.append(f"[{sect}]")
             lines.extend(block)

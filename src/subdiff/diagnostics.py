@@ -69,7 +69,7 @@ def l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
     return float(np.sqrt(q @ (v * v)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormSeries:
     times: np.ndarray
     l2: np.ndarray
@@ -111,8 +111,7 @@ def boundedness_report(traj: Trajectory, tol: float = 1e-12) -> MaxPrincipleRepo
     spec = traj.spec
     if spec.source is not None:
         raise ValueError("the sup-norm bound is only certified for runs without forcing")
-    g = spec.boundary_values()
-    bound = max(float(np.max(np.abs(spec.u0))), float(np.max(np.abs(g), initial=0.0)))
+    bound = max(float(np.max(np.abs(spec.u0))), float(np.max(np.abs(spec.boundary), initial=0.0)))
     sups = np.max(np.abs(traj.fields), axis=1)
     arg = int(np.argmax(sups))
     return MaxPrincipleReport(

@@ -79,7 +79,7 @@ def default_grading(alpha: float) -> float:
     return min((2.0 - alpha) / alpha, 4.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Time nodes ``0 = t_0 < ... < t_M`` and their steps ``tau``, both read-only.
 
@@ -131,7 +131,7 @@ class TimeGrid:
         return bool(np.all(self.tau == self.tau[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class L1Weights:
     """L1 quadrature weights for the fractional derivative of order ``alpha``.
 
@@ -152,8 +152,8 @@ class L1Weights:
 
     alpha: float
     grid: TimeGrid
-    _uniform_b: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _diag: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _uniform_b: np.ndarray | None = field(default=None, init=False, repr=False)
+    _diag: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -288,7 +288,7 @@ class L1Weights:
 # discrete convexity inequality
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexityReport:
     """Margins of the discrete convexity inequality along scalar histories.
 
@@ -428,7 +428,7 @@ class CompressionError(RuntimeError):
         self.achieved = achieved
 
 
-@dataclass
+@dataclass(eq=False)
 class CompressedHistory:
     """Sum-of-exponentials memory provider for the L1 history on any time grid.
 

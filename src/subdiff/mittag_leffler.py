@@ -117,7 +117,7 @@ def ml_values(alpha: float, zs) -> np.ndarray:
     return _evaluate(alpha, zs)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailReport:
     """Sampled tail-bound and complete-monotonicity probe on ``E_a(-x)``.
 

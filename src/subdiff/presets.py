@@ -1,4 +1,9 @@
-"""Ready-made problem builders shared by the CLI and the test suite."""
+"""Ready-made problems shared by the CLI and the test suite.
+
+:func:`preset_grids` merges a preset's defaults with the given overrides once
+and builds the run's two grids; :func:`build_preset` builds the problem on
+them, and the config check builds them to test a configuration.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from .mittag_leffler import mittag_leffler
 from .solver import ProblemSpec
 from .spatial import SpatialGrid, build_grid, constant_law, first_eigenvalue, porous_law
 
-__all__ = ["PRESETS", "build_preset", "preset_time_grid", "eigenmode_exact"]
+__all__ = ["PRESETS", "preset_grids", "build_preset", "eigenmode_exact"]
 
 
 def _product_sine(grid: SpatialGrid) -> np.ndarray:
@@ -45,39 +50,38 @@ PRESETS = {
 _COMMON = dict(alpha=0.5, dimension=1, extents=(0.0, float(np.pi)), grading=None)
 
 
-def preset_time_grid(name: str, alpha=None, horizon=None, steps=None, grading=None) -> TimeGrid:
-    """The time grid :func:`build_preset` builds: None keeps the preset's value, for ``grading`` the alpha default.
-
-    Raises ``ValueError`` when the nodes are not strictly increasing, as when
-    a strong grading underflows the first steps to zero.
-    """
-    given = dict(alpha=alpha, horizon=horizon, steps=steps, grading=grading)
-    p = {**_COMMON, **PRESETS[name][2], **{k: v for k, v in given.items() if v is not None}}
-    r = default_grading(p["alpha"]) if p["grading"] is None else float(p["grading"])
-    return TimeGrid.graded(p["horizon"], p["steps"], r)
-
-
-def build_preset(name: str, **overrides) -> ProblemSpec:
-    """Build a preset, applying only the overrides that are not None.
+def preset_grids(preset: str, **overrides) -> tuple[SpatialGrid, TimeGrid]:
+    """The spatial and the time grid of a preset, applying only the overrides that are not None.
 
     Overrides are ``alpha``, ``dimension``, ``extents``, ``resolution``,
-    ``horizon``, ``steps`` and ``grading`` (None keeps the graded default).
+    ``horizon``, ``steps`` and ``grading`` (None keeps the graded default for
+    ``alpha``).  Raises ``ValueError`` when a grid cannot be built: a box
+    that :func:`~subdiff.spatial.build_grid` refuses, or time nodes that are
+    not strictly increasing, as when a strong grading underflows the first
+    steps to zero.
     """
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    law, initial, sizes = PRESETS[name]
-    unknown = set(overrides) - set(_COMMON) - set(sizes)
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    unknown = set(overrides) - set(_COMMON) - set(PRESETS[preset][2])
     if unknown:
         raise TypeError(f"unknown preset arguments {sorted(unknown)}")
-    p = {**_COMMON, **sizes, **{k: v for k, v in overrides.items() if v is not None}}
-    grid = build_grid(p["dimension"], p["extents"], p["resolution"])
+    p = {**_COMMON, **PRESETS[preset][2], **{k: v for k, v in overrides.items() if v is not None}}
+    r = default_grading(p["alpha"]) if p["grading"] is None else float(p["grading"])
+    return build_grid(p["dimension"], p["extents"], p["resolution"]), TimeGrid.graded(p["horizon"], p["steps"], r)
+
+
+def build_preset(preset: str, **overrides) -> ProblemSpec:
+    """Build a preset on the grids of :func:`preset_grids`, which takes the same overrides."""
+    grid, time_grid = preset_grids(preset, **overrides)
+    law, initial, _ = PRESETS[preset]
+    alpha = overrides.get("alpha")  # no preset sets its own
     return ProblemSpec(
-        alpha=p["alpha"],
-        time_grid=preset_time_grid(name, p["alpha"], p["horizon"], p["steps"], p["grading"]),
+        alpha=_COMMON["alpha"] if alpha is None else alpha,
+        time_grid=time_grid,
         grid=grid,
         law=law(),
         u0=initial(grid),
-        label=name,
+        label=preset,
     )
 
 

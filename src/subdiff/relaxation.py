@@ -80,7 +80,7 @@ def solve_relaxation_l1(alpha: float, mu, v0, grid: TimeGrid, slack=None) -> np.
     return V[0] if one else V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayCertificate:
     """Verdict of an observed decay history against its relaxation envelope.
 

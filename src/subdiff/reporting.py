@@ -23,7 +23,7 @@ __all__ = [
 NORMS_HEADER = "t\tL2\tsup\tW\tV_envelope"
 
 
-@dataclass
+@dataclass(eq=False)
 class RunReport:
     label: str
     passed: bool

@@ -1,5 +1,7 @@
 """Tensor-product box grids and divergence-form diffusion operators.
 
+A grid is its box and its node counts (:class:`SpatialGrid`), checked when
+it is built; its coordinates, spacing and boundary mask derive from them.
 Scalar isotropic laws only: the flux is ``a(u) grad u`` with a face
 coefficient evaluated at the arithmetic mean of the two adjacent nodes, which
 keeps the interior block symmetric for frozen u and second-order accurate.
@@ -38,8 +40,6 @@ __all__ = [
     "DiffusionLaw",
     "constant_law",
     "porous_law",
-    "EllipticityReport",
-    "ellipticity_check",
     "assemble_quasilinear_operator",
     "newton_jacobian",
     "first_eigenvalue",
@@ -48,18 +48,54 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform tensor grid on a box in one or two dimensions.
+    """Uniform tensor grid on a box in one or two dimensions: its ``extents`` and its node counts.
 
-    ``shape`` counts nodes per axis including boundaries; ``boundary_mask``
-    marks exactly the outermost layer on the flattened (C-order) node set.
+    ``extents`` holds one interval ``(a, b)`` per axis and ``shape`` the nodes
+    per axis including boundaries.  The constructor refuses, naming the
+    argument, anything but 1 or 2 axes, an interval that is not finite with
+    ``a < b``, fewer than 4 nodes on an axis, and an axis spacing ``h`` whose
+    ``h^2`` or ``1 / h^2`` is not finite and positive.  Everything else is
+    derived on first use and read-only: ``dim``, the node coordinates ``axes``,
+    the ``spacing`` and the ``boundary_mask``, which marks exactly the
+    outermost layer on the flattened (C-order) node set.  Grids compare and
+    hash by their two fields.
     """
 
-    dim: int
     extents: tuple[tuple[float, float], ...]
     shape: tuple[int, ...]
-    axes: tuple[np.ndarray, ...]
-    spacing: tuple[float, ...]
-    boundary_mask: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "extents", tuple((float(a), float(b)) for a, b in self.extents))
+        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        if not len(self.extents) == len(self.shape) in (1, 2):
+            raise ValueError(f"extents and shape need 1 or 2 axes each, got {self.extents} and {self.shape}")
+        if not all(-np.inf < a < b < np.inf for a, b in self.extents):
+            raise ValueError(f"extents must be finite intervals (a, b) with a < b, got {self.extents}")
+        if min(self.shape) < 4:
+            raise ValueError(f"shape must have at least 4 nodes per axis, got {self.shape}")
+        for h in self.spacing:
+            if not (0.0 < h * h < np.inf and 1.0 / (h * h) < np.inf):
+                raise ValueError(f"extents {self.extents} on shape {self.shape} give an axis spacing h = {h!r} "
+                                 "whose h^2 or 1/h^2 is not finite and positive")
+
+    @cached_property
+    def dim(self) -> int:
+        return len(self.shape)
+
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        return tuple(_read_only(np.linspace(a, b, n)) for (a, b), n in zip(self.extents, self.shape))
+
+    @cached_property
+    def spacing(self) -> tuple[float, ...]:
+        # ``axes[d][1] - axes[d][0]`` as np.linspace places the two nodes, without building the axis
+        return tuple((a + (b - a) / (n - 1)) - a for (a, b), n in zip(self.extents, self.shape))
+
+    @cached_property
+    def boundary_mask(self) -> np.ndarray:
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.dim] = False
+        return _read_only(mask.ravel(), bool)
 
     @cached_property
     def n_nodes(self) -> int:
@@ -118,45 +154,18 @@ class SpatialGrid:
         return lam
 
 
-def build_grid(dimension: int, extents, resolution) -> SpatialGrid:
-    """Build a :class:`SpatialGrid`.
+def build_grid(dimension: int, extents, resolution: int) -> SpatialGrid:
+    """The :class:`SpatialGrid` of a run's settings.
 
-    Parameters
-    ----------
-    dimension : 1 or 2
-    extents : 2 or ``2 * dimension`` numbers, flat or in pairs: one interval
-        ``(a, b)`` for every axis, or ``a_1, b_1, a_2, b_2``; each a < b
-    resolution : int or per-axis ints, nodes per axis including boundaries;
-        at least 4 per axis.
+    ``extents`` is 2 numbers, one interval ``a, b`` for every axis, or
+    ``2 * dimension`` numbers ``a_1, b_1, a_2, b_2``; ``resolution`` is the
+    node count of every axis.  Any other box is a :class:`SpatialGrid`.
     """
-    if dimension not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {dimension}")
-    flat = np.asarray(extents, dtype=float).ravel()
-    if flat.size not in (2, 2 * dimension):
-        raise ValueError(f"extents needs 2 or {2 * dimension} numbers for dimension {dimension}, got {flat.size}")
-    ext = (np.tile(flat, dimension) if flat.size == 2 else flat).reshape(dimension, 2)
-    if np.any(ext[:, 1] <= ext[:, 0]):
-        raise ValueError(f"extents must be {dimension} pairs (a, b) with a < b")
-    res = np.broadcast_to(np.asarray(resolution, dtype=int), (dimension,))
-    if np.any(res < 4):
-        raise ValueError(f"resolution must be at least 4 nodes per axis, got {tuple(res)}")
-    axes = tuple(np.linspace(a, b, n) for (a, b), n in zip(ext, res))
-    spacing = tuple(float(ax[1] - ax[0]) for ax in axes)
-    mask = np.zeros(tuple(res), dtype=bool)
-    for d in range(dimension):
-        sl: list = [slice(None)] * dimension
-        sl[d] = 0
-        mask[tuple(sl)] = True
-        sl[d] = -1
-        mask[tuple(sl)] = True
-    return SpatialGrid(
-        dim=dimension,
-        extents=tuple((float(a), float(b)) for a, b in ext),
-        shape=tuple(int(n) for n in res),
-        axes=axes,
-        spacing=spacing,
-        boundary_mask=mask.ravel(),
-    )
+    flat = tuple(float(x) for x in extents)
+    if len(flat) not in (2, 2 * dimension):
+        raise ValueError(f"extents needs 2 numbers or 2 per axis of dimension {dimension}, got {len(flat)}")
+    flat = flat * (2 * dimension // len(flat))
+    return SpatialGrid(tuple(zip(flat[::2], flat[1::2])), (resolution,) * dimension)
 
 
 @dataclass(frozen=True)
@@ -202,27 +211,6 @@ def porous_law() -> DiffusionLaw:
         return y / (1.0 + y * y) ** 2
 
     return DiffusionLaw(a=a, deriv=deriv, nu=1.0, lam=1.5, tag="porous")
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    law_tag: str
-    y_range: tuple[float, float]
-    min_a: float
-    max_a: float
-    passed: bool
-
-
-def ellipticity_check(law: DiffusionLaw, y_range: tuple[float, float]) -> EllipticityReport:
-    """Sample ``a`` at 513 equispaced points of ``y_range`` and test the declared bounds ``[nu, lam]``."""
-    lo, hi = float(y_range[0]), float(y_range[1])
-    if not lo < hi:
-        raise ValueError(f"empty range {y_range}")
-    vals = np.asarray(law.a(np.linspace(lo, hi, 513)), dtype=float)
-    min_a, max_a = float(vals.min()), float(vals.max())
-    tol = 1e-12 * max(1.0, law.lam)
-    passed = (min_a >= law.nu - tol) and (max_a <= law.lam + tol)
-    return EllipticityReport(law.tag, (lo, hi), min_a, max_a, passed)
 
 
 class StencilOperator:
@@ -281,8 +269,8 @@ class StencilOperator:
         return (-c + d)[1:-1], (c - d)[1:] + (c + d)[:-1] + self.shift, (-c - d)[1:-1]
 
 
-def _read_only(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _read_only(a, dtype=float) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 

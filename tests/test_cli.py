@@ -397,13 +397,70 @@ class TestOtherErrorsExitTwo:
         )
         out = tmp_path / "o"
         code = main(["study", cfg, "--out", str(out)])
-        self._assert_exit_two(code, capsys, "invalid configuration", "16 steps", "time.grading=400")
+        self._assert_exit_two(code, capsys, "invalid configuration", "time.steps=16", "time.grading=400")
         assert not out.exists()
 
-    def test_overflow_in_the_run(self, tmp_path, capsys):
-        # face coefficients of a 1e300-wide box overflow while the first step matrix is assembled
-        cfg = _write(tmp_path, "problem = porous\n[problem]\nresolution = 17\nextents = [0, 1e300]\n")
-        self._assert_exit_two(main(["run", cfg, "--out", str(tmp_path / "o")]), capsys, "run failed", "OverflowError")
+    @pytest.mark.parametrize(
+        "preset, extents",
+        [("eigenmode", "[0, 1e-160]"), ("porous", "[0, 1e200]"), ("porous", "[1e16, 1e16000000]")],
+        ids=["spacing-squared-underflows", "spacing-squared-overflows", "extent-overflows"],
+    )
+    def test_box_that_gives_no_grid_is_refused_before_any_step(self, tmp_path, capsys, monkeypatch, preset, extents):
+        # each of these once failed inside the run: no convergence at residual nan, an OverflowError, non-finite u0
+        monkeypatch.setattr("subdiff.cli.run_trajectory", lambda *args: pytest.fail("the run started"))
+        cfg = _write(tmp_path, f"problem = {preset}\n[problem]\nresolution = 9\nextents = {extents}\n[time]\nsteps = 4\n")
+        out = tmp_path / "o"
+        self._assert_exit_two(main(["run", cfg, "--out", str(out)]), capsys, "invalid configuration: ", "problem.extents=")
+        assert not out.exists()
+
+    def test_non_finite_settings_are_refused(self, tmp_path, capsys):
+        # with these three at inf every step was accepted after one correction and every certificate passed
+        text = "problem = porous\n[problem]\nresolution = 9\n[time]\nsteps = 4\n[certificates]\nweakform = true\n"
+        infinite = "[solver]\ntol = inf\n[certificates]\nslack = inf\nweakform_threshold = inf\n"
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, text), "--out", str(out)]) == 1  # decay and the weak form fail
+        capsys.readouterr()
+        code = main(["run", _write(tmp_path, text + infinite), "--out", str(tmp_path / "inf")])
+        self._assert_exit_two(code, capsys, "line 9: solver.tol=inf is not finite", "line 11: certificates.slack=inf",
+                              "line 12: certificates.weakform_threshold=inf is not finite")
+        assert not (tmp_path / "inf").exists()
+
+    @pytest.mark.parametrize("eps", ["1e7", "2e7", "inf"])
+    def test_compression_tolerance_of_one_or_more_is_refused(self, tmp_path, capsys, eps):
+        # each once crashed the run: a ZeroDivisionError at 1e7, a math domain error at 2e7 and inf
+        cfg = _write(tmp_path, self.BASE + f"[solver]\nhistory = compressed\neps_compress = {eps}\n")
+        out = tmp_path / "o"
+        self._assert_exit_two(main(["run", cfg, "--out", str(out)]), capsys, "invalid configuration", "solver.eps_compress")
+        assert not out.exists()
+
+    def test_overflow_in_the_run(self, tmp_path, capsys, monkeypatch):
+        # an arithmetic error inside the run is an error of the run: one line naming it, exit 2
+        def overflowing(*args, **kwargs):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr("subdiff.solver.assemble_quasilinear_operator", overflowing)
+        cfg = _write(tmp_path, "problem = porous\n[problem]\nresolution = 17\n[time]\nsteps = 4\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["run failed: OverflowError: (34, 'Numerical result out of range')"]
+
+    def test_closed_stdout_loses_no_artifact(self, tmp_path):
+        # as under `subdiff run k.cfg | head -1`, with the reader gone before the first line: every artifact is
+        # written before anything is printed, and the error names standard output
+        cfg = _write(tmp_path, "problem = porous\n[problem]\nresolution = 9\n[time]\nsteps = 8\n")
+        out = tmp_path / "o"
+        script = "import sys\nfrom subdiff.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   OPENBLAS_NUM_THREADS="1", PYTHONUNBUFFERED="1")
+        argv = [sys.executable, "-c", script, "run", cfg, "--out", str(out)]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 2
+        assert err.splitlines() == ["cannot write standard output: Broken pipe"]
+        report = json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)
+        assert set(report["certificates"]) == {"convexity", "boundedness", "decay"}
+        assert (out / "norms.tsv").read_text().startswith(NORMS_HEADER)
 
     def test_linear_algebra_error_in_the_run(self, tmp_path, capsys, monkeypatch):
         # an eigenvalue solve that does not converge is an error of the run: one line naming it, exit 2
@@ -426,7 +483,7 @@ class TestOtherErrorsExitTwo:
     def test_unreachable_compression_tolerance(self, tmp_path, capsys, command):
         cfg = _write(tmp_path, self.BASE + "[solver]\nhistory = compressed\neps_compress = 1e-30\n")
         code = main([command, cfg, "--out", str(tmp_path / "o")])
-        self._assert_exit_two(code, capsys, "compression", "eps=1e-30")
+        self._assert_exit_two(code, capsys, "invalid configuration", "solver.eps_compress=1e-30", "[1e-13, 1)")
 
     def test_unreachable_compression_of_a_long_slow_history_fits_in_memory(self, tmp_path):
         # at alpha = 0.05 and eps = 1e-30 every refinement misses and the ladder grows to hundreds of

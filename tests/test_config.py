@@ -120,7 +120,7 @@ class TestErrorAggregation:
         with pytest.raises(ConfigError) as exc:
             parse_config("[solver]\neps_compress = 1e-14\n")
         assert exc.value.problems == [
-            "history compression cannot reach eps=1e-14: solver.eps_compress must be >= 1e-13"
+            "line 2: solver.eps_compress=1e-14 is out of range (must be in [1e-13, 1), what compression can reach)"
         ]
         assert parse_config("[solver]\neps_compress = 1e-13\n").solver.eps_compress == 1e-13
 
@@ -129,8 +129,7 @@ class TestErrorAggregation:
         with pytest.raises(ConfigError) as exc:
             parse_config("problem = porous\n[time]\ngrading = 150\n")
         assert exc.value.problems == [
-            "time.horizon=default, time.steps=default, time.grading=150.0 give no time grid: "
-            "time nodes must be strictly increasing"
+            "problem.preset=porous, time.grading=150.0 give no grids: time nodes must be strictly increasing"
         ]
         assert parse_config("problem = porous\n[time]\ngrading = 150\nsteps = 4\n").time.grading == 150.0
 
@@ -141,11 +140,72 @@ class TestErrorAggregation:
         with pytest.raises(ConfigError) as exc:
             parse_config("problem = porous\n" + text)
         assert exc.value.problems == [
-            "study.axis=time, study.levels=2 refine to 16 steps, where time.horizon=1.0, time.steps=4, "
-            "time.grading=300.0 give no time grid: time nodes must be strictly increasing"
+            "study.axis=time, study.levels=2 refine to time.steps=16, where problem.preset=porous, time.horizon=1.0, "
+            "time.steps=4, time.grading=300.0 give no grids: time nodes must be strictly increasing"
         ]
         assert parse_config("problem = eigenmode\n" + text).study.axis == "time"  # its finest level has 8 steps
         assert parse_config("problem = porous\n" + text.replace("axis = time", "axis = space")).study.levels == 2
+
+    @pytest.mark.parametrize(
+        "dimension, extents, shown, spacing",
+        [
+            (1, "[0, 1e-160]", "[0.0, 1e-160]", "1.25e-161"),  # h^2 is subnormal, 1 / h^2 overflows
+            (1, "[0, 1e200]", "[0.0, 1e+200]", "1.25e+199"),  # h^2 overflows
+            (2, "[0, 1, 0, 1e200]", "[0.0, 1.0, 0.0, 1e+200]", "1.25e+199"),  # on the second axis only
+        ],
+    )
+    def test_box_whose_spacing_squared_leaves_the_floats(self, dimension, extents, shown, spacing):
+        text = f"problem = porous\n[problem]\ndimension = {dimension}\nresolution = 9\nextents = {extents}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text + "[time]\nsteps = 4\n")
+        (problem,) = exc.value.problems
+        assert problem.startswith(
+            f"problem.preset=porous, problem.dimension={dimension}, problem.resolution=9, problem.extents={shown}, "
+            "time.steps=4 give no grids: extents "
+        )
+        assert problem.endswith(f"give an axis spacing h = {spacing} whose h^2 or 1/h^2 is not finite and positive")
+
+    def test_space_study_checks_the_grid_of_its_finest_level(self):
+        # 9 nodes on [0, 1e-153] give h = 1.25e-154, whose 1 / h^2 = 6.4e307 is finite; the 2-level porous
+        # study's reference level has 33 nodes and h = 3.1e-155, whose 1 / h^2 overflows
+        text = "problem = porous\n[problem]\nresolution = 9\nextents = [0, 1e-153]\n[time]\nsteps = 4\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text + "[study]\nlevels = 2\n")
+        (problem,) = exc.value.problems
+        assert problem.startswith(
+            "study.axis=space, study.levels=2 refine to problem.resolution=33, where problem.preset=porous, "
+            "problem.resolution=9, problem.extents=[0.0, 1e-153], time.steps=4 give no grids: "
+        )
+        assert "h = 3.125e-155" in problem
+        # an eigenmode study has an exact reference and no extra level: from 5 nodes its finest level has 9
+        text = "problem = eigenmode\n[problem]\nresolution = 5\nextents = [0, 1e-153]\n[time]\nsteps = 4\n"
+        assert parse_config(text + "[study]\nlevels = 2\n").study.levels == 2
+
+    @pytest.mark.parametrize(
+        "key", ["solver.tol", "certificates.slack", "certificates.weakform_threshold", "time.horizon", "problem.alpha"]
+    )
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_numbers_are_refused_by_key(self, key, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"{key} = {value}\n")
+        assert exc.value.problems == [f"line 1: {key}={value} is not finite"]
+
+    @pytest.mark.parametrize("key", ["problem.extents", "output.snapshot_times"])
+    def test_non_finite_list_entries_are_refused_by_key(self, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"{key} = [0, inf]\n")
+        assert exc.value.problems == [f"line 1: {key}=[0, inf] is not finite"]
+        with pytest.raises(ConfigError, match="is not finite"):
+            parse_config(f"{key} = [0, 1e16000000]\n")  # overflows to inf when read
+
+    @pytest.mark.parametrize("eps", ["1", "1e7", "2e7"])
+    def test_compression_tolerance_is_relative(self, eps):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[solver]\neps_compress = {eps}\n")
+        assert exc.value.problems == [
+            f"line 2: solver.eps_compress={eps} is out of range (must be in [1e-13, 1), what compression can reach)"
+        ]
+        assert parse_config("[solver]\neps_compress = 0.5\n").solver.eps_compress == 0.5
 
     def test_snapshot_time_past_the_horizon(self):
         # a run to T = 1 would write a snapshot asked for at t = 100 at its last node, t = 1

@@ -21,7 +21,7 @@ from subdiff.diagnostics import (
     weakform_residual,
 )
 from subdiff.kernels import L1Weights, TimeGrid, default_grading
-from subdiff.presets import build_preset, preset_time_grid
+from subdiff.presets import build_preset, preset_grids
 from subdiff.solver import ProblemSpec, run_trajectory
 from subdiff.spatial import build_grid, constant_law, porous_law
 
@@ -378,7 +378,7 @@ class TestKnotWeights:
 
     def test_match_mpmath_on_the_long_graded_grid(self):
         alpha, horizon, steps = self.W3
-        nodes = preset_time_grid("porous", alpha, horizon, steps).nodes
+        nodes = preset_grids("porous", alpha=alpha, horizon=horizon, steps=steps)[1].nodes
         assert nodes[1] < 1e-13
         C = _knot_weights(alpha, nodes, np.array(self.SAMPLES))
         worst = worst_naive = 0.0
@@ -398,7 +398,7 @@ class TestKnotWeights:
 
     @pytest.mark.parametrize(
         "grid",
-        [preset_time_grid("porous", 0.3, 100.0, 8192), TimeGrid.uniform(2.0, 64), TimeGrid.graded(1.0, 256, 3.0)],
+        [preset_grids("porous", alpha=0.3, horizon=100.0, steps=8192)[1], TimeGrid.uniform(2.0, 64), TimeGrid.graded(1.0, 256, 3.0)],
         ids=["w3-graded", "uniform", "graded"],
     )
     @pytest.mark.parametrize("alpha", [0.3, 0.8])

@@ -19,6 +19,7 @@ from subdiff.relaxation import comparison_check
 from subdiff.solver import ProblemSpec, SolverOptions, StepFailure, run_trajectory
 from subdiff.spatial import (
     DiffusionLaw,
+    SpatialGrid,
     StencilOperator,
     assemble_quasilinear_operator,
     build_grid,
@@ -32,6 +33,11 @@ from subdiff.spatial import (
 def _jacobian(grid, law, u, shift=0.0):
     """The Newton Jacobian at ``u``, extending the step matrix frozen there as the solver builds it."""
     return newton_jacobian(law, u, assemble_quasilinear_operator(grid, law, u, shift))
+
+
+def _grid(dim, extents, res):
+    """``build_grid`` on one interval and one node count, else ``SpatialGrid`` on paired extents and per-axis counts."""
+    return build_grid(dim, extents, res) if np.isscalar(res) else SpatialGrid(extents, res)
 
 
 def _sine_problem(alpha=0.5, resolution=65, steps=64, horizon=1.0, law=None, grading=None):
@@ -84,7 +90,7 @@ class TestEigenmodeAccuracy:
     def test_first_eigenvalue_helper(self):
         g1 = build_grid(1, (0.0, math.pi), 9)
         np.testing.assert_allclose(first_eigenvalue(g1), 1.0, rtol=1e-14)
-        g2 = build_grid(2, [(0.0, math.pi), (0.0, 2.0 * math.pi)], 9)
+        g2 = SpatialGrid(((0.0, math.pi), (0.0, 2.0 * math.pi)), (9, 9))
         np.testing.assert_allclose(first_eigenvalue(g2), 1.25, rtol=1e-14)
 
 
@@ -196,18 +202,31 @@ class TestSpecValidation:
             ProblemSpec(alpha=0.5, time_grid=tg, grid=grid, law=constant_law(), u0=u0)
 
     def test_boundary_initial_mismatch(self):
+        base = dict(alpha=0.5, time_grid=TimeGrid.uniform(1.0, 4), grid=build_grid(1, (0.0, 1.0), 9), law=constant_law())
+        with pytest.raises(ValueError, match="disagree on the boundary .* the compatibility condition fails"):
+            ProblemSpec(u0=np.ones(9), boundary=0.0, **base)
+        with pytest.raises(ValueError, match="boundary data has 3 values for 2 boundary nodes"):
+            ProblemSpec(u0=np.zeros(9), boundary=np.zeros(3), **base)
+
+    def test_law_outside_its_bounds_is_refused_at_construction(self):
+        # a(y) = 1 + y^2 declared within [1, 2]: data in [0, 1] pad the sampled range to [-1.5, 2.5]
+        law = DiffusionLaw(a=lambda y: 1.0 + np.asarray(y) ** 2, deriv=lambda y: 2.0 * np.asarray(y), nu=1.0, lam=2.0)
         grid = build_grid(1, (0.0, 1.0), 9)
-        tg = TimeGrid.uniform(1.0, 4)
-        spec = ProblemSpec(
-            alpha=0.5,
-            time_grid=tg,
-            grid=grid,
-            law=constant_law(),
-            u0=np.ones(9),
-            boundary=0.0,
-        )
-        with pytest.raises(ValueError, match="boundary"):
-            spec.validate()
+        u0 = np.sin(np.pi * grid.points()[:, 0])
+        base = dict(alpha=0.5, time_grid=TimeGrid.uniform(1.0, 4), grid=grid, u0=u0)
+        with pytest.raises(ValueError, match=r"diffusion law 'custom' leaves its declared bounds \[1.0, 2.0\] on "
+                           r"\[-1.5, 2.5\]: observed \[1, 7.25\]"):
+            ProblemSpec(law=law, **base)
+        assert ProblemSpec(law=porous_law(), **base).law.tag == "porous"  # a(y) in [1, 1.5) for every y
+
+    def test_boundary_is_stored_expanded_and_read_only(self):
+        grid = build_grid(2, (0.0, 1.0), 9)
+        base = dict(alpha=0.5, time_grid=TimeGrid.uniform(1.0, 4), grid=grid, law=constant_law())
+        spec = ProblemSpec(u0=np.where(grid.boundary_mask, 0.25, 1.0), boundary=0.25, **base)
+        assert spec.boundary.shape == (32,) and np.all(spec.boundary == 0.25)
+        assert not spec.boundary.flags.writeable
+        assert not spec.has_zero_data()
+        assert ProblemSpec(u0=np.zeros(grid.n_nodes), **base).has_zero_data()
 
     def test_source_must_be_callable(self):
         grid = build_grid(1, (0.0, 1.0), 9)
@@ -272,7 +291,7 @@ class TestInteriorSolve:
         "dim, extents, res", [(1, (0.0, 1.0), 65), (2, (0.0, 1.0), 17), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
     )
     def test_matches_dense_interior_solve(self, build, symmetric, dim, extents, res):
-        grid = build_grid(dim, extents, res)
+        grid = _grid(dim, extents, res)
         u = 1.5 * np.prod(np.sin(2.0 * np.pi * grid.points() / grid.lengths), axis=1)
         M = build(grid, porous_law(), u, shift=3.0)
         b = np.random.default_rng(4).normal(size=grid.n_nodes)  # boundary entries are ignored
@@ -288,7 +307,7 @@ class TestInteriorSolve:
     @pytest.mark.parametrize("extents, res", [((0.0, 1.0), 33), ([(0.0, 1.0), (0.0, 2.0)], (17, 33))])
     def test_constant_law_converges_in_one_pcg_iteration(self, extents, res):
         # the preconditioner is then the step matrix's own interior block
-        grid = build_grid(2, extents, res)
+        grid = _grid(2, extents, res)
         M = assemble_quasilinear_operator(grid, constant_law(2.0), np.zeros(grid.n_nodes), shift=3.0)
         b = np.where(grid.boundary_mask, 0.0, np.random.default_rng(5).normal(size=grid.n_nodes))
         precond = solver._sine_preconditioner(grid, 3.0, 2.0)
@@ -314,7 +333,7 @@ class TestInteriorSolve:
         "extents, res", [((0.0, 1.0), 17), ([(0.0, 1.0), (0.0, 2.0)], (17, 33)), ((0.0, 1.0), 128)]
     )
     def test_sine_preconditioner_matches_fft_sine_transform(self, extents, res, shift, nu):
-        grid = build_grid(2, extents, res)
+        grid = _grid(2, extents, res)
         r = np.random.default_rng(6).normal(size=grid.n_nodes)
         inner = (slice(1, -1),) * 2
         want = np.zeros(grid.shape)
@@ -389,10 +408,10 @@ class TestInteriorSolve:
         # the report carries the start's residual; step 1 has no memory and no source
         mask = spec.grid.boundary_mask
         u0 = spec.u0.copy()
-        u0[mask] = spec.boundary_values()
+        u0[mask] = spec.boundary
         w_11 = L1Weights(alpha=spec.alpha, grid=spec.time_grid).diag(1)
         rhs = w_11 * u0
-        rhs[mask] = spec.boundary_values()
+        rhs[mask] = spec.boundary
         K = operator(spec.grid, spec.law, u0, shift=w_11)
         assert exc.value.residual == np.abs(K @ u0 - rhs).max()
 
@@ -644,7 +663,7 @@ class TestExtrapolatedStart:
         )
         traj = run_trajectory(spec, SolverOptions(mode=mode))
         assert traj.iterations[1:-1].max() > 1  # so the later steps started from an extrapolation
-        assert np.all(traj.fields[:, grid.boundary_mask] == spec.boundary_values())
+        assert np.all(traj.fields[:, grid.boundary_mask] == spec.boundary)
 
     def test_failed_predicted_start_falls_back_to_the_previous_field(self, monkeypatch):
         spec = _sine_problem(law=porous_law(), steps=16)
@@ -774,3 +793,42 @@ class TestTrajectoryBookkeeping:
         np.testing.assert_array_equal(traj.fields[0][interior], spec.u0[interior])
         # the stored initial field carries the Dirichlet data exactly
         np.testing.assert_array_equal(traj.fields[0][~interior], 0.0)
+
+
+def _records_with_arrays():
+    """One pair of equal-valued instances, built twice, of every record that holds an array."""
+    from subdiff.diagnostics import decay_report, norm_series
+    from subdiff.kernels import check_discrete_convexity, compress_history
+    from subdiff.mittag_leffler import ml_tail_bound
+    from subdiff.reporting import RunReport
+
+    def run():
+        return run_trajectory(build_preset("eigenmode", resolution=9, steps=4))
+
+    def report():
+        failure = {"step": 1, "last_iterate": np.zeros(3)}
+        return RunReport("x", False, {}, {}, {}, {}, "", failure=failure)
+
+    tg = TimeGrid.uniform(1.0, 4)
+    return {
+        "TimeGrid": lambda: TimeGrid.uniform(1.0, 4),
+        "ProblemSpec": lambda: build_preset("eigenmode"),
+        "L1Weights": lambda: L1Weights(alpha=0.5, grid=tg),
+        "CompressedHistory": lambda: compress_history(L1Weights(alpha=0.5, grid=tg), 1e-8),
+        "Trajectory": run,
+        "ConvexityReport": lambda: check_discrete_convexity(0.5, tg, np.arange(5.0)),
+        "NormSeries": lambda: norm_series(run()),
+        "TailReport": lambda: ml_tail_bound(0.5, np.linspace(0.0, 4.0, 9)),
+        "DecayCertificate": lambda: decay_report(run()),
+        "RunReport": report,
+    }
+
+
+@pytest.mark.parametrize("name", list(_records_with_arrays()))
+def test_records_with_arrays_compare_by_identity(name):
+    # value equality would compare the arrays, whose truth value is ambiguous, and an array field has no hash
+    build = _records_with_arrays()[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

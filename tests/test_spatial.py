@@ -7,10 +7,10 @@ import pytest
 
 from subdiff import solver
 from subdiff.spatial import (
+    SpatialGrid,
     assemble_quasilinear_operator,
     build_grid,
     constant_law,
-    ellipticity_check,
     first_eigenvalue,
     newton_jacobian,
     porous_law,
@@ -18,6 +18,11 @@ from subdiff.spatial import (
 
 # 1D, the 2D square, and a 2D box whose axes differ in length and node count
 BOXES = [(1, (0.0, 1.0), 33), (2, (0.0, 1.0), 17), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
+
+
+def _grid(dim, extents, res):
+    """``build_grid`` on one interval and one node count, else ``SpatialGrid`` on paired extents and per-axis counts."""
+    return build_grid(dim, extents, res) if np.isscalar(res) else SpatialGrid(extents, res)
 
 
 def _dense(op):
@@ -66,7 +71,7 @@ class TestBuildGrid:
         assert g.interior_indices().size == 79
 
     def test_node_count_is_a_cached_int(self):
-        g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))
+        g = SpatialGrid(((0.0, 1.0), (0.0, 2.0)), (17, 33))
         assert type(g.n_nodes) is int and g.n_nodes == 17 * 33
         assert g.__dict__["n_nodes"] is g.n_nodes
 
@@ -86,15 +91,14 @@ class TestBuildGrid:
         np.testing.assert_array_equal(on_edge, g.boundary_mask)
 
     def test_anisotropic_extents(self):
-        g = build_grid(2, [(0.0, math.pi), (0.0, 2.0 * math.pi)], (5, 9))
+        g = SpatialGrid(((0.0, math.pi), (0.0, 2.0 * math.pi)), (5, 9))
         assert g.shape == (5, 9)
         assert g.lengths == (math.pi, 2.0 * math.pi)
         np.testing.assert_allclose(g.spacing, [math.pi / 4.0, math.pi / 4.0], rtol=1e-15)
 
     def test_quadrature_integrates_constants_exactly(self):
-        for dim, res in [(1, 33), (2, (9, 17))]:
-            g = build_grid(dim, (0.0, 2.0), res)
-            vol = 2.0**dim
+        for g in (build_grid(1, (0.0, 2.0), 33), SpatialGrid(((0.0, 2.0), (0.0, 2.0)), (9, 17))):
+            vol = 2.0**g.dim
             np.testing.assert_allclose(g.quadrature_weights().sum(), vol, rtol=1e-13)
 
     def test_quadrature_integrates_sine_product(self):
@@ -105,20 +109,85 @@ class TestBuildGrid:
         np.testing.assert_allclose(g.quadrature_weights() @ f, 4.0, rtol=2e-4)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="extents and shape need 1 or 2 axes"):
             build_grid(3, (0.0, 1.0), 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="extents must be finite intervals"):
             build_grid(1, (1.0, 0.0), 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shape must have at least 4 nodes"):
             build_grid(1, (0.0, 1.0), 3)
-        with pytest.raises(ValueError, match="extents needs 2 or 4 numbers for dimension 2, got 3"):
+        with pytest.raises(ValueError, match="extents needs 2 numbers or 2 per axis of dimension 2, got 3"):
             build_grid(2, (0.0, 1.0, 2.0), 8)
 
-    def test_flat_and_paired_extents_agree(self):
-        flat = build_grid(2, [0.0, 1.0, -1.0, 2.0], (5, 9))
-        paired = build_grid(2, [(0.0, 1.0), (-1.0, 2.0)], (5, 9))
-        assert flat.extents == paired.extents == ((0.0, 1.0), (-1.0, 2.0))
+    @pytest.mark.parametrize(
+        "extents, shape, match",
+        [
+            (((0.0, 1.0),) * 3, (5, 5, 5), "extents and shape need 1 or 2 axes"),
+            ((), (), "extents and shape need 1 or 2 axes"),
+            (((0.0, 1.0), (0.0, 1.0)), (9,), "extents and shape need 1 or 2 axes"),
+            (((0.0, math.inf),), (9,), "extents must be finite intervals"),
+            (((math.nan, 1.0),), (9,), "extents must be finite intervals"),
+            (((1.0, 1.0),), (9,), "extents must be finite intervals"),
+            (((0.0, 1.0), (0.0, 1.0)), (9, 3), "shape must have at least 4 nodes"),
+            # h = 1.25e-161: h^2 = 1.6e-322 is positive, 1 / h^2 overflows
+            (((0.0, 1e-160),), (9,), "extents .* give an axis spacing h = 1.25e-161 whose h\\^2 or 1/h\\^2"),
+            # h = 1.25e199: h^2 overflows
+            (((0.0, 1.0), (0.0, 1e200)), (9, 9), "extents .* give an axis spacing h = 1.25e\\+199 whose"),
+            # a < b, but the nodes of a 9-node axis round to 3 distinct values: h = 0
+            (((1.0, 1.0 + 4e-16),), (9,), "extents .* give an axis spacing h = 0.0 whose"),
+        ],
+    )
+    def test_grid_refuses_bad_arguments_by_name(self, extents, shape, match):
+        with pytest.raises(ValueError, match=match):
+            SpatialGrid(extents, shape)
+
+    def test_derived_arrays_are_read_only(self):
+        g = SpatialGrid(((0.0, 1.0), (-1.0, 2.0)), (5, 9))
+        for arr in (*g.axes, g.boundary_mask):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+        with pytest.raises(AttributeError):
+            g.shape = (9, 9)
+
+    def test_equal_grids_compare_and_hash_equal(self):
+        g = build_grid(2, [0.0, 1.0, -1.0, 2.0], 9)
+        same = SpatialGrid([(0, 1), (-1, 2)], [9, np.int64(9)])  # normalised to float and int tuples
+        assert g == same and hash(g) == hash(same)
+        assert same.extents == ((0.0, 1.0), (-1.0, 2.0)) and same.shape == (9, 9)
+        assert len({g, same, build_grid(2, (0.0, 1.0), 9)}) == 2
+        assert g != SpatialGrid(g.extents, (9, 17))
+
+    @pytest.mark.parametrize(
+        "extents, shape",
+        [
+            (((0.0, math.pi),), (81,)),
+            (((0.1, 0.7),), (4,)),
+            (((0.0, 1.0), (-1.0, 2.0)), (5, 9)),
+            (((-math.pi, math.e), (0.3, 1e3)), (17, 33)),
+            (((1e-3, 1e-3 + 1e-9), (0.0, 1e150)), (129, 7)),
+        ],
+    )
+    def test_derived_fields_match_the_builder_they_replace(self, extents, shape):
+        # the axes, spacing and mask that build_grid computed and stored before a grid derived them
+        ext = np.asarray(extents, dtype=float)
+        axes = tuple(np.linspace(a, b, n) for (a, b), n in zip(ext, shape))
+        mask = np.zeros(shape, dtype=bool)
+        for d in range(len(shape)):
+            sl = [slice(None)] * len(shape)
+            sl[d] = 0
+            mask[tuple(sl)] = True
+            sl[d] = -1
+            mask[tuple(sl)] = True
+        g = SpatialGrid(extents, shape)
+        assert g.dim == len(shape)
+        assert [ax.tobytes() for ax in g.axes] == [ax.tobytes() for ax in axes]
+        assert g.spacing == tuple(float(ax[1] - ax[0]) for ax in axes)
+        assert g.boundary_mask.tobytes() == mask.ravel().tobytes()
+
+    def test_flat_extents_repeat_one_interval_or_pair_up(self):
+        assert build_grid(2, [0.0, 1.0, -1.0, 2.0], 5).extents == ((0.0, 1.0), (-1.0, 2.0))
         assert build_grid(2, (0.0, 1.0), 5).extents == ((0.0, 1.0), (0.0, 1.0))
+        assert build_grid(2, (0.0, 1.0), 5).shape == (5, 5)
 
 
 class TestLaws:
@@ -152,15 +221,6 @@ class TestLaws:
             constant_law(0.0)
         with pytest.raises(ValueError):
             constant_law(-1.0)
-
-    def test_ellipticity_check(self):
-        rep = ellipticity_check(porous_law(), (-10.0, 10.0))
-        assert rep.passed
-        assert 1.0 <= rep.min_a <= rep.max_a <= 1.5
-        bad = ellipticity_check(constant_law(1.0), (0.0, 1.0))
-        assert bad.passed
-        with pytest.raises(ValueError):
-            ellipticity_check(porous_law(), (1.0, 1.0))
 
 
 class TestOperator:
@@ -235,7 +295,7 @@ class TestOperator:
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_jacobian_extends_its_frozen_operator(self, dim, extents, res):
         # the Jacobian keeps the grid and the shift of the step matrix and shares its face coefficients
-        g = build_grid(dim, extents, res)
+        g = _grid(dim, extents, res)
         u = np.random.default_rng(10).normal(size=g.n_nodes)
         frozen = assemble_quasilinear_operator(g, porous_law(), u, shift=2.5)
         J = newton_jacobian(porous_law(), u, frozen)
@@ -247,7 +307,7 @@ class TestOperator:
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     @pytest.mark.parametrize("dim, res", [(1, 9), (2, (5, 7))])
     def test_shift_adds_to_interior_diagonal_only(self, build, dim, res):
-        g = build_grid(dim, (0.0, 1.0), res)
+        g = SpatialGrid(((0.0, 1.0),) * dim, np.broadcast_to(res, dim))
         u = np.random.default_rng(1).normal(size=g.n_nodes)
         plain = _dense(build(g, porous_law(), u))
         shifted = _dense(build(g, porous_law(), u, shift=2.5))
@@ -258,7 +318,7 @@ class TestOperator:
     @pytest.mark.parametrize("build, with_deriv", [(assemble_quasilinear_operator, False), (_jacobian, True)])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_matches_face_by_face_dense_reference(self, dim, extents, res, build, with_deriv, shift):
-        g = build_grid(dim, extents, res)
+        g = _grid(dim, extents, res)
         law = porous_law()
         u = np.random.default_rng(5).normal(size=g.n_nodes)
         ref = _dense_reference(g, law, u, shift, with_deriv)
@@ -288,7 +348,7 @@ class TestOperator:
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_boundary_rows_are_identity(self, dim, extents, res, build):
-        g = build_grid(dim, extents, res)
+        g = _grid(dim, extents, res)
         rng = np.random.default_rng(2)
         M = build(g, porous_law(), rng.normal(size=g.n_nodes), shift=1.5)
         b = g.boundary_mask
@@ -304,7 +364,7 @@ class TestOperator:
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_stacked_product_equals_field_by_field(self, dim, extents, res, build):
-        g = build_grid(dim, extents, res)
+        g = _grid(dim, extents, res)
         rng = np.random.default_rng(8)
         M = build(g, porous_law(), rng.normal(size=g.n_nodes), shift=2.5)
         V = rng.normal(size=(3, g.n_nodes))
@@ -318,7 +378,7 @@ class TestOperator:
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_matrix_free_apply_matches_assembled_product(self, dim, extents, res, law, shift):
         # the operator frozen at u, applied to u by its face fluxes and by the face-by-face dense reference
-        g = build_grid(dim, extents, res)
+        g = _grid(dim, extents, res)
         u = np.random.default_rng(6).normal(size=g.n_nodes)
         got = assemble_quasilinear_operator(g, law, u, shift=shift) @ u
         want = _dense_reference(g, law, u, shift, with_deriv=False) @ u
@@ -331,7 +391,7 @@ class TestOperator:
     @pytest.mark.parametrize("rows", [1, 5])
     def test_stacked_apply_equals_row_by_row(self, dim, extents, res, law, shift, rows):
         # frozen at a stack of states, the operator is one operator per state, each applied to its own state
-        g = build_grid(dim, extents, res)
+        g = _grid(dim, extents, res)
         U = np.random.default_rng(7).normal(size=(rows, g.n_nodes))
         got = assemble_quasilinear_operator(g, law, U, shift=shift) @ U
         assert got.shape == U.shape
@@ -378,7 +438,7 @@ class TestPoincare:
         np.testing.assert_allclose(first_eigenvalue(build_grid(1, (0.0, math.pi), 101)), 1.0, rtol=1e-14)
         np.testing.assert_allclose(first_eigenvalue(build_grid(2, (0.0, math.pi), 17)), 2.0, rtol=1e-14)
         np.testing.assert_allclose(
-            first_eigenvalue(build_grid(2, [(0.0, math.pi), (0.0, 2.0 * math.pi)], 17)), 1.25, rtol=1e-14
+            first_eigenvalue(SpatialGrid(((0.0, math.pi), (0.0, 2.0 * math.pi)), (17, 17))), 1.25, rtol=1e-14
         )
 
     def test_discrete_value_closed_form_1d(self):
@@ -393,13 +453,13 @@ class TestPoincare:
         "dim, extents, res", [(1, (0.0, 2.0), 41), (2, (0.0, 1.0), 21), (2, [(0.0, 1.0), (0.0, 2.0)], (17, 33))]
     )
     def test_sine_eigenvalue_table_starts_at_discrete_constant(self, dim, extents, res):
-        g = build_grid(dim, extents, res)
+        g = _grid(dim, extents, res)
         np.testing.assert_allclose(g.dirichlet_eigenvalues.flat[0], self._interior_spectrum(g)[0], rtol=1e-10)
         assert g.dirichlet_eigenvalues.shape == tuple(n - 2 for n in g.shape)
         assert g.dirichlet_eigenvalues.flat[0] == g.dirichlet_eigenvalues.min()
 
     def test_sine_eigenvalue_table_is_the_interior_spectrum(self):
-        g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], (7, 9))
+        g = SpatialGrid(((0.0, 1.0), (0.0, 2.0)), (7, 9))
         np.testing.assert_allclose(
             np.sort(g.dirichlet_eigenvalues.ravel()), self._interior_spectrum(g), rtol=1e-12
         )
