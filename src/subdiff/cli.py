@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config, render_config
+from .config import ConfigError, RunConfig, parse_config, render_config, study_levels
 from .diagnostics import (
     boundedness_report,
     convexity_report,
@@ -200,43 +201,21 @@ def cmd_study(args) -> int:
     cfg = _load_config(args)
     levels = cfg.study.levels
     axis = cfg.study.axis
-    base_spec, options = build_problem(cfg)
-    base_res = base_spec.grid.shape[0]
-    base_steps = base_spec.time_grid.steps
-    exact = None
-    if cfg.problem.preset == "eigenmode":
-        exact = eigenmode_exact(base_spec)
-
-    def level_spec(l: int):
-        if axis == "space":
-            size = (base_res - 1) * 2**l + 1
-            level = replace(cfg, problem=replace(cfg.problem, resolution=size))
-        else:
-            size = base_steps * 2**l
-            level = replace(cfg, time=replace(cfg.time, steps=size))
-        return build_problem(level)[0], size
+    runs, reference = study_levels(cfg)
+    specs = [build_problem(level)[0] for level, _ in runs]
+    sizes = [size for _, size in runs]
 
     try:
-        finals = []
-        sizes = []
-        specs = []
-        for l in range(levels):
-            spec_l, size = level_spec(l)
-            traj = run_trajectory(spec_l, options)
-            finals.append(traj.fields[-1])
-            sizes.append(size)
-            specs.append(spec_l)
-        if exact is not None:
+        finals = [run_trajectory(s, cfg.solver).fields[-1] for s in specs]
+        if reference is None:  # the eigenmode preset: its exact solution is the reference
             refs = [eigenmode_exact(s)(s.time_grid.horizon) for s in specs]
         else:
-            ref_spec, _ = level_spec(levels)
-            ref_traj = run_trajectory(ref_spec, options)
-            refs = []
-            for l, s in enumerate(specs):
-                if axis == "space":
-                    refs.append(_restrict(ref_traj.fields[-1], ref_spec.grid.shape, 2 ** (levels - l)))
-                else:
-                    refs.append(ref_traj.fields[-1])
+            ref_spec = build_problem(reference[0])[0]
+            ref = run_trajectory(ref_spec, cfg.solver).fields[-1]
+            refs = [
+                _restrict(ref, ref_spec.grid.shape, 2 ** (levels - l)) if axis == "space" else ref
+                for l in range(levels)
+            ]
     except StepFailure as exc:
         print(f"study failed: {exc}", file=sys.stderr)
         return 2
@@ -256,8 +235,8 @@ def cmd_study(args) -> int:
         fh.write(f"level\t{label}\trel_l2_error\torder\n")
         for l in range(levels):
             fh.write("%d\t%d\t%.17g\t%.17g\n" % (l, sizes[l], errors[l], orders[l]))
-    reference = "exact eigenmode solution" if exact is not None else "one-level-finer run"
-    print(f"refinement study along {axis} (reference: {reference})")
+    source = "exact eigenmode solution" if reference is None else "one-level-finer run"
+    print(f"refinement study along {axis} (reference: {source})")
     print(f"{'level':>5} {label:>10} {'rel_l2_error':>14} {'order':>7}")
     for l in range(levels):
         print(f"{l:>5} {sizes[l]:>10} {errors[l]:>14.6e} {orders[l]:>7.3f}")
@@ -402,7 +381,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a closed stdout fails here, inside the handlers, and not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return status
     except ConfigError as exc:
         print("invalid configuration: " + "; ".join(exc.problems), file=sys.stderr)
         return 2
@@ -415,6 +397,11 @@ def main(argv=None) -> int:
         operation = "read" if config is not None and exc.filename == str(Path(config)) else "write"
         target = exc.filename or ("standard output" if isinstance(exc, BrokenPipeError) else "an artifact")
         print(f"cannot {operation} {target}: {exc.strerror or exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # what stdout still buffers goes to the interpreter's flush at exit: send it nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2
     except CompressionError as exc:
         print(f"history compression failed: {exc}", file=sys.stderr)

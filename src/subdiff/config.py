@@ -20,7 +20,8 @@ offending path named, and parsing reports every violation at once rather
 than stopping at the first.  Every number must be finite, and
 ``eps_compress`` is a relative tolerance in [1e-13, 1): no compression
 reaches less.  Settings that are valid one by one but cannot run together
-are rejected too: compressed history on a one-step time grid, problem and
+are rejected too: compressed history on a one-step time grid, Newton mode
+on a 2D problem (2D runs are Picard only), problem and
 time settings that give no grids (extents that do not fit the dimension, a
 box whose spacing squared over- or underflows, a grading whose first steps
 underflow to zero), also on the finest level of a study, and a snapshot
@@ -34,7 +35,7 @@ schema and checks.  The ``[solver]`` section is a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .presets import preset_grids
@@ -50,6 +51,7 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "check_config",
+    "study_levels",
     "render_config",
 ]
 
@@ -283,35 +285,57 @@ def check_config(cfg: RunConfig) -> None:
 
     The problem and time settings must build the run's grids
     (:func:`~subdiff.presets.preset_grids`) and those of a study's finest
-    level; a problem names the settings by their dotted paths.
+    level (:func:`study_levels`); a problem names the settings by their
+    dotted paths.
     """
     problems = []
     if cfg.solver.history == "compressed" and cfg.time.steps == 1:
         problems.append("solver.history=compressed needs time.steps >= 2 (one step has no history)")
+    if cfg.solver.mode == "newton" and cfg.problem.dimension == 2:
+        problems.append("solver.mode=newton solves 1D problems only, not problem.dimension=2; 2D runs use picard")
 
-    def grids(where="", **refined):
+    def grids(run, where=""):
         try:
-            return preset_grids(**{**vars(cfg.problem), **vars(cfg.time), **refined})
+            return preset_grids(**vars(run.problem), **vars(run.time))
         except ValueError as exc:
             given = (f"{sect}.{key}={text}" for sect in ("problem", "time") for key, text in _settings(cfg, sect))
             problems.append(f"{where}{', '.join(given)} give no grids: {exc}")
 
-    built = grids()
+    built = grids(cfg)
     if built is not None:
-        grid, time_grid = built
-        late = [s for s in cfg.output.snapshot_times if s > time_grid.horizon]
+        late = [s for s in cfg.output.snapshot_times if s > built[1].horizon]
         if late:
-            problems.append(f"output.snapshot_times has {late} past the time horizon {time_grid.horizon!r}")
-        # a study refines every level; without an exact solution it runs one more level as reference
-        k, study = cfg.study.levels - (cfg.problem.preset == "eigenmode"), cfg.study
-        if study.axis == "time":
-            sect, key, finest = "time", "steps", time_grid.steps * 2**k
-        else:
-            sect, key, finest = "problem", "resolution", (grid.shape[0] - 1) * 2**k + 1
-        where = f"study.axis={study.axis}, study.levels={study.levels} refine to {sect}.{key}={finest}, where "
-        grids(where, **{key: finest})
+            problems.append(f"output.snapshot_times has {late} past the time horizon {built[1].horizon!r}")
+        levels, reference = study_levels(cfg)
+        finest, size = reference or levels[-1]
+        key = "time.steps" if cfg.study.axis == "time" else "problem.resolution"
+        grids(finest, f"study.axis={cfg.study.axis}, study.levels={cfg.study.levels} refine to {key}={size}, where ")
     if problems:
         raise ConfigError(problems)
+
+
+def study_levels(cfg: RunConfig):
+    """The runs of ``cfg``'s study as ``(levels, reference)``, each run a ``(config, size)`` pair.
+
+    Level ``l`` is ``cfg`` refined ``l`` times along ``study.axis``: to
+    ``(base - 1) 2^l + 1`` nodes per axis on a space study, to ``base 2^l``
+    steps on a time study, with ``base`` the size of ``cfg``'s own grids,
+    preset defaults included.  ``levels`` holds levels 0 to
+    ``study.levels - 1``.  ``reference`` is the next level, which the study
+    runs as its reference, or None for the eigenmode preset, whose exact
+    solution is the reference.  Raises ``ValueError`` when ``cfg``'s own
+    grids cannot be built.
+    """
+    grid, time_grid = preset_grids(**vars(cfg.problem), **vars(cfg.time))
+    levels, runs = cfg.study.levels, []
+    for l in range(levels + (cfg.problem.preset != "eigenmode")):
+        if cfg.study.axis == "space":
+            size = (grid.shape[0] - 1) * 2**l + 1
+            runs.append((replace(cfg, problem=replace(cfg.problem, resolution=size)), size))
+        else:
+            size = time_grid.steps * 2**l
+            runs.append((replace(cfg, time=replace(cfg.time, steps=size)), size))
+    return runs[:levels], runs[levels] if len(runs) > levels else None
 
 
 def _format_value(kind: str, val) -> str:

@@ -13,7 +13,7 @@ correction loop serves both inner iterations: from a start ``v`` it solves
 evaluates its face coefficients once, in ``K(v)`` (coefficient frozen at the
 iterate, the discrete analogue of the linearized fixed-point map behind the
 existence theory), and both modes read their residual off it.  Picard takes
-``M = K(v)``.  Newton takes the analytic Jacobian including the a'(u) terms:
+``M = K(v)``.  Newton, a 1D mode, takes the analytic Jacobian including the a'(u) terms:
 :func:`~subdiff.spatial.newton_jacobian` shares the face coefficients of
 ``K(v)`` and evaluates only the ``a'`` face terms, and only when a correction
 follows, never at the accepted iterate.  Every one of these products is the
@@ -53,26 +53,26 @@ and every later solve is one ``dgttrs`` back-substitution, so a constant
 law's step matrix is factored once per distinct ``w_nn`` and an operator
 solved once is never factored.  All three are imported from
 ``scipy.linalg.lapack`` on the first 1D solve, so a 2D run loads no scipy
-module.  In 2D the interior Picard block is symmetric positive definite and spectrally
+module.  2D runs are Picard only (:func:`run_trajectory` refuses a 2D
+problem in Newton mode): 2D Picard converged wherever 2D Newton did, and
+faster.  Its interior block is symmetric positive definite and spectrally
 equivalent to ``w_nn I + nu (-Delta_h)`` within the factor ``lam / nu`` of
-the law's bounds, so conjugate gradients
-preconditioned by that constant-coefficient operator converge in a few
-iterations on any mesh (Concus & Golub 1973).  The preconditioner is a fast
-diagonalisation by the dense sine matrices of the two axes.  Newton's
-Jacobian is not symmetric and uses the package's restarted GMRES with the
-same preconditioner.  Both solve inexactly (Dembo, Eisenstat & Steihaug
-1982): they stop when their tracked estimate of the linear residual's 2-norm
-is at most ``max(0.1 * tol, _FORCING ||r||_2)``, with ``r`` the step's
-current nonlinear residual.  A correction need not be more accurate than the
+the law's bounds, so conjugate gradients preconditioned by that
+constant-coefficient operator converge in a few iterations on any mesh
+(Concus & Golub 1973).  The preconditioner is a fast diagonalisation by the
+dense sine matrices of the two axes.  CG solves inexactly (Dembo, Eisenstat
+& Steihaug 1982): it stops when its recursively updated residual's 2-norm is
+at most ``max(0.1 * tol, _FORCING ||r||_2)``, with ``r`` the step's current
+nonlinear residual.  A correction need not be more accurate than the
 residual the next one starts from, so the forcing term trades a few more
-corrections for far fewer Krylov iterations; near convergence ``0.1 * tol``
+corrections for far fewer CG iterations; near convergence ``0.1 * tol``
 takes over, which bounds the max-norm the correction loop tests.  That test,
 on the nonlinear residual, is the acceptance.  The 1D solve is exact and
 needs no norm.  A solve that reaches the iteration cap fails the step.
 
 Trajectories involve no randomness, so a rerun on the same machine with the
 same BLAS thread count reproduces them bitwise.  They are not bitwise
-identical across BLAS thread counts: the history sums and the Krylov inner
+identical across BLAS thread counts: the history sums and the CG inner
 products use BLAS dot products, whose reduction order follows the thread
 count.
 """
@@ -176,7 +176,14 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    mode: str = "picard"  # "picard" | "newton"
+    """How a run solves its steps; a config's ``[solver]`` section is one.
+
+    ``mode`` is ``picard`` (the step matrix frozen at the iterate) or
+    ``newton`` (its analytic Jacobian, 1D only: :func:`run_trajectory`
+    refuses it on a 2D problem).
+    """
+
+    mode: str = "picard"  # "picard" | "newton" (1D only)
     tol: float = 1e-10
     max_iter: int = 50
     history: str = "direct"  # "direct" | "compressed"
@@ -230,28 +237,25 @@ class Trajectory:
         return self.spec.time_grid.nodes
 
 
-# Iteration cap of the 2D Krylov solves; reaching it fails the step.  With the
+# Iteration cap of the 2D CG solves; reaching it fails the step.  With the
 # sine-transform preconditioner the count grows like sqrt(lam / nu) and not
 # with the mesh.  Stopped at the forcing term, the solves take 1 per solve for
-# a constant law; for the porous law (lam / nu = 1.5) at most 2 per solve, CG
-# and GMRES alike, on 65^2 nodes (32 steps, T = 10) and on 129^2 nodes at
-# alpha = 0.8.  For a = 1 + 50 sin^2(3y) (lam / nu = 51) on [0, pi]^2 with
-# 33^2 nodes, data sin x sin y and 4 steps to T = 10, CG takes up to 14 per
-# solve and Picard stops at max_iter on step 1 (residual 2.3e-6); GMRES takes
-# 25 on the first Newton correction and then stalls at the cap.
-# GMRES counts every inner iteration towards the cap.
+# a constant law; for the porous law (lam / nu = 1.5) at most 2 per solve on
+# 65^2 nodes (32 steps, T = 10) and on 129^2 nodes at alpha = 0.8.  For
+# a = 1 + 50 sin^2(3y) (lam / nu = 51) on [0, pi]^2 with 33^2 nodes, data
+# sin x sin y and 4 steps to T = 10, CG takes up to 14 per solve.
 _KRYLOV_MAXITER = 500
-_GMRES_RESTART = 20
-# Each 2D correction's Krylov solve stops at _FORCING times the 2-norm of the step's
-# nonlinear residual (or at 0.1 * tol, whichever is larger).  0.1 leaves Picard one CG
-# iteration per correction but slows 2D Newton; 0.01 speeds up both.
+# Each 2D correction's CG solve stops at _FORCING times the 2-norm of the step's nonlinear
+# residual (or at 0.1 * tol, whichever is larger).  0.1 takes more corrections and fewer CG
+# iterations (609 against 535 corrections on 65^2 nodes, 128 steps, T = 10) and ran 3-13%
+# faster on the 2D porous runs measured; 0.01 keeps every 2D trajectory as it is.
 _FORCING = 0.01
 
 
-def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
+def spsolve(M, b, *, nu: float, atol: float) -> np.ndarray:
     """Solve ``M x = b`` for the interior unknowns of ``M.grid``; ``x`` is zero on the boundary.
 
-    ``M`` is a step matrix or Jacobian as the :mod:`subdiff.spatial`
+    ``M`` is a step matrix or, in 1D, a Jacobian as the :mod:`subdiff.spatial`
     builders return it (a :class:`~subdiff.spatial.StencilOperator`), with
     ``M.shift`` on its interior diagonal and coefficients at least ``nu``;
     the boundary entries of ``b`` are ignored.  In 1D the interior block's
@@ -264,16 +268,14 @@ def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
     without row interchanges, as on the diagonally dominant step matrices,
     the two paths make the same operations, so every solve gives the bits
     of ``dgtsv``.  A singular block is not kept, so each solve with it
-    raises.  In 2D ``symmetric`` selects preconditioned CG (Picard) or GMRES (Newton), both
-    preconditioned by the sine-transform solve of
-    ``M.shift I + nu (-Delta_h)`` and stopped once their tracked
-    estimate of the 2-norm of ``b - M x`` is at most ``atol`` (CG's
-    recursively updated residual, GMRES's least-squares residual; GMRES
-    restarts every ``_GMRES_RESTART`` iterations); their vectors keep the
-    full length with zero boundary entries, so the face-flux product
-    ``M @ p`` is the interior-block product.  Raises
-    ``numpy.linalg.LinAlgError`` for an exactly singular tridiagonal block or
-    when a Krylov solve reaches ``_KRYLOV_MAXITER`` iterations.
+    raises.  In 2D ``M`` is a symmetric step matrix, solved by conjugate
+    gradients preconditioned by the sine-transform solve of
+    ``M.shift I + nu (-Delta_h)`` and stopped once the recursively updated
+    residual's 2-norm is at most ``atol``; its vectors keep the full length
+    with zero boundary entries, so the face-flux product ``M @ p`` is the
+    interior-block product.  Raises ``numpy.linalg.LinAlgError`` for an
+    exactly singular tridiagonal block or when CG reaches
+    ``_KRYLOV_MAXITER`` iterations.
 
     This is the package's one linear-solve call, and its name marks the
     boundary of the linear-solve layer: ``bench/tracing.py`` times the
@@ -299,10 +301,7 @@ def spsolve(M, b, *, nu: float, atol: float, symmetric: bool) -> np.ndarray:
         M._factors = factors
         return x
     b = np.where(grid.boundary_mask, 0.0, b)
-    precond = _sine_preconditioner(grid, M.shift, nu)
-    if symmetric:
-        return _pcg(M, b, precond, atol, _KRYLOV_MAXITER)[0]
-    return _gmres(M, b, precond, atol, _KRYLOV_MAXITER)[0]
+    return _pcg(M, b, _sine_preconditioner(grid, M.shift, nu), atol, _KRYLOV_MAXITER)[0]
 
 
 @cache
@@ -379,64 +378,6 @@ def _pcg(M, b, precond, atol: float, maxiter: int):
     raise np.linalg.LinAlgError(f"CG reached {maxiter} iterations at residual {res:.3e} > {atol:.3e}")
 
 
-def _gmres(M, b, precond, atol: float, maxiter: int):
-    """Right-preconditioned restarted GMRES from ``x = 0``; returns ``(x, iterations)``.
-
-    A cycle of at most ``_GMRES_RESTART`` iterations builds an orthonormal
-    basis of the Krylov space of ``M P`` (``P`` the preconditioner) by
-    classical Gram-Schmidt, applied twice, and tracks the least-squares
-    residual by Givens rotations.  The solve returns after the cycle whose
-    estimate is at most ``atol``; a cycle that reaches ``_GMRES_RESTART``
-    iterations first restarts from the true residual ``b - M x``.  Like
-    :func:`_pcg`, it stops on the tracked residual and not the true one: at
-    roundoff level the true residual of a large ``x`` can stall just above
-    ``atol``, and the correction loop's max-norm test is the acceptance.
-    Raises ``numpy.linalg.LinAlgError`` after ``maxiter`` iterations in all.
-    """
-    x = np.zeros_like(b)
-    iterations = 0
-    while True:
-        r = b - M @ x
-        beta = np.sqrt(r @ r)
-        if beta <= atol:
-            return x, iterations
-        if iterations == maxiter:
-            raise np.linalg.LinAlgError(f"GMRES reached {maxiter} iterations at residual {beta:.3e} > {atol:.3e}")
-        m = min(_GMRES_RESTART, maxiter - iterations)
-        V = np.empty((m + 1, b.size))  # the Krylov basis
-        Z = np.empty((m, b.size))  # its preconditioned vectors, which x is combined from
-        H = np.zeros((m + 1, m))  # the Hessenberg matrix, rotated into a triangle column by column
-        g = np.zeros(m + 1)  # the rotated right-hand side beta e_1
-        g[0] = beta
-        V[0] = r / beta
-        rotations = []
-        for j in range(m):
-            iterations += 1
-            Z[j] = precond(V[j])
-            w = M @ Z[j]
-            for _ in range(2):
-                h = V[: j + 1] @ w
-                w -= h @ V[: j + 1]
-                H[: j + 1, j] += h
-            H[j + 1, j] = np.sqrt(w @ w)
-            if H[j + 1, j] > 0.0:
-                V[j + 1] = w / H[j + 1, j]
-            col = H[:, j]
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            d = np.hypot(col[j], col[j + 1])
-            c, s = col[j] / d, col[j + 1] / d
-            rotations.append((c, s))
-            col[j], col[j + 1] = d, 0.0
-            g[j], g[j + 1] = c * g[j], -s * g[j]
-            if abs(g[j + 1]) <= atol:
-                break
-        k = len(rotations)
-        x += np.linalg.solve(H[:k, :k], g[:k]) @ Z[:k]
-        if abs(g[k]) <= atol:
-            return x, iterations
-
-
 def _solve_step(spec, w_nn, memory, u_prev, f_n, options, timers, n, step_matrix, product, start):
     """One step of the correction loop; returns ``(field, iterations, residual, halvings, product)``.
 
@@ -448,7 +389,6 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, options, timers, n, step_matrix
     returned ``product`` is ``K @ field``, the accepted iterate's product.
     """
     grid, law = spec.grid, spec.law
-    newton = options.mode == "newton"
     rhs = w_nn * u_prev
     rhs -= memory
     if f_n is not None:
@@ -483,16 +423,16 @@ def _solve_step(spec, w_nn, memory, u_prev, f_n, options, timers, n, step_matrix
     best_res = np.inf
     for it in range(1, options.max_iter + 1):
         v, M, _, r = current
-        if newton and step_matrix is None:  # only the a' terms are new; a constant law's K is its Jacobian
+        if options.mode == "newton" and step_matrix is None:  # only the a' terms are new; a constant law's K is its Jacobian
             t0 = time.perf_counter()
             M = newton_jacobian(law, v, M)
             timers["assembly"] += time.perf_counter() - t0
         atol = 0.1 * options.tol
-        if grid.dim > 1:  # the Krylov solves stop at a forcing term relative to the step residual
+        if grid.dim > 1:  # CG stops at a forcing term relative to the step residual
             atol = max(atol, _FORCING * np.sqrt(r @ r))
         t0 = time.perf_counter()
         try:
-            delta = spsolve(M, -r, nu=law.nu, atol=atol, symmetric=not newton)
+            delta = spsolve(M, -r, nu=law.nu, atol=atol)
         except np.linalg.LinAlgError as exc:
             raise failure(float(np.abs(r).max()), it, f"linear solve failed: {exc}") from exc
         timers["linear_solve"] += time.perf_counter() - t0
@@ -523,9 +463,12 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     and linear solves are recorded separately so the two providers can be
     compared honestly.  ``assembly`` covers the step matrices and Jacobians
     and also the residual products ``K(v) v``, which are most of it for a
-    constant law.
+    constant law.  Raises ``ValueError`` before any step for a 2D problem in
+    Newton mode.
     """
     options = options or SolverOptions()
+    if options.mode == "newton" and spec.grid.dim > 1:
+        raise ValueError(f"solver mode 'newton' solves 1D problems only; this problem is {spec.grid.dim}D")
     tg = spec.time_grid
     grid = spec.grid
     M = tg.steps

@@ -1,9 +1,12 @@
 """Run-configuration parsing, validation, and round-tripping."""
 
+from dataclasses import replace
+
 import pytest
 
+from subdiff import cli
 from subdiff.cli import build_problem
-from subdiff.config import ConfigError, RunConfig, parse_config, render_config
+from subdiff.config import ConfigError, RunConfig, parse_config, render_config, study_levels
 from subdiff.solver import ProblemSpec, SolverOptions
 
 
@@ -37,7 +40,7 @@ class TestParsing:
         grading = 2.0
 
         [solver]
-        mode = newton
+        history = compressed
         tol = 1e-9
 
         [certificates]
@@ -54,7 +57,7 @@ class TestParsing:
         assert cfg.problem.extents == (0.0, 3.141592653589793)
         assert cfg.time.horizon == 10.0
         assert cfg.time.grading == 2.0
-        assert cfg.solver.mode == "newton"
+        assert cfg.solver.history == "compressed"
         assert cfg.solver.tol == 1e-9
         assert cfg.certificates.weakform is True
         assert cfg.certificates.slack == 1.1
@@ -215,11 +218,65 @@ class TestErrorAggregation:
         cfg = parse_config("problem = eigenmode\n[time]\nhorizon = 100\n[output]\nsnapshot_times = [0.5, 100.0]\n")
         assert cfg.output.snapshot_times == (0.5, 100.0)
 
+    def test_newton_in_2d_is_refused(self, tmp_path, capsys, monkeypatch):
+        # 2D runs are Picard only; a run and a study stop at the config, before any step
+        text = "problem = porous\n[problem]\ndimension = 2\nresolution = 9\n[solver]\nmode = newton\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.problems == [
+            "solver.mode=newton solves 1D problems only, not problem.dimension=2; 2D runs use picard"
+        ]
+        monkeypatch.setattr(cli, "run_trajectory", lambda *args: pytest.fail("a step ran"))
+        (tmp_path / "n.cfg").write_text(text)
+        for command in ("run", "study"):
+            assert cli.main([command, str(tmp_path / "n.cfg"), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid configuration: solver.mode=newton") and "problem.dimension=2" in err
+        assert not (tmp_path / "o").exists()
+        assert parse_config(text.replace("dimension = 2", "dimension = 1")).solver.mode == "newton"
+
+    def test_newton_in_2d_is_reported_with_the_other_cross_key_problems(self):
+        text = "problem = porous\n[problem]\ndimension = 2\n[time]\nsteps = 1\n"
+        text += "[solver]\nmode = newton\nhistory = compressed\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.problems == [
+            "solver.history=compressed needs time.steps >= 2 (one step has no history)",
+            "solver.mode=newton solves 1D problems only, not problem.dimension=2; 2D runs use picard",
+        ]
+
     def test_mode_choices_listed(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("[solver]\nmode = banana\n")
         assert "picard" in exc.value.problems[0]
         assert "newton" in exc.value.problems[0]
+
+
+class TestStudyLevels:
+    """``study_levels`` refines a config along its study axis by a factor of 2 per level."""
+
+    BASE = "[problem]\nresolution = 9\n[time]\nsteps = 8\n"
+
+    @pytest.mark.parametrize(
+        "text, section, key, sizes, reference",
+        [
+            ("problem = porous\n" + BASE + "[study]\nlevels = 3\n", "problem", "resolution", [9, 17, 33], 65),
+            ("problem = porous\n" + BASE + "[study]\naxis = time\nlevels = 3\n", "time", "steps", [8, 16, 32], 64),
+            # the base is the preset's default step count when time.steps is unset
+            ("problem = porous\n[study]\naxis = time\nlevels = 2\n", "time", "steps", [512, 1024], 2048),
+            # the eigenmode preset's exact solution is its reference: no extra level
+            ("problem = eigenmode\n[problem]\ndimension = 2\nresolution = 5\n[study]\nlevels = 2\n", "problem",
+             "resolution", [5, 9], None),
+        ],
+    )
+    def test_level_sizes(self, text, section, key, sizes, reference):
+        cfg = parse_config(text)
+        runs, ref = study_levels(cfg)
+        assert [size for _, size in runs] == sizes
+        assert (ref[1] if ref else None) == reference
+        for level, size in runs + [ref] * (ref is not None):
+            assert getattr(getattr(level, section), key) == size
+            assert replace(level, **{section: getattr(cfg, section)}) == cfg  # nothing else is refined
 
 
 class TestRoundTrip:

@@ -292,6 +292,26 @@ class TestOperator:
         ii = g.interior_indices()
         np.testing.assert_allclose(J[np.ix_(ii, ii)], fd[np.ix_(ii, ii)], atol=5e-7)
 
+    @pytest.mark.parametrize("dim, extents, res", BOXES[1:])
+    def test_newton_jacobian_matches_finite_differences_on_a_box(self, dim, extents, res):
+        # the Jacobian is dimension-general: its product carries the a' terms of every axis
+        law = porous_law()
+        g = _grid(dim, extents, res)
+        u = np.where(g.boundary_mask, 0.0, np.random.default_rng(4).normal(size=g.n_nodes))
+
+        def F(v):
+            return assemble_quasilinear_operator(g, law, v) @ v
+
+        J = _dense(_jacobian(g, law, u))
+        ii = g.interior_indices()
+        h = 1e-6
+        fd = np.empty((len(ii), len(ii)))
+        for k, j in enumerate(ii):
+            e = np.zeros(g.n_nodes)
+            e[j] = h
+            fd[:, k] = ((F(u + e) - F(u - e)) / (2.0 * h))[ii]
+        np.testing.assert_allclose(J[np.ix_(ii, ii)], fd, atol=1e-9 * np.abs(J).max())
+
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_jacobian_extends_its_frozen_operator(self, dim, extents, res):
         # the Jacobian keeps the grid and the shift of the step matrix and shares its face coefficients
@@ -341,7 +361,7 @@ class TestOperator:
             solver, "_tridiagonal_lapack", lambda: (dgtsv, lambda *d: factored.append(d) or dgttrf(*d), dgttrs)
         )
         b = np.random.default_rng(4).normal(size=12)
-        x = [solver.spsolve(M, b, nu=1.0, atol=0.0, symmetric=False) for _ in range(3)]
+        x = [solver.spsolve(M, b, nu=1.0, atol=0.0) for _ in range(3)]
         assert len(factored) == 1
         assert x[0].tobytes() == x[1].tobytes() == x[2].tobytes()
 
