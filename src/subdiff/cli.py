@@ -56,7 +56,7 @@ def build_problem(cfg: RunConfig):
 # [certificates] section), in run order.  Each call looks its certificate up in this module when it runs,
 # so the benchmark's spans, which replace these names, see every call.
 _CERTIFICATES = {
-    "convexity": (("min_margin", "worst_step"), lambda traj, cc: convexity_report(traj)),
+    "convexity": (("min_margin", "worst_step", "allowance"), lambda traj, cc: convexity_report(traj)),
     "boundedness": (("bound", "max_sup", "arg_step"), lambda traj, cc: boundedness_report(traj)),
     "decay": (
         ("mu", "slack", "min_margin", "ml_max_error_estimate", "ml_inaccurate"),
@@ -347,6 +347,36 @@ def cmd_props(args) -> int:
     return 0 if _passed(results) else 1
 
 
+class _StandardOutputError(OSError):
+    """A write to standard output failed."""
+
+
+class _StandardOutput:
+    """Standard output while a command runs: a failed write or flush raises :class:`_StandardOutputError`.
+
+    A failed artifact write raises an ``OSError`` that names no file either
+    (a full disk fails the write, not the open), so only this tells the two apart.
+    """
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def write(self, text):
+        try:
+            return self._stream.write(text)
+        except OSError as exc:
+            raise _StandardOutputError(exc.errno, exc.strerror) from exc
+
+    def flush(self):
+        try:
+            self._stream.flush()
+        except OSError as exc:
+            raise _StandardOutputError(exc.errno, exc.strerror) from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="subdiff",
@@ -380,6 +410,7 @@ def main(argv=None) -> int:
     p_props.set_defaults(func=cmd_props)
 
     args = parser.parse_args(argv)
+    stdout, sys.stdout = sys.stdout, _StandardOutput(sys.stdout)
     try:
         status = args.func(args)
         # a closed stdout fails here, inside the handlers, and not in the interpreter's flush at exit
@@ -392,15 +423,16 @@ def main(argv=None) -> int:
         print(f"cannot read {args.config}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
         return 2
     except OSError as exc:
-        # the config file is the one file read; every other file operation writes an artifact
+        # the config file is the one file read; every other file operation writes an artifact or standard output
         config = getattr(args, "config", None)
         operation = "read" if config is not None and exc.filename == str(Path(config)) else "write"
-        target = exc.filename or ("standard output" if isinstance(exc, BrokenPipeError) else "an artifact")
+        closed = isinstance(exc, _StandardOutputError)  # a closed pipe or a full device
+        target = "standard output" if closed else exc.filename or "an artifact"
         print(f"cannot {operation} {target}: {exc.strerror or exc}", file=sys.stderr)
-        if isinstance(exc, BrokenPipeError):
+        if closed:
             # what stdout still buffers goes to the interpreter's flush at exit: send it nowhere
             devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            os.dup2(devnull, stdout.fileno())
             os.close(devnull)
         return 2
     except CompressionError as exc:
@@ -412,6 +444,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # exit 1 means a failed certificate, so any other error exits 2
         print(f"{args.command} failed: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

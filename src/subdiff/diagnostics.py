@@ -37,7 +37,6 @@ from math import gamma
 
 import numpy as np
 
-from .kernels import L1Weights
 from .relaxation import DecayCertificate, comparison_check
 from .solver import Trajectory
 from .spatial import SpatialGrid, assemble_quasilinear_operator, first_eigenvalue
@@ -153,12 +152,16 @@ class MonotoneWeightsReport:
 
     ``min_margin`` is the least of ``w_{n,1}`` and the row increments
     ``w_{n,k+1} - w_{n,k}``, each divided by its row's diagonal ``w_{n,n}``;
-    ``worst_step`` is the row ``n`` where it occurs.
+    ``worst_step`` is the row ``n`` where it occurs.  ``allowance`` is the
+    most that rounding can lower a margin below zero
+    (:meth:`~subdiff.kernels.L1Weights.margin_allowance`): the check passes
+    when every ``w_{n,1}`` is positive and ``min_margin >= -allowance``.
     """
 
     passed: bool
     min_margin: float
     worst_step: int
+    allowance: float
 
 
 def convexity_report(traj: Trajectory) -> MonotoneWeightsReport:
@@ -173,26 +176,35 @@ def convexity_report(traj: Trajectory) -> MonotoneWeightsReport:
     Every ``e_k`` is nonnegative, so the margin is nonnegative at every step
     of every trajectory exactly when the L1 weights of the run's time grid
     are positive and increase along each row (Alikhanov, Diff. Eq. 46,
-    2010).  The check reads those weights (:meth:`L1Weights.row_margins`),
-    not the fields: on uniform grids the sequence ``b_j`` and the diagonal
-    table once each, O(M), and on graded grids one slab of rows at a time.
-    Ties count as increasing.
+    2010).  The check reads those weights, the run's own
+    (``traj.weights``, :meth:`L1Weights.row_margins`), not the fields: on
+    uniform grids the sequence ``b_j`` and the diagonal table once each,
+    O(M); on graded grids the row margins that a direct run's memory walk
+    kept from the very slabs it stepped with, and one slab of rows at a time
+    for the rows no walk reached (every row of a compressed run, which never
+    reads the exact weights).  Ties count as increasing.
 
     In exact arithmetic the hypothesis holds on every time grid:
     ``w_{n,k}`` is the mean of ``g_{1-a}(t_n - s)``, an increasing function
     of ``s``, over the step ``[t_{k-1}, t_k]``, and the means of an
     increasing function over consecutive intervals increase.  What the scan
-    can catch is therefore the rounding of the evaluated weights: a
-    cancelling closed form or a wrong slab shows up as a decrease along a
-    row, which is how a broken closed form for graded grids was once found.
-    The scan reads the exact L1 weights; a compressed run steps with the step
-    means of a positive sum of decaying exponentials, which, like the step
-    means of any decreasing kernel, increase along every row on any grid.  A
-    pass says the weights keep the inequality, not that the fields are accurate.
+    can catch is therefore the rounding of the evaluated weights beyond
+    their stated error bound: a cancelling closed form or a wrong slab
+    shows up as a decrease along a row, which is how a broken closed form
+    for graded grids was once found.  A decrease within the bound
+    (:meth:`L1Weights.margin_allowance`, about 9e-15 of the diagonal) passes:
+    late rows of a strongly graded grid hold adjacent weights closer than
+    their rounding.  A compressed run steps with the step means of a
+    positive sum of decaying exponentials, which, like the step means of any
+    decreasing kernel, increase along every row on any grid.  A pass says
+    the weights keep the inequality, not that the fields are accurate.
     """
-    margins, positive = L1Weights(alpha=traj.spec.alpha, grid=traj.spec.time_grid).row_margins()
+    weights = traj.weights
+    margins, positive = weights.row_margins()
     worst = int(np.argmin(margins))
-    return MonotoneWeightsReport(positive and bool(margins[worst] >= 0.0), float(margins[worst]), worst + 1)
+    allowance = weights.margin_allowance()
+    passed = positive and bool(margins[worst] >= -allowance)
+    return MonotoneWeightsReport(passed, float(margins[worst]), worst + 1, allowance)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,16 @@ functions, its weights are positive, and within each row they increase toward
 the diagonal on any admissible mesh.  Those three facts carry all the
 structure the rest of the package relies on (convexity inequality, comparison
 principle, maximum principle); a run's convexity certificate checks the last
-two (:meth:`L1Weights.row_margins`, O(M) on uniform grids).  The O(M^2)
-consumers read the weights a slab of rows at a time
-(:meth:`L1Weights.blocks`) or row by row (:meth:`L1Weights.rows`); the
+two (:meth:`L1Weights.row_margins`, O(M) on uniform grids), up to the
+rounding that a stated error bound of the weights allows
+(:meth:`L1Weights.margin_allowance`).  Every O(M^2) consumer reads the
+weights a slab of rows at a time (:meth:`L1Weights.block`): the blocked
+product behind :meth:`L1Weights.apply` and the convexity check, and the walk
+of the exact memory provider :class:`DirectHistory`, which reads one slab per
+block of queries and one product over its stored increments per block.  On
+a graded grid that walk evaluates every weight of the run once, and the
+weights keep the row margins of the slabs it evaluates, so the certificate
+of a direct run reads them instead of evaluating the weights again.  The
 memory term of a marcher comes from a memory provider on any grid, exact
 (:class:`DirectHistory`) or compressed (:class:`CompressedHistory`).
 """
@@ -136,24 +143,34 @@ class L1Weights:
     """L1 quadrature weights for the fractional derivative of order ``alpha``.
 
     This is the one history operator of the package: every O(M^2) consumer
-    reads the lower-triangular matrix ``W[n-1, k-1] = w_{n,k}``, either a
-    dense slab of consecutive rows at a time (:meth:`block`, :meth:`blocks`;
-    the blocked product behind :meth:`apply` and the convexity check) or one
-    row after the other (:meth:`rows`, the exact memory provider);
-    :meth:`row_margins` scans them for the convexity certificate.  Every
+    reads the lower-triangular matrix ``W[n-1, k-1] = w_{n,k}`` a dense slab
+    of consecutive rows at a time (:meth:`block`): the blocked product behind
+    :meth:`apply` and the convexity check (:meth:`blocks`), and the walk of
+    :class:`DirectHistory`, one slab per block of its queries.
+    :meth:`row_margins` scans the rows for the convexity certificate.  Every
     off-diagonal entry is the mean of the kernel over one step, in one closed
-    form in ``expm1``/``log1p`` that stays accurate when ``tau_k << t_n - t_k``.
-    On uniform grids it runs once, at construction, for the sequence
-    ``b_j = w_{n,n-j}`` that the rows are gathered from; on graded grids it
-    runs per block.  The diagonal ``w_{n,n}`` comes from the grid's steps
-    ``tau``, one power on a uniform grid, whose steps are all one, into a table
-    shared with :meth:`diag`; every reader agrees with :meth:`block` bitwise.
+    form in ``expm1``/``log1p`` that stays accurate when ``tau_k << t_n - t_k``
+    (:meth:`_step_means` states its error bound).  On uniform grids it runs
+    once, at construction, for the sequence ``b_j = w_{n,n-j}`` that the rows
+    are gathered from; on graded grids it runs per slab.  The diagonal
+    ``w_{n,n}`` comes from the grid's steps ``tau``, one power on a uniform
+    grid, whose steps are all one, into a table shared with :meth:`diag`;
+    every reader agrees with :meth:`block` bitwise.
+
+    On a graded grid a walk of :class:`DirectHistory` hands each slab it
+    evaluates to :meth:`_keep_margins`, which keeps the slab's row margins
+    while the slabs extend the rows kept so far; :meth:`row_margins` then
+    evaluates only the rows no walk has reached.  The kept margins are the
+    scan's arithmetic on the same rows, so they equal a fresh scan's bitwise.
     """
 
     alpha: float
     grid: TimeGrid
     _uniform_b: np.ndarray | None = field(default=None, init=False, repr=False)
     _diag: np.ndarray = field(default=None, init=False, repr=False)
+    # rows 1.._reached of a walk over a graded grid: their w_{n,1} and least increment
+    _kept: np.ndarray | None = field(default=None, init=False, repr=False)
+    _reached: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -166,15 +183,55 @@ class L1Weights:
             # b_0 = 0 serves every entry on or above the diagonal; block() writes the diagonal over it
             object.__setattr__(self, "_uniform_b", self._step_means(tau[0] * np.arange(self.grid.steps), tau[0]))
 
-    def _step_means(self, lag: np.ndarray, tau) -> np.ndarray:
-        """Mean of ``g_{1-a}`` over ``[lag, lag + tau]``, zero where ``lag = 0``.
+    def _step_means(self, lag: np.ndarray, tau, out: np.ndarray | None = None) -> np.ndarray:
+        """Mean of ``g_{1-a}`` over ``[lag, lag + tau]``, zero where ``lag = 0``, into ``out`` if given (zeros).
 
         ``((lag + tau)^p - lag^p) / (Gamma(2-a) tau)`` with ``p = 1 - a``,
         without the cancellation when ``tau << lag``.
+
+        Error bound.  With ``rho = tau / lag`` and ``eps`` the machine epsilon,
+        a lagged weight (``lag > 0``) is within ``(16 + 4 max(rho, 1)) eps``
+        relative of the exact mean at the same ``p`` and the same float
+        ``Gamma(2-a)``, for ``lag`` and ``tau`` each the rounded difference of
+        two exact nodes (or ``lag = j tau`` rounded, the uniform sequence).
+        The count takes ``pow``, ``log1p`` and ``expm1`` within 4 ulp (numpy's
+        AVX-512 routines; glibc's are within 2) and every other operation
+        correctly rounded: the rounding of ``lag`` and ``tau`` moves the mean
+        by at most ``(2 + rho) eps / 2`` (its relative sensitivity to them is
+        at most ``(1 + rho)^a`` and 1); ``log1p(rho)`` carries ``4.5 eps``,
+        its product with ``p`` ``5 eps``, which ``expm1`` amplifies by at most
+        ``1 + p log1p(rho) <= 1 + max(rho, 1) log 2`` and to which it adds
+        ``4 eps``; the power carries ``4 eps``, and the product and the
+        division by ``Gamma(2-a) tau`` ``1.5 eps``.  Within a row
+        ``rho <= tau_k / tau_{k+1}``, so ``rho <= 1`` on grids whose steps
+        never shrink, uniform and graded.  ``tests/test_kernels.py`` checks
+        the bound against mpmath.
         """
         p = 1.0 - self.alpha
-        ratio = np.divide(tau, lag, out=np.zeros_like(lag), where=lag > 0.0)
-        return lag**p * np.expm1(p * np.log1p(ratio)) / (math.gamma(2.0 - self.alpha) * tau)
+        out = np.divide(tau, lag, out=np.zeros_like(lag) if out is None else out, where=lag > 0.0)
+        np.log1p(out, out=out)
+        out *= p
+        np.expm1(out, out=out)
+        out *= lag**p
+        out /= math.gamma(2.0 - self.alpha) * tau
+        return out
+
+    def margin_allowance(self) -> float:
+        """How far below zero rounding alone can put a margin of :meth:`row_margins` whose row increases.
+
+        Each increment ``w_{n,k+1} - w_{n,k}`` of a row that increases in
+        exact arithmetic is computed at least ``-delta (w_{n,k} + w_{n,k+1})``,
+        ``delta`` the relative error bound of :meth:`_step_means` with ``rho``
+        the grid's largest ratio of consecutive steps (at least 1), and both
+        weights are at most ``w_{n,n}``, so the margin is at least ``-2 delta``
+        up to the rounding of the subtraction and of the division by the
+        diagonal (the factor ``1 + 4 eps``).  The diagonal's own increment
+        ``w_{n,n} - w_{n,n-1}`` is at least ``a w_{n,n}``: ``w_{n,n-1}`` is at
+        most ``g_{1-a}(tau_n) = (1 - a) w_{n,n}``, far from any tie.
+        """
+        tau = self.grid.tau
+        rho = max(1.0, float(np.max(tau[:-1] / tau[1:], initial=1.0)))
+        return 2.0 * (16.0 + 4.0 * rho) * _EPS * (1.0 + 4.0 * _EPS)
 
     def block(self, n0: int, n1: int) -> np.ndarray:
         """Rows ``n = n0..n1-1`` of the weight matrix, shape ``(n1 - n0, n1 - 1)``.
@@ -185,39 +242,60 @@ class L1Weights:
         if not 1 <= n0 < n1 <= self.grid.steps + 1:
             raise ValueError(f"row range {n0}..{n1 - 1} outside 1..{self.grid.steps}")
         if self._uniform_b is not None:
-            out = self._uniform_b[np.maximum(np.arange(n0, n1)[:, None] - np.arange(1, n1), 0)]
+            # row n reads b_{n-1}, ..., b_1, b_0 = 0 and zeros: b reversed from b_{n1-2} and padded, read from
+            # one entry further on for each row up (a strided view, copied once)
+            h = n1 - n0
+            window = np.concatenate([self._uniform_b[n1 - 2 :: -1], np.zeros(h - 1)])
+            step = window.itemsize
+            out = np.ndarray((h, n1 - 1), float, window, (h - 1) * step, (-step, step)).copy()
         else:
-            t = self.grid.nodes
-            out = self._step_means(np.maximum(t[n0:n1, None] - t[1:n1], 0.0), self.grid.tau[: n1 - 1])
+            t, tau = self.grid.nodes, self.grid.tau[: n1 - 1]
+            out = np.zeros((n1 - n0, n1 - 1))
+            # _BLOCK_ENTRIES at a time, so that the temporaries stay in cache
+            height = max(1, _BLOCK_ENTRIES // (n1 - 1))
+            for i in range(n0, n1, height):
+                j = min(i + height, n1)
+                lag = np.subtract(t[i:j, None], t[1:n1])
+                self._step_means(np.maximum(lag, 0.0, out=lag), tau, out[i - n0 : j - n0])
         # entry (n - n0, n - 1) sits at flat index n0 - 1 + (n - n0) * n1
         out.reshape(-1)[n0 - 1 :: n1] = self._diag[n0 - 1 : n1 - 1]
         return out
 
-    def blocks(self, steps: int):
-        """Yield ``(n0, n1, block(n0, n1))`` covering rows ``1..steps`` in order.
+    def blocks(self, steps: int, first: int = 1):
+        """Yield ``(n0, n1, block(n0, n1))`` covering rows ``first..steps`` in order.
 
         Each block holds about ``_BLOCK_ENTRIES`` entries, so a blocked product
         needs the same working memory at any step count.
         """
         height = max(1, _BLOCK_ENTRIES // steps)
-        for n0 in range(1, steps + 1, height):
+        for n0 in range(first, steps + 1, height):
             n1 = min(n0 + height, steps + 1)
             yield n0, n1, self.block(n0, n1)
 
-    def rows(self):
-        """Yield the lagged weights ``w_{n,k}``, ``k = 1..n-1``, for ``n = 1..M`` in order.
+    @staticmethod
+    def _slab_scan(n0: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``w_{n,1}`` and the least increment ``w_{n,k+1} - w_{n,k}``, ``k < n``, of each row of ``w = block(n0, n1)``.
 
-        On uniform grids each is a reversed view of ``b_j``; on graded grids a
-        slice of the current slab of :meth:`blocks`, so a walk over all rows
-        evaluates each weight once and holds one slab at a time.
+        Every increment left of column ``n0 - 1`` lies below the diagonal, so
+        only the triangle at the slab's right edge is masked.  It makes the
+        float subtractions of a scan over whole rows, so its values equal one's
+        bitwise, whatever the slab.
         """
-        if self._uniform_b is not None:
-            for n in range(1, self.grid.steps + 1):
-                yield self._uniform_b[n - 1 : 0 : -1]
+        h = w.shape[0]
+        # column k - 1 of a difference is w_{n,k+1} - w_{n,k}, an increment of row n while k < n
+        left = (w[:, 1:n0] - w[:, : n0 - 1]).min(axis=1, initial=np.inf)
+        edge = (w[:, n0:] - w[:, n0 - 1 : -1]).min(axis=1, initial=np.inf, where=np.tri(h, h - 1, -1, dtype=bool))
+        return w[:, 0], np.minimum(left, edge)
+
+    def _keep_margins(self, n0: int, w: np.ndarray) -> None:
+        """Keep the row scan of the slab ``w = block(n0, n1)`` of a graded grid when it extends the rows kept."""
+        if self._uniform_b is not None or n0 != self._reached + 1:
             return
-        for n0, n1, w in self.blocks(self.grid.steps):
-            for n in range(n0, n1):
-                yield w[n - n0, : n - 1]
+        if self._kept is None:
+            object.__setattr__(self, "_kept", np.empty((2, self.grid.steps)))
+        n1 = n0 + w.shape[0]
+        self._kept[:, n0 - 1 : n1 - 1] = self._slab_scan(n0, w)
+        object.__setattr__(self, "_reached", n1 - 1)
 
     def row_margins(self) -> tuple[np.ndarray, bool]:
         """The margins of the rows ``n = 1..M``, and whether every ``w_{n,1}`` is positive.
@@ -226,11 +304,12 @@ class L1Weights:
         On uniform grids row ``n`` holds no weight of its own but the
         diagonal: its increments are ``b_j - b_{j+1}`` for ``j = 1..n-2`` and
         ``w_{n,n} - b_1``, so one running minimum over ``b`` and the diagonal
-        table serve every row, O(M).  On graded grids the slabs of
-        :meth:`blocks` are read; in a slab of rows ``n0..n1-1`` every
-        increment left of column ``n0 - 1`` lies below the diagonal, so only
-        the triangle at its right edge is masked.  Both make the float
-        subtractions of a scan over whole rows, so the margins equal its bitwise.
+        table serve every row, O(M).  On graded grids the rows a walk kept
+        (:meth:`_keep_margins`) are read as kept and the others from the slabs
+        of :meth:`blocks` (:meth:`_slab_scan`).  Both make the float
+        subtractions of a scan over whole rows, so the margins equal its
+        bitwise.  Rounding alone can make a margin as low as
+        ``-``:meth:`margin_allowance`.
         """
         M = self.grid.steps
         if self._uniform_b is not None:
@@ -241,13 +320,11 @@ class L1Weights:
             inc[2:] = np.minimum(inc[2:], np.minimum.accumulate(b[1:-1] - b[2:]))
         else:
             first, inc = np.empty(M), np.empty(M)
-            for n0, n1, w in self.blocks(M):
-                h = n1 - n0
-                # column k - 1 of a diff is w_{n,k+1} - w_{n,k}, an increment of row n while k < n
-                left = np.diff(w[:, :n0], axis=1).min(axis=1, initial=np.inf)
-                edge = np.diff(w[:, n0 - 1 :], axis=1).min(axis=1, initial=np.inf, where=np.tri(h, h - 1, -1, dtype=bool))
-                first[n0 - 1 : n1 - 1] = w[:, 0]
-                inc[n0 - 1 : n1 - 1] = np.minimum(left, edge)
+            r = self._reached
+            if r:
+                first[:r], inc[:r] = self._kept[:, :r]
+            for n0, n1, w in self.blocks(M, r + 1):
+                first[n0 - 1 : n1 - 1], inc[n0 - 1 : n1 - 1] = self._slab_scan(n0, w)
         return np.minimum(first, inc) / self._diag, bool(np.all(first > 0.0))
 
     def diag(self, n: int) -> float:
@@ -366,9 +443,9 @@ def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) 
 # leading-axis contractions are plain ``np.dot`` calls; ``push(delta_n)``
 # absorbs the increment ``v_n - v_{n-1}`` after step n, and
 # ``memory_term()`` then returns ``H_{n+1} = sum_{k<=n} w_{n+1,k} delta_k``,
-# the sum without the local term, as often as it is asked.  ``DirectHistory`` is exact, reading the
-# rows of :meth:`L1Weights.rows`; ``CompressedHistory`` approximates it with
-# a sum of exponentials.
+# the sum without the local term, as often as it is asked.  ``DirectHistory``
+# is exact, reading the slabs of :meth:`L1Weights.block`; ``CompressedHistory``
+# approximates it with a sum of exponentials.
 
 
 def _history_shape(shape) -> tuple:
@@ -381,14 +458,28 @@ def _history_shape(shape) -> tuple:
 
 
 class DirectHistory:
-    """Exact memory provider: keeps every increment, O(n) work per query.
+    """Exact memory provider: keeps every increment and serves its queries a block at a time.
 
-    A query at step ``n`` is one dot of the stored increments with the
-    lagged weights ``w_{n,k}``, ``k < n``, the current row of
-    :meth:`L1Weights.rows`: a zero-copy view on uniform grids, a slice of
-    the current slab of rows on graded ones.  :meth:`reset` restarts the
-    walk over the rows and :meth:`push` moves it on by one row.
+    The queries after ``c0`` pushes and the next ones, ``_BLOCK`` of them
+    (``_FIRST`` from ``c0 = 0``), form a block.  Opening it reads the slab
+    of their weight rows, ``L1Weights.block(c0 + 1, ...)``, and makes one
+    matrix product of its columns ``1..c0`` with the stored increments: the
+    block's sums over the increments older than the block.  A query then adds
+    the dot of its row with the increments pushed since the block opened.
+    So the stored increments are read once per block of queries, not once per
+    query, and every weight is evaluated once per walk.  The first block has
+    no older increments and makes no product: a march of at most ``_FIRST``
+    steps, like the property sweeps' 48, reads one slab with per-row dots.
+
+    On a graded grid longer than the first block each slab also goes to
+    ``L1Weights._keep_margins``, so the run's convexity certificate reads
+    the margins of the rows the walk reached instead of evaluating them again
+    (a grid of one slab is scanned as cheaply as it would be recorded).
+    :meth:`reset` restarts the walk at row 1.
     """
+
+    _BLOCK = 16
+    _FIRST = 64
 
     def __init__(self, weights: L1Weights):
         self.weights = weights
@@ -399,21 +490,35 @@ class DirectHistory:
         """Start a new trajectory of fields of ``shape``, with no increment stored."""
         self._deltas = np.empty((self.weights.grid.steps,) + _history_shape(shape))
         self._count = 0
-        self._rows = self.weights.rows()
-        self._row = next(self._rows)
+        self._open(0)
+
+    def _open(self, c0: int) -> None:
+        """Open the block of the queries after ``c0`` pushes: its slab of rows and its sums over the older increments."""
+        steps = self.weights.grid.steps
+        n1 = min(c0 + (self._BLOCK if c0 else self._FIRST), steps) + 1
+        slab = self.weights.block(c0 + 1, n1)
+        if steps > self._FIRST:
+            self.weights._keep_margins(c0 + 1, slab)
+        self._slab, self._start, self._end = slab, c0, n1 - 1
+        self._older = slab[:, :c0] @ self._deltas[:c0] if c0 else None
 
     def push(self, delta) -> None:
         """Store the increment ``delta_n = v_n - v_{n-1}`` after step n."""
-        self._deltas[self._count] = delta
-        self._count += 1
-        self._row = next(self._rows, None)  # None after the last step: no further query is defined
+        n = self._count
+        self._deltas[n] = delta
+        self._count = n = n + 1
+        if n == self._end < self.weights.grid.steps:  # no query follows the last step
+            self._open(n)
 
     def memory_term(self):
         """The lagged sum for the step after the last push."""
         if self._deltas is None:
             raise RuntimeError("reset before querying the memory term")
-        out = np.dot(self._row, self._deltas[: self._count])
-        return float(out) if np.ndim(out) == 0 else out
+        c0, n = self._start, self._count
+        out = np.dot(self._slab[n - c0, c0:n], self._deltas[c0:n])
+        if c0:
+            out += self._older[n - c0]
+        return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -222,10 +222,16 @@ class StepFailure(RuntimeError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """Fields at every time node plus per-step solver bookkeeping."""
+    """Fields at every time node plus per-step solver bookkeeping.
+
+    ``weights`` are the run's L1 weights.  A direct run's memory walk has
+    evaluated them, and on a graded grid they keep the row margins of that
+    walk for the convexity certificate.
+    """
 
     spec: ProblemSpec
     options: SolverOptions
+    weights: L1Weights
     fields: np.ndarray  # (steps + 1, n_nodes)
     iterations: np.ndarray  # (steps + 1,), [0] == 0
     halvings: np.ndarray  # (steps + 1,), damping halvings per step, [0] == 0
@@ -542,6 +548,7 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     return Trajectory(
         spec=spec,
         options=options,
+        weights=weights,
         fields=U,
         iterations=iterations,
         halvings=halvings,

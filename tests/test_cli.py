@@ -467,6 +467,37 @@ class TestOtherErrorsExitTwo:
         assert set(report["certificates"]) == {"convexity", "boundedness", "decay"}
         assert (out / "norms.tsv").read_text().startswith(NORMS_HEADER)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_full_stdout_loses_no_artifact(self, tmp_path, unbuffered):
+        # as under `subdiff run k.cfg > /dev/full`: every write to standard output fails with ENOSPC, which a
+        # full disk under an artifact raises too, also without a file name; the error names standard output
+        cfg = _write(tmp_path, "problem = porous\n[problem]\nresolution = 9\n[time]\nsteps = 8\n")
+        out = tmp_path / "o"
+        script = "import sys\nfrom subdiff.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   OPENBLAS_NUM_THREADS="1")
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-c", script, "run", cfg, "--out", str(out)]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["cannot write standard output: No space left on device"]
+        json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)
+
+    def test_a_full_disk_under_an_artifact_is_not_standard_output(self, tmp_path, capsys, monkeypatch):
+        # a write that fails without a file name, as on a full disk, still names the artifact side
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("subdiff.cli.write_norms_tsv", full)
+        cfg = _write(tmp_path, "problem = porous\n[problem]\nresolution = 9\n[time]\nsteps = 8\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["cannot write an artifact: No space left on device"]
+
     def test_linear_algebra_error_in_the_run(self, tmp_path, capsys, monkeypatch):
         # an eigenvalue solve that does not converge is an error of the run: one line naming it, exit 2
         def failing(*args, **kwargs):

@@ -224,15 +224,6 @@ class TestL1Weights:
                 seen.append(n)
         assert seen == list(range(1, tg.steps + 1))
 
-    @pytest.mark.parametrize("make", [lambda: TimeGrid.uniform(2.0, 40), lambda: TimeGrid.graded(2.0, 40, 3.0)])
-    def test_rows_are_the_rows_without_their_diagonal(self, make, monkeypatch):
-        w = L1Weights(alpha=0.45, grid=make())
-        monkeypatch.setattr("subdiff.kernels._BLOCK_ENTRIES", 300)  # slabs of 7 rows on the graded grid
-        rows = list(w.rows())
-        assert len(rows) == 40
-        for n, lagged in enumerate(rows, start=1):
-            assert np.array_equal(lagged, w.block(n, n + 1)[0][:-1])
-
     @pytest.mark.parametrize("steps, alpha", [(s, a) for s in (2048, 16384) for a in (0.05, 0.5, 0.95)])
     def test_uniform_rows_match_extended_precision(self, steps, alpha):
         # w_{n,k} = ((n-k+1)^p - (n-k)^p) tau^-alpha / Gamma(2 - alpha), p = 1 - alpha, in 40 digits;
@@ -264,6 +255,58 @@ class TestL1Weights:
         object.__setattr__(w_g, "_uniform_b", None)
         for n in (1, 5, 10):
             np.testing.assert_allclose(w_u.block(n, n + 1)[0], w_g.block(n, n + 1)[0], rtol=1e-13)
+
+
+class TestRowMargins:
+    @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+    def test_walked_partly_walked_and_fresh_margins_agree_bitwise(self, graded):
+        grid = TimeGrid.graded(3.0, 1000, 3.0 if graded else 1.0)
+        fresh = L1Weights(alpha=0.3, grid=grid).row_margins()
+        # a whole walk, one that ends inside a block, one that opens its second block, and one of a single query;
+        # the rows that each has evaluated are 1..reached (rows 1..64, then 16 at a time)
+        for pushes, reached in ((1000, 1000), (300, 304), (64, 80), (0, 64)):
+            w = L1Weights(alpha=0.3, grid=grid)
+            mem = DirectHistory(w)
+            mem.reset(())
+            for _ in range(pushes):
+                mem.memory_term()
+                mem.push(1.0)
+            margins, positive = w.row_margins()
+            assert margins.tobytes() == fresh[0].tobytes() and positive is fresh[1], pushes
+            # a graded grid keeps the rows a walk evaluated; the O(M) uniform scan keeps nothing
+            assert w._reached == (reached if graded else 0), pushes
+
+    def test_a_walk_of_one_slab_keeps_nothing(self, monkeypatch):
+        # a march no longer than the first block reads one slab, which a later scan reads as cheaply as a record
+        grid = TimeGrid.graded(2.0, 48, 3.0)
+        w = L1Weights(alpha=0.5, grid=grid)
+        monkeypatch.setattr(L1Weights, "_keep_margins", lambda *args: pytest.fail("a one-slab walk kept margins"))
+        mem = DirectHistory(w)
+        mem.reset((4,))
+        for _ in range(48):
+            mem.memory_term()
+            mem.push(np.ones(4))
+
+    # grids whose late rows hold adjacent weights closer than their rounding: alpha, horizon, steps, grading
+    _TIGHT = [(0.1, 50.0, 8192, 4.0), (0.1, 100.0, 16384, 4.0), (0.3, 100.0, 16384, 4.0)]
+
+    @pytest.mark.parametrize("alpha, horizon, steps, r", _TIGHT + [(0.05, 1.0, 16384, 1.0), (0.95, 1.0, 16384, 1.0)])
+    def test_step_means_keep_their_error_bound(self, alpha, horizon, steps, r):
+        # the bound of L1Weights._step_means, (16 + 4 rho) eps with rho = 1 on these grids, against 50 digits, for
+        # the same float p = 1 - alpha and Gamma(2 - alpha); the first lags, where the ties sit, and log-spaced ones
+        grid = TimeGrid.graded(horizon, steps, r)
+        w = L1Weights(alpha=alpha, grid=grid)
+        bound = 20.0 * np.finfo(float).eps
+        worst = 0.0
+        with mp.workdps(50):
+            t = [mp.mpf(x) for x in grid.nodes.tolist()]
+            p, g = mp.mpf(1.0 - alpha), mp.mpf(math.gamma(2.0 - alpha))
+            for n in (steps // 2 + 1, steps - 300, steps):
+                ks = np.unique(np.concatenate([np.arange(1, 41), np.geomspace(1, n - 1, 40).astype(int)]))
+                got = w.block(n, n + 1)[0][ks - 1]
+                want = [((t[n] - t[k - 1]) ** p - (t[n] - t[k]) ** p) / (g * (t[k] - t[k - 1])) for k in ks.tolist()]
+                worst = max(worst, max(float(abs(mp.mpf(x) / y - 1)) for x, y in zip(got.tolist(), want)))
+        assert worst <= bound, worst / np.finfo(float).eps
 
 
 def _margin_by_abel_summation(alpha, grid, v):
@@ -409,17 +452,16 @@ class TestCompression:
         assert at_boundary.tobytes() == kept.tobytes()
         assert mem.memory_term().tobytes() != kept.tobytes()
 
-    # 400 graded steps: slabs of 81 rows, so the step counts below straddle one, two and four slabs
-    _SLAB_GRID = TimeGrid.graded(3.0, 400, 2.5)
-    _SLAB = next(L1Weights(alpha=0.4, grid=_SLAB_GRID).blocks(400))[1] - 1  # rows 1.._SLAB form the first block
-
-    @pytest.mark.parametrize("shape", [(), (5,)])
-    @pytest.mark.parametrize("steps", [1, 2, _SLAB - 1, _SLAB, _SLAB + 1, 3 * _SLAB + 5])
-    def test_graded_direct_history_reads_slabs_bitwise(self, steps, shape, monkeypatch):
-        w = L1Weights(alpha=0.4, grid=self._SLAB_GRID)
+    @pytest.mark.parametrize("shape", [(), (3,), (65,)], ids=["scalar", "batch", "field"])
+    @pytest.mark.parametrize("steps", [1, 15, 16, 17, 48, 1000])
+    @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+    def test_blocked_direct_history_matches_row_dots(self, graded, steps, shape, monkeypatch):
+        grid = TimeGrid.graded(3.0, steps, 2.5 if graded else 1.0)
+        w = L1Weights(alpha=0.4, grid=grid)
         lagged = [w.block(n, n + 1)[0][:-1] for n in range(1, steps + 1)]  # the per-row reference, before counting
-        # each push fetches the next row, so a walk of `steps` steps reads rows 1..steps + 1
-        slabs = [(n0, n1) for n0, n1, _ in w.blocks(400) if n0 <= steps + 1]
+        # the walk's slabs: rows 1..64, then 16 rows at a time
+        first, height = DirectHistory._FIRST, DirectHistory._BLOCK
+        slabs = [(n0, min(n0 + (first if n0 == 1 else height), steps + 1)) for n0 in [1, *range(first + 1, steps + 1, height)]]
         blocks = []
         block = L1Weights.block
 
@@ -430,26 +472,28 @@ class TestCompression:
         monkeypatch.setattr(L1Weights, "block", counting)
         mem = DirectHistory(w)
         rng = np.random.default_rng(steps)
-        for trajectory in range(2):
+        eps = np.finfo(float).eps
+        for trajectory in range(2):  # reset restarts the walk at row 1
             blocks.clear()
             mem.reset(shape)
             deltas = rng.normal(size=(steps,) + shape)
+            answers = []
             for n in range(1, steps + 1):
-                expected = np.asarray(np.dot(lagged[n - 1], deltas[: n - 1])).tobytes()
-                # a query reads the stored row and moves nothing, so asking twice gives the same sum
-                assert np.asarray(mem.memory_term()).tobytes() == expected, (trajectory, n)
-                assert np.asarray(mem.memory_term()).tobytes() == expected, (trajectory, n)
+                want = np.dot(lagged[n - 1], deltas[: n - 1])
+                got = mem.memory_term()
+                answers.append((got, np.copy(got)))
+                assert np.shape(got) == shape and isinstance(got, float) is (shape == ())
+                # a query moves nothing, so asking twice gives the same sum
+                assert np.asarray(mem.memory_term()).tobytes() == np.asarray(got).tobytes()
+                if n <= first:  # the first block has no older increments: its queries are the row dots
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (trajectory, n)
+                else:  # a product over the older increments, then the in-block dot: summation order only
+                    gross = np.abs(lagged[n - 1]) @ np.abs(deltas[: n - 1])
+                    assert np.all(np.abs(got - want) <= 2.0 * n * eps * gross), (trajectory, n)
                 mem.push(deltas[n - 1])
             assert blocks == slabs  # every slab once, in order
-
-    def test_uniform_direct_history_builds_no_block(self, monkeypatch):
-        w = L1Weights(alpha=0.4, grid=TimeGrid.uniform(3.0, 200))
-        monkeypatch.setattr(L1Weights, "block", lambda *args: pytest.fail("uniform grids read views of b_j"))
-        mem = DirectHistory(w)
-        mem.reset((3,))
-        for n in range(1, 201):
-            mem.memory_term()
-            mem.push(np.ones(3))
+            # each answer is a fresh value: the caller may keep it while the walk goes on into later blocks
+            assert all(np.asarray(a).tobytes() == b.tobytes() for a, b in answers)
 
     @pytest.mark.parametrize("provider", [DirectHistory, lambda w: compress_history(w, 1e-8)])
     def test_providers_reject_fields_with_two_axes(self, provider):
