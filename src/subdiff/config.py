@@ -23,11 +23,12 @@ reaches less.  Settings that are valid one by one but cannot run together
 are rejected too: compressed history on a one-step time grid, Newton mode
 on a 2D problem (2D runs are Picard only), problem and
 time settings that give no grids (extents that do not fit the dimension, a
-box whose spacing squared over- or underflows, a grading whose first steps
-underflow to zero), also on the finest level of a study, and a snapshot
-time past the horizon.  An ``output.dir`` must read back unchanged from
-:func:`render_config`'s text, so a path with ``#``, ``,``, a line break or
-surrounding spaces is rejected.  Command-line overrides go through the same
+box whose spacing squared over- or underflows, a box so small that the step
+matrix's largest diagonal or the decay rate comes within 2^10 of the float
+maximum, a grading whose first steps underflow to zero), also on the finest
+level of a study, and a snapshot time past the horizon.  An ``output.dir``
+must read back unchanged from :func:`render_config`'s text, so a path with
+``#``, ``,``, a line break or surrounding spaces is rejected.  Command-line overrides go through the same
 schema and checks.  The ``[solver]`` section is a
 :class:`~subdiff.solver.SolverOptions` itself.
 """

@@ -10,20 +10,21 @@ where ``w_{n,k}`` is the average of the kernel ``g_{1-a}(t_n - s)`` over the
 step ``[t_{k-1}, t_k]``.  This quadrature is exact for piecewise-linear
 functions, its weights are positive, and within each row they increase toward
 the diagonal on any admissible mesh.  Those three facts carry all the
-structure the rest of the package relies on (convexity inequality, comparison
-principle, maximum principle); a run's convexity certificate checks the last
-two (:meth:`L1Weights.row_margins`, O(M) on uniform grids), up to the
-rounding that a stated error bound of the weights allows
+structure the rest of the package relies on (convexity inequality,
+comparison principle, maximum principle); a run's convexity certificate
+checks the last two (:meth:`L1Weights.row_margins`, O(M) on uniform grids),
+up to the rounding that a stated error bound of the weights allows
 (:meth:`L1Weights.margin_allowance`).  Every O(M^2) consumer reads the
 weights a slab of rows at a time (:meth:`L1Weights.block`): the blocked
 product behind :meth:`L1Weights.apply` and the convexity check, and the walk
 of the exact memory provider :class:`DirectHistory`, which reads one slab per
 block of queries and one product over its stored increments per block.  On
-a graded grid that walk evaluates every weight of the run once, and the
-weights keep the row margins of the slabs it evaluates, so the certificate
-of a direct run reads them instead of evaluating the weights again.  The
-memory term of a marcher comes from a memory provider on any grid, exact
-(:class:`DirectHistory`) or compressed (:class:`CompressedHistory`).
+a graded grid the weights keep the row margins of the slabs they build in
+row order, so the certificate of a direct run, whose walk built every slab,
+reads them instead of evaluating the weights again.  The memory term of a
+marcher comes from a memory provider on any grid, exact
+(:class:`DirectHistory`) or compressed (:class:`CompressedHistory`); both
+serve their queries through one blocked walk.
 """
 
 from __future__ import annotations
@@ -147,28 +148,30 @@ class L1Weights:
     of consecutive rows at a time (:meth:`block`): the blocked product behind
     :meth:`apply` and the convexity check (:meth:`blocks`), and the walk of
     :class:`DirectHistory`, one slab per block of its queries.
-    :meth:`row_margins` scans the rows for the convexity certificate.  Every
-    off-diagonal entry is the mean of the kernel over one step, in one closed
-    form in ``expm1``/``log1p`` that stays accurate when ``tau_k << t_n - t_k``
-    (:meth:`_step_means` states its error bound).  On uniform grids it runs
-    once, at construction, for the sequence ``b_j = w_{n,n-j}`` that the rows
-    are gathered from; on graded grids it runs per slab.  The diagonal
-    ``w_{n,n}`` comes from the grid's steps ``tau``, one power on a uniform
-    grid, whose steps are all one, into a table shared with :meth:`diag`;
-    every reader agrees with :meth:`block` bitwise.
+    :meth:`row_margins` gives the convexity certificate the rows' margins.
+    Every off-diagonal entry is the mean of the kernel over one step, in one
+    closed form in ``expm1``/``log1p`` that stays accurate when
+    ``tau_k << t_n - t_k`` (:meth:`_step_means` states its error bound).  On
+    uniform grids it runs once, at construction, for the sequence
+    ``b_j = w_{n,n-j}`` that the rows are gathered from; on graded grids it
+    runs per slab.  The diagonal ``w_{n,n}`` comes from the grid's steps
+    ``tau``, one power on a uniform grid, whose steps are all one, into a
+    table shared with :meth:`diag`; every reader agrees with :meth:`block`
+    bitwise.
 
-    On a graded grid a walk of :class:`DirectHistory` hands each slab it
-    evaluates to :meth:`_keep_margins`, which keeps the slab's row margins
-    while the slabs extend the rows kept so far; :meth:`row_margins` then
-    evaluates only the rows no walk has reached.  The kept margins are the
-    scan's arithmetic on the same rows, so they equal a fresh scan's bitwise.
+    The weights own the row margins of a graded grid: :meth:`block` hands
+    each slab it builds to :meth:`_keep_margins`, which keeps the slab's row
+    scan while the slabs extend the rows kept so far, whichever walk built
+    them; :meth:`row_margins` builds only the rows no slab has reached.  The
+    scan of a slab makes the float subtractions of a scan over whole rows,
+    so the kept margins do not depend on how the rows were cut into slabs.
     """
 
     alpha: float
     grid: TimeGrid
     _uniform_b: np.ndarray | None = field(default=None, init=False, repr=False)
     _diag: np.ndarray = field(default=None, init=False, repr=False)
-    # rows 1.._reached of a walk over a graded grid: their w_{n,1} and least increment
+    # rows 1.._reached of the slabs built in row order on a graded grid: their w_{n,1} and least increment
     _kept: np.ndarray | None = field(default=None, init=False, repr=False)
     _reached: int = field(default=0, init=False, repr=False)
 
@@ -259,6 +262,8 @@ class L1Weights:
                 self._step_means(np.maximum(lag, 0.0, out=lag), tau, out[i - n0 : j - n0])
         # entry (n - n0, n - 1) sits at flat index n0 - 1 + (n - n0) * n1
         out.reshape(-1)[n0 - 1 :: n1] = self._diag[n0 - 1 : n1 - 1]
+        if self._uniform_b is None:
+            self._keep_margins(n0, out)
         return out
 
     def blocks(self, steps: int, first: int = 1):
@@ -272,30 +277,27 @@ class L1Weights:
             n1 = min(n0 + height, steps + 1)
             yield n0, n1, self.block(n0, n1)
 
-    @staticmethod
-    def _slab_scan(n0: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``w_{n,1}`` and the least increment ``w_{n,k+1} - w_{n,k}``, ``k < n``, of each row of ``w = block(n0, n1)``.
-
-        Every increment left of column ``n0 - 1`` lies below the diagonal, so
-        only the triangle at the slab's right edge is masked.  It makes the
-        float subtractions of a scan over whole rows, so its values equal one's
-        bitwise, whatever the slab.
-        """
-        h = w.shape[0]
-        # column k - 1 of a difference is w_{n,k+1} - w_{n,k}, an increment of row n while k < n
-        left = (w[:, 1:n0] - w[:, : n0 - 1]).min(axis=1, initial=np.inf)
-        edge = (w[:, n0:] - w[:, n0 - 1 : -1]).min(axis=1, initial=np.inf, where=np.tri(h, h - 1, -1, dtype=bool))
-        return w[:, 0], np.minimum(left, edge)
-
     def _keep_margins(self, n0: int, w: np.ndarray) -> None:
-        """Keep the row scan of the slab ``w = block(n0, n1)`` of a graded grid when it extends the rows kept."""
-        if self._uniform_b is not None or n0 != self._reached + 1:
+        """Keep ``w_{n,1}`` and the least increment ``w_{n,k+1} - w_{n,k}``, ``k < n``, of each row of a slab.
+
+        ``w = block(n0, n1)``; only a slab that extends the rows kept so far is scanned.  Every
+        increment left of column ``n0 - 1`` lies below the diagonal, so only
+        the triangle at the slab's right edge is masked.  The scan makes the
+        float subtractions of a scan over whole rows, so its values equal
+        one's bitwise, whatever the slab.
+        """
+        if n0 != self._reached + 1:
             return
         if self._kept is None:
             object.__setattr__(self, "_kept", np.empty((2, self.grid.steps)))
-        n1 = n0 + w.shape[0]
-        self._kept[:, n0 - 1 : n1 - 1] = self._slab_scan(n0, w)
-        object.__setattr__(self, "_reached", n1 - 1)
+        h = w.shape[0]
+        first, inc = self._kept[:, n0 - 1 : n0 - 1 + h]
+        first[:] = w[:, 0]
+        # column k - 1 of a difference is w_{n,k+1} - w_{n,k}, an increment of row n while k < n
+        left = (w[:, 1:n0] - w[:, : n0 - 1]).min(axis=1, initial=np.inf)
+        edge = (w[:, n0:] - w[:, n0 - 1 : -1]).min(axis=1, initial=np.inf, where=np.tri(h, h - 1, -1, dtype=bool))
+        np.minimum(left, edge, out=inc)
+        object.__setattr__(self, "_reached", n0 - 1 + h)
 
     def row_margins(self) -> tuple[np.ndarray, bool]:
         """The margins of the rows ``n = 1..M``, and whether every ``w_{n,1}`` is positive.
@@ -304,9 +306,9 @@ class L1Weights:
         On uniform grids row ``n`` holds no weight of its own but the
         diagonal: its increments are ``b_j - b_{j+1}`` for ``j = 1..n-2`` and
         ``w_{n,n} - b_1``, so one running minimum over ``b`` and the diagonal
-        table serve every row, O(M).  On graded grids the rows a walk kept
-        (:meth:`_keep_margins`) are read as kept and the others from the slabs
-        of :meth:`blocks` (:meth:`_slab_scan`).  Both make the float
+        table serve every row, O(M).  On graded grids :meth:`blocks` builds
+        the rows that no slab has reached, each slab keeping its rows' scan
+        (:meth:`_keep_margins`), and the kept scan is read.  Both make the float
         subtractions of a scan over whole rows, so the margins equal its
         bitwise.  Rounding alone can make a margin as low as
         ``-``:meth:`margin_allowance`.
@@ -319,12 +321,9 @@ class L1Weights:
             inc[1:] = self._diag[1:] - b[1:2]
             inc[2:] = np.minimum(inc[2:], np.minimum.accumulate(b[1:-1] - b[2:]))
         else:
-            first, inc = np.empty(M), np.empty(M)
-            r = self._reached
-            if r:
-                first[:r], inc[:r] = self._kept[:, :r]
-            for n0, n1, w in self.blocks(M, r + 1):
-                first[n0 - 1 : n1 - 1], inc[n0 - 1 : n1 - 1] = self._slab_scan(n0, w)
+            for _ in self.blocks(M, self._reached + 1):  # each slab keeps its rows' scan
+                pass
+            first, inc = self._kept
         return np.minimum(first, inc) / self._diag, bool(np.all(first > 0.0))
 
     def diag(self, n: int) -> float:
@@ -443,9 +442,10 @@ def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) 
 # leading-axis contractions are plain ``np.dot`` calls; ``push(delta_n)``
 # absorbs the increment ``v_n - v_{n-1}`` after step n, and
 # ``memory_term()`` then returns ``H_{n+1} = sum_{k<=n} w_{n+1,k} delta_k``,
-# the sum without the local term, as often as it is asked.  ``DirectHistory``
-# is exact, reading the slabs of :meth:`L1Weights.block`; ``CompressedHistory``
-# approximates it with a sum of exponentials.
+# the sum without the local term, as often as it is asked.  Both providers
+# serve these three through one blocked walk, :class:`_BlockedHistory`:
+# ``DirectHistory`` is exact, reading the slabs of :meth:`L1Weights.block`;
+# ``CompressedHistory`` approximates it with a sum of exponentials.
 
 
 def _history_shape(shape) -> tuple:
@@ -457,68 +457,81 @@ def _history_shape(shape) -> tuple:
     return shape
 
 
-class DirectHistory:
-    """Exact memory provider: keeps every increment and serves its queries a block at a time.
+class _BlockedHistory:
+    """The walk of a memory provider: ``reset``, ``push`` and ``memory_term``, a block of queries at a time.
 
-    The queries after ``c0`` pushes and the next ones, ``_BLOCK`` of them
-    (``_FIRST`` from ``c0 = 0``), form a block.  Opening it reads the slab
-    of their weight rows, ``L1Weights.block(c0 + 1, ...)``, and makes one
-    matrix product of its columns ``1..c0`` with the stored increments: the
-    block's sums over the increments older than the block.  A query then adds
-    the dot of its row with the increments pushed since the block opened.
-    So the stored increments are read once per block of queries, not once per
-    query, and every weight is evaluated once per walk.  The first block has
-    no older increments and makes no product: a march of at most ``_FIRST``
-    steps, like the property sweeps' 48, reads one slab with per-row dots.
-
-    On a graded grid longer than the first block each slab also goes to
-    ``L1Weights._keep_margins``, so the run's convexity certificate reads
-    the margins of the rows the walk reached instead of evaluating them again
-    (a grid of one slab is scanned as cheaply as it would be recorded).
-    :meth:`reset` restarts the walk at row 1.
+    The queries after ``_start`` pushes up to the one after ``_end`` pushes
+    form a block.  Opening it sets ``_coef``, whose row ``j`` weighs the
+    increments pushed since the block opened for the query after
+    ``_start + j`` pushes, ``_recent``, where those increments are stored,
+    and ``_older``, whose entry ``j`` is that query's sum over the increments
+    older than the block, read only when there are some (``_start > 0``).
+    A query is then one short dot plus that entry.  A provider defines where
+    its increments are stored (``_begin(shape)``) and how a block opens
+    (``_open(c0)``, after ``c0`` pushes); a push opens the next block when it
+    ends one, unless no query follows (the last step).
     """
 
     _BLOCK = 16
+    _recent = None  # until reset: a push has nowhere to go, and a query raises
+    _count = _start = 0
+
+    def reset(self, shape) -> None:
+        """Start a new trajectory of fields of ``shape``, with no increment pushed."""
+        self._begin(_history_shape(shape))
+        self._count = 0
+        self._open(0)
+
+    def push(self, delta) -> None:
+        """Absorb the increment ``delta_n = v_n - v_{n-1}`` after step n."""
+        n = self._count
+        self._recent[n - self._start] = delta
+        self._count = n = n + 1
+        if n == self._end < self.grid.steps:
+            self._open(n)
+
+    def memory_term(self):
+        """The lagged sum for the step after the last push, a fresh value that later pushes leave alone."""
+        if self._recent is None:
+            raise RuntimeError("reset before querying the memory term")
+        j = self._count - self._start
+        out = np.dot(self._coef[j, :j], self._recent[:j])
+        if self._start:
+            out += self._older[j]
+        return float(out) if out.ndim == 0 else out
+
+
+class DirectHistory(_BlockedHistory):
+    """Exact memory provider: keeps every increment and serves its queries a block at a time.
+
+    The queries after ``c0`` pushes and the next ones, ``_BLOCK`` of them
+    (``_FIRST`` from ``c0 = 0``), form a block.  Opening it reads one slab,
+    the block's weight rows ``L1Weights.block(c0 + 1, ...)``: its columns
+    from ``c0 + 1`` on weigh the increments pushed since, and one matrix
+    product of its columns ``1..c0`` with the stored increments gives the
+    block's sums over the older ones.  So the stored increments are read
+    once per block of queries, not once per query, and every weight is
+    evaluated once per walk.  The first block has no older increments and
+    makes no product: a march of at most ``_FIRST`` steps, like the property
+    sweeps' 48, reads one slab with per-row dots.  :meth:`reset` restarts
+    the walk at row 1.
+    """
+
     _FIRST = 64
 
     def __init__(self, weights: L1Weights):
         self.weights = weights
-        self._deltas: np.ndarray | None = None
-        self._count = 0
+        self.grid = weights.grid
 
-    def reset(self, shape) -> None:
-        """Start a new trajectory of fields of ``shape``, with no increment stored."""
-        self._deltas = np.empty((self.weights.grid.steps,) + _history_shape(shape))
-        self._count = 0
-        self._open(0)
+    def _begin(self, shape: tuple) -> None:
+        self._deltas = np.empty((self.grid.steps,) + shape)
 
     def _open(self, c0: int) -> None:
-        """Open the block of the queries after ``c0`` pushes: its slab of rows and its sums over the older increments."""
-        steps = self.weights.grid.steps
-        n1 = min(c0 + (self._BLOCK if c0 else self._FIRST), steps) + 1
+        n1 = min(c0 + (self._BLOCK if c0 else self._FIRST), self.grid.steps) + 1
         slab = self.weights.block(c0 + 1, n1)
-        if steps > self._FIRST:
-            self.weights._keep_margins(c0 + 1, slab)
-        self._slab, self._start, self._end = slab, c0, n1 - 1
+        self._start, self._end = c0, n1 - 1
+        self._coef, self._recent = slab[:, c0:], self._deltas[c0:]
         self._older = slab[:, :c0] @ self._deltas[:c0] if c0 else None
-
-    def push(self, delta) -> None:
-        """Store the increment ``delta_n = v_n - v_{n-1}`` after step n."""
-        n = self._count
-        self._deltas[n] = delta
-        self._count = n = n + 1
-        if n == self._end < self.weights.grid.steps:  # no query follows the last step
-            self._open(n)
-
-    def memory_term(self):
-        """The lagged sum for the step after the last push."""
-        if self._deltas is None:
-            raise RuntimeError("reset before querying the memory term")
-        c0, n = self._start, self._count
-        out = np.dot(self._slab[n - c0, c0:n], self._deltas[c0:n])
-        if c0:
-            out += self._older[n - c0]
-        return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +547,14 @@ class CompressionError(RuntimeError):
 
 
 @dataclass(eq=False)
-class CompressedHistory:
+class CompressedHistory(_BlockedHistory):
     """Sum-of-exponentials memory provider for the L1 history on any time grid.
 
-    It serves the same ``reset``/``push``/``memory_term`` interface as
-    :class:`DirectHistory`, at O(modes) work per step.  With the kernel fit
-    ``g_{1-a}(t) ~ sum_m omega_m exp(-lambda_m t)`` on ``[tau_min, T]`` (see
-    :func:`compress_history`), each lagged weight ``w_{n,k}``, the mean of the
-    kernel over ``[t_n - t_k, t_n - t_{k-1}]``, becomes the mean of the fit,
+    It serves the blocked walk of :class:`DirectHistory` at O(modes) work
+    per step.  With the kernel fit ``g_{1-a}(t) ~ sum_m omega_m
+    exp(-lambda_m t)`` on ``[tau_min, T]`` (see :func:`compress_history`),
+    each lagged weight ``w_{n,k}``, the mean of the kernel over
+    ``[t_n - t_k, t_n - t_{k-1}]``, becomes the mean of the fit,
     ``sum_m omega_m exp(-lambda_m (t_n - t_k)) phi(lambda_m tau_k)`` with
     ``phi(x) = (1 - e^-x) / x``; the local weight ``w_{n,n}`` is never
     compressed.  Conceptually each step applies the state update
@@ -550,29 +563,24 @@ class CompressedHistory:
 
     and ``memory_term()`` returns ``sum_m omega_m exp(-lambda_m tau_{n+1})
     A_m`` (Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017).  The implementation
-    buffers increments and folds the whole block into the mode table every
-    ``_BLOCK`` steps; queries in between are served from per-block
-    projections of the table plus a short correction dot over the buffer.
-    That is the same recurrence rearranged (exact up to roundoff), but the
-    table is traversed O(1/_BLOCK) times per step instead of several.  The
-    block's tables come from the grid's steps ``tau``: built once on a uniform
-    grid, whose blocks share its one step, and once per block on a graded one.
+    walks in blocks of ``_BLOCK`` pushes: it stores a block's increments and,
+    when the next block opens, folds them into the mode table at once and
+    projects the table onto the new block's queries; a query adds a short
+    dot over the increments stored since.  That is the same recurrence
+    rearranged (exact up to roundoff), but the table is traversed
+    O(1/_BLOCK) times per step instead of several.  The block's tables come
+    from the grid's steps ``tau``: built once on a uniform grid, whose
+    blocks share its one step, and once per block on a graded one.
 
     ``achieved`` is the measured worst relative error of the kernel on
     ``[tau_min, T]``, which bounds that of every lagged weight; construction
     fails rather than return an object that misses ``eps``.
     """
 
-    _BLOCK = 16
-
     grid: TimeGrid
     rates: np.ndarray
     weights: np.ndarray
     achieved: float
-    _state: np.ndarray | None = field(default=None, init=False, repr=False)
-    _buffer: np.ndarray | None = field(default=None, init=False, repr=False)
-    _proj: np.ndarray | None = field(default=None, init=False, repr=False)
-    _fill: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # the steps go on past the horizon with the last one, so every block has _BLOCK of them
@@ -586,7 +594,8 @@ class CompressedHistory:
     def _block_tables(self, b0: int) -> tuple:
         """``(decay, fold, proj, coef)`` of the block of pushes ``b0 + 1 .. b0 + _BLOCK``.
 
-        Row ``j`` of ``proj`` (on the table) and of ``coef`` (on the buffer) serve the query after ``j`` pushes.
+        Row ``j`` of ``proj`` (on the table) and of ``coef`` (on the block's increments) serve the query after
+        ``j`` pushes.
         """
         x = self._tau[b0 : b0 + self._BLOCK, None] * self.rates  # lambda tau, a row per step
         carry = np.ones(self.n_modes)  # exp(-lambda (t_j - t_0)) at the current node t_j
@@ -600,39 +609,19 @@ class CompressedHistory:
             coef[j, :j] = run[:j] @ self.weights
         return carry, run.T.copy(), proj, coef
 
-    def reset(self, shape) -> None:
-        """Start a new trajectory of fields of ``shape``, with a zero running state."""
-        shape = _history_shape(shape)
+    def _begin(self, shape: tuple) -> None:
         self._state = np.zeros((self.n_modes,) + shape)
-        self._buffer = np.zeros((self._BLOCK,) + shape)
-        self._proj = np.zeros((self._BLOCK,) + shape)
-        self._fill = self._start = 0
-        self._tables = self._shared or self._block_tables(0)
+        self._recent = np.empty((self._BLOCK,) + shape)
+        self._older = np.empty((self._BLOCK,) + shape)
 
-    def push(self, delta: np.ndarray) -> None:
-        """Absorb the increment ``delta_n = v_n - v_{n-1}`` after step n."""
-        self._buffer[self._fill] = delta
-        self._fill += 1
-        if self._fill == self._BLOCK:
-            self._fold_block()
-
-    def _fold_block(self) -> None:
+    def _open(self, c0: int) -> None:
         s = self._state
-        s *= self._tables[0].reshape((-1,) + (1,) * (s.ndim - 1))
-        s += np.dot(self._tables[1], self._buffer)
-        self._start += self._BLOCK
-        self._tables = self._shared or self._block_tables(self._start)
-        np.dot(self._tables[2], s, out=self._proj)
-        self._fill = 0
-
-    def memory_term(self):
-        """Current approximation of the lagged sum (excludes the local term)."""
-        if self._state is None:
-            raise RuntimeError("reset before querying the memory term")
-        j = self._fill
-        # a fresh array also at j = 0: the next fold overwrites the projection table in place
-        out = np.dot(self._tables[3][j, :j], self._buffer[:j]) + self._proj[j]
-        return float(out) if np.ndim(out) == 0 else out
+        if c0:  # fold the finished block into the mode table
+            s *= self._tables[0].reshape((-1,) + (1,) * (s.ndim - 1))
+            s += np.dot(self._tables[1], self._recent)
+        self._tables = tables = self._shared or self._block_tables(c0)
+        self._start, self._end, self._coef = c0, c0 + self._BLOCK, tables[3]
+        np.dot(tables[2], s, out=self._older)  # the table projected onto the block's queries
 
 
 def _step_mean(x: np.ndarray) -> np.ndarray:

@@ -73,9 +73,10 @@ class MLEval:
 def _evaluate(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
     """Values of ``E_alpha`` over real ``z`` of any shape, and the error estimate of each.
 
-    All ``z < 0`` are one ``(count, N/2)`` array of contour terms, ``z = 0``
-    gives 1 and ``alpha = 1`` is ``np.exp``.  Raises ``ValueError`` for alpha
-    outside (0, 1] or any non-real, non-finite or positive z.
+    All ``z < 0`` are one ``(count, N/2)`` array of contour terms, finite
+    for every finite ``z``; ``z = 0`` gives 1 and ``alpha = 1`` is
+    ``np.exp``.  Raises ``ValueError`` for alpha outside (0, 1] or any
+    non-real, non-finite or positive z.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -96,7 +97,8 @@ def _evaluate(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
     values, estimates = np.ones(flat.size), np.zeros(flat.size)
     neg = flat < 0.0
     s_alpha = np.exp(alpha * _LOG_S)
-    terms = _WEIGHTS * s_alpha / (_NODES * (s_alpha - flat[neg, None]))
+    # the weights over s first: s (s^a - z) overflows for -z near the float maximum, and s^a - z never does
+    terms = (_WEIGHTS * s_alpha / _NODES) / (s_alpha - flat[neg, None])
     values[neg], estimates[neg] = terms.sum(axis=1).imag, _CONTOUR_REL * np.abs(terms).sum(axis=1)
     return values.reshape(z.shape), estimates.reshape(z.shape)
 

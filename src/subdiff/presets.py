@@ -11,7 +11,7 @@ import numpy as np
 
 from .kernels import TimeGrid, default_grading
 from .mittag_leffler import mittag_leffler
-from .solver import ProblemSpec
+from .solver import ProblemSpec, check_scales
 from .spatial import SpatialGrid, build_grid, constant_law, first_eigenvalue, porous_law
 
 __all__ = ["PRESETS", "preset_grids", "build_preset", "eigenmode_exact"]
@@ -58,7 +58,8 @@ def preset_grids(preset: str, **overrides) -> tuple[SpatialGrid, TimeGrid]:
     ``alpha``).  Raises ``ValueError`` when a grid cannot be built: a box
     that :func:`~subdiff.spatial.build_grid` refuses, or time nodes that are
     not strictly increasing, as when a strong grading underflows the first
-    steps to zero.
+    steps to zero; or when the grids give the preset's law scales near the
+    float maximum (:func:`~subdiff.solver.check_scales`).
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
@@ -67,7 +68,10 @@ def preset_grids(preset: str, **overrides) -> tuple[SpatialGrid, TimeGrid]:
         raise TypeError(f"unknown preset arguments {sorted(unknown)}")
     p = {**_COMMON, **PRESETS[preset][2], **{k: v for k, v in overrides.items() if v is not None}}
     r = default_grading(p["alpha"]) if p["grading"] is None else float(p["grading"])
-    return build_grid(p["dimension"], p["extents"], p["resolution"]), TimeGrid.graded(p["horizon"], p["steps"], r)
+    grid = build_grid(p["dimension"], p["extents"], p["resolution"])
+    time_grid = TimeGrid.graded(p["horizon"], p["steps"], r)
+    check_scales(p["alpha"], grid, time_grid, PRESETS[preset][0]())
+    return grid, time_grid
 
 
 def build_preset(preset: str, **overrides) -> ProblemSpec:

@@ -79,6 +79,7 @@ count.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -93,13 +94,39 @@ from .spatial import (
     newton_jacobian,
 )
 
+# The largest step-matrix diagonal, and decay rate times max(1, T)^alpha, a problem may have: 2^10 below the
+# float maximum.  A residual row sums the diagonal term and the face fluxes, up to twice the diagonal times
+# max|u|, and a step forms further sums of that size; SpatialGrid's rule alone (1 / h^2 finite) let through
+# boxes whose step matrix overflowed and whose decay envelope came out NaN.
+_SCALE_LIMIT = float(np.finfo(float).max) / 1024.0
+
 __all__ = [
     "ProblemSpec",
     "SolverOptions",
     "Trajectory",
     "StepFailure",
     "run_trajectory",
+    "check_scales",
 ]
+
+
+def check_scales(alpha: float, grid: SpatialGrid, time_grid: TimeGrid, law: DiffusionLaw) -> None:
+    """Raise ``ValueError`` when a problem's scales come within ``2^10`` of the float maximum (``_SCALE_LIMIT``).
+
+    The scales are the step matrix's largest diagonal, at most
+    ``w_nn + sum_d 2 lam / h_d^2`` with ``w_nn`` the L1 weight of the
+    shortest time step, and the decay certificate's rate ``2 nu lambda_1``
+    (``lambda_1`` the box's first Dirichlet eigenvalue) times
+    ``max(1, T)^alpha``, which bounds its envelope's arguments.
+    """
+    tau = time_grid.tau.min()
+    with np.errstate(over="ignore"):  # an overflow is inf, which the limit refuses
+        diagonal = tau**-alpha / math.gamma(2.0 - alpha) + np.sum(2.0 * law.lam / np.square(grid.spacing))
+        rate = 2.0 * law.nu * np.sum(np.square(np.pi / np.array(grid.lengths))) * max(1.0, time_grid.horizon) ** alpha
+    for what, value in (("step matrix's largest diagonal", diagonal), ("decay rate times max(1, T)^alpha", rate)):
+        if not value <= _SCALE_LIMIT:
+            raise ValueError(f"the box {grid.extents} on {grid.shape} nodes, with time steps from {tau:.4g}, gives a "
+                             f"{what} of {value:.4g}, above {_SCALE_LIMIT:.4g}, 2^10 below the float maximum")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,9 +138,10 @@ class ProblemSpec:
     time-constant Dirichlet datum, given as a scalar or an array over the
     boundary nodes (in flattened node order) and stored expanded over them,
     read-only.  Construction refuses an initial state that does not match it
-    on the boundary (the compatibility condition) and a law that leaves its
+    on the boundary (the compatibility condition), a law that leaves its
     declared bounds ``[nu, lam]`` at 513 equispaced points of the data's
-    range, padded by half its width plus 1 on each side.
+    range, padded by half its width plus 1 on each side, and scales that
+    come within ``2^10`` of the float maximum (:func:`check_scales`).
     """
 
     alpha: float
@@ -160,6 +188,7 @@ class ProblemSpec:
                 f"diffusion law '{self.law.tag}' leaves its declared bounds [{self.law.nu}, {self.law.lam}] on "
                 f"[{lo:.3g}, {hi:.3g}]: observed [{vals.min():.6g}, {vals.max():.6g}]"
             )
+        check_scales(self.alpha, self.grid, self.time_grid, self.law)
 
     def source_at(self, n: int, points: np.ndarray) -> np.ndarray | None:
         if self.source is None:

@@ -402,13 +402,27 @@ class TestOtherErrorsExitTwo:
 
     @pytest.mark.parametrize(
         "preset, extents",
-        [("eigenmode", "[0, 1e-160]"), ("porous", "[0, 1e200]"), ("porous", "[1e16, 1e16000000]")],
-        ids=["spacing-squared-underflows", "spacing-squared-overflows", "extent-overflows"],
+        [
+            ("eigenmode", "[0, 1e-160]"),
+            ("porous", "[0, 1e200]"),
+            ("porous", "[1e16, 1e16000000]"),
+            ("eigenmode", "[0, 8e-154]"),
+            ("eigenmode", "[0, 1.2e-153]"),
+        ],
+        ids=[
+            "spacing-squared-underflows",
+            "spacing-squared-overflows",
+            "extent-overflows",
+            "diagonal-overflows",
+            "diagonal-near-the-float-limit",
+        ],
     )
     def test_box_that_gives_no_grid_is_refused_before_any_step(self, tmp_path, capsys, monkeypatch, preset, extents):
-        # each of these once failed inside the run: no convergence at residual nan, an OverflowError, non-finite u0
+        # each of these once failed inside the run: no convergence at residual nan, an OverflowError, non-finite u0,
+        # an overflow in the step matrix's diagonals, a decay envelope of NaN; a time study checks no finer box
         monkeypatch.setattr("subdiff.cli.run_trajectory", lambda *args: pytest.fail("the run started"))
-        cfg = _write(tmp_path, f"problem = {preset}\n[problem]\nresolution = 9\nextents = {extents}\n[time]\nsteps = 4\n")
+        text = f"problem = {preset}\n[problem]\nresolution = 9\nextents = {extents}\n[time]\nsteps = 4\n"
+        cfg = _write(tmp_path, text + "[study]\naxis = time\n")
         out = tmp_path / "o"
         self._assert_exit_two(main(["run", cfg, "--out", str(out)]), capsys, "invalid configuration: ", "problem.extents=")
         assert not out.exists()

@@ -169,20 +169,46 @@ class TestErrorAggregation:
         assert problem.endswith(f"give an axis spacing h = {spacing} whose h^2 or 1/h^2 is not finite and positive")
 
     def test_space_study_checks_the_grid_of_its_finest_level(self):
-        # 9 nodes on [0, 1e-153] give h = 1.25e-154, whose 1 / h^2 = 6.4e307 is finite; the 2-level porous
-        # study's reference level has 33 nodes and h = 3.1e-155, whose 1 / h^2 overflows
-        text = "problem = porous\n[problem]\nresolution = 9\nextents = [0, 1e-153]\n[time]\nsteps = 4\n"
+        # 9 nodes on [0, 1e-151] give h = 1.25e-152 and a largest diagonal 2 lam / h^2 = 1.9e304 (lam = 1.5);
+        # the 2-level porous study's reference level has 33 nodes, h = 3.1e-153 and 3.07e305, above float max / 1024
+        text = "problem = porous\n[problem]\nresolution = 9\nextents = [0, 1e-151]\n[time]\nsteps = 4\n"
         with pytest.raises(ConfigError) as exc:
             parse_config(text + "[study]\nlevels = 2\n")
         (problem,) = exc.value.problems
         assert problem.startswith(
             "study.axis=space, study.levels=2 refine to problem.resolution=33, where problem.preset=porous, "
-            "problem.resolution=9, problem.extents=[0.0, 1e-153], time.steps=4 give no grids: "
+            "problem.resolution=9, problem.extents=[0.0, 1e-151], time.steps=4 give no grids: "
         )
-        assert "h = 3.125e-155" in problem
-        # an eigenmode study has an exact reference and no extra level: from 5 nodes its finest level has 9
-        text = "problem = eigenmode\n[problem]\nresolution = 5\nextents = [0, 1e-153]\n[time]\nsteps = 4\n"
+        assert "on (33,) nodes, with time steps from 0.7812, gives a step matrix's largest diagonal of 3.072e+305" \
+            in problem
+        # an eigenmode study has an exact reference and no extra level: from 5 nodes on [0, 4e-152] its finest level
+        # has 9 nodes and a largest diagonal 2 / h^2 = 8e304 (lam = 1), where 17 nodes would have 3.2e305
+        text = "problem = eigenmode\n[problem]\nresolution = 5\nextents = [0, 4e-152]\n[time]\nsteps = 4\n"
         assert parse_config(text + "[study]\nlevels = 2\n").study.levels == 2
+        with pytest.raises(ConfigError, match="refine to problem.resolution=17, where"):
+            parse_config(text + "[study]\nlevels = 3\n")
+
+    @pytest.mark.parametrize(
+        "extents, horizon, what, value",
+        [
+            # 1 / h^2 = 1e308 is finite, 2 / h^2 is not: the run overflowed in the step matrix's diagonals
+            ("[0, 8e-154]", 1.0, "step matrix's largest diagonal", "inf"),
+            # 2 / h^2 = 8.9e307: the run's decay envelope, E_a at -1.4e307, came out NaN and failed
+            ("[0, 1.2e-153]", 1.0, "step matrix's largest diagonal", "8.889e+307"),
+            # 2 / h^2 = 1.3e302 passes, but the decay rate 2 lambda_1 = 2e301 times T^a = 1e5 does not
+            ("[0, 1e-150]", 1e10, "decay rate times max(1, T)^alpha", "1.974e+306"),
+        ],
+        ids=["diagonal-overflows", "diagonal-near-the-limit", "decay-rate-near-the-limit"],
+    )
+    def test_box_whose_scales_near_the_float_limit(self, extents, horizon, what, value):
+        # a time study checks no finer box, so these would reach the run
+        text = f"problem = eigenmode\n[problem]\nresolution = 9\nextents = {extents}\n[time]\nhorizon = {horizon}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text + "steps = 4\n[study]\naxis = time\n")
+        (problem,) = exc.value.problems
+        assert problem.startswith("problem.preset=eigenmode, problem.resolution=9, problem.extents=[0.0, ")
+        assert "give no grids: the box " in problem
+        assert problem.endswith(f"gives a {what} of {value}, above 1.756e+305, 2^10 below the float maximum")
 
     @pytest.mark.parametrize(
         "key", ["solver.tol", "certificates.slack", "certificates.weakform_threshold", "time.horizon", "problem.alpha"]

@@ -246,16 +246,16 @@ class TestConvexity:
         # w_{n,2} - w_{n,1} is about 1e-14 of w_{n,n} in the late rows of this grid, so the row then decreases
         grid = TimeGrid.graded(50.0, 1024, 4.0)
         bad = 1000
-        block = L1Weights.block
+        means = L1Weights._step_means
+        lag = grid.nodes[bad] - grid.nodes[2]  # of w_{bad,2}, in column 1 of row bad; no other row has it
 
-        def lowered(self, n0, n1):
-            w = block(self, n0, n1)
-            if n0 <= bad < n1:
-                w[bad - n0, 1] *= 1.0 - 1e-12
-            return w
+        def lowered(self, lags, tau, out=None):
+            out = means(self, lags, tau, out)
+            out[lags[:, 1] == lag, 1] *= 1.0 - 1e-12
+            return out
 
         assert convexity_report(_weights_only(0.1, grid)).passed
-        monkeypatch.setattr(L1Weights, "block", lowered)
+        monkeypatch.setattr(L1Weights, "_step_means", lowered)
         rep = convexity_report(_weights_only(0.1, grid))
         assert not rep.passed
         assert rep.worst_step == bad

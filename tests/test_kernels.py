@@ -271,21 +271,10 @@ class TestRowMargins:
             for _ in range(pushes):
                 mem.memory_term()
                 mem.push(1.0)
-            margins, positive = w.row_margins()
-            assert margins.tobytes() == fresh[0].tobytes() and positive is fresh[1], pushes
             # a graded grid keeps the rows a walk evaluated; the O(M) uniform scan keeps nothing
             assert w._reached == (reached if graded else 0), pushes
-
-    def test_a_walk_of_one_slab_keeps_nothing(self, monkeypatch):
-        # a march no longer than the first block reads one slab, which a later scan reads as cheaply as a record
-        grid = TimeGrid.graded(2.0, 48, 3.0)
-        w = L1Weights(alpha=0.5, grid=grid)
-        monkeypatch.setattr(L1Weights, "_keep_margins", lambda *args: pytest.fail("a one-slab walk kept margins"))
-        mem = DirectHistory(w)
-        mem.reset((4,))
-        for _ in range(48):
-            mem.memory_term()
-            mem.push(np.ones(4))
+            margins, positive = w.row_margins()
+            assert margins.tobytes() == fresh[0].tobytes() and positive is fresh[1], pushes
 
     # grids whose late rows hold adjacent weights closer than their rounding: alpha, horizon, steps, grading
     _TIGHT = [(0.1, 50.0, 8192, 4.0), (0.1, 100.0, 16384, 4.0), (0.3, 100.0, 16384, 4.0)]
@@ -438,19 +427,24 @@ class TestCompression:
                 direct = w.block(n, n + 1)[0][: n - 1] @ deltas[: n - 1]
                 np.testing.assert_allclose(mem.memory_term(), direct, atol=1e-9 * scale)
 
-    def test_block_boundary_memory_term_survives_the_next_fold(self):
-        # at a block boundary memory_term reads the projection table, which the next fold overwrites in place
-        mem = compress_history(L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 64)), 1e-8)
+    @pytest.mark.parametrize(
+        "provider", [DirectHistory, lambda w: compress_history(w, 1e-8)], ids=["direct", "compressed"]
+    )
+    def test_an_answer_at_a_block_boundary_survives_the_next_block(self, provider):
+        # the first query of a block reads only the block's sums over older increments, which the compressed
+        # provider keeps in a table that the next block's opening overwrites in place
+        mem = provider(L1Weights(alpha=0.5, grid=TimeGrid.uniform(1.0, 128)))
         rng = np.random.default_rng(3)
         mem.reset((4,))
-        for _ in range(mem._BLOCK):
-            mem.push(rng.normal(size=4))
-        at_boundary = mem.memory_term()
-        kept = at_boundary.copy()
-        for _ in range(mem._BLOCK):
-            mem.push(rng.normal(size=4))
-        assert at_boundary.tobytes() == kept.tobytes()
-        assert mem.memory_term().tobytes() != kept.tobytes()
+        for block in range(3):  # the end of the first block, which opens the second, and the ends of two more
+            for _ in range(mem._end - mem._count):
+                mem.push(rng.normal(size=4))
+            assert mem._count == mem._start, block  # a block has opened
+            if block:
+                assert at_boundary.tobytes() == kept.tobytes(), block
+                assert mem.memory_term().tobytes() != kept.tobytes(), block
+            at_boundary = mem.memory_term()
+            kept = at_boundary.copy()
 
     @pytest.mark.parametrize("shape", [(), (3,), (65,)], ids=["scalar", "batch", "field"])
     @pytest.mark.parametrize("steps", [1, 15, 16, 17, 48, 1000])

@@ -220,6 +220,19 @@ class TestDomainErrors:
         with pytest.raises(ValueError, match="must not be positive"):
             ml_values(alpha, np.array([-1.0, 0.0, 2.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.95])
+    def test_arguments_near_the_float_limit_give_finite_values(self, alpha):
+        # the contour terms once divided by s (s^a - z), which overflows from about -z = 1e307 and gave NaN
+        # values with NaN estimates; E_a(-x) tends to 1 / (Gamma(1 - a) x), with the next term x^-2 smaller
+        for z in (-1e307, -1.7e308):
+            e = mittag_leffler(alpha, z)
+            assert math.isfinite(e.value) and math.isfinite(e.error_estimate) and e.accurate
+            np.testing.assert_allclose(e.value, 1.0 / math.gamma(1.0 - alpha) / -z, rtol=1e-10)
+        if alpha == 0.5:
+            xs = np.array([1e307, 1.7e308])
+            np.testing.assert_allclose(ml_values(alpha, -xs), erfcx(xs), rtol=1e-10)
+
 
 class TestAccuracyContract:
     def test_target_is_advertised(self):

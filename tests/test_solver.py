@@ -221,6 +221,24 @@ class TestSpecValidation:
             ProblemSpec(law=law, **base)
         assert ProblemSpec(law=porous_law(), **base).law.tag == "porous"  # a(y) in [1, 1.5) for every y
 
+    def test_scales_near_the_float_limit_are_refused_at_construction(self):
+        # the step matrix's largest diagonal, w_nn + 2 lam / h^2, and the decay rate 2 nu lambda_1 max(1, T)^alpha
+        # stay 2^10 below the float maximum: a box near the spacing rule's limit overflowed or went NaN mid-run
+        base = dict(alpha=0.5, u0=np.zeros(9))
+        tg, small = TimeGrid.uniform(1.0, 4), build_grid(1, (0.0, 4e-152), 9)  # 2 / h^2 = 8e304
+        assert ProblemSpec(time_grid=tg, grid=small, law=constant_law(1.0), **base).law.lam == 1.0
+        with pytest.raises(ValueError, match=r"on \(9,\) nodes, with time steps from 0.25, gives a step matrix's largest "
+                           r"diagonal of 3.2e\+305, above 1.756e\+305, 2\^10 below the float maximum"):
+            ProblemSpec(time_grid=tg, grid=small, law=constant_law(4.0), **base)
+        # the diagonal weight of the shortest step, (1e-322)^-0.95 / Gamma(1.05), counts too
+        with pytest.raises(ValueError, match=r"step matrix's largest diagonal of 8\.\d+e\+305"):
+            ProblemSpec(alpha=0.95, time_grid=TimeGrid(np.array([0.0, 1e-322, 1.0])), grid=build_grid(1, (0.0, 1.0), 9),
+                        law=constant_law(), u0=np.zeros(9))
+        # 2 / h^2 = 1.3e302 passes; the decay rate 2 pi^2 / L^2 = 2e301 times T^alpha = 1e5 does not
+        wide = dict(time_grid=TimeGrid.uniform(1e10, 4), grid=build_grid(1, (0.0, 1e-150), 9))
+        with pytest.raises(ValueError, match=r"decay rate times max\(1, T\)\^alpha of 1.974e\+306"):
+            ProblemSpec(law=constant_law(), **wide, **base)
+
     def test_boundary_is_stored_expanded_and_read_only(self):
         grid = build_grid(2, (0.0, 1.0), 9)
         base = dict(alpha=0.5, time_grid=TimeGrid.uniform(1.0, 4), grid=grid, law=constant_law())
