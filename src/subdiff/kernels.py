@@ -19,9 +19,10 @@ weights a slab of rows at a time (:meth:`L1Weights.block`): the blocked
 product behind :meth:`L1Weights.apply` and the convexity check, and the walk
 of the exact memory provider :class:`DirectHistory`, which reads one slab per
 block of queries and one product over its stored increments per block.  On
-a graded grid the weights keep the row margins of the slabs they build in
-row order, so the certificate of a direct run, whose walk built every slab,
-reads them instead of evaluating the weights again.  The memory term of a
+a graded grid the weights keep the row margins of the slabs that
+:meth:`L1Weights.block` builds in row order, so the certificate of a direct
+run, whose walk built every slab, reads them instead of evaluating the
+weights again; the blocked product keeps none.  The memory term of a
 marcher comes from a memory provider on any grid, exact
 (:class:`DirectHistory`) or compressed (:class:`CompressedHistory`); both
 serve their queries through one blocked walk.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,7 +148,7 @@ class L1Weights:
     This is the one history operator of the package: every O(M^2) consumer
     reads the lower-triangular matrix ``W[n-1, k-1] = w_{n,k}`` a dense slab
     of consecutive rows at a time (:meth:`block`): the blocked product behind
-    :meth:`apply` and the convexity check (:meth:`blocks`), and the walk of
+    :meth:`apply` and the convexity check, and the walk of
     :class:`DirectHistory`, one slab per block of its queries.
     :meth:`row_margins` gives the convexity certificate the rows' margins.
     Every off-diagonal entry is the mean of the kernel over one step, in one
@@ -163,6 +165,9 @@ class L1Weights:
     each slab it builds to :meth:`_keep_margins`, which keeps the slab's row
     scan while the slabs extend the rows kept so far, whichever walk built
     them; :meth:`row_margins` builds only the rows no slab has reached.  The
+    blocked product keeps none (:meth:`_slab`): the certificate reads the
+    margins of a run's weights, which its memory walk built, and the
+    product serves weights built for one product.  The
     scan of a slab makes the float subtractions of a scan over whole rows,
     so the kept margins do not depend on how the rows were cut into slabs.
     """
@@ -174,6 +179,8 @@ class L1Weights:
     # rows 1.._reached of the slabs built in row order on a graded grid: their w_{n,1} and least increment
     _kept: np.ndarray | None = field(default=None, init=False, repr=False)
     _reached: int = field(default=0, init=False, repr=False)
+    # the increments of the slab being scanned, reused from slab to slab until the last row is kept
+    _scan: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -240,8 +247,16 @@ class L1Weights:
         """Rows ``n = n0..n1-1`` of the weight matrix, shape ``(n1 - n0, n1 - 1)``.
 
         Entry ``[n - n0, k - 1]`` is ``w_{n,k}`` for ``k <= n`` and zero above
-        the diagonal.
+        the diagonal.  On a graded grid the slab's row margins are kept
+        (:meth:`_keep_margins`).
         """
+        out = self._slab(n0, n1)
+        if self._uniform_b is None:
+            self._keep_margins(n0, out)
+        return out
+
+    def _slab(self, n0: int, n1: int) -> np.ndarray:
+        """:meth:`block` without keeping margins: the slab of a walk whose margins nothing reads."""
         if not 1 <= n0 < n1 <= self.grid.steps + 1:
             raise ValueError(f"row range {n0}..{n1 - 1} outside 1..{self.grid.steps}")
         if self._uniform_b is not None:
@@ -262,8 +277,6 @@ class L1Weights:
                 self._step_means(np.maximum(lag, 0.0, out=lag), tau, out[i - n0 : j - n0])
         # entry (n - n0, n - 1) sits at flat index n0 - 1 + (n - n0) * n1
         out.reshape(-1)[n0 - 1 :: n1] = self._diag[n0 - 1 : n1 - 1]
-        if self._uniform_b is None:
-            self._keep_margins(n0, out)
         return out
 
     def blocks(self, steps: int, first: int = 1):
@@ -272,9 +285,7 @@ class L1Weights:
         Each block holds about ``_BLOCK_ENTRIES`` entries, so a blocked product
         needs the same working memory at any step count.
         """
-        height = max(1, _BLOCK_ENTRIES // steps)
-        for n0 in range(first, steps + 1, height):
-            n1 = min(n0 + height, steps + 1)
+        for n0, n1 in _spans(steps, first):
             yield n0, n1, self.block(n0, n1)
 
     def _keep_margins(self, n0: int, w: np.ndarray) -> None:
@@ -282,22 +293,30 @@ class L1Weights:
 
         ``w = block(n0, n1)``; only a slab that extends the rows kept so far is scanned.  Every
         increment left of column ``n0 - 1`` lies below the diagonal, so only
-        the triangle at the slab's right edge is masked.  The scan makes the
+        the triangle at the slab's right edge is masked (:func:`_edge_mask`).
+        The increments go into one buffer, reused from slab to slab and
+        dropped once the last row is kept.  The scan makes the
         float subtractions of a scan over whole rows, so its values equal
         one's bitwise, whatever the slab.
         """
         if n0 != self._reached + 1:
             return
+        M = self.grid.steps
         if self._kept is None:
-            object.__setattr__(self, "_kept", np.empty((2, self.grid.steps)))
-        h = w.shape[0]
+            object.__setattr__(self, "_kept", np.empty((2, M)))
+        h, width = w.shape[0], w.shape[1] - 1
+        if self._scan is None or self._scan.size < h * width:
+            object.__setattr__(self, "_scan", np.empty(2 * h * width))  # room for the wider slabs that follow
         first, inc = self._kept[:, n0 - 1 : n0 - 1 + h]
         first[:] = w[:, 0]
-        # column k - 1 of a difference is w_{n,k+1} - w_{n,k}, an increment of row n while k < n
-        left = (w[:, 1:n0] - w[:, : n0 - 1]).min(axis=1, initial=np.inf)
-        edge = (w[:, n0:] - w[:, n0 - 1 : -1]).min(axis=1, initial=np.inf, where=np.tri(h, h - 1, -1, dtype=bool))
+        # column k - 1 of the increments is w_{n,k+1} - w_{n,k}, an increment of row n while k < n
+        d = np.subtract(w[:, 1:], w[:, :-1], out=self._scan[: h * width].reshape(h, width))
+        left = d[:, : n0 - 1].min(axis=1, initial=np.inf)
+        edge = d[:, n0 - 1 :].min(axis=1, initial=np.inf, where=_edge_mask(h))
         np.minimum(left, edge, out=inc)
         object.__setattr__(self, "_reached", n0 - 1 + h)
+        if self._reached == M:  # no slab is left to scan
+            object.__setattr__(self, "_scan", None)
 
     def row_margins(self) -> tuple[np.ndarray, bool]:
         """The margins of the rows ``n = 1..M``, and whether every ``w_{n,1}`` is positive.
@@ -341,9 +360,9 @@ class L1Weights:
         N = incs.shape[-1]
         flat = incs.reshape(-1, N)
         out = np.empty(flat.shape)
-        for n0, n1, w in self.blocks(N):
+        for n0, n1 in _spans(N):  # the slabs of blocks(N), keeping no row margins
             # in place: copying each product out made the 48-step checks of `subdiff props` about 10% slower
-            np.matmul(flat[:, : n1 - 1], w.T, out=out[:, n0 - 1 : n1 - 1])
+            np.matmul(flat[:, : n1 - 1], self._slab(n0, n1).T, out=out[:, n0 - 1 : n1 - 1])
         return out.reshape(incs.shape)
 
     def apply(self, history: np.ndarray) -> np.ndarray:
@@ -358,6 +377,21 @@ class L1Weights:
         if not 1 <= N <= self.grid.steps:
             raise ValueError(f"history needs 2..{self.grid.steps + 1} samples, got {N + 1}")
         return np.moveaxis(self._product(np.moveaxis(np.diff(history, axis=0), 0, -1)), -1, 0)
+
+
+def _spans(steps: int, first: int = 1):
+    """The row ranges ``(n0, n1)`` of :meth:`L1Weights.blocks`, each slab about ``_BLOCK_ENTRIES`` entries."""
+    height = max(1, _BLOCK_ENTRIES // steps)
+    for n0 in range(first, steps + 1, height):
+        yield n0, min(n0 + height, steps + 1)
+
+
+@lru_cache(maxsize=16)
+def _edge_mask(h: int) -> np.ndarray:
+    """The increments below the diagonal in the right-edge triangle of an ``h``-row slab, read-only."""
+    mask = np.tri(h, h - 1, -1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 # ---------------------------------------------------------------------------

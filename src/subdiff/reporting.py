@@ -21,6 +21,8 @@ __all__ = [
 ]
 
 NORMS_HEADER = "t\tL2\tsup\tW\tV_envelope"
+_NORMS_ROW = "%.17g\t%.17g\t%.17g\t%.17g\t%.17g\n"
+_ROWS_PER_WRITE = 256
 
 
 @dataclass(eq=False)
@@ -69,14 +71,13 @@ def write_norms_tsv(path, series: NormSeries, envelope=None) -> None:
     env = np.full(n, np.nan) if envelope is None else np.asarray(envelope, dtype=float)
     if env.shape != (n,):
         raise ValueError("envelope must hold one value per time node")
-    w = series.energy
+    columns = [np.asarray(c, dtype=float) for c in (series.times, series.l2, series.sup, series.energy, env)]
     with open(path, "w") as fh:
         fh.write(NORMS_HEADER + "\n")
-        for k in range(n):
-            fh.write(
-                "%.17g\t%.17g\t%.17g\t%.17g\t%.17g\n"
-                % (series.times[k], series.l2[k], series.sup[k], w[k], env[k])
-            )
+        # formatted from Python floats, _ROWS_PER_WRITE rows per write, so the rows in memory stay few
+        for k in range(0, n, _ROWS_PER_WRITE):
+            rows = zip(*(c[k : k + _ROWS_PER_WRITE].tolist() for c in columns))
+            fh.write("".join(map(_NORMS_ROW.__mod__, rows)))
 
 
 def snapshot_path(out_dir, index: int) -> Path:
@@ -90,6 +91,4 @@ def write_snapshot(path, grid: SpatialGrid, t: float, values: np.ndarray) -> Non
         raise ValueError("values do not match the grid")
     shape = " ".join(str(s) for s in grid.shape)
     with open(path, "w") as fh:
-        fh.write(f"# t={t:.17g} shape={shape}\n")
-        for v in values:
-            fh.write("%.17g\n" % v)
+        fh.write(f"# t={t:.17g} shape={shape}\n" + "".join(map("%.17g\n".__mod__, values.tolist())))

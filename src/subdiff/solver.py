@@ -70,6 +70,28 @@ takes over, which bounds the max-norm the correction loop tests.  That test,
 on the nonlinear residual, is the acceptance.  The 1D solve is exact and
 needs no norm.  A solve that reaches the iteration cap fails the step.
 
+What one step computes, and the ``Trajectory.timings`` entry that covers
+each part:
+
+- ``memory``: the push of the last step's increment and the query of
+  ``H_n``, one interval;
+- the step loop itself, untimed: ``rhs = w_nn u_{n-1} - H_n + f_n`` with
+  the data written over its boundary entries, each update
+  ``v + theta delta`` and each residual's max-norm;
+- ``assembly``: per iterate ``K(v)`` (the law ``a`` on the faces; a
+  constant law's ``K`` is built before the step, once per distinct
+  ``w_nn``), its product ``K(v) v`` and ``r = K(v) v - rhs``, and before a
+  Newton correction the ``a'`` face terms;
+- ``linear_solve``: ``-r`` and :func:`spsolve`, which in 1D forms the
+  tridiagonal band when it has no factors yet and makes one LAPACK call.
+
+So a linear step on a constant law's step matrix is one product plus one
+back-substitution (``dgttrs``), and a Newton correction is ``K(v)``, its
+product, the ``a'`` faces, the tridiagonal form and one ``dgtsv`` (each
+Jacobian is solved once).  The loop binds what its steps share once per
+run (:class:`_Run`), builds no closure per step and reads the clock once at
+each layer boundary.
+
 Trajectories involve no randomness, so a rerun on the same machine with the
 same BLAS thread count reproduces them bitwise.  They are not bitwise
 identical across BLAS thread counts: the history sums and the CG inner
@@ -80,9 +102,10 @@ count.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cache
+from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -413,78 +436,97 @@ def _pcg(M, b, precond, atol: float, maxiter: int):
     raise np.linalg.LinAlgError(f"CG reached {maxiter} iterations at residual {res:.3e} > {atol:.3e}")
 
 
-def _solve_step(spec, w_nn, memory, u_prev, f_n, options, timers, n, step_matrix, product, start):
+class _Run(NamedTuple):
+    """What every step of one run reads, bound once by :func:`run_trajectory`."""
+
+    spec: ProblemSpec
+    grid: SpatialGrid
+    law: DiffusionLaw
+    edge: object  # the boundary entries of a flat field: a strided slice in 1D, the boundary mask in 2D
+    newton: bool  # Newton corrections: mode newton and a law that is not constant
+    tol: float
+    max_iter: int
+    timers: dict
+
+
+def _solve_step(run, w_nn, memory, f_n, n, step_matrix, product, u_prev, start):
     """One step of the correction loop; returns ``(field, iterations, residual, halvings, product)``.
 
-    The loop starts from the iterate ``start``, which holds the boundary data
-    exactly (``u_prev`` or its extrapolation).  ``step_matrix`` is the
+    ``run`` is what the steps of the run share (:class:`_Run`).  The loop
+    starts from the iterate ``start``, which holds the boundary data exactly
+    (``u_prev`` or its extrapolation).  ``step_matrix`` is the
     iterate-independent ``K`` of a constant law, which every correction then
     uses as its matrix, or None to assemble per iterate.  ``product`` is
     ``K @ start`` when the caller already has it (None to compute it); the
     returned ``product`` is ``K @ field``, the accepted iterate's product.
+    Each iterate's state is ``(v, K, K v, r)``: ``K = K(v)``, assembled here
+    unless the law is constant, is the residual's operator, Picard's matrix
+    and the face coefficients of Newton's Jacobian, and ``r = K v - rhs`` is
+    exactly 0 on the boundary, where ``v`` holds the data.
     """
-    grid, law = spec.grid, spec.law
+    spec, grid, law, edge, newton, tol, max_iter, timers = run
     rhs = w_nn * u_prev
     rhs -= memory
     if f_n is not None:
         rhs += f_n
-    rhs[grid.boundary_mask] = spec.boundary
+    rhs[edge] = spec.boundary
 
-    def state(v, Kv=None):
-        # K(v), assembled here unless the law is constant: the residual's operator, Picard's matrix
-        # and the face coefficients of Newton's Jacobian
-        t0 = time.perf_counter()
-        K = assemble_quasilinear_operator(grid, law, v, shift=w_nn) if step_matrix is None else step_matrix
-        if Kv is None:
-            Kv = K @ v
-        r = Kv - rhs  # exactly 0 on the boundary, where v holds the data
-        timers["assembly"] += time.perf_counter() - t0
-        return v, K, Kv, r
-
-    def failure(res, it, message):
-        return StepFailure(
-            step=n,
-            t=float(spec.time_grid.nodes[n]),
-            residual=res,
-            iterations=it,
-            last_iterate=best[0],
-            message=f"step {n}: {message}",
-            halvings=halvings,
-        )
-
-    theta = 1.0
-    halvings = 0
-    current = best = state(start, product)
-    best_res = np.inf
-    for it in range(1, options.max_iter + 1):
-        v, M, _, r = current
-        if options.mode == "newton" and step_matrix is None:  # only the a' terms are new; a constant law's K is its Jacobian
-            t0 = time.perf_counter()
-            M = newton_jacobian(law, v, M)
-            timers["assembly"] += time.perf_counter() - t0
-        atol = 0.1 * options.tol
+    t0 = perf_counter()
+    v = start
+    K = assemble_quasilinear_operator(grid, law, v, shift=w_nn) if step_matrix is None else step_matrix
+    Kv = K @ v if product is None else product
+    r = Kv - rhs
+    timers["assembly"] += perf_counter() - t0
+    theta, halvings = 1.0, 0
+    best, best_res = (v, K, Kv, r), np.inf
+    for it in range(1, max_iter + 1):
+        M = K
+        if newton:  # only the a' terms are new; a constant law's K is its Jacobian
+            t0 = perf_counter()
+            M = newton_jacobian(law, v, K)
+            timers["assembly"] += perf_counter() - t0
+        atol = 0.1 * tol
         if grid.dim > 1:  # CG stops at a forcing term relative to the step residual
             atol = max(atol, _FORCING * np.sqrt(r @ r))
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         try:
             delta = spsolve(M, -r, nu=law.nu, atol=atol)
         except np.linalg.LinAlgError as exc:
-            raise failure(float(np.abs(r).max()), it, f"linear solve failed: {exc}") from exc
-        timers["linear_solve"] += time.perf_counter() - t0
-        current = state(v + delta if theta == 1.0 else v + theta * delta)
-        res = float(np.abs(current[3]).max())
-        if res <= options.tol:
-            return current[0], it, res, halvings, current[2]
+            raise _failure(spec, n, best[0], float(np.abs(r).max()), it, halvings, f"linear solve failed: {exc}") from exc
+        timers["linear_solve"] += perf_counter() - t0
+        v = v + delta if theta == 1.0 else v + theta * delta
+        t0 = perf_counter()
+        if step_matrix is None:
+            K = assemble_quasilinear_operator(grid, law, v, shift=w_nn)
+        Kv = K @ v
+        r = Kv - rhs
+        timers["assembly"] += perf_counter() - t0
+        res = float(np.maximum.reduce(np.abs(r)))  # max |r|, without ndarray.max's Python wrapper
+        if res <= tol:
+            return v, it, res, halvings, Kv
         if res < best_res:
-            best, best_res = current, res
+            best, best_res = (v, K, Kv, r), res
             continue
         if halvings == 3:
             break
         halvings += 1
         theta *= 0.5
-        current = best
-    raise failure(
-        res, it, f"no convergence in {it} iterations, {halvings} halvings (residual {res:.3e} > tol {options.tol:g})"
+        v, K, Kv, r = best
+    raise _failure(
+        spec, n, best[0], res, it, halvings,
+        f"no convergence in {it} iterations, {halvings} halvings (residual {res:.3e} > tol {tol:g})",
+    )
+
+
+def _failure(spec, n, last_iterate, residual, iterations, halvings, message) -> StepFailure:
+    return StepFailure(
+        step=n,
+        t=float(spec.time_grid.nodes[n]),
+        residual=residual,
+        iterations=iterations,
+        last_iterate=last_iterate,
+        message=f"step {n}: {message}",
+        halvings=halvings,
     )
 
 
@@ -505,82 +547,85 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     if options.mode == "newton" and spec.grid.dim > 1:
         raise ValueError(f"solver mode 'newton' solves 1D problems only; this problem is {spec.grid.dim}D")
     tg = spec.time_grid
-    grid = spec.grid
+    grid, law = spec.grid, spec.law
     M = tg.steps
     n_nodes = grid.n_nodes
     weights = L1Weights(alpha=spec.alpha, grid=tg)
 
     timers = {"assembly": 0.0, "memory": 0.0, "linear_solve": 0.0, "compression_build": 0.0, "total": 0.0}
     if options.history == "compressed":
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         history = compress_history(weights, options.eps_compress)
         history.reset((n_nodes,))
-        timers["compression_build"] = time.perf_counter() - t0
+        timers["compression_build"] = perf_counter() - t0
         timers["compression_modes"] = history.n_modes
     else:
         history = DirectHistory(weights)
         history.reset((n_nodes,))
 
-    t_start = time.perf_counter()
+    t_start = perf_counter()
     points = grid.points()
+    # a(u) == nu: the step matrix w_nn I_int + A is the same for every iterate
+    constant = law.nu == law.lam
+    edge = slice(None, None, n_nodes - 1) if grid.dim == 1 else grid.boundary_mask  # 1D: entries 0 and n - 1
+    run = _Run(spec, grid, law, edge, options.mode == "newton" and not constant, options.tol, options.max_iter, timers)
+    memory_term, push, diag, source_at = history.memory_term, history.push, weights.diag, spec.source_at
     U = np.empty((M + 1, n_nodes))
     U[0] = spec.u0
-    U[0][grid.boundary_mask] = spec.boundary
-    iterations = np.zeros(M + 1, dtype=int)
-    halvings = np.zeros(M + 1, dtype=int)
-    residuals = np.zeros(M + 1)
+    U[0][edge] = spec.boundary
+    iterations, halvings, residuals = [0] * (M + 1), [0] * (M + 1), [0.0] * (M + 1)
 
-    # a(u) == nu: the step matrix w_nn I_int + A is the same for every iterate
-    constant = spec.law.nu == spec.law.lam
     w_last, K = None, None  # w_nn of the last step matrix of a constant law, and that matrix
     product = None  # K @ U[n - 1], the accepted product of the last step, while K stays the step matrix
     # Extrapolate the start only once a step has needed more than one correction:
     # a linear step converges in one from any start, so a predictor there changes rounding only.
     predict = False
-    tau = tg.tau
+    tau = tg.tau.tolist()
 
+    t0 = perf_counter()
+    memory = memory_term()
+    timers["memory"] += perf_counter() - t0
     for n in range(1, M + 1):
-        t0 = time.perf_counter()
-        memory = history.memory_term()
-        timers["memory"] += time.perf_counter() - t0
-
-        w_nn = weights.diag(n)
+        w_nn = diag(n)
+        u_prev = U[n - 1]
         if constant and w_nn != w_last:
-            t0 = time.perf_counter()
-            K = assemble_quasilinear_operator(grid, spec.law, U[n - 1], shift=w_nn)
-            timers["assembly"] += time.perf_counter() - t0
+            t0 = perf_counter()
+            K = assemble_quasilinear_operator(grid, law, u_prev, shift=w_nn)
+            timers["assembly"] += perf_counter() - t0
             w_last, product = w_nn, None
 
-        f_n = spec.source_at(n, points)
-        u_prev = U[n - 1]
-        args = (spec, w_nn, memory, u_prev, f_n, options, timers, n, K)
+        f_n = source_at(n, points)
+        args = (run, w_nn, memory, f_n, n, K)
         predict = predict or iterations[n - 1] > 1
         # u_{n-1} - u_{n-2} is exactly 0 on the boundary, so the extrapolation holds the data bitwise
         start = u_prev + (tau[n - 1] / tau[n - 2]) * (u_prev - U[n - 2]) if predict else u_prev
         try:
             U[n], iterations[n], residuals[n], halvings[n], accepted = _solve_step(
-                *args, product if start is u_prev else None, start
+                *args, product if start is u_prev else None, u_prev, start
             )
         except StepFailure as exc:
             if start is u_prev:
                 raise
             # the unpredicted start is the fallback; the step's counts cover both attempts
-            U[n], its, residuals[n], halves, accepted = _solve_step(*args, product, u_prev)
+            U[n], its, residuals[n], halves, accepted = _solve_step(*args, product, u_prev, u_prev)
             iterations[n], halvings[n] = exc.iterations + its, exc.halvings + halves
         product = accepted if constant else None
 
-        t0 = time.perf_counter()
-        history.push(U[n] - U[n - 1])
-        timers["memory"] += time.perf_counter() - t0
+        # the push of step n and the query of step n + 1, one memory interval
+        t0 = perf_counter()
+        push(U[n] - u_prev)
+        if n < M:
+            memory = memory_term()
+        timers["memory"] += perf_counter() - t0
 
-    timers["total"] = time.perf_counter() - t_start + timers["compression_build"]
+    timers["total"] = perf_counter() - t_start + timers["compression_build"]
     return Trajectory(
         spec=spec,
         options=options,
         weights=weights,
         fields=U,
-        iterations=iterations,
-        halvings=halvings,
-        residuals=residuals,
+        iterations=np.array(iterations),
+        halvings=np.array(halvings),
+        residuals=np.array(residuals),
         timings=timers,
     )

@@ -16,8 +16,10 @@ coefficients and evaluates only the ``a'`` terms.  Their
 product is the face-flux sum over the grid's face slices
 (:attr:`SpatialGrid.faces`), on one field or on a stack of fields, and it is
 the package's one product with such an operator: residuals, Krylov solves
-and the weak form all go through it.  The assembly's ``shift`` adds to the
-interior diagonal, so the step matrix ``w I_int + A(u)`` is one assembly.
+and the weak form all go through it.  On one 1D field it runs on plain
+slices, making the face loop's operations in the same order.  The
+assembly's ``shift`` adds to the interior diagonal, so the step matrix
+``w I_int + A(u)`` is one assembly.
 Frozen at a stack of states, the operator is one operator per state, which
 the weak form applies to its time rows in one product.  Each grid also
 caches the eigenvalues of the sine modes that diagonalise the discrete
@@ -225,23 +227,42 @@ class StencilOperator:
     and enters its upper one, interior entries add ``shift * x``, and boundary
     entries equal ``x`` bitwise.  It takes one field ``(n_nodes,)`` or a stack
     ``(S, n_nodes)``; the coefficients may carry the same leading stack axis,
-    one operator per field, and then ``@`` is its only method.  The arrays
+    one operator per field, and then ``@`` is its only method.  An unstacked
+    1D operator applies to one field on plain slices, ``x[1:] - x[:-1]`` in
+    place and its two boundary entries written as scalars: the operations
+    of the face loop, in its order, so the bits are the loop's.  The arrays
     are read-only.  A 1D operator also keeps what :func:`subdiff.solver.spsolve`
     needs to know of its earlier solves: ``()`` after the first, then the
     read-only LU factors of its interior block (LAPACK ``dgttrf``), so an
     operator reused across steps is factored once and one solved once never.
     """
 
-    __slots__ = ("grid", "coeffs", "derivs", "shift", "_factors")
+    __slots__ = ("grid", "coeffs", "derivs", "shift", "_factors", "_line")
 
     def __init__(self, grid: SpatialGrid, coeffs, shift: float = 0.0, derivs=None):
         self.grid = grid
-        self.coeffs = tuple(_read_only(c) for c in coeffs)
-        self.derivs = None if derivs is None else tuple(_read_only(d) for d in derivs)
+        self.coeffs = tuple(map(_read_only, coeffs))
+        self.derivs = None if derivs is None else tuple(map(_read_only, derivs))
         self.shift = shift
         self._factors = None
+        # one unstacked 1D operator: its product with one field runs on plain slices
+        self._line = grid.dim == 1 and self.coeffs[0].ndim == 1
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self._line and x.ndim == 1:
+            # the face loop below on one 1D field, operation for operation: lo is x[:-1], hi is x[1:]
+            flux = x[1:] - x[:-1]
+            flux *= self.coeffs[0]
+            if self.derivs is not None:
+                pair = x[1:] + x[:-1]
+                pair *= self.derivs[0]
+                flux += pair
+            out = self.shift * x
+            out[:-1] -= flux
+            out[1:] += flux
+            out[0] = x[0]
+            out[-1] = x[-1]
+            return out
         x_nd = x.reshape(x.shape[:-1] + self.grid.shape)
         out = self.shift * x_nd
         for d, (lo, hi) in enumerate(self.grid.faces):
@@ -257,16 +278,22 @@ class StencilOperator:
     def tridiagonal(self) -> tuple:
         """The sub-, main and superdiagonal of a 1D operator's interior block, the input of ``dgtsv``/``dgttrf``.
 
-        Row ``j`` reads ``(-c_{j-1} + d_{j-1}, (c_j - d_j) + (c_{j-1} + d_{j-1}) + shift, -c_j - d_j)``
-        with ``c, d`` the face arrays (``d = 0`` without ``derivs``).  The
-        solver reads them on an operator's first solve and again on its
-        second, when it factors it.
+        Row ``j`` reads ``(-(c_{j-1} - d_{j-1}), (c_j - d_j) + (c_{j-1} + d_{j-1}) + shift, -(c_j + d_j))``
+        with ``c, d`` the face arrays (``d = 0`` without ``derivs``): ``c - d``
+        and ``c + d`` are formed once, and negation is exact, so the outer
+        diagonals are the bits of ``-c + d`` and ``-c - d`` but for the sign
+        of an entry that is exactly zero.  The solver reads them on an
+        operator's first solve and again on its second, when it factors it.
         """
-        if self.coeffs[0].ndim > 1:
+        if not self._line:
             raise ValueError("a stacked operator has no tridiagonal form")
         (c,) = self.coeffs
-        d = 0.0 if self.derivs is None else self.derivs[0]
-        return (-c + d)[1:-1], (c - d)[1:] + (c + d)[:-1] + self.shift, (-c - d)[1:-1]
+        lower = upper = c  # c - d and c + d
+        if self.derivs is not None:
+            lower, upper = c - self.derivs[0], c + self.derivs[0]
+        main = lower[1:] + upper[:-1]
+        main += self.shift
+        return -lower[1:-1], main, -upper[1:-1]
 
 
 def _read_only(a, dtype=float) -> np.ndarray:

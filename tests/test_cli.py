@@ -12,10 +12,11 @@ import pytest
 
 from subdiff.cli import _CERTIFICATES, _SWEEP_PAIRS, _props_comparison, _props_convexity, build_problem, main
 from subdiff.config import CertificatesConfig, parse_config
-from subdiff.diagnostics import decay_report, hoelder_seminorm
+from subdiff.diagnostics import NormSeries, decay_report, hoelder_seminorm
 from subdiff.kernels import CompressionError
-from subdiff.reporting import NORMS_HEADER, jsonable
+from subdiff.reporting import NORMS_HEADER, jsonable, write_norms_tsv, write_snapshot
 from subdiff.solver import StepFailure, run_trajectory
+from subdiff.spatial import build_grid
 
 FAST_RUN = """
 problem = eigenmode, alpha = 0.5
@@ -100,6 +101,37 @@ class TestRunCommand:
         assert len(lines) == 1 + 33
         values = np.array([float(v) for v in lines[1:]])
         assert np.all(np.isfinite(values))
+
+    @staticmethod
+    def _awkward_columns(n):
+        # negative, subnormal, signed-zero, tiny and large values in every column (squares stay finite)
+        rng = np.random.default_rng(7)
+        special = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e150, 1.0 / 3.0, -2.0 / 3.0]
+        cols = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-320, 150, (5, n))
+        cols[:, : len(special)] = special
+        return cols
+
+    def test_norms_tsv_bytes_are_the_per_row_form(self, tmp_path):
+        n = 600  # rows over several writes
+        t, l2, sup, _, env = self._awkward_columns(n)
+        env[::3] = np.nan
+        series = NormSeries(times=t, l2=l2, sup=sup)
+        expected = NORMS_HEADER + "\n"
+        for k in range(n):
+            expected += "%.17g\t%.17g\t%.17g\t%.17g\t%.17g\n" % (t[k], l2[k], sup[k], series.energy[k], env[k])
+        write_norms_tsv(tmp_path / "a.tsv", series, env)
+        assert (tmp_path / "a.tsv").read_bytes() == expected.encode()
+        # without a decay certificate the envelope column is nan in every row
+        write_norms_tsv(tmp_path / "b.tsv", series)
+        rows = (tmp_path / "b.tsv").read_text().splitlines()[1:]
+        assert len(rows) == n and all(row.split("\t")[4] == "nan" for row in rows)
+
+    def test_snapshot_bytes_are_the_per_value_form(self, tmp_path):
+        grid = build_grid(1, (0.0, 1.0), 97)
+        values = self._awkward_columns(97)[0]
+        write_snapshot(tmp_path / "s.txt", grid, 0.1, values)
+        expected = "# t=0.10000000000000001 shape=97\n" + "".join("%.17g\n" % v for v in values)
+        assert (tmp_path / "s.txt").read_bytes() == expected.encode()
 
     def test_failing_certificate_exits_one(self, tmp_path, capsys):
         # an unreachable residual threshold turns the weakform verdict red

@@ -276,6 +276,15 @@ class TestRowMargins:
             margins, positive = w.row_margins()
             assert margins.tobytes() == fresh[0].tobytes() and positive is fresh[1], pushes
 
+    def test_the_blocked_product_keeps_no_margins(self):
+        grid = TimeGrid.graded(3.0, 300, 3.0)
+        w = L1Weights(alpha=0.3, grid=grid)
+        w.apply(np.sin(grid.nodes))
+        assert w._reached == 0 and w._kept is None
+        margins, _ = w.row_margins()  # its own walk keeps them, and drops its scan buffer at the last row
+        assert w._reached == 300 and w._scan is None
+        assert margins.tobytes() == L1Weights(alpha=0.3, grid=grid).row_margins()[0].tobytes()
+
     # grids whose late rows hold adjacent weights closer than their rounding: alpha, horizon, steps, grading
     _TIGHT = [(0.1, 50.0, 8192, 4.0), (0.1, 100.0, 16384, 4.0), (0.3, 100.0, 16384, 4.0)]
 

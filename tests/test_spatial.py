@@ -8,6 +8,7 @@ import pytest
 from subdiff import solver
 from subdiff.spatial import (
     SpatialGrid,
+    StencilOperator,
     assemble_quasilinear_operator,
     build_grid,
     constant_law,
@@ -364,6 +365,44 @@ class TestOperator:
         x = [solver.spsolve(M, b, nu=1.0, atol=0.0) for _ in range(3)]
         assert len(factored) == 1
         assert x[0].tobytes() == x[1].tobytes() == x[2].tobytes()
+
+    # the operators of the three step kinds: frozen (Picard), Newton (with derivs) and a constant law's
+    _STEP_OPERATORS = [
+        (assemble_quasilinear_operator, porous_law()),
+        (_jacobian, porous_law()),
+        (assemble_quasilinear_operator, constant_law(1.0)),
+    ]
+
+    @pytest.mark.parametrize("n", [65, 257])
+    @pytest.mark.parametrize("build, law", _STEP_OPERATORS, ids=["frozen", "newton", "constant"])
+    def test_one_field_product_is_the_face_loop_bitwise(self, build, law, n):
+        # a 1D operator applies to one field on plain slices; stacked as (1, n), the same operator takes the
+        # generic face loop, and both must give the same bits
+        g = build_grid(1, (0.0, np.pi), n)
+        rng = np.random.default_rng(n)
+        M = build(g, law, np.sin(g.axes[0]) + 0.1 * rng.normal(size=n), shift=rng.uniform(1.0, 1e3))
+        derivs = None if M.derivs is None else [d[None] for d in M.derivs]
+        stacked = StencilOperator(g, [c[None] for c in M.coeffs], M.shift, derivs)
+        for x in (rng.normal(size=n), np.sin(g.axes[0]) * rng.uniform(0.5, 2.0, n)):
+            assert (M @ x).tobytes() == (stacked @ x[None])[0].tobytes()
+
+    @pytest.mark.parametrize("n", [65, 257])
+    @pytest.mark.parametrize("build, law", _STEP_OPERATORS, ids=["frozen", "newton", "constant"])
+    def test_tridiagonal_is_its_row_formula_bitwise(self, build, law, n):
+        # row j: (-(c_{j-1} - d_{j-1}), (c_j - d_j) + (c_{j-1} + d_{j-1}) + shift, -(c_j + d_j)), d = 0 without derivs
+        g = build_grid(1, (0.0, np.pi), n)
+        rng = np.random.default_rng(n)
+        M = build(g, law, rng.normal(size=n), shift=rng.uniform(1.0, 1e3))
+        c = M.coeffs[0].tolist()
+        d = [0.0] * (n - 1) if M.derivs is None else M.derivs[0].tolist()
+        rows = range(1, n - 1)
+        want = (
+            [-(c[j - 1] - d[j - 1]) for j in rows[1:]],
+            [(c[j] - d[j]) + (c[j - 1] + d[j - 1]) + M.shift for j in rows],
+            [-(c[j] + d[j]) for j in rows[:-1]],
+        )
+        for got, expected in zip(M.tridiagonal(), want, strict=True):
+            assert got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     @pytest.mark.parametrize("dim, extents, res", BOXES)
