@@ -1,8 +1,13 @@
 """Certificates and estimators computed from solved trajectories.
 
 Everything here consumes a :class:`~subdiff.solver.Trajectory` after the fact;
-nothing feeds back into the stepping.  The four certificates mirror the
-qualitative theory:
+nothing feeds back into the stepping.  A finished run is read-only, so its
+per-step L2 and sup norms are computed once, on first read
+(:attr:`Trajectory.norms <subdiff.solver.Trajectory.norms>`), and
+``norms.tsv`` (:func:`norm_series`), the boundedness and decay certificates
+and the weak form's solution scale all read that one record; none of them
+reduces the fields again.  The four certificates mirror the qualitative
+theory:
 
 * ``convexity_report``: the tested-energy inequality
   (u_n, D^a u_n) >= 1/2 (D^a ||u||^2)_n holds for every history of the run's
@@ -38,11 +43,10 @@ from math import gamma
 import numpy as np
 
 from .relaxation import DecayCertificate, comparison_check
-from .solver import Trajectory
+from .solver import NormSeries, Trajectory
 from .spatial import SpatialGrid, assemble_quasilinear_operator, first_eigenvalue
 
 __all__ = [
-    "NormSeries",
     "norm_series",
     "l2_norm",
     "boundedness_report",
@@ -68,24 +72,9 @@ def l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
     return float(np.sqrt(q @ (v * v)))
 
 
-@dataclass(frozen=True, eq=False)
-class NormSeries:
-    times: np.ndarray
-    l2: np.ndarray
-    sup: np.ndarray
-
-    @property
-    def energy(self) -> np.ndarray:
-        """W_n = ||u_n||_{L2}^2, the quantity the decay theory controls."""
-        return self.l2 * self.l2
-
-
 def norm_series(traj: Trajectory) -> NormSeries:
-    q = traj.spec.grid.quadrature_weights()
-    U = traj.fields
-    l2 = np.sqrt(np.einsum("ni,i,ni->n", U, q, U))
-    sup = np.max(np.abs(U), axis=1)
-    return NormSeries(times=traj.times.copy(), l2=l2, sup=sup)
+    """The run's per-step L2 and sup norms, ``traj.norms``, computed once per trajectory."""
+    return traj.norms
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +94,14 @@ def boundedness_report(traj: Trajectory, tol: float = 1e-12) -> MaxPrincipleRepo
     """Certify sup_n ||u_n||_inf <= max(||u0||_inf, ||g||_inf) + tol.
 
     Only meaningful without forcing; refuses trajectories with a source term
-    rather than reporting a bound the theory does not claim.
+    rather than reporting a bound the theory does not claim.  Reads the run's
+    per-step sup norms (``traj.norms.sup``), not the fields.
     """
     spec = traj.spec
     if spec.source is not None:
         raise ValueError("the sup-norm bound is only certified for runs without forcing")
     bound = max(float(np.max(np.abs(spec.u0))), float(np.max(np.abs(spec.boundary), initial=0.0)))
-    sups = np.max(np.abs(traj.fields), axis=1)
+    sups = traj.norms.sup
     arg = int(np.argmax(sups))
     return MaxPrincipleReport(
         bound=bound,
@@ -131,13 +121,13 @@ def decay_report(traj: Trajectory, slack: float = 1.05) -> DecayCertificate:
 
     The rate uses the continuous Poincare constant of the box and the lower
     ellipticity bound of the law, exactly the pairing the energy argument
-    produces.  Requires zero source and zero boundary data.
+    produces.  Requires zero source and zero boundary data.  Reads the run's
+    per-step energies (``traj.norms.energy``), not the fields.
     """
     spec = traj.spec
     if not spec.has_zero_data():
         raise ValueError("the decay envelope applies to zero forcing and zero boundary data only")
-    series = norm_series(traj)
-    w = series.energy
+    w = traj.norms.energy
     mu = 2.0 * spec.law.nu * first_eigenvalue(spec.grid)
     return comparison_check(w, spec.time_grid, spec.alpha, mu, w0=float(w[0]), slack=slack)
 
@@ -415,7 +405,8 @@ def weakform_residual(traj: Trajectory, threshold: float = 1e-2) -> WeakformRepo
     :func:`~subdiff.spatial.assemble_quasilinear_operator` frozen at the
     stacked rows applied to them, and are integrated against ``theta`` by
     the rule exact for products of linears on each step.  Residuals are scaled
-    by test mass, test duration, and the solution scale.  Keeping the test
+    by test mass, test duration, and the solution scale ``max_n ||u_n||_inf``,
+    read off ``traj.norms.sup``.  Keeping the test
     width fixed matters: the L1 kink defect near t = 0 is self-similar and
     O(1) pointwise on any mesh, but its integral against a fixed test
     function vanishes under refinement, which is exactly the convergence the
@@ -437,7 +428,7 @@ def weakform_residual(traj: Trajectory, threshold: float = 1e-2) -> WeakformRepo
     if knots.size < 3:
         raise ValueError("the time grid is too coarse for the requested macro test grid")
     sel = interior[_subsample(interior.size, _SPACE_TESTS)]
-    scale = max(float(np.max(np.abs(U))), 1e-300)
+    scale = max(float(np.max(traj.norms.sup)), 1e-300)
 
     # H[k] = (g_{2-a} * (u - u0, phi_i))(t at knot k)
     H = _hat_mass(grid, _knot_weights(spec.alpha, t, knots) @ (U - U[0]))[:, sel]

@@ -93,13 +93,16 @@ def default_grading(alpha: float) -> float:
 class TimeGrid:
     """Time nodes ``0 = t_0 < ... < t_M`` and their steps ``tau``, both read-only.
 
-    The grid decides once, here, whether it is uniform: every step within ``_UNIFORM_RTOL``
-    relative of the first.  A uniform grid has one step, ``t_1 - t_0``, in every entry of
-    ``tau``, and every consumer reads it; on other grids ``tau`` holds the node differences.
+    The grid decides once, here, its step count ``steps = M`` and whether it is uniform
+    (:meth:`is_uniform`): every step within ``_UNIFORM_RTOL`` relative of the first.  A uniform
+    grid has one step, ``t_1 - t_0``, in every entry of ``tau``, and every consumer reads it; on
+    other grids ``tau`` holds the node differences.
     """
 
     nodes: np.ndarray
     tau: np.ndarray = field(init=False, repr=False)
+    steps: int = field(init=False, repr=False)
+    _uniform: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes, dtype=float)
@@ -108,11 +111,14 @@ class TimeGrid:
         tau = np.diff(nodes)
         if not np.all(tau > 0.0):
             raise ValueError("time nodes must be strictly increasing")
-        if np.all(np.abs(tau - tau[0]) <= _UNIFORM_RTOL * tau[0]):
+        uniform = bool(np.all(np.abs(tau - tau[0]) <= _UNIFORM_RTOL * tau[0]))
+        if uniform:
             tau = np.full(tau.size, tau[0])
         nodes.flags.writeable = tau.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "steps", tau.size)
+        object.__setattr__(self, "_uniform", uniform)
 
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
@@ -133,12 +139,9 @@ class TimeGrid:
     def horizon(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def steps(self) -> int:
-        return self.nodes.size - 1
-
     def is_uniform(self) -> bool:
-        return bool(np.all(self.tau == self.tau[0]))
+        """Whether every step is the first one, as decided at construction."""
+        return self._uniform
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,7 +414,7 @@ class ConvexityReport:
     of the two sums; the verdict tolerates exactly that much.  For a batch of
     histories ``margins`` and ``roundoff`` carry a leading history axis,
     ``passed`` holds when every history passed, and :attr:`violations` counts
-    the histories that did not.
+    the histories that did not.  ``times`` is a read-only view of the grid's nodes.
     """
 
     alpha: float
@@ -458,7 +461,7 @@ def check_discrete_convexity(alpha: float, grid: TimeGrid, history: np.ndarray) 
     roundoff = 4.0 * (np.arange(1, N + 1) + 4.0) * _EPS * (gross + 1e-300)
     return ConvexityReport(
         alpha=alpha,
-        times=grid.nodes[1 : N + 1].copy(),
+        times=grid.nodes[1 : N + 1],
         margins=margins,
         roundoff=roundoff,
         passed=bool(np.all(margins >= -roundoff)),

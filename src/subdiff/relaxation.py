@@ -86,6 +86,7 @@ class DecayCertificate:
 
     ``passed`` iff ``W_n <= slack * V(t_n)`` at every node ``n >= 1`` with
     ``V(t) = W0 E_a(-mu t^a)``.  ``margins`` stores ``slack * V - W``.
+    ``times`` are the time grid's read-only nodes, shared, not copied.
 
     ``tail_exponent`` is the fitted decay exponent of the L2 *norm*, i.e.
     half the log-log slope of W over the trailing factor-3 window of the
@@ -156,7 +157,7 @@ def comparison_check(
         mu=mu,
         w0=w0,
         slack=slack,
-        times=times.copy(),
+        times=times,
         observed=observed.copy(),
         envelope=envelope,
         margins=margins,

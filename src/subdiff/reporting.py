@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import NormSeries
+from .solver import NormSeries
 from .spatial import SpatialGrid
 
 __all__ = [

@@ -103,7 +103,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from time import perf_counter
 from typing import NamedTuple
 
@@ -127,6 +127,7 @@ __all__ = [
     "ProblemSpec",
     "SolverOptions",
     "Trajectory",
+    "NormSeries",
     "StepFailure",
     "run_trajectory",
     "check_scales",
@@ -272,13 +273,37 @@ class StepFailure(RuntimeError):
         self.last_iterate = last_iterate
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class NormSeries:
+    """Per-step norms of a trajectory: ``l2[n]`` the trapezoid L2 norm and ``sup[n]`` the max-norm of field ``n``.
+
+    ``times`` are the time grid's nodes, shared, not copied.
+    """
+
+    times: np.ndarray
+    l2: np.ndarray
+    sup: np.ndarray
+
+    @property
+    def energy(self) -> np.ndarray:
+        """W_n = ||u_n||_{L2}^2, the quantity the decay theory controls."""
+        return self.l2 * self.l2
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Fields at every time node plus per-step solver bookkeeping.
 
     ``weights`` are the run's L1 weights.  A direct run's memory walk has
     evaluated them, and on a graded grid they keep the row margins of that
     walk for the convexity certificate.
+
+    A finished run is read-only: the record is frozen, and
+    :func:`run_trajectory` returns ``fields``, ``iterations``, ``halvings``
+    and ``residuals`` read-only.  So its per-step norms (:attr:`norms`) are
+    computed once, on first read, and every reader shares them.
+    ``dataclasses.replace(traj, fields=...)`` builds a new record, whose
+    norms are its own.
     """
 
     spec: ProblemSpec
@@ -293,6 +318,22 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.spec.time_grid.nodes
+
+    @cached_property
+    def norms(self) -> NormSeries:
+        """The per-step L2 and sup norms of ``fields``, read-only, computed on first read.
+
+        This is the one reduction of the fields to per-step norms: ``norms.tsv``,
+        the boundedness and decay certificates and the weak form's solution
+        scale all read it.  It uses the accepted fields and the grid's
+        quadrature alone, no weight, memory provider or operator of the
+        stepper, so the certificates that read it stay independent of it.
+        """
+        U = self.fields
+        l2 = np.sqrt(np.einsum("ni,i,ni->n", U, self.spec.grid.quadrature_weights(), U))
+        sup = np.max(np.abs(U), axis=1)
+        l2.flags.writeable = sup.flags.writeable = False
+        return NormSeries(times=self.times, l2=l2, sup=sup)
 
 
 # Iteration cap of the 2D CG solves; reaching it fails the step.  With the
@@ -619,13 +660,7 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
         timers["memory"] += perf_counter() - t0
 
     timers["total"] = perf_counter() - t_start + timers["compression_build"]
-    return Trajectory(
-        spec=spec,
-        options=options,
-        weights=weights,
-        fields=U,
-        iterations=np.array(iterations),
-        halvings=np.array(halvings),
-        residuals=np.array(residuals),
-        timings=timers,
-    )
+    arrays = [U, np.array(iterations), np.array(halvings), np.array(residuals)]
+    for a in arrays:
+        a.flags.writeable = False
+    return Trajectory(spec, options, weights, *arrays, timings=timers)

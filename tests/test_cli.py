@@ -12,10 +12,10 @@ import pytest
 
 from subdiff.cli import _CERTIFICATES, _SWEEP_PAIRS, _props_comparison, _props_convexity, build_problem, main
 from subdiff.config import CertificatesConfig, parse_config
-from subdiff.diagnostics import NormSeries, decay_report, hoelder_seminorm
+from subdiff.diagnostics import decay_report, hoelder_seminorm
 from subdiff.kernels import CompressionError
 from subdiff.reporting import NORMS_HEADER, jsonable, write_norms_tsv, write_snapshot
-from subdiff.solver import StepFailure, run_trajectory
+from subdiff.solver import NormSeries, StepFailure, run_trajectory
 from subdiff.spatial import build_grid
 
 FAST_RUN = """
@@ -79,6 +79,28 @@ class TestRunCommand:
         seconds = report["timings"]["certificates"]
         assert set(seconds) == set(report["certificates"])
         assert all(s >= 0.0 for s in seconds.values())
+
+    def test_a_run_reduces_its_fields_to_norms_once(self, tmp_path, monkeypatch):
+        # norms.tsv and the four certificates read one per-step norm record: one sup pass (abs) and one
+        # L2 pass (einsum) over the field array, where each reader once made its own
+        import subdiff.cli as cli
+
+        runs, passes = [], {"abs": 0, "einsum": 0}
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                passes[name] += any(a is t.fields for a in args for t in runs)
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, "run_trajectory", lambda *a: runs.append(run_trajectory(*a)) or runs[-1])
+        monkeypatch.setattr(np, "abs", spy("abs", np.abs))
+        monkeypatch.setattr(np, "einsum", spy("einsum", np.einsum))
+        assert main(["run", _write(tmp_path, FAST_RUN), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all(report["certificates"][name]["passed"] for name in _CERTIFICATES)
+        assert len(runs) == 1 and passes == {"abs": 1, "einsum": 1}
 
     def test_norms_tsv_format(self, tmp_path):
         cfg = _write(tmp_path, FAST_RUN)

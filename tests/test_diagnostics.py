@@ -20,7 +20,7 @@ from subdiff.diagnostics import (
     norm_series,
     weakform_residual,
 )
-from subdiff.kernels import L1Weights, TimeGrid, default_grading
+from subdiff.kernels import L1Weights, TimeGrid, check_discrete_convexity, default_grading
 from subdiff.presets import build_preset, preset_grids
 from subdiff.solver import ProblemSpec, SolverOptions, run_trajectory
 from subdiff.spatial import build_grid, constant_law, porous_law
@@ -59,6 +59,46 @@ class TestNorms:
         for n in (0, 4, 8):
             np.testing.assert_allclose(ns.l2[n], l2_norm(g, traj.fields[n]), rtol=1e-13)
             np.testing.assert_allclose(ns.sup[n], np.max(np.abs(traj.fields[n])), rtol=0)
+
+    def test_a_finished_run_is_read_only(self):
+        traj = _run("porous", resolution=9, steps=6)
+        for array in (traj.fields, traj.iterations, traj.halvings, traj.residuals):
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.fields = traj.fields.copy()
+        ns = norm_series(traj)
+        assert ns is traj.norms  # computed once
+        for array in (ns.l2, ns.sup):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # the time grid's nodes are read-only, so the records share them instead of copying
+        nodes = traj.spec.time_grid.nodes
+        assert ns.times is nodes and decay_report(traj).times is nodes
+        rep = check_discrete_convexity(0.5, traj.spec.time_grid, ns.l2)
+        assert np.shares_memory(rep.times, nodes) and not rep.times.flags.writeable
+
+    def test_a_replaced_trajectory_has_norms_of_its_own(self):
+        traj = _run("eigenmode", resolution=17, steps=8)
+        before = traj.norms
+        doubled = dataclasses.replace(traj, fields=2.0 * traj.fields)
+        assert traj.norms is before and doubled.norms is not before
+        assert doubled.norms.sup.tobytes() == (2.0 * before.sup).tobytes()  # doubling is exact
+        assert boundedness_report(doubled).max_sup == 2.0 * boundedness_report(traj).max_sup
+        assert decay_report(doubled).w0 == 4.0 * decay_report(traj).w0
+        assert weakform_residual(doubled).scale == 2.0 * weakform_residual(traj).scale
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_readers_keep_the_full_array_formulas_bitwise(self, dimension):
+        # what each reader computed from the fields on its own before they shared one record
+        traj = _run("porous", dimension=dimension, resolution=9, steps=6, horizon=1.0)
+        U, q = traj.fields, traj.spec.grid.quadrature_weights()
+        sups = np.max(np.abs(U), axis=1)
+        assert traj.norms.l2.tobytes() == np.sqrt(np.einsum("ni,i,ni->n", U, q, U)).tobytes()
+        assert traj.norms.sup.tobytes() == sups.tobytes()
+        rep = boundedness_report(traj)
+        assert (rep.max_sup, rep.arg_step) == (float(sups[np.argmax(sups)]), int(np.argmax(sups)))
+        assert weakform_residual(traj).scale == max(float(np.max(np.abs(U))), 1e-300)
 
 
 class TestBoundedness:

@@ -69,6 +69,15 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match="read-only"):
                 array[-1] = 0.0
 
+    @pytest.mark.parametrize("spread, uniform", [(0.0, True), (1e-13, True), (1e-11, False)])
+    def test_step_count_and_uniformity_are_decided_at_construction(self, spread, uniform):
+        # stored once, as plain Python values: the memory walk and the driver read them every step
+        nodes = np.arange(9.0) * (1.0 + spread * (np.arange(9) % 2))
+        tg = TimeGrid(nodes)
+        assert vars(tg)["steps"] == tg.steps == 8 and type(tg.steps) is int
+        assert tg.is_uniform() is uniform
+        assert (np.unique(tg.tau).size == 1) is uniform
+
     def test_graded_concentrates_near_origin(self):
         tg = TimeGrid.graded(1.0, 8, 3.0)
         tau = tg.tau
