@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
+from .kernels import MAX_LADDER_RUNGS, ladder_rungs
 from .presets import preset_grids
 from .solver import SolverOptions
 
@@ -286,8 +287,9 @@ def check_config(cfg: RunConfig) -> None:
 
     The problem and time settings must build the run's grids
     (:func:`~subdiff.presets.preset_grids`) and those of a study's finest
-    level (:func:`study_levels`); a problem names the settings by their
-    dotted paths.
+    level (:func:`study_levels`), and compressed history needs an alpha whose
+    ladder fits (:func:`~subdiff.kernels.ladder_rungs`); a problem names the
+    settings by their dotted paths.
     """
     problems = []
     if cfg.solver.history == "compressed" and cfg.time.steps == 1:
@@ -307,6 +309,16 @@ def check_config(cfg: RunConfig) -> None:
         late = [s for s in cfg.output.snapshot_times if s > built[1].horizon]
         if late:
             problems.append(f"output.snapshot_times has {late} past the time horizon {built[1].horizon!r}")
+        # alpha None is the presets' 0.5, whose ladder holds a few hundred rates
+        alpha, eps = cfg.problem.alpha, cfg.solver.eps_compress
+        if cfg.solver.history == "compressed" and alpha is not None and built[1].steps >= 2:
+            rungs = ladder_rungs(alpha, eps, built[1])
+            if rungs > MAX_LADDER_RUNGS:
+                problems.append(
+                    f"problem.alpha={alpha!r} is too small for solver.history=compressed at "
+                    f"solver.eps_compress={eps!r}: its ladder would hold {rungs:.3g} rates, above "
+                    f"{MAX_LADDER_RUNGS}; use solver.history=direct"
+                )
         levels, reference = study_levels(cfg)
         finest, size = reference or levels[-1]
         key = "time.steps" if cfg.study.axis == "time" else "problem.resolution"

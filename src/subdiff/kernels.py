@@ -47,6 +47,8 @@ __all__ = [
     "CompressedHistory",
     "CompressionError",
     "compress_history",
+    "ladder_rungs",
+    "MAX_LADDER_RUNGS",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -54,6 +56,11 @@ _EPS = float(np.finfo(float).eps)
 _BLOCK_ENTRIES = 1 << 15
 # node-spacing refinements compress_history tries before it gives up
 _MAX_REFINE = 10
+# The most rates a trapezoid ladder of compress_history may hold.  The ladders that reached their tolerance
+# in trials (alpha 0.0005 to 0.05, eps 1e-8 and 1e-13, uniform and graded grids) held at most 2.3e5 rates;
+# at alpha = 1e-6 the first one would hold 1.1e8, gigabytes with the Gauss step's Lanczos basis.  A ladder of
+# 2^20 rates and that basis take a few hundred MB.
+MAX_LADDER_RUNGS = 1 << 20
 _UNIFORM_RTOL = 1e-12  # relative spread of the steps of a uniform TimeGrid
 
 
@@ -732,6 +739,39 @@ def _worst_relative_error(rates: np.ndarray, weights: np.ndarray, t: np.ndarray,
     return worst
 
 
+def _ladder(alpha: float, target: float, tau_min: float, horizon: float) -> tuple[float, float, float, float]:
+    """``(s_min, s_max, h, eta)`` of :func:`compress_history`'s first trapezoid ladder at kernel-level ``target``.
+
+    ``s_min`` is ``-inf`` when ``Gamma(alpha)`` cannot be evaluated: for
+    alpha below about 5.6e-309, or 0 once rounded as ``1 - (1 - alpha)``.
+    """
+    h = 2.0 * math.pi / (math.log(1.0 / target) + 4.0)
+    eta = math.log(1.0 / target) + 12.0
+    s_max = math.log(eta / tau_min)
+    try:
+        s_min = (math.log(target / 10.0 * alpha * math.gamma(alpha)) - alpha * math.log(horizon)) / alpha
+    except (OverflowError, ValueError):  # math.gamma's overflow, or its domain error at alpha = 0
+        s_min = -math.inf
+    return s_min, s_max, h, eta
+
+
+def _rungs(s_min: float, s_max: float, h: float):
+    """The rate count of the ladder from ``s_min`` to ``s_max`` at spacing ``h``: an int, or ``inf``."""
+    span = (s_max - s_min) / h
+    return int(math.ceil(span)) + 1 if span < math.inf else math.inf
+
+
+def ladder_rungs(alpha: float, eps: float, grid: TimeGrid):
+    """The rate count of the first trapezoid ladder that :func:`compress_history` builds for these settings.
+
+    It grows like ``|log eps| / alpha``.  Above ``MAX_LADDER_RUNGS``
+    compression is refused before the ladder is allocated.  ``grid`` needs
+    at least 2 steps.
+    """
+    alpha = 1.0 - (1.0 - alpha)  # the order compress_history fits
+    return _rungs(*_ladder(alpha, eps / 100.0, float(grid.tau[1:].min()), grid.horizon)[:3])
+
+
 def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
     """Build a :class:`CompressedHistory` for ``weights`` with tolerance ``eps``, on any time grid.
 
@@ -765,7 +805,9 @@ def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
     smooth error of the truncated ends and of the Gauss rule.  On a miss the
     Gauss rule is first doubled, then the ladder's node spacing is refined;
     after ``_MAX_REFINE`` spacings :class:`CompressionError` is raised.  It is
-    raised at once when the top rate ``eta / tau_min`` overflows when squared.
+    raised at once when the top rate ``eta / tau_min`` overflows when squared,
+    and before a ladder is built that would hold more than
+    ``MAX_LADDER_RUNGS`` rates (see :func:`ladder_rungs`), as at tiny alpha.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -780,17 +822,21 @@ def compress_history(weights: L1Weights, eps: float) -> CompressedHistory:
     horizon = grid.horizon
     t = np.geomspace(tau_min, horizon, max(2, math.ceil(16 * math.log10(horizon / tau_min)) + 1))
     kernel = rl_kernel(1.0 - alpha, t)
-    h = 2.0 * math.pi / (math.log(1.0 / target) + 4.0)
-    eta = math.log(1.0 / target) + 12.0
-    s_max = math.log(eta / tau_min)
+    s_min, s_max, h, eta = _ladder(alpha, target, tau_min, horizon)
     if eta / tau_min > math.sqrt(np.finfo(float).max):  # the Gauss rule's Lanczos step squares the rates
         top = f"the top rate {eta / tau_min:g} overflows when squared"
         raise CompressionError(f"the shortest step after the first, {tau_min:g}, is too short: {top}", achieved=math.inf)
-    s_min = (math.log(target / 10.0 * alpha * math.gamma(alpha)) - alpha * math.log(horizon)) / alpha
     n_gauss = _gauss_size(target)
     achieved = math.inf
     for _ in range(_MAX_REFINE):
-        s = s_min + h * np.arange(int(math.ceil((s_max - s_min) / h)) + 1)
+        rungs = _rungs(s_min, s_max, h)
+        if rungs > MAX_LADDER_RUNGS:  # refused before it is allocated
+            raise CompressionError(
+                f"alpha={weights.alpha:g} at eps={eps:g} needs a ladder of {rungs:.3g} rates, above the "
+                f"{MAX_LADDER_RUNGS} it may hold; direct history has no such limit",
+                achieved=achieved,
+            )
+        s = s_min + h * np.arange(rungs)
         lam = np.exp(s)
         om = h * np.exp(alpha * s) * math.sin(alpha * math.pi) / math.pi
         keep = om * np.exp(-lam * tau_min) > target * kernel[-1] * 1e-4

@@ -15,8 +15,9 @@ iterate, the discrete analogue of the linearized fixed-point map behind the
 existence theory), and both modes read their residual off it.  Picard takes
 ``M = K(v)``.  Newton, a 1D mode, takes the analytic Jacobian including the a'(u) terms:
 :func:`~subdiff.spatial.newton_jacobian` shares the face coefficients of
-``K(v)`` and evaluates only the ``a'`` face terms, and only when a correction
-follows, never at the accepted iterate.  Every one of these products is the
+``K(v)``, reads the face means ``K(v)`` keeps, and evaluates only the ``a'``
+face terms, and only when a correction follows, never at the accepted
+iterate.  So each iterate forms its face means once.  Every one of these products is the
 face-flux sum of :class:`~subdiff.spatial.StencilOperator`.  A constant law
 (``nu == lam``, so ``a(u) = nu``) has one ``K`` for every iterate, bitwise
 equal to its Newton Jacobian: the driver assembles it once per distinct
@@ -68,7 +69,11 @@ residual the next one starts from, so the forcing term trades a few more
 corrections for far fewer CG iterations; near convergence ``0.1 * tol``
 takes over, which bounds the max-norm the correction loop tests.  That test,
 on the nonlinear residual, is the acceptance.  The 1D solve is exact and
-needs no norm.  A solve that reaches the iteration cap fails the step.
+needs no norm, and its LAPACK calls copy nothing: ``dgtsv`` takes the band
+``tridiagonal()`` has just formed and may overwrite it, and ``dgtsv`` and
+``dgttrs`` solve in place in :func:`spsolve`'s own result.  The 2D
+preconditioner is built once per step: the corrections of a step share its
+``w_nn``.  A solve that reaches the iteration cap fails the step.
 
 What one step computes, and the ``Trajectory.timings`` entry that covers
 each part:
@@ -78,12 +83,13 @@ each part:
 - the step loop itself, untimed: ``rhs = w_nn u_{n-1} - H_n + f_n`` with
   the data written over its boundary entries, each update
   ``v + theta delta`` and each residual's max-norm;
-- ``assembly``: per iterate ``K(v)`` (the law ``a`` on the faces; a
-  constant law's ``K`` is built before the step, once per distinct
+- ``assembly``: per iterate ``K(v)`` (the face means and the law ``a`` on
+  them; a constant law's ``K`` is built before the step, once per distinct
   ``w_nn``), its product ``K(v) v`` and ``r = K(v) v - rhs``, and before a
-  Newton correction the ``a'`` face terms;
-- ``linear_solve``: ``-r`` and :func:`spsolve`, which in 1D forms the
-  tridiagonal band when it has no factors yet and makes one LAPACK call.
+  Newton correction the ``a'`` face terms, at the means ``K(v)`` keeps;
+- ``linear_solve``: ``-r`` and :func:`spsolve`, which in 1D copies ``-r``
+  into its result, forms the tridiagonal band when it has no factors yet and
+  makes one LAPACK call that solves in that result, copying no array.
 
 So a linear step on a constant law's step matrix is one product plus one
 back-substitution (``dgttrs``), and a Newton correction is ``K(v)``, its
@@ -103,7 +109,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from time import perf_counter
 from typing import NamedTuple
 
@@ -366,7 +372,11 @@ def spsolve(M, b, *, nu: float, atol: float) -> np.ndarray:
     back-substitution with them.  ``dgttrf`` pivots as ``dgtsv`` does, and
     without row interchanges, as on the diagonally dominant step matrices,
     the two paths make the same operations, so every solve gives the bits
-    of ``dgtsv``.  A singular block is not kept, so each solve with it
+    of ``dgtsv``.  Both LAPACK calls solve in place in the interior of the
+    result, a new copy of ``b``, and ``dgtsv`` overwrites the band
+    ``tridiagonal()`` has just formed, so f2py copies no array; ``b`` and
+    ``M``'s arrays and factors are never written, and the result shares
+    memory with none of them.  A singular block is not kept, so each solve with it
     raises.  In 2D ``M`` is a symmetric step matrix, solved by conjugate
     gradients preconditioned by the sine-transform solve of
     ``M.shift I + nu (-Delta_h)`` and stopped once the recursively updated
@@ -383,10 +393,14 @@ def spsolve(M, b, *, nu: float, atol: float) -> np.ndarray:
     grid = M.grid
     if grid.dim == 1:
         dgtsv, dgttrf, dgttrs = _tridiagonal_lapack()
-        x = np.zeros(grid.n_nodes)
+        x = np.array(b, dtype=float)  # the result's own buffer: LAPACK solves in its interior, in place
+        x[0] = x[-1] = 0.0
+        interior = x[1:-1]
         factors, info = M._factors, 0
         if factors is None:  # the first solve: one call, and () marks the operator as solved once
-            *_, x[1:-1], info = dgtsv(*M.tridiagonal(), b[1:-1])
+            # overwrite_dl, _d, _du and _b, passed by position (f2py parses keywords slowly): the band is
+            # tridiagonal()'s fresh temporaries, so f2py copies none of the four arrays
+            *_, info = dgtsv(*M.tridiagonal(), interior, 1, 1, 1, 1)
             factors = ()
         elif not factors:  # the second solve factors it, for this solve and every later one
             *factors, info = dgttrf(*M.tridiagonal())
@@ -396,7 +410,7 @@ def spsolve(M, b, *, nu: float, atol: float) -> np.ndarray:
         if info > 0:
             raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
         if factors:
-            x[1:-1], _ = dgttrs(*factors, b[1:-1])
+            dgttrs(*factors, interior, "N", 1)  # trans, overwrite_b
         M._factors = factors
         return x
     b = np.where(grid.boundary_mask, 0.0, b)
@@ -427,6 +441,7 @@ def _sine_matrix(n: int) -> np.ndarray:
     return S
 
 
+@lru_cache(maxsize=1)
 def _sine_preconditioner(grid: SpatialGrid, shift: float, nu: float):
     """``r -> (shift I + nu (-Delta_h))^{-1} r`` on the interior nodes of a 2D grid, zero on the boundary.
 
@@ -437,7 +452,9 @@ def _sine_preconditioner(grid: SpatialGrid, shift: float, nu: float):
     ``lambda`` the grid's :attr:`~subdiff.spatial.SpatialGrid.dirichlet_eigenvalues`
     and ``c = 4 / ((n_0 + 1) (n_1 + 1))``.  That is four dense matmuls, with
     no FFT.  Their O(n^3) cost beats a fast sine transform up to about 257
-    nodes per axis and loses beyond.
+    nodes per axis and loses beyond.  The solve is pure in its arguments, so
+    the last one built is kept: the corrections of a step share its shift
+    ``w_nn`` and build it once.
     """
     n0, n1 = grid.dirichlet_eigenvalues.shape
     S0, S1 = _sine_matrix(n0), _sine_matrix(n1)

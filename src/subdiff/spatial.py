@@ -10,14 +10,18 @@ unchanged.
 The Picard operator and the Newton Jacobian are :class:`StencilOperator`
 objects, stored as what their assembly computes: per axis, the face
 coefficients ``a(face mean) / h^2`` and, for the Jacobian, the face terms of
-``a'``.  ``newton_jacobian(law, u, frozen)`` extends the operator frozen at
-the same state: it takes that operator's grid and shift, shares its face
-coefficients and evaluates only the ``a'`` terms.  Their
+``a'``.  Assembled at one state, the step matrix also keeps its face means.
+``newton_jacobian(law, u, frozen)`` extends the operator frozen at the same
+state: it takes that operator's grid and shift, shares its face
+coefficients, and evaluates only the ``a'`` terms, at the face means that
+operator keeps, so a Newton iterate forms its face means once.  Both
+builders run on plain slices for one 1D state, making the face loop's
+operations in the same order.  Their
 product is the face-flux sum over the grid's face slices
 (:attr:`SpatialGrid.faces`), on one field or on a stack of fields, and it is
 the package's one product with such an operator: residuals, Krylov solves
 and the weak form all go through it.  On one 1D field it runs on plain
-slices, making the face loop's operations in the same order.  The
+slices too.  The
 assembly's ``shift`` adds to the interior diagonal, so the step matrix
 ``w I_int + A(u)`` is one assembly.
 Frozen at a stack of states, the operator is one operator per state, which
@@ -204,13 +208,25 @@ def porous_law() -> DiffusionLaw:
     Bounded between 1 and 1.5 with ``a'(y) = y / (1 + y^2)^2``.
     """
 
+    # Each formula is the bits of its one-expression form, 1 + 0.5 * y * y / (1 + y * y) and
+    # y / (1 + y * y) ** 2, on fewer arrays: numpy's ** 2 is q * q.  a keeps (0.5 * y) * y, not
+    # 0.5 * (y * y): for 1.34e154 < |y| < 1.9e154 only y * y overflows, and the quotient must be 0, not NaN.
     def a(y):
         y = np.asarray(y, dtype=float)
-        return 1.0 + 0.5 * y * y / (1.0 + y * y)
+        p = 0.5 * y
+        p *= y
+        q = y * y
+        q += 1.0
+        p /= q
+        p += 1.0
+        return p
 
     def deriv(y):
         y = np.asarray(y, dtype=float)
-        return y / (1.0 + y * y) ** 2
+        q = y * y
+        q += 1.0
+        q *= q
+        return y / q
 
     return DiffusionLaw(a=a, deriv=deriv, nu=1.0, lam=1.5, tag="porous")
 
@@ -220,7 +236,10 @@ class StencilOperator:
 
     Per axis ``d``, ``coeffs[d]`` holds the face coefficients
     ``c = a(face mean) / h_d^2``, indexed like the faces of
-    :attr:`SpatialGrid.faces`.  A Newton Jacobian also holds ``derivs[d]``,
+    :attr:`SpatialGrid.faces`.  An operator assembled at one state also
+    holds ``means[d]``, the face means ``0.5 (u_lo + u_hi)`` that ``a`` was
+    evaluated at, which the Newton Jacobian built from it reads; other
+    operators have ``means`` None.  A Newton Jacobian holds ``derivs[d]``,
     the face terms ``a'(face mean) (u_hi - u_lo) / (2 h_d^2)``; a frozen
     coefficient has ``derivs`` None.  ``@`` is the face-flux sum: the flux
     ``c (x_hi - x_lo) + d (x_hi + x_lo)`` of each face leaves its lower node
@@ -235,18 +254,27 @@ class StencilOperator:
     needs to know of its earlier solves: ``()`` after the first, then the
     read-only LU factors of its interior block (LAPACK ``dgttrf``), so an
     operator reused across steps is factored once and one solved once never.
+    Those solves write none of the operator's arrays.
     """
 
-    __slots__ = ("grid", "coeffs", "derivs", "shift", "_factors", "_line")
+    __slots__ = ("grid", "coeffs", "derivs", "means", "shift", "_factors", "_line")
 
-    def __init__(self, grid: SpatialGrid, coeffs, shift: float = 0.0, derivs=None):
-        self.grid = grid
-        self.coeffs = tuple(map(_read_only, coeffs))
-        self.derivs = None if derivs is None else tuple(map(_read_only, derivs))
-        self.shift = shift
+    def __init__(self, grid: SpatialGrid, coeffs, shift: float = 0.0, derivs=None, means=None):
+        coeffs, derivs, means = (None if a is None else tuple(map(_read_only, a)) for a in (coeffs, derivs, means))
+        self._fill(grid, coeffs, shift, derivs, means)
+
+    @classmethod
+    def _of(cls, grid: SpatialGrid, coeffs: tuple, shift: float, derivs: tuple | None = None,
+            means: tuple | None = None):
+        """The operator on tuples of read-only float arrays, as the 1D builders make them, without conversions."""
+        return cls.__new__(cls)._fill(grid, coeffs, shift, derivs, means)
+
+    def _fill(self, grid, coeffs, shift, derivs, means):
+        self.grid, self.coeffs, self.shift, self.derivs, self.means = grid, coeffs, shift, derivs, means
         self._factors = None
         # one unstacked 1D operator: its product with one field runs on plain slices
-        self._line = grid.dim == 1 and self.coeffs[0].ndim == 1
+        self._line = grid.dim == 1 and coeffs[0].ndim == 1
+        return self
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if self._line and x.ndim == 1:
@@ -282,8 +310,9 @@ class StencilOperator:
         with ``c, d`` the face arrays (``d = 0`` without ``derivs``): ``c - d``
         and ``c + d`` are formed once, and negation is exact, so the outer
         diagonals are the bits of ``-c + d`` and ``-c - d`` but for the sign
-        of an entry that is exactly zero.  The solver reads them on an
-        operator's first solve and again on its second, when it factors it.
+        of an entry that is exactly zero.  The three are new arrays, which
+        ``dgtsv`` may overwrite.  The solver reads them on an operator's
+        first solve and again on its second, when it factors it.
         """
         if not self._line:
             raise ValueError("a stacked operator has no tridiagonal form")
@@ -307,7 +336,8 @@ def _checked_state(grid: SpatialGrid, u, what: str) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim == 2 and u.shape[1] == grid.n_nodes:
         return u
-    u = u.ravel()
+    if u.ndim != 1:  # a flat state, the solver's case, needs no view
+        u = u.ravel()
     if u.size != grid.n_nodes:
         raise ValueError(f"{what} does not match the grid")
     return u
@@ -320,32 +350,52 @@ def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift
     ``a((u_left + u_right)/2)`` plus ``shift`` on the diagonal; boundary rows
     are identity.  For a constant law and ``shift = 0`` this is exactly
     ``const`` times the negative discrete Laplacian.  The result is a
-    :class:`StencilOperator`: it supports products, but no indexing.  A stack of states ``(S, n_nodes)`` gives one operator per state.
+    :class:`StencilOperator`: it supports products, but no indexing.
+    Assembled at one state, it keeps the face means the law was evaluated
+    at, which :func:`newton_jacobian` reads.  A stack of states
+    ``(S, n_nodes)`` gives one operator per state, which keeps no means.
     """
     u = _checked_state(grid, u, "coefficient state")
+    if grid.dim == 1 and u.ndim == 1:
+        # one 1D state, the operator StencilOperator._line marks: the face loop below on plain slices
+        m = u[:-1] + u[1:]
+        m *= 0.5
+        (h,) = grid.spacing
+        c = np.asarray(law.a(m), dtype=float) / h**2
+        c.setflags(write=False)
+        m.setflags(write=False)
+        return StencilOperator._of(grid, (c,), shift, means=(m,))
     u_nd = u.reshape(u.shape[:-1] + grid.shape)
-    coeffs = [
-        np.asarray(law.a(0.5 * (u_nd[lo] + u_nd[hi])), dtype=float) / h**2
-        for h, (lo, hi) in zip(grid.spacing, grid.faces)
-    ]
-    return StencilOperator(grid, coeffs, shift)
+    means = [0.5 * (u_nd[lo] + u_nd[hi]) for lo, hi in grid.faces]
+    coeffs = [np.asarray(law.a(m), dtype=float) / h**2 for h, m in zip(grid.spacing, means)]
+    return StencilOperator(grid, coeffs, shift, means=means if u.ndim == 1 else None)
 
 
-def newton_jacobian(law: DiffusionLaw, u, frozen: StencilOperator) -> StencilOperator:
+def newton_jacobian(law: DiffusionLaw, u: np.ndarray, frozen: StencilOperator) -> StencilOperator:
     """Jacobian of ``u -> -div_h(a(u) grad_h u)``, including the a'(u) terms, plus ``shift I_int``.
 
     ``frozen`` is the step matrix of :func:`assemble_quasilinear_operator`,
-    already assembled at ``u``: the Jacobian has its grid, boundary rows and
-    ``shift``, shares its face coefficients and evaluates only the ``a'``
-    face terms.
+    already assembled at the state ``u`` (an array of ``n_nodes`` values):
+    the Jacobian has its grid, boundary rows and ``shift``, shares its face
+    coefficients and evaluates only the face terms
+    ``0.5 a'(m) (u_hi - u_lo) / h^2``, at the face means ``m`` that
+    ``frozen`` keeps, so it neither forms the means nor checks the state
+    again.  Raises ``ValueError`` for an operator that keeps no means.
     """
-    grid, shift = frozen.grid, frozen.shift
-    u_nd = _checked_state(grid, u, "state").reshape(grid.shape)  # one state: a stack does not reshape
+    grid = frozen.grid
+    if frozen.means is None:
+        raise ValueError("newton_jacobian extends an operator assembled at one state, which keeps its face means")
+    if frozen._line:  # the face loop below on plain slices: lo is u[:-1], hi is u[1:]
+        (h,), (m,) = grid.spacing, frozen.means
+        d = 0.5 * np.asarray(law.deriv(m), dtype=float) * (u[1:] - u[:-1]) / h**2
+        d.setflags(write=False)
+        return StencilOperator._of(grid, frozen.coeffs, frozen.shift, (d,))
+    u_nd = u.reshape(grid.shape)
     derivs = [
-        0.5 * np.asarray(law.deriv(0.5 * (u_nd[lo] + u_nd[hi])), dtype=float) * (u_nd[hi] - u_nd[lo]) / h**2
-        for h, (lo, hi) in zip(grid.spacing, grid.faces)
+        0.5 * np.asarray(law.deriv(m), dtype=float) * (u_nd[hi] - u_nd[lo]) / h**2
+        for h, m, (lo, hi) in zip(grid.spacing, frozen.means, grid.faces)
     ]
-    return StencilOperator(grid, frozen.coeffs, shift, derivs)
+    return StencilOperator(grid, frozen.coeffs, frozen.shift, derivs)
 
 
 def first_eigenvalue(grid: SpatialGrid) -> float:

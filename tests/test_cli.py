@@ -38,6 +38,18 @@ def _write(tmp_path, text, name="run.cfg"):
     return str(p)
 
 
+def _run_limited(script):
+    """``script`` in a child Python under a 1.5 GB address-space limit, importing the package from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1",
+    )
+    limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+    return subprocess.run([sys.executable, "-c", limit + script], env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestRunCommand:
     def test_successful_run(self, tmp_path, capsys):
         cfg = _write(tmp_path, FAST_RUN)
@@ -600,42 +612,46 @@ class TestOtherErrorsExitTwo:
         )
         out = tmp_path / "o"
         script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
-            "import subdiff.config\n"
+            "import subdiff.config, sys\n"
             "subdiff.config._EPS_COMPRESS_FLOOR = 0.0\n"
             "from subdiff.cli import main\n"
             f"sys.exit(main(['run', {cfg!r}, '--out', {str(out)!r}]))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            OPENBLAS_NUM_THREADS="1",
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        proc = _run_limited(script)
         assert proc.returncode == 2, proc.stderr
         assert "history compression failed" in proc.stderr
         assert "MemoryError" not in proc.stderr
         assert not out.exists()
 
+    def test_compression_at_a_tiny_alpha_is_refused_before_allocating(self, tmp_path):
+        # at alpha = 1e-6 the first ladder would hold 1.1e8 rates, gigabytes with the Gauss step's basis (such a
+        # run was killed on an 8 GB machine).  Under the limit the config is refused when it is parsed, naming
+        # problem.alpha, and compress_history, reached without a config, raises before it allocates the ladder
+        cfg = _write(tmp_path, "alpha = 1e-6\n[time]\nsteps = 64\n[solver]\nhistory = compressed\n")
+        out = tmp_path / "o"
+        argv = ["run", cfg, "--out", str(out)]
+        proc = _run_limited(f"import sys\nfrom subdiff.cli import main\nsys.exit(main({argv!r}))\n")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("invalid configuration") and "problem.alpha=1e-06 is too small" in proc.stderr
+        assert not out.exists()
+        script = (
+            "import sys\n"
+            "from subdiff.kernels import CompressionError, L1Weights, TimeGrid, compress_history\n"
+            "try:\n"
+            "    compress_history(L1Weights(alpha=1e-6, grid=TimeGrid.uniform(1.0, 64)), 1e-8)\n"
+            "except CompressionError as exc:\n"
+            "    sys.exit(f'refused: {exc}')\n"
+        )
+        proc = _run_limited(script)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("refused: alpha=1e-06 at eps=1e-08 needs a ladder of 1.09e+08 rates"), proc.stderr
+
     def test_props_sweep_too_large_for_memory(self, tmp_path):
         # 10**9 histories per pair: the sweep's first array (8 GB) cannot be allocated under the limit,
         # which is an error of the run, not a failed check, so it exits 2 with one line on stderr
         out = tmp_path / "p"
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
-            "from subdiff.cli import main\n"
-            f"sys.exit(main(['props', '--count', '6000000000', '--out', {str(out)!r}]))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            OPENBLAS_NUM_THREADS="1",
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        argv = ["props", "--count", "6000000000", "--out", str(out)]
+        proc = _run_limited(f"import sys\nfrom subdiff.cli import main\nsys.exit(main({argv!r}))\n")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("out of memory")
         assert len(proc.stderr.strip().splitlines()) == 1

@@ -127,6 +127,23 @@ class TestErrorAggregation:
         ]
         assert parse_config("[solver]\neps_compress = 1e-13\n").solver.eps_compress == 1e-13
 
+    def test_compression_at_a_tiny_alpha_is_refused_naming_alpha(self):
+        # at alpha = 1e-6 the first ladder of compress_history would hold 1.1e8 rates, above MAX_LADDER_RUNGS
+        text = "problem = eigenmode, alpha = {}\n[time]\nsteps = 16\n"
+        compressed = "[solver]\nhistory = compressed\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text.format("1e-6") + compressed)
+        assert exc.value.problems == [
+            "problem.alpha=1e-06 is too small for solver.history=compressed at solver.eps_compress=1e-08: "
+            "its ladder would hold 1.09e+08 rates, above 1048576; use solver.history=direct"
+        ]
+        with pytest.raises(ConfigError, match="problem.alpha=1e-310 is too small"):  # Gamma(alpha) overflows
+            parse_config(text.format("1e-310") + compressed)
+        assert parse_config(text.format("1e-6")).solver.history == "direct"  # direct history has no ladder
+        # alpha = 0.001 compresses at the tolerance floor too (a ladder of 2.3e5 rates), and so does the default
+        for cfg in (text.format("0.001") + "[solver]\nhistory = compressed, eps_compress = 1e-13\n", compressed):
+            assert parse_config(cfg).solver.history == "compressed"
+
     def test_grading_that_underflows_the_first_step(self):
         # t_1 = T M^-r: 50 * 512^-150 underflows to 0 on the porous preset's default grid, 50 * 4^-150 does not
         with pytest.raises(ConfigError) as exc:

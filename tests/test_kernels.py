@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subdiff import kernels
 from subdiff.config import _EPS_COMPRESS_FLOOR
 from subdiff.kernels import (
     CompressionError,
@@ -539,6 +540,23 @@ class TestCompression:
             with pytest.raises(CompressionError, match=f"shortest step after the first, {0.875 * horizon:g}"):
                 compress_history(w, 1e-8)
         assert compress_history(L1Weights(alpha=0.5, grid=TimeGrid.graded(1e-150, 2, grading)), 1e-8).n_modes > 0
+
+    def test_ladder_above_its_bound_is_refused_before_it_is_built(self, monkeypatch):
+        # the bound applies to the ladder ladder_rungs counts: one rate fewer allowed and compression is refused
+        # before np.arange allocates it; at the count itself it builds
+        w = L1Weights(alpha=0.05, grid=TimeGrid.uniform(1.0, 64))
+        rungs = kernels.ladder_rungs(0.05, 1e-8, w.grid)
+        assert rungs == 2216
+        sizes = []
+        arange = np.arange
+        monkeypatch.setattr(kernels.np, "arange", lambda *a, **k: sizes.append(a[0]) or arange(*a, **k))
+        monkeypatch.setattr(kernels, "MAX_LADDER_RUNGS", rungs - 1)
+        with pytest.raises(CompressionError, match=rf"needs a ladder of 2.22e\+03 rates, above the {rungs - 1} "):
+            compress_history(w, 1e-8)
+        assert sizes == []
+        monkeypatch.setattr(kernels, "MAX_LADDER_RUNGS", rungs)
+        assert compress_history(w, 1e-8).n_modes > 0
+        assert sizes == [rungs]
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_mode_budget_over_16384_steps(self, alpha):

@@ -360,6 +360,23 @@ class TestInteriorSolve:
         assert np.all(got[grid.boundary_mask] == 0.0)
         assert np.max(np.abs(got - want.ravel())) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("grading", [None, 1.0])
+    def test_sine_preconditioner_is_built_once_per_step_shift(self, grading, monkeypatch):
+        # the corrections of a step share its w_nn: a graded run builds one preconditioner per step, a uniform
+        # run (one w_nn) one in all, and every other solve reuses the last one built
+        spec = build_preset("porous", dimension=2, resolution=17, steps=6, horizon=1.0, grading=grading)
+        solves = []
+        spsolve = solver.spsolve
+        monkeypatch.setattr(solver, "spsolve", lambda M, *a, **k: solves.append(M.shift) or spsolve(M, *a, **k))
+        solver._sine_preconditioner.cache_clear()
+        traj = run_trajectory(spec, SolverOptions(mode="picard"))
+        info = solver._sine_preconditioner.cache_info()
+        assert traj.iterations[1:].min() > 1 and len(solves) == traj.iterations.sum()
+        assert info.misses == (1 if grading == 1.0 else spec.time_grid.steps) == len(set(solves))
+        assert info.hits == len(solves) - info.misses
+        solver._sine_preconditioner.cache_clear()
+        assert run_trajectory(spec, SolverOptions(mode="picard")).fields.tobytes() == traj.fields.tobytes()
+
     def test_krylov_iteration_cap_fails_the_step(self, monkeypatch):
         monkeypatch.setattr(solver, "_KRYLOV_MAXITER", 1)
         spec = build_preset("porous", dimension=2, resolution=17, steps=4, horizon=1.0)
@@ -387,6 +404,32 @@ class TestInteriorSolve:
                 assert M._factors == ()  # solved once: no factors kept
         assert counts == [(1, 0, 0), (1, 1, 1), (1, 1, 2)]  # factored once, on the second solve
         assert len(M._factors) == 5
+
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
+    def test_1d_solve_writes_only_its_own_result(self, build):
+        # dgtsv overwrites the band it is given and dgtsv/dgttrs solve in spsolve's result; b, the operator's
+        # arrays and its kept factors stay as they were, and the result shares memory with none of them
+        grid = build_grid(1, (0.0, 1.0), 33)
+        M = build(grid, porous_law(), np.sin(np.pi * grid.points()[:, 0]), shift=3.0)
+        b = np.random.default_rng(12).normal(size=grid.n_nodes)
+        b.setflags(write=False)  # a write would raise
+        operator = [*M.coeffs, *(M.derivs or ()), *(M.means or ())]
+        kept = [a.tobytes() for a in operator]
+        dgtsv = solver._tridiagonal_lapack()[0]
+        want = dgtsv(*M.tridiagonal(), b[1:-1])[3]
+        results = []
+        for path in ("dgtsv", "dgttrf and dgttrs", "dgttrs"):
+            factors = [f.tobytes() for f in M._factors or ()]
+            x = solver.spsolve(M, b, nu=1.0, atol=0.0)
+            assert x[1:-1].tobytes() == want.tobytes(), path
+            assert x[0] == x[-1] == 0.0
+            assert x.flags.writeable and x.flags.owndata
+            for a in (b, *operator, *(M._factors or ()), *results):
+                assert not np.shares_memory(x, a), path
+            assert [a.tobytes() for a in operator] == kept
+            if path == "dgttrs":
+                assert [f.tobytes() for f in M._factors] == factors  # the factors are read, never written
+            results.append(x)
 
     def test_singular_tridiagonal_block_raises(self):
         # zero coefficients and zero shift make the 7 x 7 interior block zero
@@ -556,6 +599,51 @@ class TestFaceEvaluationsPerIterate:
         np.testing.assert_array_equal(per_step[:, 0], dim * (traj.iterations[1:] + 1))
         np.testing.assert_array_equal(per_step[:, 1], dim * traj.iterations[1:] if mode == "newton" else 0)
 
+    def test_jacobian_reads_its_step_matrix_face_means(self, monkeypatch):
+        # law.a runs once per assembly, law.deriv once per Jacobian, on the means its step matrix keeps,
+        # and newton_jacobian never evaluates a
+        spec = _sine_problem(law=porous_law(), steps=16)
+        calls = {"a": [], "deriv": [], "assemble": 0, "jacobian": 0}
+        inside = []  # the builder running now
+
+        def counting(name):
+            fn = getattr(spec.law, name)
+
+            def wrapper(y):
+                calls[name].append((inside[-1] if inside else None, y))
+                return fn(y)
+
+            return wrapper
+
+        def builder(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                inside.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            return wrapper
+
+        jacobians = []
+
+        def jacobian(law, u, frozen):
+            jacobians.append((frozen.means, builder("jacobian", newton_jacobian)(law, u, frozen)))
+            return jacobians[-1][1]
+
+        spec = dataclasses.replace(spec, law=dataclasses.replace(spec.law, a=counting("a"), deriv=counting("deriv")))
+        calls["a"].clear()  # the spec's check of the law's bounds
+        monkeypatch.setattr(solver, "assemble_quasilinear_operator", builder("assemble", assemble_quasilinear_operator))
+        monkeypatch.setattr(solver, "newton_jacobian", jacobian)
+        traj = run_trajectory(spec, SolverOptions(mode="newton"))
+        assert calls["assemble"] == traj.iterations.sum() + spec.time_grid.steps
+        assert calls["jacobian"] == traj.iterations.sum() > spec.time_grid.steps
+        assert len(calls["a"]) == calls["assemble"] and {who for who, _ in calls["a"]} == {"assemble"}
+        assert len(calls["deriv"]) == calls["jacobian"] and {who for who, _ in calls["deriv"]} == {"jacobian"}
+        for (means, _), (_, y) in zip(jacobians, calls["deriv"], strict=True):
+            assert y is means[0]  # the step matrix's own means, not a recomputation
+
 
 class TestConstantLawStepMatrix:
     """A constant law reuses one step matrix; that changes no bit of the trajectory."""
@@ -645,9 +733,9 @@ def _recording_lapack(monkeypatch):
     calls = {name: [] for name in ("dgtsv", "dgttrf", "dgttrs")}
 
     def recording(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name].append(args)
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 

@@ -217,6 +217,30 @@ class TestLaws:
         central = (law.a(y + h) - law.a(y - h)) / (2.0 * h)
         assert np.max(np.abs(central - law.deriv(y))) < 1e-8
 
+    def test_porous_law_is_its_one_expression_form_bitwise(self):
+        # a and a' make fewer passes than 1 + 0.5 * y * y / (1 + y * y) and y / (1 + y * y) ** 2 and must keep
+        # their bits, NaN included: the sample spans underflow, the band 1.34e154 < |y| < 1.9e154 where only
+        # y * y overflows (a is exactly 1 there), the overflow of 0.5 * y * y beyond it (NaN), and inf
+        law = porous_law()
+        tiny = np.finfo(float).tiny
+        y = np.concatenate([np.geomspace(1e-200, 1e160, 4001), np.geomspace(1.3e154, 2e154, 101),
+                            [0.0, np.inf, 5e-324, tiny / 3, tiny, 1e-162, 1.5e154]])
+        y = np.concatenate([y, -y])
+        with np.errstate(all="ignore"):
+            want_a = 1.0 + 0.5 * y * y / (1.0 + y * y)
+            want_d = y / (1.0 + y * y) ** 2
+            got_a, got_d = law.a(y), law.deriv(y)
+        assert got_a.tobytes() == want_a.tobytes()
+        assert got_d.tobytes() == want_d.tobytes()
+        assert np.isnan(got_a).any() and (got_a[np.abs(y) == 1.5e154] == 1.0).all()  # the sample reaches both cases
+        # Python floats (the dense reference's case), ints and lists give floats, with the same bits
+        for v in (0.3, -7.25, 1e-170, 2, 0, [0.1, -2.0, 3]):
+            w = np.asarray(v, dtype=float)
+            for got, want in ((law.a(v), 1.0 + 0.5 * w * w / (1.0 + w * w)), (law.deriv(v), w / (1.0 + w * w) ** 2)):
+                assert isinstance(got, float) if np.ndim(v) == 0 else got.dtype == float
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert law.a(0.5) == 1.0 + 0.5 * 0.5 * 0.5 / (1.0 + 0.5 * 0.5)  # Python float arithmetic, the same IEEE steps
+
     def test_law_validation(self):
         with pytest.raises(ValueError):
             constant_law(0.0)
@@ -462,6 +486,41 @@ class TestOperator:
         A = assemble_quasilinear_operator(g, porous_law(), np.random.default_rng(9).normal(size=(9, 9)))
         with pytest.raises(ValueError, match="stacked"):
             A.tridiagonal()
+
+    @pytest.mark.parametrize("n", [9, 65])
+    @pytest.mark.parametrize("law", [porous_law(), constant_law(1.5)], ids=["porous", "constant"])
+    def test_one_state_builders_are_the_face_loop_bitwise(self, law, n):
+        # one 1D state takes plain slices in both builders; the face loop over grid.faces, as a stack (1, n)
+        # takes it, and the formulas written out over the face slices must give the same bits, means included
+        g = build_grid(1, (0.0, np.pi), n)
+        rng = np.random.default_rng(n)
+        u = np.sin(g.axes[0]) + 0.1 * rng.normal(size=n)
+        shift = rng.uniform(1.0, 1e3)
+        M = assemble_quasilinear_operator(g, law, u, shift=shift)
+        stacked = assemble_quasilinear_operator(g, law, u[None], shift=shift)
+        (lo, hi), (h,) = g.faces[0], g.spacing
+        m = 0.5 * (u[lo] + u[hi])
+        assert M.means[0].tobytes() == m.tobytes()
+        assert M.coeffs[0].tobytes() == stacked.coeffs[0][0].tobytes() == (law.a(m) / h**2).tobytes()
+        J = newton_jacobian(law, u, M)
+        assert J.derivs[0].tobytes() == (0.5 * law.deriv(m) * (u[hi] - u[lo]) / h**2).tobytes()
+
+    @pytest.mark.parametrize("dim, extents, res", BOXES)
+    def test_one_state_operator_keeps_its_face_means_read_only(self, dim, extents, res):
+        g = _grid(dim, extents, res)
+        u = np.random.default_rng(11).normal(size=g.n_nodes)
+        M = assemble_quasilinear_operator(g, porous_law(), u, shift=2.0)
+        u_nd = u.reshape(g.shape)
+        assert len(M.means) == g.dim
+        for m, (lo, hi) in zip(M.means, g.faces, strict=True):
+            assert m.tobytes() == (0.5 * (u_nd[lo] + u_nd[hi])).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                m[0] = 0.0
+        # a stack of states keeps none, and a Jacobian needs them
+        stacked = assemble_quasilinear_operator(g, porous_law(), u[None], shift=2.0)
+        assert stacked.means is None
+        with pytest.raises(ValueError, match="face means"):
+            newton_jacobian(porous_law(), u, StencilOperator(g, M.coeffs, 2.0))
 
     def test_size_mismatch_rejected(self):
         g = build_grid(1, (0.0, 1.0), 8)
