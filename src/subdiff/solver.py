@@ -83,13 +83,21 @@ each part:
 - the step loop itself, untimed: ``rhs = w_nn u_{n-1} - H_n + f_n`` with
   the data written over its boundary entries, each update
   ``v + theta delta`` and each residual's max-norm;
-- ``assembly``: per iterate ``K(v)`` (the face means and the law ``a`` on
-  them; a constant law's ``K`` is built before the step, once per distinct
-  ``w_nn``), its product ``K(v) v`` and ``r = K(v) v - rhs``, and before a
-  Newton correction the ``a'`` face terms, at the means ``K(v)`` keeps;
+- ``assembly``: per iterate ``K(v)`` (the face means of every axis and one
+  call of the law ``a`` on them; a constant law's ``K`` is built before the
+  step, once per distinct ``w_nn``), its product ``K(v) v`` and
+  ``r = K(v) v - rhs``, and before a Newton correction the ``a'`` face
+  terms, at the means ``K(v)`` keeps;
 - ``linear_solve``: ``-r`` and :func:`spsolve`, which in 1D copies ``-r``
   into its result, forms the tridiagonal band when it has no factors yet and
-  makes one LAPACK call that solves in that result, copying no array.
+  makes one LAPACK call that solves in that result, copying no array.  In
+  2D it builds the right-hand side with its boundary entries zeroed, and CG
+  updates its residual there, without a copy; each CG iteration is one
+  product ``K p`` and one preconditioner solve.
+
+Every product runs on the operator's flat face arrays, two contiguous
+slices per axis: on 65^2 nodes a 2D product takes about 20 us with one BLAS
+thread, and a 2D assembly about 44 us, most of it the law.
 
 So a linear step on a constant law's step matrix is one product plus one
 back-substitution (``dgttrs``), and a Newton correction is ``K(v)``, its
@@ -468,14 +476,15 @@ def _sine_preconditioner(grid: SpatialGrid, shift: float, nu: float):
     return apply
 
 
-def _pcg(M, b, precond, atol: float, maxiter: int):
-    """Preconditioned conjugate gradients from ``x = 0``; returns ``(x, iterations)``.
+def _pcg(M, r, precond, atol: float, maxiter: int):
+    """Preconditioned conjugate gradients for ``M x = r`` from ``x = 0``; returns ``(x, iterations)``.
 
     Stops once the (recursively updated) residual's 2-norm is at most
     ``atol``; raises ``numpy.linalg.LinAlgError`` after ``maxiter`` iterations.
+    The residual is updated in place in ``r``, the right-hand side
+    :func:`spsolve` has just built, so it is not copied.
     """
-    x = np.zeros_like(b)
-    r = b.copy()
+    x = np.zeros_like(r)
     if np.sqrt(r @ r) <= atol:
         return x, 0
     p = z = precond(r)

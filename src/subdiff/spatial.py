@@ -11,17 +11,25 @@ The Picard operator and the Newton Jacobian are :class:`StencilOperator`
 objects, stored as what their assembly computes: per axis, the face
 coefficients ``a(face mean) / h^2`` and, for the Jacobian, the face terms of
 ``a'``.  Assembled at one state, the step matrix also keeps its face means.
+Every face array is flat, in one layout for every dimension: axis ``d`` has
+the flat node stride ``s_d`` (:attr:`SpatialGrid.strides`, ``(n_1, 1)`` in
+2D), and entry ``j`` of its arrays is the face between the flat nodes ``j``
+and ``j + s_d``.  In 2D, axis 1's arrays thus also hold an entry at each row
+end, ``j % n_1 == n_1 - 1``, which joins two boundary nodes: it only ever
+writes boundary entries of a product, which the product then sets to ``x``.
+The assembly forms the face means of every axis into one buffer and
+evaluates the law once on it.
 ``newton_jacobian(law, u, frozen)`` extends the operator frozen at the same
 state: it takes that operator's grid and shift, shares its face
 coefficients, and evaluates only the ``a'`` terms, at the face means that
 operator keeps, so a Newton iterate forms its face means once.  Both
 builders run on plain slices for one 1D state, making the face loop's
 operations in the same order.  Their
-product is the face-flux sum over the grid's face slices
-(:attr:`SpatialGrid.faces`), on one field or on a stack of fields, and it is
-the package's one product with such an operator: residuals, Krylov solves
-and the weak form all go through it.  On one 1D field it runs on plain
-slices too.  The
+product is the face-flux sum over two contiguous slices per axis,
+``x[..., :-s]`` and ``x[..., s:]``, on one field or on a stack of fields, and
+it is the package's one product with such an operator: residuals, Krylov
+solves and the weak form all go through it.  On one 1D field it runs on
+plain slices too.  The
 assembly's ``shift`` adds to the interior diagonal, so the step matrix
 ``w I_int + A(u)`` is one assembly.
 Frozen at a stack of states, the operator is one operator per state, which
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -62,9 +71,9 @@ class SpatialGrid:
     ``a < b``, fewer than 4 nodes on an axis, and an axis spacing ``h`` whose
     ``h^2`` or ``1 / h^2`` is not finite and positive.  Everything else is
     derived on first use and read-only: ``dim``, the node coordinates ``axes``,
-    the ``spacing`` and the ``boundary_mask``, which marks exactly the
-    outermost layer on the flattened (C-order) node set.  Grids compare and
-    hash by their two fields.
+    the ``spacing``, the flat node ``strides`` and the ``boundary_mask``,
+    which marks exactly the outermost layer on the flattened (C-order) node
+    set.  Grids compare and hash by their two fields.
     """
 
     extents: tuple[tuple[float, float], ...]
@@ -129,18 +138,21 @@ class SpatialGrid:
         return np.asarray(w).ravel()
 
     @cached_property
-    def faces(self) -> tuple:
-        """Per axis, the slices ``(lo, hi)`` of the faces' two nodes in a field shaped like the grid.
+    def strides(self) -> tuple[int, ...]:
+        """Per axis, the distance in the flattened (C-order) node set between two neighbours along it.
 
-        Each slice is led by an ``Ellipsis``, so it also indexes a stack of
-        fields shaped ``(S,) + shape``.
+        ``(1,)`` in 1D and ``(n_1, 1)`` in 2D.  Axis ``d``'s face arrays in a
+        :class:`StencilOperator` have one entry per ``j`` below
+        ``n_nodes - strides[d]``, which joins the flat nodes ``j`` and
+        ``j + strides[d]``.
         """
-        faces = []
-        for d in range(self.dim):
-            lo = (Ellipsis,) + tuple(slice(None, -1) if k == d else slice(None) for k in range(self.dim))
-            hi = (Ellipsis,) + tuple(slice(1, None) if k == d else slice(None) for k in range(self.dim))
-            faces.append((lo, hi))
-        return tuple(faces)
+        return tuple(int(np.prod(self.shape[d + 1 :])) for d in range(self.dim))
+
+    @cached_property
+    def _face_cuts(self) -> tuple:
+        """Per axis, the index of its ``n_nodes - strides[d]`` face entries in a buffer of every axis's in turn."""
+        ends = list(accumulate(self.n_nodes - s for s in self.strides))
+        return tuple((Ellipsis, slice(start, end)) for start, end in zip([0] + ends, ends))
 
     @cached_property
     def dirichlet_eigenvalues(self) -> np.ndarray:
@@ -234,19 +246,30 @@ def porous_law() -> DiffusionLaw:
 class StencilOperator:
     """``shift I_int - div_h(c grad_h .)`` on ``grid``, with identity boundary rows, stored by its faces.
 
-    Per axis ``d``, ``coeffs[d]`` holds the face coefficients
-    ``c = a(face mean) / h_d^2``, indexed like the faces of
-    :attr:`SpatialGrid.faces`.  An operator assembled at one state also
+    Per axis ``d``, with ``s`` its flat node stride (``grid.strides[d]``),
+    ``coeffs[d]`` holds ``n_nodes - s`` face coefficients
+    ``c = a(face mean) / h_d^2`` along its last axis: entry ``j`` is the face
+    between the flat nodes ``j`` (lo) and ``j + s`` (hi).  In 1D these are the
+    grid's faces.  In 2D, axis 0's entries are the faces row after row, and
+    axis 1's include one entry at each row end (``j % n_1 == n_1 - 1``) that
+    joins the last node of a row to the first of the next: both are boundary
+    nodes, so that entry writes boundary entries of a product only, and never
+    reaches a result.  The builders evaluate the law there too, on the mean of
+    two boundary values.  An operator assembled at one state also
     holds ``means[d]``, the face means ``0.5 (u_lo + u_hi)`` that ``a`` was
     evaluated at, which the Newton Jacobian built from it reads; other
     operators have ``means`` None.  A Newton Jacobian holds ``derivs[d]``,
     the face terms ``a'(face mean) (u_hi - u_lo) / (2 h_d^2)``; a frozen
-    coefficient has ``derivs`` None.  ``@`` is the face-flux sum: the flux
-    ``c (x_hi - x_lo) + d (x_hi + x_lo)`` of each face leaves its lower node
-    and enters its upper one, interior entries add ``shift * x``, and boundary
-    entries equal ``x`` bitwise.  It takes one field ``(n_nodes,)`` or a stack
+    coefficient has ``derivs`` None.  ``@`` is the face-flux sum: per axis, in
+    axis order, the flux ``c (x_hi - x_lo) + d (x_hi + x_lo)`` of each face is
+    formed on the two contiguous slices ``x[..., s:]`` and ``x[..., :-s]``,
+    leaves its lower node and enters its upper one; interior entries add
+    ``shift * x``, and boundary entries equal ``x`` bitwise.  It takes one field ``(n_nodes,)`` or a stack
     ``(S, n_nodes)``; the coefficients may carry the same leading stack axis,
-    one operator per field, and then ``@`` is its only method.  An unstacked
+    one operator per field, and then ``@`` is its only method.  On 65^2 nodes
+    one 2D product takes about 20 us (one BLAS thread), against 37 us for the
+    same sums on the two-dimensional face slices, whose axis-1 rows break
+    their stride at every row end.  An unstacked
     1D operator applies to one field on plain slices, ``x[1:] - x[:-1]`` in
     place and its two boundary entries written as scalars: the operations
     of the face loop, in its order, so the bits are the loop's.  The arrays
@@ -291,15 +314,14 @@ class StencilOperator:
             out[0] = x[0]
             out[-1] = x[-1]
             return out
-        x_nd = x.reshape(x.shape[:-1] + self.grid.shape)
-        out = self.shift * x_nd
-        for d, (lo, hi) in enumerate(self.grid.faces):
-            flux = self.coeffs[d] * (x_nd[hi] - x_nd[lo])
+        out = self.shift * x
+        for d, s in enumerate(self.grid.strides):  # lo is x[..., :-s], hi is x[..., s:]
+            flux = x[..., s:] - x[..., :-s]
+            flux *= self.coeffs[d]
             if self.derivs is not None:
-                flux += self.derivs[d] * (x_nd[hi] + x_nd[lo])
-            out[lo] -= flux
-            out[hi] += flux
-        out = out.ravel() if x.ndim == 1 else out.reshape(x.shape)  # ravel: the cheaper view on the per-step path
+                flux += self.derivs[d] * (x[..., s:] + x[..., :-s])
+            out[..., :-s] -= flux
+            out[..., s:] += flux
         np.copyto(out, x, where=self.grid.boundary_mask)
         return out
 
@@ -354,6 +376,10 @@ def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift
     Assembled at one state, it keeps the face means the law was evaluated
     at, which :func:`newton_jacobian` reads.  A stack of states
     ``(S, n_nodes)`` gives one operator per state, which keeps no means.
+    Beyond one 1D state, the face means of every axis fill one buffer, in
+    the layout of :class:`StencilOperator`, and ``law.a`` is called once on
+    it; each axis's slice of the result, divided by its ``h^2``, gives that
+    axis's coefficients.
     """
     u = _checked_state(grid, u, "coefficient state")
     if grid.dim == 1 and u.ndim == 1:
@@ -365,10 +391,16 @@ def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift
         c.setflags(write=False)
         m.setflags(write=False)
         return StencilOperator._of(grid, (c,), shift, means=(m,))
-    u_nd = u.reshape(u.shape[:-1] + grid.shape)
-    means = [0.5 * (u_nd[lo] + u_nd[hi]) for lo, hi in grid.faces]
-    coeffs = [np.asarray(law.a(m), dtype=float) / h**2 for h, m in zip(grid.spacing, means)]
-    return StencilOperator(grid, coeffs, shift, means=means if u.ndim == 1 else None)
+    # the face means of every axis in one buffer, so the law is one call; each axis's faces are one slice of it
+    cuts = grid._face_cuts
+    m = np.empty(u.shape[:-1] + (cuts[-1][-1].stop,))
+    for s, k in zip(grid.strides, cuts):
+        np.add(u[..., :-s], u[..., s:], out=m[k])
+    m *= 0.5
+    a, c = np.asarray(law.a(m), dtype=float), np.empty_like(m)
+    for h, k in zip(grid.spacing, cuts):
+        np.divide(a[k], h**2, out=c[k])
+    return StencilOperator(grid, [c[k] for k in cuts], shift, means=[m[k] for k in cuts] if u.ndim == 1 else None)
 
 
 def newton_jacobian(law: DiffusionLaw, u: np.ndarray, frozen: StencilOperator) -> StencilOperator:
@@ -390,11 +422,8 @@ def newton_jacobian(law: DiffusionLaw, u: np.ndarray, frozen: StencilOperator) -
         d = 0.5 * np.asarray(law.deriv(m), dtype=float) * (u[1:] - u[:-1]) / h**2
         d.setflags(write=False)
         return StencilOperator._of(grid, frozen.coeffs, frozen.shift, (d,))
-    u_nd = u.reshape(grid.shape)
-    derivs = [
-        0.5 * np.asarray(law.deriv(m), dtype=float) * (u_nd[hi] - u_nd[lo]) / h**2
-        for h, m, (lo, hi) in zip(grid.spacing, frozen.means, grid.faces)
-    ]
+    derivs = [0.5 * np.asarray(law.deriv(m), dtype=float) * (u[s:] - u[:-s]) / h**2
+              for h, m, s in zip(grid.spacing, frozen.means, grid.strides)]
     return StencilOperator(grid, frozen.coeffs, frozen.shift, derivs)
 
 

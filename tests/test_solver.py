@@ -595,9 +595,10 @@ class TestFaceEvaluationsPerIterate:
         traj = run_trajectory(spec, SolverOptions(mode=mode))
         per_step = np.array(per_step)
         assert traj.iterations[1:].max() > 1
-        # a face evaluation calls the law once per axis: the start, every corrected iterate, and nothing more
-        np.testing.assert_array_equal(per_step[:, 0], dim * (traj.iterations[1:] + 1))
-        np.testing.assert_array_equal(per_step[:, 1], dim * traj.iterations[1:] if mode == "newton" else 0)
+        # a face evaluation calls the law once, on the faces of every axis: the start, every corrected iterate,
+        # and nothing more
+        np.testing.assert_array_equal(per_step[:, 0], traj.iterations[1:] + 1)
+        np.testing.assert_array_equal(per_step[:, 1], traj.iterations[1:] if mode == "newton" else 0)
 
     def test_jacobian_reads_its_step_matrix_face_means(self, monkeypatch):
         # law.a runs once per assembly, law.deriv once per Jacobian, on the means its step matrix keeps,

@@ -61,6 +61,53 @@ def _dense_reference(g, law, u, shift, with_deriv):
     return ref
 
 
+def _nd_faces(g):
+    """Per axis, the slices ``(lo, hi)`` of the faces' two nodes in a field shaped ``(..., *g.shape)``."""
+    for d in range(g.dim):
+        lo = (Ellipsis,) + tuple(slice(None, -1) if k == d else slice(None) for k in range(g.dim))
+        hi = (Ellipsis,) + tuple(slice(1, None) if k == d else slice(None) for k in range(g.dim))
+        yield lo, hi
+
+
+def _nd_assembly(g, law, u):
+    """The face means and coefficients ``a(mean) / h^2`` of the states ``u``, formed on the grid-shaped face slices."""
+    u_nd = u.reshape(u.shape[:-1] + g.shape)
+    means = [0.5 * (u_nd[lo] + u_nd[hi]) for lo, hi in _nd_faces(g)]
+    return means, [law.a(m) / h**2 for h, m in zip(g.spacing, means)]
+
+
+def _nd_derivs(g, law, u, means):
+    """The Jacobian's face terms ``0.5 a'(mean) (u_hi - u_lo) / h^2`` on the grid-shaped face slices."""
+    u_nd = u.reshape(g.shape)
+    return [0.5 * law.deriv(m) * (u_nd[hi] - u_nd[lo]) / h**2 for h, m, (lo, hi) in zip(g.spacing, means, _nd_faces(g))]
+
+
+def _nd_product(g, coeffs, derivs, shift, x):
+    """The face-flux sum on the grid-shaped face slices, with the boundary entries of ``x``."""
+    x_nd = x.reshape(x.shape[:-1] + g.shape)
+    out = shift * x_nd
+    for d, (lo, hi) in enumerate(_nd_faces(g)):
+        flux = coeffs[d] * (x_nd[hi] - x_nd[lo])
+        if derivs is not None:
+            flux += derivs[d] * (x_nd[hi] + x_nd[lo])
+        out[lo] -= flux
+        out[hi] += flux
+    out = out.reshape(x.shape)
+    np.copyto(out, x, where=g.boundary_mask)
+    return out
+
+
+def _as_nd(g, d, flat):
+    """Axis ``d``'s flat face array, ``n_nodes - strides[d]`` entries on its last axis, on the grid-shaped faces.
+
+    Entry ``j`` is the face of the flat nodes ``j`` and ``j + strides[d]``; the
+    entries that join two rows, none on axis 0, are left out.
+    """
+    s = g.strides[d]
+    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (s,))], axis=-1)
+    return padded.reshape(flat.shape[:-1] + g.shape)[list(_nd_faces(g))[d][0]]
+
+
 class TestBuildGrid:
     def test_1d_nodes(self):
         g = build_grid(1, (0.0, math.pi), 81)
@@ -490,30 +537,29 @@ class TestOperator:
     @pytest.mark.parametrize("n", [9, 65])
     @pytest.mark.parametrize("law", [porous_law(), constant_law(1.5)], ids=["porous", "constant"])
     def test_one_state_builders_are_the_face_loop_bitwise(self, law, n):
-        # one 1D state takes plain slices in both builders; the face loop over grid.faces, as a stack (1, n)
-        # takes it, and the formulas written out over the face slices must give the same bits, means included
+        # one 1D state takes plain slices in both builders; the strided face loop, as a stack (1, n) takes it,
+        # and the formulas written out over the face slices must give the same bits, means included
         g = build_grid(1, (0.0, np.pi), n)
         rng = np.random.default_rng(n)
         u = np.sin(g.axes[0]) + 0.1 * rng.normal(size=n)
         shift = rng.uniform(1.0, 1e3)
         M = assemble_quasilinear_operator(g, law, u, shift=shift)
         stacked = assemble_quasilinear_operator(g, law, u[None], shift=shift)
-        (lo, hi), (h,) = g.faces[0], g.spacing
-        m = 0.5 * (u[lo] + u[hi])
+        lo, hi, (h,) = u[:-1], u[1:], g.spacing
+        m = 0.5 * (lo + hi)
         assert M.means[0].tobytes() == m.tobytes()
         assert M.coeffs[0].tobytes() == stacked.coeffs[0][0].tobytes() == (law.a(m) / h**2).tobytes()
         J = newton_jacobian(law, u, M)
-        assert J.derivs[0].tobytes() == (0.5 * law.deriv(m) * (u[hi] - u[lo]) / h**2).tobytes()
+        assert J.derivs[0].tobytes() == (0.5 * law.deriv(m) * (hi - lo) / h**2).tobytes()
 
     @pytest.mark.parametrize("dim, extents, res", BOXES)
     def test_one_state_operator_keeps_its_face_means_read_only(self, dim, extents, res):
         g = _grid(dim, extents, res)
         u = np.random.default_rng(11).normal(size=g.n_nodes)
         M = assemble_quasilinear_operator(g, porous_law(), u, shift=2.0)
-        u_nd = u.reshape(g.shape)
         assert len(M.means) == g.dim
-        for m, (lo, hi) in zip(M.means, g.faces, strict=True):
-            assert m.tobytes() == (0.5 * (u_nd[lo] + u_nd[hi])).tobytes()
+        for m, s in zip(M.means, g.strides, strict=True):  # flat: entry j is the face of nodes j and j + s
+            assert m.tobytes() == (0.5 * (u[:-s] + u[s:])).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 m[0] = 0.0
         # a stack of states keeps none, and a Jacobian needs them
@@ -521,6 +567,78 @@ class TestOperator:
         assert stacked.means is None
         with pytest.raises(ValueError, match="face means"):
             newton_jacobian(porous_law(), u, StencilOperator(g, M.coeffs, 2.0))
+
+    # a box whose axes differ in length and node count, and the porous2d bench grid
+    _LAYOUT_GRIDS = [SpatialGrid([(0.0, 1.0), (-0.5, 2.0)], (9, 13)), build_grid(2, (0.0, 1.0), 65)]
+
+    @pytest.mark.parametrize("g", _LAYOUT_GRIDS, ids=["9x13", "65x65"])
+    def test_flat_2d_faces_are_the_grid_shaped_face_loop_bitwise(self, g):
+        # assembly, Jacobian and product, one field and a stack, against the formulas on the grid-shaped face
+        # slices; the flat arrays hold the same faces, entry j joining the flat nodes j and j + strides[d]
+        law, n = porous_law(), g.n_nodes
+        rng = np.random.default_rng(n)
+        u, shift = rng.normal(size=n), rng.uniform(1.0, 1e3)
+        M = assemble_quasilinear_operator(g, law, u, shift=shift)
+        J = newton_jacobian(law, u, M)
+        means, coeffs = _nd_assembly(g, law, u)
+        derivs = _nd_derivs(g, law, u, means)
+        assert g.strides == (g.shape[1], 1)
+        for d, s in enumerate(g.strides):
+            for flat, want in ((M.means[d], means[d]), (M.coeffs[d], coeffs[d]), (J.derivs[d], derivs[d])):
+                assert flat.shape == (n - s,)
+                assert _as_nd(g, d, flat).tobytes() == want.tobytes()
+        x, X = rng.normal(size=n), rng.normal(size=(3, n))
+        for op, op_derivs in ((M, None), (J, derivs)):
+            for v in (x, X):
+                assert (op @ v).tobytes() == _nd_product(g, coeffs, op_derivs, shift, v).tobytes()
+        # frozen at a stack of states: one operator per state, applied to its own state
+        U = rng.normal(size=(4, n))
+        S = assemble_quasilinear_operator(g, law, U, shift=shift)
+        stacked_coeffs = _nd_assembly(g, law, U)[1]
+        for d, s in enumerate(g.strides):
+            assert S.coeffs[d].shape == (4, n - s)
+            assert _as_nd(g, d, S.coeffs[d]).tobytes() == stacked_coeffs[d].tobytes()
+        assert (S @ U).tobytes() == _nd_product(g, stacked_coeffs, None, shift, U).tobytes()
+
+    @pytest.mark.parametrize("stack", [None, 4], ids=["one", "stacked"])
+    def test_row_end_entries_never_reach_a_product(self, stack):
+        # axis 1's entry at each row end joins two boundary nodes: NaN written there changes no bit of any product
+        g = SpatialGrid([(0.0, 1.0), (-0.5, 2.0)], (9, 13))
+        n, lead = g.n_nodes, (() if stack is None else (stack,))
+        rng = np.random.default_rng(13)
+        coeffs = [rng.uniform(1.0, 2.0, lead + (n - s,)) for s in g.strides]
+        derivs = [rng.normal(size=lead + (n - s,)) for s in g.strides]
+        row_end = np.arange(n - 1) % g.shape[1] == g.shape[1] - 1
+        assert row_end.sum() == g.shape[0] - 1
+        dirty_coeffs, dirty_derivs = [c.copy() for c in coeffs], [d.copy() for d in derivs]
+        dirty_coeffs[1][..., row_end] = dirty_derivs[1][..., row_end] = np.nan
+        fields = [rng.normal(size=(stack, n))] if stack else [rng.normal(size=n), rng.normal(size=(3, n))]
+        for clean_derivs, nan_derivs in ((None, None), (derivs, dirty_derivs)):
+            clean = StencilOperator(g, coeffs, 2.5, clean_derivs)
+            dirty = StencilOperator(g, dirty_coeffs, 2.5, nan_derivs)
+            for v in fields:
+                want = clean @ v
+                assert not np.isnan(want).any()
+                assert (dirty @ v).tobytes() == want.tobytes()
+
+    def test_2d_operator_is_second_order_on_a_non_square_box(self):
+        # A(u) u at the interior nodes against -div(a(u) grad u) = -(a'(u) |grad u|^2 + a(u) lap u) in closed form,
+        # on a box whose axes differ in length and spacing, so a mix-up of the two axes' strides shows
+        law = porous_law()
+        errors = []
+        for k in range(3):
+            g = SpatialGrid([(0.0, 1.0), (-0.5, 2.0)], (8 * 2**k + 1, 12 * 2**k + 1))
+            x, y = g.points().T
+            u = np.sin(2.0 * x + 1.0) * np.cos(y) + 0.5 * x * y
+            ux = 2.0 * np.cos(2.0 * x + 1.0) * np.cos(y) + 0.5 * y
+            uy = -np.sin(2.0 * x + 1.0) * np.sin(y) + 0.5 * x
+            lap = -5.0 * np.sin(2.0 * x + 1.0) * np.cos(y)
+            want = -(law.deriv(u) * (ux * ux + uy * uy) + law.a(u) * lap)
+            got = assemble_quasilinear_operator(g, law, u) @ u
+            ii = g.interior_indices()
+            errors.append(np.abs(got[ii] - want[ii]).max())
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((1.8 <= orders) & (orders <= 2.2)), (errors, orders)
 
     def test_size_mismatch_rejected(self):
         g = build_grid(1, (0.0, 1.0), 8)
