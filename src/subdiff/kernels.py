@@ -355,6 +355,10 @@ class L1Weights:
             first, inc = self._kept
         return np.minimum(first, inc) / self._diag, bool(np.all(first > 0.0))
 
+    def diagonal(self) -> list[float]:
+        """The local weights ``w_{n,n}``, ``n = 1..M``, as floats: entry ``n - 1`` is :meth:`diag` ``(n)``."""
+        return self._diag.tolist()
+
     def diag(self, n: int) -> float:
         """The local weight ``w_{n,n} = tau_n^(-alpha) / Gamma(2 - alpha)``."""
         if not 1 <= n <= self.grid.steps:

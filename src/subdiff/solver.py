@@ -17,8 +17,13 @@ existence theory), and both modes read their residual off it.  Picard takes
 :func:`~subdiff.spatial.newton_jacobian` shares the face coefficients of
 ``K(v)``, reads the face means ``K(v)`` keeps, and evaluates only the ``a'``
 face terms, and only when a correction follows, never at the accepted
-iterate.  So each iterate forms its face means once.  Every one of these products is the
-face-flux sum of :class:`~subdiff.spatial.StencilOperator`.  A constant law
+iterate.  So each iterate forms its face means once, and in 1D its face
+differences once too: one 1D state's ``K(v)`` is a
+:class:`~subdiff.spatial.LineOperator`, which keeps ``v[1:] - v[:-1]`` for
+its product with ``v`` (``K.at_state(v)``) and for the Jacobian.  Every one
+of these products is the face-flux sum of
+:class:`~subdiff.spatial.StencilOperator`, which a ``LineOperator`` makes on
+plain slices in the same operations and order.  A constant law
 (``nu == lam``, so ``a(u) = nu``) has one ``K`` for every iterate, bitwise
 equal to its Newton Jacobian: the driver assembles it once per distinct
 ``w_nn`` (once per run on a uniform time grid, whose steps all equal its one
@@ -70,8 +75,8 @@ corrections for far fewer CG iterations; near convergence ``0.1 * tol``
 takes over, which bounds the max-norm the correction loop tests.  That test,
 on the nonlinear residual, is the acceptance.  The 1D solve is exact and
 needs no norm, and its LAPACK calls copy nothing: ``dgtsv`` takes the band
-``tridiagonal()`` has just formed and may overwrite it, and ``dgtsv`` and
-``dgttrs`` solve in place in :func:`spsolve`'s own result.  The 2D
+``LineOperator.band()`` has just formed and may overwrite it, and ``dgtsv``
+and ``dgttrs`` solve in place in :func:`spsolve`'s own result.  The 2D
 preconditioner is built once per step: the corrections of a step share its
 ``w_nn``.  A solve that reaches the iteration cap fails the step.
 
@@ -81,29 +86,37 @@ each part:
 - ``memory``: the push of the last step's increment and the query of
   ``H_n``, one interval;
 - the step loop itself, untimed: ``rhs = w_nn u_{n-1} - H_n + f_n`` with
-  the data written over its boundary entries, each update
+  the data written over its boundary entries (in 1D two scalars, and
+  ``w_nn`` read off a per-run list of the weights' diagonal), each update
   ``v + theta delta`` and each residual's max-norm;
 - ``assembly``: per iterate ``K(v)`` (the face means of every axis and one
   call of the law ``a`` on them; a constant law's ``K`` is built before the
   step, once per distinct ``w_nn``), its product ``K(v) v`` and
   ``r = K(v) v - rhs``, and before a Newton correction the ``a'`` face
-  terms, at the means ``K(v)`` keeps;
-- ``linear_solve``: ``-r`` and :func:`spsolve`, which in 1D copies ``-r``
-  into its result, forms the tridiagonal band when it has no factors yet and
-  makes one LAPACK call that solves in that result, copying no array.  In
-  2D it builds the right-hand side with its boundary entries zeroed, and CG
-  updates its residual there, without a copy; each CG iteration is one
-  product ``K p`` and one preconditioner solve.
+  terms, at the means ``K(v)`` keeps.  In 1D that is, in order:
+  ``D = v[1:] - v[:-1]``, the means ``m`` and ``c = a(m) / h^2``, once
+  each; the product ``D c``, ``w_nn v``, the two slice updates and the two
+  boundary scalars; ``r``; and ``d = 0.5 a'(m)``, ``d *= D``, ``d /= h^2``;
+- ``linear_solve``: ``-r`` and :func:`spsolve`.  In 1D it copies ``-r``
+  into its result, zeroes its ends, forms the band when the operator has
+  no factors yet (``LineOperator.band()``: ``c - d`` and ``c + d``, the
+  main diagonal ``(c - d)[1:] + (c + d)[:-1] + w_nn`` and the two outer
+  ones negated) and makes one LAPACK call that solves in that result,
+  copying no array.  In 2D it builds the right-hand side with its
+  boundary entries zeroed, and CG updates its residual there, without a
+  copy; each CG iteration is one product ``K p`` and one preconditioner
+  solve.
 
-Every product runs on the operator's flat face arrays, two contiguous
-slices per axis: on 65^2 nodes a 2D product takes about 20 us with one BLAS
-thread, and a 2D assembly about 44 us, most of it the law.
+Every 2D product runs on the operator's flat face arrays, two
+contiguous slices per axis: on 65^2 nodes a 2D product takes about 20 us
+with one BLAS thread, and a 2D assembly about 44 us, most of it the law.
 
 So a linear step on a constant law's step matrix is one product plus one
 back-substitution (``dgttrs``), and a Newton correction is ``K(v)``, its
-product, the ``a'`` faces, the tridiagonal form and one ``dgtsv`` (each
-Jacobian is solved once).  The loop binds what its steps share once per
-run (:class:`_Run`), builds no closure per step and reads the clock once at
+product, the ``a'`` faces, the band and one ``dgtsv`` (each Jacobian is
+solved once): on 65 nodes about 20 us with one BLAS thread, the update and
+the max-norm included.  The loop binds what its steps share once per run
+(:class:`_Run`), builds no closure per step and reads the clock once at
 each layer boundary.
 
 Trajectories involve no randomness, so a rerun on the same machine with the
@@ -126,6 +139,7 @@ import numpy as np
 from .kernels import DirectHistory, L1Weights, TimeGrid, compress_history
 from .spatial import (
     DiffusionLaw,
+    LineOperator,
     SpatialGrid,
     assemble_quasilinear_operator,
     newton_jacobian,
@@ -363,29 +377,32 @@ _KRYLOV_MAXITER = 500
 # iterations (609 against 535 corrections on 65^2 nodes, 128 steps, T = 10) and ran 3-13%
 # faster on the 2D porous runs measured; 0.01 keeps every 2D trajectory as it is.
 _FORCING = 0.01
+# max |r| as ``_max(abs(r))``, without ndarray.max's Python wrapper
+_max = np.maximum.reduce
 
 
 def spsolve(M, b, *, nu: float, atol: float) -> np.ndarray:
     """Solve ``M x = b`` for the interior unknowns of ``M.grid``; ``x`` is zero on the boundary.
 
     ``M`` is a step matrix or, in 1D, a Jacobian as the :mod:`subdiff.spatial`
-    builders return it (a :class:`~subdiff.spatial.StencilOperator`), with
-    ``M.shift`` on its interior diagonal and coefficients at least ``nu``;
-    the boundary entries of ``b`` are ignored.  In 1D the interior block's
-    three diagonals (``M.tridiagonal()``) go to LAPACK: ``M``'s first solve
+    builders return it, with ``M.shift`` on its interior diagonal and
+    coefficients at least ``nu``; the boundary entries of ``b`` are ignored.
+    In 1D ``M`` is a :class:`~subdiff.spatial.LineOperator` and its interior
+    block's three diagonals (``M.band()``) go to LAPACK: ``M``'s first solve
     is one ``dgtsv`` call (Gaussian elimination with partial pivoting) that
     keeps nothing, so an operator solved once pays for one call.  Its second
-    solve factors it with ``dgttrf`` and ``M`` keeps the read-only factors;
-    that solve and every later one is one exact ``dgttrs``
+    solve factors it with ``dgttrf`` and ``M.factors`` keeps the read-only
+    factors; that solve and every later one is one exact ``dgttrs``
     back-substitution with them.  ``dgttrf`` pivots as ``dgtsv`` does, and
     without row interchanges, as on the diagonally dominant step matrices,
     the two paths make the same operations, so every solve gives the bits
     of ``dgtsv``.  Both LAPACK calls solve in place in the interior of the
     result, a new copy of ``b``, and ``dgtsv`` overwrites the band
-    ``tridiagonal()`` has just formed, so f2py copies no array; ``b`` and
-    ``M``'s arrays and factors are never written, and the result shares
-    memory with none of them.  A singular block is not kept, so each solve with it
-    raises.  In 2D ``M`` is a symmetric step matrix, solved by conjugate
+    ``band()`` has just formed, so f2py copies no array; ``b`` and ``M``'s
+    arrays and factors are never written, and the result shares memory with
+    none of them.  A singular block is not kept, so each solve with it
+    raises; any other 1D operator (a stacked one) raises ``ValueError``.  In
+    2D ``M`` is a symmetric step matrix, solved by conjugate
     gradients preconditioned by the sine-transform solve of
     ``M.shift I + nu (-Delta_h)`` and stopped once the recursively updated
     residual's 2-norm is at most ``atol``; its vectors keep the full length
@@ -400,18 +417,21 @@ def spsolve(M, b, *, nu: float, atol: float) -> np.ndarray:
     """
     grid = M.grid
     if grid.dim == 1:
+        if not isinstance(M, LineOperator):
+            raise ValueError(f"a 1D solve needs the LineOperator of one state, got a {type(M).__name__}: "
+                             "a stacked operator supports only the product")
         dgtsv, dgttrf, dgttrs = _tridiagonal_lapack()
         x = np.array(b, dtype=float)  # the result's own buffer: LAPACK solves in its interior, in place
         x[0] = x[-1] = 0.0
         interior = x[1:-1]
-        factors, info = M._factors, 0
+        factors, info = M.factors, 0
         if factors is None:  # the first solve: one call, and () marks the operator as solved once
             # overwrite_dl, _d, _du and _b, passed by position (f2py parses keywords slowly): the band is
-            # tridiagonal()'s fresh temporaries, so f2py copies none of the four arrays
-            *_, info = dgtsv(*M.tridiagonal(), interior, 1, 1, 1, 1)
+            # band()'s fresh temporaries, so f2py copies none of the four arrays
+            *_, info = dgtsv(*M.band(), interior, 1, 1, 1, 1)
             factors = ()
         elif not factors:  # the second solve factors it, for this solve and every later one
-            *factors, info = dgttrf(*M.tridiagonal())
+            *factors, info = dgttrf(*M.band())
             for f in factors:
                 f.setflags(write=False)
             factors = tuple(factors)
@@ -419,7 +439,7 @@ def spsolve(M, b, *, nu: float, atol: float) -> np.ndarray:
             raise np.linalg.LinAlgError(f"tridiagonal interior block is singular (zero pivot {info})")
         if factors:
             dgttrs(*factors, interior, "N", 1)  # trans, overwrite_b
-        M._factors = factors
+        M.factors = factors
         return x
     b = np.where(grid.boundary_mask, 0.0, b)
     return _pcg(M, b, _sine_preconditioner(grid, M.shift, nu), atol, _KRYLOV_MAXITER)[0]
@@ -509,7 +529,7 @@ class _Run(NamedTuple):
     spec: ProblemSpec
     grid: SpatialGrid
     law: DiffusionLaw
-    edge: object  # the boundary entries of a flat field: a strided slice in 1D, the boundary mask in 2D
+    ends: tuple | None  # 1D: the boundary data of nodes 0 and n - 1, as floats; 2D: None (the boundary mask)
     newton: bool  # Newton corrections: mode newton and a law that is not constant
     tol: float
     max_iter: int
@@ -529,46 +549,56 @@ def _solve_step(run, w_nn, memory, f_n, n, step_matrix, product, u_prev, start):
     Each iterate's state is ``(v, K, K v, r)``: ``K = K(v)``, assembled here
     unless the law is constant, is the residual's operator, Picard's matrix
     and the face coefficients of Newton's Jacobian, and ``r = K v - rhs`` is
-    exactly 0 on the boundary, where ``v`` holds the data.
+    exactly 0 on the boundary, where ``v`` holds the data.  An operator
+    assembled at ``v`` forms ``K v`` from the face differences it keeps
+    (``K.at_state(v)``).
     """
-    spec, grid, law, edge, newton, tol, max_iter, timers = run
+    spec, grid, law, ends, newton, tol, max_iter, timers = run
     rhs = w_nn * u_prev
     rhs -= memory
     if f_n is not None:
         rhs += f_n
-    rhs[edge] = spec.boundary
+    if ends is None:
+        rhs[grid.boundary_mask] = spec.boundary
+    else:
+        rhs[0], rhs[-1] = ends
+    atol = 0.1 * tol
 
     t0 = perf_counter()
-    v = start
-    K = assemble_quasilinear_operator(grid, law, v, shift=w_nn) if step_matrix is None else step_matrix
-    Kv = K @ v if product is None else product
+    v, K, Kv = start, step_matrix, product
+    if K is None:
+        K = assemble_quasilinear_operator(grid, law, v, shift=w_nn)
+        Kv = K.at_state(v)
+    elif Kv is None:
+        Kv = K @ v
     r = Kv - rhs
     timers["assembly"] += perf_counter() - t0
     theta, halvings = 1.0, 0
     best, best_res = (v, K, Kv, r), np.inf
     for it in range(1, max_iter + 1):
-        M = K
-        if newton:  # only the a' terms are new; a constant law's K is its Jacobian
-            t0 = perf_counter()
-            M = newton_jacobian(law, v, K)
-            timers["assembly"] += perf_counter() - t0
-        atol = 0.1 * tol
         if grid.dim > 1:  # CG stops at a forcing term relative to the step residual
-            atol = max(atol, _FORCING * np.sqrt(r @ r))
+            atol = max(0.1 * tol, _FORCING * np.sqrt(r @ r))
         t0 = perf_counter()
+        # only the a' terms are new; a constant law's K is its Jacobian
+        M = newton_jacobian(law, v, K) if newton else K
+        t1 = perf_counter()
         try:
             delta = spsolve(M, -r, nu=law.nu, atol=atol)
         except np.linalg.LinAlgError as exc:
-            raise _failure(spec, n, best[0], float(np.abs(r).max()), it, halvings, f"linear solve failed: {exc}") from exc
-        timers["linear_solve"] += perf_counter() - t0
+            raise _failure(spec, n, best[0], float(_max(abs(r))), it, halvings, f"linear solve failed: {exc}") from exc
+        t2 = perf_counter()
+        timers["assembly"] += t1 - t0
+        timers["linear_solve"] += t2 - t1
         v = v + delta if theta == 1.0 else v + theta * delta
         t0 = perf_counter()
         if step_matrix is None:
             K = assemble_quasilinear_operator(grid, law, v, shift=w_nn)
-        Kv = K @ v
+            Kv = K.at_state(v)
+        else:
+            Kv = K @ v
         r = Kv - rhs
         timers["assembly"] += perf_counter() - t0
-        res = float(np.maximum.reduce(np.abs(r)))  # max |r|, without ndarray.max's Python wrapper
+        res = float(_max(abs(r)))
         if res <= tol:
             return v, it, res, halvings, Kv
         if res < best_res:
@@ -634,12 +664,12 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     points = grid.points()
     # a(u) == nu: the step matrix w_nn I_int + A is the same for every iterate
     constant = law.nu == law.lam
-    edge = slice(None, None, n_nodes - 1) if grid.dim == 1 else grid.boundary_mask  # 1D: entries 0 and n - 1
-    run = _Run(spec, grid, law, edge, options.mode == "newton" and not constant, options.tol, options.max_iter, timers)
-    memory_term, push, diag, source_at = history.memory_term, history.push, weights.diag, spec.source_at
+    ends = tuple(spec.boundary.tolist()) if grid.dim == 1 else None  # 1D: the data of nodes 0 and n - 1
+    run = _Run(spec, grid, law, ends, options.mode == "newton" and not constant, options.tol, options.max_iter, timers)
+    memory_term, push, source_at = history.memory_term, history.push, spec.source_at
     U = np.empty((M + 1, n_nodes))
     U[0] = spec.u0
-    U[0][edge] = spec.boundary
+    U[0][grid.boundary_mask] = spec.boundary
     iterations, halvings, residuals = [0] * (M + 1), [0] * (M + 1), [0.0] * (M + 1)
 
     w_last, K = None, None  # w_nn of the last step matrix of a constant law, and that matrix
@@ -648,12 +678,13 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     # a linear step converges in one from any start, so a predictor there changes rounding only.
     predict = False
     tau = tg.tau.tolist()
+    diagonal = weights.diagonal()  # w_nn of step n at n - 1
 
     t0 = perf_counter()
     memory = memory_term()
     timers["memory"] += perf_counter() - t0
     for n in range(1, M + 1):
-        w_nn = diag(n)
+        w_nn = diagonal[n - 1]
         u_prev = U[n - 1]
         if constant and w_nn != w_last:
             t0 = perf_counter()

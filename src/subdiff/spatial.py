@@ -22,14 +22,17 @@ evaluates the law once on it.
 ``newton_jacobian(law, u, frozen)`` extends the operator frozen at the same
 state: it takes that operator's grid and shift, shares its face
 coefficients, and evaluates only the ``a'`` terms, at the face means that
-operator keeps, so a Newton iterate forms its face means once.  Both
-builders run on plain slices for one 1D state, making the face loop's
-operations in the same order.  Their
+operator keeps, so a Newton iterate forms its face means once.  Their
 product is the face-flux sum over two contiguous slices per axis,
 ``x[..., :-s]`` and ``x[..., s:]``, on one field or on a stack of fields, and
 it is the package's one product with such an operator: residuals, Krylov
-solves and the weak form all go through it.  On one 1D field it runs on
-plain slices too.  The
+solves and the weak form all go through it.
+One 1D state, every step of a 1D run, gives a :class:`LineOperator`
+instead: the same face arrays, one per quantity, formed and applied on
+plain slices in the face loop's operations and order, so its bits are the
+loop's.  Its step matrix also keeps the state's face differences, which its
+Jacobian and its product with that state read, so an iterate forms them
+once, and it holds what the 1D solve keeps of its LU factors.  The
 assembly's ``shift`` adds to the interior diagonal, so the step matrix
 ``w I_int + A(u)`` is one assembly.
 Frozen at a stack of states, the operator is one operator per state, which
@@ -52,6 +55,7 @@ __all__ = [
     "SpatialGrid",
     "build_grid",
     "StencilOperator",
+    "LineOperator",
     "DiffusionLaw",
     "constant_law",
     "porous_law",
@@ -59,6 +63,13 @@ __all__ = [
     "newton_jacobian",
     "first_eigenvalue",
 ]
+
+# A Python float operand costs numpy 2 a conversion on every call, about 0.4 us, as much as the arithmetic on
+# 64 values; a 0-d float array costs none and gives the same bits.  The 1D one-state path, whose arrays have one
+# entry per node or face, takes its constants so: these two, and each grid's h^2 (SpatialGrid._spacing_squared).
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+_HALF.setflags(write=False)
+_ONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,11 @@ class SpatialGrid:
     def spacing(self) -> tuple[float, ...]:
         # ``axes[d][1] - axes[d][0]`` as np.linspace places the two nodes, without building the axis
         return tuple((a + (b - a) / (n - 1)) - a for (a, b), n in zip(self.extents, self.shape))
+
+    @cached_property
+    def _spacing_squared(self) -> tuple[np.ndarray, ...]:
+        """Per axis, ``h_d**2`` as a read-only 0-d array, an operand numpy takes without a conversion (``_HALF``)."""
+        return tuple(_read_only(h**2) for h in self.spacing)
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
@@ -223,20 +239,21 @@ def porous_law() -> DiffusionLaw:
     # Each formula is the bits of its one-expression form, 1 + 0.5 * y * y / (1 + y * y) and
     # y / (1 + y * y) ** 2, on fewer arrays: numpy's ** 2 is q * q.  a keeps (0.5 * y) * y, not
     # 0.5 * (y * y): for 1.34e154 < |y| < 1.9e154 only y * y overflows, and the quotient must be 0, not NaN.
+    # the constants are 0-d arrays (_HALF says why)
     def a(y):
         y = np.asarray(y, dtype=float)
-        p = 0.5 * y
+        p = _HALF * y
         p *= y
         q = y * y
-        q += 1.0
+        q += _ONE
         p /= q
-        p += 1.0
+        p += _ONE
         return p
 
     def deriv(y):
         y = np.asarray(y, dtype=float)
         q = y * y
-        q += 1.0
+        q += _ONE
         q *= q
         return y / q
 
@@ -269,51 +286,24 @@ class StencilOperator:
     one operator per field, and then ``@`` is its only method.  On 65^2 nodes
     one 2D product takes about 20 us (one BLAS thread), against 37 us for the
     same sums on the two-dimensional face slices, whose axis-1 rows break
-    their stride at every row end.  An unstacked
-    1D operator applies to one field on plain slices, ``x[1:] - x[:-1]`` in
-    place and its two boundary entries written as scalars: the operations
-    of the face loop, in its order, so the bits are the loop's.  The arrays
-    are read-only.  A 1D operator also keeps what :func:`subdiff.solver.spsolve`
-    needs to know of its earlier solves: ``()`` after the first, then the
-    read-only LU factors of its interior block (LAPACK ``dgttrf``), so an
-    operator reused across steps is factored once and one solved once never.
-    Those solves write none of the operator's arrays.
+    their stride at every row end.  The arrays are read-only.  One 1D state
+    assembles a :class:`LineOperator` instead, which makes the same
+    operations on plain slices.
     """
 
-    __slots__ = ("grid", "coeffs", "derivs", "means", "shift", "_factors", "_line")
+    __slots__ = ("grid", "coeffs", "derivs", "means", "shift")
 
     def __init__(self, grid: SpatialGrid, coeffs, shift: float = 0.0, derivs=None, means=None):
-        coeffs, derivs, means = (None if a is None else tuple(map(_read_only, a)) for a in (coeffs, derivs, means))
-        self._fill(grid, coeffs, shift, derivs, means)
+        self.grid, self.shift = grid, shift
+        self.coeffs, self.derivs, self.means = (
+            None if a is None else tuple(map(_read_only, a)) for a in (coeffs, derivs, means)
+        )
 
-    @classmethod
-    def _of(cls, grid: SpatialGrid, coeffs: tuple, shift: float, derivs: tuple | None = None,
-            means: tuple | None = None):
-        """The operator on tuples of read-only float arrays, as the 1D builders make them, without conversions."""
-        return cls.__new__(cls)._fill(grid, coeffs, shift, derivs, means)
-
-    def _fill(self, grid, coeffs, shift, derivs, means):
-        self.grid, self.coeffs, self.shift, self.derivs, self.means = grid, coeffs, shift, derivs, means
-        self._factors = None
-        # one unstacked 1D operator: its product with one field runs on plain slices
-        self._line = grid.dim == 1 and coeffs[0].ndim == 1
-        return self
+    def at_state(self, u: np.ndarray) -> np.ndarray:
+        """``self @ u`` for the state ``u`` the operator was assembled at."""
+        return self @ u
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if self._line and x.ndim == 1:
-            # the face loop below on one 1D field, operation for operation: lo is x[:-1], hi is x[1:]
-            flux = x[1:] - x[:-1]
-            flux *= self.coeffs[0]
-            if self.derivs is not None:
-                pair = x[1:] + x[:-1]
-                pair *= self.derivs[0]
-                flux += pair
-            out = self.shift * x
-            out[:-1] -= flux
-            out[1:] += flux
-            out[0] = x[0]
-            out[-1] = x[-1]
-            return out
         out = self.shift * x
         for d, s in enumerate(self.grid.strides):  # lo is x[..., :-s], hi is x[..., s:]
             flux = x[..., s:] - x[..., :-s]
@@ -325,26 +315,98 @@ class StencilOperator:
         np.copyto(out, x, where=self.grid.boundary_mask)
         return out
 
-    def tridiagonal(self) -> tuple:
-        """The sub-, main and superdiagonal of a 1D operator's interior block, the input of ``dgtsv``/``dgttrf``.
+
+class LineOperator:
+    """The operator of :class:`StencilOperator` at one state of a 1D grid, on one face array per quantity.
+
+    What both builders return for one 1D state.  Entry ``j`` of each array is
+    the face between the nodes ``j`` and ``j + 1``: ``coeff`` the
+    coefficients ``c = a(face mean) / h^2``, and ``deriv`` the Newton terms
+    ``d = a'(face mean) (u_hi - u_lo) / (2 h^2)`` of a Jacobian (None for a
+    frozen coefficient).  A step matrix assembled at a state ``u`` also keeps
+    that state's face means ``mean``, which its Jacobian evaluates ``a'`` at,
+    and its face differences ``diff = u_hi - u_lo``, which the Jacobian and
+    :meth:`at_state` read; other operators have both None.  It keeps no view
+    of ``u``.  The arrays are read-only: the constructor makes them float
+    arrays and sets them read-only, as :class:`StencilOperator`'s does, and
+    the builders, whose arrays are read-only float arrays of their own, skip
+    that conversion.  ``coeffs``, ``derivs`` and ``means`` give the arrays in
+    :class:`StencilOperator`'s one-tuple-per-axis form.
+
+    ``@`` on one field is the face loop of :class:`StencilOperator`, operation
+    for operation in its order, on the plain slices ``x[1:]`` and ``x[:-1]``,
+    with the two boundary entries written as scalars, so the bits are the
+    loop's; a stack of fields takes that loop itself.  :meth:`at_state` forms
+    the product with the state from its kept differences, so an iterate forms
+    them once.  :meth:`band` gives the interior block's three diagonals, the
+    input of :func:`subdiff.solver.spsolve`'s LAPACK calls, and ``factors``
+    is what ``spsolve`` keeps of its earlier solves: None before the first,
+    ``()`` after it, then the read-only LU factors of the interior block
+    (LAPACK ``dgttrf``), so an operator reused across steps is factored once
+    and one solved once never.
+    """
+
+    __slots__ = ("grid", "coeff", "shift", "deriv", "mean", "diff", "factors")
+
+    def __init__(self, grid: SpatialGrid, coeff, shift: float = 0.0, deriv=None, mean=None, diff=None):
+        deriv, mean, diff = (None if a is None else _read_only(a) for a in (deriv, mean, diff))
+        self.grid, self.coeff, self.shift, self.deriv, self.mean, self.diff = (
+            grid, _read_only(coeff), shift, deriv, mean, diff)
+        self.factors = None
+
+    @classmethod
+    def _of(cls, grid: SpatialGrid, coeff: np.ndarray, shift: float, deriv=None, mean=None, diff=None):
+        """The operator on read-only float arrays of the builders' own, without conversions."""
+        self = cls.__new__(cls)
+        self.grid, self.coeff, self.shift, self.deriv, self.mean, self.diff = grid, coeff, shift, deriv, mean, diff
+        self.factors = None
+        return self
+
+    coeffs = property(lambda self: (self.coeff,))
+    derivs = property(lambda self: None if self.deriv is None else (self.deriv,))
+    means = property(lambda self: None if self.mean is None else (self.mean,))
+
+    def at_state(self, u: np.ndarray) -> np.ndarray:
+        """``self @ u``, bitwise, for the state ``u`` the operator was assembled at, from its face differences."""
+        if self.diff is None:
+            raise ValueError("only an operator assembled at a state keeps its face differences")
+        return self._apply(u, self.diff * self.coeff)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim > 1:
+            return StencilOperator.__matmul__(self, x)
+        flux = x[1:] - x[:-1]  # lo is x[:-1], hi is x[1:]
+        flux *= self.coeff
+        return self._apply(x, flux)
+
+    def band(self) -> tuple:
+        """The sub-, main and superdiagonal of the interior block, the input of ``dgtsv``/``dgttrf``.
 
         Row ``j`` reads ``(-(c_{j-1} - d_{j-1}), (c_j - d_j) + (c_{j-1} + d_{j-1}) + shift, -(c_j + d_j))``
-        with ``c, d`` the face arrays (``d = 0`` without ``derivs``): ``c - d``
-        and ``c + d`` are formed once, and negation is exact, so the outer
-        diagonals are the bits of ``-c + d`` and ``-c - d`` but for the sign
-        of an entry that is exactly zero.  The three are new arrays, which
-        ``dgtsv`` may overwrite.  The solver reads them on an operator's
-        first solve and again on its second, when it factors it.
+        with ``d = 0`` without ``deriv``: ``c - d`` and ``c + d`` are formed
+        once, and negation is exact, so the outer diagonals are the bits of
+        ``-c + d`` and ``-c - d`` but for the sign of an entry that is exactly
+        zero.  The three are new arrays, which ``dgtsv`` may overwrite.
         """
-        if not self._line:
-            raise ValueError("a stacked operator has no tridiagonal form")
-        (c,) = self.coeffs
-        lower = upper = c  # c - d and c + d
-        if self.derivs is not None:
-            lower, upper = c - self.derivs[0], c + self.derivs[0]
+        lower = upper = c = self.coeff  # c - d and c + d
+        if self.deriv is not None:
+            lower, upper = c - self.deriv, c + self.deriv
         main = lower[1:] + upper[:-1]
         main += self.shift
         return -lower[1:-1], main, -upper[1:-1]
+
+    def _apply(self, x, flux):
+        """The face loop's sum from the flux ``c (x_hi - x_lo)``, which it may update in place."""
+        if self.deriv is not None:
+            pair = x[1:] + x[:-1]
+            pair *= self.deriv
+            flux += pair
+        out = self.shift * x
+        out[:-1] -= flux
+        out[1:] += flux
+        out[0] = x[0]
+        out[-1] = x[-1]
+        return out
 
 
 def _read_only(a, dtype=float) -> np.ndarray:
@@ -365,32 +427,41 @@ def _checked_state(grid: SpatialGrid, u, what: str) -> np.ndarray:
     return u
 
 
-def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0) -> StencilOperator:
+def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift: float = 0.0):
     """Assemble ``shift I_int - div_h(a(u) grad_h .)`` with the coefficient frozen at ``u``.
 
     Interior rows hold the divergence stencil with face coefficients
     ``a((u_left + u_right)/2)`` plus ``shift`` on the diagonal; boundary rows
     are identity.  For a constant law and ``shift = 0`` this is exactly
-    ``const`` times the negative discrete Laplacian.  The result is a
-    :class:`StencilOperator`: it supports products, but no indexing.
-    Assembled at one state, it keeps the face means the law was evaluated
-    at, which :func:`newton_jacobian` reads.  A stack of states
-    ``(S, n_nodes)`` gives one operator per state, which keeps no means.
-    Beyond one 1D state, the face means of every axis fill one buffer, in
-    the layout of :class:`StencilOperator`, and ``law.a`` is called once on
-    it; each axis's slice of the result, divided by its ``h^2``, gives that
-    axis's coefficients.
+    ``const`` times the negative discrete Laplacian.  One 1D state gives a
+    :class:`LineOperator`: its face means ``m = (u[:-1] + u[1:]) * 0.5``,
+    differences ``u[1:] - u[:-1]`` and coefficients ``a(m) / h^2``, formed
+    once each on plain slices, in the face loop's operations.  Anything else
+    gives a :class:`StencilOperator`, which supports products, but no
+    indexing: the face means of every axis fill one buffer, in its layout,
+    and ``law.a`` is called once on it; each axis's slice of the result,
+    divided by its ``h^2``, gives that axis's coefficients.  Assembled at one
+    state, the operator keeps the face means the law was evaluated at, which
+    :func:`newton_jacobian` reads.  A stack of states ``(S, n_nodes)`` gives
+    one operator per state, which keeps no means.
     """
-    u = _checked_state(grid, u, "coefficient state")
-    if grid.dim == 1 and u.ndim == 1:
-        # one 1D state, the operator StencilOperator._line marks: the face loop below on plain slices
-        m = u[:-1] + u[1:]
-        m *= 0.5
-        (h,) = grid.spacing
-        c = np.asarray(law.a(m), dtype=float) / h**2
-        c.setflags(write=False)
-        m.setflags(write=False)
-        return StencilOperator._of(grid, (c,), shift, means=(m,))
+    if not (grid.dim == 1 and type(u) is np.ndarray and u.dtype == float and u.shape == grid.shape):
+        u = _checked_state(grid, u, "coefficient state")
+        if grid.dim > 1 or u.ndim > 1:
+            return _assemble_faces(grid, law, u, shift)
+    # one 1D state: the face loop's means and coefficients on plain slices
+    m = u[:-1] + u[1:]
+    m *= _HALF
+    diff = u[1:] - u[:-1]
+    c = law.a(m) / grid._spacing_squared[0]  # a float array: the 0-d h^2 promotes any law's values
+    c.setflags(False)  # write, passed by position: numpy parses the keyword at twice the cost of the call
+    m.setflags(False)
+    diff.setflags(False)
+    return LineOperator._of(grid, c, shift, None, m, diff)
+
+
+def _assemble_faces(grid, law, u, shift):
+    """The :class:`StencilOperator` of :func:`assemble_quasilinear_operator`, on the flat face arrays of every axis."""
     # the face means of every axis in one buffer, so the law is one call; each axis's faces are one slice of it
     cuts = grid._face_cuts
     m = np.empty(u.shape[:-1] + (cuts[-1][-1].stop,))
@@ -403,7 +474,7 @@ def assemble_quasilinear_operator(grid: SpatialGrid, law: DiffusionLaw, u, shift
     return StencilOperator(grid, [c[k] for k in cuts], shift, means=[m[k] for k in cuts] if u.ndim == 1 else None)
 
 
-def newton_jacobian(law: DiffusionLaw, u: np.ndarray, frozen: StencilOperator) -> StencilOperator:
+def newton_jacobian(law: DiffusionLaw, u: np.ndarray, frozen):
     """Jacobian of ``u -> -div_h(a(u) grad_h u)``, including the a'(u) terms, plus ``shift I_int``.
 
     ``frozen`` is the step matrix of :func:`assemble_quasilinear_operator`,
@@ -412,16 +483,25 @@ def newton_jacobian(law: DiffusionLaw, u: np.ndarray, frozen: StencilOperator) -
     coefficients and evaluates only the face terms
     ``0.5 a'(m) (u_hi - u_lo) / h^2``, at the face means ``m`` that
     ``frozen`` keeps, so it neither forms the means nor checks the state
-    again.  Raises ``ValueError`` for an operator that keeps no means.
+    again.  A :class:`LineOperator` also keeps the face differences, so its
+    Jacobian reads only ``u``'s shape: the terms are ``d = 0.5 a'(m)``,
+    ``d *= diff``, ``d /= h^2``, the bits of the expression in that order.
+    Raises ``ValueError`` for an operator that keeps no means (in 1D, no
+    face differences).
     """
     grid = frozen.grid
-    if frozen.means is None:
-        raise ValueError("newton_jacobian extends an operator assembled at one state, which keeps its face means")
-    if frozen._line:  # the face loop below on plain slices: lo is u[:-1], hi is u[1:]
-        (h,), (m,) = grid.spacing, frozen.means
-        d = 0.5 * np.asarray(law.deriv(m), dtype=float) * (u[1:] - u[:-1]) / h**2
-        d.setflags(write=False)
-        return StencilOperator._of(grid, frozen.coeffs, frozen.shift, (d,))
+    line = isinstance(frozen, LineOperator)
+    if frozen.means is None or line and frozen.diff is None:
+        raise ValueError("newton_jacobian extends an operator assembled at one state, which keeps its face means"
+                         " (and in 1D its face differences)")
+    if line:
+        if u.shape != grid.shape:
+            raise ValueError("state does not match the grid")
+        d = _HALF * law.deriv(frozen.mean)
+        d *= frozen.diff
+        d /= grid._spacing_squared[0]
+        d.setflags(False)
+        return LineOperator._of(grid, frozen.coeff, frozen.shift, d)
     derivs = [0.5 * np.asarray(law.deriv(m), dtype=float) * (u[s:] - u[:-s]) / h**2
               for h, m, s in zip(grid.spacing, frozen.means, grid.strides)]
     return StencilOperator(grid, frozen.coeffs, frozen.shift, derivs)

@@ -233,6 +233,8 @@ class TestL1Weights:
                 assert row[n - 1] == w.diag(n)
                 seen.append(n)
         assert seen == list(range(1, tg.steps + 1))
+        # the run's per-step list of the diagonal holds the same floats
+        assert w.diagonal() == [w.diag(n) for n in seen]
 
     @pytest.mark.parametrize("steps, alpha", [(s, a) for s in (2048, 16384) for a in (0.05, 0.5, 0.95)])
     def test_uniform_rows_match_extended_precision(self, steps, alpha):

@@ -13,14 +13,14 @@ import pytest
 from scipy.fft import dstn, idstn
 
 from subdiff import solver
-from subdiff.kernels import L1Weights, TimeGrid, default_grading
+from subdiff.kernels import DirectHistory, L1Weights, TimeGrid, default_grading
 from subdiff.presets import build_preset, eigenmode_exact
 from subdiff.relaxation import comparison_check
 from subdiff.solver import ProblemSpec, SolverOptions, StepFailure, run_trajectory
 from subdiff.spatial import (
     DiffusionLaw,
+    LineOperator,
     SpatialGrid,
-    StencilOperator,
     assemble_quasilinear_operator,
     build_grid,
     constant_law,
@@ -392,7 +392,7 @@ class TestInteriorSolve:
         M = build(grid, porous_law(), np.sin(np.pi * grid.points()[:, 0]), shift=3.0)
         b = np.random.default_rng(7).normal(size=(3, grid.n_nodes))
         dgtsv = solver._tridiagonal_lapack()[0]
-        want = [dgtsv(*M.tridiagonal(), bi[1:-1])[3] for bi in b]
+        want = [dgtsv(*M.band(), bi[1:-1])[3] for bi in b]
         lapack = _recording_lapack(monkeypatch)
         counts = []
         for bi, wi in zip(b, want, strict=True):
@@ -401,9 +401,12 @@ class TestInteriorSolve:
             assert x[0] == x[-1] == 0.0
             counts.append(tuple(len(lapack[name]) for name in ("dgtsv", "dgttrf", "dgttrs")))
             if len(counts) == 1:
-                assert M._factors == ()  # solved once: no factors kept
+                assert M.factors == ()  # solved once: no factors kept
         assert counts == [(1, 0, 0), (1, 1, 1), (1, 1, 2)]  # factored once, on the second solve
-        assert len(M._factors) == 5
+        assert len(M.factors) == 5
+        # the band handed to dgtsv and to dgttrf is the band of the face arrays, bitwise
+        for band in (lapack["dgtsv"][0][:3], lapack["dgttrf"][0]):
+            assert [a.tobytes() for a in band] == [a.tobytes() for a in M.band()]
 
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
     def test_1d_solve_writes_only_its_own_result(self, build):
@@ -413,46 +416,64 @@ class TestInteriorSolve:
         M = build(grid, porous_law(), np.sin(np.pi * grid.points()[:, 0]), shift=3.0)
         b = np.random.default_rng(12).normal(size=grid.n_nodes)
         b.setflags(write=False)  # a write would raise
-        operator = [*M.coeffs, *(M.derivs or ()), *(M.means or ())]
+        operator = [a for a in (M.coeff, M.deriv, M.mean, M.diff) if a is not None]
         kept = [a.tobytes() for a in operator]
         dgtsv = solver._tridiagonal_lapack()[0]
-        want = dgtsv(*M.tridiagonal(), b[1:-1])[3]
+        want = dgtsv(*M.band(), b[1:-1])[3]
         results = []
         for path in ("dgtsv", "dgttrf and dgttrs", "dgttrs"):
-            factors = [f.tobytes() for f in M._factors or ()]
+            factors = [f.tobytes() for f in M.factors or ()]
             x = solver.spsolve(M, b, nu=1.0, atol=0.0)
             assert x[1:-1].tobytes() == want.tobytes(), path
             assert x[0] == x[-1] == 0.0
             assert x.flags.writeable and x.flags.owndata
-            for a in (b, *operator, *(M._factors or ()), *results):
+            for a in (b, *operator, *(M.factors or ()), *results):
                 assert not np.shares_memory(x, a), path
             assert [a.tobytes() for a in operator] == kept
             if path == "dgttrs":
-                assert [f.tobytes() for f in M._factors] == factors  # the factors are read, never written
+                assert [f.tobytes() for f in M.factors] == factors  # the factors are read, never written
             results.append(x)
+
+    @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
+    def test_1d_solve_of_a_strided_or_float32_b_is_that_of_its_float64_copy(self, build):
+        # the solve reads b through its own float64 copy, whatever b's layout and dtype
+        grid = build_grid(1, (0.0, 1.0), 33)
+        u = np.sin(np.pi * grid.points()[:, 0])
+        wide = np.random.default_rng(13).normal(size=2 * grid.n_nodes)
+        for b in (wide[::2], wide[: grid.n_nodes].astype(np.float32)):
+            kept = b.copy()
+            for solves in range(3):  # dgtsv, then dgttrf and dgttrs, then dgttrs
+                M = build(grid, porous_law(), u, shift=3.0)
+                for _ in range(solves + 1):
+                    x = solver.spsolve(M, b, nu=1.0, atol=0.0)
+                    want = solver.spsolve(build(grid, porous_law(), u, shift=3.0), np.array(b, dtype=float),
+                                          nu=1.0, atol=0.0)
+                    assert x.tobytes() == want.tobytes()
+                    assert b.tobytes() == kept.tobytes()
 
     def test_singular_tridiagonal_block_raises(self):
         # zero coefficients and zero shift make the 7 x 7 interior block zero
         grid = build_grid(1, (0.0, 1.0), 9)
-        M = StencilOperator(grid, [np.zeros(8)])
+        M = LineOperator(grid, np.zeros(8))
         for _ in range(2):  # a failed first solve is not marked: the next solve fails the same way
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 solver.spsolve(M, np.ones(9), nu=1.0, atol=1e-12)
-            assert M._factors is None
-        M._factors = ()  # as after one successful solve: a failed factorisation is not kept either
+            assert M.factors is None
+        M.factors = ()  # as after one successful solve: a failed factorisation is not kept either
         for _ in range(2):
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 solver.spsolve(M, np.ones(9), nu=1.0, atol=1e-12)
-            assert M._factors == ()
+            assert M.factors == ()
 
     @pytest.mark.parametrize("mode, builder", [("picard", "assemble_quasilinear_operator"), ("newton", "newton_jacobian")])
     def test_singular_tridiagonal_block_fails_the_step(self, mode, builder, monkeypatch):
-        def singular(grid):
-            return StencilOperator(grid, [np.zeros(grid.n_nodes - 1)])
+        def singular(grid, u=None):
+            # zero coefficients and no shift; as a step matrix, it keeps the face differences of its state
+            return LineOperator(grid, np.zeros(grid.n_nodes - 1), diff=None if u is None else u[1:] - u[:-1])
 
         # each stub takes its builder's parameters: Newton extends the step matrix frozen at the iterate
         stub = {
-            "picard": lambda grid, law, u, shift: singular(grid),
+            "picard": lambda grid, law, u, shift: singular(grid, u),
             "newton": lambda law, u, frozen: singular(frozen.grid),
         }[mode]
         # the residual operator: the stub for Picard, the real step matrix for Newton
@@ -558,6 +579,82 @@ class TestAssemblyContract:
             # and Picard's matrix; Newton builds its Jacobian from it before each correction
             np.testing.assert_array_equal(counts[:, 0], traj.iterations[1:] + 1)
             np.testing.assert_array_equal(counts[:, 1], traj.iterations[1:] if mode == "newton" else 0)
+
+
+def _reference_march(spec, mode, tol):
+    """``run_trajectory``'s 1D march with direct history, written out in the face loop's formulas.
+
+    Per iterate: the face means ``0.5 (v_lo + v_hi)``, ``c = a(m) / h^2``, the product
+    ``w v - (flux into lo, out of hi)`` with ``flux = c (v_hi - v_lo)`` and identity boundary rows, and ``r``;
+    a correction solves with the band of ``K(v)`` or, in Newton mode, of the Jacobian with the face terms
+    ``d = 0.5 a'(m) (v_hi - v_lo) / h^2``, one ``dgtsv`` call on ``-r`` with zero ends.  The start is
+    extrapolated once a step has needed more than one correction.  No halving and no fallback: a run that
+    needs either is not one this reference checks.  Returns the fields, iterations and residuals.
+    """
+    dgtsv = solver._tridiagonal_lapack()[0]
+    grid, law, steps = spec.grid, spec.law, spec.time_grid.steps
+    (h,) = grid.spacing
+    weights = L1Weights(alpha=spec.alpha, grid=spec.time_grid)
+    history = DirectHistory(weights)
+    history.reset((grid.n_nodes,))
+    tau = spec.time_grid.tau
+    g0, g1 = spec.boundary
+    u0 = spec.u0.copy()
+    u0[0], u0[-1] = g0, g1
+    fields, iterations, residuals = [u0], [0], [0.0]
+    memory = history.memory_term()
+    for n in range(1, steps + 1):
+        w, u_prev = weights.diag(n), fields[-1]
+        rhs = w * u_prev - memory
+        rhs[0], rhs[-1] = g0, g1
+        v = u_prev + (tau[n - 1] / tau[n - 2]) * (u_prev - fields[-2]) if max(iterations) > 1 else u_prev
+        for it in range(51):
+            lo, hi = v[:-1], v[1:]
+            m = 0.5 * (lo + hi)
+            c = law.a(m) / h**2
+            flux = c * (hi - lo)
+            Kv = w * v
+            Kv[:-1] -= flux
+            Kv[1:] += flux
+            Kv[0], Kv[-1] = v[0], v[-1]
+            r = Kv - rhs
+            if it and np.abs(r).max() <= tol:
+                break
+            d = 0.5 * law.deriv(m) * (hi - lo) / h**2 if mode == "newton" else np.zeros_like(c)
+            lower, upper = c - d, c + d
+            x = -r
+            x[0] = x[-1] = 0.0
+            *_, x[1:-1], info = dgtsv(-lower[1:-1], lower[1:] + upper[:-1] + w, -upper[1:-1], x[1:-1])
+            assert info == 0
+            v = v + x
+        else:
+            raise AssertionError(f"the reference did not converge on step {n}")
+        fields.append(v)
+        iterations.append(it)
+        residuals.append(np.abs(r).max())
+        history.push(v - u_prev)
+        if n < steps:
+            memory = history.memory_term()
+    return np.array(fields), np.array(iterations), np.array(residuals)
+
+
+class TestReferenceMarch:
+    """A 1D run equals its march written out in the face loop's formulas, bitwise, over several history blocks."""
+
+    @pytest.mark.parametrize("mode", ["picard", "newton"])
+    @pytest.mark.parametrize("law", [porous_law(), constant_law(1.0)], ids=["porous", "constant"])
+    def test_graded_direct_run_is_the_written_march_bitwise(self, law, mode):
+        # 112 graded steps: the direct history's first block of 64 queries and three of 16 after it
+        spec = _sine_problem(law=law, resolution=33, steps=112)
+        options = SolverOptions(mode=mode, history="direct")
+        traj = run_trajectory(spec, options)
+        fields, iterations, residuals = _reference_march(spec, mode, options.tol)
+        assert not traj.halvings.any()
+        if law.nu != law.lam:
+            assert traj.iterations.max() > 1  # so later steps start from the extrapolation
+        assert traj.iterations.tobytes() == iterations.tobytes()
+        assert traj.residuals.tobytes() == residuals.tobytes()
+        assert traj.fields.tobytes() == fields.tobytes()
 
 
 class TestFaceEvaluationsPerIterate:
@@ -688,10 +785,11 @@ class TestConstantLawStepMatrix:
         assert len(lapack["dgtsv"]) == 1  # the first solve
         assert len(lapack["dgttrf"]) == 1  # factored once, on its second solve
         assert len(lapack["dgttrs"]) == 7
-        assert all(np.array_equal(x, y) for x, y in zip(lapack["dgttrf"][0], built[0].tridiagonal(), strict=True))
-        with pytest.raises(ValueError, match="read-only"):
-            built[0].coeffs[0][1] = 0.0
-        for factor in built[0]._factors:  # the LU factors dgttrs reads at every step
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(lapack["dgttrf"][0], built[0].band(), strict=True))
+        for kept in (built[0].coeff, built[0].mean, built[0].diff):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[1] = 0.0
+        for factor in built[0].factors:  # the LU factors dgttrs reads at every step
             with pytest.raises(ValueError, match="read-only"):
                 factor[0] = 0
 
@@ -712,7 +810,7 @@ class TestConstantLawStepMatrix:
             return wrapper
 
         lapack = _recording_lapack(monkeypatch)
-        monkeypatch.setattr(StencilOperator, "__matmul__", counting("matmul", StencilOperator.__matmul__))
+        monkeypatch.setattr(LineOperator, "__matmul__", counting("matmul", LineOperator.__matmul__))
         monkeypatch.setattr(solver, "spsolve", counting("spsolve", solver.spsolve))
         traj = run_trajectory(spec, options)
         np.testing.assert_array_equal(traj.iterations[1:], 1)
@@ -730,12 +828,15 @@ class TestConstantLawStepMatrix:
 
 
 def _recording_lapack(monkeypatch):
-    """Records the arguments of every ``dgtsv``, ``dgttrf`` and ``dgttrs`` call the solver makes, by name."""
+    """Records the arguments of every ``dgtsv``, ``dgttrf`` and ``dgttrs`` call the solver makes, by name.
+
+    Arrays are recorded as copies taken before the call, which may overwrite them.
+    """
     calls = {name: [] for name in ("dgtsv", "dgttrf", "dgttrs")}
 
     def recording(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name].append(args)
+            calls[name].append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args))
             return fn(*args, **kwargs)
 
         return wrapper

@@ -7,6 +7,7 @@ import pytest
 
 from subdiff import solver
 from subdiff.spatial import (
+    LineOperator,
     SpatialGrid,
     StencilOperator,
     assemble_quasilinear_operator,
@@ -421,7 +422,7 @@ class TestOperator:
         g = build_grid(1, (0.0, 1.0), 12)
         M = build(g, porous_law(), np.random.default_rng(3).normal(size=12), shift=2.5)
         dense = _dense(M)[1:-1, 1:-1]
-        sub, main, sup = M.tridiagonal()
+        sub, main, sup = M.band()
         assert np.array_equal(sub, np.diag(dense, -1))
         assert np.array_equal(sup, np.diag(dense, 1))
         # the product sums a diagonal entry in another order than dgttrf's input
@@ -459,6 +460,77 @@ class TestOperator:
 
     @pytest.mark.parametrize("n", [65, 257])
     @pytest.mark.parametrize("build, law", _STEP_OPERATORS, ids=["frozen", "newton", "constant"])
+    def test_one_state_products_are_the_written_face_loop_bitwise(self, build, law, n):
+        # the product with any field, and the step matrix's product with its own state, which it forms from the
+        # face differences it keeps, against the face loop written out over the face slices
+        g = build_grid(1, (0.0, np.pi), n)
+        rng = np.random.default_rng(n + 1)
+        u = np.sin(g.axes[0]) + 0.1 * rng.normal(size=n)
+        shift = rng.uniform(1.0, 1e3)
+        M = build(g, law, u, shift=shift)
+        means, coeffs = _nd_assembly(g, law, u)
+        derivs = None if M.deriv is None else _nd_derivs(g, law, u, means)
+        for x in (rng.normal(size=n), u):
+            assert (M @ x).tobytes() == _nd_product(g, coeffs, derivs, shift, x).tobytes()
+        frozen = assemble_quasilinear_operator(g, law, u, shift=shift)
+        assert frozen.at_state(u).tobytes() == _nd_product(g, coeffs, None, shift, u).tobytes()
+        if M.deriv is not None:
+            with pytest.raises(ValueError, match="face differences"):
+                M.at_state(u)  # a Jacobian keeps no state of its own
+
+    @pytest.mark.parametrize("build, law", _STEP_OPERATORS, ids=["frozen", "newton", "constant"])
+    def test_one_state_operator_keeps_only_read_only_arrays_of_its_own(self, build, law):
+        # no kept array is writable or a view of the state: writes into a copy of u, or into u itself, leave the
+        # operator's product equal to that of an operator assembled afresh at u's old values
+        n = 33
+        g = build_grid(1, (0.0, np.pi), n)
+        rng = np.random.default_rng(14)
+        u = np.sin(g.axes[0]) + 0.1 * rng.normal(size=n)
+        old = u.copy()
+        M = build(g, law, u, shift=2.5)
+        arrays = [a for a in (M.coeff, M.deriv, M.mean, M.diff) if a is not None]
+        assert len(arrays) == (2 if build is _jacobian else 3)
+        for a in arrays:
+            assert not np.shares_memory(a, u)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        x = rng.normal(size=n)
+        want = (M @ x).tobytes()
+        for target in (u.copy(), u):
+            target[:] = rng.normal(size=n)
+            assert (M @ x).tobytes() == want == (build(g, law, old, shift=2.5) @ x).tobytes()
+        # so are the LU factors its second solve keeps
+        b = rng.normal(size=n)
+        for _ in range(2):
+            solver.spsolve(M, b, nu=1.0, atol=0.0)
+        assert len(M.factors) == 5
+        for f in M.factors:
+            with pytest.raises(ValueError, match="read-only"):
+                f[0] = 0
+
+    def test_hand_built_line_operator_keeps_only_read_only_arrays(self):
+        # the public constructor makes every array it is given a read-only float array, as StencilOperator's does:
+        # a caller's writable array cannot change the operator, nor the factors it keeps, after a solve
+        g = build_grid(1, (0.0, 1.0), 9)
+        rng = np.random.default_rng(15)
+        coeff, deriv = rng.uniform(1.0, 2.0, 8), rng.uniform(-0.1, 0.1, 8).tolist()
+        mean, diff = np.arange(8), rng.normal(size=16)[::2]
+        M = LineOperator(g, coeff, 2.5, deriv, mean, diff)
+        for kept in (M.coeff, M.deriv, M.mean, M.diff):
+            assert kept.dtype == float
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            coeff[0] = 0.0  # the caller's float array is the kept one
+        b = rng.normal(size=9)
+        want = (M @ b).tobytes()
+        x = [solver.spsolve(M, b, nu=1.0, atol=0.0) for _ in range(3)]
+        assert len(M.factors) == 5
+        assert x[0].tobytes() == x[1].tobytes() == x[2].tobytes()
+        assert (M @ b).tobytes() == want
+
+    @pytest.mark.parametrize("n", [65, 257])
+    @pytest.mark.parametrize("build, law", _STEP_OPERATORS, ids=["frozen", "newton", "constant"])
     def test_tridiagonal_is_its_row_formula_bitwise(self, build, law, n):
         # row j: (-(c_{j-1} - d_{j-1}), (c_j - d_j) + (c_{j-1} + d_{j-1}) + shift, -(c_j + d_j)), d = 0 without derivs
         g = build_grid(1, (0.0, np.pi), n)
@@ -472,7 +544,7 @@ class TestOperator:
             [(c[j] - d[j]) + (c[j - 1] + d[j - 1]) + M.shift for j in rows],
             [-(c[j] + d[j]) for j in rows[:-1]],
         )
-        for got, expected in zip(M.tridiagonal(), want, strict=True):
+        for got, expected in zip(M.band(), want, strict=True):
             assert got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("build", [assemble_quasilinear_operator, _jacobian])
@@ -530,9 +602,11 @@ class TestOperator:
 
     def test_stacked_operator_supports_only_the_product(self):
         g = build_grid(1, (0.0, 1.0), 9)
-        A = assemble_quasilinear_operator(g, porous_law(), np.random.default_rng(9).normal(size=(9, 9)))
+        U = np.random.default_rng(9).normal(size=(9, 9))
+        A = assemble_quasilinear_operator(g, porous_law(), U)
+        assert type(A) is StencilOperator and (A @ U).shape == U.shape
         with pytest.raises(ValueError, match="stacked"):
-            A.tridiagonal()
+            solver.spsolve(A, U[0], nu=1.0, atol=0.0)
 
     @pytest.mark.parametrize("n", [9, 65])
     @pytest.mark.parametrize("law", [porous_law(), constant_law(1.5)], ids=["porous", "constant"])
@@ -565,8 +639,9 @@ class TestOperator:
         # a stack of states keeps none, and a Jacobian needs them
         stacked = assemble_quasilinear_operator(g, porous_law(), u[None], shift=2.0)
         assert stacked.means is None
+        bare = LineOperator(g, M.coeff, 2.0) if g.dim == 1 else StencilOperator(g, M.coeffs, 2.0)
         with pytest.raises(ValueError, match="face means"):
-            newton_jacobian(porous_law(), u, StencilOperator(g, M.coeffs, 2.0))
+            newton_jacobian(porous_law(), u, bare)
 
     # a box whose axes differ in length and node count, and the porous2d bench grid
     _LAYOUT_GRIDS = [SpatialGrid([(0.0, 1.0), (-0.5, 2.0)], (9, 13)), build_grid(2, (0.0, 1.0), 65)]
