@@ -128,8 +128,12 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     spec, options = build_problem(cfg)
     out = Path(cfg.output.dir)
+    times = spec.time_grid.nodes
+    snapshots = [int(np.argmin(np.abs(times - t_req))) for t_req in cfg.output.snapshot_times]
+    # the weak form and the Hoelder estimate read every field; the other outputs read the snapshot rows and the norms
+    every_field = cfg.certificates.weakform or cfg.output.hoelder
     try:
-        traj = run_trajectory(spec, options)
+        traj = run_trajectory(spec, options, keep=None if every_field else snapshots)
     except StepFailure as exc:
         report = RunReport(
             label=spec.label,
@@ -159,9 +163,8 @@ def cmd_run(args) -> int:
     decay = records.get("decay")
     out.mkdir(parents=True, exist_ok=True)
     write_norms_tsv(out / "norms.tsv", series, None if decay is None else decay.envelope)
-    for i, t_req in enumerate(cfg.output.snapshot_times):
-        n = int(np.argmin(np.abs(traj.times - t_req)))
-        write_snapshot(snapshot_path(out, i), spec.grid, float(traj.times[n]), traj.fields[n])
+    for i, n in enumerate(snapshots):
+        write_snapshot(snapshot_path(out, i), spec.grid, float(times[n]), traj.field(n))
     observables = {} if decay is None else {"tail_exponent": decay.tail_exponent}
     if cfg.output.hoelder:
         observables["hoelder"] = asdict(hoelder_seminorm(traj))
@@ -206,12 +209,13 @@ def cmd_study(args) -> int:
     sizes = [size for _, size in runs]
 
     try:
-        finals = [run_trajectory(s, cfg.solver).fields[-1] for s in specs]
+        # each level keeps its final field alone
+        finals = [run_trajectory(s, cfg.solver, keep=()).fields[-1] for s in specs]
         if reference is None:  # the eigenmode preset: its exact solution is the reference
             refs = [eigenmode_exact(s)(s.time_grid.horizon) for s in specs]
         else:
             ref_spec = build_problem(reference[0])[0]
-            ref = run_trajectory(ref_spec, cfg.solver).fields[-1]
+            ref = run_trajectory(ref_spec, cfg.solver, keep=()).fields[-1]
             refs = [
                 _restrict(ref, ref_spec.grid.shape, 2 ** (levels - l)) if axis == "space" else ref
                 for l in range(levels)

@@ -1,13 +1,16 @@
 """Certificates and estimators computed from solved trajectories.
 
 Everything here consumes a :class:`~subdiff.solver.Trajectory` after the fact;
-nothing feeds back into the stepping.  A finished run is read-only, so its
-per-step L2 and sup norms are computed once, on first read
-(:attr:`Trajectory.norms <subdiff.solver.Trajectory.norms>`), and
-``norms.tsv`` (:func:`norm_series`), the boundedness and decay certificates
-and the weak form's solution scale all read that one record; none of them
-reduces the fields again.  The four certificates mirror the qualitative
-theory:
+nothing feeds back into the stepping.  A finished run is read-only and
+carries one record of its per-step L2 and sup norms
+(:attr:`Trajectory.norms <subdiff.solver.Trajectory.norms>`): a streamed
+run reduced each window of fields to it as it ran, and a full record
+computes it once, on first read.  ``norms.tsv`` (:func:`norm_series`), the
+boundedness and decay certificates and the weak form's solution scale all
+read that one record; none of them reduces the fields again, so they serve
+a streamed record, which keeps only a few fields.  The weak form and the
+Hoelder estimate read every field and need a full record.  The four
+certificates mirror the qualitative theory:
 
 * ``convexity_report``: the tested-energy inequality
   (u_n, D^a u_n) >= 1/2 (D^a ||u||^2)_n holds for every history of the run's
@@ -73,8 +76,15 @@ def l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
 
 
 def norm_series(traj: Trajectory) -> NormSeries:
-    """The run's per-step L2 and sup norms, ``traj.norms``, computed once per trajectory."""
+    """The run's per-step L2 and sup norms, ``traj.norms``, reduced once per trajectory."""
     return traj.norms
+
+
+def _every_field(traj: Trajectory, reader: str) -> np.ndarray:
+    """``traj.fields``, after refusing a streamed record, which does not keep them all."""
+    if traj.kept is not None:
+        raise ValueError(f"{reader} reads every field; this record keeps only steps {traj.kept.tolist()}")
+    return traj.fields
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +257,14 @@ def hoelder_seminorm(traj: Trajectory, region: str = "full") -> HoelderEstimate:
     where the interior regularity statements live).  Endpoint samples are
     always kept, so the static linear-profile oracle is reproduced exactly.
     The estimate is a lower bound for the true seminorm; it is reported, not
-    asserted against.
+    asserted against.  Needs a full record.
     """
     if region not in ("full", "interior"):
         raise ValueError(f"unknown region {region!r}")
     spec = traj.spec
     pts = spec.grid.points()
     times = traj.times
-    vals = traj.fields
+    vals = _every_field(traj, "the Hoelder estimate")
     if region == "interior":
         keep_x = ~spec.grid.boundary_mask
         keep_t = times >= spec.time_grid.horizon / 10.0  # never empty: the last node is the horizon, T > 0
@@ -410,13 +420,13 @@ def weakform_residual(traj: Trajectory, threshold: float = 1e-2) -> WeakformRepo
     width fixed matters: the L1 kink defect near t = 0 is self-similar and
     O(1) pointwise on any mesh, but its integral against a fixed test
     function vanishes under refinement, which is exactly the convergence the
-    associated tests pin down.
+    associated tests pin down.  Needs a full record.
     """
     spec = traj.spec
     tg = spec.time_grid
     grid = spec.grid
     M = tg.steps
-    U = traj.fields
+    U = _every_field(traj, "the weak form")
     t = tg.nodes
     tau = tg.tau
     q_lump = float(np.prod(grid.spacing))

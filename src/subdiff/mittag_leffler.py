@@ -19,8 +19,8 @@ trapezoidal rule with ``N`` midpoint nodes on the parabolic contour
 ``s(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta)``, ``|theta| < pi``,
 converges like ``2.85^-N`` (Trefethen, Weideman & Schmelzer, BIT 46, 2006;
 Garrappa, SINUM 53, 2015).  The nodes are fixed, so the rule and its
-weights are built once at import, and a whole array of arguments is one
-``(count, N/2)`` array of terms.
+weights are built once at import, and an array of arguments is a few
+``(256, N/2)`` blocks of terms.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ _WEIGHTS = 2.0 * np.exp(_NODES) * (0.25j - 0.2388 * _THETA)
 _LOG_S = np.log(_NODES)
 # discretisation error plus the roundoff of the node sums, per unit of sum |terms|
 _CONTOUR_REL = 2.85**-_CONTOUR_N + 16.0 * _EPS
+# arguments per block of contour terms: a (256, N/2) complex block is 64 KB, so the terms of a long run's decay
+# envelope take memory that does not grow with its steps; each row's sums do not depend on the block
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,13 @@ def _evaluate(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
     neg = flat < 0.0
     s_alpha = np.exp(alpha * _LOG_S)
     # the weights over s first: s (s^a - z) overflows for -z near the float maximum, and s^a - z never does
-    terms = (_WEIGHTS * s_alpha / _NODES) / (s_alpha - flat[neg, None])
-    values[neg], estimates[neg] = terms.sum(axis=1).imag, _CONTOUR_REL * np.abs(terms).sum(axis=1)
+    scaled = _WEIGHTS * s_alpha / _NODES
+    zs = flat[neg]
+    v, e = np.empty(zs.size), np.empty(zs.size)
+    for k in range(0, zs.size, _BLOCK):
+        terms = scaled / (s_alpha - zs[k : k + _BLOCK, None])
+        v[k : k + _BLOCK], e[k : k + _BLOCK] = terms.sum(axis=1).imag, _CONTOUR_REL * np.abs(terms).sum(axis=1)
+    values[neg], estimates[neg] = v, e
     return values.reshape(z.shape), estimates.reshape(z.shape)
 
 

@@ -119,6 +119,14 @@ the max-norm included.  The loop binds what its steps share once per run
 (:class:`_Run`), builds no closure per step and reads the clock once at
 each layer boundary.
 
+A run keeps every field, or with ``keep`` (:func:`run_trajectory`) only
+the fields of the listed steps and of the final one.  Such a streamed run
+writes each accepted field into a reused window of rows, ``U[n % rows]``
+with about ``_WINDOW_VALUES`` values in all, which still holds ``u_{n-1}``
+and ``u_{n-2}``, and once the window is full reduces it to per-step norms
+and copies out its kept rows: one reduction per window of steps, not per
+step.  So its fields take memory that does not grow with the step count.
+
 Trajectories involve no randomness, so a rerun on the same machine with the
 same BLAS thread count reproduces them bitwise.  They are not bitwise
 identical across BLAS thread counts: the history sums and the CG inner
@@ -129,6 +137,7 @@ count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from time import perf_counter
@@ -318,48 +327,98 @@ class NormSeries:
         return self.l2 * self.l2
 
 
+# Field values per window: a streamed run keeps its latest fields in a window of about this many values, and
+# the per-step norms are reduced one window at a time, so no temporary grows with the step count.
+_WINDOW_VALUES = 2**16
+
+
+def _window_rows(n_nodes: int) -> int:
+    """Rows per window: about ``_WINDOW_VALUES`` values, and at least 3, so that ``u_{n-1}`` and ``u_{n-2}`` stay."""
+    return max(3, _WINDOW_VALUES // n_nodes)
+
+
+def _reduce_norms(window: np.ndarray, q: np.ndarray, l2: np.ndarray, sup: np.ndarray) -> None:
+    """Write the trapezoid L2 norm (weights ``q``) and the max-norm of each row of ``window`` into ``l2`` and ``sup``.
+
+    These are the per-row formulas of a whole field array ``U``,
+    ``sqrt(einsum("ni,i,ni->n", U, q, U))`` and ``max(abs(U), axis=1)``, on
+    a block of its rows; every row's norms are bitwise those of the whole
+    array, and the temporary ``abs`` is the size of the window.
+    """
+    np.einsum("ni,i,ni->n", window, q, window, out=l2)
+    np.sqrt(l2, out=l2)
+    np.max(np.abs(window), axis=1, out=sup)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Fields at every time node plus per-step solver bookkeeping.
+    """Kept fields and per-step norms of a run, plus per-step solver bookkeeping.
 
     ``weights`` are the run's L1 weights.  A direct run's memory walk has
     evaluated them, and on a graded grid they keep the row margins of that
     walk for the convexity certificate.
 
+    A full record (``kept`` None) holds the field of every step, ``fields[n]``
+    at step ``n``.  A streamed record holds only the steps listed in
+    ``kept``, ascending and always ending with the final step ``M``, so
+    ``fields[-1]`` is the final field on either; :meth:`field` finds a step's
+    row on both.  A streamed run reduced each window of fields to its norms
+    as it went, and the record carries them (``streamed_norms``).
+
     A finished run is read-only: the record is frozen, and
-    :func:`run_trajectory` returns ``fields``, ``iterations``, ``halvings``
-    and ``residuals`` read-only.  So its per-step norms (:attr:`norms`) are
-    computed once, on first read, and every reader shares them.
-    ``dataclasses.replace(traj, fields=...)`` builds a new record, whose
-    norms are its own.
+    :func:`run_trajectory` returns ``fields``, ``kept``, ``iterations``,
+    ``halvings``, ``residuals`` and the norms read-only.  So every reader
+    shares one norm record (:attr:`norms`): a streamed run's, or on a full
+    record one computed on first read.  ``dataclasses.replace(traj,
+    fields=...)`` of a full record builds a new record, whose norms are its
+    own; a streamed record's norms are its run's.
     """
 
     spec: ProblemSpec
     options: SolverOptions
     weights: L1Weights
-    fields: np.ndarray  # (steps + 1, n_nodes)
+    fields: np.ndarray  # (steps + 1, n_nodes), or (kept.size, n_nodes) on a streamed record
     iterations: np.ndarray  # (steps + 1,), [0] == 0
     halvings: np.ndarray  # (steps + 1,), damping halvings per step, [0] == 0
     residuals: np.ndarray  # (steps + 1,), [0] == 0
     timings: dict
+    kept: np.ndarray | None = None  # the steps of the rows of ``fields``; None: every step
+    streamed_norms: NormSeries | None = None  # a streamed run's norms, reduced as it ran
 
     @property
     def times(self) -> np.ndarray:
         return self.spec.time_grid.nodes
 
+    def field(self, n: int) -> np.ndarray:
+        """The field of step ``n``, ``0 <= n <= M``; ``ValueError`` when the record did not keep it."""
+        if self.kept is None:
+            return self.fields[n]
+        row = int(np.searchsorted(self.kept, n))
+        if row == self.kept.size or self.kept[row] != n:
+            raise ValueError(f"step {n} is not kept; this record keeps steps {self.kept.tolist()}")
+        return self.fields[row]
+
     @cached_property
     def norms(self) -> NormSeries:
-        """The per-step L2 and sup norms of ``fields``, read-only, computed on first read.
+        """The per-step L2 and sup norms of the run, read-only.
 
         This is the one reduction of the fields to per-step norms: ``norms.tsv``,
         the boundedness and decay certificates and the weak form's solution
-        scale all read it.  It uses the accepted fields and the grid's
-        quadrature alone, no weight, memory provider or operator of the
-        stepper, so the certificates that read it stay independent of it.
+        scale all read it.  A streamed record's are its run's; a full
+        record's are computed on first read, one window of ``fields`` at a
+        time, with the same formulas (:func:`_reduce_norms`).  It uses the
+        accepted fields and the grid's quadrature alone, no weight, memory
+        provider or operator of the stepper, so the certificates that read
+        it stay independent of it.
         """
+        if self.streamed_norms is not None:
+            return self.streamed_norms
         U = self.fields
-        l2 = np.sqrt(np.einsum("ni,i,ni->n", U, self.spec.grid.quadrature_weights(), U))
-        sup = np.max(np.abs(U), axis=1)
+        q = self.spec.grid.quadrature_weights()
+        l2, sup = np.empty(len(U)), np.empty(len(U))
+        rows = _window_rows(U.shape[1])
+        for k in range(0, len(U), rows):
+            _reduce_norms(U[k : k + rows], q, l2[k : k + rows], sup[k : k + rows])
         l2.flags.writeable = sup.flags.writeable = False
         return NormSeries(times=self.times, l2=l2, sup=sup)
 
@@ -627,7 +686,22 @@ def _failure(spec, n, last_iterate, residual, iterations, halvings, message) -> 
     )
 
 
-def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> Trajectory:
+def _drain(window, base, q, l2, sup, kept, out, j) -> int:
+    """Reduce ``window``, the fields of steps ``base, base + 1, ...``, to their norms and copy out its kept rows.
+
+    The norms go to ``l2`` and ``sup`` at those steps; ``out[j]`` and the
+    rows after it take the fields of the steps ``kept[j], ...`` that lie in
+    the window.  Returns the index into ``kept`` of the next row to keep.
+    """
+    end = base + len(window)
+    _reduce_norms(window, q, l2[base:end], sup[base:end])
+    while j < len(kept) and kept[j] < end:
+        out[j] = window[kept[j] - base]
+        j += 1
+    return j
+
+
+def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None, keep=None) -> Trajectory:
     """March the full trajectory.
 
     The memory term comes from one memory provider, chosen before the loop:
@@ -637,8 +711,18 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     and linear solves are recorded separately so the two providers can be
     compared honestly.  ``assembly`` covers the step matrices and Jacobians
     and also the residual products ``K(v) v``, which are most of it for a
-    constant law.  Raises ``ValueError`` before any step for a 2D problem in
-    Newton mode.
+    constant law.
+
+    ``keep`` None returns a full record, every step's field.  Step indices
+    return a streamed record: the loop writes each accepted field into a
+    reused window of about ``_WINDOW_VALUES`` values (at least 3 rows, so
+    ``u_{n-1}`` and ``u_{n-2}`` carry over), reduces each full window to its
+    per-step L2 and sup norms, and copies out only the fields of the steps
+    in ``keep`` and of the final step.  The fields then take memory that
+    does not grow with the step count, and every kept field and norm is
+    bitwise that of the full record.  Raises ``ValueError`` before any step
+    for a 2D problem in Newton mode and for a step in ``keep`` outside
+    ``0..M``.
     """
     options = options or SolverOptions()
     if options.mode == "newton" and spec.grid.dim > 1:
@@ -647,6 +731,11 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     grid, law = spec.grid, spec.law
     M = tg.steps
     n_nodes = grid.n_nodes
+    streamed = keep is not None
+    if streamed:
+        kept = sorted({operator.index(n) for n in keep} | {M})
+        if kept[0] < 0 or kept[-1] > M:
+            raise ValueError(f"keep names step {kept[0] if kept[0] < 0 else kept[-1]}, outside the run's steps 0..{M}")
     weights = L1Weights(alpha=spec.alpha, grid=tg)
 
     timers = {"assembly": 0.0, "memory": 0.0, "linear_solve": 0.0, "compression_build": 0.0, "total": 0.0}
@@ -667,13 +756,19 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     ends = tuple(spec.boundary.tolist()) if grid.dim == 1 else None  # 1D: the data of nodes 0 and n - 1
     run = _Run(spec, grid, law, ends, options.mode == "newton" and not constant, options.tol, options.max_iter, timers)
     memory_term, push, source_at = history.memory_term, history.push, spec.source_at
-    U = np.empty((M + 1, n_nodes))
+    # the field of step n sits in row n % rows: a full record's rows are every step, a streamed one's a window
+    rows = min(M + 1, _window_rows(n_nodes)) if streamed else M + 1
+    last = rows - 1 if streamed else -1  # a streamed run drains its window after the step in its last row
+    U = np.empty((rows, n_nodes))
     U[0] = spec.u0
     U[0][grid.boundary_mask] = spec.boundary
+    if streamed:
+        q = grid.quadrature_weights()
+        l2, sup, out, drained = np.empty(M + 1), np.empty(M + 1), np.empty((len(kept), n_nodes)), 0
     iterations, halvings, residuals = [0] * (M + 1), [0] * (M + 1), [0.0] * (M + 1)
 
     w_last, K = None, None  # w_nn of the last step matrix of a constant law, and that matrix
-    product = None  # K @ U[n - 1], the accepted product of the last step, while K stays the step matrix
+    product = None  # K @ u_prev, the accepted product of the last step, while K stays the step matrix
     # Extrapolate the start only once a step has needed more than one correction:
     # a linear step converges in one from any start, so a predictor there changes rounding only.
     predict = False
@@ -683,9 +778,9 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
     t0 = perf_counter()
     memory = memory_term()
     timers["memory"] += perf_counter() - t0
+    u_prev = U[0]
     for n in range(1, M + 1):
         w_nn = diagonal[n - 1]
-        u_prev = U[n - 1]
         if constant and w_nn != w_last:
             t0 = perf_counter()
             K = assemble_quasilinear_operator(grid, law, u_prev, shift=w_nn)
@@ -696,28 +791,39 @@ def run_trajectory(spec: ProblemSpec, options: SolverOptions | None = None) -> T
         args = (run, w_nn, memory, f_n, n, K)
         predict = predict or iterations[n - 1] > 1
         # u_{n-1} - u_{n-2} is exactly 0 on the boundary, so the extrapolation holds the data bitwise
-        start = u_prev + (tau[n - 1] / tau[n - 2]) * (u_prev - U[n - 2]) if predict else u_prev
+        start = u_prev + (tau[n - 1] / tau[n - 2]) * (u_prev - U[(n - 2) % rows]) if predict else u_prev
+        slot = n % rows
         try:
-            U[n], iterations[n], residuals[n], halvings[n], accepted = _solve_step(
+            U[slot], iterations[n], residuals[n], halvings[n], accepted = _solve_step(
                 *args, product if start is u_prev else None, u_prev, start
             )
         except StepFailure as exc:
             if start is u_prev:
                 raise
             # the unpredicted start is the fallback; the step's counts cover both attempts
-            U[n], its, residuals[n], halves, accepted = _solve_step(*args, product, u_prev, u_prev)
+            U[slot], its, residuals[n], halves, accepted = _solve_step(*args, product, u_prev, u_prev)
             iterations[n], halvings[n] = exc.iterations + its, exc.halvings + halves
         product = accepted if constant else None
 
         # the push of step n and the query of step n + 1, one memory interval
         t0 = perf_counter()
-        push(U[n] - u_prev)
+        push(U[slot] - u_prev)
         if n < M:
             memory = memory_term()
         timers["memory"] += perf_counter() - t0
+        u_prev = U[slot]
+        if slot == last:
+            drained = _drain(U, n - last, q, l2, sup, kept, out, drained)
 
+    if streamed:
+        if M % rows != last:  # the last window, not full
+            _drain(U[: M % rows + 1], M - M % rows, q, l2, sup, kept, out, drained)
+        fields, kept, norms = out, np.array(kept), NormSeries(tg.nodes, l2, sup)
+        l2.flags.writeable = sup.flags.writeable = kept.flags.writeable = False
+    else:
+        fields, kept, norms = U, None, None
     timers["total"] = perf_counter() - t_start + timers["compression_build"]
-    arrays = [U, np.array(iterations), np.array(halvings), np.array(residuals)]
+    arrays = [fields, np.array(iterations), np.array(halvings), np.array(residuals)]
     for a in arrays:
         a.flags.writeable = False
-    return Trajectory(spec, options, weights, *arrays, timings=timers)
+    return Trajectory(spec, options, weights, *arrays, timings=timers, kept=kept, streamed_norms=norms)

@@ -92,27 +92,73 @@ class TestRunCommand:
         assert set(seconds) == set(report["certificates"])
         assert all(s >= 0.0 for s in seconds.values())
 
-    def test_a_run_reduces_its_fields_to_norms_once(self, tmp_path, monkeypatch):
-        # norms.tsv and the four certificates read one per-step norm record: one sup pass (abs) and one
-        # L2 pass (einsum) over the field array, where each reader once made its own
+    @pytest.mark.parametrize("weakform", [False, True], ids=["streamed", "full record"])
+    def test_a_run_reduces_each_step_once(self, tmp_path, monkeypatch, weakform):
+        # norms.tsv and the four certificates read one per-step norm record, and each step's field is reduced to
+        # its norms exactly once: in the run's windows when the run streams, on the record's first read when the
+        # weak form makes it keep every field.  Windows of 5 rows split the 33 fields into seven, the last partial.
         import subdiff.cli as cli
+        import subdiff.solver as solver
 
-        runs, passes = [], {"abs": 0, "einsum": 0}
+        text = FAST_RUN.replace("weakform = true", f"weakform = {str(weakform).lower()}")
+        spec, options = build_problem(parse_config(text))
+        step_of = {row.tobytes(): n for n, row in enumerate(run_trajectory(spec, options).fields)}
+        assert len(step_of) == spec.time_grid.steps + 1  # every step's field differs, so a row names its step
+        runs, reduced = [], []
+        reduce_norms = solver._reduce_norms
 
-        def spy(name, real):
-            def call(*args, **kwargs):
-                passes[name] += any(a is t.fields for a in args for t in runs)
-                return real(*args, **kwargs)
+        def spy(window, *args):
+            reduced.extend(step_of[row.tobytes()] for row in window)
+            return reduce_norms(window, *args)
 
-            return call
-
-        monkeypatch.setattr(cli, "run_trajectory", lambda *a: runs.append(run_trajectory(*a)) or runs[-1])
-        monkeypatch.setattr(np, "abs", spy("abs", np.abs))
-        monkeypatch.setattr(np, "einsum", spy("einsum", np.einsum))
-        assert main(["run", _write(tmp_path, FAST_RUN), "--out", str(tmp_path / "out")]) == 0
+        monkeypatch.setattr(solver, "_WINDOW_VALUES", 5 * spec.grid.n_nodes)
+        monkeypatch.setattr(solver, "_reduce_norms", spy)
+        monkeypatch.setattr(cli, "run_trajectory", lambda *a, **k: runs.append(run_trajectory(*a, **k)) or runs[-1])
+        assert main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert all(report["certificates"][name]["passed"] for name in _CERTIFICATES)
-        assert len(runs) == 1 and passes == {"abs": 1, "einsum": 1}
+        assert all(report["certificates"][name]["passed"] for name in _CERTIFICATES if name != "weakform" or weakform)
+        assert len(runs) == 1 and (runs[0].kept is None) == weakform
+        assert sorted(reduced) == list(range(spec.time_grid.steps + 1))
+
+    # a streamed run against a full record: compressed on a uniform grid, direct on the default graded grid in
+    # both 1D modes (whose starts extrapolate from u_{n-2}), and 2D Picard on a graded grid
+    STREAMED = {
+        "1d-uniform-compressed": ("problem = eigenmode, alpha = 0.5\n[problem]\nresolution = 257\n[time]\n"
+                                  "horizon = 1.0\nsteps = 600\ngrading = 1\n[solver]\nhistory = compressed\n",
+                                  (0.25, 0.5, 1.0)),
+        "1d-graded-picard": ("problem = porous\n[problem]\nresolution = 33\n[time]\nsteps = 96\n", (0.5, 5.0, 50.0)),
+        "1d-graded-newton": ("problem = porous\n[problem]\nresolution = 33\n[time]\nsteps = 96\n[solver]\n"
+                             "mode = newton\n", (0.5, 5.0, 50.0)),
+        "2d-graded-picard": ("problem = porous\n[problem]\ndimension = 2\nresolution = 17\n[time]\nhorizon = 1.0\n"
+                             "steps = 24\n", (0.0, 0.1, 1.0)),
+    }
+
+    @pytest.mark.parametrize("case", STREAMED)
+    def test_a_streamed_run_writes_the_full_records_artifacts(self, tmp_path, monkeypatch, case):
+        # The uniform case's 600 steps fill two default windows of 255 rows and part of a third; the others run
+        # in windows of 7 rows, so the extrapolated starts read u_{n-2} across window ends.
+        import subdiff.cli as cli
+        import subdiff.solver as solver
+
+        text, times = self.STREAMED[case]
+        cfg = _write(tmp_path, text + "[output]\nsnapshot_times = [" + ", ".join(map(str, times)) + "]\n")
+        if case != "1d-uniform-compressed":
+            monkeypatch.setattr(solver, "_WINDOW_VALUES", 7 * build_problem(parse_config(text))[0].grid.n_nodes)
+        runs = {}
+        for side in ("streamed", "full"):
+            monkeypatch.setattr(cli, "run_trajectory", lambda s, o, keep=None, side=side: runs.setdefault(
+                side, run_trajectory(s, o, keep=keep if side == "streamed" else None)))
+            assert main(["run", cfg, "--out", str(tmp_path / side)]) == 0
+
+        streamed, full = runs["streamed"], runs["full"]
+        snapshots = {int(np.argmin(np.abs(full.times - t))) for t in times}
+        assert full.kept is None and streamed.kept.tolist() == sorted(snapshots | {full.spec.time_grid.steps})
+        assert streamed.fields[-1].tobytes() == full.fields[-1].tobytes()
+        for name in ["norms.tsv"] + [f"snapshot_{i:03d}.txt" for i in range(len(times))]:
+            assert (tmp_path / "streamed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+        reports = [json.loads((tmp_path / side / "report.json").read_text()) for side in ("streamed", "full")]
+        for section in ("certificates", "observables", "solver"):
+            assert json.dumps(reports[0][section]) == json.dumps(reports[1][section]), section
 
     def test_norms_tsv_format(self, tmp_path):
         cfg = _write(tmp_path, FAST_RUN)
@@ -314,7 +360,7 @@ class TestRunCommand:
         assert report["failure"]["step"] == 1
 
     def test_failure_report_records_halvings(self, tmp_path, capsys, monkeypatch):
-        def failing(spec, options):
+        def failing(spec, options, keep=None):
             raise StepFailure(step=3, t=0.5, residual=1.0, iterations=7, last_iterate=np.zeros(spec.grid.n_nodes),
                               message="step 3: stalled", halvings=2)
 
@@ -722,6 +768,26 @@ class TestStudyCommand:
         lines = (out / "study.tsv").read_text().splitlines()
         assert lines[0].startswith("level\tsteps")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "axis, time", [("space", "steps = 32"), ("time", "horizon = 1.0\nsteps = 16")], ids=["space", "time"]
+    )
+    def test_a_study_keeps_only_final_fields(self, tmp_path, monkeypatch, axis, time):
+        # every level and the reference keep their final field alone, in memory of its own, and study.tsv is
+        # byte for byte that of runs that keep every field
+        import subdiff.cli as cli
+
+        cfg = _write(tmp_path, f"problem = porous\n[problem]\nresolution = 9\n[time]\n{time}\n[study]\naxis = {axis}\n")
+        runs = []
+        monkeypatch.setattr(cli, "run_trajectory", lambda *a, **k: runs.append(run_trajectory(*a, **k)) or runs[-1])
+        assert main(["study", cfg, "--out", str(tmp_path / "kept"), "--levels", "2"]) == 0
+        assert len(runs) == 3  # two levels and the reference
+        for traj in runs:
+            final = traj.fields[-1]
+            assert traj.kept.tolist() == [traj.spec.time_grid.steps] and final.base.nbytes == final.nbytes
+        monkeypatch.setattr(cli, "run_trajectory", lambda spec, options, keep=None: run_trajectory(spec, options))
+        assert main(["study", cfg, "--out", str(tmp_path / "every"), "--levels", "2"]) == 0
+        assert (tmp_path / "kept" / "study.tsv").read_bytes() == (tmp_path / "every" / "study.tsv").read_bytes()
 
     @pytest.mark.parametrize("levels", ["0", "1"])
     def test_too_few_levels(self, tmp_path, capsys, levels):

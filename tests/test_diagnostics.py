@@ -100,6 +100,24 @@ class TestNorms:
         assert (rep.max_sup, rep.arg_step) == (float(sups[np.argmax(sups)]), int(np.argmax(sups)))
         assert weakform_residual(traj).scale == max(float(np.max(np.abs(U))), 1e-300)
 
+    @pytest.mark.parametrize("dimension, resolution, rows", [(1, 257, 601), (2, 33, 130)], ids=["1d", "2d"])
+    def test_windowed_norms_keep_the_full_array_formulas_bitwise(self, dimension, resolution, rows):
+        # row counts that are no multiple of any window height, and values over many magnitudes
+        from subdiff.solver import _reduce_norms
+
+        traj = _run("porous", dimension=dimension, resolution=resolution, steps=2, horizon=1.0)
+        rng = np.random.default_rng(3)
+        U = rng.standard_normal((rows, traj.spec.grid.n_nodes)) * 10.0 ** rng.integers(-100, 100, (rows, 1))
+        q = traj.spec.grid.quadrature_weights()
+        l2, sup = np.sqrt(np.einsum("ni,i,ni->n", U, q, U)).tobytes(), np.max(np.abs(U), axis=1).tobytes()
+        for height in (1, 7, 64, 256):
+            got = np.empty(rows), np.empty(rows)
+            for k in range(0, rows, height):
+                _reduce_norms(U[k : k + height], q, got[0][k : k + height], got[1][k : k + height])
+            assert (got[0].tobytes(), got[1].tobytes()) == (l2, sup), height
+        norms = dataclasses.replace(traj, fields=U).norms  # the record's own windows, of the default height
+        assert (norms.l2.tobytes(), norms.sup.tobytes()) == (l2, sup)
+
 
 class TestBoundedness:
     def test_eigenmode_respects_initial_bound(self):
@@ -327,7 +345,8 @@ def _weights_only(alpha, grid):
 def _static(grid, field, steps=16):
     """A stand-in trajectory that holds ``field`` at every node of a uniform time grid on [0, 1]."""
     times = np.linspace(0.0, 1.0, steps + 1)
-    return SimpleNamespace(spec=SimpleNamespace(grid=grid), times=times, fields=np.tile(field, (times.size, 1)))
+    fields = np.tile(field, (times.size, 1))
+    return SimpleNamespace(spec=SimpleNamespace(grid=grid), times=times, fields=fields, kept=None)
 
 
 class TestHoelder:

@@ -151,10 +151,11 @@ class TestVectorized:
         for idx in np.ndindex(zs.shape):
             assert vals[idx] == mittag_leffler(0.4, zs[idx]).value
 
-    @pytest.mark.parametrize("alpha", [0.4, 1.0])
-    def test_mixed_signs_match_scalar_bitwise(self, alpha):
-        zs = np.concatenate([-np.geomspace(1e-8, 1e6, 40), [0.0, -0.0], -np.linspace(0.05, 6.0, 12)])
-        zs = np.random.default_rng(0).permutation(zs).reshape(6, 9)
+    # 600 negative arguments fill two blocks of contour terms and part of a third
+    @pytest.mark.parametrize("alpha, count", [(0.4, 40), (1.0, 40), (0.4, 600)])
+    def test_mixed_signs_match_scalar_bitwise(self, alpha, count):
+        zs = np.concatenate([-np.geomspace(1e-8, 1e6, count), [0.0, -0.0], -np.linspace(0.05, 6.0, 12)])
+        zs = np.random.default_rng(0).permutation(zs).reshape(-1, 9 if count == 40 else 2)
         vals, ests = _evaluate(alpha, zs)
         assert vals.shape == ests.shape == zs.shape
         for idx in np.ndindex(zs.shape):

@@ -995,6 +995,51 @@ class TestTrajectoryBookkeeping:
         np.testing.assert_array_equal(traj.fields[0][~interior], 0.0)
 
 
+class TestStreamedRecord:
+    def test_keep_names_a_step_outside_the_run(self):
+        spec = _sine_problem(steps=8)
+        for step in (9, -1):
+            with pytest.raises(ValueError, match=f"keep names step {step}, outside the run's steps 0..8"):
+                run_trajectory(spec, keep=[2, step])
+
+    def test_it_keeps_the_listed_steps_and_the_last(self):
+        from subdiff.diagnostics import hoelder_seminorm, weakform_residual
+
+        spec = _sine_problem(steps=8)
+        full, streamed = run_trajectory(spec), run_trajectory(spec, keep=(5, 2, 5))
+        assert full.kept is None and streamed.kept.tolist() == [2, 5, 8]
+        for n in (2, 5, 8):
+            assert streamed.field(n).tobytes() == full.field(n).tobytes() == full.fields[n].tobytes()
+        assert streamed.fields[-1].tobytes() == full.fields[-1].tobytes()
+        with pytest.raises(ValueError, match=r"step 3 is not kept; this record keeps steps \[2, 5, 8\]"):
+            streamed.field(3)
+        for array in (streamed.fields, streamed.kept, streamed.norms.l2, streamed.norms.sup):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        for reader in (hoelder_seminorm, weakform_residual):
+            with pytest.raises(ValueError, match=r"reads every field; this record keeps only steps \[2, 5, 8\]"):
+                reader(streamed)
+
+    def test_its_memory_does_not_grow_with_its_steps(self):
+        # A compressed run that keeps only its final field, at 512 and at 4096 steps: its traced peak grows by
+        # less than a tenth of the 3584 more fields that a full record would hold.
+        import tracemalloc
+
+        options = SolverOptions(history="compressed")
+
+        def peak(steps):
+            spec = build_preset("eigenmode", resolution=257, steps=steps, grading=1.0)
+            tracemalloc.start()
+            try:
+                run_trajectory(spec, options, keep=())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # what a first run loads and caches, outside the comparison
+        assert peak(4096) - peak(512) < 0.1 * 8 * 257 * 3584
+
+
 def _records_with_arrays():
     """One pair of equal-valued instances, built twice, of every record that holds an array."""
     from subdiff.diagnostics import decay_report, norm_series
